@@ -1,11 +1,17 @@
 """Native kernel tier — compiled TRW-S sweep kernels vs the NumPy backend.
 
-Pins the headline claim of the kernel-backend tier (``docs/kernels.md``):
-on the 10k-host scalability workload (50 000 nodes, ~200 000 edges, 4
-labels) the ``native`` backend runs one TRW-S iteration — forward sweep +
-backward sweep + dual bound — at least **5×** faster than the ``numpy``
-backend, while remaining bit-for-bit identical (labels, energy, bound,
-traces and the post-solve message state are asserted equal, not close).
+Pins the two claims of the kernel-backend tier (``docs/kernels.md``), each
+on one TRW-S iteration — forward sweep + backward sweep + dual bound —
+while the backends stay bit-for-bit identical (labels, energy, bound,
+traces and the post-solve message state are asserted equal, not close):
+
+* on the 10k-host scalability workload (50 000 nodes, ~200 000 edges, 4
+  labels, wide wavefront levels) the ``native`` backend is at least
+  **5×** faster than the ``numpy`` backend;
+* on the 1000-host chain+chord estate of ``bench_dual_scaling.py`` (one
+  wavefront level per host, ~1000 levels per sweep — the long-diameter
+  shape where per-level dispatch is most of the work) ``native`` is no
+  slower than ``numpy``.
 
 Timing protocol: interleaved best-of-``ROUNDS``.  Each round solves
 ``ITERATIONS`` TRW-S iterations per backend, alternating backends inside
@@ -14,13 +20,16 @@ equally; the metric is per-iteration *sweep* seconds — the ``forward`` +
 ``backward`` + ``bound`` phases from :class:`~repro.mrf.solvers.SolveStats`
 — excluding decode/energy bookkeeping, which is backend-independent.  The
 per-phase attribution of the winning native round lands in the BENCH
-record (schema 2 ``phases``), and the committed baseline lives in
-``benchmarks/pinned/BENCH_native_kernels.json`` (``bench_report.py
---pinned`` gates on it).
+record (schema 2 ``phases``), and the committed baselines live in
+``benchmarks/pinned/BENCH_native_kernels.json`` and
+``BENCH_native_kernels_chain.json`` (``bench_report.py --pinned`` gates on
+them).
 """
 
 import numpy as np
 import pytest
+from bench_dual_scaling import HOSTS as CHAIN_HOSTS
+from bench_dual_scaling import build_pipeline_estate
 
 from repro import obs
 from repro.core.compile import compile_plan
@@ -41,12 +50,14 @@ ROUNDS = 5
 ITERATIONS = 3
 #: Acceptance bar for the compiled tier at this scale.
 MIN_SPEEDUP = 5.0
+#: Acceptance bar on the chain estate: native no slower than numpy.
+MIN_CHAIN_SPEEDUP = 1.0
 
 NATIVE = get_backend("native")
 
 pytestmark = pytest.mark.skipif(
     not NATIVE.available,
-    reason="native backend needs Numba or a C compiler",
+    reason="native backend needs a C compiler",
 )
 
 
@@ -66,23 +77,16 @@ def _timed_solve(plan, backend, scratch, messages):
     return result, sweep / result.iterations
 
 
-def test_native_sweep_speedup(record_bench):
-    network = random_network(CONFIG)
-    similarity = random_similarity(CONFIG)
-    plan = compile_plan(network, similarity).plan
-    scratch = {name: SolverScratch() for name in ("numpy", "native")}
-
-    # Warm both paths once (compiled-kernel load, scratch growth) so the
-    # timed rounds measure steady-state sweeps only.
-    baseline, _ = _timed_solve(
-        plan, "numpy", scratch["numpy"], plan.zero_messages()
-    )
-    native_result, _ = _timed_solve(
-        plan, "native", scratch["native"], plan.zero_messages()
-    )
-
-    # Bit-for-bit parity at scale: the whole result and the post-solve
-    # message state, not approximate agreement.
+def _assert_parity(plan):
+    """Both backends agree bit-for-bit: the whole result and the
+    post-solve message state.  Also warms both paths (compiled-kernel
+    load, plan marshalling) before anything is timed."""
+    results = {}
+    for name in ("numpy", "native"):
+        results[name], _ = _timed_solve(
+            plan, name, SolverScratch(), plan.zero_messages()
+        )
+    native_result, baseline = results["native"], results["numpy"]
     assert native_result.labels == baseline.labels
     assert native_result.energy == baseline.energy
     assert native_result.lower_bound == baseline.lower_bound
@@ -95,7 +99,13 @@ def test_native_sweep_speedup(record_bench):
     TRWSSolver(max_iterations=2, refine=False, backend="native", seed=0) \
         .solve_arrays(plan, messages=messages)
     np.testing.assert_array_equal(messages, reference_messages)
+    return native_result
 
+
+def _interleaved_best(plan):
+    """Best per-iteration sweep seconds (and that round's stats) per
+    backend, alternating backends inside every round."""
+    scratch = {name: SolverScratch() for name in ("numpy", "native")}
     best = {"numpy": float("inf"), "native": float("inf")}
     best_stats = {}
     for _ in range(ROUNDS):
@@ -106,24 +116,60 @@ def test_native_sweep_speedup(record_bench):
             if per_iteration < best[name]:
                 best[name] = per_iteration
                 best_stats[name] = result.stats
+    return best, best_stats
 
+
+def _record(record_bench, name, plan, best, best_stats, result, **extra):
     speedup = best["numpy"] / best["native"]
     record_bench(
-        "native_kernels",
+        name,
         seconds=best["native"],
         phases=best_stats["native"].phase_seconds(),
         numpy_seconds=round(best["numpy"], 6),
         speedup=round(speedup, 2),
-        backend=NATIVE.describe(),
-        hosts=CONFIG.hosts,
+        backend=best_stats["native"].backend,
         nodes=plan.node_count,
         edges=plan.edge_count,
+        levels=plan.fwd_sweep.count + plan.bwd_sweep.count,
         iterations=ITERATIONS,
         rounds=ROUNDS,
-        energy=round(native_result.energy, 6),
+        energy=round(result.energy, 6),
+        **extra,
+    )
+    return speedup
+
+
+def test_native_sweep_speedup(record_bench):
+    network = random_network(CONFIG)
+    similarity = random_similarity(CONFIG)
+    plan = compile_plan(network, similarity).plan
+    native_result = _assert_parity(plan)
+    best, best_stats = _interleaved_best(plan)
+    assert best_stats["native"].backend == NATIVE.describe()
+    speedup = _record(
+        record_bench, "native_kernels", plan, best, best_stats,
+        native_result, hosts=CONFIG.hosts,
     )
     assert speedup >= MIN_SPEEDUP, (
         f"native kernels only {speedup:.1f}x faster than numpy "
         f"({best['native'] * 1e3:.1f} ms vs {best['numpy'] * 1e3:.1f} ms "
         f"per iteration)"
+    )
+
+
+def test_native_chain_no_slower(record_bench):
+    network, table, preferences = build_pipeline_estate()
+    plan = compile_plan(network, table, preferences=preferences).plan
+    assert plan.fwd_sweep.count >= CHAIN_HOSTS // 2  # long diameter
+    native_result = _assert_parity(plan)
+    best, best_stats = _interleaved_best(plan)
+    assert best_stats["native"].backend == NATIVE.describe()
+    speedup = _record(
+        record_bench, "native_kernels_chain", plan, best, best_stats,
+        native_result, hosts=CHAIN_HOSTS,
+    )
+    assert speedup >= MIN_CHAIN_SPEEDUP, (
+        f"native kernels {1 / speedup:.1f}x slower than numpy on the "
+        f"chain estate ({best['native'] * 1e3:.2f} ms vs "
+        f"{best['numpy'] * 1e3:.2f} ms per iteration)"
     )

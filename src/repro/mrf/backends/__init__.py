@@ -2,13 +2,15 @@
 
 The solvers (:mod:`repro.mrf.trws`, :mod:`repro.mrf.bp`) and the plan
 primitives (:class:`~repro.mrf.vectorized.MRFArrays` decode/ICM/bound)
-spend their time in a handful of per-level array kernels.  This package
-makes that kernel tier pluggable:
+spend their time in sweeps over the plan's wavefront levels.  This
+package makes that kernel tier pluggable, one call per sweep (see
+:mod:`repro.mrf.backends.base`):
 
-- ``numpy`` — the vectorized NumPy reference (always available; defines
-  the bit-level contract);
-- ``native`` — the same kernels compiled (Numba or ctypes/C), bit-for-bit
-  identical and parity-gated by ``tests/test_backends.py``.
+- ``numpy`` — a Python loop over the levels, vectorized NumPy within each
+  (always available; defines the bit-level contract);
+- ``native`` — the same sweeps in one embedded C library (ctypes), one
+  foreign call per sweep, bit-for-bit identical and parity-gated by
+  ``tests/test_backends.py``.
 
 Selection precedence, resolved *per call* so environments and tests can
 flip it dynamically:
@@ -20,8 +22,8 @@ flip it dynamically:
 
 :func:`get_backend` is strict (unknown name → ``ValueError``);
 :func:`resolve_backend` is graceful — asking for an unavailable backend
-warns once and falls back to NumPy, so a host without Numba or a C
-compiler behaves exactly as before this tier existed.
+warns once and falls back to NumPy, so a host without a C compiler
+behaves exactly as before this tier existed.
 """
 
 from __future__ import annotations

@@ -1,11 +1,17 @@
 """ctypes/C implementation of the native kernels.
 
-A line-for-line transliteration of :mod:`repro.mrf.backends._kernels_py`
-into C, compiled on first use with whatever C compiler the host offers
-(``$CC``, ``cc``, ``gcc``, ``clang``) and loaded through :mod:`ctypes` —
-the pyscf idiom of thin native kernels under a NumPy-facing API, with no
-build system and no Python.h dependency.  When no compiler works, the
+One embedded C translation unit, compiled on first use with whatever C
+compiler the host offers (``$CC``, ``cc``, ``gcc``, ``clang``) and loaded
+through :mod:`ctypes` — thin native kernels under a NumPy-facing API, with
+no build system and no Python.h dependency.  When no compiler works, the
 loader reports unavailable and the backend registry degrades to NumPy.
+
+The TRW-S sweeps, ICM and the decode are *whole-sweep* entry points: one
+foreign call walks every wavefront level of a plan, reading the plan's
+flat level-major arrays through a :class:`CPlan` struct that is filled
+once per plan build.  When the caller passes a per-level seconds array
+(tracing), the same loop times each level with ``CLOCK_MONOTONIC``;
+untraced calls pass ``NULL``.
 
 Two flags are load-bearing for the bit-parity gate:
 
@@ -31,49 +37,84 @@ import threading
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-__all__ = ["load_kernels", "CKernels", "KERNELS_C"]
+__all__ = ["load_kernels", "CKernels", "CPlan", "CSends", "KERNELS_C"]
 
 #: Stack workspace size in the C kernels; plans with more labels per node
-#: fall back to the NumPy backend (native.py gates on this).
+#: fall back to the NumPy backend (the native guard checks this).
 LMAX_LIMIT = 64
 
 KERNELS_C = r"""
+#define _POSIX_C_SOURCE 200809L
 #include <stdint.h>
 #include <math.h>
 #include <string.h>
+#include <time.h>
 
 /* NumPy-matching reductions: NaN poisons min/max; argmin returns the
  * first NaN's index.  PF is the software-prefetch distance (edges). */
 #define MINACC(best, v) do { if ((v) < (best) || isnan(v)) (best) = (v); } while (0)
 #define PF 12
+#define HOT static inline __attribute__((always_inline))
 
-static inline void send_body(
-    int64_t k, const int64_t lmax,
-    const double *restrict cost,
-    const int64_t *restrict snd, const int64_t *restrict rcv,
-    const int64_t *restrict out, const int64_t *restrict inn,
-    const int64_t *restrict cid, const double *restrict gam,
-    const uint8_t *restrict pad,
+/* One sweep direction's sends, level-major; level l owns [off[l], off[l+1]). */
+typedef struct {
+    const int64_t *off;
+    const int64_t *snd, *rcv, *out, *inn, *cid;
+    const double *gam;
+    const uint8_t *pad;
+} sends_t;
+
+/* A plan's sweep arrays (see MRFArrays.fwd_sweep / bwd_sweep). */
+typedef struct {
+    int64_t lmax, n_fwd, n_bwd;
+    const double *cost;
+    const double *unary;
+    const int64_t *node_off, *nodes;
+    const int64_t *ext_off, *ext_seg, *ext_nbr, *ext_in, *ext_cid;
+    const int64_t *all_off, *all_seg, *all_nbr, *all_cid;
+    sends_t fwd, bwd;
+} plan_t;
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+HOT int64_t argmin_row(const double *row, const int64_t lmax)
+{
+    int64_t best = 0;
+    double bv = row[0];
+    for (int64_t r = 1; r < lmax; ++r) {
+        const double v = row[r];
+        if (v < bv || (isnan(v) && !isnan(bv))) { bv = v; best = r; }
+    }
+    return best;
+}
+
+/* Block message update of sends [begin, end); `limit` bounds prefetch. */
+HOT void send_range(
+    const int64_t lmax, const double *restrict cost, const sends_t *s,
+    const int64_t begin, const int64_t end, const int64_t limit,
     double *restrict messages, double *restrict beliefs)
 {
     const int64_t LL = lmax * lmax;
     double base_buf[64];
     double new_buf[64];
-    for (int64_t e = 0; e < k; ++e) {
-        if (e + PF < k) {
-            __builtin_prefetch(beliefs + snd[e + PF] * lmax, 0);
-            __builtin_prefetch(messages + inn[e + PF] * lmax, 0);
-            __builtin_prefetch(messages + out[e + PF] * lmax, 1);
-            __builtin_prefetch(beliefs + rcv[e + PF] * lmax, 1);
+    for (int64_t e = begin; e < end; ++e) {
+        if (e + PF < limit) {
+            __builtin_prefetch(beliefs + s->snd[e + PF] * lmax, 0);
+            __builtin_prefetch(messages + s->inn[e + PF] * lmax, 0);
+            __builtin_prefetch(messages + s->out[e + PF] * lmax, 1);
+            __builtin_prefetch(beliefs + s->rcv[e + PF] * lmax, 1);
         }
-        const double *b = beliefs + snd[e] * lmax;
-        const double *m_in = messages + inn[e] * lmax;
-        const double g = gam[e];
+        const double *b = beliefs + s->snd[e] * lmax;
+        const double *m_in = messages + s->inn[e] * lmax;
+        const double g = s->gam[e];
         for (int64_t r = 0; r < lmax; ++r)
             base_buf[r] = b[r] * g - m_in[r];
-        const double *cm = cost + cid[e] * LL;
+        const double *cm = cost + s->cid[e] * LL;
         for (int64_t c = 0; c < lmax; ++c)
             new_buf[c] = INFINITY;
         for (int64_t r = 0; r < lmax; ++r) {
@@ -87,9 +128,9 @@ static inline void send_body(
         double rowmin = INFINITY;
         for (int64_t c = 0; c < lmax; ++c)
             MINACC(rowmin, new_buf[c]);
-        const uint8_t *ep = pad + e * lmax;
-        double *mout = messages + out[e] * lmax;
-        double *brcv = beliefs + rcv[e] * lmax;
+        const uint8_t *ep = s->pad + e * lmax;
+        double *mout = messages + s->out[e] * lmax;
+        double *brcv = beliefs + s->rcv[e] * lmax;
         for (int64_t c = 0; c < lmax; ++c) {
             const double nv = ep[c] ? 0.0 : new_buf[c] - rowmin;
             brcv[c] += nv - mout[c];
@@ -98,87 +139,163 @@ static inline void send_body(
     }
 }
 
-void repro_trws_send(
-    int64_t k, int64_t lmax, const double *cost,
-    const int64_t *snd, const int64_t *rcv, const int64_t *out,
-    const int64_t *inn, const int64_t *cid, const double *gam,
-    const uint8_t *pad, double *messages, double *beliefs)
-{
-    if (lmax == 4)
-        send_body(k, 4, cost, snd, rcv, out, inn, cid, gam, pad, messages, beliefs);
-    else if (lmax == 6)
-        send_body(k, 6, cost, snd, rcv, out, inn, cid, gam, pad, messages, beliefs);
-    else if (lmax == 8)
-        send_body(k, 8, cost, snd, rcv, out, inn, cid, gam, pad, messages, beliefs);
-    else
-        send_body(k, lmax, cost, snd, rcv, out, inn, cid, gam, pad, messages, beliefs);
-}
-
-void repro_condition(
-    int64_t nn, int64_t t, int64_t lmax, const double *cost,
-    const int64_t *nodes, const int64_t *ext_seg, const int64_t *ext_nbr,
-    const int64_t *ext_in, const int64_t *ext_cid,
-    const double *beliefs, const double *messages,
-    int64_t *labels, double *cond)
+/* Sequential-conditioning labels of forward level l. */
+HOT void condition_level(
+    const plan_t *p, const int64_t lmax, const int64_t l,
+    const double *restrict beliefs, const double *restrict messages,
+    int64_t *restrict labels, double *restrict cond)
 {
     const int64_t LL = lmax * lmax;
+    const int64_t *nodes = p->nodes + p->node_off[l];
+    const int64_t nn = p->node_off[l + 1] - p->node_off[l];
+    const int64_t j1 = p->ext_off[l + 1];
     for (int64_t i = 0; i < nn; ++i)
         memcpy(cond + i * lmax, beliefs + nodes[i] * lmax,
                (size_t)lmax * sizeof(double));
-    for (int64_t j = 0; j < t; ++j) {
-        if (j + PF < t) {
-            __builtin_prefetch(labels + ext_nbr[j + PF], 0);
-            __builtin_prefetch(messages + ext_in[j + PF] * lmax, 0);
-            __builtin_prefetch(cond + ext_seg[j + PF] * lmax, 1);
+    for (int64_t j = p->ext_off[l]; j < j1; ++j) {
+        if (j + PF < j1) {
+            __builtin_prefetch(labels + p->ext_nbr[j + PF], 0);
+            __builtin_prefetch(messages + p->ext_in[j + PF] * lmax, 0);
+            __builtin_prefetch(cond + p->ext_seg[j + PF] * lmax, 1);
         }
-        const int64_t lab = labels[ext_nbr[j]];
-        const double *cm = cost + ext_cid[j] * LL + lab;
-        const double *m_in = messages + ext_in[j] * lmax;
-        double *row = cond + ext_seg[j] * lmax;
+        const int64_t lab = labels[p->ext_nbr[j]];
+        const double *cm = p->cost + p->ext_cid[j] * LL + lab;
+        const double *m_in = messages + p->ext_in[j] * lmax;
+        double *row = cond + p->ext_seg[j] * lmax;
         for (int64_t r = 0; r < lmax; ++r)
             row[r] += cm[r * lmax] - m_in[r];
     }
-    for (int64_t i = 0; i < nn; ++i) {
-        const double *row = cond + i * lmax;
-        int64_t best = 0;
-        double bv = row[0];
-        for (int64_t r = 1; r < lmax; ++r) {
-            const double v = row[r];
-            if (v < bv || (isnan(v) && !isnan(bv))) { bv = v; best = r; }
-        }
-        labels[nodes[i]] = best;
-    }
+    for (int64_t i = 0; i < nn; ++i)
+        labels[nodes[i]] = argmin_row(cond + i * lmax, lmax);
 }
 
-void repro_icm(
-    int64_t nn, int64_t t, int64_t lmax, const double *cost,
-    const int64_t *nodes, const int64_t *all_seg, const int64_t *all_nbr,
-    const int64_t *all_cid, const double *unary, const int64_t *current,
-    int64_t *best_out, double *cond)
+/* ICM step of forward level l on all neighbours; returns 1 if a label
+ * changed.  Level nodes are never adjacent, so no write below is read
+ * by this level's gathers. */
+HOT int icm_level(
+    const plan_t *p, const int64_t lmax, const int64_t l,
+    int64_t *restrict current, double *restrict cond)
 {
     const int64_t LL = lmax * lmax;
+    const int64_t *nodes = p->nodes + p->node_off[l];
+    const int64_t nn = p->node_off[l + 1] - p->node_off[l];
+    const int64_t j1 = p->all_off[l + 1];
     for (int64_t i = 0; i < nn; ++i)
-        memcpy(cond + i * lmax, unary + nodes[i] * lmax,
+        memcpy(cond + i * lmax, p->unary + nodes[i] * lmax,
                (size_t)lmax * sizeof(double));
-    for (int64_t j = 0; j < t; ++j) {
-        if (j + PF < t)
-            __builtin_prefetch(current + all_nbr[j + PF], 0);
-        const int64_t lab = current[all_nbr[j]];
-        const double *cm = cost + all_cid[j] * LL + lab;
-        double *row = cond + all_seg[j] * lmax;
+    for (int64_t j = p->all_off[l]; j < j1; ++j) {
+        if (j + PF < j1)
+            __builtin_prefetch(current + p->all_nbr[j + PF], 0);
+        const int64_t lab = current[p->all_nbr[j]];
+        const double *cm = p->cost + p->all_cid[j] * LL + lab;
+        double *row = cond + p->all_seg[j] * lmax;
         for (int64_t r = 0; r < lmax; ++r)
             row[r] += cm[r * lmax];
     }
+    int changed = 0;
     for (int64_t i = 0; i < nn; ++i) {
-        const double *row = cond + i * lmax;
-        int64_t best = 0;
-        double bv = row[0];
-        for (int64_t r = 1; r < lmax; ++r) {
-            const double v = row[r];
-            if (v < bv || (isnan(v) && !isnan(bv))) { bv = v; best = r; }
-        }
-        best_out[i] = best;
+        const int64_t best = argmin_row(cond + i * lmax, lmax);
+        changed |= best != current[nodes[i]];
+        current[nodes[i]] = best;
     }
+    return changed;
+}
+
+HOT void forward_body(
+    const plan_t *p, const int64_t lmax, double *messages, double *beliefs,
+    int64_t *labels, double *cond, double *secs)
+{
+    const int64_t limit = p->fwd.off[p->n_fwd];
+    for (int64_t l = 0; l < p->n_fwd; ++l) {
+        const double t0 = secs ? now() : 0.0;
+        condition_level(p, lmax, l, beliefs, messages, labels, cond);
+        send_range(lmax, p->cost, &p->fwd, p->fwd.off[l], p->fwd.off[l + 1],
+                   limit, messages, beliefs);
+        if (secs)
+            secs[l] += now() - t0;
+    }
+}
+
+HOT void backward_body(
+    const plan_t *p, const int64_t lmax, double *messages, double *beliefs,
+    double *secs)
+{
+    const int64_t limit = p->bwd.off[p->n_bwd];
+    for (int64_t l = 0; l < p->n_bwd; ++l) {
+        const double t0 = secs ? now() : 0.0;
+        send_range(lmax, p->cost, &p->bwd, p->bwd.off[l], p->bwd.off[l + 1],
+                   limit, messages, beliefs);
+        if (secs)
+            secs[l] += now() - t0;
+    }
+}
+
+HOT void decode_body(
+    const plan_t *p, const int64_t lmax, const double *beliefs,
+    const double *messages, int64_t *labels, double *cond)
+{
+    for (int64_t l = 0; l < p->n_fwd; ++l)
+        condition_level(p, lmax, l, beliefs, messages, labels, cond);
+}
+
+HOT void icm_body(
+    const plan_t *p, const int64_t lmax, const int64_t max_sweeps,
+    int64_t *current, double *cond)
+{
+    for (int64_t sweep = 0; sweep < max_sweeps; ++sweep) {
+        int changed = 0;
+        for (int64_t l = 0; l < p->n_fwd; ++l)
+            changed |= icm_level(p, lmax, l, current, cond);
+        if (!changed)
+            break;
+    }
+}
+
+/* The common label widths get constant-folded copies of each body. */
+#define DISPATCH(call_4, call_6, call_8, call_n) \
+    switch (p->lmax) {                           \
+    case 4: call_4; break;                       \
+    case 6: call_6; break;                       \
+    case 8: call_8; break;                       \
+    default: call_n; break;                      \
+    }
+
+void repro_trws_forward(
+    const plan_t *p, double *messages, double *beliefs, int64_t *labels,
+    double *cond, double *secs)
+{
+    DISPATCH(forward_body(p, 4, messages, beliefs, labels, cond, secs),
+             forward_body(p, 6, messages, beliefs, labels, cond, secs),
+             forward_body(p, 8, messages, beliefs, labels, cond, secs),
+             forward_body(p, p->lmax, messages, beliefs, labels, cond, secs))
+}
+
+void repro_trws_backward(
+    const plan_t *p, double *messages, double *beliefs, double *secs)
+{
+    DISPATCH(backward_body(p, 4, messages, beliefs, secs),
+             backward_body(p, 6, messages, beliefs, secs),
+             backward_body(p, 8, messages, beliefs, secs),
+             backward_body(p, p->lmax, messages, beliefs, secs))
+}
+
+void repro_decode(
+    const plan_t *p, const double *beliefs, const double *messages,
+    int64_t *labels, double *cond)
+{
+    DISPATCH(decode_body(p, 4, beliefs, messages, labels, cond),
+             decode_body(p, 6, beliefs, messages, labels, cond),
+             decode_body(p, 8, beliefs, messages, labels, cond),
+             decode_body(p, p->lmax, beliefs, messages, labels, cond))
+}
+
+void repro_icm(const plan_t *p, int64_t max_sweeps, int64_t *current,
+               double *cond)
+{
+    DISPATCH(icm_body(p, 4, max_sweeps, current, cond),
+             icm_body(p, 6, max_sweeps, current, cond),
+             icm_body(p, 8, max_sweeps, current, cond),
+             icm_body(p, p->lmax, max_sweeps, current, cond))
 }
 
 static inline void bound_body(
@@ -315,31 +432,54 @@ _lock = threading.Lock()
 _cached: Optional["CKernels"] = None
 _failed = False
 
-_DP = ctypes.POINTER(ctypes.c_double)
-_IP = ctypes.POINTER(ctypes.c_int64)
-_UP = ctypes.POINTER(ctypes.c_uint8)
+_P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 
 
-def _dp(a: np.ndarray):
-    return a.ctypes.data_as(_DP)
+class CSends(ctypes.Structure):
+    """Mirror of the C ``sends_t``: one sweep direction's send arrays."""
+
+    _fields_ = [(name, _P) for name in (
+        "off", "snd", "rcv", "out", "inn", "cid", "gam", "pad",
+    )]
 
 
-def _ip(a: np.ndarray):
-    return a.ctypes.data_as(_IP)
+class CPlan(ctypes.Structure):
+    """Mirror of the C ``plan_t``: every pointer a sweep kernel reads."""
+
+    _fields_ = [
+        ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64),
+        *((name, _P) for name in (
+            "cost", "unary", "node_off", "nodes",
+            "ext_off", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
+            "all_off", "all_seg", "all_nbr", "all_cid",
+        )),
+        ("fwd", CSends), ("bwd", CSends),
+    ]
 
 
-def _up(a: np.ndarray):
-    return a.ctypes.data_as(_UP)
+#: (symbol, argument types, return type) of every exported kernel.
+_SIGNATURES = (
+    ("repro_trws_forward", [ctypes.POINTER(CPlan), _P, _P, _P, _P, _P], None),
+    ("repro_trws_backward", [ctypes.POINTER(CPlan), _P, _P, _P], None),
+    ("repro_decode", [ctypes.POINTER(CPlan), _P, _P, _P, _P], None),
+    ("repro_icm", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
+    ("repro_bound_mins", [_I64, _I64, _P, _P, _P, _P], None),
+    ("repro_bp_beliefs", [_I64, _I64, _I64, _P, _P, _P, _P], None),
+    ("repro_bp_round",
+     [_I64, _I64, _P, _P, _P, _P, _P, ctypes.c_double, _P, _P, _P],
+     ctypes.c_double),
+)
 
 
 class CKernels:
-    """ctypes bindings over the compiled kernel library.
+    """The compiled kernel library with typed entry points.
 
-    Methods mirror :mod:`repro.mrf.backends._kernels_py` signatures, so the
-    native backend drives either implementation through one adapter.  All
-    array arguments must be C-contiguous with the documented dtypes — the
-    backend's plan-state prep guarantees that.
+    Attributes are the C functions themselves (``trws_forward``,
+    ``trws_backward``, ``decode``, ``icm``, ``bound_mins``,
+    ``bp_beliefs``, ``bp_round``), taking raw addresses (``int`` or
+    ``None`` for ``NULL``) for arrays and a ``POINTER(CPlan)`` for plans.
+    Callers guarantee C-contiguous arrays of the documented dtypes.
     """
 
     kind = "cc"
@@ -347,48 +487,11 @@ class CKernels:
     def __init__(self, path: Path) -> None:
         self.path = path
         self._lib = ctypes.CDLL(str(path))
-        self._lib.repro_bp_round.restype = ctypes.c_double
-
-    def trws_send(self, k, lmax, cost, snd, rcv, out, inn, cid, gam, pad,
-                  messages, beliefs, base_buf, new_buf):
-        self._lib.repro_trws_send(
-            _I64(k), _I64(lmax), _dp(cost), _ip(snd), _ip(rcv), _ip(out),
-            _ip(inn), _ip(cid), _dp(gam), _up(pad), _dp(messages),
-            _dp(beliefs))
-
-    def condition(self, nn, t, lmax, cost, nodes, ext_seg, ext_nbr, ext_in,
-                  ext_cid, beliefs, messages, labels, cond):
-        self._lib.repro_condition(
-            _I64(nn), _I64(t), _I64(lmax), _dp(cost), _ip(nodes),
-            _ip(ext_seg), _ip(ext_nbr), _ip(ext_in), _ip(ext_cid),
-            _dp(beliefs), _dp(messages), _ip(labels), _dp(cond))
-
-    def icm_condition(self, nn, t, lmax, cost, nodes, all_seg, all_nbr,
-                      all_cid, unary, current, best_out, cond):
-        self._lib.repro_icm(
-            _I64(nn), _I64(t), _I64(lmax), _dp(cost), _ip(nodes),
-            _ip(all_seg), _ip(all_nbr), _ip(all_cid), _dp(unary),
-            _ip(current), _ip(best_out), _dp(cond))
-
-    def bound_mins(self, k, lmax, cost, cid, messages, mins):
-        self._lib.repro_bound_mins(
-            _I64(k), _I64(lmax), _dp(cost), _ip(cid), _dp(messages),
-            _dp(mins))
-
-    def bp_beliefs(self, n, slots, lmax, unary, slot_receiver, messages,
-                   beliefs):
-        self._lib.repro_bp_beliefs(
-            _I64(n), _I64(slots), _I64(lmax), _dp(unary), _ip(slot_receiver),
-            _dp(messages), _dp(beliefs))
-
-    def bp_round(self, slots, lmax, cost, slot_sender, slot_reverse,
-                 slot_cid, slot_pad, damping, beliefs, messages, new_msgs,
-                 base_buf):
-        return self._lib.repro_bp_round(
-            _I64(slots), _I64(lmax), _dp(cost), _ip(slot_sender),
-            _ip(slot_reverse), _ip(slot_cid), _up(slot_pad),
-            ctypes.c_double(damping), _dp(beliefs), _dp(messages),
-            _dp(new_msgs))
+        for symbol, argtypes, restype in _SIGNATURES:
+            function = getattr(self._lib, symbol)
+            function.argtypes = argtypes
+            function.restype = restype
+            setattr(self, symbol[len("repro_"):], function)
 
 
 def _cache_dir() -> Path:

@@ -1,13 +1,15 @@
 """The NumPy kernel backend — the reference implementation.
 
-These are the exact kernel bodies the vectorized solvers ran before the
-backend registry existed (extracted from ``trws.py``, ``vectorized.py``
-and ``bp.py`` unchanged — same operations, same order, same
-``SolverScratch`` buffer names), so this backend *defines* the bit-level
+The sweep-level methods walk the plan's per-level views in a Python loop;
+each level runs the vectorized block kernels the solvers used before the
+backend registry existed (same operations, same order, same
+``SolverScratch`` buffer names).  This backend *defines* the bit-level
 contract every other backend is gated against.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -26,56 +28,57 @@ class NumpyBackend(KernelBackend):
     def available(self) -> bool:
         return True
 
-    # ------------------------------------------------------ TRW-S kernels
+    # ------------------------------------------------- sweep-level kernels
 
-    def send_block(self, plan, block, messages, beliefs, scratch):
-        k = len(block.snd)
-        if not k:
-            return
-        lmax = plan.lmax
-        base = scratch.array("send_base", (k, lmax))
-        tmp = scratch.array("send_tmp", (k, lmax))
-        cost = scratch.array("send_cost", (k, lmax, lmax))
-        new = scratch.array("send_new", (k, lmax))
-        rowmin = scratch.array("send_rowmin", (k, 1))
-        beliefs.take(block.snd, axis=0, out=base, mode="clip")
-        np.multiply(base, block.gam, out=base)
-        messages.take(block.inn, axis=0, out=tmp, mode="clip")
-        np.subtract(base, tmp, out=base)
-        plan.cost.take(block.cid, axis=0, out=cost, mode="clip")
-        np.add(cost, base[:, :, None], out=cost)
-        cost.min(axis=1, out=new)
-        new.min(axis=1, keepdims=True, out=rowmin)
-        np.subtract(new, rowmin, out=new)
-        # Padded receiver labels came out +inf; store the 0 convention.
-        np.copyto(new, 0.0, where=block.pad)
-        messages.take(block.out, axis=0, out=tmp, mode="clip")
-        np.subtract(new, tmp, out=tmp)
-        np.add.at(beliefs, block.rcv, tmp)
-        messages[block.out] = new
+    def forward_sweep(
+        self, plan, messages, beliefs, labels, scratch, level_seconds=None
+    ):
+        for index, level in enumerate(plan.fwd_levels):
+            if level_seconds is not None:
+                start = time.perf_counter()
+            _condition(plan, level, beliefs, messages, labels, scratch)
+            _send(plan, level, messages, beliefs, scratch)
+            if level_seconds is not None:
+                level_seconds[index] += time.perf_counter() - start
+        return self
 
-    def condition_level(self, plan, level, beliefs, messages, labels, scratch):
-        cond = scratch.array("cond", (len(level.nodes), plan.lmax))
-        beliefs.take(level.nodes, axis=0, out=cond, mode="clip")
-        if len(level.ext_nbr):
-            np.add.at(
-                cond,
-                level.ext_seg,
-                plan.cost[level.ext_cid, :, labels[level.ext_nbr]]
-                - messages[level.ext_in],
-            )
-        labels[level.nodes] = np.argmin(cond, axis=1)
+    def backward_sweep(
+        self, plan, messages, beliefs, scratch, level_seconds=None
+    ):
+        for index, block in enumerate(plan.bwd_levels):
+            if level_seconds is not None:
+                start = time.perf_counter()
+            _send(plan, block, messages, beliefs, scratch)
+            if level_seconds is not None:
+                level_seconds[index] += time.perf_counter() - start
+        return self
 
-    def icm_level(self, plan, level, current, scratch):
-        cond = scratch.array("icm_cond", (len(level.nodes), plan.lmax))
-        plan.unary_inf.take(level.nodes, axis=0, out=cond, mode="clip")
-        if len(level.all_nbr):
-            np.add.at(
-                cond,
-                level.all_seg,
-                plan.cost[level.all_cid, :, current[level.all_nbr]],
-            )
-        return np.argmin(cond, axis=1)
+    def icm(self, plan, current, max_sweeps, scratch):
+        for _ in range(max_sweeps):
+            changed = False
+            for level in plan.fwd_levels:
+                cond = scratch.array("icm_cond", (len(level.nodes), plan.lmax))
+                plan.unary_inf.take(level.nodes, axis=0, out=cond, mode="clip")
+                if len(level.all_nbr):
+                    np.add.at(
+                        cond,
+                        level.all_seg,
+                        plan.cost[level.all_cid, :, current[level.all_nbr]],
+                    )
+                best = np.argmin(cond, axis=1)
+                if not np.array_equal(best, current[level.nodes]):
+                    changed = True
+                current[level.nodes] = best
+            if not changed:
+                break
+        return self
+
+    def decode(self, plan, beliefs, messages, labels, scratch):
+        for level in plan.fwd_levels:
+            _condition(plan, level, beliefs, messages, labels, scratch)
+        return self
+
+    # ----------------------------------------------------- per-call kernels
 
     def bound_chunk_mins(self, plan, messages, start, stop, scratch):
         to_second = messages[2 * start : 2 * stop : 2]
@@ -118,3 +121,47 @@ class NumpyBackend(KernelBackend):
         max_change = float(diff.max())
         np.copyto(messages, updated)
         return max_change
+
+
+def _send(plan, block, messages, beliefs, scratch):
+    """One level's block message update; mutates messages and beliefs."""
+    k = len(block.snd)
+    if not k:
+        return
+    lmax = plan.lmax
+    base = scratch.array("send_base", (k, lmax))
+    tmp = scratch.array("send_tmp", (k, lmax))
+    cost = scratch.array("send_cost", (k, lmax, lmax))
+    new = scratch.array("send_new", (k, lmax))
+    rowmin = scratch.array("send_rowmin", (k, 1))
+    beliefs.take(block.snd, axis=0, out=base, mode="clip")
+    np.multiply(base, block.gam, out=base)
+    messages.take(block.inn, axis=0, out=tmp, mode="clip")
+    np.subtract(base, tmp, out=base)
+    plan.cost.take(block.cid, axis=0, out=cost, mode="clip")
+    np.add(cost, base[:, :, None], out=cost)
+    cost.min(axis=1, out=new)
+    new.min(axis=1, keepdims=True, out=rowmin)
+    np.subtract(new, rowmin, out=new)
+    # Padded receiver labels came out +inf; store the 0 convention.
+    np.copyto(new, 0.0, where=block.pad)
+    messages.take(block.out, axis=0, out=tmp, mode="clip")
+    np.subtract(new, tmp, out=tmp)
+    np.add.at(beliefs, block.rcv, tmp)
+    messages[block.out] = new
+
+
+def _condition(plan, level, beliefs, messages, labels, scratch):
+    """Label one level by sequential conditioning on earlier levels: each
+    node takes the argmin of its belief with every earlier neighbour's
+    message replaced by the pairwise column of that neighbour's label."""
+    cond = scratch.array("cond", (len(level.nodes), plan.lmax))
+    beliefs.take(level.nodes, axis=0, out=cond, mode="clip")
+    if len(level.ext_nbr):
+        np.add.at(
+            cond,
+            level.ext_seg,
+            plan.cost[level.ext_cid, :, labels[level.ext_nbr]]
+            - messages[level.ext_in],
+        )
+    labels[level.nodes] = np.argmin(cond, axis=1)

@@ -102,17 +102,17 @@ class LoopyBPSolver:
         )
         if not obs.enabled():
             return self._solve_arrays(plan, messages, scratch, kernels, None)
-        stats = SolveStats()
+        stats = SolveStats(backend=kernels.describe())
         start = time.perf_counter()
         with obs.span(
             "bp.solve", cat="solve",
             nodes=plan.node_count, edges=plan.edge_count,
-            backend=kernels.describe(),
         ) as solve_span:
             result = self._solve_arrays(plan, messages, scratch, kernels, stats)
             stats.total_seconds = time.perf_counter() - start
             result.stats = stats
             solve_span.add(
+                backend=stats.backend,
                 iterations=result.iterations,
                 energy=result.energy,
                 converged=result.converged,
@@ -177,7 +177,10 @@ class LoopyBPSolver:
 
             # Decode against the pre-update beliefs and the new messages,
             # matching the reference solver's update/decode interleaving.
-            labels = plan.decode(beliefs, messages, scratch, backend=kernels)
+            labels = np.zeros(n, dtype=np.int64)
+            executed = kernels.decode(plan, beliefs, messages, labels, scratch)
+            if collect:
+                stats.backend = executed.describe()
             energy = plan.energy(labels)
             if energy < best_energy:
                 best_energy = energy

@@ -49,6 +49,9 @@ class SolveStats:
         fwd_level_seconds: per-wavefront-level time in the forward sweep,
             accumulated across iterations (one entry per level).
         bwd_level_seconds: likewise for the backward sweep.
+        backend: the kernel backend whose sweeps actually ran, e.g.
+            ``"native (cc)"``, or ``"numpy"`` when the native guard sent
+            the plan to the NumPy reference (the span's ``backend=``).
     """
 
     total_seconds: float = 0.0
@@ -61,6 +64,7 @@ class SolveStats:
     iteration_seconds: List[float] = field(default_factory=list)
     fwd_level_seconds: List[float] = field(default_factory=list)
     bwd_level_seconds: List[float] = field(default_factory=list)
+    backend: str = ""
 
     def phase_seconds(self) -> Dict[str, float]:
         """The named phases as a dict (BENCH per-phase attribution)."""

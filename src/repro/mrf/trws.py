@@ -25,10 +25,12 @@ Implementation: the sweeps run on the CSR-style array plan of
 :class:`~repro.mrf.vectorized.MRFArrays`.  Sequential node order is
 preserved through the plan's wavefront levels — nodes whose lower-numbered
 dependencies are all satisfied form one level and are updated in a single
-NumPy block operation, which computes the updates of the node-by-node
-schedule (nodes in a level are never adjacent; belief sums accumulate in a
+block operation, which computes the updates of the node-by-node schedule
+(nodes in a level are never adjacent; belief sums accumulate in a
 different order, so agreement is to floating-point round-off, not
-bit-for-bit).  The per-node loop implementation this replaces is kept as
+bit-for-bit).  Each sweep is one call into the kernel backend
+(:mod:`repro.mrf.backends`), which walks every level itself.  The
+per-node loop implementation this replaces is kept as
 :class:`~repro.mrf.reference.ReferenceTRWSSolver` (``"trws-ref"``); the two
 return the same energies and bounds, the vectorized one an order of
 magnitude faster (see ``benchmarks/bench_vectorized_speedup.py``).
@@ -191,12 +193,11 @@ class TRWSSolver:
                 plan, messages, extra_inits, default_inits, scratch, kernels,
                 None,
             )
-        stats = SolveStats()
+        stats = SolveStats(backend=kernels.describe())
         start = time.perf_counter()
         with obs.span(
             "trws.solve", cat="solve",
             nodes=plan.node_count, edges=plan.edge_count,
-            backend=kernels.describe(),
         ) as solve_span:
             result = self._solve_arrays(
                 plan, messages, extra_inits, default_inits, scratch, kernels,
@@ -205,6 +206,7 @@ class TRWSSolver:
             stats.total_seconds = time.perf_counter() - start
             result.stats = stats
             solve_span.add(
+                backend=stats.backend,
                 iterations=result.iterations,
                 energy=result.energy,
                 bound=result.lower_bound,
@@ -264,10 +266,11 @@ class TRWSSolver:
         converged = False
         iterations = 0
         trace = obs.current_trace() if collect else None
+        fwd_seconds = bwd_seconds = None
         if collect:
             stats.setup_seconds = time.perf_counter() - setup_start
-            stats.fwd_level_seconds = [0.0] * len(plan.fwd_levels)
-            stats.bwd_level_seconds = [0.0] * len(plan.bwd_levels)
+            fwd_seconds = np.zeros(plan.fwd_sweep.count)
+            bwd_seconds = np.zeros(plan.bwd_sweep.count)
 
         stalled = 0
         for iteration in range(self.max_iterations):
@@ -276,11 +279,15 @@ class TRWSSolver:
             if collect:
                 iter_wall_ns = time.time_ns()
                 iter_start = mark = time.perf_counter()
-            labels = self._forward_sweep(
-                plan, messages, beliefs, scratch, kernels,
-                stats.fwd_level_seconds if collect else None,
+            # Forward sweep: per level, label by sequential conditioning
+            # (θ_i + Σ_{j<i} θ_ij(x_j, ·) + Σ_{j>i} M_{j→i}), then send to
+            # later neighbours.  One backend call walks every level.
+            labels = np.zeros(n, dtype=np.int64)
+            executed = kernels.forward_sweep(
+                plan, messages, beliefs, labels, scratch, fwd_seconds
             )
             if collect:
+                stats.backend = executed.describe()
                 now = time.perf_counter()
                 stats.forward_seconds += now - mark
                 mark = now
@@ -292,9 +299,8 @@ class TRWSSolver:
                 now = time.perf_counter()
                 stats.energy_seconds += now - mark
                 mark = now
-            self._backward_sweep(
-                plan, messages, beliefs, scratch, kernels,
-                stats.bwd_level_seconds if collect else None,
+            kernels.backward_sweep(
+                plan, messages, beliefs, scratch, bwd_seconds
             )
             if collect:
                 now = time.perf_counter()
@@ -353,6 +359,8 @@ class TRWSSolver:
 
         assert best_labels is not None
         if collect:
+            stats.fwd_level_seconds = fwd_seconds.tolist()
+            stats.bwd_level_seconds = bwd_seconds.tolist()
             refine_start = time.perf_counter()
         if self.refine:
             # Polish several primal starting points and keep the best: the
@@ -394,64 +402,6 @@ class TRWSSolver:
             bound_trace=bound_trace,
             stats=stats,
         )
-
-    # ------------------------------------------------------------- internals
-
-    def _forward_sweep(
-        self,
-        plan: MRFArrays,
-        messages: np.ndarray,
-        beliefs: np.ndarray,
-        scratch: SolverScratch,
-        kernels: KernelBackend,
-        level_seconds: Optional[List[float]] = None,
-    ) -> np.ndarray:
-        """One forward pass over the wavefront levels.
-
-        Per level: extract labels by sequential conditioning on earlier
-        neighbours (θ_i + Σ_{j<i} θ_ij(x_j, ·) + Σ_{j>i} M_{j→i}), then send
-        messages to later neighbours.  Both steps run on the resolved
-        kernel backend (:mod:`repro.mrf.backends`); every temporary lives
-        in ``scratch``, so sweeps allocate nothing once the buffers are
-        warm.  ``level_seconds`` (tracing only) accumulates per-level wall
-        time in place.
-        """
-        labels = np.zeros(plan.node_count, dtype=np.int64)
-        if level_seconds is None:
-            for level in plan.fwd_levels:
-                kernels.condition_level(
-                    plan, level, beliefs, messages, labels, scratch
-                )
-                kernels.send_block(plan, level, messages, beliefs, scratch)
-        else:
-            for index, level in enumerate(plan.fwd_levels):
-                start = time.perf_counter()
-                kernels.condition_level(
-                    plan, level, beliefs, messages, labels, scratch
-                )
-                kernels.send_block(plan, level, messages, beliefs, scratch)
-                level_seconds[index] += time.perf_counter() - start
-        return labels
-
-    def _backward_sweep(
-        self,
-        plan: MRFArrays,
-        messages: np.ndarray,
-        beliefs: np.ndarray,
-        scratch: SolverScratch,
-        kernels: KernelBackend,
-        level_seconds: Optional[List[float]] = None,
-    ) -> None:
-        """One backward pass (messages to earlier neighbours);
-        ``level_seconds`` (tracing only) accumulates per-level time."""
-        if level_seconds is None:
-            for block in plan.bwd_levels:
-                kernels.send_block(plan, block, messages, beliefs, scratch)
-        else:
-            for index, block in enumerate(plan.bwd_levels):
-                start = time.perf_counter()
-                kernels.send_block(plan, block, messages, beliefs, scratch)
-                level_seconds[index] += time.perf_counter() - start
 
 
 def _is_forest(mrf: PairwiseMRF) -> bool:

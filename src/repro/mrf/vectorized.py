@@ -23,9 +23,11 @@ operations instead of per-edge Python loops:
   batch every node of a level into one block update, which is
   mathematically identical to the node-by-node order because nodes in one
   level are never adjacent (belief sums accumulate in level-major order,
-  so numerically the agreement is to floating-point round-off).  Typical
-  instances need only a few dozen levels for thousands of nodes, so the
-  Python-loop count drops by orders of magnitude.
+  so numerically the agreement is to floating-point round-off).  Each
+  sweep direction is stored as flat level-major arrays with per-level
+  offsets (:attr:`MRFArrays.fwd_sweep` / :attr:`MRFArrays.bwd_sweep`), so
+  a native kernel backend walks a whole sweep in one call; the NumPy
+  backend loops over per-level views of the same arrays.
 
 Directed message slot layout matches the reference solvers: slot ``2e``
 carries first→second of edge ``e`` (indexed by the second endpoint's
@@ -237,6 +239,61 @@ class _Wavefront(_SendBlock):
     all_seg: np.ndarray   # full-adjacency versions of the above (ICM uses
     all_nbr: np.ndarray   # every neighbour, not just earlier ones)
     all_cid: np.ndarray
+
+
+_SEND_FIELDS = ("snd", "rcv", "out", "inn", "cid", "gam", "pad")
+
+
+@dataclass
+class _SweepCSR:
+    """One sweep direction as flat level-major arrays plus level offsets.
+
+    ``block`` holds every level's arrays back to back (a whole-sweep
+    :class:`_SendBlock`, or a :class:`_Wavefront` for the forward sweep);
+    level ``l`` of a family owns rows ``off[l]:off[l + 1]`` of it, where
+    ``send_off`` indexes the send fields and ``node_off`` / ``ext_off`` /
+    ``all_off`` the node, conditioning and full-adjacency fields (forward
+    sweep only).  ``ext_seg``/``all_seg`` stay positions *within* the
+    level's node slice.  Native kernels walk these arrays in one call;
+    :meth:`levels` slices them into per-level views for the NumPy loop.
+    """
+
+    block: _SendBlock
+    send_off: np.ndarray
+    node_off: Optional[np.ndarray] = None
+    ext_off: Optional[np.ndarray] = None
+    all_off: Optional[np.ndarray] = None
+
+    @property
+    def count(self) -> int:
+        """Number of levels."""
+        return len(self.send_off) - 1
+
+    def levels(self) -> List[_SendBlock]:
+        """Per-level views (never copies) of the flat arrays."""
+        block = self.block
+        views = []
+        for level in range(self.count):
+            cut = slice(self.send_off[level], self.send_off[level + 1])
+            fields = {name: getattr(block, name)[cut] for name in _SEND_FIELDS}
+            if self.node_off is None:
+                views.append(_SendBlock(**fields))
+                continue
+            nodes = slice(self.node_off[level], self.node_off[level + 1])
+            ext = slice(self.ext_off[level], self.ext_off[level + 1])
+            full = slice(self.all_off[level], self.all_off[level + 1])
+            views.append(_Wavefront(
+                nodes=block.nodes[nodes],
+                ext_seg=block.ext_seg[ext],
+                ext_nbr=block.ext_nbr[ext],
+                ext_in=block.ext_in[ext],
+                ext_cid=block.ext_cid[ext],
+                all_seg=block.all_seg[full],
+                all_nbr=block.all_nbr[full],
+                all_cid=block.all_cid[full],
+                **fields,
+            ))
+        return views
 
 
 class MRFArrays:
@@ -508,54 +565,79 @@ class MRFArrays:
         a_eid = np.concatenate([e_ids, e_ids])
         all_order = np.lexsort((a_eid, a_node, flevel[a_node]))
         all_bounds = _bounds(flevel[a_node][all_order], n_flevels)
+        # Each node's position inside its level's (ascending) node slice.
+        rank = np.empty(n, dtype=np.int64)
+        rank[node_order] = np.arange(n) - node_bounds[flevel[node_order]]
 
-        self.fwd_levels: List[_Wavefront] = []
-        for level in range(n_flevels):
-            nodes = node_order[node_bounds[level] : node_bounds[level + 1]]
-            ext = ext_order[ext_bounds[level] : ext_bounds[level + 1]]
-            send = send_order[send_bounds[level] : send_bounds[level + 1]]
-            full = all_order[all_bounds[level] : all_bounds[level + 1]]
-            self.fwd_levels.append(
-                _Wavefront(
-                    nodes=nodes,
-                    # `nodes` ascends within a level, so positions of the
-                    # conditioning edges' endpoints are binary searches.
-                    ext_seg=np.searchsorted(nodes, hi[ext]),
-                    ext_nbr=lo[ext],
-                    ext_in=slot_lo2hi[ext],
-                    ext_cid=cid_rows_hi[ext],
-                    snd=lo[send],
-                    rcv=hi[send],
-                    out=slot_lo2hi[send],
-                    inn=slot_hi2lo[send],
-                    cid=cid_rows_lo[send],
-                    gam=gamma[lo[send]][:, None],
-                    pad=self._pad[hi[send]],
-                    all_seg=np.searchsorted(nodes, a_node[full]),
-                    all_nbr=a_nbr[full],
-                    all_cid=a_cid[full],
-                )
-            )
+        fwd_lo = lo[send_order]
+        fwd_hi = hi[send_order]
+        #: the forward sweep as flat level-major CSR arrays.
+        self.fwd_sweep = _SweepCSR(
+            block=_Wavefront(
+                nodes=node_order,
+                ext_seg=rank[hi[ext_order]],
+                ext_nbr=lo[ext_order],
+                ext_in=slot_lo2hi[ext_order],
+                ext_cid=cid_rows_hi[ext_order],
+                snd=fwd_lo,
+                rcv=fwd_hi,
+                out=slot_lo2hi[send_order],
+                inn=slot_hi2lo[send_order],
+                cid=cid_rows_lo[send_order],
+                gam=gamma[fwd_lo][:, None],
+                pad=self._pad[fwd_hi],
+                all_seg=rank[a_node[all_order]],
+                all_nbr=a_nbr[all_order],
+                all_cid=a_cid[all_order],
+            ),
+            send_off=send_bounds,
+            node_off=node_bounds,
+            ext_off=ext_bounds,
+            all_off=all_bounds,
+        )
 
-        self.bwd_levels: List[_SendBlock] = []
         n_blevels = int(blevel.max()) + 1 if m else 0
         bsend_order = np.lexsort((e_ids, hi, blevel[hi]))
-        bsend_bounds = _bounds(blevel[hi][bsend_order], n_blevels)
-        for level in range(n_blevels):
-            send = bsend_order[bsend_bounds[level] : bsend_bounds[level + 1]]
-            if not len(send):
-                continue
-            self.bwd_levels.append(
-                _SendBlock(
-                    snd=hi[send],
-                    rcv=lo[send],
-                    out=slot_hi2lo[send],
-                    inn=slot_lo2hi[send],
-                    cid=cid_rows_hi[send],
-                    gam=gamma[hi[send]][:, None],
-                    pad=self._pad[lo[send]],
-                )
-            )
+        bwd_hi = hi[bsend_order]
+        bwd_lo = lo[bsend_order]
+        bsend_bounds = _bounds(blevel[bwd_hi], n_blevels)
+        # Levels without sends are dropped: keep the starts of non-empty
+        # levels, plus the end.  (Not np.unique: its first call imports
+        # numpy.ma, ~30 ms on every process's first plan build.)
+        nonempty = bsend_bounds[1:] > bsend_bounds[:-1]
+        #: the backward sweep (levels with sends only) as CSR arrays.
+        self.bwd_sweep = _SweepCSR(
+            block=_SendBlock(
+                snd=bwd_hi,
+                rcv=bwd_lo,
+                out=slot_hi2lo[bsend_order],
+                inn=slot_lo2hi[bsend_order],
+                cid=cid_rows_hi[bsend_order],
+                gam=gamma[bwd_hi][:, None],
+                pad=self._pad[bwd_lo],
+            ),
+            send_off=np.concatenate(
+                (bsend_bounds[:-1][nonempty], bsend_bounds[-1:])
+            ),
+        )
+        self._fwd_levels: Optional[List[_Wavefront]] = None
+        self._bwd_levels: Optional[List[_SendBlock]] = None
+
+    # ------------------------------------------------------------ levels
+
+    @property
+    def fwd_levels(self) -> List[_Wavefront]:
+        """Per-level views of :attr:`fwd_sweep` (built on first use)."""
+        if self._fwd_levels is None:
+            self._fwd_levels = self.fwd_sweep.levels()
+        return self._fwd_levels
+
+    @property
+    def bwd_levels(self) -> List[_SendBlock]:
+        """Per-level views of :attr:`bwd_sweep` (built on first use)."""
+        if self._bwd_levels is None:
+            self._bwd_levels = self.bwd_sweep.levels()
+        return self._bwd_levels
 
     # ------------------------------------------------------------- accessors
 
@@ -630,31 +712,6 @@ class MRFArrays:
 
     # ------------------------------------------------------------- decoding
 
-    def condition_level(
-        self,
-        level: _Wavefront,
-        beliefs: np.ndarray,
-        messages: np.ndarray,
-        labels: np.ndarray,
-        scratch: Optional[SolverScratch] = None,
-        backend=None,
-    ) -> None:
-        """Label one level by sequential conditioning on earlier levels.
-
-        Each node of ``level`` takes the argmin of its belief with every
-        earlier neighbour's message replaced by the actual pairwise column
-        for that neighbour's already-assigned label; results are written
-        into ``labels`` in place.  This is the shared conditioning rule of
-        the TRW-S forward-sweep extraction and the BP decode.
-        """
-        from repro.mrf.backends import resolve_backend
-
-        kernels = resolve_backend(backend)
-        scratch = scratch if scratch is not None else SolverScratch()
-        kernels.condition_level(
-            self, level, beliefs, messages, labels, scratch
-        )
-
     def decode(
         self,
         beliefs: np.ndarray,
@@ -662,21 +719,19 @@ class MRFArrays:
         scratch: Optional[SolverScratch] = None,
         backend=None,
     ) -> np.ndarray:
-        """Sequential-conditioning decode, one wavefront level at a time.
+        """Sequential-conditioning decode over the forward levels.
 
         Node ``i`` takes the argmin of its belief with every earlier
         neighbour's message replaced by the actual pairwise column — the
-        same rule (and the same result) as the per-node reference decode.
+        same rule (and the same result) as the per-node reference decode,
+        and the label extraction of the TRW-S forward sweep.
         """
         from repro.mrf.backends import resolve_backend
 
         kernels = resolve_backend(backend)
         scratch = scratch if scratch is not None else SolverScratch()
         labels = np.zeros(self.node_count, dtype=np.int64)
-        for level in self.fwd_levels:
-            kernels.condition_level(
-                self, level, beliefs, messages, labels, scratch
-            )
+        kernels.decode(self, beliefs, messages, labels, scratch)
         return labels
 
     # ------------------------------------------------------------------ ICM
@@ -700,16 +755,8 @@ class MRFArrays:
 
         kernels = resolve_backend(backend)
         scratch = scratch if scratch is not None else SolverScratch()
-        current = labels.copy()
-        for _ in range(max_sweeps):
-            changed = False
-            for level in self.fwd_levels:
-                best = kernels.icm_level(self, level, current, scratch)
-                if not np.array_equal(best, current[level.nodes]):
-                    changed = True
-                current[level.nodes] = best
-            if not changed:
-                break
+        current = np.array(labels, dtype=np.int64)
+        kernels.icm(self, current, max_sweeps, scratch)
         return current
 
     # --------------------------------------------------------------- greedy

@@ -5,12 +5,11 @@ Two layers:
 - registry semantics (strict :func:`get_backend`, env-var selection,
   process default precedence, graceful warn-once fallback) — these run
   everywhere;
-- bit-for-bit parity of the ``native`` backend against the NumPy
-  reference across monolithic TRW-S, BP, sharded solves and warm-start
-  streaming — these auto-skip where neither Numba nor a C compiler is
-  available.  A toolchain-free logic test runs the shared loop bodies
-  (:mod:`repro.mrf.backends._kernels_py`) un-jitted so the kernel logic
-  is still covered on bare machines.
+- bit-for-bit parity of the ``native`` (C) backend's whole-sweep
+  kernels against the NumPy level loop across monolithic TRW-S, BP,
+  sharded solves and warm-start streaming, on small random plans and on
+  a long-diameter chain+chord plan; plus the native guard's fallbacks and
+  how solves record them — these auto-skip where no C compiler is found.
 """
 
 import warnings
@@ -20,9 +19,9 @@ import pytest
 
 import repro.mrf.backends as backends
 from helpers import make_random_mrf
+from repro import obs
 from repro.mrf.backends import (
     KernelBackend,
-    NativeBackend,
     active_backend_name,
     available_backends,
     get_backend,
@@ -30,8 +29,9 @@ from repro.mrf.backends import (
     resolve_backend,
     set_default_backend,
 )
-from repro.mrf.backends import _kernels_py
+from repro.mrf.backends.native import FALLBACK_COUNTER
 from repro.mrf.bp import LoopyBPSolver
+from repro.mrf.graph import PairwiseMRF
 from repro.mrf.sharded import ShardedSolver
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
@@ -44,10 +44,14 @@ BACKENDS = [
         "native",
         marks=pytest.mark.skipif(
             not NATIVE_AVAILABLE,
-            reason="native backend needs Numba or a C compiler",
+            reason="native backend needs a C compiler",
         ),
     ),
 ]
+
+needs_native = pytest.mark.skipif(
+    not NATIVE_AVAILABLE, reason="native backend needs a C compiler"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -170,13 +174,33 @@ class TestGracefulFallback:
             assert resolve_backend(_UnavailableBackend()).name == "numpy"
 
 
+def _chain_chord_mrf(hosts: int = 240, seed: int = 0) -> PairwiseMRF:
+    """A pipeline-estate-shaped plan: a chain backbone with a chord
+    spanning 15% of the hosts every 10%.  The chords keep it loopy, and
+    the chain gives one wavefront level per host — the long-diameter shape
+    where per-level dispatch used to dominate."""
+    rng = np.random.default_rng(seed)
+    mrf = PairwiseMRF()
+    for _ in range(hosts):
+        mrf.add_node(rng.uniform(0.0, 1.0, size=4))
+    shared = rng.uniform(0.05, 0.8, size=(4, 4))  # one similarity table
+    for i in range(hosts - 1):
+        mrf.add_edge(i, i + 1, shared)
+    span, every = 3 * hosts // 20, hosts // 10
+    for i in range(0, hosts - span - 10, every):
+        mrf.add_edge(i, i + span, shared)
+    return mrf
+
+
 def _instances():
-    """Small but structurally varied parity instances."""
+    """Small but structurally varied parity instances, plus one
+    long-diameter plan with ≥200 wavefront levels."""
     return [
         make_random_mrf(10, 0.4, 4, seed=1),
         make_random_mrf(14, 0.25, 3, seed=2),
         make_random_mrf(9, 0.0, 3, seed=3, tree=True),
         make_random_mrf(1, 0.0, 2, seed=4),
+        _chain_chord_mrf(),
     ]
 
 
@@ -226,7 +250,13 @@ class TestSolverParity:
                 np.testing.assert_array_equal(messages, reference_messages)
 
     def test_plan_primitives(self, backend):
-        plan = MRFArrays(make_random_mrf(12, 0.35, 4, seed=6))
+        for mrf in (
+            make_random_mrf(12, 0.35, 4, seed=6), _chain_chord_mrf(seed=6)
+        ):
+            self._check_plan_primitives(MRFArrays(mrf), backend)
+
+    @staticmethod
+    def _check_plan_primitives(plan, backend):
         rng = np.random.default_rng(0)
         messages = rng.uniform(-1.0, 1.0, size=(2 * plan.edge_count, plan.lmax))
         beliefs = np.where(
@@ -260,8 +290,13 @@ class TestSolverParity:
 
     def test_warm_start_streaming(self, backend):
         """Cost patch + warm re-solve from caller-owned messages."""
-        mrf = make_random_mrf(12, 0.35, 4, seed=5)
+        for mrf in (
+            make_random_mrf(12, 0.35, 4, seed=5), _chain_chord_mrf(seed=5)
+        ):
+            self._check_warm_start(mrf, backend)
 
+    @staticmethod
+    def _check_warm_start(mrf, backend):
         def run(chosen):
             plan = MRFArrays(mrf)
             messages = plan.zero_messages()
@@ -301,90 +336,141 @@ class TestSolverParity:
         _assert_results_identical(with_scratch, without)
 
 
-class _PurePythonKernels:
-    """The shared loop bodies, un-jitted — no toolchain required."""
+@needs_native
+class TestCKernels:
+    """The C library is the one native implementation: run it directly."""
 
-    kind = "py"
+    def test_describe_reports_cc(self):
+        assert get_backend("native").describe() == "native (cc)"
 
-    trws_send = staticmethod(_kernels_py.trws_send)
-    condition = staticmethod(_kernels_py.condition)
-    icm_condition = staticmethod(_kernels_py.icm_condition)
-    bound_mins = staticmethod(_kernels_py.bound_mins)
-    bp_beliefs = staticmethod(_kernels_py.bp_beliefs)
-    bp_round = staticmethod(_kernels_py.bp_round)
-
-
-def _pure_python_native() -> NativeBackend:
-    backend = NativeBackend()
-    backend._kernels = _PurePythonKernels()
-    backend._resolved = True
-    backend.kind = _PurePythonKernels.kind
-    return backend
-
-
-class TestPurePythonKernelBodies:
-    """Cover the kernel loop logic even where numba/cc are absent."""
-
-    def test_trws_parity_unjitted(self):
-        shim = _pure_python_native()
-        assert shim.available
+    def test_trws_parity_chain(self):
+        native = get_backend("native")
         for mrf in (
-            make_random_mrf(8, 0.4, 4, seed=11),
+            _chain_chord_mrf(hosts=200, seed=11),
             make_random_mrf(7, 0.0, 3, seed=12, tree=True),
         ):
             plan = MRFArrays(mrf)
+            if mrf.node_count == 200:  # the chain: one level per host
+                assert len(plan.fwd_levels) == 200
             reference_messages = plan.zero_messages()
             messages = plan.zero_messages()
             solver = TRWSSolver(max_iterations=4, seed=0)
             reference = solver.solve_arrays(
                 plan, messages=reference_messages, backend="numpy"
             )
-            result = solver.solve_arrays(plan, messages=messages, backend=shim)
+            result = solver.solve_arrays(plan, messages=messages, backend=native)
             _assert_results_identical(result, reference)
             np.testing.assert_array_equal(messages, reference_messages)
 
-    def test_bp_parity_unjitted(self):
-        shim = _pure_python_native()
-        plan = MRFArrays(make_random_mrf(8, 0.4, 3, seed=13))
+    def test_bp_parity_chain(self):
+        native = get_backend("native")
+        plan = MRFArrays(_chain_chord_mrf(hosts=200, seed=13))
         for damping in (0.0, 0.3):
             solver = LoopyBPSolver(max_iterations=6, damping=damping)
             reference = solver.solve_arrays(plan, backend="numpy")
-            result = solver.solve_arrays(plan, backend=shim)
+            result = solver.solve_arrays(plan, backend=native)
             _assert_results_identical(result, reference)
 
-    def test_describe_reports_impl_kind(self):
-        assert _pure_python_native().describe() == "native (py)"
+    def test_icm_respects_max_sweeps(self):
+        plan = MRFArrays(_chain_chord_mrf(hosts=200, seed=14))
+        start = np.zeros(plan.node_count, dtype=np.int64)
+        for sweeps in (0, 1, 2):
+            np.testing.assert_array_equal(
+                plan.icm(start, max_sweeps=sweeps, backend="native"),
+                plan.icm(start, max_sweeps=sweeps, backend="numpy"),
+            )
 
 
+def _wide_plan() -> MRFArrays:
+    """A 5-node chain padded to 70 labels — past the C kernels' 64."""
+    rng = np.random.default_rng(14)
+    unaries = [rng.uniform(0.0, 1.0, size=3) for _ in range(5)]
+    matrices = [rng.uniform(0.0, 1.0, size=(3, 3)) for _ in range(4)]
+    return MRFArrays.from_parts(
+        unaries,
+        np.arange(4), np.arange(1, 5), np.arange(4),
+        matrices, lmax=70,
+    )
+
+
+@needs_native
 class TestNativeFallbackGuards:
-    """Plans the native kernels can't take must route to NumPy silently."""
+    """Plans and arrays the C kernels can't take route to NumPy, and the
+    fallback is counted and recorded — never silent."""
 
     def test_oversized_lmax_falls_back(self):
         # The native tier caps label width at 64 (stack row buffers);
-        # wider plans must silently run on the NumPy kernels.
-        shim = _pure_python_native()
-        rng = np.random.default_rng(14)
-        unaries = [rng.uniform(0.0, 1.0, size=3) for _ in range(5)]
-        matrices = [rng.uniform(0.0, 1.0, size=(3, 3)) for _ in range(4)]
-        plan = MRFArrays.from_parts(
-            unaries,
-            np.arange(4), np.arange(1, 5), np.arange(4),
-            matrices, lmax=70,
-        )
+        # wider plans must run on the NumPy kernels with equal results.
+        plan = _wide_plan()
         reference_messages = plan.zero_messages()
         messages = plan.zero_messages()
         solver = TRWSSolver(max_iterations=3, seed=0)
         reference = solver.solve_arrays(
             plan, messages=reference_messages, backend="numpy"
         )
-        result = solver.solve_arrays(plan, messages=messages, backend=shim)
+        result = solver.solve_arrays(plan, messages=messages, backend="native")
         _assert_results_identical(result, reference)
         np.testing.assert_array_equal(messages, reference_messages)
 
     def test_non_contiguous_messages_fall_back(self):
-        shim = _pure_python_native()
+        native = get_backend("native")
         plan = MRFArrays(make_random_mrf(6, 0.5, 3, seed=15))
         wide = np.zeros((2 * plan.edge_count, 2 * plan.lmax))
         messages = wide[:, :: 2]  # valid shape, non-contiguous rows
         reference = plan.dual_bound(messages, plan.unary_inf, backend="numpy")
-        assert plan.dual_bound(messages, plan.unary_inf, backend=shim) == reference
+        assert plan.dual_bound(messages, plan.unary_inf, backend=native) == reference
+        beliefs = plan.padded_beliefs()
+        labels = np.zeros(plan.node_count, dtype=np.int64)
+        ran = native.forward_sweep(
+            plan, messages, beliefs, labels, SolverScratch()
+        )
+        assert ran.name == "numpy"
+
+    def test_out_of_range_cost_id_never_reaches_c(self):
+        # Cost ids come from callers unchecked and the C kernels index the
+        # cost stack raw: a bad id must reach NumPy, which raises.
+        rng = np.random.default_rng(16)
+        plan = MRFArrays.from_parts(
+            [rng.uniform(0.0, 1.0, size=3) for _ in range(4)],
+            np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([0, 1, 5]),
+            [rng.uniform(0.0, 1.0, size=(3, 3)) for _ in range(2)],
+        )
+        with pytest.raises(IndexError):
+            get_backend("native").forward_sweep(
+                plan, plan.zero_messages(), plan.padded_beliefs(),
+                np.zeros(plan.node_count, dtype=np.int64), SolverScratch(),
+            )
+
+    def test_fallback_recorded_under_tracing(self):
+        trace = obs.activate(obs.Trace())
+        try:
+            result = TRWSSolver(max_iterations=3, seed=0).solve_arrays(
+                _wide_plan(), backend="native"
+            )
+        finally:
+            obs.deactivate()
+        assert result.stats.backend == "numpy"
+        (solve,) = [e for e in trace.events if e["name"] == "trws.solve"]
+        assert solve["args"]["backend"] == "numpy"
+        # One count per guarded call that ran on NumPy (≥ 2 per iteration).
+        assert trace.counters[FALLBACK_COUNTER] >= 2 * result.iterations
+
+    def test_native_run_recorded_under_tracing(self):
+        plan = MRFArrays(_chain_chord_mrf(hosts=200))
+        trace = obs.activate(obs.Trace())
+        try:
+            result = TRWSSolver(max_iterations=3, seed=0).solve_arrays(
+                plan, backend="native"
+            )
+            bp = LoopyBPSolver(max_iterations=2).solve_arrays(
+                plan, backend="native"
+            )
+        finally:
+            obs.deactivate()
+        assert result.stats.backend == bp.stats.backend == "native (cc)"
+        backends_seen = {
+            e["args"]["backend"] for e in trace.events
+            if e["name"] in ("trws.solve", "bp.solve")
+        }
+        assert backends_seen == {"native (cc)"}
+        assert FALLBACK_COUNTER not in trace.counters

@@ -20,8 +20,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.mrf.backends import get_backend
 from repro.mrf.graph import PairwiseMRF
 from repro.mrf.solvers import SolveStats, get_solver
+from repro.mrf.trws import TRWSSolver
+from repro.mrf.vectorized import MRFArrays
 from repro.obs.report import format_summary, layer_seconds, self_durations, span_table
 from repro.runner import Job, run_jobs
 
@@ -215,6 +218,30 @@ class TestSpans:
             "setup", "forward", "backward", "bound", "energy", "refine",
         }
         assert "trws.solve" in trace.span_names()
+
+    @pytest.mark.skipif(
+        not get_backend("native").available,
+        reason="native backend needs a C compiler",
+    )
+    def test_native_sweeps_time_every_level(self):
+        # The C sweep kernels time each level with their own clock; one
+        # entry per wavefront level, like the NumPy level loop.
+        plan = MRFArrays(_loopy_mrf(nodes=12))
+        trace = obs.activate(obs.Trace())
+        try:
+            result = TRWSSolver(max_iterations=4, seed=0).solve_arrays(
+                plan, backend="native"
+            )
+        finally:
+            obs.deactivate()
+        stats = result.stats
+        assert stats.backend == "native (cc)"
+        assert len(stats.fwd_level_seconds) == len(plan.fwd_levels)
+        assert len(stats.bwd_level_seconds) == len(plan.bwd_levels)
+        assert all(seconds >= 0 for seconds in stats.fwd_level_seconds)
+        assert sum(stats.fwd_level_seconds) <= stats.forward_seconds
+        (solve,) = [e for e in trace.events if e["name"] == "trws.solve"]
+        assert solve["args"]["backend"] == "native (cc)"
 
 
 # ------------------------------------------------------ cross-process capture

@@ -25,6 +25,7 @@ from repro.core import (
     mono_assignment,
     random_assignment,
 )
+from repro import obs
 from repro.core.compile import compile_plan
 from repro.core.costs import assignment_energy, build_mrf
 from repro.core.planner import plan_upgrade
@@ -276,17 +277,25 @@ def compile_byte_parity(case: FuzzCase) -> None:
 
 @_invariant
 def backend_bit_parity(case: FuzzCase) -> None:
-    """numpy and native kernel backends agree bit-for-bit."""
+    """numpy and native kernel backends agree bit-for-bit, and a traced
+    solve records the backend whose sweeps ran."""
     if not NATIVE_AVAILABLE:
         return  # the individual test skips loudly; the pack just moves on
     mrf = build_mrf(case.network, case.similarity).mrf
-    results = [
-        TRWSSolver(backend=name, seed=0).solve_arrays(MRFArrays(mrf))
-        for name in ("numpy", "native")
-    ]
+    names = ("numpy", "native")
+    obs.activate(obs.Trace())
+    try:
+        results = [
+            TRWSSolver(backend=name, seed=0).solve_arrays(MRFArrays(mrf))
+            for name in names
+        ]
+    finally:
+        obs.deactivate()
     assert results[0].energy == results[1].energy  # exact, not approx
     assert results[0].lower_bound == results[1].lower_bound
     assert np.array_equal(results[0].labels, results[1].labels)
+    for name, result in zip(names, results):  # fuzz plans fit the C guard
+        assert result.stats.backend == get_backend(name).describe()
 
 
 @_invariant
@@ -372,6 +381,6 @@ def test_invariant_pack(seed):
 def test_invariant_individually(name):
     """Each pack invariant also runs alone, for failure attribution."""
     if name == "backend_bit_parity" and not NATIVE_AVAILABLE:
-        pytest.skip("native backend needs Numba or a C compiler")
+        pytest.skip("native backend needs a C compiler")
     for seed in (0, 7):
         INVARIANT_PACK[name](fuzz_case(seed))
