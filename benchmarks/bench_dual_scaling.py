@@ -2,8 +2,8 @@
 
 Pins the headline claim of the distributed tier (:mod:`repro.mrf.dual`):
 on a single **connected** 1000-host giant component — the shape component
-sharding cannot split — the ``trws-dual`` solver running its shards on a
-4-worker process pool is at least **2×** faster than the monolithic
+sharding cannot split — the ``trws-dual`` solver (its shards solved one
+after another each round) is at least **2×** faster than the monolithic
 :class:`~repro.mrf.trws.TRWSSolver`, while every answer stays inside its
 own *reported, certified* duality gap of the monolithic energy
 (``dual.energy − mono.energy ≤ dual.duality_gap`` holds by theorem, and
@@ -26,15 +26,13 @@ round budget and reports the certified gap it reached — the bench also
 holds that gap under 8% of the energy, so the speedup can never be
 bought by letting solution quality collapse.
 
-Timings are best-of-``ROUNDS``; the executor series lands in
+Timings are best-of-``ROUNDS``; the record lands in
 ``benchmarks/results/BENCH_dual_scaling.json`` (CI runs this on every
 push and the pinned-record soft gate flags >25% regressions).
 """
 
 import random
 import time
-
-import pytest
 
 from repro.core.costs import build_mrf
 from repro.mrf.dual import DualDecompositionSolver
@@ -55,7 +53,7 @@ PARTS = 8
 #: part of the pinned record.
 MAX_ROUNDS = 8
 STEP_SCALE = 0.5
-#: The acceptance bar: 4-worker process-pool dual vs monolithic wall-clock.
+#: The acceptance bar: dual vs monolithic wall-clock.
 MIN_SPEEDUP = 2.0
 #: Quality floor: the certified gap must stay under this fraction of the
 #: dual energy (a speedup regression cannot hide behind a worse answer).
@@ -111,64 +109,42 @@ def test_dual_scaling_speedup(record_bench, write_artifact):
         f"monolithic trws:      {1000 * mono_seconds:8.1f}ms  "
         f"E={mono.energy:.4f}  iters={mono.iterations}"
     ]
-    series = {}
-    executors = (("serial", None), ("threads", 4), ("processes", 4))
-    for executor, workers in executors:
-        kwargs = {} if workers is None else {"workers": workers}
-        solver = DualDecompositionSolver(
-            parts=PARTS, seed=0, executor=executor, max_rounds=MAX_ROUNDS,
-            step_scale=STEP_SCALE, **kwargs,
-        )
-        result, seconds = _best(lambda: solver.solve_arrays(plan))
-        speedup = mono_seconds / seconds
-        series[executor] = {
-            "seconds": round(seconds, 6),
-            "speedup": round(speedup, 2),
-            "workers": workers,
-        }
-        rows.append(
-            f"dual {executor:<10} x{workers or 1}: {1000 * seconds:8.1f}ms  "
-            f"E={result.energy:.4f}  gap={result.duality_gap:.4f}  "
-            f"rounds={result.rounds}  speedup={speedup:4.2f}x"
-        )
-        # The certificate, asserted even though it holds by theorem: the
-        # dual bound is global, so it brackets the monolithic answer too.
-        assert result.duality_gap >= -1e-12
-        assert result.lower_bound <= mono.energy + 1e-9
-        assert result.energy - mono.energy <= result.duality_gap + 1e-9
-        # Determinism across executors: byte-identical answers.
-        assert result.energy == series.setdefault(
-            "_energy", result.energy
-        )
-        # Quality floor: the certified gap stays small relative to the
-        # energy, so the speedup is not paid for with a worse labelling.
-        assert result.duality_gap <= MAX_RELATIVE_GAP * abs(result.energy)
-        if executor == "processes":
-            process_speedup = speedup
-            process_seconds = seconds
-            dual = result
+    solver = DualDecompositionSolver(
+        parts=PARTS, seed=0, max_rounds=MAX_ROUNDS, step_scale=STEP_SCALE,
+    )
+    dual, seconds = _best(lambda: solver.solve_arrays(plan))
+    speedup = mono_seconds / seconds
+    rows.append(
+        f"dual serial:          {1000 * seconds:8.1f}ms  "
+        f"E={dual.energy:.4f}  gap={dual.duality_gap:.4f}  "
+        f"rounds={dual.rounds}  speedup={speedup:4.2f}x"
+    )
+    # The certificate, asserted even though it holds by theorem: the
+    # dual bound is global, so it brackets the monolithic answer too.
+    assert dual.duality_gap >= -1e-12
+    assert dual.lower_bound <= mono.energy + 1e-9
+    assert dual.energy - mono.energy <= dual.duality_gap + 1e-9
+    # Quality floor: the certified gap stays small relative to the
+    # energy, so the speedup is not paid for with a worse labelling.
+    assert dual.duality_gap <= MAX_RELATIVE_GAP * abs(dual.energy)
 
-    energy = series.pop("_energy")
     write_artifact("dual_scaling", "\n".join(rows))
     record_bench(
         "dual_scaling",
-        seconds=process_seconds,
+        seconds=seconds,
         mono_seconds=round(mono_seconds, 6),
-        speedup=round(process_speedup, 2),
+        speedup=round(speedup, 2),
         parts=PARTS,
-        workers=4,
         rounds=dual.rounds,
         duality_gap=round(dual.duality_gap, 6),
         cut_edges=dual.cut_edge_count,
         hosts=HOSTS,
         nodes=plan.node_count,
         edges=plan.edge_count,
-        series=series,
-        energy=round(energy, 6),
+        energy=round(dual.energy, 6),
         mono_energy=round(mono.energy, 6),
     )
-    # The acceptance bar for the distributed tier.
-    assert process_speedup >= MIN_SPEEDUP, (
-        f"4-worker process dual only {process_speedup:.2f}x faster "
-        f"(bar: {MIN_SPEEDUP}x)"
+    # The acceptance bar for the dual tier.
+    assert speedup >= MIN_SPEEDUP, (
+        f"dual only {speedup:.2f}x faster (bar: {MIN_SPEEDUP}x)"
     )

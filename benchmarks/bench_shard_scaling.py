@@ -2,10 +2,10 @@
 
 Pins the headline claim of the shard layer (:mod:`repro.mrf.partition` +
 :class:`~repro.mrf.sharded.ShardedSolver`): on a segmented 1000-host
-multi-zone workload the fully sharded solve is at least **2×** faster than
-the monolithic :class:`~repro.mrf.trws.TRWSSolver` while producing
-**identical energies** at every shard granularity (components share no
-edges, so the decomposition is exact).
+multi-zone workload the sharded solve (one shard per connected component,
+solved one after another) is at least **2×** faster than the monolithic
+:class:`~repro.mrf.trws.TRWSSolver` while producing **identical energies**
+(components share no edges, so the decomposition is exact).
 
 The workload models a segmented ICS estate (cf. the paper's Fig. 3): one
 *core* zone with redundant (loopy) wiring, four daisy-chained field
@@ -20,7 +20,7 @@ exploits and what makes it honest:
 * per shard, the chains and trees are forests — solved exactly by one
   min-sum DP pass — and only the small core pays iterative sweeps.
 
-Timings are best-of-``ROUNDS``; the 1 → N shard series lands in
+Timings are best-of-``ROUNDS``; the record lands in
 ``benchmarks/results/BENCH_shard_scaling.json`` (CI runs this on every
 push and the pinned-record soft gate flags >25% regressions).
 """
@@ -41,9 +41,7 @@ from repro.nvd.similarity import SimilarityTable
 ROUNDS = 3
 SEED = 1
 PRODUCTS = 6
-#: Shard-count targets of the scaling series (None = natural components).
-SHARD_TARGETS = (1, 2, 4, None)
-#: The acceptance bar: fully sharded vs monolithic wall-clock.
+#: The acceptance bar: sharded vs monolithic wall-clock.
 MIN_SPEEDUP = 2.0
 
 
@@ -113,49 +111,31 @@ def test_shard_scaling_speedup(record_bench, write_artifact):
         f"monolithic trws: {1000 * mono_seconds:8.1f}ms  "
         f"E={mono.energy:.4f}  iters={mono.iterations}"
     ]
-    series = {}
-    full_speedup = None
-    for target in SHARD_TARGETS:
-        if target is None:
-            min_nodes = 1
-        else:
-            min_nodes = max(1, -(-plan.node_count // target))
-        solver = ShardedSolver(solver="trws", workers=-1,
-                               min_shard_nodes=min_nodes)
-        result, seconds = _best(lambda: solver.solve_arrays(plan))
-        shard_count = len(split_components(plan, min_nodes=min_nodes))
-        speedup = mono_seconds / seconds
-        label = str(shard_count)
-        series[label] = {
-            "seconds": round(seconds, 6),
-            "speedup": round(speedup, 2),
-        }
-        rows.append(
-            f"{shard_count:>3} shard(s): {1000 * seconds:8.1f}ms  "
-            f"E={result.energy:.4f}  speedup={speedup:4.2f}x"
-        )
-        # Exactness at every granularity: components share no edges.
-        assert result.energy == pytest.approx(mono.energy, abs=1e-9)
-        if target is None:
-            full_speedup = speedup
-            full_seconds = seconds
-            full_shards = shard_count
+    solver = ShardedSolver(solver="trws")
+    result, seconds = _best(lambda: solver.solve_arrays(plan))
+    shard_count = len(split_components(plan))
+    speedup = mono_seconds / seconds
+    rows.append(
+        f"{shard_count:>3} shard(s): {1000 * seconds:8.1f}ms  "
+        f"E={result.energy:.4f}  speedup={speedup:4.2f}x"
+    )
+    # Exactness: components share no edges.
+    assert result.energy == pytest.approx(mono.energy, abs=1e-9)
 
     write_artifact("shard_scaling", "\n".join(rows))
     record_bench(
         "shard_scaling",
-        seconds=full_seconds,
+        seconds=seconds,
         mono_seconds=round(mono_seconds, 6),
-        speedup=round(full_speedup, 2),
-        shards=full_shards,
+        speedup=round(speedup, 2),
+        shards=shard_count,
         hosts=len(network),
         nodes=plan.node_count,
         edges=plan.edge_count,
-        series=series,
         energy=round(mono.energy, 6),
     )
     # The acceptance bar for the shard layer.
-    assert full_speedup >= MIN_SPEEDUP, (
-        f"fully sharded solve only {full_speedup:.2f}x faster "
+    assert speedup >= MIN_SPEEDUP, (
+        f"sharded solve only {speedup:.2f}x faster "
         f"(bar: {MIN_SPEEDUP}x)"
     )

@@ -11,8 +11,9 @@ corresponding table/figure.  Subcommands:
 * ``table7`` / ``table8`` / ``table9`` — scalability sweeps; ``--workers N``
   spreads the grid cells over N processes (see :mod:`repro.runner`;
   ``REPRO_WORKERS`` in the environment overrides the default) and
-  ``--shards N`` solves each cell over its connected-component shards
-  (``--shards cut`` dual-decomposes the giant component instead; tuned by
+  ``--shards components`` solves each cell over its connected-component
+  shards (``zones`` groups them by a zone model; ``cut`` dual-decomposes
+  the giant component instead, tuned by
   ``--dual-parts``/``--dual-rounds``/``--dual-gap``).
 * ``synthetic-nvd`` — regenerate similarity tables from the synthetic feed.
 
@@ -46,6 +47,7 @@ import sys
 from typing import List, Optional
 
 from repro import experiments
+from repro.core.diversify import SHARD_MODES
 from repro.nvd.datasets import (
     paper_browser_similarity,
     paper_database_similarity,
@@ -73,18 +75,6 @@ def _add_log_level(parser: argparse.ArgumentParser) -> None:
         default="info",
         help="threshold of the structured log output (default info)",
     )
-
-
-def _shards_value(value: str):
-    """``--shards`` accepts a worker count, ``zones``, or ``cut``."""
-    if value in ("zones", "cut"):
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--shards takes an integer, 'zones' or 'cut', got {value!r}"
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,16 +149,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
         t.add_argument(
             "--shards",
-            type=_shards_value,
+            choices=SHARD_MODES,
             default=None,
-            help="solve each cell over its connected-component shards with "
-            "this many concurrent shard workers (-1 = one per CPU; default "
-            "monolithic), 'zones' to derive the shard grouping from a "
-            "zone model over the workload (energies are identical — "
-            "components are independent), or 'cut' for Lagrangian dual "
-            "decomposition across a balanced edge cut of the giant "
-            "component (energy certified within the reported duality gap; "
-            "see --dual-parts/--dual-rounds/--dual-gap)",
+            help="solve each cell over its connected-component shards "
+            "('components'; default monolithic), with the shard grouping "
+            "derived from a zone model over the workload ('zones'; "
+            "energies are identical — components are independent), or by "
+            "Lagrangian dual decomposition across a balanced edge cut of "
+            "the giant component ('cut'; energy certified within the "
+            "reported duality gap; see --dual-parts/--dual-rounds/"
+            "--dual-gap)",
         )
         t.add_argument(
             "--dual-parts",

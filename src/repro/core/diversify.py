@@ -11,30 +11,32 @@ The general path compiles the network **directly into an array plan**
 (:mod:`repro.core.compile`) — byte-identical to the classic
 ``build_mrf`` + ``MRFArrays`` pipeline but without materialising per-edge
 Python objects, which is what keeps cold plan builds off the critical path
-of the 1000-6000-host sweeps.  ``compile="python"`` forces the classic
-object pipeline (solvers without a plan-level API always use it).
+of the 1000-6000-host sweeps.  Solvers without a plan-level API take the
+``build_mrf`` object pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple
 
 from repro.core.compile import CompiledPlan, compile_plan
 from repro.core.costs import MRFBuild, build_mrf
 from repro.mrf.solvers import SolverResult, get_solver
-from repro.mrf.vectorized import MRFArrays
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet, ConstraintViolation
 from repro.network.model import Network
 from repro.network.zones import ZonedNetwork
 from repro.nvd.similarity import SimilarityTable
 
-__all__ = ["DiversificationResult", "diversify"]
+__all__ = ["DiversificationResult", "SHARD_MODES", "diversify"]
 
 #: Solvers with a plan-level (``solve_arrays``) API — the ones the direct
 #: compiler path can drive without a :class:`PairwiseMRF`.
 _PLAN_SOLVERS = ("trws", "bp")
+
+#: The values ``diversify(shards=...)`` accepts besides ``None``.
+SHARD_MODES = ("components", "zones", "cut")
 
 
 @dataclass
@@ -57,8 +59,8 @@ class DiversificationResult:
             (link, shared-service) pairs; 0.0 means perfectly diversified.
         solver_result: raw solver output (traces, iterations, ...).
         build: the MRF build (variable mapping), for advanced inspection;
-            None unless the Python object pipeline ran
-            (``compile="python"``, or a solver without a plan-level API).
+            None unless the Python object pipeline ran (a solver without a
+            plan-level API).
         plan: the compiled array plan + variable mapping when the direct
             compiler path ran; None on the Python and fast paths.
     """
@@ -104,9 +106,8 @@ def diversify(
     preferences: Optional[Mapping[Tuple[str, str, str], float]] = None,
     service_weights: Optional[Mapping[str, float]] = None,
     fast_path: bool = True,
-    shards: Optional[Union[int, str]] = None,
+    shards: Optional[str] = None,
     zones: Optional[ZonedNetwork] = None,
-    compile: str = "direct",
     **solver_options,
 ) -> DiversificationResult:
     """Compute the (constrained) optimal diversification of a network.
@@ -126,10 +127,11 @@ def diversify(
             instance qualifies (uniform services, no constraints); the
             labelling rule and costs are identical, only the data layout
             differs.  Set False to force the general per-variable MRF.
-        shards: route the solve through the component partition
-            (:class:`~repro.mrf.sharded.ShardedSolver`), solving shards
-            concurrently with this many workers (``-1`` = one per CPU,
-            ``1`` = sharded but serial — still wins per-shard convergence).
+        shards: ``None`` (default) keeps the monolithic solve.
+            ``"components"`` routes the solve through the component
+            partition (:class:`~repro.mrf.sharded.ShardedSolver`): each
+            connected component solves on its own convergence schedule,
+            one after another — exact, including on the batched fast path.
             ``"zones"`` derives the partition from the ``zones`` model
             instead: each zone's micro-components are pinned into one
             shard (still exact — zone grouping only merges components).
@@ -139,18 +141,10 @@ def diversify(
             component, coupled shards iterate to agreement, and the
             result carries a certified duality gap instead of the exact
             guarantee (``"trws"`` only; tune via ``parts=``,
-            ``max_rounds=``, ``gap_tolerance=``, ``executor=``).
-            ``None``/``0`` keeps the monolithic solve.  Exact for
-            ``"trws"``/``"bp"``, including the batched fast path; other
-            solvers ignore it.
+            ``max_rounds=``, ``gap_tolerance=``).  Sharding applies to
+            ``"trws"``/``"bp"``; other solvers ignore it.
         zones: the :class:`~repro.network.zones.ZonedNetwork` backing
             ``shards="zones"`` (required then, unused otherwise).
-        compile: ``"direct"`` (default) compiles the network straight into
-            an array plan; ``"python"`` keeps the classic
-            ``build_mrf`` → ``MRFArrays`` object pipeline.  The two
-            produce byte-identical plans (asserted in
-            ``tests/test_compile.py``); solvers without a plan-level API
-            always take the Python pipeline.
         **solver_options: forwarded to the solver constructor
             (e.g. ``max_iterations=50``).
 
@@ -167,10 +161,7 @@ def diversify(
     >>> round(result.energy, 2)
     0.03
     """
-    if compile not in ("direct", "python"):
-        raise ValueError(
-            f"compile must be 'direct' or 'python', got {compile!r}"
-        )
+    _check_shards(shards)
     if shards == "zones" and zones is None:
         raise ValueError("shards='zones' needs a ZonedNetwork via zones=")
     constraint_set = constraints or ConstraintSet()
@@ -195,7 +186,7 @@ def diversify(
 
     build: Optional[MRFBuild] = None
     compiled: Optional[CompiledPlan] = None
-    if compile == "direct" and solver in _PLAN_SOLVERS:
+    if solver in _PLAN_SOLVERS:
         compiled = compile_plan(
             network,
             similarity,
@@ -221,31 +212,7 @@ def diversify(
             preferences=preferences,
             service_weights=service_weights,
         )
-        if shards and solver in _PLAN_SOLVERS:
-            from repro.mrf.partition import split_components, zone_groups
-            from repro.mrf.sharded import ShardedSolver
-
-            if shards == "cut":
-                from repro.mrf.dual import DualDecompositionSolver
-
-                solver_result = DualDecompositionSolver(
-                    solver=solver, **solver_options
-                ).solve(build.mrf)
-            elif shards == "zones":
-                plan = MRFArrays(build.mrf)
-                partition = split_components(
-                    plan, groups=zone_groups(build.variables, zones)
-                )
-                solver_result = ShardedSolver(
-                    solver=solver, workers=-1, **solver_options
-                ).solve_arrays(plan, partition=partition)
-            else:
-                solver_result = ShardedSolver(
-                    solver=solver, workers=shards, **solver_options
-                ).solve(build.mrf)
-        else:
-            solver_instance = get_solver(solver, **solver_options)
-            solver_result = solver_instance.solve(build.mrf)
+        solver_result = get_solver(solver, **solver_options).solve(build.mrf)
         assignment = build.labels_to_assignment(network, solver_result.labels)
 
     violations = constraint_set.violations(assignment, network)
@@ -267,14 +234,23 @@ def diversify(
     )
 
 
+def _check_shards(shards: Optional[str]) -> None:
+    """Reject a ``shards`` value that is neither ``None`` nor a shard mode."""
+    if shards is not None and shards not in SHARD_MODES:
+        raise ValueError(
+            "shards must be None, 'components', 'zones' or 'cut', "
+            f"got {shards!r}"
+        )
+
+
 def _solve_compiled(
     compiled: CompiledPlan,
     solver: str,
-    shards: Optional[Union[int, str]],
+    shards: Optional[str],
     zones: Optional[ZonedNetwork],
     solver_options: Mapping,
 ) -> SolverResult:
-    """Solve a compiled plan — monolithic, shard-count, zone- or cut-sharded.
+    """Solve a compiled plan — monolithic, component-, zone- or cut-sharded.
 
     The monolithic dispatch (forest DP for cold TRW-S forests, greedy
     refine init otherwise) mirrors ``TRWSSolver.solve`` on the equivalent
@@ -294,13 +270,13 @@ def _solve_compiled(
         partition = split_components(
             compiled.plan, groups=zone_groups(compiled.variables, zones)
         )
-        return ShardedSolver(
-            solver=solver, workers=-1, **solver_options
-        ).solve_arrays(compiled.plan, partition=partition)
-    if shards:
-        return ShardedSolver(
-            solver=solver, workers=shards, **solver_options
-        ).solve_arrays(compiled.plan)
+        return ShardedSolver(solver=solver, **solver_options).solve_arrays(
+            compiled.plan, partition=partition
+        )
+    if shards == "components":
+        return ShardedSolver(solver=solver, **solver_options).solve_arrays(
+            compiled.plan
+        )
     return solve_plan(compiled.plan, solver=solver, **solver_options)
 
 
@@ -309,7 +285,7 @@ def _diversify_replicated(
     similarity: SimilarityTable,
     unary_constant: float,
     pairwise_weight: float,
-    shards: Optional[int] = None,
+    shards: Optional[str] = None,
     **solver_options,
 ) -> Optional[DiversificationResult]:
     """The batched replicated-service fast path; None when ineligible."""
@@ -326,10 +302,10 @@ def _diversify_replicated(
     )
     if problem is None:
         return None
-    if shards:
+    if shards == "components":
         from repro.mrf.sharded import ShardedSolver
 
-        sharded = ShardedSolver(solver="trws", workers=shards, **solver_options)
+        sharded = ShardedSolver(solver="trws", **solver_options)
         batched = sharded.solve_replicated(problem)
     else:
         solver = BatchedTRWSSolver(**solver_options)

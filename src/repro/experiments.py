@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.network.zones import ZonedNetwork
@@ -306,7 +306,7 @@ def scalability_cell(
     solver: str = "trws",
     max_iterations: int = 8,
     compute_bound: bool = False,
-    shards: Optional[Union[int, str]] = None,
+    shards: Optional[str] = None,
     dual_options: Optional[Dict[str, Any]] = None,
 ) -> ScalabilityCell:
     """Time one optimisation run on a random workload.
@@ -314,16 +314,16 @@ def scalability_cell(
     The timer covers MRF construction plus solving — the paper's
     "computational time of optimizing networks".  The dual bound is off by
     default (the paper's timing runs report time-to-solution, and the bound
-    costs one extra message pass per iteration).  ``shards`` routes the
-    solve through the component partition with that many concurrent shard
-    workers (see :func:`repro.core.diversify.diversify`);
-    ``shards="zones"`` derives the partition from a synthetic zone model
-    over the random workload (contiguous host groups — purely a scheduling
-    granularity, the decomposition stays exact); ``shards="cut"`` runs
-    Lagrangian dual decomposition over a balanced edge cut of the giant
-    component, tuned by ``dual_options`` (``parts``, ``max_rounds``,
-    ``gap_tolerance``, ``executor`` — see
-    :class:`repro.mrf.dual.DualDecompositionSolver`).
+    costs one extra message pass per iteration).  ``shards="components"``
+    routes the solve through the component partition (see
+    :func:`repro.core.diversify.diversify`); ``shards="zones"`` derives
+    the partition from a synthetic zone model over the random workload
+    (contiguous host groups — purely a scheduling granularity, the
+    decomposition stays exact); ``shards="cut"`` runs Lagrangian dual
+    decomposition over a balanced edge cut of the giant component, tuned
+    by ``dual_options`` (``parts``, ``max_rounds``, ``gap_tolerance`` —
+    see :class:`repro.mrf.dual.DualDecompositionSolver`).  Any other value
+    raises :class:`ValueError`.
     """
     network = random_network(config)
     similarity = random_similarity(config)

@@ -18,7 +18,7 @@ passing (TRW-S).  This subpackage provides:
 ``repro.mrf.partition``
     Component/zone partitioning of plans — the shard layer.
 ``repro.mrf.sharded``
-    :class:`ShardedSolver` — concurrent per-shard solving over partitions.
+    :class:`ShardedSolver` — per-shard solving over partitions.
 ``repro.mrf.dual``
     :class:`DualDecompositionSolver` — Lagrangian dual decomposition over
     balanced edge cuts of a connected plan (``trws-dual``).

@@ -17,14 +17,12 @@ classic dual-decomposition construction over the edge cut of
   shard minima is a valid lower bound on the global optimum — each shard
   solve is certified by its own TRW-S dual (forest shards by the exact
   min-sum DP), and the certificates add;
-* a projected-subgradient outer loop solves the shards concurrently each
-  round (threads, or :class:`repro.runner.JobPool` worker processes with
-  the cost stack crossing once via
-  :class:`~repro.runner.shared.SharedArrayBlock`), stitches the home
-  labels into a primal candidate (polished by plan-level ICM), and moves
-  the multipliers of disagreeing copies toward consensus with a Polyak
-  step — ``λ_c += α·(onehot(x_c) − mean-onehot)``, which preserves the
-  zero-sum invariant and vanishes exactly at consensus.
+* a projected-subgradient outer loop solves every shard once per round
+  (serially, in shard order), stitches the home labels into a primal
+  candidate (polished by plan-level ICM), and moves the multipliers of
+  disagreeing copies toward consensus with a Polyak step —
+  ``λ_c += α·(onehot(x_c) − mean-onehot)``, which preserves the zero-sum
+  invariant and vanishes exactly at consensus.
 
 The loop terminates on copy consensus, on a relative duality gap below
 ``gap_tolerance`` (the gap between the best primal energy and the best
@@ -36,8 +34,6 @@ brackets how far from optimal the returned labelling can possibly be.
 
 from __future__ import annotations
 
-import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -45,26 +41,13 @@ import numpy as np
 
 from repro import obs
 from repro.mrf.graph import PairwiseMRF
-from repro.mrf.partition import CutPartition, _component_of, cut_parts
+from repro.mrf.partition import CutPartition, CutShard, cut_parts
 from repro.mrf.sharded import _solve_plan, solve_plan
 from repro.mrf.solvers import SolverResult
-from repro.mrf.vectorized import MRFArrays, SolverScratch, SolverScratchPool
-from repro.runner import Job, JobPool, resolve_workers
-from repro.runner.shared import SharedArrayBlock
+from repro.mrf.trws import TRWSSolver, is_forest_plan
+from repro.mrf.vectorized import MRFArrays, SolverScratch
 
 __all__ = ["DualSolveResult", "DualDecompositionSolver"]
-
-_EXECUTORS = ("threads", "processes", "serial")
-
-#: Worker-process plan cache of :func:`_dual_shard_job`: one rebuilt shard
-#: plan per (solve token, shard index), reused across outer rounds so a
-#: round's job only patches boundary unaries.  Entries from older solves
-#: (different token) are dropped lazily on first touch.
-_WORKER_PLANS: Dict[Tuple[str, int], MRFArrays] = {}
-
-#: Per-process solver workspace for pool workers (single-threaded, so one
-#: scratch is safely reused by every shard job the worker executes).
-_WORKER_SCRATCH: Optional[SolverScratch] = None
 
 
 @dataclass
@@ -101,13 +84,6 @@ class DualDecompositionSolver:
     Args:
         parts: target shard count for the balanced edge cut (clamped to
             the node count; 1 falls back to the monolithic solver).
-        workers: concurrent shard solves per round (semantics of
-            :func:`repro.runner.resolve_workers`).
-        executor: ``"threads"`` (default), ``"processes"`` (a persistent
-            :class:`~repro.runner.JobPool`; the deduplicated cost stack
-            crosses the process boundary once per solve through a
-            :class:`~repro.runner.shared.SharedArrayBlock`, per-round
-            traffic is boundary unaries + warm messages), or ``"serial"``.
         max_rounds: outer subgradient round budget.
         gap_tolerance: stop when ``(best energy − best bound)`` falls to
             this fraction of ``max(1, |best energy|)``.
@@ -115,11 +91,11 @@ class DualDecompositionSolver:
             ``(best energy − dual value) / ‖subgradient‖²``.
         seed: base tie-breaking seed; shard ``i`` solves with ``seed + i``.
         **solver_options: forwarded to every per-shard
-            :class:`~repro.mrf.trws.TRWSSolver`.
+            :class:`~repro.mrf.trws.TRWSSolver` (checked here, so an
+            unknown option fails at construction).
 
-    Determinism never depends on the worker count or executor: shard
-    seeds derive from shard identity, rounds are synchronous barriers,
-    and multiplier updates read the round's full labelling.
+    Results are deterministic: shard seeds derive from shard identity and
+    multiplier updates read the round's full labelling.
     """
 
     name = "trws-dual"
@@ -127,8 +103,6 @@ class DualDecompositionSolver:
     def __init__(
         self,
         parts: int = 4,
-        workers: Optional[int] = -1,
-        executor: str = "threads",
         max_rounds: int = 40,
         gap_tolerance: float = 1e-6,
         step_scale: float = 1.0,
@@ -141,10 +115,6 @@ class DualDecompositionSolver:
                 "dual decomposition requires certified shard bounds; "
                 f"only solver='trws' is supported, got {solver!r}"
             )
-        if executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
-            )
         if parts < 1:
             raise ValueError("parts must be >= 1")
         if max_rounds < 1:
@@ -152,8 +122,6 @@ class DualDecompositionSolver:
         if gap_tolerance < 0:
             raise ValueError("gap_tolerance must be >= 0")
         self.parts = int(parts)
-        self.workers = workers
-        self.executor = executor
         self.max_rounds = int(max_rounds)
         self.gap_tolerance = float(gap_tolerance)
         self.step_scale = float(step_scale)
@@ -164,7 +132,7 @@ class DualDecompositionSolver:
         # pass is mandatory here even where callers (e.g. the scalability
         # sweeps) disable it for plain timing runs.
         self.solver_options["compute_bound"] = True
-        self._workspaces = SolverScratchPool()
+        TRWSSolver(**self.solver_options)
 
     # ----------------------------------------------------------------- API
 
@@ -212,7 +180,6 @@ class DualDecompositionSolver:
         with obs.span(
             "dual.solve", cat="dual",
             parts=len(partition), cut_edges=len(partition.cut_edges),
-            executor=self.executor,
         ):
             return self._iterate(plan, partition)
 
@@ -247,24 +214,14 @@ class DualDecompositionSolver:
         self, plan: MRFArrays, partition: CutPartition
     ) -> DualSolveResult:
         shards = partition.shards
-        # Forest-ness from the raw local arrays (no shard plan needed):
-        # forest shards re-solve exactly (min-sum DP) every round, loopy
+        # Forest shards re-solve exactly (min-sum DP) every round; loopy
         # shards keep one persistent warm message array across rounds.
-        forest = []
-        messages: List[Optional[np.ndarray]] = []
-        for shard in shards:
-            component = _component_of(
-                len(shard.nodes), shard.local_first, shard.local_second
-            )
-            is_forest = len(shard.edges) == len(shard.nodes) - (
-                int(component.max()) + 1 if len(shard.nodes) else 0
-            )
-            forest.append(is_forest)
-            messages.append(
-                None
-                if is_forest
-                else np.zeros((2 * len(shard.edges), plan.lmax))
-            )
+        messages: List[Optional[np.ndarray]] = [
+            None
+            if is_forest_plan(shard.plan)
+            else np.zeros((2 * len(shard.edges), plan.lmax))
+            for shard in shards
+        ]
 
         # Multiplier state: per boundary node, base split unary (what the
         # shard plans were built with) and a zero-sum (copies, labels)
@@ -288,48 +245,44 @@ class DualDecompositionSolver:
         converged = False
         rounds = 0
 
-        backend = self._make_backend(plan, partition, forest, messages)
-        try:
+        scratch = SolverScratch()
+        updates = self._boundary_updates(partition, base, lam)
+        for rounds in range(1, self.max_rounds + 1):
+            with obs.span("dual.round", cat="dual", round=rounds):
+                solved = [
+                    self._solve_shard(shard, updates[i], messages[i], scratch)
+                    for i, shard in enumerate(shards)
+                ]
+            labels_by_shard = [
+                np.asarray(r.labels, dtype=np.int64) for r in solved
+            ]
+            dual_value = float(sum(r.lower_bound for r in solved))
+            iterations += int(sum(r.iterations for r in solved))
+            best_bound = max(best_bound, dual_value)
+
+            stitched = partition.stitch(labels_by_shard)
+            polished = plan.icm(stitched, scratch=scratch)
+            energy = plan.energy(polished)
+            if energy < best_energy:
+                best_energy = energy
+                best_labels = polished
+            energy_trace.append(best_energy)
+            bound_trace.append(dual_value)
+
+            if not partition.disagreements(labels_by_shard):
+                consensus = True
+                converged = True
+                break
+            gap = best_energy - best_bound
+            if gap <= self.gap_tolerance * max(1.0, abs(best_energy)):
+                converged = True
+                break
+            if rounds == self.max_rounds:
+                break
+            self._subgradient_step(
+                partition, lam, labels_by_shard, best_energy, dual_value
+            )
             updates = self._boundary_updates(partition, base, lam)
-            for rounds in range(1, self.max_rounds + 1):
-                with obs.span("dual.round", cat="dual", round=rounds):
-                    solved = backend(updates)
-                labels_by_shard = [np.asarray(r[0], dtype=np.int64) for r in solved]
-                dual_value = float(sum(r[2] for r in solved))
-                iterations += int(sum(r[3] for r in solved))
-                best_bound = max(best_bound, dual_value)
-
-                stitched = partition.stitch(labels_by_shard)
-                scratch = self._workspaces.acquire()
-                try:
-                    polished = plan.icm(stitched, scratch=scratch)
-                finally:
-                    self._workspaces.release(scratch)
-                energy = plan.energy(polished)
-                if energy < best_energy:
-                    best_energy = energy
-                    best_labels = polished
-                energy_trace.append(best_energy)
-                bound_trace.append(dual_value)
-
-                if not partition.disagreements(labels_by_shard):
-                    consensus = True
-                    converged = True
-                    break
-                gap = best_energy - best_bound
-                if gap <= self.gap_tolerance * max(1.0, abs(best_energy)):
-                    converged = True
-                    break
-                if rounds == self.max_rounds:
-                    break
-                self._subgradient_step(
-                    partition, lam, labels_by_shard, best_energy, dual_value
-                )
-                updates = self._boundary_updates(partition, base, lam)
-        finally:
-            closer = getattr(backend, "close", None)
-            if closer is not None:
-                closer()
 
         assert best_labels is not None
         return DualSolveResult(
@@ -399,231 +352,31 @@ class DualDecompositionSolver:
         for node, grad in grads:
             lam[node] += step * grad
 
-    # --------------------------------------------------------- round solves
+    # ---------------------------------------------------------- shard solve
 
-    def _make_backend(
+    def _solve_shard(
         self,
-        plan: MRFArrays,
-        partition: CutPartition,
-        forest: Sequence[bool],
-        messages: List[Optional[np.ndarray]],
-    ):
-        """A callable ``updates -> [(labels, energy, bound, iters, conv)]``.
+        shard: CutShard,
+        boundary: Dict[int, np.ndarray],
+        messages: Optional[np.ndarray],
+        scratch: SolverScratch,
+    ) -> SolverResult:
+        """Patch one shard's boundary unaries and re-solve it.
 
-        Threads/serial solve the shard plans in this process (plans built
-        once, unaries patched in place each round); processes keep a
-        persistent :class:`JobPool` whose workers cache rebuilt shard
-        plans for the solve's lifetime.
+        The shard plan is built once per solve; only its boundary unaries
+        change between rounds.  Loopy shards warm-start from ``messages``
+        (updated in place), forest shards re-solve exactly.
         """
-        count = min(resolve_workers(self.workers), len(partition))
-        if self.executor == "processes" and count > 1:
-            return _ProcessBackend(self, plan, partition, forest, messages, count)
-        pool = (
-            ThreadPoolExecutor(max_workers=count)
-            if self.executor != "serial" and count > 1
-            else None
-        )
-        shard_list = partition.shards
-
-        def solve_one(index: int, updates) -> Tuple[np.ndarray, float, float, int, bool]:
-            """Patch one shard's boundary unaries and re-solve it."""
-            shard = shard_list[index]
-            for local, vector in updates[index].items():
-                shard.plan.set_unary(int(local), vector)
-            scratch = self._workspaces.acquire()
-            try:
-                result = _solve_plan(
-                    shard.plan,
-                    "trws",
-                    self.solver_options,
-                    self.seed + shard.index,
-                    messages[index],
-                    (),
-                    True,
-                    False,
-                    scratch=scratch,
-                )
-            finally:
-                self._workspaces.release(scratch)
-            return (
-                np.asarray(result.labels, dtype=np.int64),
-                result.energy,
-                result.lower_bound,
-                result.iterations,
-                result.converged,
-            )
-
-        def run_round(updates):
-            """Solve every shard once under the current multipliers."""
-            if pool is None:
-                return [solve_one(i, updates) for i in range(len(shard_list))]
-            return list(
-                pool.map(lambda i: solve_one(i, updates), range(len(shard_list)))
-            )
-
-        if pool is not None:
-            run_round.close = lambda: pool.shutdown(wait=True)
-        return run_round
-
-
-class _ProcessBackend:
-    """Round executor over a persistent :class:`JobPool`.
-
-    Created once per solve: the parent plan's deduplicated cost stack is
-    copied into one :class:`SharedArrayBlock` (falling back to inline
-    matrices when shared memory is unavailable), and every worker caches
-    the shard plans it rebuilds under this solve's unique token — later
-    rounds on a cached plan only patch boundary unaries.  Warm messages
-    for loopy shards ride the job kwargs out and the results back, so the
-    parent owns the authoritative message state regardless of which
-    worker solves a shard in which round.
-    """
-
-    def __init__(
-        self,
-        solver: DualDecompositionSolver,
-        plan: MRFArrays,
-        partition: CutPartition,
-        forest: Sequence[bool],
-        messages: List[Optional[np.ndarray]],
-        count: int,
-    ) -> None:
-        self.solver = solver
-        self.plan = plan
-        self.partition = partition
-        self.forest = list(forest)
-        self.messages = messages
-        self.token = uuid.uuid4().hex
-        self.block: Optional[SharedArrayBlock] = None
-        self.pool = JobPool(workers=count)
-        if plan.stacked:
-            try:
-                self.block = SharedArrayBlock.create(plan.cost[: plan.stacked])
-            except OSError:
-                self.block = None  # fall back to inline matrices
-        # Split home unaries exactly as the shard plan factories do, so a
-        # worker rebuild reproduces the partition's plans bit-for-bit.
-        copies = np.ones(plan.node_count, dtype=np.int64)
-        for entry in partition.boundary:
-            copies[entry.node] = len(entry.copies)
-        self._unaries = [
-            [
-                np.asarray(
-                    plan.unary[int(v), : plan.label_counts[int(v)]],
-                    dtype=float,
-                )
-                / copies[int(v)]
-                for v in shard.nodes
-            ]
-            for shard in partition.shards
-        ]
-
-    def __call__(self, updates) -> List[Tuple[np.ndarray, float, float, int, bool]]:
-        """Dispatch one round of shard jobs and fold messages back."""
-        jobs = []
-        for index, shard in enumerate(self.partition.shards):
-            kwargs: Dict[str, Any] = dict(
-                token=self.token,
-                shard_index=shard.index,
-                unaries=self._unaries[index],
-                edge_first=shard.local_first,
-                edge_second=shard.local_second,
-                edge_cid=shard.local_cid,
-                lmax=self.plan.lmax,
-                options=self.solver.solver_options,
-                seed=self.solver.seed + shard.index,
-                boundary={
-                    int(i): vector for i, vector in updates[index].items()
-                },
-                messages=self.messages[index],
-            )
-            if self.block is not None:
-                kwargs["cost_spec"] = self.block.spec
-                kwargs["cost_ids"] = shard.cids
-            else:
-                kwargs["matrices"] = [
-                    self.plan.cost[int(k)] for k in shard.cids
-                ]
-            jobs.append(Job(key=shard.index, fn=_dual_shard_job, kwargs=kwargs))
-        outcome = self.pool.run(jobs)
-        solved = []
-        for index, shard in enumerate(self.partition.shards):
-            labels, energy, bound, iters, conv, msg = outcome[shard.index]
-            if msg is not None:
-                self.messages[index] = np.asarray(msg)
-            solved.append(
-                (np.asarray(labels, dtype=np.int64), energy, bound, iters, conv)
-            )
-        return solved
-
-    def close(self) -> None:
-        """Tear down the pool and the shared cost segment."""
-        pool = getattr(self, "pool", None)
-        if pool is not None:
-            pool.close()
-        if self.block is not None:
-            self.block.unlink()
-            self.block = None
-
-
-def _dual_shard_job(
-    token: str,
-    shard_index: int,
-    unaries,
-    edge_first,
-    edge_second,
-    edge_cid,
-    lmax,
-    options,
-    seed,
-    boundary,
-    messages,
-    cost_spec=None,
-    cost_ids=None,
-    matrices=None,
-):
-    """Top-level dual-round shard solve for the process pool (picklable).
-
-    Rebuilds (or fetches from the worker's per-solve cache) the shard
-    plan, patches the round's boundary unaries, and solves with the
-    shipped warm messages.  Returns ``(labels, energy, lower_bound,
-    iterations, converged, messages)`` — messages ride back so the parent
-    can re-ship them next round to whichever worker draws this shard.
-    """
-    global _WORKER_SCRATCH
-    if _WORKER_SCRATCH is None:
-        _WORKER_SCRATCH = SolverScratch()
-    for key in [k for k in _WORKER_PLANS if k[0] != token]:
-        del _WORKER_PLANS[key]
-    plan = _WORKER_PLANS.get((token, shard_index))
-    with obs.span(
-        "dual.shard", cat="dual", shard=int(shard_index), nodes=len(unaries)
-    ) as span:
-        if plan is None:
-            if cost_spec is not None:
-                block = SharedArrayBlock.attach(cost_spec)
-                try:
-                    stack = block.array()
-                    matrices = [np.array(stack[int(k)]) for k in cost_ids]
-                finally:
-                    block.close()
-            plan = MRFArrays.from_parts(
-                unaries, edge_first, edge_second, edge_cid,
-                matrices or [], lmax=lmax,
-            )
-            _WORKER_PLANS[(token, shard_index)] = plan
         for local, vector in boundary.items():
-            plan.set_unary(int(local), vector)
-        result = _solve_plan(
-            plan, "trws", options, seed, messages, (), True, False,
-            scratch=_WORKER_SCRATCH,
+            shard.plan.set_unary(int(local), vector)
+        return _solve_plan(
+            shard.plan,
+            "trws",
+            self.solver_options,
+            self.seed + shard.index,
+            messages,
+            (),
+            True,
+            False,
+            scratch=scratch,
         )
-        span.add(energy=result.energy, iterations=result.iterations)
-    return (
-        np.asarray(result.labels, dtype=np.int64),
-        result.energy,
-        result.lower_bound,
-        result.iterations,
-        result.converged,
-        messages,
-    )

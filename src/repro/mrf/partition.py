@@ -150,28 +150,6 @@ def _component_of(
     return component
 
 
-def _pack_components(component: np.ndarray, min_size: int) -> np.ndarray:
-    """Component id → shard id, packing small components greedily.
-
-    Components are consumed in id order (= smallest-node order); a shard
-    closes once it has accumulated ``min_size`` members.  ``min_size=1``
-    is the identity mapping.
-    """
-    n_components = int(component.max()) + 1 if len(component) else 0
-    if min_size <= 1:
-        return np.arange(n_components, dtype=np.int64)
-    sizes = np.bincount(component, minlength=n_components)
-    shard_id = np.empty(n_components, dtype=np.int64)
-    current, filled = 0, 0
-    for c in range(n_components):
-        shard_id[c] = current
-        filled += int(sizes[c])
-        if filled >= min_size:
-            current += 1
-            filled = 0
-    return shard_id
-
-
 class Shard:
     """One sub-plan of a partition, with its global index maps.
 
@@ -184,12 +162,6 @@ class Shard:
             ``2j``/``2j+1`` of local edge ``j`` maps to global rows
             ``2·edges[j]``/``2·edges[j]+1``, so ``messages[slots]`` is the
             shard's message array.
-        cids: global cost-matrix ids backing the shard's local cost stack
-            (local cid ``k`` is global matrix ``cids[k]``).
-        local_first / local_second / local_cid: the shard's edge arrays in
-            local coordinates — exactly what :meth:`MRFArrays.from_parts`
-            takes, so a process-pool worker can rebuild the shard plan
-            from raw parts without the parent ever materialising it.
         plan: the shard's own :class:`MRFArrays`, padded to the parent's
             ``lmax`` so message widths line up.  Built lazily on first
             access — the sharded streaming engine partitions on every
@@ -203,20 +175,12 @@ class Shard:
         nodes: np.ndarray,
         edges: np.ndarray,
         slots: np.ndarray,
-        cids: np.ndarray,
-        local_first: np.ndarray,
-        local_second: np.ndarray,
-        local_cid: np.ndarray,
         plan_factory,
     ) -> None:
         self.index = index
         self.nodes = nodes
         self.edges = edges
         self.slots = slots
-        self.cids = cids
-        self.local_first = local_first
-        self.local_second = local_second
-        self.local_cid = local_cid
         self._plan_factory = plan_factory
         self._plan: Optional[MRFArrays] = None
 
@@ -302,7 +266,6 @@ def split_parts(
     matrices: Sequence[np.ndarray],
     lmax: Optional[int] = None,
     groups: Optional[Sequence[Optional[int]]] = None,
-    min_nodes: int = 1,
 ) -> PlanPartition:
     """Partition raw plan parts into per-connected-component sub-plans.
 
@@ -315,9 +278,6 @@ def split_parts(
         groups: optional per-node group ids; nodes sharing a group id are
             pinned into one shard (see :func:`zone_groups`).  ``None``
             entries are unconstrained.
-        min_nodes: pack components smaller than this into combined shards
-            (in smallest-node order).  Multi-component shards are still
-            solved exactly — grouping only coarsens scheduling granularity.
 
     Returns:
         A :class:`PlanPartition`; shards are ordered by smallest global
@@ -338,8 +298,6 @@ def split_parts(
     >>> partition.stitch([[0, 1], [1, 0]]).tolist()
     [0, 1, 1, 0]
     """
-    if min_nodes < 1:
-        raise ValueError("min_nodes must be >= 1")
     n = len(unaries)
     edge_first = np.asarray(edge_first, dtype=np.int64)
     edge_second = np.asarray(edge_second, dtype=np.int64)
@@ -347,10 +305,8 @@ def split_parts(
     if n == 0:
         return PlanPartition([], 0, 0, np.zeros(0, dtype=np.int64))
 
-    component = _component_of(n, edge_first, edge_second, groups)
-    shard_id = _pack_components(component, min_nodes)
-    shard_of = shard_id[component]
-    n_shards = int(shard_id.max()) + 1
+    shard_of = _component_of(n, edge_first, edge_second, groups)
+    n_shards = int(shard_of.max()) + 1
 
     if lmax is None:
         lmax = max((len(u) for u in unaries), default=0)
@@ -396,9 +352,7 @@ def split_parts(
         slots[1::2] = 2 * edges + 1
         shards.append(
             Shard(
-                index=s, nodes=nodes, edges=edges, slots=slots, cids=used,
-                local_first=local_first, local_second=local_second,
-                local_cid=local_cid,
+                index=s, nodes=nodes, edges=edges, slots=slots,
                 plan_factory=plan_factory(
                     nodes, local_first, local_second, local_cid, used
                 ),
@@ -410,7 +364,6 @@ def split_parts(
 def split_components(
     plan: MRFArrays,
     groups: Optional[Sequence[Optional[int]]] = None,
-    min_nodes: int = 1,
 ) -> PlanPartition:
     """Partition a finished :class:`MRFArrays` plan (see :func:`split_parts`).
 
@@ -426,7 +379,6 @@ def split_components(
         plan.matrix_stack(),
         lmax=plan.lmax,
         groups=groups,
-        min_nodes=min_nodes,
     )
 
 
@@ -740,9 +692,7 @@ def cut_parts(
         shards.append(
             CutShard(
                 home=home,
-                index=s, nodes=nodes, edges=edges, slots=slots, cids=used,
-                local_first=local_first, local_second=local_second,
-                local_cid=local_cid,
+                index=s, nodes=nodes, edges=edges, slots=slots,
                 plan_factory=plan_factory(
                     nodes, local_first, local_second, local_cid, used
                 ),
@@ -811,25 +761,19 @@ class ReplicatedPartition:
         return labels
 
 
-def split_replicated(
-    problem: ReplicatedProblem, min_hosts: int = 1
-) -> ReplicatedPartition:
+def split_replicated(problem: ReplicatedProblem) -> ReplicatedPartition:
     """Partition a replicated-service problem by host-graph components.
 
     Every shard shares the parent's (services, L, L) cost stack by
     reference — components only restrict the host set, not the per-service
     label model — so splitting costs O(hosts + edges), not O(S·L²).
     """
-    if min_hosts < 1:
-        raise ValueError("min_hosts must be >= 1")
     n = problem.host_count
     edges = problem.edges
     lo = edges[:, 0] if len(edges) else np.zeros(0, dtype=np.int64)
     hi = edges[:, 1] if len(edges) else np.zeros(0, dtype=np.int64)
-    component = _component_of(n, lo, hi)
-    shard_id = _pack_components(component, min_hosts)
-    shard_of = shard_id[component] if n else np.zeros(0, dtype=np.int64)
-    n_shards = int(shard_id.max()) + 1 if len(shard_id) else 0
+    shard_of = _component_of(n, lo, hi)
+    n_shards = int(shard_of.max()) + 1 if n else 0
 
     host_order = np.argsort(shard_of, kind="stable")
     host_bounds = np.searchsorted(

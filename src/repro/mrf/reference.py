@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.mrf.graph import PairwiseMRF
 from repro.mrf.solvers import SolverResult
-from repro.mrf.trws import _is_forest, _solve_forest
+from repro.mrf.trws import solve_forest_plan
+from repro.mrf.vectorized import MRFArrays
 
 __all__ = ["ReferenceTRWSSolver", "ReferenceBPSolver"]
 
@@ -92,14 +93,12 @@ class ReferenceTRWSSolver:
                 labels=[], energy=0.0, lower_bound=0.0, iterations=0,
                 converged=True, solver=self.name,
             )
-        if _is_forest(mrf):
-            labels = _solve_forest(mrf)
-            energy = mrf.energy(labels)
-            return SolverResult(
-                labels=labels, energy=energy, lower_bound=energy,
-                iterations=1, converged=True, solver=self.name,
-                energy_trace=[energy], bound_trace=[energy],
-            )
+        if mrf.edge_count == mrf.node_count - len(mrf.connected_components()):
+            # Forests share the production DP; only loopy graphs need the
+            # per-node sweeps below as an independent oracle.
+            result = solve_forest_plan(MRFArrays(mrf))
+            result.solver = self.name
+            return result
 
         links = self._build_links(mrf)
         messages = self._init_messages(mrf)

@@ -39,17 +39,18 @@ magnitude faster (see ``benchmarks/bench_vectorized_speedup.py``).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.mrf.backends import KernelBackend, resolve_backend
 from repro.mrf.graph import PairwiseMRF
+from repro.mrf.partition import _component_of
 from repro.mrf.solvers import SolverResult, SolveStats
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 
-__all__ = ["TRWSSolver"]
+__all__ = ["TRWSSolver", "is_forest_plan", "solve_forest_plan"]
 
 
 class TRWSSolver:
@@ -114,26 +115,20 @@ class TRWSSolver:
     def solve(self, mrf: PairwiseMRF) -> SolverResult:
         """Run TRW-S and return the best labelling found plus the dual bound.
 
-        Forests are dispatched to an exact min-sum dynamic program (TRW-S is
-        exact on trees; the DP realises that guarantee directly and returns
-        a tight bound).  Loopy graphs run the iterative message passing.
+        The MRF is converted to its array plan first.  Forests are
+        dispatched to an exact min-sum dynamic program
+        (:func:`solve_forest_plan`: TRW-S is exact on trees; the DP
+        realises that guarantee directly and returns a tight bound).
+        Loopy graphs run the iterative message passing.
         """
-        n = mrf.node_count
-        if n == 0:
+        if mrf.node_count == 0:
             return SolverResult(
                 labels=[], energy=0.0, lower_bound=0.0, iterations=0,
                 converged=True, solver=self.name,
             )
-        if _is_forest(mrf):
-            labels = _solve_forest(mrf)
-            energy = mrf.energy(labels)
-            return SolverResult(
-                labels=labels, energy=energy, lower_bound=energy,
-                iterations=1, converged=True, solver=self.name,
-                energy_trace=[energy], bound_trace=[energy],
-            )
-
         plan = MRFArrays(mrf)
+        if is_forest_plan(plan):
+            return solve_forest_plan(plan)
         extra_inits = ()
         if self.refine:  # the greedy labelling only feeds the refine stage
             extra_inits = (plan.greedy_labels(),)
@@ -168,7 +163,7 @@ class TRWSSolver:
                 ICM run per solve.
             scratch: a reusable :class:`SolverScratch` holding the sweep
                 work buffers.  Steady-state callers (streaming re-solves,
-                per-shard workers, grid sweeps) pass one in so repeated
+                shard loops, grid sweeps) pass one in so repeated
                 solves allocate nothing; ``None`` keeps a private scratch
                 for this call (still allocation-free *across iterations*).
             backend: kernel backend for this solve; overrides the
@@ -404,67 +399,95 @@ class TRWSSolver:
         )
 
 
-def _is_forest(mrf: PairwiseMRF) -> bool:
-    """True when the MRF graph contains no cycle (per-component check)."""
-    components = mrf.connected_components()
-    node_component = {}
-    for index, component in enumerate(components):
-        for node in component:
-            node_component[node] = index
-    edge_counts = [0] * len(components)
-    for edge_id in range(mrf.edge_count):
-        i, _ = mrf.edge(edge_id)
-        edge_counts[node_component[i]] += 1
-    return all(
-        edge_counts[index] == len(component) - 1
-        for index, component in enumerate(components)
+def is_forest_plan(plan: MRFArrays) -> bool:
+    """True when the plan's graph is cycle-free.
+
+    A graph is a forest iff ``edges == nodes - components`` (every edge
+    joins two previously-unconnected nodes); the component labelling is
+    the partitioner's own union-find.
+    """
+    if plan.edge_count == 0:
+        return True
+    component = _component_of(
+        plan.node_count, plan.edge_first, plan.edge_second
+    )
+    return plan.edge_count == plan.node_count - (int(component.max()) + 1)
+
+
+def solve_forest_plan(plan: MRFArrays) -> SolverResult:
+    """Solve a forest plan exactly; the result's bound equals its energy.
+
+    While tracing is enabled the DP records a ``trws.forest`` span and
+    the result carries a :class:`~repro.mrf.solvers.SolveStats`, like an
+    iterative solve.
+    """
+    collect = obs.enabled()
+    start = time.perf_counter() if collect else 0.0
+    with obs.span("trws.forest", cat="solve", nodes=plan.node_count):
+        labels = _solve_forest_arrays(plan)
+        energy = plan.energy(labels)
+    stats = (
+        SolveStats(total_seconds=time.perf_counter() - start)
+        if collect
+        else None
+    )
+    return SolverResult(
+        labels=[int(x) for x in labels],
+        energy=energy,
+        lower_bound=energy,
+        iterations=1,
+        converged=True,
+        solver=TRWSSolver.name,
+        energy_trace=[energy],
+        bound_trace=[energy],
+        stats=stats,
     )
 
 
-def _solve_forest(mrf: PairwiseMRF) -> List[int]:
-    """Exact min-sum dynamic programming on a forest.
+def _solve_forest_arrays(plan: MRFArrays) -> np.ndarray:
+    """Exact min-sum dynamic programming on a forest plan.
 
-    Each component is rooted at its smallest node; messages flow leaves →
-    root carrying min-marginals, then an argmin backtrack assigns labels.
+    Each component is rooted at its smallest node, min-marginal messages
+    flow leaves → root, and an argmin backtrack assigns labels.  The
+    ``+inf`` padding convention keeps every reduction exact (padded
+    labels never win an argmin).
     """
-    labels = [-1] * mrf.node_count
-    visited = [False] * mrf.node_count
-    for root in range(mrf.node_count):
+    n = plan.node_count
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for e in range(plan.edge_count):
+        i = int(plan.edge_first[e])
+        j = int(plan.edge_second[e])
+        cid = int(plan.edge_cid[e])
+        adjacency[i].append((j, cid))                 # rows = i's labels
+        adjacency[j].append((i, plan.stacked + cid))  # rows = j's labels
+    labels = np.zeros(n, dtype=np.int64)
+    visited = [False] * n
+    for root in range(n):
         if visited[root]:
             continue
-        # Build a DFS order of the component rooted at `root`.
-        order: List[Tuple[int, int]] = []  # (node, parent)
-        stack = [(root, -1)]
+        order: List[Tuple[int, int, int]] = []  # (node, parent, cid rows=parent)
+        stack = [(root, -1, -1)]
         visited[root] = True
         while stack:
-            node, parent = stack.pop()
-            order.append((node, parent))
-            for neighbor, _ in mrf.neighbors(node):
+            node, up_parent, up_cid = stack.pop()
+            order.append((node, up_parent, up_cid))
+            for neighbor, cid in adjacency[node]:
                 if not visited[neighbor]:
                     visited[neighbor] = True
-                    stack.append((neighbor, node))
-
-        # Upward sweep (children before parents = reversed DFS order).
-        upward: dict = {}   # node -> message vector added to its parent
-        choice: dict = {}   # node -> argmin table over parent labels
-        accumulated = {node: mrf.unary(node).copy() for node, _ in order}
-        for node, parent in reversed(order):
-            if parent < 0:
+                    # cid rows = node's labels; the parent→child orientation.
+                    stack.append((neighbor, node, cid))
+        accumulated = {node: plan.unary_inf[node].copy() for node, _p, _c in order}
+        choice: Dict[int, np.ndarray] = {}
+        for node, up_parent, up_cid in reversed(order):
+            if up_parent < 0:
                 continue
-            edge_id = mrf.edge_id(parent, node)
-            first, _second = mrf.edge(edge_id)
-            cost = mrf.edge_cost(edge_id)
-            oriented = cost if first == parent else cost.T  # rows = parent
-            totals = oriented + accumulated[node][None, :]
+            totals = plan.cost[up_cid] + accumulated[node][None, :]
             choice[node] = np.argmin(totals, axis=1)
-            upward[node] = totals.min(axis=1)
-            accumulated[parent] += upward[node]
-
-        # Downward argmin backtrack.
+            accumulated[up_parent] += totals.min(axis=1)
         labels[root] = int(np.argmin(accumulated[root]))
-        for node, parent in order:
-            if parent >= 0:
-                labels[node] = int(choice[node][labels[parent]])
+        for node, up_parent, _up_cid in order:
+            if up_parent >= 0:
+                labels[node] = int(choice[node][labels[up_parent]])
     return labels
 
 

@@ -57,7 +57,6 @@ from repro.mrf.graph import PairwiseMRF
 __all__ = [
     "MRFArrays",
     "SolverScratch",
-    "SolverScratchPool",
     "wavefront_schedule",
 ]
 
@@ -70,17 +69,15 @@ class SolverScratch:
     belief copies, message deltas.  A :class:`SolverScratch` keeps one
     flat, monotonically-grown buffer per (name, dtype) and hands out
     reshaped views, so a steady-state consumer (streaming warm re-solves,
-    grid sweeps, per-shard workers) stops churning the NumPy allocator:
+    grid sweeps, shard loops) stops churning the NumPy allocator:
     after the first solve of a given plan shape, iterations allocate
     nothing.
 
     Buffers are handed out by *name*; two live views of the same name
     alias, so every kernel uses distinct names for distinct roles.  A
     scratch is **not** thread-safe — concurrent solvers each need their
-    own (:class:`~repro.mrf.sharded.ShardedSolver` keeps one per worker
-    thread).  Passing ``scratch=None`` to a solver creates a private one
-    per call, which still reuses buffers *across iterations* of that
-    solve.
+    own.  Passing ``scratch=None`` to a solver creates a private one per
+    call, which still reuses buffers *across iterations* of that solve.
     """
 
     __slots__ = ("_buffers",)
@@ -104,39 +101,6 @@ class SolverScratch:
         view = self.array(name, shape, dtype)
         view.fill(0)
         return view
-
-
-class SolverScratchPool:
-    """A check-out pool of :class:`SolverScratch` instances.
-
-    Concurrent shard solves each need a private scratch, but tying
-    scratches to *threads* (``threading.local``) loses all reuse when the
-    consumer builds a fresh thread pool per solve — the streaming engine
-    does exactly that, once per event.  Leasing from a pool instead keeps
-    the buffers alive across pools: the pool grows to the peak concurrent
-    lease count and no further, and a lease is exclusive for its duration,
-    so the single-thread contract of :class:`SolverScratch` holds.
-    """
-
-    __slots__ = ("_idle",)
-
-    def __init__(self) -> None:
-        import queue
-
-        self._idle: "queue.SimpleQueue[SolverScratch]" = queue.SimpleQueue()
-
-    def acquire(self) -> SolverScratch:
-        """A scratch no other live lease holds (created on demand)."""
-        import queue
-
-        try:
-            return self._idle.get_nowait()
-        except queue.Empty:
-            return SolverScratch()
-
-    def release(self, scratch: SolverScratch) -> None:
-        """Return a scratch to the idle pool."""
-        self._idle.put(scratch)
 
 
 def wavefront_schedule(n: int, lo: np.ndarray, hi: np.ndarray):

@@ -1,7 +1,7 @@
 """Zero-overhead-when-disabled tracing core.
 
 The library's hot paths — the direct compiler, the TRW-S/BP sweep kernels,
-the sharded fan-out, the streaming engine, the service writer — call into
+the shard loops, the streaming engine, the service writer — call into
 this module unconditionally.  The contract that keeps them as fast as the
 zero-allocation kernel work left them:
 
@@ -143,7 +143,8 @@ class Trace:
             the service's ``/debug/trace`` tail).  ``None`` keeps
             everything (the CLI and benchmark mode).
 
-    Thread-safe: the sharded solver's thread fan-out records concurrently.
+    Thread-safe: spans may arrive from several threads at once (e.g. the
+    service's writer thread next to a traced client).
     Events are plain dicts in the Chrome trace-event shape (``name``,
     ``cat``, ``ph``, ``ts``/``dur`` in microseconds, ``pid``/``tid``,
     ``args``), so export is serialisation, not transformation.

@@ -6,11 +6,10 @@ grids as :class:`Job` lists and execute them through :func:`run_jobs`,
 which is what the CLI's ``--workers`` flag controls (``REPRO_WORKERS`` in
 the environment overrides the default when a caller passes no explicit
 worker count).  :mod:`repro.runner.shared` adds shared-memory array blocks
-so jobs with big read-only numerics (shard cost stacks) stop shipping them
-over pipes.
+so big result arrays come back from workers without pickling.
 """
 
-from repro.runner.engine import Job, JobPool, derive_seed, resolve_workers, run_jobs
+from repro.runner.engine import Job, derive_seed, resolve_workers, run_jobs
 from repro.runner.shared import (
     SharedArrayBlock,
     SharedArraySpec,
@@ -19,7 +18,6 @@ from repro.runner.shared import (
 
 __all__ = [
     "Job",
-    "JobPool",
     "SharedArrayBlock",
     "SharedArraySpec",
     "derive_seed",

@@ -42,7 +42,7 @@ from repro.runner.shared import (
     shared_memory_available,
 )
 
-__all__ = ["Job", "JobPool", "derive_seed", "resolve_workers", "run_jobs"]
+__all__ = ["Job", "derive_seed", "resolve_workers", "run_jobs"]
 
 #: Result arrays at or above this size travel back through shared memory
 #: instead of the result pipe (one segment memcpy beats pickling them).
@@ -390,9 +390,9 @@ def run_jobs(
             :data:`SHARED_RESULT_MIN_BYTES` inside the usual result
             containers; see :func:`_export_result`).  The default ``None``
             auto-enables this whenever a pool actually runs and the
-            platform has shared memory — the ``--full`` sweep grids and
-            the sharded process backend use it without opting in; results
-            are value-identical either way, and any segment-creation
+            platform has shared memory — the ``--full`` sweep grids use
+            it without opting in; results are value-identical either
+            way, and any segment-creation
             failure falls back to inline pickling per array.
 
     Raises:
@@ -489,107 +489,3 @@ def run_jobs(
                 )
                 raise result.error
     return {job.key: result for job, result in zip(job_list, results)}
-
-
-class JobPool:
-    """A persistent worker pool for multi-round job grids.
-
-    :func:`run_jobs` builds (and tears down) a ``ProcessPoolExecutor`` per
-    call — right for one-shot grids, wasteful for iterative outer loops
-    that dispatch the same jobs round after round, like the
-    dual-decomposition solver (:mod:`repro.mrf.dual`): a fresh pool per
-    round would pay worker spawn *and* lose the workers' warm state
-    (cached shard plans, reusable scratch buffers).  ``JobPool`` keeps one
-    pool alive across :meth:`run` calls; worker processes persist, so
-    module-level caches in the job function survive between rounds.
-
-    Degradation mirrors :func:`run_jobs`: when process pools are
-    unavailable or the jobs do not pickle, execution falls back in-process
-    (and stays serial for the pool's lifetime — a broken pool rarely heals
-    mid-run).  Serial and pooled runs produce identical results; per-job
-    randomness must come from job seeds, never worker identity.
-
-    Use as a context manager (or call :meth:`close`) so workers do not
-    outlive the loop:
-
-    >>> def cell(n, seed=None):
-    ...     return n + 1
-    >>> with JobPool(workers=1) as pool:
-    ...     first = pool.run([Job(key="a", fn=cell, kwargs={"n": 1})])
-    ...     second = pool.run([Job(key="a", fn=cell, kwargs={"n": 2})])
-    >>> (first["a"], second["a"])
-    (2, 3)
-    """
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = resolve_workers(workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._serial = self.workers <= 1
-
-    def __enter__(self) -> "JobPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def run(self, jobs: Iterable[Job]) -> Dict[Hashable, Any]:
-        """Execute one round of jobs; ``{job.key: result}`` in job order.
-
-        Job exceptions propagate; pool-infrastructure failures degrade to
-        the in-process path with a warning (sticky — later rounds stay
-        serial).  Under an active trace, pooled workers capture their
-        spans and the parent merges them, exactly like :func:`run_jobs`.
-        """
-        job_list: List[Job] = list(jobs)
-        seen = set()
-        for job in job_list:
-            if job.key in seen:
-                raise ValueError(f"duplicate job key {job.key!r}")
-            seen.add(job.key)
-        if not self._serial and len(job_list) > 1:
-            try:
-                pickle.dumps(job_list)
-            except Exception as exc:
-                warnings.warn(
-                    f"jobs are not picklable ({exc!r}); pool degrades to "
-                    f"the in-process path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._serial = True
-        if self._serial or len(job_list) <= 1:
-            return {job.key: job.run() for job in job_list}
-        dispatch = job_list
-        if obs.enabled():
-            dispatch = [
-                Job(key=job.key, fn=_traced_job, kwargs={"job": job})
-                for job in job_list
-            ]
-        try:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            futures = [self._pool.submit(_run_job, job) for job in dispatch]
-            results = [future.result() for future in futures]
-        except (OSError, PermissionError, BrokenProcessPool) as exc:
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); running "
-                f"{len(job_list)} job(s) in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._serial = True
-            self.close()
-            results = [job.run() for job in job_list]
-        trace = obs.current_trace()
-        for index, result in enumerate(results):
-            if type(result) is _TracedResult:
-                if trace is not None:
-                    trace.extend(result.events)
-                results[index] = result.value
-        return {job.key: result for job, result in zip(job_list, results)}

@@ -1,9 +1,8 @@
 """Shared-memory array blocks for cross-process job grids.
 
-Process-pool jobs normally receive their inputs pickled over a pipe.  For
-the big read-only numerics — a similarity-derived cost stack shared by
-every shard of a solve, the padded matrices of a 6000-host sweep — that
-serialisation dominates the dispatch cost.  :class:`SharedArrayBlock` puts
+Process-pool jobs normally exchange arrays pickled over a pipe.  For big
+numerics — the padded matrices of a 6000-host sweep, large result
+arrays — that serialisation dominates the dispatch cost.  :class:`SharedArrayBlock` puts
 one NumPy array into POSIX shared memory instead: the parent ships only a
 tiny picklable :class:`SharedArraySpec` (name, shape, dtype) and each
 worker attaches a zero-copy read-only view.

@@ -48,7 +48,6 @@ a universal guarantee.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -59,21 +58,15 @@ from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.partition import Shard, merge_shard_results, split_parts
 from repro.mrf.solvers import SolverResult
 from repro.mrf.trws import TRWSSolver
-from repro.mrf.vectorized import SolverScratch, SolverScratchPool
+from repro.mrf.vectorized import SolverScratch
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
-from repro.runner import Job, resolve_workers, run_jobs
 from repro.stream.events import Event
 from repro.stream.plan import StreamPlan
 
 __all__ = ["StreamSolveResult", "DynamicDiversifier"]
-
-#: Per-process workspace of :func:`_stream_shard_job` — pool workers are
-#: single-threaded, so one scratch per worker is reused across jobs.
-_STREAM_JOB_SCRATCH: Optional[SolverScratch] = None
-
 
 @dataclass
 class _ShardEntry:
@@ -186,17 +179,6 @@ class DynamicDiversifier:
             local optima and the stability metric may differ; cross-mode
             energy equality is a property of the workload, exactly like
             the warm/cold contract above.
-        shard_workers: concurrent dirty-shard solves (``None``/1 serial,
-            ``-1`` one thread per CPU); dirty shards are independent, so
-            the fan-out never changes results.
-        shard_process_nodes: dirty shards at or above this node count are
-            solved as :mod:`repro.runner` *process* jobs instead of
-            in-process threads — the same solve, byte-identically (same
-            plan rebuild, solver options, warm messages, inits and ICM
-            polish), so results never depend on where a shard ran; only
-            huge dirty components pay the pickling toll, and only when
-            they would otherwise serialise behind the GIL-bound parent.
-            ``None`` (default) keeps every dirty shard in-process.
         dual_shard_nodes: opt-in dual decomposition for *giant* dirty
             components (``"trws"`` only): a dirty shard at or above this
             node count is re-solved cold by
@@ -208,7 +190,7 @@ class DynamicDiversifier:
             loop's certified bound.  ``None`` (default) disables.
         dual_options: constructor options of the per-shard
             :class:`~repro.mrf.dual.DualDecompositionSolver` (``parts``,
-            ``max_rounds``, ``gap_tolerance``, ``executor``, ...) when
+            ``max_rounds``, ``gap_tolerance``, ...) when
             ``dual_shard_nodes`` triggers.
         **solver_options: forwarded to the solver constructor.
     """
@@ -227,8 +209,6 @@ class DynamicDiversifier:
         service_weights: Optional[Mapping[str, float]] = None,
         constraints: Optional[ConstraintSet] = None,
         sharded: bool = False,
-        shard_workers: Optional[int] = None,
-        shard_process_nodes: Optional[int] = None,
         dual_shard_nodes: Optional[int] = None,
         dual_options: Optional[Mapping] = None,
         **solver_options,
@@ -257,27 +237,20 @@ class DynamicDiversifier:
         self.warm_start = warm_start
         self.rebuild_fraction = rebuild_fraction
         self.cost_jump_threshold = cost_jump_threshold
-        if shard_process_nodes is not None and shard_process_nodes < 1:
-            raise ValueError("shard_process_nodes must be >= 1")
         if dual_shard_nodes is not None and dual_shard_nodes < 1:
             raise ValueError("dual_shard_nodes must be >= 1")
         if dual_shard_nodes is not None and solver != "trws":
             raise ValueError("dual_shard_nodes requires solver='trws'")
         self.sharded = sharded
-        self.shard_workers = shard_workers
-        self.shard_process_nodes = shard_process_nodes
         self.dual_shard_nodes = dual_shard_nodes
         self._dual_options = dict(dual_options or {})
         self._solver_options = dict(solver_options)
-        self._warm_iterations = int(warm_iterations)
         #: per-shard cache: frozen variable-key set → solved summary.
         self._shard_cache: Dict[frozenset, _ShardEntry] = {}
-        #: reusable solver work buffers — steady-state warm re-solves stop
-        #: churning the NumPy allocator.  Monolithic solves use one scratch;
-        #: the sharded fan-out leases from a pool (the per-event thread
-        #: pools are short-lived, so thread-locals would never be reused).
+        #: reusable solver work buffers (monolithic and per-shard solves
+        #: alike) — steady-state warm re-solves stop churning the NumPy
+        #: allocator.
         self._scratch = SolverScratch()
-        self._shard_scratches = SolverScratchPool()
         self.plan = StreamPlan(
             network,
             similarity,
@@ -477,84 +450,10 @@ class DynamicDiversifier:
                 dirty.append((shard, key))
 
         solved: Dict[frozenset, _ShardEntry] = {}
-        outcomes: List[Optional[Tuple[_ShardEntry, np.ndarray, int, float]]] = (
-            [None] * len(dirty)
-        )
-        remote = [
-            position
-            for position, (shard, _key) in enumerate(dirty)
-            if self._runs_in_process(shard)
+        outcomes = [
+            self._solve_shard(shard, labels, warm, escalate)
+            for shard, _key in dirty
         ]
-        if remote:
-            # Huge dirty shards ship to worker processes — byte-identical
-            # to the in-process path (same plan rebuild, solver options,
-            # warm messages, inits and polish), so placement is purely a
-            # scheduling decision.
-            jobs = []
-            for position in remote:
-                shard = dirty[position][0]
-                jobs.append(
-                    Job(
-                        key=position,
-                        fn=_stream_shard_job,
-                        kwargs=dict(
-                            unaries=[unaries[int(v)] for v in shard.nodes],
-                            edge_first=shard.local_first,
-                            edge_second=shard.local_second,
-                            edge_cid=shard.local_cid,
-                            lmax=width,
-                            matrices=[matrices[int(k)] for k in shard.cids],
-                            solver_name=self.solver_name,
-                            solver_options=self._solver_options,
-                            warm_iterations=self._warm_iterations,
-                            messages=plan.messages[shard.slots],
-                            previous=labels[shard.nodes] if warm else None,
-                            warm=warm,
-                            escalate=escalate,
-                            shard_index=shard.index,
-                        ),
-                    )
-                )
-            shipped = run_jobs(
-                jobs, workers=min(resolve_workers(self.shard_workers), len(jobs))
-            )
-            for position in remote:
-                shard = dirty[position][0]
-                energy, bound, conv, sub_labels, iters, msg, secs = shipped[
-                    position
-                ]
-                plan.messages[shard.slots] = np.asarray(msg)
-                outcomes[position] = (
-                    _ShardEntry(
-                        energy=energy, lower_bound=bound, converged=conv
-                    ),
-                    np.asarray(sub_labels, dtype=np.int64),
-                    iters,
-                    secs,
-                )
-        local = [
-            position for position in range(len(dirty)) if outcomes[position] is None
-        ]
-        fan_out = min(resolve_workers(self.shard_workers), len(local))
-        if fan_out > 1:
-            # Dirty shards are independent (disjoint nodes and message
-            # slots), so a thread fan-out never changes results.
-            with ThreadPoolExecutor(max_workers=fan_out) as pool:
-                for position, outcome in zip(
-                    local,
-                    pool.map(
-                        lambda position: self._solve_shard(
-                            dirty[position][0], labels, warm, escalate
-                        ),
-                        local,
-                    ),
-                ):
-                    outcomes[position] = outcome
-        else:
-            for position in local:
-                outcomes[position] = self._solve_shard(
-                    dirty[position][0], labels, warm, escalate
-                )
         dirty_iterations = []
         shard_seconds: List[float] = []
         for (shard, key), (entry, sub_labels, sub_iters, sub_secs) in zip(
@@ -649,7 +548,6 @@ class DynamicDiversifier:
         ):
             return self._solve_shard_dual(shard, previous, warm, shard_start)
         messages = plan.messages[shard.slots]
-        scratch = self._shard_scratches.acquire()
         with obs.span(
             "shard.solve",
             cat="shard",
@@ -657,21 +555,41 @@ class DynamicDiversifier:
             nodes=len(shard.nodes),
             warm=warm,
         ) as shard_span:
-            try:
-                energy, sub_labels, result = _solve_shard_arrays(
-                    shard.plan,
-                    messages,
-                    previous,
-                    warm,
-                    escalate,
-                    self.solver_name,
-                    self._solver,
-                    self._warm_solver,
-                    scratch,
+            shard_plan = shard.plan
+            is_trws = self.solver_name == "trws"
+            if warm and not escalate:
+                solver = self._warm_solver
+                extra_inits: Tuple[np.ndarray, ...] = (previous,)
+            elif warm:
+                solver = self._solver
+                extra_inits = (previous,)
+                if is_trws:
+                    extra_inits += (shard_plan.greedy_labels(),)
+            else:
+                solver = self._solver
+                extra_inits = (shard_plan.greedy_labels(),) if is_trws else ()
+            if is_trws:
+                result = solver.solve_arrays(
+                    shard_plan,
+                    messages=messages,
+                    extra_inits=extra_inits,
+                    default_inits=solver is not self._warm_solver,
+                    scratch=self._scratch,
                 )
-                plan.messages[shard.slots] = messages
-            finally:
-                self._shard_scratches.release(scratch)
+            else:
+                result = solver.solve_arrays(
+                    shard_plan, messages=messages, scratch=self._scratch
+                )
+            sub_labels = np.asarray(result.labels, dtype=np.int64)
+            energy = result.energy
+            if warm and previous is not None:
+                # Stability tie-break, per shard (see the monolithic path).
+                polished = shard_plan.icm(previous, scratch=self._scratch)
+                polished_energy = shard_plan.energy(polished)
+                if polished_energy <= energy + 1e-9:
+                    sub_labels = polished
+                    energy = polished_energy
+            plan.messages[shard.slots] = messages
             shard_span.add(energy=energy, iterations=result.iterations)
         entry = _ShardEntry(
             energy=energy,
@@ -700,27 +618,23 @@ class DynamicDiversifier:
         """
         from repro.mrf.dual import DualDecompositionSolver
 
-        scratch = self._shard_scratches.acquire()
         with obs.span(
             "shard.dual",
             cat="shard",
             shard=int(shard.index),
             nodes=len(shard.nodes),
         ) as shard_span:
-            try:
-                result = DualDecompositionSolver(
-                    **{**self._solver_options, **self._dual_options}
-                ).solve_arrays(shard.plan)
-                sub_labels = np.asarray(result.labels, dtype=np.int64)
-                energy = result.energy
-                if warm and previous is not None:
-                    polished = shard.plan.icm(previous, scratch=scratch)
-                    polished_energy = shard.plan.energy(polished)
-                    if polished_energy <= energy + 1e-9:
-                        sub_labels = polished
-                        energy = polished_energy
-            finally:
-                self._shard_scratches.release(scratch)
+            result = DualDecompositionSolver(
+                **{**self._solver_options, **self._dual_options}
+            ).solve_arrays(shard.plan)
+            sub_labels = np.asarray(result.labels, dtype=np.int64)
+            energy = result.energy
+            if warm and previous is not None:
+                polished = shard.plan.icm(previous, scratch=self._scratch)
+                polished_energy = shard.plan.energy(polished)
+                if polished_energy <= energy + 1e-9:
+                    sub_labels = polished
+                    energy = polished_energy
             shard_span.add(
                 energy=energy, rounds=result.rounds, gap=result.duality_gap
             )
@@ -734,23 +648,6 @@ class DynamicDiversifier:
         )
 
     # ------------------------------------------------------------- internals
-
-    def _runs_in_process(self, shard: Shard) -> bool:
-        """True when a dirty shard should ship to a worker process.
-
-        Dual-eligible shards stay in-process — the dual loop fans out its
-        own shard solves and would fight the pool for cores.
-        """
-        if (
-            self.shard_process_nodes is None
-            or len(shard.nodes) < self.shard_process_nodes
-        ):
-            return False
-        return not (
-            self.dual_shard_nodes is not None
-            and self.solver_name == "trws"
-            and len(shard.nodes) >= self.dual_shard_nodes
-        )
 
     def _delta_too_large(self) -> bool:
         """Did pending deltas (topology or constraint churn) outgrow the
@@ -798,136 +695,6 @@ class DynamicDiversifier:
         if plan.stranded:
             return True, "stranded"
         return True, None
-
-
-def _solve_shard_arrays(
-    shard_plan,
-    messages: np.ndarray,
-    previous: Optional[np.ndarray],
-    warm: bool,
-    escalate: bool,
-    solver_name: str,
-    solver,
-    warm_solver,
-    scratch: SolverScratch,
-):
-    """The dirty-shard solve body, shared by every execution venue.
-
-    One function holds the mode choice (warm repair / escalated full
-    budget / cold), the solver dispatch and the per-shard stability
-    tie-break, so the in-process thread path and the
-    :func:`_stream_shard_job` process path cannot drift apart — a shard
-    solves byte-identically wherever it runs.  Returns ``(energy,
-    labels, result)``; ``messages`` is updated in place.
-    """
-    is_trws = solver_name == "trws"
-    if warm and not escalate:
-        active = warm_solver
-        extra_inits: Tuple[np.ndarray, ...] = (previous,)
-        default_inits = False
-    elif warm:
-        active = solver
-        extra_inits = (previous,)
-        if is_trws:
-            extra_inits += (shard_plan.greedy_labels(),)
-        default_inits = True
-    else:
-        active = solver
-        extra_inits = (shard_plan.greedy_labels(),) if is_trws else ()
-        default_inits = True
-    if is_trws:
-        result = active.solve_arrays(
-            shard_plan,
-            messages=messages,
-            extra_inits=extra_inits,
-            default_inits=default_inits,
-            scratch=scratch,
-        )
-    else:
-        result = active.solve_arrays(
-            shard_plan, messages=messages, scratch=scratch
-        )
-    sub_labels = np.asarray(result.labels, dtype=np.int64)
-    energy = result.energy
-    if warm and previous is not None:
-        # Stability tie-break, per shard (see the monolithic path).
-        polished = shard_plan.icm(previous, scratch=scratch)
-        polished_energy = shard_plan.energy(polished)
-        if polished_energy <= energy + 1e-9:
-            sub_labels = polished
-            energy = polished_energy
-    return energy, sub_labels, result
-
-
-def _stream_shard_job(
-    unaries,
-    edge_first,
-    edge_second,
-    edge_cid,
-    lmax,
-    matrices,
-    solver_name,
-    solver_options,
-    warm_iterations,
-    messages,
-    previous,
-    warm,
-    escalate,
-    shard_index,
-):
-    """One huge dirty-shard solve as a process job (picklable top-level).
-
-    Rebuilds the shard plan from raw parts in the worker (the same
-    :meth:`MRFArrays.from_parts` call the in-process partition factory
-    makes), constructs the same solver pair from the same options, and
-    runs :func:`_solve_shard_arrays` — so the result is byte-identical to
-    an in-process solve of the same shard.  Returns ``(energy,
-    lower_bound, converged, labels, iterations, messages, seconds)``; the
-    updated warm messages ride back for the parent to scatter into its
-    global array.
-    """
-    from repro.mrf.vectorized import MRFArrays
-
-    global _STREAM_JOB_SCRATCH
-    if _STREAM_JOB_SCRATCH is None:
-        _STREAM_JOB_SCRATCH = SolverScratch()
-    shard_start = time.perf_counter()
-    factory = TRWSSolver if solver_name == "trws" else LoopyBPSolver
-    solver = factory(**solver_options)
-    warm_solver = factory(
-        **{**solver_options, "max_iterations": warm_iterations}
-    )
-    with obs.span(
-        "shard.solve",
-        cat="shard",
-        shard=int(shard_index),
-        nodes=len(unaries),
-        warm=warm,
-    ) as shard_span:
-        plan = MRFArrays.from_parts(
-            unaries, edge_first, edge_second, edge_cid, matrices, lmax=lmax
-        )
-        energy, sub_labels, result = _solve_shard_arrays(
-            plan,
-            messages,
-            previous,
-            warm,
-            escalate,
-            solver_name,
-            solver,
-            warm_solver,
-            _STREAM_JOB_SCRATCH,
-        )
-        shard_span.add(energy=energy, iterations=result.iterations)
-    return (
-        energy,
-        result.lower_bound,
-        result.converged,
-        sub_labels,
-        result.iterations,
-        messages,
-        time.perf_counter() - shard_start,
-    )
 
 
 def _stability(

@@ -278,10 +278,7 @@ class TestSolverParity:
 
     def test_sharded_via_global_default(self, backend):
         mrf = make_random_mrf(18, 0.15, 3, seed=7)
-        solver = ShardedSolver(
-            solver="trws", min_shard_nodes=1, executor="serial",
-            seed=0, max_iterations=6,
-        )
+        solver = ShardedSolver(solver="trws", seed=0, max_iterations=6)
         set_default_backend("numpy")
         reference = solver.solve(mrf)
         set_default_backend(backend)

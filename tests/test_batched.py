@@ -137,10 +137,9 @@ class TestFastPathRouting:
         slow = diversify(network, similarity, fast_path=False)
         assert slow.plan is not None
         assert slow.build is None
-        # ...and compile="python" keeps the classic MRF object pipeline.
-        classic = diversify(
-            network, similarity, fast_path=False, compile="python"
-        )
+        # ...and a solver without a plan-level API keeps the MRF object
+        # pipeline.
+        classic = diversify(network, similarity, solver="icm")
         assert classic.build is not None
         assert classic.plan is None
 

@@ -11,8 +11,8 @@ The contract under test (see ``repro/core/compile.py``):
 * :func:`compile_stream_parts` reproduces the :class:`StreamPlan` build
   (paired dedup, flipped edges, per-edge link/service keys) so the
   streaming engine's cold rebuilds keep their event-path alignment.
-* ``diversify`` routed through the compiler returns the same result as the
-  classic ``compile="python"`` pipeline.
+* ``diversify`` routed through the compiler returns the same result as
+  ``build_mrf(...).mrf`` solved directly by the same solver.
 * A shared :class:`SolverScratch` never changes solver results — with or
   without reuse, across repeated solves and across different plans.
 """
@@ -28,6 +28,7 @@ from repro.core.compile import (
 from repro.core.costs import build_mrf
 from repro.core.diversify import diversify
 from repro.mrf.bp import LoopyBPSolver
+from repro.mrf.partition import split_components, zone_groups
 from repro.mrf.sharded import ShardedSolver, solve_plan
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
@@ -270,11 +271,14 @@ class TestDiversifyRouting:
     def test_direct_equals_python_pipeline(self):
         net, sim = workload(seed=9)
         direct = diversify(net, sim, fast_path=False)
-        classic = diversify(net, sim, fast_path=False, compile="python")
+        build = build_mrf(net, sim)
+        classic = TRWSSolver().solve(build.mrf)
         assert direct.energy == pytest.approx(classic.energy)
-        assert direct.assignment.as_dict() == classic.assignment.as_dict()
+        assert (
+            direct.assignment.as_dict()
+            == build.labels_to_assignment(net, classic.labels).as_dict()
+        )
         assert direct.plan is not None and direct.build is None
-        assert classic.build is not None and classic.plan is None
 
     def test_constrained_direct_equals_python(self):
         net, sim = workload(seed=10)
@@ -285,19 +289,18 @@ class TestDiversifyRouting:
             ]
         )
         direct = diversify(net, sim, constraints=constraints, fast_path=False)
-        classic = diversify(
-            net, sim, constraints=constraints, fast_path=False,
-            compile="python",
-        )
+        build = build_mrf(net, sim, constraints=constraints)
+        classic = TRWSSolver().solve(build.mrf)
         assert direct.energy == pytest.approx(classic.energy)
-        assert direct.satisfied == classic.satisfied
+        violations = constraints.violations(
+            build.labels_to_assignment(net, classic.labels), net
+        )
+        assert direct.satisfied == (not violations)
 
     def test_bp_routes_through_compiler(self):
         net, sim = workload(seed=11)
         direct = diversify(net, sim, solver="bp", fast_path=False)
-        classic = diversify(
-            net, sim, solver="bp", fast_path=False, compile="python"
-        )
+        classic = LoopyBPSolver().solve(build_mrf(net, sim).mrf)
         assert direct.plan is not None
         assert direct.energy == pytest.approx(classic.energy)
 
@@ -306,11 +309,6 @@ class TestDiversifyRouting:
         result = diversify(net, sim, solver="icm")
         assert result.plan is None and result.build is not None
 
-    def test_invalid_compile_value(self):
-        net, sim = workload(seed=1)
-        with pytest.raises(ValueError):
-            diversify(net, sim, compile="rust")
-
     def test_forest_dispatch_matches(self):
         from repro.network.topologies import chain_network
 
@@ -318,9 +316,10 @@ class TestDiversifyRouting:
         table.set("p0", "p1", 0.8)
         net = chain_network(5)
         direct = diversify(net, table, fast_path=False)
-        classic = diversify(net, table, fast_path=False, compile="python")
+        classic = TRWSSolver().solve(build_mrf(net, table).mrf)
         assert direct.energy == pytest.approx(classic.energy)
-        assert direct.certified_optimal and classic.certified_optimal
+        assert direct.certified_optimal
+        assert classic.is_certified_optimal(tolerance=1e-6)
 
 
 # ----------------------------------------------------------- zone sharding
@@ -353,12 +352,18 @@ class TestZoneShards:
 
     def test_zone_shards_python_pipeline(self):
         net, sim, zoned = self.zoned_workload()
-        mono = diversify(net, sim, fast_path=False)
         zone_sharded = diversify(
-            net, sim, fast_path=False, shards="zones", zones=zoned,
-            compile="python",
+            net, sim, fast_path=False, shards="zones", zones=zoned
         )
-        assert zone_sharded.energy == pytest.approx(mono.energy, abs=1e-9)
+        build = build_mrf(net, sim)
+        plan = MRFArrays(build.mrf)
+        partition = split_components(
+            plan, groups=zone_groups(build.variables, zoned)
+        )
+        python = ShardedSolver(solver="trws").solve_arrays(
+            plan, partition=partition
+        )
+        assert zone_sharded.energy == pytest.approx(python.energy, abs=1e-9)
 
     def test_zones_required(self):
         net, sim, _zoned = self.zoned_workload()
@@ -376,10 +381,12 @@ class TestZoneShards:
     def test_cli_parses_zone_shards(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["table7", "--shards", "zones"])
-        assert args.shards == "zones"
-        args = build_parser().parse_args(["table7", "--shards", "4"])
-        assert args.shards == 4
+        for mode in ("components", "zones", "cut"):
+            args = build_parser().parse_args(["table7", "--shards", mode])
+            assert args.shards == mode
+        # Shards solve serially, so a shard count means nothing: rejected.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table7", "--shards", "4"])
 
 
 # -------------------------------------------------------- vectorized energy
@@ -493,14 +500,18 @@ class TestSolverScratch:
         assert np.array_equal(messages_a, messages_b)
 
     def test_sharded_solver_matches_serial(self):
+        # ShardedSolver reuses one scratch across all of its shards; each
+        # shard solved on a fresh scratch must give the same labelling.
         net, sim = workload(hosts=30, degree=3, services=3, seed=6)
         plan = compile_plan(net, sim).plan
-        threaded = ShardedSolver(solver="trws", workers=4).solve_arrays(plan)
-        serial = ShardedSolver(
-            solver="trws", workers=1, executor="serial"
-        ).solve_arrays(plan)
-        assert threaded.labels == serial.labels
-        assert threaded.energy == serial.energy
+        sharded = ShardedSolver(solver="trws").solve_arrays(plan)
+        partition = split_components(plan)
+        assert len(partition) > 1
+        fresh = partition.stitch(
+            [solve_plan(shard.plan, seed=shard.index).labels
+             for shard in partition]
+        )
+        assert sharded.labels == [int(x) for x in fresh]
 
     def test_solve_plan_matches_mrf_solve(self):
         net, sim = workload(hosts=18, degree=4, services=2, seed=7)

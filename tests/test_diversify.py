@@ -1,7 +1,13 @@
 """Tests for the top-level diversification API (repro.core.diversify)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import diversify, mono_assignment
 from repro.core.costs import assignment_energy
 from repro.network.constraints import (
@@ -176,3 +182,30 @@ class TestHeterogeneousNetworks:
         result = diversify(network, SimilarityTable())
         assert result.assignment.is_complete()
         assert result.similarity_total == 0.0
+
+
+class TestImportGraph:
+    def test_solve_path_loads_no_pool_modules(self):
+        # The solve path runs shards serially: importing it must not pull in
+        # the experiment runner or multiprocessing (startup every caller
+        # pays).  A fresh interpreter sees the real import graph.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        # Only modules the import itself adds count, so site hooks that load
+        # multiprocessing first (subprocess coverage) cannot fail the test.
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.core.diversify\n"
+            "print(','.join(sorted(m for m in set(sys.modules) - before"
+            " if m.split('.')[0] == 'multiprocessing'"
+            " or m.startswith('repro.runner'))))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert loaded == ""

@@ -8,9 +8,8 @@ Three contracts matter:
 2. **The Chrome export is schema-correct** — Perfetto and
    ``chrome://tracing`` load exactly the documented event shape, so the
    exporter is held to it field by field.
-3. **Spans merge across threads and processes** — the sharded fan-out and
-   the runner's process pools land their spans in the parent timeline
-   with their own pid/tid.
+3. **Spans merge across processes** — the runner's process pools land
+   their spans in the parent timeline with their own pid/tid.
 """
 
 import json
@@ -218,6 +217,52 @@ class TestSpans:
             "setup", "forward", "backward", "bound", "energy", "refine",
         }
         assert "trws.solve" in trace.span_names()
+
+    def test_forest_solve_through_mrf_is_traced(self):
+        # TRWSSolver.solve(mrf) on a chain takes the exact forest DP; the
+        # trace must show it like any other solve (span + SolveStats).
+        mrf = PairwiseMRF()
+        for i in range(5):
+            mrf.add_node([0.1 * i, 0.0])
+        agree = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for i in range(4):
+            mrf.add_edge(i, i + 1, agree)
+        baseline = TRWSSolver().solve(mrf)
+        trace = obs.activate(obs.Trace())
+        try:
+            result = TRWSSolver().solve(mrf)
+        finally:
+            obs.deactivate()
+        forest = [e for e in trace.events if e["name"] == "trws.forest"]
+        assert len(forest) == 1
+        assert forest[0]["args"]["nodes"] == 5
+        assert isinstance(result.stats, SolveStats)
+        assert result.stats.total_seconds > 0
+        assert result.labels == baseline.labels
+        assert result.lower_bound == result.energy
+
+    def test_shard_batch_span_covers_serial_shard_loop(self):
+        from repro.mrf.sharded import ShardedSolver
+
+        mrf = PairwiseMRF()  # two disjoint frustrated rings = two shards
+        agree = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for ring in range(2):
+            base = mrf.node_count
+            for i in range(5):
+                mrf.add_node([0.1 * i, 0.0])
+            for i in range(5):
+                mrf.add_edge(base + i, base + (i + 1) % 5, agree)
+        trace = obs.activate(obs.Trace())
+        try:
+            ShardedSolver(solver="trws").solve(mrf)
+        finally:
+            obs.deactivate()
+        (batch,) = [e for e in trace.events if e["name"] == "shard.batch"]
+        assert batch["args"]["shards"] == 2
+        assert "executor" not in batch["args"]
+        assert batch["args"]["shard_seconds_max"] > 0
+        solves = [e for e in trace.events if e["name"] == "shard.solve"]
+        assert [e["args"]["shard"] for e in solves] == [0, 1]
 
     @pytest.mark.skipif(
         not get_backend("native").available,

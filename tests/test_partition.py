@@ -138,21 +138,6 @@ class TestSplitComponents:
         partition.scatter_messages(pieces, restored)
         assert np.array_equal(restored, messages)
 
-    def test_min_nodes_packs_small_components(self):
-        net, table = workload(seed=4)
-        plan = plan_for(net, table)
-        fine = split_components(plan)
-        assert len(fine) > 1
-        coarse = split_components(plan, min_nodes=plan.node_count)
-        assert len(coarse) == 1
-        assert coarse.shards[0].plan.node_count == plan.node_count
-        # Packing preserves exactness.
-        rng = np.random.default_rng(2)
-        labels = rng.integers(0, plan.label_counts)
-        assert coarse.shards[0].plan.energy(labels) == pytest.approx(
-            plan.energy(labels), abs=1e-9
-        )
-
     def test_shard_plans_built_lazily(self):
         # The sharded streaming engine partitions every solve but only
         # touches dirty shards' plans; clean shards must stay unbuilt.
@@ -163,12 +148,6 @@ class TestSplitComponents:
         first = partition.shards[0].plan
         assert partition.shards[0]._plan is first  # cached
         assert all(shard._plan is None for shard in partition.shards[1:])
-
-    def test_invalid_min_nodes(self):
-        net, table = workload(seed=4)
-        plan = plan_for(net, table)
-        with pytest.raises(ValueError):
-            split_components(plan, min_nodes=0)
 
     def test_empty_plan(self):
         partition = split_parts([], np.zeros(0), np.zeros(0), np.zeros(0), [])

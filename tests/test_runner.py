@@ -16,7 +16,7 @@ from repro.analysis.sensitivity import (
 )
 from repro.network.topologies import ring_network
 from repro.nvd.similarity import SimilarityTable
-from repro.runner import Job, JobPool, derive_seed, resolve_workers, run_jobs
+from repro.runner import Job, derive_seed, resolve_workers, run_jobs
 from repro.runner import engine as runner_engine
 
 
@@ -151,67 +151,6 @@ class TestRunJobs:
     def test_chunksize_validated(self):
         with pytest.raises(ValueError, match="chunksize"):
             run_jobs(self._jobs(), workers=2, chunksize=0)
-
-
-class TestJobPool:
-    def _jobs(self, base=9):
-        return [
-            Job(key=i, fn=_square, kwargs={"x": i}, seed=derive_seed(base, i))
-            for i in range(6)
-        ]
-
-    def test_serial_pool_matches_run_jobs(self):
-        with JobPool(workers=None) as pool:
-            assert pool.run(self._jobs()) == run_jobs(self._jobs())
-
-    def test_pool_reused_across_rounds(self):
-        with JobPool(workers=2) as pool:
-            for round_index in range(3):
-                results = pool.run(self._jobs(base=round_index))
-                assert list(results) == list(range(6))
-                assert results == run_jobs(self._jobs(base=round_index))
-
-    def test_duplicate_keys_rejected(self):
-        with JobPool(workers=None) as pool, pytest.raises(
-            ValueError, match="duplicate"
-        ):
-            pool.run([Job(key="a", fn=_square, kwargs={"x": 1}),
-                      Job(key="a", fn=_square, kwargs={"x": 2})])
-
-    def test_unpicklable_jobs_stick_to_serial(self):
-        pool = JobPool(workers=2)
-        try:
-            jobs = [
-                Job(key=i, fn=lambda x=i: x * 10, kwargs={}) for i in range(3)
-            ]
-            with pytest.warns(RuntimeWarning, match="in-process"):
-                assert pool.run(jobs) == {0: 0, 1: 10, 2: 20}
-            # the fallback is sticky: later rounds stay in-process
-            assert pool.run(self._jobs()) == run_jobs(self._jobs())
-        finally:
-            pool.close()
-
-    def test_broken_pool_falls_back_and_sticks(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
-            raise PermissionError("no process support in this sandbox")
-
-        monkeypatch.setattr(runner_engine, "ProcessPoolExecutor", broken_pool)
-        pool = JobPool(workers=4)
-        try:
-            with pytest.warns(RuntimeWarning, match="pool unavailable"):
-                results = pool.run(self._jobs())
-            assert results == run_jobs(self._jobs(), workers=None)
-            monkeypatch.undo()
-            # sticky: no new pool is attempted after the failure
-            assert pool.run(self._jobs()) == run_jobs(self._jobs())
-        finally:
-            pool.close()
-
-    def test_close_is_idempotent(self):
-        pool = JobPool(workers=2)
-        pool.run(self._jobs())
-        pool.close()
-        pool.close()
 
 
 class TestSharedResults:

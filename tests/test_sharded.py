@@ -1,4 +1,4 @@
-"""Tests for the concurrent sharded solver (repro.mrf.sharded).
+"""Tests for the sharded solver (repro.mrf.sharded).
 
 The contract: components share no edges, so solving them independently and
 stitching is exact — sharded and monolithic solves must land on identical
@@ -31,10 +31,13 @@ class TestConstruction:
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             ShardedSolver(solver="icm")
-        with pytest.raises(ValueError):
-            ShardedSolver(executor="fibers")
-        with pytest.raises(ValueError):
-            ShardedSolver(min_shard_nodes=0)
+
+    def test_integer_shard_count_rejected(self):
+        # Shards solve serially, so a shard count means nothing: rejected.
+        net, table = workload(seed=0)
+        for bad in (2, -1, "threads"):
+            with pytest.raises(ValueError, match="'components', 'zones' or 'cut'"):
+                diversify(net, table, shards=bad)
 
     def test_registry_entries(self):
         assert {"trws-sharded", "bp-sharded"} <= set(available_solvers())
@@ -50,7 +53,7 @@ class TestEnergyParity:
         net, table = workload(seed=seed)
         mrf = build_mrf(net, table).mrf
         mono = TRWSSolver().solve(mrf)
-        shard = ShardedSolver(solver="trws", workers=2).solve(mrf)
+        shard = ShardedSolver(solver="trws").solve(mrf)
         assert shard.energy == pytest.approx(mono.energy, abs=1e-9)
         assert shard.lower_bound <= shard.energy + 1e-9
         assert mrf.energy(shard.labels) == pytest.approx(
@@ -61,14 +64,15 @@ class TestEnergyParity:
         net, table = workload(seed=1)
         mrf = build_mrf(net, table).mrf
         mono = LoopyBPSolver().solve(mrf)
-        shard = ShardedSolver(solver="bp", workers=2).solve(mrf)
+        shard = ShardedSolver(solver="bp").solve(mrf)
         assert shard.energy == pytest.approx(mono.energy, abs=1e-9)
 
     def test_zoned_case_study(self):
         case = stuxnet_case_study()
         mono = diversify(case.network, case.similarity, fast_path=False)
         sharded = diversify(
-            case.network, case.similarity, fast_path=False, shards=2
+            case.network, case.similarity, fast_path=False,
+            shards="components",
         )
         assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
         assert sharded.certified_optimal == mono.certified_optimal
@@ -76,19 +80,10 @@ class TestEnergyParity:
     def test_airgapped_multi_zone(self):
         _zoned, network, table = zoned_workload(zones=3)
         mono = diversify(network, table, fast_path=False)
-        sharded = diversify(network, table, fast_path=False, shards=3)
+        sharded = diversify(
+            network, table, fast_path=False, shards="components"
+        )
         assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_executors_identical(self, executor):
-        net, table = workload(seed=3)
-        mrf = build_mrf(net, table).mrf
-        reference = ShardedSolver(solver="trws", executor="serial").solve(mrf)
-        result = ShardedSolver(
-            solver="trws", workers=2, executor=executor
-        ).solve(mrf)
-        assert result.energy == pytest.approx(reference.energy, abs=1e-12)
-        assert result.labels == reference.labels
 
     def test_forest_labels_identical_to_monolithic(self):
         # Chains are forests: both paths dispatch per component to the
@@ -135,9 +130,7 @@ class TestReplicatedSharding:
         _zoned, network, table = zoned_workload(zones=3)
         problem = replicated_problem_from_network(network, table)
         mono = BatchedTRWSSolver().solve(problem)
-        shard = ShardedSolver(solver="trws", workers=2).solve_replicated(
-            problem
-        )
+        shard = ShardedSolver(solver="trws").solve_replicated(problem)
         assert shard.energy == pytest.approx(mono.energy, abs=1e-9)
         assert shard.labels.shape == mono.labels.shape
         assert problem.energy(shard.labels) == pytest.approx(
@@ -147,7 +140,7 @@ class TestReplicatedSharding:
     def test_fast_path_diversify_with_shards(self):
         _zoned, network, table = zoned_workload(zones=3)
         mono = diversify(network, table)  # batched fast path
-        sharded = diversify(network, table, shards=2)
+        sharded = diversify(network, table, shards="components")
         assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
         assert sharded.assignment.is_complete()
 
@@ -165,9 +158,20 @@ class TestScalabilityKnob:
 
         config = RandomNetworkConfig(hosts=16, degree=3, services=2, seed=0)
         plain = scalability_cell(config, max_iterations=2)
-        sharded = scalability_cell(config, max_iterations=2, shards=2)
+        sharded = scalability_cell(
+            config, max_iterations=2, shards="components"
+        )
         assert sharded.energy == pytest.approx(plain.energy, abs=1e-9)
         assert sharded.edges == plain.edges
+
+    def test_scalability_rows_reject_shard_counts(self):
+        from repro.experiments import table7_rows
+
+        with pytest.raises(ValueError, match="'components', 'zones' or 'cut'"):
+            table7_rows(
+                host_counts=(16,), densities=(("tiny", 3, 2),), shards=4,
+                max_iterations=2,
+            )
 
     def test_empty_mrf(self):
         from repro.mrf.graph import PairwiseMRF

@@ -532,23 +532,6 @@ class TestShardedEngine:
             abs=1e-9,
         )
 
-    def test_shard_workers_thread_fanout_identical(self):
-        net, table = workload(seed=9)
-        serial = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        threaded = DynamicDiversifier(
-            net.copy(), table.copy(), sharded=True, shard_workers=2
-        )
-        trace = random_churn_trace(net, ChurnConfig(events=5, seed=9))
-        assert serial.solve().energy == pytest.approx(
-            threaded.solve().energy, abs=1e-9
-        )
-        for event in trace:
-            serial.apply(event)
-            threaded.apply(event)
-            assert serial.solve().energy == pytest.approx(
-                threaded.solve().energy, abs=1e-9
-            )
-
     @pytest.mark.parametrize("sharded", [False, True])
     def test_similarity_update_on_freshly_created_matrix(self, sharded):
         # Regression: a LinkAdd between hosts whose candidate-range pair
