@@ -33,7 +33,7 @@ def test_regularisation_sweep(benchmark, write_artifact):
             result = diversify(
                 network, similarity,
                 pairwise_weight=weight, preferences=preferences,
-                fast_path=False, max_iterations=60,
+                max_iterations=60,
             )
             mono_hosts = sum(
                 1 for host in network.hosts

@@ -55,7 +55,7 @@ def test_random_workload_solver(benchmark, solver):
     result, seconds = benchmark.pedantic(
         _timed_diversify,
         args=(network, similarity),
-        kwargs=dict(solver=solver, max_iterations=60, fast_path=False),
+        kwargs=dict(solver=solver, max_iterations=60),
         rounds=1,
         iterations=1,
     )

@@ -5,7 +5,7 @@ single-host/single-link churn events over a 120-host workload, the
 :class:`~repro.stream.incremental.DynamicDiversifier` — delta-patched plan,
 warm-started messages, previous-solution ICM seed — re-optimises at least
 **3×** faster than the batch pipeline's cold rebuild+solve
-(:func:`repro.core.diversify.diversify`, fast path included), while landing
+(:func:`repro.core.diversify.diversify`: compile + solve), while landing
 on **identical final energies** after every event.
 
 Timing protocol: the full trace is replayed ``ROUNDS`` times per mode and

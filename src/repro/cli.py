@@ -928,11 +928,7 @@ def _trace_diversify(args: argparse.Namespace) -> None:
     from repro.core.diversify import diversify
 
     network, similarity, _events = _trace_workload_config(args)
-    # fast_path off: the replicated-host shortcut skips compile+solve
-    # entirely on uniform synthetic estates — no spans to look at.
-    result = diversify(
-        network, similarity, solver=args.solver, fast_path=False
-    )
+    result = diversify(network, similarity, solver=args.solver)
     print(f"diversify: energy {result.energy:.6f}")
 
 

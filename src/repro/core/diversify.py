@@ -7,12 +7,14 @@ The result bundles the decoded assignment with optimisation diagnostics
 (energy, dual lower bound, certificate of optimality) and
 diversity-oriented summary statistics.
 
-The general path compiles the network **directly into an array plan**
+TRW-S and BP solves compile the network **directly into an array plan**
 (:mod:`repro.core.compile`) — byte-identical to the classic
 ``build_mrf`` + ``MRFArrays`` pipeline but without materialising per-edge
 Python objects, which is what keeps cold plan builds off the critical path
-of the 1000-6000-host sweeps.  Solvers without a plan-level API take the
-``build_mrf`` object pipeline.
+of the 1000-6000-host sweeps — and solve it with
+:func:`~repro.mrf.sharded.solve_plan` (or the shard/dual solvers for
+``shards=``).  Solvers without a plan-level API take the ``build_mrf``
+object pipeline.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
 from repro.core.compile import CompiledPlan, compile_plan
-from repro.core.costs import MRFBuild, build_mrf
+from repro.core.costs import build_mrf
 from repro.mrf.solvers import SolverResult, get_solver
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet, ConstraintViolation
@@ -58,11 +60,6 @@ class DiversificationResult:
         mean_edge_similarity: ``similarity_total`` averaged over the
             (link, shared-service) pairs; 0.0 means perfectly diversified.
         solver_result: raw solver output (traces, iterations, ...).
-        build: the MRF build (variable mapping), for advanced inspection;
-            None unless the Python object pipeline ran (a solver without a
-            plan-level API).
-        plan: the compiled array plan + variable mapping when the direct
-            compiler path ran; None on the Python and fast paths.
     """
 
     assignment: ProductAssignment
@@ -74,8 +71,6 @@ class DiversificationResult:
     similarity_total: float
     mean_edge_similarity: float
     solver_result: SolverResult
-    build: Optional[MRFBuild]
-    plan: Optional[CompiledPlan] = None
 
     def summary(self) -> str:
         """One-paragraph human-readable report."""
@@ -105,7 +100,6 @@ def diversify(
     pairwise_weight: float = 1.0,
     preferences: Optional[Mapping[Tuple[str, str, str], float]] = None,
     service_weights: Optional[Mapping[str, float]] = None,
-    fast_path: bool = True,
     shards: Optional[str] = None,
     zones: Optional[ZonedNetwork] = None,
     **solver_options,
@@ -123,15 +117,11 @@ def diversify(
         preferences: soft (host, service, product) → cost adjustments.
         service_weights: per-service criticality multipliers of the
             similarity penalty (see :func:`repro.core.costs.build_mrf`).
-        fast_path: allow the batched replicated-service TRW-S when the
-            instance qualifies (uniform services, no constraints); the
-            labelling rule and costs are identical, only the data layout
-            differs.  Set False to force the general per-variable MRF.
         shards: ``None`` (default) keeps the monolithic solve.
             ``"components"`` routes the solve through the component
             partition (:class:`~repro.mrf.sharded.ShardedSolver`): each
             connected component solves on its own convergence schedule,
-            one after another — exact, including on the batched fast path.
+            one after another — exact.
             ``"zones"`` derives the partition from the ``zones`` model
             instead: each zone's micro-components are pinned into one
             shard (still exact — zone grouping only merges components).
@@ -155,7 +145,9 @@ def diversify(
     >>> from repro.nvd import SimilarityTable
     >>> net = chain_network(3)
     >>> table = SimilarityTable(products=["p0", "p1"])
-    >>> result = diversify(net, table, fast_path=False)
+    >>> result = diversify(net, table)
+    >>> result.solver_result.solver
+    'trws'
     >>> result.certified_optimal
     True
     >>> round(result.energy, 2)
@@ -165,27 +157,6 @@ def diversify(
     if shards == "zones" and zones is None:
         raise ValueError("shards='zones' needs a ZonedNetwork via zones=")
     constraint_set = constraints or ConstraintSet()
-    if (
-        fast_path
-        and solver == "trws"
-        and shards not in ("zones", "cut")
-        and not constraint_set
-        and not preferences
-        and not service_weights
-    ):
-        fast_result = _diversify_replicated(
-            network,
-            similarity,
-            unary_constant=unary_constant,
-            pairwise_weight=pairwise_weight,
-            shards=shards,
-            **solver_options,
-        )
-        if fast_result is not None:
-            return fast_result
-
-    build: Optional[MRFBuild] = None
-    compiled: Optional[CompiledPlan] = None
     if solver in _PLAN_SOLVERS:
         compiled = compile_plan(
             network,
@@ -229,8 +200,6 @@ def diversify(
         similarity_total=similarity_total,
         mean_edge_similarity=mean_similarity,
         solver_result=solver_result,
-        build=build,
-        plan=compiled,
     )
 
 
@@ -278,68 +247,6 @@ def _solve_compiled(
             compiled.plan
         )
     return solve_plan(compiled.plan, solver=solver, **solver_options)
-
-
-def _diversify_replicated(
-    network: Network,
-    similarity: SimilarityTable,
-    unary_constant: float,
-    pairwise_weight: float,
-    shards: Optional[str] = None,
-    **solver_options,
-) -> Optional[DiversificationResult]:
-    """The batched replicated-service fast path; None when ineligible."""
-    from repro.mrf.batched import (
-        BatchedTRWSSolver,
-        replicated_problem_from_network,
-    )
-
-    problem = replicated_problem_from_network(
-        network,
-        similarity,
-        unary_constant=unary_constant,
-        pairwise_weight=pairwise_weight,
-    )
-    if problem is None:
-        return None
-    if shards == "components":
-        from repro.mrf.sharded import ShardedSolver
-
-        sharded = ShardedSolver(solver="trws", **solver_options)
-        batched = sharded.solve_replicated(problem)
-    else:
-        solver = BatchedTRWSSolver(**solver_options)
-        batched = solver.solve(problem)
-
-    assignment = ProductAssignment(network)
-    for position, host in enumerate(network.hosts):
-        for k, service in enumerate(problem.services):
-            assignment.assign(
-                host, service, problem.products[k][batched.labels[position, k]]
-            )
-
-    similarity_total, coupled_edges = _edge_similarity(network, similarity, assignment)
-    mean_similarity = similarity_total / coupled_edges if coupled_edges else 0.0
-    solver_result = SolverResult(
-        labels=[int(x) for x in batched.labels.reshape(-1)],
-        energy=batched.energy,
-        lower_bound=batched.lower_bound,
-        iterations=batched.iterations,
-        converged=batched.converged,
-        solver=BatchedTRWSSolver.name,
-    )
-    return DiversificationResult(
-        assignment=assignment,
-        energy=batched.energy,
-        lower_bound=batched.lower_bound,
-        certified_optimal=solver_result.is_certified_optimal(tolerance=1e-6),
-        satisfied=True,
-        violations=[],
-        similarity_total=similarity_total,
-        mean_edge_similarity=mean_similarity,
-        solver_result=solver_result,
-        build=None,
-    )
 
 
 def _edge_similarity(

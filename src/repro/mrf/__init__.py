@@ -48,12 +48,10 @@ from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.icm import ICMSolver
 from repro.mrf.exact import ExactSolver
 from repro.mrf.anneal import SimulatedAnnealingSolver
-from repro.mrf.batched import BatchedTRWSSolver, ReplicatedProblem
 from repro.mrf.partition import (
     PlanPartition,
     split_components,
     split_parts,
-    split_replicated,
     zone_groups,
 )
 from repro.mrf.dual import DualDecompositionSolver, DualSolveResult
@@ -71,10 +69,8 @@ __all__ = [
     "ICMSolver",
     "ExactSolver",
     "SimulatedAnnealingSolver",
-    "BatchedTRWSSolver",
     "DualDecompositionSolver",
     "DualSolveResult",
-    "ReplicatedProblem",
     "ShardedSolver",
     "active_kernel_backend",
     "available_backends",
@@ -87,6 +83,5 @@ __all__ = [
     "solve_plan",
     "split_components",
     "split_parts",
-    "split_replicated",
     "zone_groups",
 ]

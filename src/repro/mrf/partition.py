@@ -20,8 +20,6 @@ This module turns that decomposition into first-class objects:
   the same :class:`~repro.network.zones.ZonedNetwork` zone are pinned to one
   shard, so the many tiny per-service components of a zone solve as one
   scheduling unit instead of thousands of micro-tasks;
-* :func:`split_replicated` — the same partition for the batched
-  replicated-service form (:class:`~repro.mrf.batched.ReplicatedProblem`);
 * :func:`cut_parts` / :func:`balanced_blocks` — the *edge-cut* partition
   behind dual decomposition (:mod:`repro.mrf.dual`): nodes are grouped into
   balanced blocks along a BFS order, every edge is owned by the block of its
@@ -48,7 +46,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mrf.batched import ReplicatedProblem
 from repro.mrf.vectorized import MRFArrays
 
 __all__ = [
@@ -64,9 +61,6 @@ __all__ = [
     "CutShard",
     "CutPartition",
     "cut_parts",
-    "ReplicatedShard",
-    "ReplicatedPartition",
-    "split_replicated",
 ]
 
 
@@ -720,81 +714,3 @@ def cut_parts(
             )
         )
     return CutPartition(shards, n, m, block, cut_edges, boundary)
-
-
-# ------------------------------------------------- replicated-service form
-
-
-@dataclass
-class ReplicatedShard:
-    """One host-graph component of a :class:`ReplicatedProblem`."""
-
-    index: int
-    hosts: np.ndarray   # global host positions, ascending
-    edges: np.ndarray   # global edge rows, ascending
-    problem: ReplicatedProblem
-
-
-class ReplicatedPartition:
-    """Host-graph partition of a replicated-service problem."""
-
-    def __init__(
-        self, shards: List[ReplicatedShard], host_count: int
-    ) -> None:
-        self.shards = shards
-        self.host_count = host_count
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def __iter__(self) -> Iterator[ReplicatedShard]:
-        return iter(self.shards)
-
-    def stitch(self, labels_by_shard: Sequence[np.ndarray]) -> np.ndarray:
-        """Merge per-shard (hosts, services) labellings into the global one."""
-        if not self.shards:
-            return np.zeros((0, 0), dtype=np.int64)
-        services = labels_by_shard[0].shape[1]
-        labels = np.zeros((self.host_count, services), dtype=np.int64)
-        for shard, sub in zip(self.shards, labels_by_shard):
-            labels[shard.hosts] = np.asarray(sub, dtype=np.int64)
-        return labels
-
-
-def split_replicated(problem: ReplicatedProblem) -> ReplicatedPartition:
-    """Partition a replicated-service problem by host-graph components.
-
-    Every shard shares the parent's (services, L, L) cost stack by
-    reference — components only restrict the host set, not the per-service
-    label model — so splitting costs O(hosts + edges), not O(S·L²).
-    """
-    n = problem.host_count
-    edges = problem.edges
-    lo = edges[:, 0] if len(edges) else np.zeros(0, dtype=np.int64)
-    hi = edges[:, 1] if len(edges) else np.zeros(0, dtype=np.int64)
-    shard_of = _component_of(n, lo, hi)
-    n_shards = int(shard_of.max()) + 1 if n else 0
-
-    host_order = np.argsort(shard_of, kind="stable")
-    host_bounds = np.searchsorted(
-        shard_of[host_order], np.arange(n_shards + 1)
-    )
-    e_shard = shard_of[lo] if len(lo) else np.zeros(0, dtype=np.int64)
-    edge_order = np.argsort(e_shard, kind="stable")
-    edge_bounds = np.searchsorted(
-        e_shard[edge_order], np.arange(n_shards + 1)
-    )
-
-    shards: List[ReplicatedShard] = []
-    for s in range(n_shards):
-        hosts = host_order[host_bounds[s] : host_bounds[s + 1]]
-        rows = edge_order[edge_bounds[s] : edge_bounds[s + 1]]
-        shards.append(
-            ReplicatedShard(
-                index=s,
-                hosts=hosts,
-                edges=rows,
-                problem=problem.subproblem(hosts, rows),
-            )
-        )
-    return ReplicatedPartition(shards, n)

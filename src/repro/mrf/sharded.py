@@ -1,13 +1,12 @@
 """Per-shard MAP solving over partitioned plans.
 
 :class:`ShardedSolver` routes the message-passing solvers
-(:class:`~repro.mrf.trws.TRWSSolver`, :class:`~repro.mrf.bp.LoopyBPSolver`
-and, through :meth:`ShardedSolver.solve_replicated`, the batched
-:class:`~repro.mrf.batched.BatchedTRWSSolver`) through the component
-partition of :mod:`repro.mrf.partition` and solves the shards one after
-another, in shard order.  Components share no edges, so the decomposition
-is exact: shard energies, dual bounds and optima simply add, and the
-stitched labelling of per-shard optima is a global optimum.
+(:class:`~repro.mrf.trws.TRWSSolver`, :class:`~repro.mrf.bp.LoopyBPSolver`)
+through the component partition of :mod:`repro.mrf.partition` and solves
+the shards one after another, in shard order.  Components share no edges,
+so the decomposition is exact: shard energies, dual bounds and optima
+simply add, and the stitched labelling of per-shard optima is a global
+optimum.
 
 Sharding wins without any parallelism: every shard runs its *own*
 convergence schedule.  The monolithic solver sweeps the whole network
@@ -29,14 +28,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.mrf.batched import BatchedResult, BatchedTRWSSolver
 from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.graph import PairwiseMRF
 from repro.mrf.partition import (
     PlanPartition,
     merge_shard_results,
     split_components,
-    split_replicated,
 )
 from repro.mrf.solvers import SolverResult
 from repro.mrf.trws import TRWSSolver, is_forest_plan, solve_forest_plan
@@ -162,39 +159,6 @@ class ShardedSolver:
             partition.scatter_messages(shard_messages, messages)
         return self._merge(partition, results)
 
-    def solve_replicated(self, problem) -> BatchedResult:
-        """Shard-solve a replicated-service problem (TRW-S only).
-
-        Partitions the host graph into components and runs one
-        :class:`BatchedTRWSSolver` per shard; the replicated form's
-        per-service cost stacks are shared by reference across shards.
-        """
-        if self.solver_name != "trws":
-            raise ValueError("solve_replicated requires solver='trws'")
-        partition = split_replicated(problem)
-        if len(partition) <= 1:
-            solver = BatchedTRWSSolver(seed=self.seed, **self.solver_options)
-            return solver.solve(problem)
-        results = [
-            BatchedTRWSSolver(
-                seed=self.seed + shard.index, **self.solver_options
-            ).solve(shard.problem)
-            for shard in partition
-        ]
-        merged = merge_shard_results(
-            [r.energy for r in results],
-            [r.lower_bound for r in results],
-            [r.iterations for r in results],
-            [r.converged for r in results],
-        )
-        return BatchedResult(
-            labels=partition.stitch([r.labels for r in results]),
-            energy=merged.energy,
-            lower_bound=merged.lower_bound,
-            iterations=merged.iterations,
-            converged=merged.converged,
-        )
-
     # -------------------------------------------------------------- merging
 
     def _merge(
@@ -280,11 +244,12 @@ def _solve_plan(
     min-sum DP (deterministic, certified, non-iterative); everything else
     runs the configured message-passing solver.  Warm starts (``messages``
     given) always take the message-passing path so the caller keeps a
-    reusable fixed-point state.
+    reusable fixed-point state.  The solver is built first on every path,
+    so an unknown or invalid option raises even where the DP ignores it.
     """
+    solver = _FACTORIES[solver_name](**{**options, "seed": seed})
     if solver_name == "trws" and messages is None and is_forest_plan(plan):
         return solve_forest_plan(plan)
-    solver = _FACTORIES[solver_name](**{**options, "seed": seed})
     if solver_name == "trws":
         if greedy:
             inits = tuple(inits) + (plan.greedy_labels(),)

@@ -1,12 +1,12 @@
 """CSR-style array form of a :class:`~repro.mrf.graph.PairwiseMRF`.
 
 The paper's optimizer is multi-threaded C++ with GPU-accelerated matrix
-operations (Section VIII); this module is the NumPy analogue for the
-*general* MRF (heterogeneous label spaces, constraints, preferences — the
-cases the replicated-service :mod:`repro.mrf.batched` fast path cannot
-take).  A :class:`MRFArrays` plan precomputes everything the message-passing
-solvers need as flat arrays so that per-iteration work is NumPy block
-operations instead of per-edge Python loops:
+operations (Section VIII); this module is the array analogue every
+``diversify()`` TRW-S/BP solve runs on — replicated-service estates and
+general MRFs (heterogeneous label spaces, constraints, preferences) alike.
+A :class:`MRFArrays` plan precomputes everything the message-passing
+solvers need as flat arrays so that per-iteration work is block operations
+instead of per-edge Python loops:
 
 * **Label padding.**  Nodes have individual label counts; everything is
   padded to the maximum count ``lmax``.  The padding convention keeps the
@@ -114,9 +114,9 @@ def wavefront_schedule(n: int, lo: np.ndarray, hi: np.ndarray):
     higher-numbered ones (see ``_levels`` for the two size-dispatched
     exact implementations).  Nodes sharing a level are never adjacent,
     which is what lets level-major block updates reproduce the
-    node-by-node schedule — both the general plan here and the
-    replicated-service host-graph plan in :mod:`repro.mrf.batched`
-    consume this one derivation.
+    node-by-node schedule.  On a replicated-service estate every service's
+    copy of a host lands in that host's level, so one level batches all
+    services at once.
     """
     m = len(lo)
     chains = np.maximum(
@@ -733,23 +733,42 @@ class MRFArrays:
         the argmin of its unary plus the oriented pairwise costs to
         already-labelled neighbours.  Lets plan-only callers (the streaming
         engine) seed ICM without materialising a :class:`PairwiseMRF`.
+
+        The walk reads the forward sweep's full-adjacency arrays, which
+        already group every node's neighbours in edge order with cost ids
+        oriented rows = that node's labels.  Entries whose neighbour comes
+        later in the greedy order are dropped up front, so the Python loop
+        only visits the pairwise terms it adds, in the same order.
         """
         n = self.node_count
-        incident: List[List[tuple]] = [[] for _ in range(n)]
-        for e in range(self.edge_count):
-            i = int(self.edge_first[e])
-            j = int(self.edge_second[e])
-            cid = int(self.edge_cid[e])
-            incident[i].append((j, cid))
-            incident[j].append((i, self.stacked + cid))
-        order = sorted(range(n), key=lambda i: (-len(incident[i]), i))
-        labels = np.zeros(n, dtype=np.int64)
-        assigned = np.zeros(n, dtype=bool)
-        for node in order:
-            vector = self.unary_inf[node].copy()
-            for neighbor, cid in incident[node]:
-                if assigned[neighbor]:
-                    vector += self.cost[cid, :, labels[neighbor]]
-            labels[node] = int(np.argmin(vector))
-            assigned[node] = True
-        return labels
+        if not n:
+            return np.zeros(0, dtype=np.int64)
+        block = self.fwd_sweep.block
+        nodes = block.nodes
+        degree = np.bincount(block.all_nbr, minlength=n)
+        # Most-connected first, ties in node order.
+        order = np.argsort(-degree, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        # The node each full-adjacency entry belongs to.
+        owner = np.repeat(nodes, degree[nodes])
+        earlier = rank[block.all_nbr] < rank[owner]
+        counts = np.bincount(owner[earlier], minlength=n)
+        stop = np.empty(n, dtype=np.int64)
+        stop[nodes] = np.cumsum(counts[nodes])
+        start = (stop - counts).tolist()
+        stop = stop.tolist()
+        nbr = block.all_nbr[earlier].tolist()
+        cid = block.all_cid[earlier].tolist()
+        # Nodes without an earlier neighbour keep their unary argmin.
+        labels = self.unary_inf.argmin(axis=1).tolist()
+        unary, cost = self.unary_inf, self.cost
+        for node in order.tolist():
+            first, last = start[node], stop[node]
+            if first == last:
+                continue
+            vector = unary[node] + cost[cid[first], :, labels[nbr[first]]]
+            for k in range(first + 1, last):
+                vector += cost[cid[k], :, labels[nbr[k]]]
+            labels[node] = int(vector.argmin())
+        return np.array(labels, dtype=np.int64)

@@ -267,10 +267,31 @@ class TestStreamPartsParity:
 # ------------------------------------------------------ diversify routing
 
 
+def record_routes(monkeypatch):
+    """Count the compile_plan / build_mrf calls ``diversify`` makes."""
+    import importlib
+
+    # (``repro.core`` re-exports the function under the module's name.)
+    module = importlib.import_module("repro.core.diversify")
+
+    calls = {"compile_plan": 0, "build_mrf": 0}
+    for name in calls:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestDiversifyRouting:
-    def test_direct_equals_python_pipeline(self):
+    def test_direct_equals_python_pipeline(self, monkeypatch):
         net, sim = workload(seed=9)
-        direct = diversify(net, sim, fast_path=False)
+        routes = record_routes(monkeypatch)
+        direct = diversify(net, sim)
+        assert routes == {"compile_plan": 1, "build_mrf": 0}
         build = build_mrf(net, sim)
         classic = TRWSSolver().solve(build.mrf)
         assert direct.energy == pytest.approx(classic.energy)
@@ -278,7 +299,6 @@ class TestDiversifyRouting:
             direct.assignment.as_dict()
             == build.labels_to_assignment(net, classic.labels).as_dict()
         )
-        assert direct.plan is not None and direct.build is None
 
     def test_constrained_direct_equals_python(self):
         net, sim = workload(seed=10)
@@ -288,7 +308,7 @@ class TestDiversifyRouting:
                 AvoidCombination(GLOBAL, "s0", "s0_p0", "s1", "s1_p0"),
             ]
         )
-        direct = diversify(net, sim, constraints=constraints, fast_path=False)
+        direct = diversify(net, sim, constraints=constraints)
         build = build_mrf(net, sim, constraints=constraints)
         classic = TRWSSolver().solve(build.mrf)
         assert direct.energy == pytest.approx(classic.energy)
@@ -297,17 +317,20 @@ class TestDiversifyRouting:
         )
         assert direct.satisfied == (not violations)
 
-    def test_bp_routes_through_compiler(self):
+    def test_bp_routes_through_compiler(self, monkeypatch):
         net, sim = workload(seed=11)
-        direct = diversify(net, sim, solver="bp", fast_path=False)
+        routes = record_routes(monkeypatch)
+        direct = diversify(net, sim, solver="bp")
+        assert routes == {"compile_plan": 1, "build_mrf": 0}
         classic = LoopyBPSolver().solve(build_mrf(net, sim).mrf)
-        assert direct.plan is not None
         assert direct.energy == pytest.approx(classic.energy)
 
-    def test_non_plan_solver_uses_python_pipeline(self):
+    def test_non_plan_solver_uses_python_pipeline(self, monkeypatch):
         net, sim = workload(hosts=6, degree=2, services=1, seed=12)
+        routes = record_routes(monkeypatch)
         result = diversify(net, sim, solver="icm")
-        assert result.plan is None and result.build is not None
+        assert routes == {"compile_plan": 0, "build_mrf": 1}
+        assert result.solver_result.solver == "icm"
 
     def test_forest_dispatch_matches(self):
         from repro.network.topologies import chain_network
@@ -315,7 +338,7 @@ class TestDiversifyRouting:
         table = SimilarityTable(products=["p0", "p1"])
         table.set("p0", "p1", 0.8)
         net = chain_network(5)
-        direct = diversify(net, table, fast_path=False)
+        direct = diversify(net, table)
         classic = TRWSSolver().solve(build_mrf(net, table).mrf)
         assert direct.energy == pytest.approx(classic.energy)
         assert direct.certified_optimal
@@ -343,18 +366,14 @@ class TestZoneShards:
 
     def test_zone_shards_exact(self):
         net, sim, zoned = self.zoned_workload()
-        mono = diversify(net, sim, fast_path=False)
-        zone_sharded = diversify(
-            net, sim, fast_path=False, shards="zones", zones=zoned
-        )
+        mono = diversify(net, sim)
+        zone_sharded = diversify(net, sim, shards="zones", zones=zoned)
         assert zone_sharded.energy == pytest.approx(mono.energy, abs=1e-9)
         assert zone_sharded.solver_result.solver == "trws-sharded"
 
     def test_zone_shards_python_pipeline(self):
         net, sim, zoned = self.zoned_workload()
-        zone_sharded = diversify(
-            net, sim, fast_path=False, shards="zones", zones=zoned
-        )
+        zone_sharded = diversify(net, sim, shards="zones", zones=zoned)
         build = build_mrf(net, sim)
         plan = MRFArrays(build.mrf)
         partition = split_components(
@@ -613,5 +632,5 @@ class TestStreamRebuildCompiled:
         net, sim = workload(hosts=12, degree=3, services=2, seed=9)
         engine = DynamicDiversifier(net.copy(), sim.copy())
         streamed = engine.solve()
-        batch = diversify(net, sim, fast_path=False)
+        batch = diversify(net, sim)
         assert streamed.energy == pytest.approx(batch.energy)

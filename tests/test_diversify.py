@@ -149,16 +149,39 @@ class TestSolverSelection:
 
     def test_solver_options_forwarded(self, two_product_table):
         result = diversify(
-            chain_network(3), two_product_table, fast_path=False, max_iterations=1
+            chain_network(3), two_product_table, max_iterations=1
         )
         assert result.solver_result.iterations == 1
+
+    def test_replicated_network_solves_with_trws(self):
+        # Every host runs the same services with the same ranges (the
+        # shape of the paper's scalability tables): plain TRW-S on the
+        # compiled plan, like every other network.
+        net = ring_network(
+            6, services={"os": ["w", "l", "m"], "db": ["d1", "d2", "d3"]}
+        )
+        sim = SimilarityTable(
+            pairs={("w", "l"): 0.5, ("l", "m"): 0.3, ("d1", "d2"): 0.6}
+        )
+        result = diversify(net, sim)
+        assert result.solver_result.solver == "trws"
+
+    def test_removed_option_raises_type_error(self, two_product_table):
+        # ``fast_path`` is no option: it raises like any unknown solver
+        # option, also on forests, whose exact DP takes no options.
+        for shards in (None, "components"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                diversify(
+                    chain_network(3), two_product_table, shards=shards,
+                    fast_path=False,
+                )
 
     def test_trws_matches_exact_on_small_net(self):
         net = ring_network(5, services={"svc": ["p0", "p1", "p2"]})
         sim = SimilarityTable(
             pairs={("p0", "p1"): 0.5, ("p1", "p2"): 0.3, ("p0", "p2"): 0.1}
         )
-        trws = diversify(net, sim, fast_path=False)
+        trws = diversify(net, sim)
         exact = diversify(net, sim, solver="exact")
         assert trws.energy == pytest.approx(exact.energy, abs=1e-9)
 

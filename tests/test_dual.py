@@ -215,9 +215,7 @@ class TestDiversifyIntegration:
         # The compiled diversify() route and the build_mrf object route
         # solved by the same dual solver agree.
         net, table = giant_component(hosts=20, seed=8)
-        direct = diversify(
-            net, table, fast_path=False, shards="cut", parts=3, seed=0
-        )
+        direct = diversify(net, table, shards="cut", parts=3, seed=0)
         python = DualDecompositionSolver(parts=3, seed=0).solve(
             mrf_for(net, table)
         )
@@ -226,10 +224,8 @@ class TestDiversifyIntegration:
 
     def test_cut_reports_valid_bound(self):
         net, table = giant_component(hosts=20, seed=9)
-        mono = diversify(net, table, fast_path=False)
-        cut = diversify(
-            net, table, fast_path=False, shards="cut", parts=3, seed=0
-        )
+        mono = diversify(net, table)
+        cut = diversify(net, table, shards="cut", parts=3, seed=0)
         assert cut.lower_bound <= mono.energy + 1e-9
 
 

@@ -106,6 +106,6 @@ class TestFullPipeline:
 
     def test_energy_reported_matches_reevaluation(self, pipeline):
         network, table = pipeline
-        result = diversify(network, table, fast_path=False)
+        result = diversify(network, table)
         direct = assignment_energy(network, table, result.assignment)
         assert result.energy == pytest.approx(direct)

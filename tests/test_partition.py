@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.costs import build_mrf
-from repro.mrf.batched import replicated_problem_from_network
 from repro.mrf.partition import (
     balanced_blocks,
     cut_parts,
     split_components,
     split_parts,
-    split_replicated,
     zone_groups,
 )
 from repro.mrf.vectorized import MRFArrays
@@ -185,35 +183,6 @@ class TestZoneGroups:
         groups = zone_groups([("nowhere", "os"), ("z0h0", "os")], zoned)
         assert groups[0] is None
         assert groups[1] is not None
-
-
-class TestSplitReplicated:
-    def test_components_and_energy_parity(self):
-        zoned, network, table = zoned_workload(zones=3)
-        problem = replicated_problem_from_network(network, table)
-        assert problem is not None
-        partition = split_replicated(problem)
-        assert len(partition) == 3  # host graph: one component per zone
-        rng = np.random.default_rng(3)
-        labels = rng.integers(
-            0, problem.label_count,
-            size=(problem.host_count, len(problem.services)),
-        )
-        total = sum(
-            shard.problem.energy(labels[shard.hosts]) for shard in partition
-        )
-        assert total == pytest.approx(problem.energy(labels), abs=1e-9)
-        stitched = partition.stitch(
-            [labels[shard.hosts] for shard in partition]
-        )
-        assert np.array_equal(stitched, labels)
-
-    def test_costs_shared_by_reference(self):
-        zoned, network, table = zoned_workload(zones=2)
-        problem = replicated_problem_from_network(network, table)
-        partition = split_replicated(problem)
-        for shard in partition:
-            assert shard.problem.costs is problem.costs
 
 
 class TestStitchValidation:

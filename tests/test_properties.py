@@ -104,7 +104,7 @@ def test_energy_parity_between_mrf_and_direct(seed):
 @given(seed=st.integers(0, 10_000))
 def test_dual_bound_is_below_every_labelling(seed):
     network, similarity = workload(seed, hosts=8)
-    result = diversify(network, similarity, fast_path=False, max_iterations=30)
+    result = diversify(network, similarity, max_iterations=30)
     for baseline_seed in range(3):
         baseline = random_assignment(network, seed=baseline_seed)
         assert result.lower_bound <= assignment_energy(
@@ -268,7 +268,7 @@ def compile_byte_parity(case: FuzzCase) -> None:
         reference.cost[: reference.stacked].tobytes()
         == compiled.cost[: compiled.stacked].tobytes()
     )
-    direct = diversify(case.network, case.similarity, fast_path=False)
+    direct = diversify(case.network, case.similarity)
     python = TRWSSolver().solve(
         build_mrf(case.network, case.similarity).mrf
     )
@@ -312,7 +312,7 @@ def warm_equals_cold_stream_energy(case: FuzzCase) -> None:
     engine = DynamicDiversifier(case.network.copy(), case.similarity.copy())
     first = engine.solve()
     assert first.energy == pytest.approx(
-        diversify(case.network, case.similarity, fast_path=False).energy,
+        diversify(case.network, case.similarity).energy,
         abs=1e-9,
     )
     check_net, check_table = case.network.copy(), case.similarity.copy()
@@ -320,7 +320,7 @@ def warm_equals_cold_stream_energy(case: FuzzCase) -> None:
         engine.apply(event)
         result = engine.solve()
         apply_event(check_net, check_table, event)
-        cold = diversify(check_net, check_table, fast_path=False)
+        cold = diversify(check_net, check_table)
         assert result.energy == pytest.approx(
             assignment_energy(check_net, check_table, result.assignment),
             abs=1e-9,

@@ -2,22 +2,27 @@
 
 Covers the engineering additions documented in DESIGN.md decision 3:
 tie-breaking noise, the multi-init ICM polish, and the MRF-level greedy
-labelling — on both the flat and the batched solver.
+labelling — on MRFs and on compiled replicated-service networks.
 """
 
 import numpy as np
 import pytest
 
-from repro.mrf.batched import BatchedTRWSSolver, replicated_problem_from_network
+from repro.core.compile import compile_plan
+from repro.core.costs import assignment_energy, build_mrf
+from repro.core.diversify import diversify
 from repro.mrf.graph import PairwiseMRF
 from repro.mrf.reference import _greedy_labels
-from repro.mrf.trws import TRWSSolver
+from repro.mrf.sharded import solve_plan
+from repro.mrf.trws import TRWSSolver, is_forest_plan
 from repro.mrf.vectorized import MRFArrays
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
     random_similarity,
 )
+from repro.network.topologies import chain_network
+from repro.nvd.similarity import SimilarityTable
 
 from helpers import make_random_mrf
 
@@ -28,6 +33,44 @@ def flat_workload(seed, hosts=12, degree=3, services=2):
         similarity_density=0.5, seed=seed,
     )
     return random_network(config), random_similarity(config)
+
+
+def chain_chord_workload(hosts=40, seed=0):
+    """A chain with overlapping long chords and per-host preferences."""
+    products = ("p0", "p1", "p2", "p3")
+    network = chain_network(hosts, services={"scada": products})
+    for i in range(0, hosts - 10, 4):
+        network.add_link(f"h{i}", f"h{i + 6}")
+    table = SimilarityTable(products=list(products))
+    rng = np.random.default_rng(seed)
+    for i, a in enumerate(products):
+        for b in products[i + 1:]:
+            table.set(a, b, float(np.round(rng.uniform(0.05, 0.8), 3)))
+    preferences = {
+        (f"h{h}", "scada", product): float(np.round(rng.uniform(0, 1), 3))
+        for h in range(hosts)
+        for product in products
+    }
+    return network, table, preferences
+
+
+def greedy_case(case):
+    """(MRF, plan of the same field) for the greedy parity test."""
+    if case == "replicated":
+        network, similarity = flat_workload(seed=5, hosts=30, services=3)
+        return (
+            build_mrf(network, similarity).mrf,
+            compile_plan(network, similarity).plan,
+        )
+    if case == "chain-chord":
+        network, table, preferences = chain_chord_workload()
+        return (
+            build_mrf(network, table, preferences=preferences).mrf,
+            compile_plan(network, table, preferences=preferences).plan,
+        )
+    mrf = make_random_mrf(nodes=10, edge_probability=0.5, max_labels=4,
+                          seed=case)
+    return mrf, MRFArrays(mrf)
 
 
 class TestGreedyLabels:
@@ -51,14 +94,16 @@ class TestGreedyLabels:
         mrf.add_node([2.0, 0.0, 1.0])
         assert _greedy_labels(mrf) == [1]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_plan_level_greedy_matches_mrf_level(self, seed):
+    @pytest.mark.parametrize(
+        "case", [0, 1, 2, 3, "replicated", "chain-chord"]
+    )
+    def test_plan_level_greedy_matches_mrf_level(self, case):
         # The production solvers construct the greedy init on the plan
         # (MRFArrays.greedy_labels); it must reproduce the MRF-level
         # reference exactly.
-        mrf = make_random_mrf(nodes=10, edge_probability=0.5, max_labels=4,
-                              seed=seed)
-        plan_labels = MRFArrays(mrf).greedy_labels()
+        mrf, plan = greedy_case(case)
+        plan_labels = plan.greedy_labels()
+        assert plan_labels.dtype == np.int64
         assert [int(x) for x in plan_labels] == _greedy_labels(mrf)
 
 
@@ -104,41 +149,38 @@ class TestRefinementEffect:
             assert result.lower_bound <= exact.energy + 1e-9
 
 
-class TestBatchedRefinement:
+class TestReplicatedRefinement:
+    """The refine stage on replicated-service networks (plan path)."""
+
     def test_refined_never_worse_than_unrefined(self):
         network, similarity = flat_workload(seed=10)
-        problem = replicated_problem_from_network(network, similarity)
-        unrefined = BatchedTRWSSolver(max_iterations=15, refine=False).solve(problem)
-        refined = BatchedTRWSSolver(max_iterations=15, refine=True).solve(problem)
+        plan = compile_plan(network, similarity).plan
+        assert not is_forest_plan(plan)
+        unrefined = solve_plan(plan, max_iterations=15, refine=False)
+        refined = solve_plan(plan, max_iterations=15, refine=True)
         assert refined.energy <= unrefined.energy + 1e-9
 
-    def test_batched_single_flip_optimal(self):
+    def test_single_flip_optimal(self):
         network, similarity = flat_workload(seed=11)
-        problem = replicated_problem_from_network(network, similarity)
-        result = BatchedTRWSSolver(max_iterations=15).solve(problem)
-        labels = result.labels
-        base = problem.energy(labels)
-        for host in range(problem.host_count):
-            for service in range(len(problem.services)):
-                for label in range(problem.label_count):
-                    flipped = labels.copy()
-                    flipped[host, service] = label
-                    assert problem.energy(flipped) >= base - 1e-9
+        result = diversify(network, similarity, max_iterations=15)
+        base = assignment_energy(network, similarity, result.assignment)
+        assert base == pytest.approx(result.energy, abs=1e-9)
+        for host in network.hosts:
+            for service in network.services_of(host):
+                for product in network.candidates(host, service):
+                    flipped = result.assignment.copy()
+                    flipped.assign(host, service, product)
+                    assert assignment_energy(
+                        network, similarity, flipped
+                    ) >= base - 1e-9
 
-    def test_batched_beats_greedy_baseline(self):
+    def test_beats_greedy_baseline(self):
         from repro.core import greedy_assignment
-        from repro.core.costs import assignment_energy
 
         for seed in range(5):
             network, similarity = flat_workload(seed=seed)
-            from repro.core import diversify
-
             optimal = diversify(network, similarity, max_iterations=25)
             greedy = greedy_assignment(network, similarity)
             assert optimal.energy <= assignment_energy(
                 network, similarity, greedy
             ) + 1e-9
-
-    def test_batched_noise_validation(self):
-        with pytest.raises(ValueError):
-            BatchedTRWSSolver(tie_break_noise=-0.5)

@@ -77,7 +77,6 @@ class TestOptimisation:
         table = SimilarityTable(pairs={("c1", "c2"): 0.5, ("x1", "x2"): 0.5})
         result = diversify(
             network, table, service_weights={"critical": 10.0, "cheap": 1.0},
-            fast_path=False,
         )
         # On the triangle, each service has one forced same-product edge at
         # best; verify the forced sim-1.0 edge never lands on 'critical'
@@ -90,6 +89,6 @@ class TestOptimisation:
 
         assert forced_edges("critical") <= forced_edges("cheap")
 
-    def test_fast_path_disabled_with_weights(self, net, sim):
+    def test_weighted_solve_reports_trws(self, net, sim):
         result = diversify(net, sim, service_weights={"os": 2.0})
-        assert result.solver_result.solver == "trws"  # general path
+        assert result.solver_result.solver == "trws"

@@ -13,10 +13,6 @@ import pytest
 from repro.casestudy.stuxnet import stuxnet_case_study
 from repro.core.costs import build_mrf
 from repro.core.diversify import diversify
-from repro.mrf.batched import (
-    BatchedTRWSSolver,
-    replicated_problem_from_network,
-)
 from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.partition import split_components, zone_groups
 from repro.mrf.sharded import ShardedSolver
@@ -69,21 +65,26 @@ class TestEnergyParity:
 
     def test_zoned_case_study(self):
         case = stuxnet_case_study()
-        mono = diversify(case.network, case.similarity, fast_path=False)
-        sharded = diversify(
-            case.network, case.similarity, fast_path=False,
-            shards="components",
-        )
+        mono = diversify(case.network, case.similarity)
+        sharded = diversify(case.network, case.similarity, shards="components")
         assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
         assert sharded.certified_optimal == mono.certified_optimal
 
     def test_airgapped_multi_zone(self):
         _zoned, network, table = zoned_workload(zones=3)
-        mono = diversify(network, table, fast_path=False)
-        sharded = diversify(
-            network, table, fast_path=False, shards="components"
-        )
+        mono = diversify(network, table)
+        sharded = diversify(network, table, shards="components")
         assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
+
+    def test_replicated_network_components_match_monolithic(self):
+        # Every host runs the same services with the same ranges: the
+        # shape the paper's scalability tables sweep.
+        _zoned, network, table = zoned_workload(zones=3)
+        mono = diversify(network, table)
+        sharded = diversify(network, table, shards="components")
+        assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
+        assert sharded.solver_result.solver == "trws-sharded"
+        assert sharded.assignment.is_complete()
 
     def test_forest_labels_identical_to_monolithic(self):
         # Chains are forests: both paths dispatch per component to the
@@ -123,32 +124,6 @@ class TestWarmStartContract:
         result = solver.solve_arrays(plan, partition=partition)
         mono = TRWSSolver().solve(build.mrf)
         assert result.energy == pytest.approx(mono.energy, abs=1e-9)
-
-
-class TestReplicatedSharding:
-    def test_solve_replicated_parity(self):
-        _zoned, network, table = zoned_workload(zones=3)
-        problem = replicated_problem_from_network(network, table)
-        mono = BatchedTRWSSolver().solve(problem)
-        shard = ShardedSolver(solver="trws").solve_replicated(problem)
-        assert shard.energy == pytest.approx(mono.energy, abs=1e-9)
-        assert shard.labels.shape == mono.labels.shape
-        assert problem.energy(shard.labels) == pytest.approx(
-            shard.energy, abs=1e-9
-        )
-
-    def test_fast_path_diversify_with_shards(self):
-        _zoned, network, table = zoned_workload(zones=3)
-        mono = diversify(network, table)  # batched fast path
-        sharded = diversify(network, table, shards="components")
-        assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
-        assert sharded.assignment.is_complete()
-
-    def test_solve_replicated_requires_trws(self):
-        _zoned, network, table = zoned_workload(zones=2)
-        problem = replicated_problem_from_network(network, table)
-        with pytest.raises(ValueError):
-            ShardedSolver(solver="bp").solve_replicated(problem)
 
 
 class TestScalabilityKnob:

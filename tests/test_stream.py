@@ -198,14 +198,14 @@ class TestWarmStartParity:
         engine = DynamicDiversifier(net.copy(), table.copy())
         initial = engine.solve()
         assert initial.energy == pytest.approx(
-            diversify(net, table, fast_path=False).energy, abs=1e-9
+            diversify(net, table).energy, abs=1e-9
         )
         check_net, check_table = net.copy(), table.copy()
         for event in trace:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event)
-            cold = diversify(check_net, check_table, fast_path=False)
+            cold = diversify(check_net, check_table)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
 
     def test_energy_is_ground_truth(self):
@@ -379,7 +379,7 @@ class TestShardedEngine:
         engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
         initial = engine.solve()
         assert initial.energy == pytest.approx(
-            diversify(net, table, fast_path=False).energy, abs=1e-9
+            diversify(net, table).energy, abs=1e-9
         )
         assert initial.shards_solved == initial.shards_total
         check_net, check_table = net.copy(), table.copy()
@@ -387,7 +387,7 @@ class TestShardedEngine:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event)
-            cold = diversify(check_net, check_table, fast_path=False)
+            cold = diversify(check_net, check_table)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
             assert result.energy == pytest.approx(
                 assignment_energy(check_net, check_table, result.assignment),
@@ -413,7 +413,7 @@ class TestShardedEngine:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event)
-            cold = diversify(check_net, check_table, fast_path=False)
+            cold = diversify(check_net, check_table)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
 
     def test_only_touched_shards_resolve(self):
@@ -641,7 +641,7 @@ class TestDualShardEngine:
                 engine.apply(event)
                 result = engine.solve()
                 apply_event(check_net, check_table, event)
-                cold = diversify(check_net, check_table, fast_path=False)
+                cold = diversify(check_net, check_table)
                 # Ground truth: the reported energy is the model-level
                 # energy of the returned assignment, always.
                 assert result.energy == pytest.approx(

@@ -302,10 +302,7 @@ class TestConstraintParity:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event, check_cons)
-            cold = diversify(
-                check_net, check_table, constraints=check_cons,
-                fast_path=False,
-            )
+            cold = diversify(check_net, check_table, constraints=check_cons)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
             assert result.energy == pytest.approx(
                 assignment_energy(
@@ -327,10 +324,7 @@ class TestConstraintParity:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event, check_cons)
-            cold = diversify(
-                check_net, check_table, constraints=check_cons,
-                fast_path=False,
-            )
+            cold = diversify(check_net, check_table, constraints=check_cons)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
 
     def test_bursty_constraint_load_parity(self):
@@ -348,10 +342,7 @@ class TestConstraintParity:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event, check_cons)
-            cold = diversify(
-                check_net, check_table, constraints=check_cons,
-                fast_path=False,
-            )
+            cold = diversify(check_net, check_table, constraints=check_cons)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
 
     def test_bp_constraint_parity(self):
@@ -396,10 +387,7 @@ class TestConstraintParity:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event, check_cons)
-            cold = diversify(
-                check_net, check_table, constraints=check_cons,
-                fast_path=False,
-            )
+            cold = diversify(check_net, check_table, constraints=check_cons)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
         # The newcomer carries the GLOBAL rule's table.
         assert ("newbie", "s0", "s1") in engine.plan._combo_cids or (
@@ -599,8 +587,5 @@ class TestReplayWithConstraints:
             engine.apply(event)
             result = engine.solve()
             apply_event(check_net, check_table, event, check_cons)
-            cold = diversify(
-                check_net, check_table, constraints=check_cons,
-                fast_path=False,
-            )
+            cold = diversify(check_net, check_table, constraints=check_cons)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)

@@ -213,8 +213,6 @@ class TestRegistry:
     def test_reference_usable_through_diversify(self, small_network, two_product_table):
         from repro.core.diversify import diversify
 
-        fast = diversify(small_network, two_product_table, solver="trws",
-                         fast_path=False)
-        slow = diversify(small_network, two_product_table, solver="trws-ref",
-                         fast_path=False)
+        fast = diversify(small_network, two_product_table, solver="trws")
+        slow = diversify(small_network, two_product_table, solver="trws-ref")
         assert fast.energy == pytest.approx(slow.energy, abs=1e-9)
