@@ -366,8 +366,12 @@ class MRFArrays:
         elif lmax < widest:
             raise ValueError(f"lmax={lmax} below widest label space {widest}")
         unary = np.zeros((n, lmax))
-        for i in range(n):
-            unary[i, : counts[i]] = unaries[i]
+        if n:
+            # Row-major boolean assignment fills each row's leading
+            # ``counts[i]`` slots in order — one copy for all nodes.
+            unary[np.arange(lmax)[None, :] < counts[:, None]] = (
+                np.concatenate(unaries)
+            )
         self._install_nodes(unary, counts, lmax=lmax)
 
     def _install_nodes(

@@ -238,11 +238,21 @@ class Network:
         return graph
 
     def copy(self) -> "Network":
-        """Deep copy of the network."""
+        """Deep copy of the network (same host, service and candidate
+        order).
+
+        Copies the containers directly — the source is already valid, so
+        nothing is re-validated.  Candidate tuples are immutable and
+        shared.
+        """
         clone = Network()
-        for host, services in self._hosts.items():
-            clone.add_host(host, services)
-        clone.add_links(self._links)
+        clone._hosts = {
+            host: dict(services) for host, services in self._hosts.items()
+        }
+        clone._links = set(self._links)
+        clone._adjacency = {
+            host: set(peers) for host, peers in self._adjacency.items()
+        }
         return clone
 
     def __repr__(self) -> str:

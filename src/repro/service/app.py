@@ -760,27 +760,30 @@ class DiversificationService:
         plan = self._engine.plan
         self.metrics.set_gauge("plan_nodes", plan.node_count)
         self.metrics.set_gauge("plan_edges", plan.edge_count)
-        self._view = ReadView(
-            version=self._solves,
-            events_applied=self._events_applied,
-            energy=result.energy,
-            lower_bound=result.lower_bound,
-            certified_optimal=result.certified_optimal,
-            warm=result.warm,
-            stability=result.stability,
-            solve_seconds=result.seconds,
-            values=dict(result.assignment.as_dict()),
-            network=self._engine.network.copy(),
-            similarity=self._engine.similarity.copy(),
-            constraints=self._engine.constraints.copy(),
-            cost_model={
-                "unary_constant": plan.unary_constant,
-                "pairwise_weight": plan.pairwise_weight,
-                "service_weights": plan.service_weights or None,
-            },
-            shards_total=result.shards_total,
-            shards_solved=result.shards_solved,
-        )
+        # The copies make the view independent of the live engine; they run
+        # after ``service.batch`` closes, on the path to visibility.
+        with obs.span("view.publish", cat="service", version=self._solves):
+            self._view = ReadView(
+                version=self._solves,
+                events_applied=self._events_applied,
+                energy=result.energy,
+                lower_bound=result.lower_bound,
+                certified_optimal=result.certified_optimal,
+                warm=result.warm,
+                stability=result.stability,
+                solve_seconds=result.seconds,
+                values=dict(result.assignment.as_dict()),
+                network=self._engine.network.copy(),
+                similarity=self._engine.similarity.copy(),
+                constraints=self._engine.constraints.copy(),
+                cost_model={
+                    "unary_constant": plan.unary_constant,
+                    "pairwise_weight": plan.pairwise_weight,
+                    "service_weights": plan.service_weights or None,
+                },
+                shards_total=result.shards_total,
+                shards_solved=result.shards_solved,
+            )
         if (
             self.config.snapshots_enabled
             and self.config.snapshot_every

@@ -346,54 +346,49 @@ def restore_plan(snapshot: Snapshot, track_touched: bool = True) -> StreamPlan:
     plan.service_weights = dict(meta.get("service_weights") or {})
     plan.track_touched = track_touched
 
-    plan.touched = set()
-    plan.variables = [
+    variables = [
         (str(host), str(service)) for host, service in meta["variables"]
     ]
-    plan.index = {variable: n for n, variable in enumerate(plan.variables)}
-    plan.candidates = [
-        snapshot.network.candidates(host, service)
-        for host, service in plan.variables
-    ]
-    plan._unaries = list(snapshot.unaries)
-    plan._matrices = list(snapshot.matrices)
-    plan._matrix_meta = [
-        (tuple(range_a), tuple(range_b), float(weight))
-        for range_a, range_b, weight in meta["matrix_meta"]
-    ]
-    plan._matrix_ids = {
-        key: cid for cid, key in enumerate(plan._matrix_meta) if key[0]
-    }
-    plan._edge_keys = [
-        (
-            (str(link[0]), str(link[1])),
-            tuple(tag) if isinstance(tag, list) else str(tag),
-        )
-        for link, tag in meta["edge_keys"]
-    ]
-    plan._combo_cids = {
-        (str(host), str(svc_lo), str(svc_hi)): int(cid)
-        for host, svc_lo, svc_hi, cid in meta.get("combo_cids", ())
-    }
-    plan._edge_first = snapshot.edge_first.tolist()
-    plan._edge_second = snapshot.edge_second.tolist()
-    plan._edge_cid = snapshot.edge_cid.tolist()
-
-    plan.plan = MRFArrays.from_parts(
-        plan._unaries,
-        snapshot.edge_first,
-        snapshot.edge_second,
-        snapshot.edge_cid,
-        plan._matrices,
-        lmax=snapshot.lmax,
+    matrices = list(snapshot.matrices)
+    plan.install(
+        variables=variables,
+        candidates=[
+            snapshot.network.candidates(host, service)
+            for host, service in variables
+        ],
+        unaries=list(snapshot.unaries),
+        matrices=matrices,
+        matrix_meta=[
+            (tuple(range_a), tuple(range_b), float(weight))
+            for range_a, range_b, weight in meta["matrix_meta"]
+        ],
+        edge_keys=[
+            (
+                (str(link[0]), str(link[1])),
+                tuple(tag) if isinstance(tag, list) else str(tag),
+            )
+            for link, tag in meta["edge_keys"]
+        ],
+        combo_cids={
+            (str(host), str(svc_lo), str(svc_hi)): int(cid)
+            for host, svc_lo, svc_hi, cid in meta.get("combo_cids", ())
+        },
+        edge_first=snapshot.edge_first,
+        edge_second=snapshot.edge_second,
+        edge_cid=snapshot.edge_cid,
+        plan=MRFArrays.from_parts(
+            snapshot.unaries,
+            snapshot.edge_first,
+            snapshot.edge_second,
+            snapshot.edge_cid,
+            matrices,
+            lmax=snapshot.lmax,
+        ),
+        messages=snapshot.messages.copy(),
+        labels=(
+            snapshot.labels.copy() if snapshot.labels is not None else None
+        ),
     )
-    plan.messages = snapshot.messages.copy()
-    plan.labels = (
-        snapshot.labels.copy() if snapshot.labels is not None else None
-    )
-    plan._edges_dirty = False
-    plan._nodes_dirty = False
-    plan.reset_dirty_counters()
     return plan
 
 

@@ -705,8 +705,7 @@ def _stability(
     product; 1.0 when there is no previous snapshot or no overlap."""
     if previous is None:
         return 1.0
-    shared = [key for key in current if key in previous]
+    shared = len(current.keys() & previous.keys())
     if not shared:
         return 1.0
-    unchanged = sum(1 for key in shared if previous[key] == current[key])
-    return unchanged / len(shared)
+    return len(current.items() & previous.items()) / shared

@@ -17,19 +17,30 @@ and keeps all of them aligned while churn events arrive:
 * **similarity updates** rewrite the affected cost-matrix entries and patch
   the plan's cost stack in place — no structural change, message state
   untouched;
-* **link events** append/delete edge rows and the matching message slots
-  eagerly, then re-derive the plan's slot/level structure lazily on
-  :meth:`flush` (one vectorized pass however many events are pending);
-* **host events** additionally append/remove node rows, remapping node ids,
-  previous-solution labels and edge endpoints;
+* **link events** append edge rows or tombstone them in an alive mask —
+  O(delta) per event: a link's rows are found through an interned link-id
+  column, and new rows carry no message state until it is written;
+* **host events** additionally append variables or tombstone the departed
+  host's nodes; node renumbering waits for the compaction;
 * **pin/forbid events** recompute one node's hard-mask unary from the live
   constraint set and write it in place (:meth:`MRFArrays.set_unary`) —
   value-only, like a feed update, but with a *stranded* flag when the mask
   lands on the label previously in use;
 * **combination updates** recompute the affected hosts' intra-host tables
   from the live set: in place when the node pair already carries a table,
-  an eager edge append/delete (through the lazy :meth:`flush` path) when a
-  pair gains its first rule or retires its last.
+  an edge append/tombstone (like a link event) when a pair gains its first
+  rule or retires its last.
+
+All O(network) work happens in one vectorised **compaction** per solve:
+:meth:`flush`, :meth:`parts` and :meth:`pad_messages` drop the tombstoned
+rows, renumber the surviving nodes (order preserved), write the pending
+zero message rows and label-0 seeds with NumPy gathers, and :meth:`flush`
+then re-derives the plan's slot/level structure once, however many events
+are pending.  Between compactions, node- and edge-indexed state
+(:attr:`variables`, :attr:`messages`, :attr:`labels`) is in the raw
+numbering, tombstones included; reading :attr:`messages` or
+:attr:`labels` materialises the pending rows, so the arrays a caller sees
+always cover every row.
 
 See ``docs/streaming.md`` for the per-event contract table.
 
@@ -52,6 +63,7 @@ entirely.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -83,6 +95,9 @@ __all__ = ["StreamPlan"]
 #: (candidate range of first endpoint, of second endpoint, λ·service weight)
 _MatrixKey = Tuple[Tuple[str, ...], Tuple[str, ...], float]
 
+#: rows of :attr:`StreamPlan._edges`: endpoints, cost id, interned link id.
+_FIRST, _SECOND, _CID, _LINK = range(4)
+
 
 class StreamPlan:
     """Delta-updated MRF plan + message state for one live network.
@@ -93,9 +108,9 @@ class StreamPlan:
         unary_constant: the paper's ``Pr_const`` per-label base cost.
         pairwise_weight: λ scaling of the similarity penalty.
         service_weights: optional per-service multipliers of λ.
-        track_touched: pay the O(edges) endpoint scan that maps a
-            similarity event onto the :attr:`touched` variable-key set
-            (the sharded engine's dirtiness signal).  Structural events
+        track_touched: pay the (vectorised) O(edges) cost-id scan that
+            maps a similarity event onto the :attr:`touched` variable-key
+            set (the sharded engine's dirtiness signal).  Structural events
             always record their own (cheap, O(delta)) touched keys; a
             monolithic consumer turns this flag off to keep feed updates
             off the scan.
@@ -103,9 +118,8 @@ class StreamPlan:
             and combination tables are compiled in, and constraint events
             (:class:`~repro.stream.events.PinService` & co.) keep plan and
             set aligned: unary masks rewrite in place
-            (:meth:`MRFArrays.set_unary`), combination deltas edit the
-            intra-host edges through the eager edge-edit + lazy
-            :meth:`flush` path.
+            (:meth:`MRFArrays.set_unary`), combination deltas append or
+            tombstone intra-host edges like link events.
 
     The soft-preference-carrying cases stay on the batch
     :func:`~repro.core.costs.build_mrf` path; streaming covers the
@@ -166,49 +180,110 @@ class StreamPlan:
             service_weights=self.service_weights or None,
             constraints=self.constraints,
         )
-        #: (host, service) keys of variables touched since the last solve —
-        #: stable across node renumbering, consumed by the sharded engine.
-        self.touched: Set[Tuple[str, str]] = set()
-        self.variables: List[Tuple[str, str]] = parts.variables
-        self.index: Dict[Tuple[str, str], int] = parts.index
-        self.candidates: List[Tuple[str, ...]] = parts.candidates
-        self._unaries: List[np.ndarray] = parts.unary_vectors()
-
-        self._matrices: List[np.ndarray] = parts.matrices
-        self._matrix_meta: List[_MatrixKey] = list(parts.matrix_meta)
-        # Combination tables carry the placeholder meta; they never join
-        # the similarity dedup index.
-        self._matrix_ids: Dict[_MatrixKey, int] = {
-            key: cid
-            for cid, key in enumerate(self._matrix_meta)
-            if key[0]
-        }
-        self._edge_keys: List[Tuple[Tuple[str, str], object]] = list(
-            parts.edge_keys
-        )
-        #: (host, service_lo, service_hi) → cost id of the pair's live
-        #: combination table (service order follows node order).
-        self._combo_cids: Dict[Tuple[str, str, str], int] = {
-            (key[0][0], key[1][0], key[1][1]): int(parts.edge_cid[e])
-            for e, key in enumerate(parts.edge_keys)
-            if isinstance(key[1], tuple)
-        }
-        self._edge_first: List[int] = parts.edge_first.tolist()
-        self._edge_second: List[int] = parts.edge_second.tolist()
-        self._edge_cid: List[int] = parts.edge_cid.tolist()
-
-        self.plan = MRFArrays.from_dense(
+        plan = MRFArrays.from_dense(
             parts.unary,
             parts.label_counts,
             parts.edge_first,
             parts.edge_second,
             parts.edge_cid,
-            self._matrices,
+            parts.matrices,
         )
-        self.messages = self.plan.zero_messages()
-        #: previous-solution labels, kept aligned across deltas (None until
-        #: the engine records a solve).
-        self.labels: Optional[np.ndarray] = None
+        self.install(
+            variables=parts.variables,
+            candidates=parts.candidates,
+            unaries=parts.unary_vectors(),
+            matrices=parts.matrices,
+            matrix_meta=list(parts.matrix_meta),
+            edge_keys=list(parts.edge_keys),
+            combo_cids={
+                (key[0][0], key[1][0], key[1][1]): int(parts.edge_cid[e])
+                for e, key in enumerate(parts.edge_keys)
+                if isinstance(key[1], tuple)
+            },
+            edge_first=parts.edge_first,
+            edge_second=parts.edge_second,
+            edge_cid=parts.edge_cid,
+            plan=plan,
+            messages=plan.zero_messages(),
+        )
+
+    def install(
+        self,
+        *,
+        variables: List[Tuple[str, str]],
+        candidates: List[Tuple[str, ...]],
+        unaries: List[np.ndarray],
+        matrices: List[np.ndarray],
+        matrix_meta: List[_MatrixKey],
+        edge_keys: List[Tuple[Tuple[str, str], object]],
+        combo_cids: Dict[Tuple[str, str, str], int],
+        edge_first: np.ndarray,
+        edge_second: np.ndarray,
+        edge_cid: np.ndarray,
+        plan: MRFArrays,
+        messages: np.ndarray,
+        labels: Optional[np.ndarray] = None,
+    ) -> None:
+        """Adopt a complete, compacted plan state.
+
+        The one writer of every derived field: the cold build
+        (:meth:`rebuild`) and the snapshot restore
+        (:func:`repro.service.snapshot.restore_plan`) both hand their parts
+        over here, so neither can forget a field.  ``plan`` must be the
+        :class:`MRFArrays` of exactly these parts; ``messages`` holds two
+        rows per edge and ``labels`` (``None`` before any solve) one per
+        variable.
+        """
+        #: (host, service) keys of variables touched since the last solve —
+        #: stable across node renumbering, consumed by the sharded engine.
+        self.touched: Set[Tuple[str, str]] = set()
+        self.variables = variables
+        self.index: Dict[Tuple[str, str], int] = {
+            variable: n for n, variable in enumerate(variables)
+        }
+        self.candidates = candidates
+        self._unaries = unaries
+        self._matrices = matrices
+        self._matrix_meta = matrix_meta
+        # Combination tables carry the placeholder meta; they never join
+        # the similarity dedup index.
+        self._matrix_ids: Dict[_MatrixKey, int] = {
+            key: cid for cid, key in enumerate(matrix_meta) if key[0]
+        }
+        #: (host, service_lo, service_hi) → cost id of the pair's live
+        #: combination table (service order follows node order).
+        self._combo_cids = combo_cids
+        self._edge_keys = edge_keys
+        #: link key → interned id (the ``_LINK`` column); ids are never
+        #: reused, so a re-added link finds its old id.
+        self._link_ids: Dict[Tuple[str, str], int] = {}
+        links = [
+            self._link_ids.setdefault(link, len(self._link_ids))
+            for link, _tag in edge_keys
+        ]
+        rows = len(edge_keys)
+        #: edge columns (first, second, cost id, link id) with spare
+        #: capacity; rows ``[0, _edge_rows)`` are in use.  Rows below
+        #: ``_edge_rows`` are never rewritten in place — the live plan holds
+        #: views of them — only appended to, tombstoned or compacted into a
+        #: fresh buffer.
+        self._edges = np.empty((4, rows), dtype=np.int64)
+        self._edges[_FIRST] = edge_first
+        self._edges[_SECOND] = edge_second
+        self._edges[_CID] = edge_cid
+        self._edges[_LINK] = links
+        self._edge_alive = np.ones(rows, dtype=bool)
+        self._edge_rows = rows
+        self._dead_edges = 0
+        #: raw ids of departed variables, dropped by the next compaction.
+        self._dead_nodes: List[int] = []
+        self.plan = plan
+        #: message rows of the first ``len // 2`` edge rows; later rows are
+        #: implicit zeros until :attr:`messages` or a compaction writes them.
+        self._messages = messages
+        #: previous-solution labels of the first ``len`` nodes (later nodes
+        #: are implicit label-0 seeds); ``None`` until a solve is recorded.
+        self._labels = labels
         self._edges_dirty = False
         self._nodes_dirty = False
         self.reset_dirty_counters()
@@ -271,42 +346,45 @@ class StreamPlan:
     def flush(self) -> MRFArrays:
         """Materialise pending structural deltas into the array plan.
 
-        Value-only updates were already patched in place; this re-derives
-        the slot/level structure once for however many link/host events
-        accumulated.  Returns the (possibly new) plan.
+        Value-only updates were already patched in place; this compacts
+        the raw rows once and re-derives the slot/level structure once for
+        however many link/host events accumulated.  Returns the (possibly
+        new) plan.  While tracing, the ``stream.flush`` span carries the
+        counts of dead nodes, dead edges and new edges the compaction
+        handled.
         """
-        if (self._nodes_dirty or self._edges_dirty) and obs.enabled():
-            with obs.span(
-                "stream.flush", cat="stream",
-                nodes_dirty=self._nodes_dirty, edges_dirty=self._edges_dirty,
-            ):
-                return self._flush()
-        return self._flush()
-
-    def _flush(self) -> MRFArrays:
-        """The structural-delta materialisation behind :meth:`flush`."""
-        edge_first = np.asarray(self._edge_first, dtype=np.int64)
-        edge_second = np.asarray(self._edge_second, dtype=np.int64)
-        edge_cid = np.asarray(self._edge_cid, dtype=np.int64)
-        if self._nodes_dirty:
-            widest = max((len(u) for u in self._unaries), default=0)
-            lmax = max(self.plan.lmax, widest)
-            if lmax > self.plan.lmax:
-                # Wider label spaces joined: grow the message padding; the
-                # padded-message convention is 0, so this is exact.
-                self.messages = np.pad(
-                    self.messages, ((0, 0), (0, lmax - self.plan.lmax))
+        if not (self._nodes_dirty or self._edges_dirty):
+            return self.plan
+        with obs.span(
+            "stream.flush", cat="stream",
+            nodes_dirty=self._nodes_dirty, edges_dirty=self._edges_dirty,
+        ) as span:
+            dead_nodes, dead_edges, new_edges = self._compact()
+            span.add(
+                dead_nodes=dead_nodes, dead_edges=dead_edges,
+                new_edges=new_edges,
+            )
+            edge_first, edge_second = self._edge_first, self._edge_second
+            edge_cid = self._edge_cid
+            if self._nodes_dirty:
+                widest = max(map(len, self._unaries), default=0)
+                lmax = max(self.plan.lmax, widest)
+                if lmax > self.plan.lmax:
+                    # Wider label spaces joined: grow the message padding;
+                    # the padded-message convention is 0, so this is exact.
+                    self._messages = np.pad(
+                        self._messages, ((0, 0), (0, lmax - self.plan.lmax))
+                    )
+                self.plan = MRFArrays.from_parts(
+                    self._unaries, edge_first, edge_second, edge_cid,
+                    self._matrices, lmax=lmax,
                 )
-            self.plan = MRFArrays.from_parts(
-                self._unaries, edge_first, edge_second, edge_cid,
-                self._matrices, lmax=lmax,
-            )
-        elif self._edges_dirty:
-            self.plan.replace_edges(
-                edge_first, edge_second, edge_cid, self._matrices
-            )
-        self._nodes_dirty = False
-        self._edges_dirty = False
+            else:
+                self.plan.replace_edges(
+                    edge_first, edge_second, edge_cid, self._matrices
+                )
+            self._nodes_dirty = False
+            self._edges_dirty = False
         return self.plan
 
     # ------------------------------------------------------------ shard view
@@ -314,57 +392,103 @@ class StreamPlan:
     @property
     def node_count(self) -> int:
         """Live variable count (tracks pending deltas, unlike ``plan``)."""
-        return len(self.variables)
+        return len(self.variables) - len(self._dead_nodes)
 
     @property
     def edge_count(self) -> int:
         """Live edge count (tracks pending deltas, unlike ``plan``)."""
-        return len(self._edge_first)
+        return self._edge_rows - self._dead_edges
 
     def parts(self):
         """The raw plan parts, as the shard partitioner consumes them.
 
         Returns ``(unaries, edge_first, edge_second, edge_cid, matrices)``
-        reflecting every applied event — including structural deltas not
-        yet flushed into the global :class:`MRFArrays` plan, which is what
-        lets the sharded engine partition without paying the global
-        slot/level re-derivation.
+        reflecting every applied event — compacted, but without the global
+        slot/level re-derivation :meth:`flush` adds, which is what lets the
+        sharded engine partition without paying for it.  The edge arrays
+        are read-only views of the live columns.
         """
+        self._compact()
         return (
             self._unaries,
-            np.asarray(self._edge_first, dtype=np.int64),
-            np.asarray(self._edge_second, dtype=np.int64),
-            np.asarray(self._edge_cid, dtype=np.int64),
+            self._edge_first,
+            self._edge_second,
+            self._edge_cid,
             self._matrices,
         )
 
     def pad_messages(self) -> int:
-        """Grow the message padding to the widest live label space.
+        """Compact, then grow the message padding to the widest live label
+        space.
 
         Returns the (possibly new) message width.  Padded message entries
         are the 0 additive identity, so widening is exact — the same
         invariant :meth:`flush` relies on.
         """
-        widest = max((len(u) for u in self._unaries), default=0)
-        width = self.messages.shape[1]
+        self._compact()
+        widest = max(map(len, self._unaries), default=0)
+        width = self._messages.shape[1]
         if widest > width:
-            self.messages = np.pad(self.messages, ((0, 0), (0, widest - width)))
+            self._messages = np.pad(
+                self._messages, ((0, 0), (0, widest - width))
+            )
             width = widest
         return width
 
+    @property
+    def _edge_first(self) -> np.ndarray:
+        return self._edges[_FIRST, : self._edge_rows]
+
+    @property
+    def _edge_second(self) -> np.ndarray:
+        return self._edges[_SECOND, : self._edge_rows]
+
+    @property
+    def _edge_cid(self) -> np.ndarray:
+        return self._edges[_CID, : self._edge_rows]
+
     # -------------------------------------------------------------- solution
+
+    @property
+    def messages(self) -> np.ndarray:
+        """The solver's directed messages, rows ``2e``/``2e+1`` per edge row.
+
+        Rows of edges appended since the last compaction are written as
+        zeros on first read, so the array always covers every edge row.
+        """
+        self._messages = _pad_rows(self._messages, 2 * self._edge_rows)
+        return self._messages
+
+    @property
+    def labels(self) -> Optional[np.ndarray]:
+        """Previous-solution labels, one per variable row (``None`` until
+        the engine records a solve).
+
+        Variables joined since the last compaction read label 0 (flat
+        unaries make any start equivalent; ICM repositions them in one
+        sweep); their rows are written on first read.
+        """
+        if self._labels is not None:
+            self._labels = _pad_rows(self._labels, len(self.variables))
+        return self._labels
 
     def record_labels(self, labels: np.ndarray) -> None:
         """Store the latest solution labels for label-warm re-solves."""
-        self.labels = np.asarray(labels, dtype=np.int64).copy()
+        self._labels = np.asarray(labels, dtype=np.int64).copy()
 
     def assignment_values(
         self, labels: np.ndarray
     ) -> Dict[Tuple[str, str], str]:
-        """Decode a labelling into a (host, service) → product mapping."""
+        """Decode a labelling into a (host, service) → product mapping.
+
+        ``labels`` is in the compacted numbering (one per live variable,
+        as a solve returns them).
+        """
         return {
-            variable: self.candidates[node][int(labels[node])]
-            for node, variable in enumerate(self.variables)
+            variable: candidates[label]
+            for variable, candidates, label in zip(
+                self.variables, self.candidates, np.asarray(labels).tolist()
+            )
         }
 
     # ------------------------------------------------------------- internals
@@ -412,12 +536,106 @@ class StreamPlan:
             self.candidates[node_a], self.candidates[node_b], self._weight(service)
         )
         first, second = (node_b, node_a) if flip else (node_a, node_b)
-        self._edge_keys.append((_link_key(a, b), service))
-        self._edge_first.append(first)
-        self._edge_second.append(second)
-        self._edge_cid.append(cid)
+        self._push_edge((_link_key(a, b), service), first, second, cid)
         self.touched.add((a, service))
         self.touched.add((b, service))
+
+    def _push_edge(
+        self, key: Tuple[Tuple[str, str], object], first: int, second: int,
+        cid: int,
+    ) -> None:
+        """Append one edge row (amortised O(1); its messages start at 0)."""
+        row = self._edge_rows
+        if row == len(self._edge_alive):
+            capacity = max(16, 2 * row)
+            edges = np.empty((4, capacity), dtype=np.int64)
+            edges[:, :row] = self._edges[:, :row]
+            alive = np.zeros(capacity, dtype=bool)
+            alive[:row] = self._edge_alive[:row]
+            self._edges, self._edge_alive = edges, alive
+        link = self._link_ids.setdefault(key[0], len(self._link_ids))
+        self._edges[:, row] = (first, second, cid, link)
+        self._edge_alive[row] = True
+        self._edge_keys.append(key)
+        self._edge_rows = row + 1
+        self._edges_dirty = True
+
+    def _link_rows(self, link: Tuple[str, str]) -> np.ndarray:
+        """Live edge rows of one link key (one vectorised column scan)."""
+        lid = self._link_ids.get(link)
+        rows = self._edge_rows
+        if lid is None:
+            return np.zeros(0, dtype=np.int64)
+        return np.flatnonzero(
+            (self._edges[_LINK, :rows] == lid) & self._edge_alive[:rows]
+        )
+
+    def _kill_edges(self, rows: np.ndarray) -> None:
+        """Tombstone edge rows; the next compaction drops them."""
+        if len(rows):
+            self._edge_alive[rows] = False
+            self._dead_edges += len(rows)
+            self._edges_dirty = True
+
+    def _label_of(self, node: int) -> int:
+        """Previous label of a raw node id (0 for nodes joined since)."""
+        labels = self._labels
+        return int(labels[node]) if node < len(labels) else 0
+
+    def _compact(self) -> Tuple[int, int, int]:
+        """Drop tombstones, renumber nodes and write pending rows.
+
+        One pass of NumPy gathers over the raw rows, however many events
+        are pending; a no-op when nothing is.  Node order is preserved, so
+        surviving nodes and edges keep their relative order and every
+        pending row lands exactly where an eager edit would have put it.
+        Returns the counts of dead nodes, dead edges and new (zero-message)
+        edge rows it handled.
+        """
+        dead_nodes = len(self._dead_nodes)
+        dead_edges = self._dead_edges
+        stored = len(self._messages) // 2
+        new_edges = self._edge_rows - stored
+        if dead_nodes:
+            live = np.ones(len(self.variables), dtype=bool)
+            live[self._dead_nodes] = False
+            flags = live.tolist()
+            self.variables = list(compress(self.variables, flags))
+            self.candidates = list(compress(self.candidates, flags))
+            self._unaries = list(compress(self._unaries, flags))
+            self.index = dict(
+                zip(self.variables, range(len(self.variables)))
+            )
+            if self._labels is not None:
+                self._labels = _gather_rows(
+                    self._labels, np.flatnonzero(live), 1
+                )
+            self._dead_nodes = []
+        if dead_nodes or dead_edges:
+            alive = self._edge_alive[: self._edge_rows]
+            keep = np.flatnonzero(alive)
+            # ``take`` keeps each column C-contiguous (the native kernels
+            # require it); ``[:, keep]`` would return a Fortran-ordered copy.
+            edges = self._edges.take(keep, axis=1)
+            if dead_nodes:
+                remap = np.cumsum(live) - 1
+                edges[_FIRST] = remap[edges[_FIRST]]
+                edges[_SECOND] = remap[edges[_SECOND]]
+            if dead_edges:
+                self._edge_keys = list(
+                    compress(self._edge_keys, alive.tolist())
+                )
+            new_edges = len(keep) - int(np.searchsorted(keep, stored))
+            self._messages = _gather_rows(self._messages, keep, 2)
+            self._edges = edges
+            self._edge_alive = np.ones(len(keep), dtype=bool)
+            self._edge_rows = len(keep)
+            self._dead_edges = 0
+        # Rows appended since the last compaction: write their zeros.
+        self._messages = _pad_rows(self._messages, 2 * self._edge_rows)
+        if self._labels is not None:
+            self._labels = _pad_rows(self._labels, len(self.variables))
+        return dead_nodes, dead_edges, new_edges
 
     # ------------------------------------------------------- event internals
 
@@ -455,10 +673,11 @@ class StreamPlan:
             # Shards whose edges price through a changed matrix must
             # re-solve; their endpoints mark them dirty (one pass for the
             # whole event, however many matrices it hit).
-            for e, edge_cid in enumerate(self._edge_cid):
-                if edge_cid in changed_cids:
-                    self.touched.add(self.variables[self._edge_first[e]])
-                    self.touched.add(self.variables[self._edge_second[e]])
+            rows = self._edge_rows
+            hit = self._edge_alive[:rows] & np.isin(
+                self._edges[_CID, :rows], list(changed_cids)
+            )
+            self._touch_endpoints(np.flatnonzero(hit))
 
     def _apply_unary_constraint(self, event) -> None:
         """Pin/Unpin/Forbid/Allow: mutate the set, rewrite one unary mask.
@@ -488,8 +707,8 @@ class StreamPlan:
             # pending; until then the in-place write keeps the plan hot.
             self.plan.set_unary(node, vector)
         if (
-            self.labels is not None
-            and vector[int(self.labels[node])] >= HARD_COST
+            self._labels is not None
+            and vector[self._label_of(node)] >= HARD_COST
         ):
             self.stranded = True
         self.touched.add((host, service))
@@ -504,7 +723,7 @@ class StreamPlan:
         edge append (new message slots at the 0 identity) when the rule
         couples the pair for the first time, an edge deletion when the
         last rule on the pair is retired.  Structural cases go through the
-        usual lazy :meth:`flush`.
+        usual compaction in :meth:`flush`.
         """
         apply_constraint_event(self.network, self.constraints, event)
         constraint = event.constraint
@@ -565,21 +784,14 @@ class StreamPlan:
                 self._matrices.append(table)
                 self._matrix_meta.append(_COMBO_META)
                 self._combo_cids[key] = cid
-                self._edge_keys.append(((host, host), (svc_lo, svc_hi)))
-                self._edge_first.append(lo)
-                self._edge_second.append(hi)
-                self._edge_cid.append(cid)
-                self.messages = np.vstack(
-                    [self.messages, np.zeros((2, self.messages.shape[1]))]
-                )
-                self._edges_dirty = True
+                self._push_edge(((host, host), (svc_lo, svc_hi)), lo, hi, cid)
             else:
                 self._matrices[cid][...] = table
                 if cid < self.plan.stacked:
                     self.plan.set_cost_matrix(cid, table)
             if (
-                self.labels is not None
-                and table[int(self.labels[lo]), int(self.labels[hi])]
+                self._labels is not None
+                and table[self._label_of(lo), self._label_of(hi)]
                 >= HARD_COST
             ):
                 self.stranded = True
@@ -588,12 +800,12 @@ class StreamPlan:
             # cold compile of the current set would not emit it either).
             # The orphaned table stays in the stack — cost ids are
             # append-only — and is dropped by the next rebuild.
-            positions = [
-                e
-                for e, k in enumerate(self._edge_keys)
-                if k == ((host, host), (svc_lo, svc_hi))
-            ]
-            self._delete_edges(positions)
+            tag = (svc_lo, svc_hi)
+            self._kill_edges([
+                row
+                for row in self._link_rows((host, host)).tolist()
+                if self._edge_keys[row][1] == tag
+            ])
             del self._combo_cids[key]
         self.touched.add((host, svc_lo))
         self.touched.add((host, svc_hi))
@@ -605,34 +817,20 @@ class StreamPlan:
         for service in self.network.shared_services(event.a, event.b):
             self._append_edge(event.a, event.b, service)
             added += 1
-        if added:
-            self.messages = np.vstack(
-                [self.messages, np.zeros((2 * added, self.messages.shape[1]))]
-            )
-            self._edges_dirty = True
         self.dirty_edges += added
 
     def _apply_link_remove(self, event: LinkRemove) -> None:
         self.network.remove_link(event.a, event.b)
-        key = _link_key(event.a, event.b)
-        positions = [
-            e for e, (link, _service) in enumerate(self._edge_keys) if link == key
-        ]
-        for e in positions:
-            # A removal can split a shard; both halves keep a touched key.
-            self.touched.add(self.variables[self._edge_first[e]])
-            self.touched.add(self.variables[self._edge_second[e]])
-        self._delete_edges(positions)
-        self.dirty_edges += len(positions)
+        rows = self._link_rows(_link_key(event.a, event.b))
+        # A removal can split a shard; both halves keep a touched key.
+        self._touch_endpoints(rows)
+        self._kill_edges(rows)
+        self.dirty_edges += len(rows)
 
     def _apply_host_join(self, event: HostJoin) -> None:
         self.network.add_host(event.host, event.service_map())
         for service in self.network.services_of(event.host):
             self._append_variable(event.host, service)
-            if self.labels is not None:
-                # New variables start at label 0 (flat unaries make any
-                # start equivalent; ICM repositions them in one sweep).
-                self.labels = np.append(self.labels, 0)
             self.dirty_nodes += 1
         self._nodes_dirty = True
         for peer in event.links:
@@ -659,56 +857,62 @@ class StreamPlan:
         ]
         self.network.remove_host(host)
         # The host's constraints vanish with it (GLOBAL rules survive);
-        # its combination edges are deleted by the endpoint scan below.
+        # its combination edges are tombstoned by the endpoint scan below.
         self.constraints.prune_host(host)
         self._combo_cids = {
             key: cid
             for key, cid in self._combo_cids.items()
             if key[0] != host
         }
-        removed_set = set(removed)
-        positions = [
-            e
-            for e in range(len(self._edge_keys))
-            if self._edge_first[e] in removed_set
-            or self._edge_second[e] in removed_set
-        ]
-        for e in positions:
-            # Surviving neighbours mark the shrunken/split shards dirty
-            # (the removed variables' own keys vanish with them).
-            for node in (self._edge_first[e], self._edge_second[e]):
-                if node not in removed_set:
-                    self.touched.add(self.variables[node])
-        self._delete_edges(positions)
-        self.dirty_edges += len(positions)
-
-        # Renumber surviving nodes (order preserved).
-        keep = [n for n in range(len(self.variables)) if n not in removed_set]
-        remap = {old: new for new, old in enumerate(keep)}
-        self.variables = [self.variables[n] for n in keep]
-        self.candidates = [self.candidates[n] for n in keep]
-        self._unaries = [self._unaries[n] for n in keep]
-        self.index = {variable: n for n, variable in enumerate(self.variables)}
-        if self.labels is not None:
-            self.labels = self.labels[keep]
-        self._edge_first = [remap[n] for n in self._edge_first]
-        self._edge_second = [remap[n] for n in self._edge_second]
+        rows = self._edge_rows
+        gone = np.asarray(removed, dtype=np.int64)
+        hit = self._edge_alive[:rows] & (
+            np.isin(self._edges[_FIRST, :rows], gone)
+            | np.isin(self._edges[_SECOND, :rows], gone)
+        )
+        dead = np.flatnonzero(hit)
+        # Surviving neighbours mark the shrunken/split shards dirty (the
+        # removed variables' own keys vanish with them).
+        self._touch_endpoints(dead, skip=set(removed))
+        self._kill_edges(dead)
+        self.dirty_edges += len(dead)
+        # The nodes become tombstones; renumbering waits for the compaction.
+        for node in removed:
+            del self.index[self.variables[node]]
+        self._dead_nodes.extend(removed)
         self._nodes_dirty = True
         self.dirty_nodes += len(removed)
 
-    def _delete_edges(self, positions: List[int]) -> None:
-        if not positions:
-            return
-        drop = set(positions)
-        keep = [e for e in range(len(self._edge_keys)) if e not in drop]
-        self._edge_keys = [self._edge_keys[e] for e in keep]
-        self._edge_first = [self._edge_first[e] for e in keep]
-        self._edge_second = [self._edge_second[e] for e in keep]
-        self._edge_cid = [self._edge_cid[e] for e in keep]
-        slots = [s for e in positions for s in (2 * e, 2 * e + 1)]
-        self.messages = np.delete(self.messages, slots, axis=0)
-        self._edges_dirty = True
+    def _touch_endpoints(self, rows: np.ndarray, skip=frozenset()) -> None:
+        """Add the variable keys of the given edge rows' endpoints."""
+        nodes = set(self._edges[_FIRST, rows].tolist())
+        nodes.update(self._edges[_SECOND, rows].tolist())
+        for node in nodes - skip:
+            self.touched.add(self.variables[node])
 
 
 def _link_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _pad_rows(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` extended with zero rows to ``rows`` rows (itself if long
+    enough)."""
+    missing = rows - len(array)
+    if missing <= 0:
+        return array
+    return np.concatenate(
+        [array, np.zeros((missing,) + array.shape[1:], dtype=array.dtype)]
+    )
+
+
+def _gather_rows(array: np.ndarray, keep: np.ndarray, per: int) -> np.ndarray:
+    """The ``per`` rows of each kept item (``keep`` ascending), in order;
+    items past the stored ones get zero rows."""
+    stored = int(np.searchsorted(keep, len(array) // per))
+    out = np.zeros((per * len(keep),) + array.shape[1:], dtype=array.dtype)
+    # One gather of whole items: view the rows of each item as one row.
+    width = per * int(np.prod(array.shape[1:]))
+    items = array.reshape(len(array) // per, width)
+    out.reshape(len(keep), width)[:stored] = items.take(keep[:stored], axis=0)
+    return out

@@ -609,8 +609,8 @@ class TestStreamRebuildCompiled:
 
         net, sim = workload(hosts=12, degree=3, services=2, seed=8)
         stream = StreamPlan(net.copy(), sim.copy())
-        # The compiled rebuild installs list-typed event-path state.
-        assert isinstance(stream._edge_first, list)
+        # The compiled rebuild installs array edge columns and listed keys.
+        assert isinstance(stream._edge_first, np.ndarray)
         assert isinstance(stream._edge_keys, list)
         assert len(stream._edge_keys) == stream.edge_count
         assert len(stream._matrix_ids) == len(stream._matrices)

@@ -148,6 +148,25 @@ class TestExport:
         assert "d" not in net
         assert net.edge_count() == 2
         assert clone.edge_count() == 3
+        # Adjacency, services and candidate ranges are copies too.
+        clone.remove_link("a", "b")
+        clone.remove_host("c")
+        clone.add_service("b", "db", ["m"])
+        clone.set_candidates("a", "os", ["l"])
+        assert net.neighbors("a") == ["b", "c"]
+        assert net.neighbors("b") == ["a"]
+        assert net.has_link("a", "b") and "c" in net
+        assert net.services_of("b") == ["os"]
+        assert net.candidates("a", "os") == ("w", "l")
+        assert clone.neighbors("a") == ["d"]
+
+    def test_copy_keeps_order(self, net):
+        clone = net.copy()
+        assert clone.hosts == net.hosts
+        assert clone.links == net.links
+        for host in net.hosts:
+            assert clone.service_ranges(host) == net.service_ranges(host)
+            assert clone.neighbors(host) == net.neighbors(host)
 
     def test_repr(self, net):
         assert "3 hosts" in repr(net)

@@ -51,6 +51,7 @@ from repro.stream import (
     apply_event,
     random_churn_trace,
 )
+from repro.stream.plan import StreamPlan
 
 
 def workload(seed, hosts=10, degree=3, services=2, density=0.5):
@@ -205,6 +206,67 @@ def test_similarity_io_round_trip(seed, pairs):
     for a in "abcd":
         for b in "abcd":
             assert clone.get(a, b) == pytest.approx(table.get(a, b))
+
+
+def _stream_plan_state(plan: StreamPlan) -> Dict[str, object]:
+    """Every observable of a flushed stream plan, as comparable values."""
+    arrays = plan.flush()
+    unaries, first, second, cid, matrices = plan.parts()
+    state = {
+        name: np.asarray(getattr(arrays, name)).tobytes()
+        for name in ("unary", "label_counts", "edge_first", "edge_second",
+                     "edge_cid", "cost", "gamma")
+    }
+    state.update(
+        parts=[np.asarray(part).tobytes()
+               for part in (*unaries, first, second, cid, *matrices)],
+        variables=list(plan.variables),
+        messages=plan.messages.tobytes(),
+        labels=plan.labels.tobytes(),
+        touched=set(plan.touched),
+        counters=(plan.dirty_nodes, plan.dirty_edges, plan.dirty_masked,
+                  plan.dirty_cost, plan.stranded),
+    )
+    assert (plan.node_count, plan.edge_count) == (
+        arrays.node_count, arrays.edge_count
+    )
+    return state
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), track_touched=st.booleans())
+def test_stream_plan_batching_invariance(seed, track_touched):
+    """When a stream plan materialises its pending deltas never changes
+    the result: a flush per event, one flush per batch, and reads of
+    labels, messages and parts between events all end in the same plan,
+    message, label, touched and counter state."""
+    network, similarity = workload(seed, hosts=12, density=0.4)
+    trace = random_churn_trace(
+        network,
+        ChurnConfig(events=16, seed=seed, rack_size=2,
+                    constraint_weight=1.0),
+    )
+    states = []
+    for mode in ("flush_each", "flush_once", "read_between"):
+        plan = StreamPlan(
+            network.copy(), similarity.copy(), track_touched=track_touched
+        )
+        rng = np.random.default_rng(seed)
+        plan.record_labels(rng.integers(0, plan.plan.label_counts))
+        plan.messages[...] = rng.random(plan.messages.shape)
+        for event in trace:
+            plan.apply(event)
+            if mode == "flush_each":
+                plan.flush()
+            elif mode == "read_between":
+                assert len(plan.labels) == len(plan.variables)
+                assert len(plan.messages) == 2 * len(plan._edge_keys)
+                unaries, first, *_ = plan.parts()
+                assert (plan.node_count, plan.edge_count) == (
+                    len(unaries), len(first)
+                )
+        states.append(_stream_plan_state(plan))
+    assert states[0] == states[1] == states[2]
 
 
 # ============================================================ invariant pack

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -13,6 +14,7 @@ from repro.network.generator import (
 )
 from repro.service import (
     SNAPSHOT_SCHEMA,
+    DiversificationService,
     ServiceConfig,
     ServiceMetrics,
     latest_snapshot,
@@ -25,6 +27,9 @@ from repro.service import (
 from repro.stream import (
     ChurnConfig,
     DynamicDiversifier,
+    HostJoin,
+    HostLeave,
+    LinkRemove,
     event_from_dict,
     event_to_dict,
     random_churn_trace,
@@ -183,6 +188,54 @@ class TestSnapshotRoundTrip:
                 restarted.assignment.as_dict() == original.assignment.as_dict()
             )
 
+    def test_structural_events_after_restore_match_twin(self, tmp_path):
+        """A plan restored mid-trace edits its rows exactly like a plan
+        that never went through a snapshot: link ids, alive masks and the
+        rest of the installed state are complete."""
+        network, similarity = workload(seed=11)
+        trace = random_churn_trace(
+            network,
+            ChurnConfig(events=8, seed=11, constraint_weight=0.3),
+        )
+        saver = DynamicDiversifier(network.copy(), similarity.copy())
+        twin = DynamicDiversifier(network.copy(), similarity.copy())
+        for engine in (saver, twin):
+            engine.solve()
+            for event in trace[:4]:
+                engine.apply(event)
+                engine.solve()
+        path = save_snapshot(saver, tmp_path, version=1)
+        restored, _ = restore_engine(path)
+
+        def step(events):
+            for engine in (restored, twin):
+                engine.apply_all(events)
+            result, expected = restored.solve(), twin.solve()
+            assert result.energy == expected.energy
+            assert result.lower_bound == expected.lower_bound
+            assert np.array_equal(restored.plan.labels, twin.plan.labels)
+            assert np.array_equal(
+                restored.plan.messages, twin.plan.messages
+            )
+
+        for event in trace[4:]:
+            step([event])
+        live = twin.network
+        a, b = live.links[0]
+        leaver = next(h for h in live.hosts if h not in (a, b))
+        template = live.hosts[-1]
+        peers = tuple(
+            h for h in live.hosts if h not in (leaver, template)
+        )[:2]
+        step([LinkRemove(a, b)])
+        step([HostLeave(leaver)])
+        step([HostJoin("newcomer", tuple(live.service_ranges(template)),
+                       peers)])
+        # One batch mixing all three.
+        step([LinkRemove(peers[0], "newcomer"), HostLeave(template),
+              HostJoin("second", tuple(live.service_ranges(peers[1])),
+                       (peers[1],))])
+
     def test_restore_preserves_constraints_and_cost_model(self, tmp_path):
         engine, _ = churny_engine(
             seed=3, unary_constant=0.05, pairwise_weight=2.0
@@ -233,3 +286,27 @@ class TestSnapshotRoundTrip:
         twin, _ = restore_engine(path, sharded=True)
         restarted = twin.solve()
         assert restarted.energy == pytest.approx(reference.energy, abs=1e-12)
+
+
+class TestPublishSpan:
+    def test_one_batch_emits_one_view_publish(self):
+        network, similarity = workload(seed=12)
+        trace = random_churn_trace(network, ChurnConfig(events=5, seed=12))
+        service = DiversificationService(
+            network, similarity, config=ServiceConfig(port=0)
+        )
+        recorded = obs.activate(obs.Trace())
+        try:
+            service._ingest(list(enumerate(trace, start=1)))
+        finally:
+            obs.deactivate()
+        names = [
+            event["name"] for event in recorded.events
+            if event.get("ph") == "X"
+        ]
+        assert names.count("service.batch") == 1
+        assert names.count("view.publish") == 1
+        # The publish follows the batch: the view copies are not solve time.
+        assert names.index("view.publish") > names.index("service.batch")
+        assert service._view is not None
+        assert service._view.events_applied == len(trace)

@@ -186,6 +186,40 @@ class TestStreamPlan:
         plan.flush()
         assert plan.messages.shape[0] == 2 * plan.plan.edge_count
 
+    def test_compacted_columns_stay_contiguous(self):
+        # The native kernels take C-contiguous arrays only; a strided
+        # column after compaction silently sends every sweep to NumPy.
+        net, table = workload(seed=5)
+        plan = StreamPlan(net, table)
+        a, b = net.links[0]
+        plan.apply(LinkRemove(a, b))
+        plan.apply(HostLeave(net.hosts[-1]))
+        arrays = plan.flush()
+        _, first, second, cid, _ = plan.parts()
+        for array in (first, second, cid, arrays.edge_first,
+                      arrays.edge_second, arrays.edge_cid, plan.messages,
+                      plan.labels if plan.labels is not None else first):
+            assert array.flags.c_contiguous
+
+    def test_link_churn_within_one_batch(self):
+        net, table = workload(seed=4)
+        plan = StreamPlan(net, table)
+        edges = plan.edge_count
+        a, b = net.links[0]
+        shared = len(net.shared_services(a, b))
+        # Remove, re-add and remove the same link before any flush: the
+        # second removal only finds the re-added rows.
+        plan.apply(LinkRemove(a, b))
+        plan.apply(LinkAdd(a, b))
+        plan.apply(LinkRemove(a, b))
+        assert plan.edge_count == edges - shared
+        assert plan.dirty_edges == 3 * shared
+        plan.apply(LinkAdd(a, b))
+        assert plan.edge_count == edges
+        plan.flush()
+        build = build_mrf(net, table)
+        assert plan.plan.edge_count == build.mrf.edge_count == edges
+
 
 class TestWarmStartParity:
     """The incremental contract: after any event sequence the warm re-solve
