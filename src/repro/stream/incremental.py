@@ -705,7 +705,8 @@ def _stability(
     product; 1.0 when there is no previous snapshot or no overlap."""
     if previous is None:
         return 1.0
-    shared = len(current.keys() & previous.keys())
+    shared = [key for key in current if key in previous]
     if not shared:
         return 1.0
-    return len(current.items() & previous.items()) / shared
+    unchanged = sum(1 for key in shared if previous[key] == current[key])
+    return unchanged / len(shared)

@@ -18,8 +18,9 @@ and keeps all of them aligned while churn events arrive:
   the plan's cost stack in place — no structural change, message state
   untouched;
 * **link events** append edge rows or tombstone them in an alive mask —
-  O(delta) per event: a link's rows are found through an interned link-id
-  column, and new rows carry no message state until it is written;
+  no Python-level O(edges) work per event: a link's rows are found with
+  one vectorised scan of an interned link-id column, and new rows carry
+  no message state until it is written;
 * **host events** additionally append variables or tombstone the departed
   host's nodes; node renumbering waits for the compaction;
 * **pin/forbid events** recompute one node's hard-mask unary from the live
@@ -254,13 +255,16 @@ class StreamPlan:
         #: combination table (service order follows node order).
         self._combo_cids = combo_cids
         self._edge_keys = edge_keys
-        #: link key → interned id (the ``_LINK`` column); ids are never
-        #: reused, so a re-added link finds its old id.
+        #: link key → interned id (the ``_LINK`` column).  A key leaves
+        #: with its link (``LinkRemove``) or host (``HostLeave``), so the
+        #: dict tracks the live network; ids come from a counter and are
+        #: never reused, so a stale id in a tombstoned row matches no key.
         self._link_ids: Dict[Tuple[str, str], int] = {}
         links = [
             self._link_ids.setdefault(link, len(self._link_ids))
             for link, _tag in edge_keys
         ]
+        self._next_link = len(self._link_ids)
         rows = len(edge_keys)
         #: edge columns (first, second, cost id, link id) with spare
         #: capacity; rows ``[0, _edge_rows)`` are in use.  Rows below
@@ -479,16 +483,10 @@ class StreamPlan:
     def assignment_values(
         self, labels: np.ndarray
     ) -> Dict[Tuple[str, str], str]:
-        """Decode a labelling into a (host, service) → product mapping.
-
-        ``labels`` is in the compacted numbering (one per live variable,
-        as a solve returns them).
-        """
+        """Decode a labelling into a (host, service) → product mapping."""
         return {
-            variable: candidates[label]
-            for variable, candidates, label in zip(
-                self.variables, self.candidates, np.asarray(labels).tolist()
-            )
+            variable: self.candidates[node][int(labels[node])]
+            for node, variable in enumerate(self.variables)
         }
 
     # ------------------------------------------------------------- internals
@@ -553,7 +551,10 @@ class StreamPlan:
             alive = np.zeros(capacity, dtype=bool)
             alive[:row] = self._edge_alive[:row]
             self._edges, self._edge_alive = edges, alive
-        link = self._link_ids.setdefault(key[0], len(self._link_ids))
+        link = self._link_ids.get(key[0])
+        if link is None:
+            link = self._link_ids[key[0]] = self._next_link
+            self._next_link += 1
         self._edges[:, row] = (first, second, cid, link)
         self._edge_alive[row] = True
         self._edge_keys.append(key)
@@ -821,10 +822,12 @@ class StreamPlan:
 
     def _apply_link_remove(self, event: LinkRemove) -> None:
         self.network.remove_link(event.a, event.b)
-        rows = self._link_rows(_link_key(event.a, event.b))
+        link = _link_key(event.a, event.b)
+        rows = self._link_rows(link)
         # A removal can split a shard; both halves keep a touched key.
         self._touch_endpoints(rows)
         self._kill_edges(rows)
+        self._link_ids.pop(link, None)
         self.dirty_edges += len(rows)
 
     def _apply_host_join(self, event: HostJoin) -> None:
@@ -855,6 +858,9 @@ class StreamPlan:
             self.index[(host, service)]
             for service in self.network.services_of(host)
         ]
+        # The host's links (and its own combination-edge key) go with it.
+        for peer in self.network.neighbors(host) + [host]:
+            self._link_ids.pop(_link_key(host, peer), None)
         self.network.remove_host(host)
         # The host's constraints vanish with it (GLOBAL rules survive);
         # its combination edges are tombstoned by the endpoint scan below.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.costs import assignment_energy, build_mrf
 from repro.core.diversify import diversify
+from repro.network.constraints import GLOBAL, AvoidCombination, ConstraintSet
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -219,6 +220,36 @@ class TestStreamPlan:
         plan.flush()
         build = build_mrf(net, table)
         assert plan.plan.edge_count == build.mrf.edge_count == edges
+
+    def test_link_ids_stay_bounded_under_churn(self):
+        # A daemon sees hosts of ever-new names join and leave, and links
+        # come and go: interned link keys must not outlive their links.
+        net, table = workload(seed=6)
+        template = net.hosts[0]
+        spec = tuple(
+            (service, net.candidates(template, service))
+            for service in net.services_of(template)
+        )
+        # A GLOBAL rule gives every newcomer its own (host, host) key.
+        combo = AvoidCombination(GLOBAL, spec[0][0], spec[0][1][0],
+                                 spec[1][0], spec[1][1][0])
+        plan = StreamPlan(net, table, constraints=ConstraintSet([combo]))
+        interned = len(plan._link_ids)
+        peers = tuple(net.hosts[1:4])
+        a, b = net.links[0]
+        for i in range(40):
+            host = f"fresh{i}"
+            plan.apply(HostJoin(host, services=spec, links=peers))
+            plan.apply(LinkRemove(a, b))
+            plan.apply(LinkAdd(a, b))
+            assert len(plan._link_ids) == interned + len(peers) + 1
+            plan.apply(HostLeave(host))
+            assert len(plan._link_ids) == interned
+            if i % 7 == 0:
+                plan.flush()
+        plan.flush()
+        build = build_mrf(net, table, constraints=plan.constraints)
+        assert plan.plan.edge_count == build.mrf.edge_count
 
 
 class TestWarmStartParity:

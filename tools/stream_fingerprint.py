@@ -9,12 +9,11 @@ every bit shows), plus a sha256 of the labels, the message array and the
 plan's edge and unary arrays.  Two source trees that print the same lines
 solve byte-identically; ``diff`` the outputs to compare them.
 
-Runs every combination of seed, engine (monolithic, sharded) and batch
-size::
+Runs every combination of seed (0, 1), engine (monolithic, sharded) and
+batch size (64 events, 1 event) over a 512-event trace::
 
     python tools/stream_fingerprint.py                    # this checkout
     python tools/stream_fingerprint.py --root OTHER_TREE  # another one
-    python tools/stream_fingerprint.py --seeds 0 --batches 64 --events 128
 """
 
 from __future__ import annotations
@@ -25,6 +24,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+SEEDS = (0, 1)
+BATCHES = (64, 1)
+EVENTS = 512
 
 
 def digest(*arrays) -> str:
@@ -85,16 +88,13 @@ def main() -> int:
         "--root", default=str(Path(__file__).resolve().parents[1]),
         help="source tree to fingerprint (default: this checkout)",
     )
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    parser.add_argument("--batches", type=int, nargs="+", default=[64, 1])
-    parser.add_argument("--events", type=int, default=512)
     args = parser.parse_args()
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks" / "e2e")]
-    for seed in args.seeds:
+    for seed in SEEDS:
         for sharded in (False, True):
-            for batch in args.batches:
-                run(seed, sharded, batch, args.events)
+            for batch in BATCHES:
+                run(seed, sharded, batch, EVENTS)
     return 0
 
 
