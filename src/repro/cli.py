@@ -11,10 +11,8 @@ corresponding table/figure.  Subcommands:
 * ``table7`` / ``table8`` / ``table9`` — scalability sweeps; ``--workers N``
   spreads the grid cells over N processes (see :mod:`repro.runner`;
   ``REPRO_WORKERS`` in the environment overrides the default) and
-  ``--shards components`` solves each cell over its connected-component
-  shards (``zones`` groups them by a zone model; ``cut`` dual-decomposes
-  the giant component instead, tuned by
-  ``--dual-parts``/``--dual-rounds``/``--dual-gap``).
+  ``--shards cut`` dual-decomposes each cell's giant component, tuned by
+  ``--dual-parts``/``--dual-rounds``/``--dual-gap``.
 * ``synthetic-nvd`` — regenerate similarity tables from the synthetic feed.
 
 Extension commands (beyond the paper's tables):
@@ -26,8 +24,7 @@ Extension commands (beyond the paper's tables):
 * ``sensitivity`` — similarity-perturbation sensitivity (``--workers`` too).
 * ``stream`` — incremental re-diversification under synthetic network churn
   (the :mod:`repro.stream` engine; ``--compare-cold`` prints per-event
-  speedups over a cold rebuild+solve, ``--sharded`` re-solves only the
-  connected-component shards each event touches).
+  speedups over a cold rebuild+solve).
 * ``serve`` — the always-on diversification daemon (:mod:`repro.service`):
   HTTP event ingestion with backpressure, snapshot-consistent reads,
   Prometheus metrics, on-disk snapshots and ``--restore`` warm restarts.
@@ -151,14 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--shards",
             choices=SHARD_MODES,
             default=None,
-            help="solve each cell over its connected-component shards "
-            "('components'; default monolithic), with the shard grouping "
-            "derived from a zone model over the workload ('zones'; "
-            "energies are identical — components are independent), or by "
-            "Lagrangian dual decomposition across a balanced edge cut of "
-            "the giant component ('cut'; energy certified within the "
-            "reported duality gap; see --dual-parts/--dual-rounds/"
-            "--dual-gap)",
+            help="solve each cell by Lagrangian dual decomposition across "
+            "a balanced edge cut of the giant component ('cut'; default "
+            "monolithic; energy certified within the reported duality "
+            "gap; see --dual-parts/--dual-rounds/--dual-gap)",
         )
         t.add_argument(
             "--dual-parts",
@@ -246,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(a compliance file, not a single rule)",
     )
     stream.add_argument(
-        "--sharded",
-        action="store_true",
-        help="partition the plan into connected-component shards and "
-        "re-solve only the shards each event touches",
-    )
-    stream.add_argument(
         "--cold",
         action="store_true",
         help="disable warm starts (every event pays a cold rebuild+solve)",
@@ -291,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--products", type=int, default=6)
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument("--solver", choices=("trws", "bp"), default="trws")
-    serve.add_argument(
-        "--sharded",
-        action="store_true",
-        help="re-solve only the connected-component shards each batch touches",
-    )
     serve.add_argument(
         "--cold",
         action="store_true",
@@ -409,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         "workload",
         choices=("diversify", "stream", "serve-replay"),
         help="diversify: one batch compile+solve; stream: churn replay "
-        "(sharded by default so shard spans appear); serve-replay: the "
-        "same churn fed through the HTTP service",
+        "on the incremental engine; serve-replay: the same churn fed "
+        "through the HTTP service",
     )
     trace.add_argument("--hosts", type=int, default=120)
     trace.add_argument("--degree", type=int, default=3)
@@ -420,12 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="churn events (stream / serve-replay)")
     trace.add_argument("--seed", type=int, default=1)
     trace.add_argument("--solver", choices=("trws", "bp"), default="trws")
-    trace.add_argument(
-        "--monolithic",
-        action="store_true",
-        help="stream/serve-replay run the sharded engine by default so the "
-        "trace shows per-shard solves; this forces the monolithic engine",
-    )
     trace.add_argument("--out", default="repro-trace.json",
                        help="Chrome trace-event output file (default "
                        "repro-trace.json; open in Perfetto)")
@@ -671,7 +647,7 @@ def _stream(args: argparse.Namespace) -> None:
     )
     print(
         f"Streaming churn — {args.hosts} hosts, {args.events} events, "
-        f"solver={args.solver}{' (sharded)' if args.sharded else ''}, "
+        f"solver={args.solver}, "
         f"warm starts {'off' if args.cold else 'on'}"
     )
     report = replay_trace(
@@ -681,7 +657,6 @@ def _stream(args: argparse.Namespace) -> None:
         solver=args.solver,
         warm_start=not args.cold,
         compare_cold=args.compare_cold,
-        sharded=args.sharded,
     )
     print(report.format_rows())
     print(report.summary())
@@ -751,7 +726,6 @@ def _serve(args: argparse.Namespace) -> None:
         host=args.host,
         port=args.port,
         solver=args.solver,
-        sharded=args.sharded,
         warm_start=not args.cold,
         batch_max=args.batch_max,
         high_water=args.high_water,
@@ -790,8 +764,7 @@ def _serve(args: argparse.Namespace) -> None:
         await service.start()
         print(
             f"repro serve — listening on http://{config.host}:{service.port} "
-            f"(solver={config.solver}"
-            f"{', sharded' if config.sharded else ''}), plan from {origin}"
+            f"(solver={config.solver}), plan from {origin}"
         )
         if config.snapshots_enabled:
             cadence = (
@@ -942,7 +915,6 @@ def _trace_stream(args: argparse.Namespace) -> None:
         similarity,
         events,
         solver=args.solver,
-        sharded=not args.monolithic,
     )
     print(report.summary())
 
@@ -963,7 +935,6 @@ def _trace_serve_replay(args: argparse.Namespace) -> None:
     config = ServiceConfig(
         port=0,
         solver=args.solver,
-        sharded=not args.monolithic,
         batch_max=1,
         log_level=args.log_level,
     )

@@ -12,9 +12,9 @@ TRW-S and BP solves compile the network **directly into an array plan**
 ``build_mrf`` + ``MRFArrays`` pipeline but without materialising per-edge
 Python objects, which is what keeps cold plan builds off the critical path
 of the 1000-6000-host sweeps — and solve it with
-:func:`~repro.mrf.sharded.solve_plan` (or the shard/dual solvers for
-``shards=``).  Solvers without a plan-level API take the ``build_mrf``
-object pipeline.
+:func:`~repro.mrf.sharded.solve_plan` (or the dual-decomposition solver
+for ``shards="cut"``).  Solvers without a plan-level API take the
+``build_mrf`` object pipeline.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.mrf.solvers import SolverResult, get_solver
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet, ConstraintViolation
 from repro.network.model import Network
-from repro.network.zones import ZonedNetwork
 from repro.nvd.similarity import SimilarityTable
 
 __all__ = ["DiversificationResult", "SHARD_MODES", "diversify"]
@@ -38,7 +37,7 @@ __all__ = ["DiversificationResult", "SHARD_MODES", "diversify"]
 _PLAN_SOLVERS = ("trws", "bp")
 
 #: The values ``diversify(shards=...)`` accepts besides ``None``.
-SHARD_MODES = ("components", "zones", "cut")
+SHARD_MODES = ("cut",)
 
 
 @dataclass
@@ -101,7 +100,6 @@ def diversify(
     preferences: Optional[Mapping[Tuple[str, str, str], float]] = None,
     service_weights: Optional[Mapping[str, float]] = None,
     shards: Optional[str] = None,
-    zones: Optional[ZonedNetwork] = None,
     **solver_options,
 ) -> DiversificationResult:
     """Compute the (constrained) optimal diversification of a network.
@@ -117,24 +115,16 @@ def diversify(
         preferences: soft (host, service, product) → cost adjustments.
         service_weights: per-service criticality multipliers of the
             similarity penalty (see :func:`repro.core.costs.build_mrf`).
-        shards: ``None`` (default) keeps the monolithic solve.
-            ``"components"`` routes the solve through the component
-            partition (:class:`~repro.mrf.sharded.ShardedSolver`): each
-            connected component solves on its own convergence schedule,
-            one after another — exact.
-            ``"zones"`` derives the partition from the ``zones`` model
-            instead: each zone's micro-components are pinned into one
-            shard (still exact — zone grouping only merges components).
-            ``"cut"`` routes through Lagrangian dual decomposition
+        shards: ``None`` (default) keeps the monolithic solve, whose
+            TRW-S refine stage already picks the best candidate per
+            connected component.  ``"cut"`` routes through Lagrangian
+            dual decomposition
             (:class:`~repro.mrf.dual.DualDecompositionSolver`): a
             balanced edge cut splits even a single giant connected
             component, coupled shards iterate to agreement, and the
             result carries a certified duality gap instead of the exact
-            guarantee (``"trws"`` only; tune via ``parts=``,
-            ``max_rounds=``, ``gap_tolerance=``).  Sharding applies to
-            ``"trws"``/``"bp"``; other solvers ignore it.
-        zones: the :class:`~repro.network.zones.ZonedNetwork` backing
-            ``shards="zones"`` (required then, unused otherwise).
+            guarantee (``"trws"`` only — any other solver raises; tune
+            via ``parts=``, ``max_rounds=``, ``gap_tolerance=``).
         **solver_options: forwarded to the solver constructor
             (e.g. ``max_iterations=50``).
 
@@ -153,9 +143,7 @@ def diversify(
     >>> round(result.energy, 2)
     0.03
     """
-    _check_shards(shards)
-    if shards == "zones" and zones is None:
-        raise ValueError("shards='zones' needs a ZonedNetwork via zones=")
+    _check_shards(shards, solver)
     constraint_set = constraints or ConstraintSet()
     if solver in _PLAN_SOLVERS:
         compiled = compile_plan(
@@ -168,7 +156,7 @@ def diversify(
             service_weights=service_weights,
         )
         solver_result = _solve_compiled(
-            compiled, solver, shards, zones, solver_options
+            compiled, solver, shards, solver_options
         )
         assignment = compiled.labels_to_assignment(
             network, solver_result.labels
@@ -203,12 +191,19 @@ def diversify(
     )
 
 
-def _check_shards(shards: Optional[str]) -> None:
-    """Reject a ``shards`` value that is neither ``None`` nor a shard mode."""
+def _check_shards(shards: Optional[str], solver: str) -> None:
+    """Reject a ``shards`` value the solve cannot honour.
+
+    ``shards`` must be ``None`` or a shard mode, and ``"cut"`` needs
+    certified TRW-S shard bounds, so any other solver raises instead of
+    silently solving unsharded.
+    """
     if shards is not None and shards not in SHARD_MODES:
+        raise ValueError(f"shards must be None or 'cut', got {shards!r}")
+    if shards == "cut" and solver != "trws":
         raise ValueError(
-            "shards must be None, 'components', 'zones' or 'cut', "
-            f"got {shards!r}"
+            "dual decomposition requires certified shard bounds; "
+            f"only solver='trws' is supported, got {solver!r}"
         )
 
 
@@ -216,16 +211,17 @@ def _solve_compiled(
     compiled: CompiledPlan,
     solver: str,
     shards: Optional[str],
-    zones: Optional[ZonedNetwork],
     solver_options: Mapping,
 ) -> SolverResult:
-    """Solve a compiled plan — monolithic, component-, zone- or cut-sharded.
+    """Solve a compiled plan — monolithic, or cut-sharded.
 
     The monolithic dispatch (forest DP for cold TRW-S forests, greedy
     refine init otherwise) mirrors ``TRWSSolver.solve`` on the equivalent
     MRF, so compiled and Python-built solves return identical labellings.
+    ``solve_plan`` is imported at call time from :mod:`repro.mrf.sharded`,
+    the module path the end-to-end benchmark's layer tracer wraps.
     """
-    from repro.mrf.sharded import ShardedSolver, solve_plan
+    from repro.mrf.sharded import solve_plan
 
     if shards == "cut":
         from repro.mrf.dual import DualDecompositionSolver
@@ -233,19 +229,6 @@ def _solve_compiled(
         return DualDecompositionSolver(
             solver=solver, **solver_options
         ).solve_arrays(compiled.plan)
-    if shards == "zones":
-        from repro.mrf.partition import split_components, zone_groups
-
-        partition = split_components(
-            compiled.plan, groups=zone_groups(compiled.variables, zones)
-        )
-        return ShardedSolver(solver=solver, **solver_options).solve_arrays(
-            compiled.plan, partition=partition
-        )
-    if shards == "components":
-        return ShardedSolver(solver=solver, **solver_options).solve_arrays(
-            compiled.plan
-        )
     return solve_plan(compiled.plan, solver=solver, **solver_options)
 
 

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.network.zones import ZonedNetwork
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.casestudy.stuxnet import CaseStudy, stuxnet_case_study
 from repro.core.baselines import mono_assignment, random_assignment
@@ -314,20 +311,15 @@ def scalability_cell(
     The timer covers MRF construction plus solving — the paper's
     "computational time of optimizing networks".  The dual bound is off by
     default (the paper's timing runs report time-to-solution, and the bound
-    costs one extra message pass per iteration).  ``shards="components"``
-    routes the solve through the component partition (see
-    :func:`repro.core.diversify.diversify`); ``shards="zones"`` derives
-    the partition from a synthetic zone model over the random workload
-    (contiguous host groups — purely a scheduling granularity, the
-    decomposition stays exact); ``shards="cut"`` runs Lagrangian dual
-    decomposition over a balanced edge cut of the giant component, tuned
-    by ``dual_options`` (``parts``, ``max_rounds``, ``gap_tolerance`` —
-    see :class:`repro.mrf.dual.DualDecompositionSolver`).  Any other value
+    costs one extra message pass per iteration).  ``shards="cut"`` runs
+    Lagrangian dual decomposition over a balanced edge cut of the giant
+    component (see :func:`repro.core.diversify.diversify`), tuned by
+    ``dual_options`` (``parts``, ``max_rounds``, ``gap_tolerance`` — see
+    :class:`repro.mrf.dual.DualDecompositionSolver`).  Any other value
     raises :class:`ValueError`.
     """
     network = random_network(config)
     similarity = random_similarity(config)
-    zones = _synthetic_zone_model(network) if shards == "zones" else None
     extra = dict(dual_options or {}) if shards == "cut" else {}
     start = time.perf_counter()
     result = diversify(
@@ -337,7 +329,6 @@ def scalability_cell(
         max_iterations=max_iterations,
         compute_bound=compute_bound,
         shards=shards,
-        zones=zones,
         **extra,
     )
     elapsed = time.perf_counter() - start
@@ -347,32 +338,6 @@ def scalability_cell(
         energy=result.energy,
         edges=network.edge_count(),
     )
-
-
-def _synthetic_zone_model(
-    network, zone_hosts: int = 250
-) -> "ZonedNetwork":
-    """A contiguous-chunk zone model over a generated workload.
-
-    The random scalability networks carry no real segmentation, so
-    ``--shards zones`` gets a synthetic one: hosts in insertion order,
-    ``zone_hosts`` per zone.  Zone grouping only *merges* connected
-    components into shards, so any grouping keeps the sharded solve exact
-    — the model here sets scheduling granularity, nothing else.
-    """
-    from repro.network.zones import Zone, ZonedNetwork
-
-    hosts = network.hosts
-    zones = [
-        Zone(
-            f"zone{k}",
-            tuple(hosts[start : start + zone_hosts]),
-            topology="custom",
-            links=(),
-        )
-        for k, start in enumerate(range(0, len(hosts), zone_hosts))
-    ]
-    return ZonedNetwork(zones, rules=[])
 
 
 def scalability_sweep(

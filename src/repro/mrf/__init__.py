@@ -15,10 +15,13 @@ passing (TRW-S).  This subpackage provides:
     Iterated conditional modes — a cheap local-search baseline/refiner.
 ``repro.mrf.exact``
     Brute-force enumeration for ground truth on small instances.
-``repro.mrf.partition``
-    Component/zone partitioning of plans — the shard layer.
+``repro.mrf.vectorized``
+    :class:`MRFArrays` — the array plan every vectorized solve runs on,
+    with its cached connected-component labelling.
 ``repro.mrf.sharded``
-    :class:`ShardedSolver` — per-shard solving over partitions.
+    :func:`solve_plan` — the plan-level cold solve of ``diversify()``.
+``repro.mrf.partition``
+    Balanced edge-cut partitioning of plans — the dual tier's shards.
 ``repro.mrf.dual``
     :class:`DualDecompositionSolver` — Lagrangian dual decomposition over
     balanced edge cuts of a connected plan (``trws-dual``).
@@ -48,21 +51,14 @@ from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.icm import ICMSolver
 from repro.mrf.exact import ExactSolver
 from repro.mrf.anneal import SimulatedAnnealingSolver
-from repro.mrf.partition import (
-    PlanPartition,
-    split_components,
-    split_parts,
-    zone_groups,
-)
 from repro.mrf.dual import DualDecompositionSolver, DualSolveResult
-from repro.mrf.sharded import ShardedSolver, solve_plan
+from repro.mrf.sharded import solve_plan
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 
 __all__ = [
     "MRFArrays",
     "PairwiseMRF",
     "SolverScratch",
-    "PlanPartition",
     "SolverResult",
     "TRWSSolver",
     "LoopyBPSolver",
@@ -71,7 +67,6 @@ __all__ = [
     "SimulatedAnnealingSolver",
     "DualDecompositionSolver",
     "DualSolveResult",
-    "ShardedSolver",
     "active_kernel_backend",
     "available_backends",
     "available_solvers",
@@ -81,7 +76,4 @@ __all__ = [
     "set_default_backend",
     "solve",
     "solve_plan",
-    "split_components",
-    "split_parts",
-    "zone_groups",
 ]

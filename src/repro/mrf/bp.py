@@ -45,8 +45,8 @@ class LoopyBPSolver:
             ``REPRO_BACKEND``, then auto-detect).  Backends are
             bit-for-bit identical; see ``docs/kernels.md``.
         seed: stored but unused by the (deterministic) updates — kept so
-            the uniform constructor signature survives the per-shard
-            reseeding of :class:`~repro.mrf.sharded.ShardedSolver`.
+            :func:`~repro.mrf.sharded.solve_plan` can seed TRW-S and BP
+            through one constructor signature.
     """
 
     name = "bp"

@@ -1,10 +1,10 @@
 """Lagrangian dual decomposition across an edge-cut of one component.
 
-:class:`~repro.mrf.sharded.ShardedSolver` (PR 3) is exact only because
-connected components share no edges — on a real estate's giant connected
-component it degenerates to a single shard and the monolithic solver.
-This module lifts the shard tier to *arbitrary* connected plans with the
-classic dual-decomposition construction over the edge cut of
+Connected components share no edges, so the monolithic solve already
+treats them independently (its refine stage picks the best candidate per
+component); a real estate's giant connected component offers no such
+split.  This module cuts *arbitrary* connected plans with the classic
+dual-decomposition construction over the edge cut of
 :func:`repro.mrf.partition.cut_parts`:
 
 * the plan's nodes are split into balanced blocks and every cut edge
@@ -375,8 +375,6 @@ class DualDecompositionSolver:
             self.solver_options,
             self.seed + shard.index,
             messages,
-            (),
-            True,
             False,
             scratch=scratch,
         )

@@ -55,6 +55,30 @@ def _greedy_labels(mrf: PairwiseMRF) -> List[int]:
     return labels
 
 
+def _component_energies(
+    mrf: PairwiseMRF, labels: List[int], components: List[List[int]]
+) -> List[float]:
+    """E(x) split by connected component (MRF-level reference).
+
+    Per component, the unaries of its nodes plus the costs of its edges;
+    a single component returns ``[mrf.energy(labels)]``.  The production
+    twin is :meth:`~repro.mrf.vectorized.MRFArrays.component_energies`.
+    """
+    if len(components) == 1:
+        return [mrf.energy(labels)]
+    component_of = [0] * mrf.node_count
+    for c, nodes in enumerate(components):
+        for node in nodes:
+            component_of[node] = c
+    unaries = [0.0] * len(components)
+    pairs = [0.0] * len(components)
+    for node, label in enumerate(labels):
+        unaries[component_of[node]] += float(mrf.unary(node)[label])
+    for i, j, cost in mrf.edges():
+        pairs[component_of[i]] += float(cost[labels[i], labels[j]])
+    return [u + p for u, p in zip(unaries, pairs)]
+
+
 class ReferenceTRWSSolver:
     """Sequential TRW-S with per-node Python loops (the pre-vectorization
     implementation; see :class:`~repro.mrf.trws.TRWSSolver` for the
@@ -93,7 +117,8 @@ class ReferenceTRWSSolver:
                 labels=[], energy=0.0, lower_bound=0.0, iterations=0,
                 converged=True, solver=self.name,
             )
-        if mrf.edge_count == mrf.node_count - len(mrf.connected_components()):
+        components = mrf.connected_components()
+        if mrf.edge_count == mrf.node_count - len(components):
             # Forests share the production DP; only loopy graphs need the
             # per-node sweeps below as an independent oracle.
             result = solve_forest_plan(MRFArrays(mrf))
@@ -172,11 +197,24 @@ class ReferenceTRWSSolver:
                 [int(np.argmin(mrf.unary(i))) for i in range(n)],
                 _greedy_labels(mrf),
             ]
+            # Best candidate per connected component (strict <, in
+            # candidate order), as in the vectorized refine.
+            best_parts = _component_energies(mrf, best_labels, components)
+            best_labels = list(best_labels)
+            picked = False
             for candidate in candidates:
                 polished = ICMSolver(initial=candidate).solve(mrf)
-                if polished.energy < best_energy:
-                    best_labels = polished.labels
-                    best_energy = polished.energy
+                energies = _component_energies(
+                    mrf, polished.labels, components
+                )
+                for c, nodes in enumerate(components):
+                    if energies[c] < best_parts[c]:
+                        best_parts[c] = energies[c]
+                        for node in nodes:
+                            best_labels[node] = polished.labels[node]
+                        picked = True
+            if picked:
+                best_energy = mrf.energy(best_labels)
             if self.compute_bound and best_energy - lower_bound <= self.tolerance:
                 converged = True
         return SolverResult(

@@ -154,14 +154,13 @@ def available_solvers() -> List[str]:
 
     The registry is populated when :mod:`repro.mrf` imports: the
     vectorized pair (``trws``/``bp``), their per-node reference twins
-    (``trws-ref``/``bp-ref``, kept for parity tests), the sharded
-    wrappers (``trws-sharded``/``bp-sharded``), the dual-decomposition
-    wrapper (``trws-dual``), and the refine/baseline solvers (``icm``,
-    ``exact``, ``anneal``).
+    (``trws-ref``/``bp-ref``, kept for parity tests), the
+    dual-decomposition wrapper (``trws-dual``), and the refine/baseline
+    solvers (``icm``, ``exact``, ``anneal``).
 
     >>> import repro.mrf  # registers the built-in solvers
     >>> [name for name in available_solvers() if name.startswith("trws")]
-    ['trws', 'trws-dual', 'trws-ref', 'trws-sharded']
+    ['trws', 'trws-dual', 'trws-ref']
     """
     return sorted(_REGISTRY)
 
@@ -187,15 +186,12 @@ def solve(mrf: PairwiseMRF, solver: str = "trws", **options) -> SolverResult:
 
 def _register_builtins() -> None:
     """Populate the registry with the built-in solvers (import-time)."""
-    import functools
-
     from repro.mrf.trws import TRWSSolver
     from repro.mrf.bp import LoopyBPSolver
     from repro.mrf.icm import ICMSolver
     from repro.mrf.exact import ExactSolver
     from repro.mrf.anneal import SimulatedAnnealingSolver
     from repro.mrf.reference import ReferenceBPSolver, ReferenceTRWSSolver
-    from repro.mrf.sharded import ShardedSolver
     from repro.mrf.dual import DualDecompositionSolver
 
     register_solver("trws", TRWSSolver)
@@ -205,12 +201,6 @@ def _register_builtins() -> None:
     register_solver("anneal", SimulatedAnnealingSolver)
     register_solver("trws-ref", ReferenceTRWSSolver)
     register_solver("bp-ref", ReferenceBPSolver)
-    register_solver(
-        "trws-sharded", functools.partial(ShardedSolver, solver="trws")
-    )
-    register_solver(
-        "bp-sharded", functools.partial(ShardedSolver, solver="bp")
-    )
     register_solver("trws-dual", DualDecompositionSolver)
 
 

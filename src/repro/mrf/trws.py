@@ -46,7 +46,6 @@ import numpy as np
 from repro import obs
 from repro.mrf.backends import KernelBackend, resolve_backend
 from repro.mrf.graph import PairwiseMRF
-from repro.mrf.partition import _component_of
 from repro.mrf.solvers import SolverResult, SolveStats
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 
@@ -67,7 +66,10 @@ class TRWSSolver:
             fixed point can be fully symmetric (the LP relaxation is
             fractional), where one extraction pass leaves easy single-node
             improvements on the table; the standard remedy is an ICM
-            post-pass (cf. OpenGM's TRWS+ICM pipeline).
+            post-pass (cf. OpenGM's TRWS+ICM pipeline).  Several starting
+            labellings are polished and the best one is kept *per
+            connected component* — components share no edges, so the
+            stitched pick is never worse than any single candidate.
         backend: kernel backend running the sweep primitives — a
             :class:`~repro.mrf.backends.KernelBackend`, a registry name
             (``"numpy"`` / ``"native"``), ``"auto"`` or ``None`` (consult
@@ -163,7 +165,7 @@ class TRWSSolver:
                 ICM run per solve.
             scratch: a reusable :class:`SolverScratch` holding the sweep
                 work buffers.  Steady-state callers (streaming re-solves,
-                shard loops, grid sweeps) pass one in so repeated
+                dual rounds, grid sweeps) pass one in so repeated
                 solves allocate nothing; ``None`` keeps a private scratch
                 for this call (still allocation-free *across iterations*).
             backend: kernel backend for this solve; overrides the
@@ -376,12 +378,23 @@ class TRWSSolver:
             for candidate in candidates:
                 if not any(np.array_equal(candidate, kept) for kept in distinct):
                     distinct.append(candidate)
+            # Components share no edges, so the best candidate is picked
+            # per connected component (strict <, in candidate order); on
+            # a one-component plan this is the plain best-of-candidates.
+            best_parts = plan.component_energies(best_labels)
+            picked = False
             for candidate in distinct:
                 polished = plan.icm(candidate, scratch=scratch, backend=kernels)
-                polished_energy = plan.energy(polished)
-                if polished_energy < best_energy:
-                    best_labels = polished
-                    best_energy = polished_energy
+                energies = plan.component_energies(polished)
+                better = energies < best_parts
+                if better.any():
+                    best_labels = np.where(
+                        better[plan.components], polished, best_labels
+                    )
+                    best_parts = np.where(better, energies, best_parts)
+                    picked = True
+            if picked:
+                best_energy = plan.energy(best_labels)
             if self.compute_bound and best_energy - lower_bound <= self.tolerance:
                 converged = True
         if collect:
@@ -403,15 +416,10 @@ def is_forest_plan(plan: MRFArrays) -> bool:
     """True when the plan's graph is cycle-free.
 
     A graph is a forest iff ``edges == nodes - components`` (every edge
-    joins two previously-unconnected nodes); the component labelling is
-    the partitioner's own union-find.
+    joins two previously-unconnected nodes); the component count is the
+    plan's cached labelling.
     """
-    if plan.edge_count == 0:
-        return True
-    component = _component_of(
-        plan.node_count, plan.edge_first, plan.edge_second
-    )
-    return plan.edge_count == plan.node_count - (int(component.max()) + 1)
+    return plan.edge_count == plan.node_count - plan.component_count
 
 
 def solve_forest_plan(plan: MRFArrays) -> SolverResult:
@@ -490,7 +498,3 @@ def _solve_forest_arrays(plan: MRFArrays) -> np.ndarray:
                 labels[node] = int(choice[node][labels[up_parent]])
     return labels
 
-
-# The degree-descending greedy init lives on the plan now
-# (:meth:`MRFArrays.greedy_labels`) so the monolithic solve, the sharded
-# solver and the streaming engine all share one implementation.

@@ -48,7 +48,7 @@ live plan instead of rebuilding it from the Python-level MRF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.mrf.graph import PairwiseMRF
 __all__ = [
     "MRFArrays",
     "SolverScratch",
+    "connected_components",
     "wavefront_schedule",
 ]
 
@@ -69,7 +70,7 @@ class SolverScratch:
     belief copies, message deltas.  A :class:`SolverScratch` keeps one
     flat, monotonically-grown buffer per (name, dtype) and hands out
     reshaped views, so a steady-state consumer (streaming warm re-solves,
-    grid sweeps, shard loops) stops churning the NumPy allocator:
+    grid sweeps, dual rounds) stops churning the NumPy allocator:
     after the first solve of a given plan shape, iterations allocate
     nothing.
 
@@ -131,13 +132,13 @@ def wavefront_schedule(n: int, lo: np.ndarray, hi: np.ndarray):
 
         level[d] = 1 + max over edges (s→d) of level[s].  Two exact
         implementations with identical output, picked by size: small
-        plans (shard sub-plans, case studies) run the 3-ops-per-round
+        plans (cut-shard sub-plans, case studies) run the 3-ops-per-round
         Jacobi fixpoint — minimal constant cost, O(edges · depth) total —
         while big plans run a Kahn wave propagation that relaxes each
         edge exactly once (a node's out-edges fire in the wave where its
         last incoming dependency resolved), O(edges + depth · overhead):
-        on a 150k-edge estate the waves win 3×, on a 200-node chain shard
-        the rounds win 3× — crossover is around a few thousand edges.
+        on a 150k-edge estate the waves win 3×, on a 200-node chain the
+        rounds win 3× — crossover is around a few thousand edges.
         """
         level = np.zeros(n, dtype=np.int64)
         if not m:
@@ -174,6 +175,41 @@ def wavefront_schedule(n: int, lo: np.ndarray, hi: np.ndarray):
         return level
 
     return gamma, _levels(lo, hi), _levels(hi, lo)
+
+
+def connected_components(
+    n: int, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """Dense connected-component id per node, numbered by smallest node.
+
+    Vectorised hooking: every round hooks each root to the smallest root
+    across its cross-component edges, then pointer-jumps until every node
+    points straight at its root.  Pointers only ever decrease, so a
+    component's root is its smallest node, and edges inside one component
+    drop out of the next round.  A chain in index order finishes in one
+    round (hooking links the whole chain, jumping collapses it in
+    log2(n) passes).
+
+    >>> connected_components(5, np.array([3, 0]), np.array([4, 1])).tolist()
+    [0, 0, 1, 2, 2]
+    """
+    root = np.arange(n, dtype=np.int64)
+    u = np.asarray(first, dtype=np.int64)
+    v = np.asarray(second, dtype=np.int64)
+    while len(u):
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    is_root = root == np.arange(n)
+    return (np.cumsum(is_root) - 1)[root]
 
 
 @dataclass
@@ -590,6 +626,7 @@ class MRFArrays:
         )
         self._fwd_levels: Optional[List[_Wavefront]] = None
         self._bwd_levels: Optional[List[_SendBlock]] = None
+        self._components: Optional[Tuple[np.ndarray, int]] = None
 
     # ------------------------------------------------------------ levels
 
@@ -607,13 +644,63 @@ class MRFArrays:
             self._bwd_levels = self.bwd_sweep.levels()
         return self._bwd_levels
 
+    # ------------------------------------------------------------ components
+
+    def _labelled_components(self) -> Tuple[np.ndarray, int]:
+        """(component id per node, component count), labelled once per
+        edge set by :func:`connected_components` and cached."""
+        if self._components is None:
+            labels = connected_components(
+                self.node_count, self.edge_first, self.edge_second
+            )
+            count = int(labels.max()) + 1 if self.node_count else 0
+            self._components = (labels, count)
+        return self._components
+
+    @property
+    def components(self) -> np.ndarray:
+        """Connected-component id per node, numbered by smallest node."""
+        return self._labelled_components()[0]
+
+    @property
+    def component_count(self) -> int:
+        """Number of connected components (isolated nodes count)."""
+        return self._labelled_components()[1]
+
+    def component_energies(self, labels: np.ndarray) -> np.ndarray:
+        """E(x) split by connected component, one entry per component.
+
+        Entry ``c`` sums the unaries of component ``c``'s nodes plus the
+        costs of its edges.  A one-component plan returns
+        ``[energy(labels)]``, the same summation bit for bit.
+        """
+        count = self.component_count
+        if count == 1:
+            return np.array([self.energy(labels)])
+        components = self.components
+        totals = np.bincount(
+            components, weights=self.unary[self._iota, labels],
+            minlength=count,
+        )
+        if self.edge_count:
+            totals += np.bincount(
+                components[self.edge_first],
+                weights=self.cost[
+                    self.edge_cid,
+                    labels[self.edge_first],
+                    labels[self.edge_second],
+                ],
+                minlength=count,
+            )
+        return totals
+
     # ------------------------------------------------------------- accessors
 
     def unary_vectors(self) -> List[np.ndarray]:
         """The unpadded per-node unary vectors (copies into from_parts form).
 
         ``unary_vectors()[i]`` has ``label_counts[i]`` entries — the exact
-        inputs a rebuilt (or shard) plan needs.
+        inputs a rebuilt (or cut-shard) plan needs.
         """
         return [
             self.unary[i, : self.label_counts[i]]
@@ -625,7 +712,8 @@ class MRFArrays:
 
         Entries are ``(lmax, lmax)`` with ``+inf`` padding; feeding them
         back through :meth:`from_parts` with the same ``lmax`` reproduces
-        the stack exactly, which is what the shard partitioner relies on.
+        the stack exactly, which is what the edge-cut partitioner relies
+        on.
         """
         return [self.cost[k] for k in range(self.stacked)]
 

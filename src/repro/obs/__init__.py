@@ -1,7 +1,7 @@
 """Observability layer: tracing spans, counters, structured logging.
 
 ``repro.obs`` is the unified instrumentation surface for every layer of
-the stack — compile, solve kernels, shard loops, streaming engine,
+the stack — compile, solve kernels, dual rounds, streaming engine,
 and the service.  The core contract is zero overhead while disabled;
 see :mod:`repro.obs.core` for the span/trace API,
 :mod:`repro.obs.report` for summaries, and :mod:`repro.obs.logging`

@@ -1,7 +1,7 @@
 """Zero-overhead-when-disabled tracing core.
 
 The library's hot paths — the direct compiler, the TRW-S/BP sweep kernels,
-the shard loops, the streaming engine, the service writer — call into
+the dual rounds, the streaming engine, the service writer — call into
 this module unconditionally.  The contract that keeps them as fast as the
 zero-allocation kernel work left them:
 
@@ -23,7 +23,7 @@ Traces export as JSON-Lines (:meth:`Trace.jsonl`) and as the Chrome
 trace-event format (:meth:`Trace.chrome`) that Perfetto and
 ``chrome://tracing`` load directly.  Cross-process capture —
 :func:`begin_capture` / :func:`end_capture` in the worker,
-:meth:`Trace.extend` in the parent — is how shard solves dispatched through
+:meth:`Trace.extend` in the parent — is how solves dispatched through
 :mod:`repro.runner` process pools merge into the parent's timeline (the
 runner does this automatically whenever tracing is on).
 
@@ -97,7 +97,7 @@ class Span:
     Created by :func:`span` only while tracing is enabled.  The start
     timestamp is wall-clock (cross-process comparable); the duration is
     measured on the monotonic clock.  :meth:`add` attaches result
-    attributes discovered mid-span (shard energies, iteration counts).
+    attributes discovered mid-span (energies, iteration counts).
     """
 
     __slots__ = ("_trace", "name", "cat", "args", "_wall_ns", "_perf_ns")
@@ -332,7 +332,7 @@ def span(name: str, cat: str = "app", **args: Any) -> Any:
     Disabled: returns the shared no-op singleton — no allocation, nothing
     recorded.  Enabled: returns a live :class:`Span` recording a complete
     event on exit.  ``cat`` is the layer tag the per-layer breakdown
-    groups by (``compile`` / ``solve`` / ``shard`` / ``stream`` /
+    groups by (``compile`` / ``solve`` / ``dual`` / ``stream`` /
     ``service`` / ...); ``args`` become the event's attributes.
     """
     trace = _TRACE

@@ -28,7 +28,7 @@ long-lived asyncio service:
   wedging the queue.  :mod:`repro.service.faults` injects deterministic
   failures at every stage of this pipeline for the recovery tests.
 * **Operations** — ``GET /healthz``, Prometheus-format ``GET /metrics``
-  (solve/shard-solve latency histograms, per-reason escalation counters,
+  (solve latency histogram, per-reason escalation counters,
   ``repro_build_info``), the ``GET /debug/trace`` tail of the
   :mod:`repro.obs` span ring buffer (``ServiceConfig.trace_tail``),
   structured logs via :mod:`repro.obs.logging`, periodic plan snapshots
@@ -114,8 +114,6 @@ class ReadView:
     similarity: SimilarityTable
     constraints: ConstraintSet
     cost_model: Dict[str, object] = field(default_factory=dict)
-    shards_total: int = 1
-    shards_solved: int = 1
 
     def assignment_payload(self) -> Dict[str, object]:
         """The ``GET /assignment`` response body."""
@@ -263,7 +261,6 @@ class DiversificationService:
                 similarity,
                 solver=self.config.solver,
                 warm_start=self.config.warm_start,
-                sharded=self.config.sharded,
                 constraints=constraints,
                 **self.config.engine_options,
             )
@@ -274,7 +271,6 @@ class DiversificationService:
             version=__version__,
             python=platform.python_version(),
             solver=self.config.solver,
-            sharded=self.config.sharded,
             warm_start=self.config.warm_start,
         )
         self._log = get_logger("service")
@@ -370,7 +366,6 @@ class DiversificationService:
             path,
             solver=config.solver,
             warm_start=config.warm_start,
-            sharded=config.sharded,
             **config.engine_options,
         )
         meta_view = snapshot.view
@@ -403,8 +398,6 @@ class DiversificationService:
                     "pairwise_weight": plan.pairwise_weight,
                     "service_weights": plan.service_weights or None,
                 },
-                shards_total=int(meta_view.get("shards_total", 1)),
-                shards_solved=int(meta_view.get("shards_solved", 1)),
             )
         return cls(
             config=config,
@@ -457,7 +450,6 @@ class DiversificationService:
                 host=self.config.host,
                 port=self.port,
                 solver=self.config.solver,
-                sharded=self.config.sharded,
                 trace_tail=self.config.trace_tail,
             ),
         )
@@ -744,8 +736,6 @@ class DiversificationService:
         self.metrics.observe_solve(result.seconds)
         if result.escalation is not None:
             self.metrics.inc_escalation(result.escalation)
-        for shard_seconds in result.shard_seconds:
-            self.metrics.observe_shard_solve(shard_seconds)
         self._log.debug(
             "batch solved",
             extra=kv(
@@ -781,8 +771,6 @@ class DiversificationService:
                     "pairwise_weight": plan.pairwise_weight,
                     "service_weights": plan.service_weights or None,
                 },
-                shards_total=result.shards_total,
-                shards_solved=result.shards_solved,
             )
         if (
             self.config.snapshots_enabled
@@ -815,8 +803,6 @@ class DiversificationService:
                 "warm": view.warm,
                 "stability": view.stability,
                 "solve_seconds": view.solve_seconds,
-                "shards_total": view.shards_total,
-                "shards_solved": view.shards_solved,
             }
         with obs.span("service.snapshot", cat="service", version=self._solves):
             try:
@@ -1065,7 +1051,6 @@ class DiversificationService:
             "queue_depth": depth,
             "idle": depth == 0 and self._inflight == 0,
             "solver": self._engine.solver_name,
-            "sharded": self.config.sharded,
             "wal": self._wal is not None,
             "wal_seq": self._wal.last_seq if self._wal is not None else 0,
         }

@@ -29,8 +29,6 @@ class ServiceConfig:
             — the form the tests and benchmarks use.
         solver: ``"trws"`` (default) or ``"bp"`` — forwarded to the
             underlying :class:`~repro.stream.incremental.DynamicDiversifier`.
-        sharded: re-solve only the connected-component shards each batch
-            touches (the engine's ``sharded=True`` mode).
         warm_start: disable to force a cold rebuild+solve per batch — the
             measurement baseline, never the production setting.
         batch_max: events drained from the ingestion queue per solve.  The
@@ -93,7 +91,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8351
     solver: str = "trws"
-    sharded: bool = False
     warm_start: bool = True
     batch_max: int = 64
     high_water: int = 1024

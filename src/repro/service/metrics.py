@@ -21,8 +21,8 @@ __all__ = ["ServiceMetrics", "SOLVE_BUCKETS"]
 
 #: default upper bounds (seconds) of the solve-latency histogram buckets;
 #: the terminal +inf bucket is implicit.  Spans sub-millisecond warm
-#: re-solves of small shards up to multi-second cold rebuilds of large
-#: estates.  ``ServiceConfig.solve_buckets`` overrides per deployment.
+#: re-solves of small estates up to multi-second cold rebuilds of large
+#: ones.  ``ServiceConfig.solve_buckets`` overrides per deployment.
 SOLVE_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
@@ -111,12 +111,11 @@ class _Histogram:
 
 
 class ServiceMetrics:
-    """Thread-safe counters, gauges and solve-latency histograms.
+    """Thread-safe counters, gauges and the solve-latency histogram.
 
     Args:
-        solve_buckets: upper bounds (seconds) of both latency histograms
-            (batch solves and per-shard solves); ``None`` keeps
-            :data:`SOLVE_BUCKETS`.
+        solve_buckets: upper bounds (seconds) of the batch-solve latency
+            histogram; ``None`` keeps :data:`SOLVE_BUCKETS`.
 
     >>> metrics = ServiceMetrics()
     >>> metrics.inc("solves_total")
@@ -139,7 +138,6 @@ class ServiceMetrics:
             reason: 0 for reason in _ESCALATIONS
         }
         self._solve = _Histogram("solve_seconds", buckets)
-        self._shard_solve = _Histogram("shard_solve_seconds", buckets)
         self._build_info: Dict[str, str] = {}
 
     # ------------------------------------------------------------- recording
@@ -175,11 +173,6 @@ class ServiceMetrics:
         with self._lock:
             self._solve.observe(seconds)
 
-    def observe_shard_solve(self, seconds: float) -> None:
-        """Record one dirty-shard solve latency (sharded engines only)."""
-        with self._lock:
-            self._shard_solve.observe(seconds)
-
     # --------------------------------------------------------------- reading
 
     def counters(self) -> Dict[str, int]:
@@ -196,8 +189,8 @@ class ServiceMetrics:
         """The Prometheus text-format exposition (the ``/metrics`` body).
 
         Counters and gauges render as ``repro_<name> <value>``; escalation
-        counters as ``repro_escalations_total{reason="..."}``; both latency
-        histograms render cumulatively with ``le`` labels plus the
+        counters as ``repro_escalations_total{reason="..."}``; the latency
+        histogram renders cumulatively with ``le`` labels plus the
         ``_sum``/``_count`` pair; ``repro_build_info`` is the constant-1
         labeled info gauge.
         """
@@ -225,5 +218,4 @@ class ServiceMetrics:
                 lines.append(f"# TYPE {_PREFIX}build_info gauge")
                 lines.append(f"{_PREFIX}build_info{{{labels}}} 1")
             lines.extend(self._solve.render())
-            lines.extend(self._shard_solve.render())
             return "\n".join(lines) + "\n"

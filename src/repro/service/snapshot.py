@@ -152,7 +152,6 @@ def save_snapshot(
     """
     plan = engine.plan
     plan.flush()
-    plan.pad_messages()
     lmax = int(plan.messages.shape[1]) if plan.messages.size else plan.plan.lmax
     lmax = max(lmax, plan.plan.lmax)
 
@@ -198,20 +197,6 @@ def save_snapshot(
         "combo_cids": [
             [host, svc_lo, svc_hi, int(cid)]
             for (host, svc_lo, svc_hi), cid in plan._combo_cids.items()
-        ],
-        # The sharded engine's per-shard solve summaries.  Restoring them
-        # matters for recovery parity: a rebuilt cache means clean shards
-        # are NOT re-solved after a restart, exactly as they would not
-        # have been had the process never died (a re-solve from restored
-        # messages can tie-break equal-energy optima differently).
-        "shard_cache": [
-            [
-                sorted(list(variable) for variable in key),
-                float(entry.energy),
-                float(entry.lower_bound),
-                bool(entry.converged),
-            ]
-            for key, entry in getattr(engine, "_shard_cache", {}).items()
         ],
     }
 
@@ -327,14 +312,15 @@ def load_snapshot(path: Union[str, Path]) -> Snapshot:
     return snapshot
 
 
-def restore_plan(snapshot: Snapshot, track_touched: bool = True) -> StreamPlan:
+def restore_plan(snapshot: Snapshot) -> StreamPlan:
     """Reconstruct the live :class:`StreamPlan` a snapshot captured.
 
     Builds the plan straight from the saved parts — **no recompile** — so
     every plan array is byte-identical to the saved one, and the message
     and label state resume exactly.  The returned plan is fully live:
     future events patch it the same way they would have patched the
-    original.
+    original.  Meta keys this build does not read (a ``shard_cache``
+    written by an older sharded daemon) are ignored.
     """
     meta = snapshot.meta
     plan = StreamPlan.__new__(StreamPlan)
@@ -344,7 +330,6 @@ def restore_plan(snapshot: Snapshot, track_touched: bool = True) -> StreamPlan:
     plan.unary_constant = float(meta["unary_constant"])
     plan.pairwise_weight = float(meta["pairwise_weight"])
     plan.service_weights = dict(meta.get("service_weights") or {})
-    plan.track_touched = track_touched
 
     variables = [
         (str(host), str(service)) for host, service in meta["variables"]
@@ -396,7 +381,6 @@ def restore_engine(
     path: Union[str, Path, Snapshot],
     solver: Optional[str] = None,
     warm_start: bool = True,
-    sharded: bool = False,
     **engine_options,
 ) -> Tuple[DynamicDiversifier, Snapshot]:
     """Warm-restart an engine from a snapshot directory.
@@ -424,32 +408,14 @@ def restore_engine(
         pairwise_weight=float(meta["pairwise_weight"]),
         service_weights=dict(meta.get("service_weights") or {}) or None,
         constraints=snapshot.constraints,
-        sharded=sharded,
         **engine_options,
     )
-    engine.plan = restore_plan(snapshot, track_touched=sharded)
+    engine.plan = restore_plan(snapshot)
     engine._previous = (
         engine.plan.assignment_values(snapshot.labels)
         if snapshot.labels is not None
         else None
     )
-    engine._shard_cache.clear()
-    if sharded:
-        # Rebuild the per-shard solve cache so a recovered engine skips
-        # exactly the clean shards its never-crashed twin would skip —
-        # re-solving a clean shard from restored messages can land on a
-        # different equal-energy labeling and break recovery parity.
-        from repro.stream.incremental import _ShardEntry
-
-        for keys, energy, lower_bound, converged in meta.get(
-            "shard_cache"
-        ) or []:
-            frozen = frozenset(tuple(variable) for variable in keys)
-            engine._shard_cache[frozen] = _ShardEntry(
-                energy=float(energy),
-                lower_bound=float(lower_bound),
-                converged=bool(converged),
-            )
     return engine, snapshot
 
 

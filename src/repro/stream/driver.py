@@ -41,8 +41,6 @@ class ChurnRecord:
         hosts / links: network size after the event.
         cold_seconds / cold_energy: from-scratch rebuild+solve baseline for
             the same state (None unless the replay compared cold).
-        shards_solved / shards_total: dirty-vs-total shard counts of a
-            sharded replay (None for the monolithic engine).
     """
 
     step: int
@@ -56,8 +54,6 @@ class ChurnRecord:
     links: int
     cold_seconds: Optional[float] = None
     cold_energy: Optional[float] = None
-    shards_solved: Optional[int] = None
-    shards_total: Optional[int] = None
 
     @property
     def speedup(self) -> Optional[float]:
@@ -75,8 +71,6 @@ class ChurnRecord:
             f"stab={self.stability:5.3f}  it={self.iterations:<3} "
             f"hosts={self.hosts:<4} links={self.links}"
         )
-        if self.shards_total is not None:
-            text += f" shards={self.shards_solved}/{self.shards_total}"
         if self.cold_seconds is not None:
             text += (
                 f"  cold={1000 * self.cold_seconds:8.1f}ms"
@@ -145,7 +139,6 @@ def replay_trace(
     warm_start: bool = True,
     compare_cold: bool = False,
     rebuild_fraction: float = 0.25,
-    sharded: bool = False,
     constraints: Optional[ConstraintSet] = None,
     **engine_options,
 ) -> ChurnReport:
@@ -153,9 +146,7 @@ def replay_trace(
 
     Mutates ``network``, ``similarity`` and ``constraints`` in place (pass
     copies to keep the originals).  ``engine_options`` are forwarded to
-    :class:`DynamicDiversifier` (cost model + solver options);
-    ``sharded=True`` switches the engine to per-component re-solves and
-    fills the records' shard columns.
+    :class:`DynamicDiversifier` (cost model + solver options).
 
     With ``compare_cold=True`` each event also times a fresh engine's cold
     solve of the same mutated state (same network, similarity *and*
@@ -185,7 +176,6 @@ def replay_trace(
         solver=solver,
         warm_start=warm_start,
         rebuild_fraction=rebuild_fraction,
-        sharded=sharded,
         constraints=constraints,
         **engine_options,
     )
@@ -219,8 +209,6 @@ def replay_trace(
                 links=network.edge_count(),
                 cold_seconds=cold_seconds,
                 cold_energy=cold_energy,
-                shards_solved=result.shards_solved if sharded else None,
-                shards_total=result.shards_total if sharded else None,
             )
         )
     return report

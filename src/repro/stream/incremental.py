@@ -22,18 +22,6 @@ state is a valid TRW-S reparametrisation, so energies and dual bounds keep
 their meaning, and the reported energy always equals the true E(N) of the
 returned assignment on the mutated network and constraint set.
 
-With ``sharded=True`` the engine additionally partitions the live plan
-into connected-component shards (:mod:`repro.mrf.partition`) and re-solves
-**only the shards touched by the pending events** — the plan's stable
-(host, service) touched-keys map each event to the components it dirtied,
-link adds merge shards and removals split them (the partition is recomputed
-from the raw parts every solve, so merges/splits are handled by
-construction), and clean shards keep their message slices, labels and
-cached energies byte-for-byte.  Churn cost becomes proportional to the
-touched component instead of the network; components share no edges, so
-per-shard energies and dual bounds just add and the parity contract below
-is unchanged.
-
 Solution *quality* relative to a cold solve depends on the instance.  On
 workloads where TRW-S+ICM reliably finds the optimum — the sparse,
 well-colorable family the tests and ``benchmarks/bench_stream_churn.py``
@@ -48,14 +36,13 @@ a universal guarantee.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.mrf.bp import LoopyBPSolver
-from repro.mrf.partition import Shard, merge_shard_results, split_parts
 from repro.mrf.solvers import SolverResult
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import SolverScratch
@@ -67,14 +54,6 @@ from repro.stream.events import Event
 from repro.stream.plan import StreamPlan
 
 __all__ = ["StreamSolveResult", "DynamicDiversifier"]
-
-@dataclass
-class _ShardEntry:
-    """Cached per-shard solve summary (valid while the shard stays clean)."""
-
-    energy: float
-    lower_bound: float
-    converged: bool
 
 
 @dataclass
@@ -95,20 +74,12 @@ class StreamSolveResult:
             first solve).
         seconds: wall-clock time of this solve (patch + solver).
         solver_result: raw solver output (iterations, traces, ...).
-        shards_total: shard count of the partition this solve ran over
-            (1 for the monolithic engine).
-        shards_solved: shards actually re-solved — on a sharded warm solve
-            only the components touched by the pending events; clean
-            shards kept their messages/labels/energy untouched.
         escalation: why this solve left the cheap warm path, or ``None``
             for a plain warm re-solve.  ``"cost_jump"`` / ``"stranded"``
             mark warm solves escalated to the full budget; ``"node_churn"``
             / ``"edge_churn"`` / ``"mask_churn"`` name the fraction that
             crossed the rebuild threshold; ``"first_solve"`` and
             ``"warm_disabled"`` mark the other cold cases.
-        shard_seconds: wall time of each dirty-shard solve (sharded mode;
-            empty for the monolithic engine) — the skew signal behind the
-            service's per-shard latency histogram.
     """
 
     assignment: ProductAssignment
@@ -119,10 +90,7 @@ class StreamSolveResult:
     stability: float
     seconds: float
     solver_result: SolverResult
-    shards_total: int = 1
-    shards_solved: int = 1
     escalation: Optional[str] = None
-    shard_seconds: List[float] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -167,31 +135,6 @@ class DynamicDiversifier:
             previous solution escalates to the full-budget solve, and a
             bulk load past ``rebuild_fraction`` falls back to a cold
             recompile.
-        sharded: partition the live plan into connected-component shards
-            and warm re-solve only the shards touched by pending events
-            (see the module docstring).  The decomposition itself is
-            exact (shard energies/bounds add, reported energy always
-            equals the true E(N) of the returned assignment), and on the
-            workload families where warm/cold parity holds it holds for
-            this mode too — but the two modes follow *different* warm
-            trajectories (per-shard tie-breaking noise, per-shard ICM
-            basins), so on hard instances they can land in different
-            local optima and the stability metric may differ; cross-mode
-            energy equality is a property of the workload, exactly like
-            the warm/cold contract above.
-        dual_shard_nodes: opt-in dual decomposition for *giant* dirty
-            components (``"trws"`` only): a dirty shard at or above this
-            node count is re-solved cold by
-            :class:`~repro.mrf.dual.DualDecompositionSolver` across a
-            balanced edge cut instead of one warm monolithic shard run.
-            The shard's parent message slice is left untouched (the dual
-            loop owns its own boundary state), clean shards stay
-            byte-identical, and the shard's cached bound is the dual
-            loop's certified bound.  ``None`` (default) disables.
-        dual_options: constructor options of the per-shard
-            :class:`~repro.mrf.dual.DualDecompositionSolver` (``parts``,
-            ``max_rounds``, ``gap_tolerance``, ...) when
-            ``dual_shard_nodes`` triggers.
         **solver_options: forwarded to the solver constructor.
     """
 
@@ -208,9 +151,6 @@ class DynamicDiversifier:
         pairwise_weight: float = 1.0,
         service_weights: Optional[Mapping[str, float]] = None,
         constraints: Optional[ConstraintSet] = None,
-        sharded: bool = False,
-        dual_shard_nodes: Optional[int] = None,
-        dual_options: Optional[Mapping] = None,
         **solver_options,
     ) -> None:
         if warm_iterations < 1:
@@ -237,19 +177,8 @@ class DynamicDiversifier:
         self.warm_start = warm_start
         self.rebuild_fraction = rebuild_fraction
         self.cost_jump_threshold = cost_jump_threshold
-        if dual_shard_nodes is not None and dual_shard_nodes < 1:
-            raise ValueError("dual_shard_nodes must be >= 1")
-        if dual_shard_nodes is not None and solver != "trws":
-            raise ValueError("dual_shard_nodes requires solver='trws'")
-        self.sharded = sharded
-        self.dual_shard_nodes = dual_shard_nodes
-        self._dual_options = dict(dual_options or {})
-        self._solver_options = dict(solver_options)
-        #: per-shard cache: frozen variable-key set → solved summary.
-        self._shard_cache: Dict[frozenset, _ShardEntry] = {}
-        #: reusable solver work buffers (monolithic and per-shard solves
-        #: alike) — steady-state warm re-solves stop churning the NumPy
-        #: allocator.
+        #: reusable solver work buffers — steady-state warm re-solves stop
+        #: churning the NumPy allocator.
         self._scratch = SolverScratch()
         self.plan = StreamPlan(
             network,
@@ -257,7 +186,6 @@ class DynamicDiversifier:
             unary_constant=unary_constant,
             pairwise_weight=pairwise_weight,
             service_weights=service_weights,
-            track_touched=sharded,
             constraints=constraints,
         )
         self._previous: Optional[Dict[Tuple[str, str], str]] = None
@@ -303,12 +231,7 @@ class DynamicDiversifier:
         (escalation reason ``"forced"``) — the recovery lever the service
         writer pulls after a solver exception, since a full rebuild
         discards whatever incremental state went bad.
-
-        A ``sharded=True`` engine dispatches to the per-component path,
-        which re-solves only the shards the pending events touched.
         """
-        if self.sharded:
-            return self._solve_sharded(force_cold=force_cold)
         start = time.perf_counter()
         wall_ns = time.time_ns() if obs.enabled() else 0
         plan = self.plan
@@ -399,252 +322,6 @@ class DynamicDiversifier:
             seconds=seconds,
             solver_result=result,
             escalation=escalation,
-        )
-
-    # -------------------------------------------------------- sharded solve
-
-    def _solve_sharded(self, force_cold: bool = False) -> StreamSolveResult:
-        """Per-component re-solve: only touched shards pay a solver run.
-
-        Partitions the live plan's raw parts (no global slot/level
-        re-derivation), keys each shard by its frozen (host, service) set
-        — stable across node renumbering — and re-solves a shard only when
-        it is new or contains a touched key.  Clean shards keep their
-        message slices and labels untouched and contribute their cached
-        energy/bound; merges and splits fall out of re-partitioning.
-        """
-        start = time.perf_counter()
-        wall_ns = time.time_ns() if obs.enabled() else 0
-        plan = self.plan
-        warm, escalation = self._classify_solve(force_cold=force_cold)
-        if escalation is not None:
-            obs.instant("stream.escalation", cat="stream", reason=escalation)
-        if not warm:
-            plan.rebuild()
-            self._shard_cache.clear()
-        touched = set(plan.touched)
-        escalate = warm and escalation is not None
-        width = plan.pad_messages()
-        unaries, edge_first, edge_second, edge_cid, matrices = plan.parts()
-        partition = split_parts(
-            unaries, edge_first, edge_second, edge_cid, matrices, lmax=width
-        )
-
-        labels = (
-            plan.labels.copy()
-            if plan.labels is not None
-            else np.zeros(plan.node_count, dtype=np.int64)
-        )
-        keys = [
-            frozenset(plan.variables[int(node)] for node in shard.nodes)
-            for shard in partition
-        ]
-        entries: List[Optional[_ShardEntry]] = []
-        dirty: List[Tuple[Shard, frozenset]] = []
-        for shard, key in zip(partition, keys):
-            entry = self._shard_cache.get(key)
-            if warm and entry is not None and not (key & touched):
-                entries.append(entry)
-            else:
-                entries.append(None)
-                dirty.append((shard, key))
-
-        solved: Dict[frozenset, _ShardEntry] = {}
-        outcomes = [
-            self._solve_shard(shard, labels, warm, escalate)
-            for shard, _key in dirty
-        ]
-        dirty_iterations = []
-        shard_seconds: List[float] = []
-        for (shard, key), (entry, sub_labels, sub_iters, sub_secs) in zip(
-            dirty, outcomes
-        ):
-            labels[shard.nodes] = sub_labels
-            solved[key] = entry
-            dirty_iterations.append(sub_iters)
-            shard_seconds.append(sub_secs)
-        for position, (entry, key) in enumerate(zip(entries, keys)):
-            if entry is None:
-                entries[position] = solved[key]
-        final_entries: List[_ShardEntry] = entries  # all filled now
-        # Clean shards contribute no iterations — nothing ran for them.
-        merged = merge_shard_results(
-            [e.energy for e in final_entries],
-            [e.lower_bound for e in final_entries],
-            dirty_iterations,
-            [e.converged for e in final_entries],
-        )
-        energy = merged.energy
-        lower_bound = merged.lower_bound
-        # Prune stale keys so departed/merged shards cannot resurrect.
-        self._shard_cache = dict(zip(keys, final_entries))
-
-        plan.record_labels(labels)
-        plan.reset_dirty_counters()
-        values = plan.assignment_values(labels)
-        assignment = ProductAssignment.from_decoded(plan.network, values)
-        stability = _stability(self._previous, values)
-        self._previous = values
-        certified = (
-            np.isfinite(lower_bound) and energy - lower_bound <= 1e-6
-        )
-        solver_result = SolverResult(
-            labels=[int(x) for x in labels],
-            energy=energy,
-            lower_bound=lower_bound,
-            iterations=merged.iterations,
-            converged=merged.converged,
-            solver=f"{self.solver_name}-sharded",
-        )
-        seconds = time.perf_counter() - start
-        trace = obs.current_trace()
-        if trace is not None and wall_ns:
-            trace.record(
-                "stream.solve", "stream",
-                ts=wall_ns / 1000.0, dur=seconds * 1e6,
-                args={
-                    "warm": warm,
-                    "escalation": escalation or "",
-                    "energy": energy,
-                    "shards_total": len(partition),
-                    "shards_solved": len(dirty),
-                },
-            )
-        return StreamSolveResult(
-            assignment=assignment,
-            energy=energy,
-            lower_bound=lower_bound,
-            certified_optimal=certified,
-            warm=warm,
-            stability=stability,
-            seconds=seconds,
-            solver_result=solver_result,
-            shards_total=len(partition),
-            shards_solved=len(dirty),
-            escalation=escalation,
-            shard_seconds=shard_seconds,
-        )
-
-    def _solve_shard(
-        self,
-        shard: Shard,
-        labels: np.ndarray,
-        warm: bool,
-        escalate: bool,
-    ) -> Tuple[_ShardEntry, np.ndarray, int, float]:
-        """One dirty-shard solve, mirroring the monolithic mode choice.
-
-        Returns ``(entry, labels, iterations, seconds)``; the wall time
-        feeds the result's ``shard_seconds`` skew stats (always measured —
-        two clock reads per shard are noise next to a solver run).
-        """
-        shard_start = time.perf_counter()
-        plan = self.plan
-        previous = labels[shard.nodes] if warm else None
-        if (
-            self.dual_shard_nodes is not None
-            and self.solver_name == "trws"
-            and len(shard.nodes) >= self.dual_shard_nodes
-        ):
-            return self._solve_shard_dual(shard, previous, warm, shard_start)
-        messages = plan.messages[shard.slots]
-        with obs.span(
-            "shard.solve",
-            cat="shard",
-            shard=int(shard.index),
-            nodes=len(shard.nodes),
-            warm=warm,
-        ) as shard_span:
-            shard_plan = shard.plan
-            is_trws = self.solver_name == "trws"
-            if warm and not escalate:
-                solver = self._warm_solver
-                extra_inits: Tuple[np.ndarray, ...] = (previous,)
-            elif warm:
-                solver = self._solver
-                extra_inits = (previous,)
-                if is_trws:
-                    extra_inits += (shard_plan.greedy_labels(),)
-            else:
-                solver = self._solver
-                extra_inits = (shard_plan.greedy_labels(),) if is_trws else ()
-            if is_trws:
-                result = solver.solve_arrays(
-                    shard_plan,
-                    messages=messages,
-                    extra_inits=extra_inits,
-                    default_inits=solver is not self._warm_solver,
-                    scratch=self._scratch,
-                )
-            else:
-                result = solver.solve_arrays(
-                    shard_plan, messages=messages, scratch=self._scratch
-                )
-            sub_labels = np.asarray(result.labels, dtype=np.int64)
-            energy = result.energy
-            if warm and previous is not None:
-                # Stability tie-break, per shard (see the monolithic path).
-                polished = shard_plan.icm(previous, scratch=self._scratch)
-                polished_energy = shard_plan.energy(polished)
-                if polished_energy <= energy + 1e-9:
-                    sub_labels = polished
-                    energy = polished_energy
-            plan.messages[shard.slots] = messages
-            shard_span.add(energy=energy, iterations=result.iterations)
-        entry = _ShardEntry(
-            energy=energy,
-            lower_bound=result.lower_bound,
-            converged=result.converged,
-        )
-        seconds = time.perf_counter() - shard_start
-        return entry, sub_labels, result.iterations, seconds
-
-    def _solve_shard_dual(
-        self,
-        shard: Shard,
-        previous: Optional[np.ndarray],
-        warm: bool,
-        shard_start: float,
-    ) -> Tuple[_ShardEntry, np.ndarray, int, float]:
-        """Cold dual re-solve of one giant dirty component.
-
-        The dual loop owns its own boundary state, so the shard's slice of
-        the parent message array is deliberately left untouched — a later
-        warm re-solve of this shard continues from the last message-passing
-        fixed point, and clean shards are never perturbed.  The cached
-        bound is the dual loop's certified bound; the per-shard stability
-        tie-break (polish the previous labels, keep them on an energy tie)
-        applies exactly as on the warm path.
-        """
-        from repro.mrf.dual import DualDecompositionSolver
-
-        with obs.span(
-            "shard.dual",
-            cat="shard",
-            shard=int(shard.index),
-            nodes=len(shard.nodes),
-        ) as shard_span:
-            result = DualDecompositionSolver(
-                **{**self._solver_options, **self._dual_options}
-            ).solve_arrays(shard.plan)
-            sub_labels = np.asarray(result.labels, dtype=np.int64)
-            energy = result.energy
-            if warm and previous is not None:
-                polished = shard.plan.icm(previous, scratch=self._scratch)
-                polished_energy = shard.plan.energy(polished)
-                if polished_energy <= energy + 1e-9:
-                    sub_labels = polished
-                    energy = polished_energy
-            shard_span.add(
-                energy=energy, rounds=result.rounds, gap=result.duality_gap
-            )
-        entry = _ShardEntry(
-            energy=energy,
-            lower_bound=result.lower_bound,
-            converged=result.converged,
-        )
-        return entry, sub_labels, result.iterations, (
-            time.perf_counter() - shard_start
         )
 
     # ------------------------------------------------------------- internals

@@ -33,11 +33,10 @@ and keeps all of them aligned while churn events arrive:
   rule or retires its last.
 
 All O(network) work happens in one vectorised **compaction** per solve:
-:meth:`flush`, :meth:`parts` and :meth:`pad_messages` drop the tombstoned
-rows, renumber the surviving nodes (order preserved), write the pending
-zero message rows and label-0 seeds with NumPy gathers, and :meth:`flush`
-then re-derives the plan's slot/level structure once, however many events
-are pending.  Between compactions, node- and edge-indexed state
+:meth:`flush` (and :meth:`parts`) drop the tombstoned rows, renumber the
+surviving nodes (order preserved), write the pending zero message rows and
+label-0 seeds with NumPy gathers, and :meth:`flush` then re-derives the
+plan's slot/level structure once, however many events are pending.  Between compactions, node- and edge-indexed state
 (:attr:`variables`, :attr:`messages`, :attr:`labels`) is in the raw
 numbering, tombstones included; reading :attr:`messages` or
 :attr:`labels` materialises the pending rows, so the arrays a caller sees
@@ -48,24 +47,12 @@ See ``docs/streaming.md`` for the per-event contract table.
 Because padded message entries are 0 — the additive identity — new slots
 start cold at 0 while surviving slots keep their near-fixed-point values,
 which is what makes the warm start work across structural deltas.
-
-For the sharded re-solve path the plan additionally keeps a **touched set**
-of (host, service) variable keys — every event adds the variables whose
-node, incident edges or cost matrices it changed.  Keys are stable across
-the node renumbering of host churn, so the incremental engine can map each
-event to the connected components it dirtied (link adds merge shards, link
-removals split them — both endpoints are touched either way, so every
-resulting component carries a touched key) and leave every clean shard's
-messages, labels and cached energy untouched.  :meth:`StreamPlan.parts`
-exposes the raw arrays the shard partitioner consumes, which is how the
-sharded engine skips the O(network) global slot/level re-derivation
-entirely.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -109,12 +96,6 @@ class StreamPlan:
         unary_constant: the paper's ``Pr_const`` per-label base cost.
         pairwise_weight: λ scaling of the similarity penalty.
         service_weights: optional per-service multipliers of λ.
-        track_touched: pay the (vectorised) O(edges) cost-id scan that
-            maps a similarity event onto the :attr:`touched` variable-key
-            set (the sharded engine's dirtiness signal).  Structural events
-            always record their own (cheap, O(delta)) touched keys; a
-            monolithic consumer turns this flag off to keep feed updates
-            off the scan.
         constraints: the live operator constraint set.  Fix/Forbid masks
             and combination tables are compiled in, and constraint events
             (:class:`~repro.stream.events.PinService` & co.) keep plan and
@@ -134,7 +115,6 @@ class StreamPlan:
         unary_constant: float = 0.01,
         pairwise_weight: float = 1.0,
         service_weights: Optional[Mapping[str, float]] = None,
-        track_touched: bool = True,
         constraints: Optional[ConstraintSet] = None,
     ) -> None:
         if pairwise_weight < 0:
@@ -146,7 +126,6 @@ class StreamPlan:
         self.unary_constant = float(unary_constant)
         self.pairwise_weight = float(pairwise_weight)
         self.service_weights = dict(service_weights or {})
-        self.track_touched = track_touched
         #: the live constraint set (mutated in place by constraint events).
         self.constraints = constraints if constraints is not None else ConstraintSet()
         self.rebuild()
@@ -235,9 +214,6 @@ class StreamPlan:
         rows per edge and ``labels`` (``None`` before any solve) one per
         variable.
         """
-        #: (host, service) keys of variables touched since the last solve —
-        #: stable across node renumbering, consumed by the sharded engine.
-        self.touched: Set[Tuple[str, str]] = set()
         self.variables = variables
         self.index: Dict[Tuple[str, str], int] = {
             variable: n for n, variable in enumerate(variables)
@@ -308,7 +284,6 @@ class StreamPlan:
         #: then re-solves with its full budget, since the previous basin
         #: is no longer feasible.
         self.stranded = False
-        self.touched.clear()
 
     # ------------------------------------------------------------ event apply
 
@@ -391,7 +366,7 @@ class StreamPlan:
             self._edges_dirty = False
         return self.plan
 
-    # ------------------------------------------------------------ shard view
+    # ------------------------------------------------------------ live sizes
 
     @property
     def node_count(self) -> int:
@@ -404,13 +379,12 @@ class StreamPlan:
         return self._edge_rows - self._dead_edges
 
     def parts(self):
-        """The raw plan parts, as the shard partitioner consumes them.
+        """The raw plan parts, in :meth:`MRFArrays.from_parts` form.
 
         Returns ``(unaries, edge_first, edge_second, edge_cid, matrices)``
         reflecting every applied event — compacted, but without the global
-        slot/level re-derivation :meth:`flush` adds, which is what lets the
-        sharded engine partition without paying for it.  The edge arrays
-        are read-only views of the live columns.
+        slot/level re-derivation :meth:`flush` adds.  The edge arrays are
+        read-only views of the live columns.
         """
         self._compact()
         return (
@@ -420,24 +394,6 @@ class StreamPlan:
             self._edge_cid,
             self._matrices,
         )
-
-    def pad_messages(self) -> int:
-        """Compact, then grow the message padding to the widest live label
-        space.
-
-        Returns the (possibly new) message width.  Padded message entries
-        are the 0 additive identity, so widening is exact — the same
-        invariant :meth:`flush` relies on.
-        """
-        self._compact()
-        widest = max(map(len, self._unaries), default=0)
-        width = self._messages.shape[1]
-        if widest > width:
-            self._messages = np.pad(
-                self._messages, ((0, 0), (0, widest - width))
-            )
-            width = widest
-        return width
 
     @property
     def _edge_first(self) -> np.ndarray:
@@ -497,9 +453,6 @@ class StreamPlan:
         self.variables.append((host, service))
         self.candidates.append(range_)
         self._unaries.append(np.full(len(range_), self.unary_constant))
-        # Touched-set bookkeeping: a rebuild touches everything and then
-        # clears the set, so only post-rebuild appends persist.
-        self.touched.add((host, service))
 
     def _weight(self, service: str) -> float:
         return self.pairwise_weight * float(self.service_weights.get(service, 1.0))
@@ -535,8 +488,6 @@ class StreamPlan:
         )
         first, second = (node_b, node_a) if flip else (node_a, node_b)
         self._push_edge((_link_key(a, b), service), first, second, cid)
-        self.touched.add((a, service))
-        self.touched.add((b, service))
 
     def _push_edge(
         self, key: Tuple[Tuple[str, str], object], first: int, second: int,
@@ -643,7 +594,6 @@ class StreamPlan:
     def _apply_similarity(self, event: SimilarityUpdate) -> None:
         a, b, value = event.product_a, event.product_b, event.value
         self.similarity.set(a, b, value)
-        changed_cids = set()
         for cid, (range_a, range_b, weight) in enumerate(self._matrix_meta):
             matrix = self._matrices[cid]
             changed = False
@@ -661,24 +611,12 @@ class StreamPlan:
                 )
                 matrix[row, col] = weight * value
                 changed = True
-            if changed:
-                changed_cids.add(cid)
-                # Matrices born after the last flush/rebuild (a pending
-                # structural delta allocated them) are not in the live
-                # plan's stack yet; the pending flush — or the sharded
-                # path's per-shard rebuild — picks the new value up from
-                # self._matrices, so only patch ids the stack knows.
-                if cid < self.plan.stacked:
-                    self.plan.set_cost_matrix(cid, matrix)
-        if changed_cids and self.track_touched:
-            # Shards whose edges price through a changed matrix must
-            # re-solve; their endpoints mark them dirty (one pass for the
-            # whole event, however many matrices it hit).
-            rows = self._edge_rows
-            hit = self._edge_alive[:rows] & np.isin(
-                self._edges[_CID, :rows], list(changed_cids)
-            )
-            self._touch_endpoints(np.flatnonzero(hit))
+            # Matrices born after the last flush/rebuild (a pending
+            # structural delta allocated them) are not in the live plan's
+            # stack yet; the pending flush picks the new value up from
+            # self._matrices, so only patch ids the stack knows.
+            if changed and cid < self.plan.stacked:
+                self.plan.set_cost_matrix(cid, matrix)
 
     def _apply_unary_constraint(self, event) -> None:
         """Pin/Unpin/Forbid/Allow: mutate the set, rewrite one unary mask.
@@ -712,7 +650,6 @@ class StreamPlan:
             and vector[self._label_of(node)] >= HARD_COST
         ):
             self.stranded = True
-        self.touched.add((host, service))
         self.dirty_masked += 1
 
     def _apply_combination(self, event: CombinationUpdate) -> None:
@@ -808,8 +745,6 @@ class StreamPlan:
                 if self._edge_keys[row][1] == tag
             ])
             del self._combo_cids[key]
-        self.touched.add((host, svc_lo))
-        self.touched.add((host, svc_hi))
         self.dirty_edges += 1
 
     def _apply_link_add(self, event: LinkAdd) -> None:
@@ -824,8 +759,6 @@ class StreamPlan:
         self.network.remove_link(event.a, event.b)
         link = _link_key(event.a, event.b)
         rows = self._link_rows(link)
-        # A removal can split a shard; both halves keep a touched key.
-        self._touch_endpoints(rows)
         self._kill_edges(rows)
         self._link_ids.pop(link, None)
         self.dirty_edges += len(rows)
@@ -877,9 +810,6 @@ class StreamPlan:
             | np.isin(self._edges[_SECOND, :rows], gone)
         )
         dead = np.flatnonzero(hit)
-        # Surviving neighbours mark the shrunken/split shards dirty (the
-        # removed variables' own keys vanish with them).
-        self._touch_endpoints(dead, skip=set(removed))
         self._kill_edges(dead)
         self.dirty_edges += len(dead)
         # The nodes become tombstones; renumbering waits for the compaction.
@@ -888,13 +818,6 @@ class StreamPlan:
         self._dead_nodes.extend(removed)
         self._nodes_dirty = True
         self.dirty_nodes += len(removed)
-
-    def _touch_endpoints(self, rows: np.ndarray, skip=frozenset()) -> None:
-        """Add the variable keys of the given edge rows' endpoints."""
-        nodes = set(self._edges[_FIRST, rows].tolist())
-        nodes.update(self._edges[_SECOND, rows].tolist())
-        for node in nodes - skip:
-            self.touched.add(self.variables[node])
 
 
 def _link_key(a: str, b: str) -> Tuple[str, str]:

@@ -7,7 +7,7 @@ Two layers:
   everywhere;
 - bit-for-bit parity of the ``native`` (C) backend's whole-sweep
   kernels against the NumPy level loop across monolithic TRW-S, BP,
-  sharded solves and warm-start streaming, on small random plans and on
+  plan-level solves and warm-start streaming, on small random plans and on
   a long-diameter chain+chord plan; plus the native guard's fallbacks and
   how solves record them — these auto-skip where no C compiler is found.
 """
@@ -32,7 +32,7 @@ from repro.mrf.backends import (
 from repro.mrf.backends.native import FALLBACK_COUNTER
 from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.graph import PairwiseMRF
-from repro.mrf.sharded import ShardedSolver
+from repro.mrf.sharded import solve_plan
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 
@@ -276,13 +276,15 @@ class TestSolverParity:
             plan.icm(reference, backend="numpy"),
         )
 
-    def test_sharded_via_global_default(self, backend):
-        mrf = make_random_mrf(18, 0.15, 3, seed=7)
-        solver = ShardedSolver(solver="trws", seed=0, max_iterations=6)
+    def test_solve_plan_via_global_default(self, backend):
+        # A sparse multi-component plan: the per-component refine pick
+        # runs under the process-wide default backend.
+        plan = MRFArrays(make_random_mrf(18, 0.15, 3, seed=7))
+        assert plan.component_count > 1
         set_default_backend("numpy")
-        reference = solver.solve(mrf)
+        reference = solve_plan(plan, seed=0, max_iterations=6)
         set_default_backend(backend)
-        result = solver.solve(mrf)
+        result = solve_plan(plan, seed=0, max_iterations=6)
         _assert_results_identical(result, reference)
 
     def test_warm_start_streaming(self, backend):

@@ -28,8 +28,7 @@ from repro.core.compile import (
 from repro.core.costs import build_mrf
 from repro.core.diversify import diversify
 from repro.mrf.bp import LoopyBPSolver
-from repro.mrf.partition import split_components, zone_groups
-from repro.mrf.sharded import ShardedSolver, solve_plan
+from repro.mrf.sharded import solve_plan
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 from repro.network.constraints import (
@@ -46,7 +45,6 @@ from repro.network.generator import (
     random_similarity,
 )
 from repro.network.model import Network
-from repro.network.zones import Zone, ZonedNetwork
 from repro.nvd.similarity import SimilarityTable
 
 # ---------------------------------------------------------------- fixtures
@@ -345,69 +343,6 @@ class TestDiversifyRouting:
         assert classic.is_certified_optimal(tolerance=1e-6)
 
 
-# ----------------------------------------------------------- zone sharding
-
-
-class TestZoneShards:
-    def zoned_workload(self):
-        zones = [
-            Zone("it", ("a", "b", "c"), topology="chain"),
-            Zone("ot", ("d", "e"), topology="chain"),
-            Zone("dmz", ("f",)),
-        ]
-        zoned = ZonedNetwork(zones, rules=[])  # air-gapped
-        spec = {"os": ["w", "l", "m"], "db": ["d1", "d2"]}
-        net = zoned.build_network({h: spec for h in zoned.hosts()})
-        sim = SimilarityTable(
-            products=["w", "l", "m", "d1", "d2"],
-            pairs={("w", "l"): 0.5, ("l", "m"): 0.3, ("d1", "d2"): 0.6},
-        )
-        return net, sim, zoned
-
-    def test_zone_shards_exact(self):
-        net, sim, zoned = self.zoned_workload()
-        mono = diversify(net, sim)
-        zone_sharded = diversify(net, sim, shards="zones", zones=zoned)
-        assert zone_sharded.energy == pytest.approx(mono.energy, abs=1e-9)
-        assert zone_sharded.solver_result.solver == "trws-sharded"
-
-    def test_zone_shards_python_pipeline(self):
-        net, sim, zoned = self.zoned_workload()
-        zone_sharded = diversify(net, sim, shards="zones", zones=zoned)
-        build = build_mrf(net, sim)
-        plan = MRFArrays(build.mrf)
-        partition = split_components(
-            plan, groups=zone_groups(build.variables, zoned)
-        )
-        python = ShardedSolver(solver="trws").solve_arrays(
-            plan, partition=partition
-        )
-        assert zone_sharded.energy == pytest.approx(python.energy, abs=1e-9)
-
-    def test_zones_required(self):
-        net, sim, _zoned = self.zoned_workload()
-        with pytest.raises(ValueError):
-            diversify(net, sim, shards="zones")
-
-    def test_scalability_cell_accepts_zones(self):
-        from repro.experiments import scalability_cell
-
-        config = RandomNetworkConfig(hosts=24, degree=3, services=2, seed=0)
-        mono = scalability_cell(config)
-        zoned = scalability_cell(config, shards="zones")
-        assert zoned.energy == pytest.approx(mono.energy, abs=1e-9)
-
-    def test_cli_parses_zone_shards(self):
-        from repro.cli import build_parser
-
-        for mode in ("components", "zones", "cut"):
-            args = build_parser().parse_args(["table7", "--shards", mode])
-            assert args.shards == mode
-        # Shards solve serially, so a shard count means nothing: rejected.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table7", "--shards", "4"])
-
-
 # -------------------------------------------------------- vectorized energy
 
 
@@ -517,20 +452,6 @@ class TestSolverScratch:
         without = TRWSSolver().solve_arrays(plan, messages=messages_b)
         assert with_scratch.labels == without.labels
         assert np.array_equal(messages_a, messages_b)
-
-    def test_sharded_solver_matches_serial(self):
-        # ShardedSolver reuses one scratch across all of its shards; each
-        # shard solved on a fresh scratch must give the same labelling.
-        net, sim = workload(hosts=30, degree=3, services=3, seed=6)
-        plan = compile_plan(net, sim).plan
-        sharded = ShardedSolver(solver="trws").solve_arrays(plan)
-        partition = split_components(plan)
-        assert len(partition) > 1
-        fresh = partition.stitch(
-            [solve_plan(shard.plan, seed=shard.index).labels
-             for shard in partition]
-        )
-        assert sharded.labels == [int(x) for x in fresh]
 
     def test_solve_plan_matches_mrf_solve(self):
         net, sim = workload(hosts=18, degree=4, services=2, seed=7)

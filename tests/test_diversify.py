@@ -169,12 +169,27 @@ class TestSolverSelection:
     def test_removed_option_raises_type_error(self, two_product_table):
         # ``fast_path`` is no option: it raises like any unknown solver
         # option, also on forests, whose exact DP takes no options.
-        for shards in (None, "components"):
+        for shards in (None, "cut"):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 diversify(
                     chain_network(3), two_product_table, shards=shards,
                     fast_path=False,
                 )
+
+    @pytest.mark.parametrize("solver", ["bp", "icm", "exact", "anneal"])
+    def test_cut_shards_need_trws(self, solver, two_product_table):
+        # Dual decomposition needs certified TRW-S shard bounds; any
+        # other solver raises instead of silently solving unsharded.
+        with pytest.raises(ValueError, match=f"got '{solver}'"):
+            diversify(
+                chain_network(6), two_product_table, solver=solver,
+                shards="cut",
+            )
+
+    @pytest.mark.parametrize("shards", ["components", "zones", "4"])
+    def test_removed_shard_modes_raise(self, shards, two_product_table):
+        with pytest.raises(ValueError, match="shards must be None or 'cut'"):
+            diversify(chain_network(3), two_product_table, shards=shards)
 
     def test_trws_matches_exact_on_small_net(self):
         net = ring_network(5, services={"svc": ["p0", "p1", "p2"]})
@@ -209,7 +224,7 @@ class TestHeterogeneousNetworks:
 
 class TestImportGraph:
     def test_solve_path_loads_no_pool_modules(self):
-        # The solve path runs shards serially: importing it must not pull in
+        # The solve path runs in-process: importing it must not pull in
         # the experiment runner or multiprocessing (startup every caller
         # pays).  A fresh interpreter sees the real import graph.
         src = str(Path(repro.__file__).resolve().parent.parent)

@@ -241,29 +241,6 @@ class TestSpans:
         assert result.labels == baseline.labels
         assert result.lower_bound == result.energy
 
-    def test_shard_batch_span_covers_serial_shard_loop(self):
-        from repro.mrf.sharded import ShardedSolver
-
-        mrf = PairwiseMRF()  # two disjoint frustrated rings = two shards
-        agree = np.array([[1.0, 0.0], [0.0, 1.0]])
-        for ring in range(2):
-            base = mrf.node_count
-            for i in range(5):
-                mrf.add_node([0.1 * i, 0.0])
-            for i in range(5):
-                mrf.add_edge(base + i, base + (i + 1) % 5, agree)
-        trace = obs.activate(obs.Trace())
-        try:
-            ShardedSolver(solver="trws").solve(mrf)
-        finally:
-            obs.deactivate()
-        (batch,) = [e for e in trace.events if e["name"] == "shard.batch"]
-        assert batch["args"]["shards"] == 2
-        assert "executor" not in batch["args"]
-        assert batch["args"]["shard_seconds_max"] > 0
-        solves = [e for e in trace.events if e["name"] == "shard.solve"]
-        assert [e["args"]["shard"] for e in solves] == [0, 1]
-
     @pytest.mark.skipif(
         not get_backend("native").available,
         reason="native backend needs a C compiler",
@@ -489,7 +466,7 @@ class TestTraceCli:
         # the breakdown tables follow the file lines
         assert "self" in text or "total" in text
 
-    def test_trace_stream_sharded_report(self, tmp_path, capsys):
+    def test_trace_stream_report(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         text = self._run(
             ["trace", "stream", "--hosts", "10", "--degree", "2",
@@ -499,10 +476,10 @@ class TestTraceCli:
         )
         assert "wrote" in text
         assert out.exists()
-        # the sharded engine leaves shard solve spans in the trace
+        # the incremental engine leaves one stream.solve span per solve
         payload = json.loads(out.read_text())
-        names = {event.get("name") for event in payload["traceEvents"]}
-        assert any(name and name.startswith("shard") for name in names)
+        names = [event.get("name") for event in payload["traceEvents"]]
+        assert names.count("stream.solve") == 4  # the first solve + 3 events
 
     def test_trace_after_deactivate_leaves_recorder_clean(
         self, tmp_path, capsys

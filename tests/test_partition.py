@@ -1,23 +1,16 @@
-"""Tests for the shard layer's partitioning (repro.mrf.partition)."""
+"""Tests for the dual tier's edge-cut partitioning (repro.mrf.partition)."""
 
 import numpy as np
 import pytest
 
 from repro.core.costs import build_mrf
-from repro.mrf.partition import (
-    balanced_blocks,
-    cut_parts,
-    split_components,
-    split_parts,
-    zone_groups,
-)
+from repro.mrf.partition import balanced_blocks, cut_parts
 from repro.mrf.vectorized import MRFArrays
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
     random_similarity,
 )
-from repro.network.zones import Zone, ZonedNetwork
 
 
 def workload(hosts=30, degree=2, services=3, pps=6, seed=0):
@@ -52,139 +45,6 @@ def connected_plan(hosts=24, seed=0):
     return plan_for(net, table)
 
 
-def zoned_workload(zones=3, hosts_per_zone=6, products=4):
-    """Air-gapped multi-zone network: each zone is its own component."""
-    zone_objs = [
-        Zone(
-            f"zone{k}",
-            tuple(f"z{k}h{i}" for i in range(hosts_per_zone)),
-            topology="ring",
-        )
-        for k in range(zones)
-    ]
-    zoned = ZonedNetwork(zone_objs, rules=[])
-    spec = {
-        "os": tuple(f"os_p{j}" for j in range(products)),
-        "db": tuple(f"db_p{j}" for j in range(products)),
-    }
-    catalog = {host: spec for host in zoned.hosts()}
-    network = zoned.build_network(catalog)
-    import random
-
-    rng = random.Random(7)
-    from repro.nvd.similarity import SimilarityTable
-
-    table = SimilarityTable()
-    for service_products in spec.values():
-        for product in service_products:
-            table.add_product(product)
-        for i, a in enumerate(service_products):
-            for b in service_products[i + 1 :]:
-                table.set(a, b, round(rng.uniform(0.05, 0.8), 3))
-    return zoned, network, table
-
-
-class TestSplitComponents:
-    def test_shards_are_connected_components(self):
-        net, table = workload()
-        build = build_mrf(net, table)
-        plan = MRFArrays(build.mrf)
-        partition = split_components(plan)
-        expected = build.mrf.connected_components()
-        assert len(partition) == len(expected)
-        got = sorted(sorted(int(i) for i in s.nodes) for s in partition)
-        assert got == sorted(expected)
-
-    def test_node_edge_maps_cover_plan(self):
-        net, table = workload(seed=1)
-        plan = plan_for(net, table)
-        partition = split_components(plan)
-        all_nodes = np.sort(np.concatenate([s.nodes for s in partition]))
-        all_edges = np.sort(np.concatenate([s.edges for s in partition]))
-        assert np.array_equal(all_nodes, np.arange(plan.node_count))
-        assert np.array_equal(all_edges, np.arange(plan.edge_count))
-        for shard in partition:
-            # Shard plans share the parent's padding.
-            assert shard.plan.lmax == plan.lmax
-            assert shard.plan.node_count == len(shard.nodes)
-            assert shard.plan.edge_count == len(shard.edges)
-
-    def test_stitch_energy_equals_global_energy(self):
-        net, table = workload(seed=2)
-        plan = plan_for(net, table)
-        partition = split_components(plan)
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, plan.label_counts)
-        total = sum(
-            shard.plan.energy(labels[shard.nodes]) for shard in partition
-        )
-        assert total == pytest.approx(plan.energy(labels), abs=1e-9)
-        stitched = partition.stitch(
-            [labels[shard.nodes] for shard in partition]
-        )
-        assert np.array_equal(stitched, labels)
-
-    def test_message_split_scatter_roundtrip(self):
-        net, table = workload(seed=3)
-        plan = plan_for(net, table)
-        partition = split_components(plan)
-        rng = np.random.default_rng(1)
-        messages = rng.normal(size=(2 * plan.edge_count, plan.lmax))
-        pieces = partition.split_messages(messages)
-        assert sum(len(p) for p in pieces) == len(messages)
-        restored = np.zeros_like(messages)
-        partition.scatter_messages(pieces, restored)
-        assert np.array_equal(restored, messages)
-
-    def test_shard_plans_built_lazily(self):
-        # The sharded streaming engine partitions every solve but only
-        # touches dirty shards' plans; clean shards must stay unbuilt.
-        net, table = workload(seed=5)
-        plan = plan_for(net, table)
-        partition = split_components(plan)
-        assert all(shard._plan is None for shard in partition)
-        first = partition.shards[0].plan
-        assert partition.shards[0]._plan is first  # cached
-        assert all(shard._plan is None for shard in partition.shards[1:])
-
-    def test_empty_plan(self):
-        partition = split_parts([], np.zeros(0), np.zeros(0), np.zeros(0), [])
-        assert len(partition) == 0
-        assert partition.stitch([]).shape == (0,)
-
-    def test_isolated_nodes_become_singleton_shards(self):
-        partition = split_parts(
-            [np.zeros(2), np.zeros(3)], np.zeros(0), np.zeros(0),
-            np.zeros(0), [],
-        )
-        assert len(partition) == 2
-        assert [list(s.nodes) for s in partition] == [[0], [1]]
-
-
-class TestZoneGroups:
-    def test_zone_grouping_merges_per_service_components(self):
-        zoned, network, table = zoned_workload(zones=3)
-        build = build_mrf(network, table)
-        plan = MRFArrays(build.mrf)
-        fine = split_components(plan)
-        # Two services per zone → two components per zone.
-        assert len(fine) == 6
-        groups = zone_groups(build.variables, zoned)
-        grouped = split_components(plan, groups=groups)
-        assert len(grouped) == 3
-        # Each grouped shard holds exactly one zone's variables.
-        for shard in grouped:
-            hosts = {build.variables[int(i)][0] for i in shard.nodes}
-            zones = {zoned.zone_of(h) for h in hosts}
-            assert len(zones) == 1
-
-    def test_unknown_hosts_stay_unconstrained(self):
-        zoned, network, table = zoned_workload(zones=2)
-        groups = zone_groups([("nowhere", "os"), ("z0h0", "os")], zoned)
-        assert groups[0] is None
-        assert groups[1] is not None
-
-
 class TestStitchValidation:
     """Regression: degenerate partitions must round-trip, not truncate.
 
@@ -194,10 +54,10 @@ class TestStitchValidation:
     """
 
     def _singleton_partition(self):
-        # Two isolated nodes + one edgeless pair: all shards are tiny.
-        return split_parts(
+        # Three edgeless nodes cut three ways: every shard is one node.
+        return cut_parts(
             [np.zeros(2), np.zeros(3), np.zeros(2)],
-            np.zeros(0), np.zeros(0), np.zeros(0), [],
+            np.zeros(0), np.zeros(0), np.zeros(0), [], parts=3,
         )
 
     def test_single_node_zero_edge_shards_round_trip(self):

@@ -2,11 +2,18 @@
 metrics, and on-disk snapshots (byte-identical restore + warm parity)."""
 
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.costs import assignment_energy
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -15,6 +22,7 @@ from repro.network.generator import (
 from repro.service import (
     SNAPSHOT_SCHEMA,
     DiversificationService,
+    ServiceClient,
     ServiceConfig,
     ServiceMetrics,
     latest_snapshot,
@@ -29,11 +37,15 @@ from repro.stream import (
     DynamicDiversifier,
     HostJoin,
     HostLeave,
+    LinkAdd,
     LinkRemove,
     event_from_dict,
     event_to_dict,
     random_churn_trace,
 )
+
+LEGACY_SNAPSHOTS = Path(__file__).parent / "data" / "sharded_daemon_snapshot"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def workload(hosts=24, degree=2, services=2, pps=4, seed=0):
@@ -151,7 +163,6 @@ class TestSnapshotRoundTrip:
 
         live = engine.plan
         live.flush()
-        live.pad_messages()
         restored = restore_plan(snapshot)
 
         assert restored.variables == live.variables
@@ -279,13 +290,96 @@ class TestSnapshotRoundTrip:
     def test_latest_on_empty_directory(self, tmp_path):
         assert latest_snapshot(tmp_path) is None
 
-    def test_sharded_engine_round_trip(self, tmp_path):
-        engine, _ = churny_engine(seed=7, sharded=True, constraint_weight=0.0)
-        reference = engine.solve()
-        path = save_snapshot(engine, tmp_path, version=1)
-        twin, _ = restore_engine(path, sharded=True)
-        restarted = twin.solve()
-        assert restarted.energy == pytest.approx(reference.energy, abs=1e-12)
+
+
+class TestShardedDaemonSnapshot:
+    """Upgrade path: snapshots of a ``repro serve --sharded`` daemon.
+
+    ``tests/data/sharded_daemon_snapshot`` was written by the last build
+    with the flag (commit 5e289f5): schema 2, plus a ``shard_cache`` meta
+    key and ``shards_total``/``shards_solved`` view fields that this build
+    neither reads nor writes.
+    """
+
+    def _snapshots(self, tmp_path):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(LEGACY_SNAPSHOTS, snaps)
+        return snaps
+
+    def test_legacy_keys_load_and_warm_restart(self, tmp_path):
+        snapshot = load_snapshot(self._snapshots(tmp_path) / "snap-00000003")
+        assert snapshot.meta["schema"] == SNAPSHOT_SCHEMA == 2
+        assert snapshot.meta["shard_cache"]
+        assert snapshot.view["shards_total"] == 4
+        engine, _ = restore_engine(snapshot)
+        first = engine.solve()
+        assert first.warm
+        assert first.energy <= snapshot.view["energy"] + 1e-9
+        network, similarity = engine.network, engine.similarity
+        for event in random_churn_trace(
+            network.copy(), ChurnConfig(events=4, seed=3)
+        ):
+            engine.apply(event)
+            result = engine.solve()
+            assert result.energy == pytest.approx(
+                assignment_energy(
+                    network, similarity, result.assignment,
+                    constraints=engine.constraints,
+                ),
+                abs=1e-9,
+            )
+
+    def test_new_snapshots_drop_the_shard_keys(self, tmp_path):
+        snaps = self._snapshots(tmp_path)
+        service = DiversificationService.from_snapshot(
+            ServiceConfig(port=0, snapshot_dir=str(snaps))
+        )
+        assert service.view.version == 3
+        service._write_snapshot()
+        meta = load_snapshot(latest_snapshot(snaps)).meta
+        assert meta["schema"] == SNAPSHOT_SCHEMA
+        assert "shard_cache" not in meta
+        assert not {"shards_total", "shards_solved"} & set(meta["view"])
+
+    def test_serve_restore_republishes_and_continues(self, tmp_path):
+        snaps = self._snapshots(tmp_path)
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--snapshot-dir", str(snaps), "--restore"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            for line in daemon.stdout:  # log lines precede the banner
+                match = re.search(r"listening on http://[^:]+:(\d+)", line)
+                if match:
+                    break
+            assert match, "daemon exited before listening"
+            client = ServiceClient(port=int(match.group(1)))
+            health = client.healthz()
+            assert "sharded" not in health
+            restored = client.assignment()
+            assert restored["version"] == 3
+            legacy = load_snapshot(snaps / "snap-00000003").view
+            assert restored["energy"] == legacy["energy"]
+            a, b = load_snapshot(snaps / "snap-00000003").network.links[0]
+            client.post_events([LinkRemove(a, b), LinkAdd(a, b)])
+            client.wait_idle()
+            assert client.assignment()["version"] > 3
+            client.shutdown()
+            assert daemon.wait(timeout=60) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stdout.close()
+        meta = load_snapshot(latest_snapshot(snaps)).meta
+        assert meta["version"] > 3
+        assert "shard_cache" not in meta
 
 
 class TestPublishSpan:

@@ -328,11 +328,10 @@ class TestCliWiring:
 
     def test_serve_parser_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--sharded", "--snapshot-dir", "/tmp/x",
+            ["serve", "--port", "0", "--snapshot-dir", "/tmp/x",
              "--snapshot-every", "5", "--restore"]
         )
         assert args.port == 0
-        assert args.sharded
         assert args.snapshot_every == 5
         assert args.restore
 
@@ -372,28 +371,13 @@ class TestObservability:
             text = client.metrics_text()
             assert 'repro_build_info{' in text
             assert 'solver="trws"' in text
+            assert "sharded" not in text
             # The boot solve is a cold first solve — counted by reason.
             assert 'repro_escalations_total{reason="first_solve"} 1' in text
-            # Custom buckets replace the defaults in both histograms.
+            # Custom buckets replace the defaults in the histogram.
             assert 'repro_solve_seconds_bucket{le="0.05"}' in text
             assert 'repro_solve_seconds_bucket{le="0.001"}' not in text
-            assert 'repro_shard_solve_seconds_bucket{le="+Inf"}' in text
-
-    def test_sharded_service_populates_shard_histogram(self):
-        network, similarity = workload(seed=10)
-        trace_events = random_churn_trace(
-            network, ChurnConfig(events=4, seed=10)
-        )
-        config = ServiceConfig(port=0, sharded=True, batch_max=1)
-        with running_service(network, similarity, config) as (client, _):
-            client.send(trace_events)
-            client.wait_idle()
-            text = client.metrics_text()
-            count = [
-                line for line in text.splitlines()
-                if line.startswith("repro_shard_solve_seconds_count")
-            ]
-            assert count and int(count[0].split()[-1]) > 0
+            assert "repro_shard_solve_seconds" not in text
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="log_level"):
@@ -418,7 +402,7 @@ class TestObservability:
         args = build_parser().parse_args(["trace", "stream"])
         assert args.workload == "stream"
         assert args.out == "repro-trace.json"
-        assert not args.monolithic
+        assert not hasattr(args, "monolithic")  # one engine, no switch
 
 
 class TestClientResilience:

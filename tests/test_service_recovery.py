@@ -157,26 +157,6 @@ class TestCrashRecoveryParity:
         for key in PARITY_KEYS:
             assert post[key] == twin[key], key
 
-    def test_sharded_recovery_matches_sharded_twin(self, tmp_path):
-        network, similarity = workload(seed=12)
-        trace = random_churn_trace(network, ChurnConfig(events=8, seed=12))
-        durable = dict(
-            wal_dir=tmp_path / "wal",
-            snapshot_dir=tmp_path / "snaps",
-            snapshot_every=4,
-            fsync="always",
-            sharded=True,
-        )
-        twin = run_to_completion(network, similarity, trace, sharded=True)
-        pre = crash_after(network, similarity, trace, len(trace), **durable)
-        restarted = DiversificationService.from_snapshot(
-            ServiceConfig(port=0, batch_max=1, **durable)
-        )
-        with running_service(restarted) as (client, _):
-            post = client.assignment()
-        for key in PARITY_KEYS:
-            assert post[key] == pre[key] == twin[key], key
-
     def test_seeded_crash_points_sweep(self, tmp_path):
         # Property-style: several seeds, each with a derived kill point;
         # every one must recover to twin parity.

@@ -288,6 +288,27 @@ class TestWarmStartParity:
             )
             assert result.assignment.is_complete()
 
+    def test_parity_with_correlated_bursts(self):
+        # Rack joins merge components, host leaves split them; the burst
+        # trace exercises both while parity must hold.  join_degree stays
+        # at 1 so the trace remains inside the sparse, well-colorable
+        # family the warm/cold parity contract covers.
+        net, table = workload(seed=3)
+        trace = random_churn_trace(
+            net,
+            ChurnConfig(events=10, seed=4, rack_size=2, vendor_batch=2,
+                        join_degree=1, weights=(2.0, 1.0, 1.0, 1.0, 2.0)),
+        )
+        engine = DynamicDiversifier(net.copy(), table.copy())
+        engine.solve()
+        check_net, check_table = net.copy(), table.copy()
+        for event in trace:
+            engine.apply(event)
+            result = engine.solve()
+            apply_event(check_net, check_table, event)
+            cold = diversify(check_net, check_table)
+            assert result.energy == pytest.approx(cold.energy, abs=1e-9)
+
 
 class TestDynamicDiversifier:
     def test_warm_flag_lifecycle(self):
@@ -367,6 +388,39 @@ class TestDynamicDiversifier:
         with pytest.raises(ValueError):
             DynamicDiversifier(net, table, cost_jump_threshold=-1.0)
 
+    def test_similarity_update_on_freshly_created_matrix(self):
+        # Regression: a LinkAdd between hosts whose candidate-range pair
+        # was not previously adjacent allocates a new cost matrix; a
+        # SimilarityUpdate landing in it before the next flush used to
+        # patch the stale cost stack out of range and crash.
+        net = Network()
+        net.add_host("a1", {"svc": ("p0", "p1")})
+        net.add_host("a2", {"svc": ("p0", "p1")})
+        net.add_host("b1", {"svc": ("q0", "q1")})
+        net.add_host("b2", {"svc": ("q0", "q1")})
+        net.add_links([("a1", "a2"), ("b1", "b2")])
+        table = SimilarityTable(
+            pairs={("p0", "p1"): 0.4, ("q0", "q1"): 0.3}
+        )
+        engine = DynamicDiversifier(net, table, rebuild_fraction=1.0)
+        engine.solve()
+        # New (p-range, q-range) adjacency → a fresh cost matrix...
+        engine.apply(LinkAdd("a1", "b1"))
+        engine.solve()
+        # ... which the next feed re-score must land in without crashing.
+        engine.apply(SimilarityUpdate("p0", "q1", 0.8))
+        result = engine.solve()
+        assert result.energy == pytest.approx(
+            assignment_energy(net, table, result.assignment), abs=1e-9
+        )
+        # And batched in one delta (structural + value before a solve).
+        engine.apply(LinkAdd("a2", "b2"))
+        engine.apply(SimilarityUpdate("p1", "q0", 0.7))
+        result = engine.solve()
+        assert result.energy == pytest.approx(
+            assignment_energy(net, table, result.assignment), abs=1e-9
+        )
+
 
 class TestCorrelatedTraces:
     def test_default_config_unchanged(self):
@@ -433,217 +487,6 @@ class TestCorrelatedTraces:
             ChurnConfig(vendor_batch=0)
 
 
-class TestShardedEngine:
-    """The sharded engine's contract: per-component re-solves are exact
-    and touch only the shards hit by each event."""
-
-    @pytest.mark.parametrize("wseed,tseed", [(0, 0), (1, 1), (2, 2)])
-    def test_energy_parity_along_trace(self, wseed, tseed):
-        net, table = workload(seed=wseed)
-        trace = random_churn_trace(net, ChurnConfig(events=8, seed=tseed))
-        engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        initial = engine.solve()
-        assert initial.energy == pytest.approx(
-            diversify(net, table).energy, abs=1e-9
-        )
-        assert initial.shards_solved == initial.shards_total
-        check_net, check_table = net.copy(), table.copy()
-        for event in trace:
-            engine.apply(event)
-            result = engine.solve()
-            apply_event(check_net, check_table, event)
-            cold = diversify(check_net, check_table)
-            assert result.energy == pytest.approx(cold.energy, abs=1e-9)
-            assert result.energy == pytest.approx(
-                assignment_energy(check_net, check_table, result.assignment),
-                abs=1e-9,
-            )
-
-    def test_parity_with_correlated_bursts(self):
-        # Rack joins merge shards, host leaves split them; the burst trace
-        # exercises both while parity must hold.  join_degree stays at 1 so
-        # the trace remains inside the sparse, well-colorable family the
-        # warm/cold parity contract covers (dense rack joins leave it for
-        # the monolithic engine too).
-        net, table = workload(seed=3)
-        trace = random_churn_trace(
-            net,
-            ChurnConfig(events=10, seed=4, rack_size=2, vendor_batch=2,
-                        join_degree=1, weights=(2.0, 1.0, 1.0, 1.0, 2.0)),
-        )
-        engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        engine.solve()
-        check_net, check_table = net.copy(), table.copy()
-        for event in trace:
-            engine.apply(event)
-            result = engine.solve()
-            apply_event(check_net, check_table, event)
-            cold = diversify(check_net, check_table)
-            assert result.energy == pytest.approx(cold.energy, abs=1e-9)
-
-    def test_only_touched_shards_resolve(self):
-        net, table = workload(seed=6)
-        engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        first = engine.solve()
-        assert first.shards_total > 1
-        # A similarity event inside one service's matrix touches only the
-        # components pricing through it.
-        host = engine.network.hosts[0]
-        products = engine.network.candidates(host, "s0")
-        engine.apply(SimilarityUpdate(products[0], products[1], 0.9))
-        result = engine.solve()
-        assert result.warm
-        assert 0 < result.shards_solved < result.shards_total
-
-    def test_clean_shard_state_untouched(self):
-        net, table = workload(seed=7)
-        engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        engine.solve()
-        plan = engine.plan
-
-        def edge_rows():
-            """Edge identity → its pair of directed message rows."""
-            return {
-                (plan._edge_keys[e], plan.variables[plan._edge_first[e]]):
-                    plan.messages[2 * e : 2 * e + 2].copy()
-                for e in range(plan.edge_count)
-            }
-
-        rows_before = edge_rows()
-        labels_before = {
-            key: int(plan.labels[node])
-            for node, key in enumerate(plan.variables)
-        }
-        a, b = engine.network.links[0]
-        engine.apply(LinkRemove(a, b))
-        touched = set(plan.touched)
-        assert touched
-        result = engine.solve()
-        assert result.warm
-        assert 0 < result.shards_solved < result.shards_total
-
-        # Recompute the partition the solve ran over and classify shards.
-        from repro.mrf.partition import split_parts
-
-        unaries, first, second, cid, matrices = plan.parts()
-        partition = split_parts(unaries, first, second, cid, matrices,
-                                lmax=plan.messages.shape[1])
-        clean_nodes = set()
-        clean_count = 0
-        for shard in partition:
-            keys = {plan.variables[int(n)] for n in shard.nodes}
-            if not keys & touched:
-                clean_count += 1
-                clean_nodes.update(int(n) for n in shard.nodes)
-        assert clean_count == result.shards_total - result.shards_solved
-        assert clean_nodes
-
-        # Clean-shard variables kept their labels ...
-        for node in clean_nodes:
-            key = plan.variables[node]
-            assert int(plan.labels[node]) == labels_before[key]
-        # ... and clean-shard edges kept their message rows byte-for-byte.
-        rows_after = edge_rows()
-        compared = 0
-        for e in range(plan.edge_count):
-            if plan._edge_first[e] in clean_nodes:
-                identity = (plan._edge_keys[e],
-                            plan.variables[plan._edge_first[e]])
-                assert np.array_equal(rows_after[identity],
-                                      rows_before[identity])
-                compared += 1
-        assert compared > 0
-
-    def test_merge_and_split_tracked(self):
-        net, table = tiny_network()  # one chain h0-h1-h2-h3, 2 services
-        engine = DynamicDiversifier(
-            net, table, sharded=True, rebuild_fraction=1.0
-        )
-        first = engine.solve()
-        assert first.shards_total == 2  # one component per service
-        engine.apply(LinkRemove("h1", "h2"))
-        split = engine.solve()
-        assert split.shards_total == 4  # both services split in two
-        assert split.warm
-        engine.apply(LinkAdd("h1", "h2"))
-        merged = engine.solve()
-        assert merged.shards_total == 2
-        assert merged.warm
-
-    def test_cold_rebuild_falls_back(self):
-        net, table = workload(seed=6)
-        engine = DynamicDiversifier(
-            net, table, sharded=True, rebuild_fraction=0.1
-        )
-        engine.solve()
-        for a, b in list(engine.network.links)[:12]:
-            engine.apply(LinkRemove(a, b))
-        result = engine.solve()
-        assert not result.warm
-        assert result.shards_solved == result.shards_total
-
-    def test_bp_sharded_parity(self):
-        net, table = workload(hosts=16, seed=8)
-        engine = DynamicDiversifier(net.copy(), table.copy(), solver="bp",
-                                    sharded=True)
-        engine.solve()
-        a, b = engine.network.links[0]
-        engine.apply(LinkRemove(a, b))
-        result = engine.solve()
-        assert result.warm
-        assert result.energy == pytest.approx(
-            assignment_energy(engine.network, engine.similarity,
-                              result.assignment),
-            abs=1e-9,
-        )
-
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_similarity_update_on_freshly_created_matrix(self, sharded):
-        # Regression: a LinkAdd between hosts whose candidate-range pair
-        # was not previously adjacent allocates a new cost matrix; a
-        # SimilarityUpdate landing in it before the next flush (monolithic
-        # batch) or ever (sharded mode never flushes the global plan) used
-        # to patch the stale cost stack out of range and crash.
-        net = Network()
-        net.add_host("a1", {"svc": ("p0", "p1")})
-        net.add_host("a2", {"svc": ("p0", "p1")})
-        net.add_host("b1", {"svc": ("q0", "q1")})
-        net.add_host("b2", {"svc": ("q0", "q1")})
-        net.add_links([("a1", "a2"), ("b1", "b2")])
-        table = SimilarityTable(
-            pairs={("p0", "p1"): 0.4, ("q0", "q1"): 0.3}
-        )
-        engine = DynamicDiversifier(
-            net, table, sharded=sharded, rebuild_fraction=1.0
-        )
-        engine.solve()
-        # New (p-range, q-range) adjacency → a fresh cost matrix...
-        engine.apply(LinkAdd("a1", "b1"))
-        engine.solve()
-        # ... which the next feed re-score must land in without crashing.
-        engine.apply(SimilarityUpdate("p0", "q1", 0.8))
-        result = engine.solve()
-        assert result.energy == pytest.approx(
-            assignment_energy(net, table, result.assignment), abs=1e-9
-        )
-        # And batched in one delta (structural + value before a solve).
-        engine.apply(LinkAdd("a2", "b2"))
-        engine.apply(SimilarityUpdate("p1", "q0", 0.7))
-        result = engine.solve()
-        assert result.energy == pytest.approx(
-            assignment_energy(net, table, result.assignment), abs=1e-9
-        )
-
-    def test_sharded_replay_records(self):
-        net, table = workload(hosts=12, seed=10)
-        trace = random_churn_trace(net, ChurnConfig(events=4, seed=10))
-        report = replay_trace(net, table, trace, sharded=True)
-        for record in report.records:
-            assert record.shards_total is not None
-            assert 0 <= record.shards_solved <= record.shards_total
-            assert "shards=" in record.row()
-
-
 class TestReplayDriver:
     def test_records_and_summary(self):
         net, table = workload(seed=9)
@@ -671,55 +514,3 @@ class TestReplayDriver:
         trace = random_churn_trace(net, ChurnConfig(events=3, seed=10))
         report = replay_trace(net, table, trace, warm_start=False)
         assert report.warm_count == 0
-
-
-class TestDualShardEngine:
-    """`dual_shard_nodes` routes giant dirty shards through the edge-cut
-    dual solver: energies stay ground-truth, the cached bound is the dual
-    loop's certified global bound, and the path actually fires."""
-
-    def test_validation(self):
-        net, table = workload(hosts=8)
-        with pytest.raises(ValueError, match="dual_shard_nodes"):
-            DynamicDiversifier(net, table, sharded=True, dual_shard_nodes=0)
-        with pytest.raises(ValueError, match="solver='trws'"):
-            DynamicDiversifier(
-                net, table, sharded=True, solver="bp", dual_shard_nodes=4
-            )
-
-    def test_dual_resolve_ground_truth_along_trace(self):
-        from repro import obs
-
-        net, table = workload(seed=11)
-        trace = random_churn_trace(net, ChurnConfig(events=6, seed=11))
-        # Threshold 1: every dirty shard re-solves through the dual loop.
-        engine = DynamicDiversifier(
-            net.copy(), table.copy(), sharded=True, dual_shard_nodes=1,
-            dual_options={"parts": 2, "seed": 0},
-        )
-        engine.solve()
-        check_net, check_table = net.copy(), table.copy()
-        token = obs.begin_capture()
-        try:
-            fired = 0
-            for event in trace:
-                engine.apply(event)
-                result = engine.solve()
-                apply_event(check_net, check_table, event)
-                cold = diversify(check_net, check_table)
-                # Ground truth: the reported energy is the model-level
-                # energy of the returned assignment, always.
-                assert result.energy == pytest.approx(
-                    assignment_energy(
-                        check_net, check_table, result.assignment
-                    ),
-                    abs=1e-9,
-                )
-                # The dual bound is a valid global bound for the touched
-                # shard, so the engine's energy can undercut cold only
-                # within float noise.
-                assert result.energy >= cold.lower_bound - 1e-9
-        finally:
-            events = obs.end_capture(token)
-        fired = sum(1 for e in events if e["name"] == "shard.dual")
-        assert fired > 0

@@ -312,21 +312,6 @@ class TestConstraintParity:
                 abs=1e-9,
             )
 
-    @pytest.mark.parametrize("wseed,tseed", [(0, 0), (2, 2)])
-    def test_sharded_energy_parity_along_trace(self, wseed, tseed):
-        net, table = workload(seed=wseed)
-        trace = constraint_trace(net, events=10, seed=tseed)
-        engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        engine.solve()
-        check_net, check_table = net.copy(), table.copy()
-        check_cons = ConstraintSet()
-        for event in trace:
-            engine.apply(event)
-            result = engine.solve()
-            apply_event(check_net, check_table, event, check_cons)
-            cold = diversify(check_net, check_table, constraints=check_cons)
-            assert result.energy == pytest.approx(cold.energy, abs=1e-9)
-
     def test_bursty_constraint_load_parity(self):
         net, table = workload(seed=4)
         trace = random_churn_trace(
@@ -413,82 +398,6 @@ class TestConstraintParity:
             ),
             abs=1e-9,
         )
-
-
-class TestShardedConstraintDeltas:
-    def test_constraint_delta_resolves_only_touched_shards(self):
-        net, table = workload(seed=6)
-        engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        first = engine.solve()
-        assert first.shards_total > 1
-        host = engine.network.hosts[0]
-        product = engine.network.candidates(host, "s0")[1]
-        engine.apply(ForbidRange(host, "s0", product))
-        result = engine.solve()
-        assert result.warm
-        assert 0 < result.shards_solved < result.shards_total
-
-    def test_clean_shard_state_byte_identical(self):
-        """A constraint delta in one zone leaves every other shard's
-        messages and labels byte-for-byte untouched."""
-        net, table = workload(seed=7)
-        engine = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        engine.solve()
-        plan = engine.plan
-
-        def edge_rows():
-            return {
-                (plan._edge_keys[e], plan.variables[plan._edge_first[e]]):
-                    plan.messages[2 * e : 2 * e + 2].copy()
-                for e in range(plan.edge_count)
-            }
-
-        rows_before = edge_rows()
-        labels_before = {
-            key: int(plan.labels[node])
-            for node, key in enumerate(plan.variables)
-        }
-        host = engine.network.hosts[0]
-        node = plan.index[(host, "s0")]
-        current = int(plan.labels[node])
-        products = engine.network.candidates(host, "s0")
-        engine.apply(
-            PinService(host, "s0", products[(current + 1) % len(products)])
-        )
-        touched = set(plan.touched)
-        assert touched == {(host, "s0")}
-        result = engine.solve()
-        assert result.warm
-        assert 0 < result.shards_solved < result.shards_total
-
-        from repro.mrf.partition import split_parts
-
-        unaries, first, second, cid, matrices = plan.parts()
-        partition = split_parts(unaries, first, second, cid, matrices,
-                                lmax=plan.messages.shape[1])
-        clean_nodes = set()
-        clean_count = 0
-        for shard in partition:
-            keys = {plan.variables[int(n)] for n in shard.nodes}
-            if not keys & touched:
-                clean_count += 1
-                clean_nodes.update(int(n) for n in shard.nodes)
-        assert clean_count == result.shards_total - result.shards_solved
-        assert clean_nodes
-
-        for node in clean_nodes:
-            key = plan.variables[node]
-            assert int(plan.labels[node]) == labels_before[key]
-        rows_after = edge_rows()
-        compared = 0
-        for e in range(plan.edge_count):
-            if plan._edge_first[e] in clean_nodes:
-                identity = (plan._edge_keys[e],
-                            plan.variables[plan._edge_first[e]])
-                assert np.array_equal(rows_after[identity],
-                                      rows_before[identity])
-                compared += 1
-        assert compared > 0
 
 
 class TestTraceBackwardCompatibility:

@@ -9,8 +9,8 @@ every bit shows), plus a sha256 of the labels, the message array and the
 plan's edge and unary arrays.  Two source trees that print the same lines
 solve byte-identically; ``diff`` the outputs to compare them.
 
-Runs every combination of seed (0, 1), engine (monolithic, sharded) and
-batch size (64 events, 1 event) over a 512-event trace::
+Runs every combination of seed (0, 1) and batch size (64 events, 1 event)
+over a 512-event trace::
 
     python tools/stream_fingerprint.py                    # this checkout
     python tools/stream_fingerprint.py --root OTHER_TREE  # another one
@@ -51,8 +51,6 @@ def fingerprint(engine) -> str:
         *matrices,
     )
     state = digest(plan.messages, plan.labels)
-    if engine.sharded:
-        return f"parts={parts} state={state}"
     arrays = plan.plan
     live = digest(
         arrays.unary, arrays.edge_first, arrays.edge_second, arrays.edge_cid,
@@ -61,14 +59,14 @@ def fingerprint(engine) -> str:
     return f"parts={parts} state={state} plan={live}"
 
 
-def run(seed: int, sharded: bool, batch: int, events: int) -> None:
+def run(seed: int, batch: int, events: int) -> None:
     from serve import serve_inputs
 
     from repro.stream import DynamicDiversifier
 
     network, similarity, trace = serve_inputs(seed, events)
-    engine = DynamicDiversifier(network, similarity, sharded=sharded)
-    tag = f"seed={seed} sharded={int(sharded)} batch={batch}"
+    engine = DynamicDiversifier(network, similarity)
+    tag = f"seed={seed} batch={batch}"
     for solve in range(0, len(trace) // batch + 1):
         if solve:
             engine.apply_all(trace[(solve - 1) * batch : solve * batch])
@@ -92,9 +90,8 @@ def main() -> int:
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "benchmarks" / "e2e")]
     for seed in SEEDS:
-        for sharded in (False, True):
-            for batch in BATCHES:
-                run(seed, sharded, batch, EVENTS)
+        for batch in BATCHES:
+            run(seed, batch, EVENTS)
     return 0
 
 
