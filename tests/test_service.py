@@ -3,10 +3,13 @@ metrics, and on-disk snapshots (byte-identical restore + warm parity)."""
 
 import json
 import os
+import queue
 import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -353,12 +356,20 @@ class TestShardedDaemonSnapshot:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env,
         )
+        # A reader thread drains the daemon's output (a full pipe would
+        # block it) and hands the lines over with a deadline.
+        lines: "queue.Queue[str]" = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in daemon.stdout],
+            daemon=True,
+        )
+        reader.start()
         try:
-            for line in daemon.stdout:  # log lines precede the banner
+            deadline = time.monotonic() + 60
+            match = None
+            while match is None:  # log lines precede the banner
+                line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
                 match = re.search(r"listening on http://[^:]+:(\d+)", line)
-                if match:
-                    break
-            assert match, "daemon exited before listening"
             client = ServiceClient(port=int(match.group(1)))
             health = client.healthz()
             assert "sharded" not in health
@@ -376,7 +387,9 @@ class TestShardedDaemonSnapshot:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
+            reader.join(timeout=10)
             daemon.stdout.close()
+        assert not reader.is_alive()
         meta = load_snapshot(latest_snapshot(snaps)).meta
         assert meta["version"] > 3
         assert "shard_cache" not in meta
