@@ -11,7 +11,9 @@ foreign call walks every wavefront level of a plan, reading the plan's
 flat level-major arrays through a :class:`CPlan` struct that is filled
 once per plan build.  When the caller passes a per-level seconds array
 (tracing), the same loop times each level with ``CLOCK_MONOTONIC``;
-untraced calls pass ``NULL``.
+untraced calls pass ``NULL``.  One more entry point, ``repro_schedule``,
+runs at plan build: a counting sort of the edge endpoints by node and the
+two longest-path level passes over it, O(nodes + edges).
 
 Two flags are load-bearing for the bit-parity gate:
 
@@ -331,6 +333,59 @@ void repro_bound_mins(
     else bound_body(k, lmax, cost, cid, messages, mins);
 }
 
+/* The wavefront schedule of an edge set, in O(n + m).  Slot 2e is
+ * first[e]'s endpoint of edge e and slot 2e+1 second[e]'s; a stable
+ * counting sort groups the slots by node, so node v owns
+ * group[off[v]:off[v+1]] in slot order.  Over that grouping, one pass in
+ * index order gives each node's longest-path level above its
+ * lower-numbered neighbours (flevel) and one in reverse order the level
+ * above its higher-numbered ones (blevel).  Endpoints must lie in
+ * [0, n) and differ; the plan build checks both. */
+void repro_schedule(
+    int64_t n, int64_t m, const int64_t *first, const int64_t *second,
+    int64_t *group, int64_t *off, int64_t *flevel, int64_t *blevel)
+{
+    memset(off, 0, (size_t)(n + 1) * sizeof(int64_t));
+    /* Zeroed so the branch-free level passes below read defined values
+     * at the neighbours they then discard. */
+    memset(flevel, 0, (size_t)n * sizeof(int64_t));
+    memset(blevel, 0, (size_t)n * sizeof(int64_t));
+    for (int64_t e = 0; e < m; ++e) {
+        ++off[first[e] + 1];
+        ++off[second[e] + 1];
+    }
+    for (int64_t v = 0; v < n; ++v)
+        off[v + 1] += off[v];
+    /* off[v] is v's cursor while placing, and ends at v's end. */
+    for (int64_t e = 0; e < m; ++e) {
+        group[off[first[e]]++] = 2 * e;
+        group[off[second[e]]++] = 2 * e + 1;
+    }
+    for (int64_t v = n; v > 0; --v)
+        off[v] = off[v - 1];
+    off[0] = 0;
+    for (int64_t v = 0; v < n; ++v) {
+        int64_t level = 0;
+        for (int64_t k = off[v]; k < off[v + 1]; ++k) {
+            const int64_t s = group[k];
+            const int64_t u = (s & 1) ? first[s >> 1] : second[s >> 1];
+            const int64_t deeper = u < v ? flevel[u] + 1 : 0;
+            level = deeper > level ? deeper : level;
+        }
+        flevel[v] = level;
+    }
+    for (int64_t v = n - 1; v >= 0; --v) {
+        int64_t level = 0;
+        for (int64_t k = off[v]; k < off[v + 1]; ++k) {
+            const int64_t s = group[k];
+            const int64_t u = (s & 1) ? first[s >> 1] : second[s >> 1];
+            const int64_t deeper = u > v ? blevel[u] + 1 : 0;
+            level = deeper > level ? deeper : level;
+        }
+        blevel[v] = level;
+    }
+}
+
 void repro_bp_beliefs(
     int64_t n, int64_t slots, int64_t lmax, const double *unary,
     const int64_t *slot_receiver, const double *messages, double *beliefs)
@@ -465,6 +520,7 @@ _SIGNATURES = (
     ("repro_decode", [ctypes.POINTER(CPlan), _P, _P, _P, _P], None),
     ("repro_icm", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
     ("repro_bound_mins", [_I64, _I64, _P, _P, _P, _P], None),
+    ("repro_schedule", [_I64, _I64, _P, _P, _P, _P, _P, _P], None),
     ("repro_bp_beliefs", [_I64, _I64, _I64, _P, _P, _P, _P], None),
     ("repro_bp_round",
      [_I64, _I64, _P, _P, _P, _P, _P, ctypes.c_double, _P, _P, _P],
@@ -476,7 +532,7 @@ class CKernels:
     """The compiled kernel library with typed entry points.
 
     Attributes are the C functions themselves (``trws_forward``,
-    ``trws_backward``, ``decode``, ``icm``, ``bound_mins``,
+    ``trws_backward``, ``decode``, ``icm``, ``bound_mins``, ``schedule``,
     ``bp_beliefs``, ``bp_round``), taking raw addresses (``int`` or
     ``None`` for ``NULL``) for arrays and a ``POINTER(CPlan)`` for plans.
     Callers guarantee C-contiguous arrays of the documented dtypes.

@@ -14,9 +14,12 @@ methods cover TRW-S, ICM and the BP decode:
 
 Three per-call kernels complete the set: the dual-bound edge reduction
 (:meth:`KernelBackend.bound_chunk_mins`) and the synchronous BP beliefs
-and round.  Everything *around* the kernels — iteration control,
-convergence, energy bookkeeping, refinement — stays in shared Python and
-is identical across backends.
+and round.  One more kernel runs when a plan is built rather than
+solved: :meth:`KernelBackend.schedule` groups the edge endpoints by node
+and computes the wavefront levels the sweep arrays are laid out by.
+Everything *around* the kernels — iteration control, convergence, energy
+bookkeeping, refinement — stays in shared Python and is identical across
+backends.
 
 The contract is deliberately bit-for-bit: every kernel must reproduce the
 NumPy reference backend's floating-point results exactly (same operation
@@ -41,7 +44,7 @@ Buffer conventions shared by all backends (see ``docs/kernels.md``):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -142,6 +145,25 @@ class KernelBackend:
 
     # ----------------------------------------------------- per-call kernels
 
+    def schedule(
+        self,
+        n: int,
+        first: np.ndarray,
+        second: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(group, off, flevel, blevel)`` of an edge set over ``n`` nodes.
+
+        Slot ``2e`` is edge ``e``'s ``first`` endpoint and ``2e+1`` its
+        ``second``.  ``group`` (``2·edges``) lists the slots grouped by
+        node, in slot order within a node, so node ``v`` sends on
+        ``group[off[v]:off[v + 1]]`` (``off`` has ``n + 1`` entries).
+        ``flevel[v]`` is one past the deepest lower-numbered neighbour's
+        forward level (0 without one); ``blevel`` mirrors it over
+        higher-numbered neighbours.  All four are int64.  Endpoints must
+        lie in ``[0, n)`` and differ: callers go through
+        :func:`~repro.mrf.vectorized.wavefront_schedule`, which checks."""
+        raise NotImplementedError
+
     def bound_chunk_mins(
         self,
         plan: "MRFArrays",
@@ -163,8 +185,9 @@ class KernelBackend:
         messages: np.ndarray,
         beliefs: np.ndarray,
     ) -> None:
-        """Beliefs from the previous round: ``unary + Σ incoming``,
-        scatter-accumulated in slot order into ``beliefs`` in place."""
+        """Beliefs ``unary + Σ incoming``, scatter-accumulated in slot
+        order into ``beliefs`` in place: BP's beliefs from the previous
+        round, and TRW-S's starting beliefs."""
         raise NotImplementedError
 
     def bp_round(

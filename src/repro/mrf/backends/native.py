@@ -19,7 +19,10 @@ kernels' stack-buffer limit), or any array that is not C-contiguous
 ``float64`` / ``int64`` of the plan's shape, routes the call to the NumPy
 backend instead — graceful, never wrong — and increments the
 :data:`FALLBACK_COUNTER` obs counter.  The sweep methods return the
-backend that actually ran, so solvers record fallbacks truthfully.
+backend that actually ran, so solvers record fallbacks truthfully.  The
+plan-build ``schedule`` kernel needs no guard: it writes fresh arrays,
+and :func:`~repro.mrf.vectorized.wavefront_schedule` has checked the
+endpoints it indexes by.
 """
 
 from __future__ import annotations
@@ -76,13 +79,13 @@ class _PlanState:
         # a dead reference can never match a new object (no id() reuse).
         self.token = tuple(weakref.ref(x) for x in self._token(plan))
         fwd, bwd = plan.fwd_sweep, plan.bwd_sweep
+        # The BP-only slot arrays are left unread: the plan builds them
+        # (C-contiguous, of the kernels' dtypes) when BP first asks.
         checks = [
             (plan.cost, np.float64), (plan.unary_inf, np.float64),
-            (plan.slot_pad, np.bool_),
             *((a, np.int64) for a in (
-                plan.edge_cid, plan.slot_sender, plan.slot_receiver,
-                plan.slot_reverse, plan.slot_cid, fwd.node_off, fwd.ext_off,
-                fwd.all_off, fwd.send_off, bwd.send_off,
+                plan.edge_cid, plan.slot_receiver, fwd.node_off,
+                fwd.ext_off, fwd.all_off, fwd.send_off, bwd.send_off,
             )),
         ]
         for csr in (fwd, bwd):
@@ -270,6 +273,23 @@ class NativeBackend(KernelBackend):
         return self
 
     # ----------------------------------------------------- per-call kernels
+
+    def schedule(self, n, first, second):
+        kernels = self._impl()
+        if kernels is None:
+            return self._fallback().schedule(n, first, second)
+        first = np.ascontiguousarray(first, dtype=np.int64)
+        second = np.ascontiguousarray(second, dtype=np.int64)
+        m = len(first)
+        group = np.empty(2 * m, dtype=np.int64)
+        off = np.empty(n + 1, dtype=np.int64)
+        flevel = np.empty(n, dtype=np.int64)
+        blevel = np.empty(n, dtype=np.int64)
+        kernels.schedule(
+            n, m, _addr(first), _addr(second),
+            _addr(group), _addr(off), _addr(flevel), _addr(blevel),
+        )
+        return group, off, flevel, blevel
 
     def bound_chunk_mins(self, plan, messages, start, stop, scratch):
         k = stop - start

@@ -4,7 +4,9 @@ The sweep-level methods walk the plan's per-level views in a Python loop;
 each level runs the vectorized block kernels the solvers used before the
 backend registry existed (same operations, same order, same
 ``SolverScratch`` buffer names).  This backend *defines* the bit-level
-contract every other backend is gated against.
+contract every other backend is gated against.  Its schedule kernel is
+the reference level loop: Kahn waves over the endpoint grouping, one
+round of array calls per level.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 import numpy as np
 
 from repro.mrf.backends.base import KernelBackend
+from repro.mrf.vectorized import segment_rows
 
 __all__ = ["NumpyBackend"]
 
@@ -80,6 +83,22 @@ class NumpyBackend(KernelBackend):
 
     # ----------------------------------------------------- per-call kernels
 
+    def schedule(self, n, first, second):
+        ends = np.empty(2 * len(first), dtype=np.int64)
+        ends[0::2] = first
+        ends[1::2] = second
+        group = np.argsort(ends, kind="stable")
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=off[1:])
+        owner = ends[group]
+        nbr = ends[group ^ 1]
+        up = nbr > owner
+        down = ~up
+        return (
+            group, off,
+            _waves(n, owner[up], nbr[up]), _waves(n, owner[down], nbr[down]),
+        )
+
     def bound_chunk_mins(self, plan, messages, start, stop, scratch):
         to_second = messages[2 * start : 2 * stop : 2]
         to_first = messages[2 * start + 1 : 2 * stop : 2]
@@ -121,6 +140,30 @@ class NumpyBackend(KernelBackend):
         max_change = float(diff.max())
         np.copyto(messages, updated)
         return max_change
+
+
+def _waves(n, tails, heads):
+    """Longest-path levels of the DAG of arcs ``tails → heads`` (grouped
+    by tail), one Kahn wave per level: a wave relaxes the arcs of the
+    nodes whose last incoming arc fired in the wave before, so every arc
+    is relaxed once."""
+    level = np.zeros(n, dtype=np.int64)
+    count = np.bincount(tails, minlength=n)
+    start = np.cumsum(count) - count
+    pending = np.bincount(heads, minlength=n)
+    frontier = np.flatnonzero(pending == 0)
+    first_ready = np.full(n, len(heads), dtype=np.int64)
+    while len(frontier):
+        counts = count[frontier]
+        receivers = heads.take(segment_rows(start[frontier], counts))
+        np.maximum.at(level, receivers, np.repeat(level[frontier] + 1, counts))
+        np.subtract.at(pending, receivers, 1)
+        ready = receivers[pending[receivers] == 0]
+        # A node that took several arcs in this wave joins the next once.
+        index = np.arange(len(ready))
+        np.minimum.at(first_ready, ready, index)
+        frontier = ready[first_ready[ready] == index]
+    return level
 
 
 def _send(plan, block, messages, beliefs, scratch):

@@ -236,10 +236,10 @@ class TRWSSolver:
             messages = scratch.zeros(
                 "trws_messages", (2 * plan.edge_count, plan.lmax)
             )
+        # Starting beliefs: unary + every incoming message, added in slot
+        # order (the BP beliefs kernel computes exactly that).
         beliefs = scratch.array("trws_beliefs", (n, plan.lmax))
-        np.copyto(beliefs, plan.unary_inf)
-        if plan.edge_count:
-            np.add.at(beliefs, plan.slot_receiver, messages)
+        kernels.bp_beliefs(plan, messages, beliefs)
         bound_slack = 0.0
         if self.tie_break_noise > 0:
             # One batched draw yields the same value stream as the

@@ -28,6 +28,12 @@ instead of per-edge Python loops:
   offsets (:attr:`MRFArrays.fwd_sweep` / :attr:`MRFArrays.bwd_sweep`), so
   a native kernel backend walks a whole sweep in one call; the NumPy
   backend loops over per-level views of the same arrays.
+* **A linear build.**  :func:`wavefront_schedule` groups the ``2·edges``
+  edge endpoints by node and computes both level arrays in one
+  O(nodes + edges) kernel call; every sweep array and level offset is a
+  segment gather of that grouping in level order, so a deep chain costs
+  no more per edge than a wide estate.  Arrays only BP reads are built
+  when BP first reads them.
 
 Directed message slot layout matches the reference solvers: slot ``2e``
 carries first→second of edge ``e`` (indexed by the second endpoint's
@@ -104,77 +110,68 @@ class SolverScratch:
         return view
 
 
-def wavefront_schedule(n: int, lo: np.ndarray, hi: np.ndarray):
-    """(γ, forward levels, backward levels) of the index-order schedule.
+def wavefront_schedule(
+    n: int, first: np.ndarray, second: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(grouping, group offsets, forward levels, backward levels) of an
+    edge set over ``n`` nodes: the index-order schedule of TRW-S.
 
-    ``lo``/``hi`` are the per-edge endpoint arrays with ``lo < hi``.  The
-    γ weights are TRW-S's monotonic-chain weights
-    ``1 / max(#forward, #backward neighbours)``.  Levels are longest-path
-    DAG depths: the forward level of a node is one past the deepest
-    lower-numbered neighbour, the backward levels mirror it over
-    higher-numbered ones (see ``_levels`` for the two size-dispatched
-    exact implementations).  Nodes sharing a level are never adjacent,
-    which is what lets level-major block updates reproduce the
+    The grouping lists the ``2·edges`` endpoint slots node by node (slot
+    ``2e`` is ``first[e]``, ``2e+1`` is ``second[e]``; each node's slots
+    in slot order), so node ``v`` sends on ``group[off[v]:off[v + 1]]``.
+    Levels are longest-path DAG depths: the forward level of a node is one
+    past the deepest lower-numbered neighbour, the backward level mirrors
+    it over higher-numbered ones.  Nodes sharing a level are never
+    adjacent, which is what lets level-major block updates reproduce the
     node-by-node schedule.  On a replicated-service estate every service's
     copy of a host lands in that host's level, so one level batches all
     services at once.
+
+    The default kernel backend (see :meth:`~repro.mrf.backends.base.
+    KernelBackend.schedule`) computes all four in O(nodes + edges); the
+    endpoints are checked here first, because the native kernel indexes
+    by them raw.
+
+    >>> _, _, forward, backward = wavefront_schedule(
+    ...     4, np.array([0, 1, 0]), np.array([1, 2, 3]))
+    >>> forward.tolist(), backward.tolist()
+    ([0, 1, 2, 1], [2, 1, 0, 0])
     """
-    m = len(lo)
-    chains = np.maximum(
-        np.bincount(lo, minlength=n) if m else np.zeros(n, dtype=np.int64),
-        np.bincount(hi, minlength=n) if m else np.zeros(n, dtype=np.int64),
-    )
-    gamma = np.ones(n)
-    gamma[chains > 0] = 1.0 / chains[chains > 0]
+    from repro.mrf.backends import resolve_backend
 
-    def _levels(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Longest-path levels of the src→dst DAG.
+    bad = (first == second) | (np.minimum(first, second) < 0)
+    bad |= np.maximum(first, second) >= n
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(
+            f"edge {e} ({int(first[e])}, {int(second[e])}) needs two "
+            f"distinct endpoints in [0, {n})"
+        )
+    return resolve_backend().schedule(n, first, second)
 
-        level[d] = 1 + max over edges (s→d) of level[s].  Two exact
-        implementations with identical output, picked by size: small
-        plans (cut-shard sub-plans, case studies) run the 3-ops-per-round
-        Jacobi fixpoint — minimal constant cost, O(edges · depth) total —
-        while big plans run a Kahn wave propagation that relaxes each
-        edge exactly once (a node's out-edges fire in the wave where its
-        last incoming dependency resolved), O(edges + depth · overhead):
-        on a 150k-edge estate the waves win 3×, on a 200-node chain the
-        rounds win 3× — crossover is around a few thousand edges.
-        """
-        level = np.zeros(n, dtype=np.int64)
-        if not m:
-            return level
-        if m <= 4096:
-            while True:
-                deeper = level.copy()
-                np.maximum.at(deeper, dst, level[src] + 1)
-                if np.array_equal(deeper, level):
-                    return level
-                level = deeper
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        dst_sorted = dst[order]
-        starts = np.searchsorted(src_sorted, np.arange(n + 1))
-        indegree = np.bincount(dst, minlength=n)
-        frontier = np.flatnonzero(indegree == 0)
-        while len(frontier):
-            counts = starts[frontier + 1] - starts[frontier]
-            total = int(counts.sum())
-            if not total:
-                break
-            base = np.repeat(starts[frontier], counts)
-            offset = np.arange(total) - np.repeat(
-                np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-            )
-            rows = base + offset
-            senders = src_sorted[rows]
-            receivers = dst_sorted[rows]
-            np.maximum.at(level, receivers, level[senders] + 1)
-            fired = np.bincount(receivers, minlength=n)
-            indegree -= fired
-            frontier = np.flatnonzero((indegree == 0) & (fired > 0))
-        return level
 
-    return gamma, _levels(lo, hi), _levels(hi, lo)
+def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The row ranges ``starts[i] : starts[i] + counts[i]``, back to back.
+
+    >>> segment_rows(np.array([3, 0]), np.array([3, 2])).tolist()
+    [3, 4, 5, 0, 1]
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, …]``: the CSR offsets of consecutive counts."""
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
+def _level_order(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes level-major, ascending within a level, and the offsets
+    of each level's slice of them."""
+    return np.argsort(level, kind="stable"), _offsets(np.bincount(level))
 
 
 def connected_components(
@@ -491,10 +488,11 @@ class MRFArrays:
         """Swap in a patched edge set, keeping every node array.
 
         Re-derives the cost stack, directed slots, γ weights and wavefront
-        levels from the new arrays — all NumPy lexsorts, orders of magnitude
-        cheaper than rebuilding the Python-level MRF.  The caller owns the
-        message-slot remapping (slot ``2e``/``2e+1`` follows edge ``e``'s
-        position in the new arrays).
+        levels from the new arrays — one O(nodes + edges) schedule kernel
+        call plus segment gathers, orders of magnitude cheaper than
+        rebuilding the Python-level MRF.  The caller owns the message-slot
+        remapping (slot ``2e``/``2e+1`` follows edge ``e``'s position in
+        the new arrays).
         """
         self._setup_costs(matrices)
         self._build_structure(
@@ -511,122 +509,166 @@ class MRFArrays:
     ) -> None:
         n = self.node_count
         m = len(edge_first)
-        stacked = self.stacked
+        group, group_off, flevel, blevel = wavefront_schedule(
+            n, edge_first, edge_second
+        )
         self.edge_count = m
         self.edge_first = edge_first
         self.edge_second = edge_second
         self.edge_cid = edge_cid  # oriented rows = first endpoint
 
-        # ---- directed slots (for synchronous BP): slot 2e, 2e+1
-        slots = 2 * m
-        self.slot_sender = np.empty(slots, dtype=np.int64)
-        self.slot_receiver = np.empty(slots, dtype=np.int64)
-        self.slot_reverse = np.empty(slots, dtype=np.int64)
-        self.slot_cid = np.empty(slots, dtype=np.int64)
-        self.slot_sender[0::2] = edge_first
-        self.slot_sender[1::2] = edge_second
-        self.slot_receiver[0::2] = edge_second
-        self.slot_receiver[1::2] = edge_first
-        self.slot_reverse[0::2] = np.arange(1, slots, 2)
-        self.slot_reverse[1::2] = np.arange(0, slots, 2)
-        self.slot_cid[0::2] = edge_cid
-        self.slot_cid[1::2] = stacked + edge_cid
-        #: (2·edges, lmax) True at each receiving slot's padded labels —
-        #: pregathered so the synchronous BP update pads without a fancy
-        #: index per round.
-        self.slot_pad = self._pad[self.slot_receiver]
+        # ---- directed slots: slot 2e carries first→second of edge e, slot
+        # 2e+1 the reverse.  The BP-only slot arrays are built on first
+        # read (see _bp_slots).
+        receiver = np.empty(2 * m, dtype=np.int64)
+        receiver[0::2] = edge_second
+        receiver[1::2] = edge_first
+        self.slot_receiver = receiver
 
-        # ---- orientation by node order: every edge is a "forward" edge of
-        # its lower endpoint and a "backward" edge of its higher one.
-        lo = np.minimum(edge_first, edge_second)
-        hi = np.maximum(edge_first, edge_second)
-        first_is_lo = edge_first < edge_second
-        e_ids = np.arange(m, dtype=np.int64)
-        slot_lo2hi = np.where(first_is_lo, 2 * e_ids, 2 * e_ids + 1)
-        slot_hi2lo = np.where(first_is_lo, 2 * e_ids + 1, 2 * e_ids)
-        cid_rows_lo = np.where(first_is_lo, edge_cid, stacked + edge_cid)
-        cid_rows_hi = np.where(first_is_lo, stacked + edge_cid, edge_cid)
-
-        gamma, flevel, blevel = wavefront_schedule(n, lo, hi)
+        # ---- γ: TRW-S's monotonic-chain weights 1 / max(#forward,
+        # #backward neighbours); a node's forward neighbours are the
+        # higher-numbered ones.
+        degree = np.diff(group_off)
+        higher = np.bincount(np.minimum(edge_first, edge_second), minlength=n)
+        lower = degree - higher
+        chains = np.maximum(higher, lower)
+        gamma = np.ones(n)
+        gamma[chains > 0] = 1.0 / chains[chains > 0]
         self.gamma = gamma
 
-        # ---- flattened, level-major orderings.  Secondary sort keys keep
-        # each node's edges in edge-insertion order, matching the adjacency
-        # order of the per-node reference solvers.
-        def _bounds(levels_sorted: np.ndarray, count: int) -> np.ndarray:
-            return np.searchsorted(levels_sorted, np.arange(count + 1))
-
-        n_flevels = int(flevel.max()) + 1 if n else 0
-        node_order = np.lexsort((np.arange(n, dtype=np.int64), flevel))
-        node_bounds = _bounds(flevel[node_order], n_flevels)
-        send_order = np.lexsort((e_ids, lo, flevel[lo]))
-        send_bounds = _bounds(flevel[lo][send_order], n_flevels)
-        ext_order = np.lexsort((e_ids, hi, flevel[hi]))
-        ext_bounds = _bounds(flevel[hi][ext_order], n_flevels)
-        a_node = np.concatenate([lo, hi])
-        a_nbr = np.concatenate([hi, lo])
-        a_cid = np.concatenate([cid_rows_lo, cid_rows_hi])
-        a_eid = np.concatenate([e_ids, e_ids])
-        all_order = np.lexsort((a_eid, a_node, flevel[a_node]))
-        all_bounds = _bounds(flevel[a_node][all_order], n_flevels)
+        # ---- flattened, level-major orderings.  Every node's rows of the
+        # grouping are its incident edges in edge order (the adjacency
+        # order of the per-node reference solvers), each as the slot the
+        # node sends on.  The forward sweep gathers every node's rows in
+        # forward-level order; the rows towards higher-numbered neighbours
+        # are its sends, the others condition on earlier levels.
+        # Temporaries are dropped as soon as they are used up, so the
+        # build's peak stays near the finished plan's size.
+        node_order, node_off = _level_order(flevel)
+        counts = degree[node_order]
+        slot = group.take(segment_rows(group_off[node_order], counts))
+        del group
+        owner = np.repeat(node_order, counts)
+        nbr = receiver.take(slot)
+        up = np.flatnonzero(nbr > owner)
+        down = np.flatnonzero(nbr < owner)
         # Each node's position inside its level's (ascending) node slice.
-        rank = np.empty(n, dtype=np.int64)
-        rank[node_order] = np.arange(n) - node_bounds[flevel[node_order]]
-
-        fwd_lo = lo[send_order]
-        fwd_hi = hi[send_order]
+        position = np.arange(n) - np.repeat(node_off[:-1], np.diff(node_off))
+        all_seg = np.repeat(position, counts)
+        all_cid = self._slot_cid(slot)
+        out = slot.take(up)
+        snd = owner.take(up)
+        rcv = nbr.take(up)
+        ext_out = slot.take(down)
+        ext_nbr = nbr.take(down)
+        ext_cid = all_cid.take(down)
+        del slot, owner
+        all_off = _offsets(counts)[node_off]
+        send_off = _offsets(higher[node_order])[node_off]
         #: the forward sweep as flat level-major CSR arrays.
         self.fwd_sweep = _SweepCSR(
             block=_Wavefront(
                 nodes=node_order,
-                ext_seg=rank[hi[ext_order]],
-                ext_nbr=lo[ext_order],
-                ext_in=slot_lo2hi[ext_order],
-                ext_cid=cid_rows_hi[ext_order],
-                snd=fwd_lo,
-                rcv=fwd_hi,
-                out=slot_lo2hi[send_order],
-                inn=slot_hi2lo[send_order],
-                cid=cid_rows_lo[send_order],
-                gam=gamma[fwd_lo][:, None],
-                pad=self._pad[fwd_hi],
-                all_seg=rank[a_node[all_order]],
-                all_nbr=a_nbr[all_order],
-                all_cid=a_cid[all_order],
+                ext_seg=all_seg.take(down),
+                ext_nbr=ext_nbr,
+                ext_in=ext_out ^ 1,
+                ext_cid=ext_cid,
+                snd=snd,
+                rcv=rcv,
+                out=out,
+                inn=out ^ 1,
+                cid=all_cid.take(up),
+                gam=gamma.take(snd)[:, None],
+                pad=self._pad.take(rcv, axis=0),
+                all_seg=all_seg,
+                all_nbr=nbr,
+                all_cid=all_cid,
             ),
-            send_off=send_bounds,
-            node_off=node_bounds,
-            ext_off=ext_bounds,
-            all_off=all_bounds,
+            send_off=send_off,
+            node_off=node_off,
+            ext_off=all_off - send_off,
+            all_off=all_off,
         )
+        del up, down
 
-        n_blevels = int(blevel.max()) + 1 if m else 0
-        bsend_order = np.lexsort((e_ids, hi, blevel[hi]))
-        bwd_hi = hi[bsend_order]
-        bwd_lo = lo[bsend_order]
-        bsend_bounds = _bounds(blevel[bwd_hi], n_blevels)
+        # ---- the backward sweep sends the same rows as the conditioning
+        # above, each node towards its lower-numbered neighbours, with the
+        # nodes regrouped in backward-level order.
+        ext_start = np.empty(n, dtype=np.int64)
+        ext_start[node_order] = _offsets(lower[node_order])[:-1]
+        node_order, node_off = _level_order(blevel)
+        counts = lower[node_order]
+        rows = segment_rows(ext_start[node_order], counts)
+        out = ext_out.take(rows)
+        snd = np.repeat(node_order, counts)
+        rcv = ext_nbr.take(rows)
+        bounds = _offsets(counts)[node_off]
         # Levels without sends are dropped: keep the starts of non-empty
-        # levels, plus the end.  (Not np.unique: its first call imports
-        # numpy.ma, ~30 ms on every process's first plan build.)
-        nonempty = bsend_bounds[1:] > bsend_bounds[:-1]
+        # levels, plus the end.
+        nonempty = bounds[1:] > bounds[:-1]
         #: the backward sweep (levels with sends only) as CSR arrays.
         self.bwd_sweep = _SweepCSR(
             block=_SendBlock(
-                snd=bwd_hi,
-                rcv=bwd_lo,
-                out=slot_hi2lo[bsend_order],
-                inn=slot_lo2hi[bsend_order],
-                cid=cid_rows_hi[bsend_order],
-                gam=gamma[bwd_hi][:, None],
-                pad=self._pad[bwd_lo],
+                snd=snd,
+                rcv=rcv,
+                out=out,
+                inn=out ^ 1,
+                cid=ext_cid.take(rows),
+                gam=gamma.take(snd)[:, None],
+                pad=self._pad.take(rcv, axis=0),
             ),
-            send_off=np.concatenate(
-                (bsend_bounds[:-1][nonempty], bsend_bounds[-1:])
-            ),
+            send_off=np.concatenate((bounds[:-1][nonempty], bounds[-1:])),
         )
         self._fwd_levels: Optional[List[_Wavefront]] = None
         self._bwd_levels: Optional[List[_SendBlock]] = None
         self._components: Optional[Tuple[np.ndarray, int]] = None
+        self._bp: Optional[Tuple[np.ndarray, ...]] = None
+
+    def _slot_cid(self, slots: np.ndarray) -> np.ndarray:
+        """Cost-stack ids of ``slots``, oriented rows = the sender's labels
+        (the transposed entry when the sender is the second endpoint)."""
+        cid = self.edge_cid[slots >> 1]
+        cid += self.stacked * (slots & 1)
+        return cid
+
+    # --------------------------------------------------------- BP slots
+
+    def _bp_slots(self) -> Tuple[np.ndarray, ...]:
+        """(sender, reverse, cid, pad) per directed slot, built when the
+        synchronous BP update first reads them and kept for the plan's
+        edge set."""
+        if self._bp is None:
+            reverse = np.arange(2 * self.edge_count) ^ 1
+            # A slot's sender receives on the opposite slot.  The padding
+            # rows are pregathered (2·edges, lmax) so the BP update pads
+            # without a fancy index per round.
+            self._bp = (
+                self.slot_receiver[reverse],
+                reverse,
+                self._slot_cid(reverse ^ 1),
+                self._pad[self.slot_receiver],
+            )
+        return self._bp
+
+    @property
+    def slot_sender(self) -> np.ndarray:
+        """Sending node per directed slot (BP)."""
+        return self._bp_slots()[0]
+
+    @property
+    def slot_reverse(self) -> np.ndarray:
+        """The opposite slot of the same edge, per slot (BP)."""
+        return self._bp_slots()[1]
+
+    @property
+    def slot_cid(self) -> np.ndarray:
+        """Cost id per slot, oriented rows = the sender's labels (BP)."""
+        return self._bp_slots()[2]
+
+    @property
+    def slot_pad(self) -> np.ndarray:
+        """(2·edges, lmax) True at the receiver's padded labels (BP)."""
+        return self._bp_slots()[3]
 
     # ------------------------------------------------------------ levels
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
-
-import networkx as nx
+from typing import TYPE_CHECKING, List
 
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first random graph
+    import networkx as nx
 
 __all__ = ["RandomNetworkConfig", "random_network", "random_similarity"]
 
@@ -123,6 +124,8 @@ def random_similarity(
 
 def _host_graph(config: RandomNetworkConfig, rng: random.Random) -> nx.Graph:
     """A connected-ish random host graph with the target average degree."""
+    import networkx as nx
+
     n, d = config.hosts, config.degree
     if (n * d) % 2 == 0 and d < n:
         graph = nx.random_regular_graph(d, n, seed=rng.randrange(2**31))

@@ -14,9 +14,20 @@ network can be evaluated under different vulnerability data.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first export
+    import networkx as nx
 
 __all__ = ["Network", "NetworkError"]
 
@@ -231,6 +242,8 @@ class Network:
 
     def to_networkx(self) -> nx.Graph:
         """Export the host graph to networkx (host attrs carry services)."""
+        import networkx as nx
+
         graph = nx.Graph()
         for host, services in self._hosts.items():
             graph.add_node(host, services={s: list(p) for s, p in services.items()})

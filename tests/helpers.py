@@ -15,7 +15,15 @@ import numpy as np
 
 from repro.mrf.graph import PairwiseMRF
 
-__all__ = ["make_random_mrf"]
+__all__ = [
+    "LEXSORT_FWD_FIELDS",
+    "LEXSORT_BWD_FIELDS",
+    "assert_schedule_kernels_agree",
+    "lexsort_structure",
+    "make_random_mrf",
+    "pipeline_estate",
+    "python_levels",
+]
 
 
 def make_random_mrf(
@@ -57,3 +65,197 @@ def make_random_mrf(
                     )
                     mrf.add_edge(i, j, matrix)
     return mrf
+
+
+def pipeline_estate(hosts: int, seed: int = 0):
+    """(network, similarity, preferences) of a pipeline estate: a chain
+    backbone of ``hosts`` hosts running one four-product service, a chord
+    spanning 15% of the hosts every 10%, and seeded per-host product
+    preferences — one wavefront level per host once compiled."""
+    from repro.network.topologies import chain_network
+    from repro.nvd.similarity import SimilarityTable
+
+    products = ("p0", "p1", "p2", "p3")
+    network = chain_network(hosts, services={"scada": products})
+    span, every = 3 * hosts // 20, max(1, hosts // 10)
+    for i in range(0, hosts - span - 10, every):
+        network.add_link(f"h{i}", f"h{i + span}")
+    rng = random.Random(seed)
+    table = SimilarityTable(products=list(products))
+    for i, a in enumerate(products):
+        for b in products[i + 1:]:
+            table.set(a, b, round(rng.uniform(0.05, 0.8), 3))
+    preferences = {
+        (f"h{i}", "scada", product): round(rng.uniform(0.0, 1.0), 3)
+        for i in range(hosts)
+        for product in products
+    }
+    return network, table, preferences
+
+
+def python_levels(n: int, first, second):
+    """Longest-path wavefront levels by a plain per-node loop.
+
+    Forward: in index order, a node sits one past its deepest
+    lower-numbered neighbour; backward mirrors it over higher-numbered
+    neighbours in reverse order.  The reference both schedule kernels are
+    checked against.
+    """
+    neighbours = [[] for _ in range(n)]
+    for a, b in zip(np.asarray(first).tolist(), np.asarray(second).tolist()):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    forward = [0] * n
+    for v in range(n):
+        forward[v] = max(
+            (forward[u] + 1 for u in neighbours[v] if u < v), default=0
+        )
+    backward = [0] * n
+    for v in reversed(range(n)):
+        backward[v] = max(
+            (backward[u] + 1 for u in neighbours[v] if u > v), default=0
+        )
+    return np.array(forward, dtype=np.int64), np.array(backward, dtype=np.int64)
+
+
+def assert_schedule_kernels_agree(n: int, first, second) -> None:
+    """Every available schedule kernel returns, as C-contiguous int64, the
+    plain-Python endpoint grouping (each node's slots in slot order, slot
+    ``2e`` being ``first[e]``) and :func:`python_levels`."""
+    from repro.mrf.backends import get_backend
+
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    buckets = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+        buckets[a].append(2 * e)
+        buckets[b].append(2 * e + 1)
+    group = [slot for bucket in buckets for slot in bucket]
+    off = np.cumsum([0] + [len(bucket) for bucket in buckets]).tolist()
+    forward, backward = python_levels(n, first, second)
+    for name in ("numpy", "native"):
+        backend = get_backend(name)
+        if not backend.available:
+            continue
+        got = backend.schedule(n, first, second)
+        for array in got:
+            assert array.dtype == np.int64 and array.flags.c_contiguous, name
+        assert got[0].tolist() == group, name
+        assert got[1].tolist() == off, name
+        assert np.array_equal(got[2], forward), name
+        assert np.array_equal(got[3], backward), name
+
+
+#: Fields of the forward / backward sweep blocks, in oracle order.
+LEXSORT_FWD_FIELDS = (
+    "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
+    "snd", "rcv", "out", "inn", "cid", "gam", "pad",
+    "all_seg", "all_nbr", "all_cid",
+)
+LEXSORT_BWD_FIELDS = ("snd", "rcv", "out", "inn", "cid", "gam", "pad")
+
+
+def lexsort_structure(plan) -> dict:
+    """A plan's slot, γ and sweep arrays rebuilt by three-key lexsorts.
+
+    The construction ``MRFArrays`` used before its build became segment
+    gathers of one node grouping, kept as a test oracle only: every
+    ordering is an explicit ``np.lexsort`` by (level, node, edge) and
+    every level offset a ``searchsorted`` of the sorted levels.  Keys are
+    ``slot_*``, ``gamma``, ``fwd.<field>`` / ``bwd.<field>`` for the
+    sweep blocks and ``fwd.<family>_off`` / ``bwd.send_off``.
+    """
+    n, m, stacked = plan.node_count, plan.edge_count, plan.stacked
+    edge_first, edge_second, edge_cid = (
+        plan.edge_first, plan.edge_second, plan.edge_cid
+    )
+    pad_of = ~plan.mask
+    out = {}
+    slots = 2 * m
+    sender = np.empty(slots, dtype=np.int64)
+    receiver = np.empty(slots, dtype=np.int64)
+    reverse = np.empty(slots, dtype=np.int64)
+    slot_cid = np.empty(slots, dtype=np.int64)
+    sender[0::2], sender[1::2] = edge_first, edge_second
+    receiver[0::2], receiver[1::2] = edge_second, edge_first
+    reverse[0::2] = np.arange(1, slots, 2)
+    reverse[1::2] = np.arange(0, slots, 2)
+    slot_cid[0::2] = edge_cid
+    slot_cid[1::2] = stacked + edge_cid
+    out.update(
+        slot_sender=sender, slot_receiver=receiver, slot_reverse=reverse,
+        slot_cid=slot_cid, slot_pad=pad_of[receiver],
+    )
+
+    lo = np.minimum(edge_first, edge_second)
+    hi = np.maximum(edge_first, edge_second)
+    first_is_lo = edge_first < edge_second
+    e_ids = np.arange(m, dtype=np.int64)
+    slot_lo2hi = np.where(first_is_lo, 2 * e_ids, 2 * e_ids + 1)
+    slot_hi2lo = np.where(first_is_lo, 2 * e_ids + 1, 2 * e_ids)
+    cid_rows_lo = np.where(first_is_lo, edge_cid, stacked + edge_cid)
+    cid_rows_hi = np.where(first_is_lo, stacked + edge_cid, edge_cid)
+    chains = np.maximum(
+        np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+    )
+    gamma = np.ones(n)
+    gamma[chains > 0] = 1.0 / chains[chains > 0]
+    out["gamma"] = gamma
+    flevel, blevel = python_levels(n, edge_first, edge_second)
+
+    def bounds(levels_sorted, count):
+        return np.searchsorted(levels_sorted, np.arange(count + 1))
+
+    n_flevels = int(flevel.max()) + 1 if n else 0
+    node_order = np.lexsort((np.arange(n, dtype=np.int64), flevel))
+    node_bounds = bounds(flevel[node_order], n_flevels)
+    send_order = np.lexsort((e_ids, lo, flevel[lo]))
+    ext_order = np.lexsort((e_ids, hi, flevel[hi]))
+    a_node = np.concatenate([lo, hi])
+    a_nbr = np.concatenate([hi, lo])
+    a_cid = np.concatenate([cid_rows_lo, cid_rows_hi])
+    all_order = np.lexsort((np.concatenate([e_ids, e_ids]), a_node,
+                            flevel[a_node]))
+    rank = np.empty(n, dtype=np.int64)
+    rank[node_order] = np.arange(n) - node_bounds[flevel[node_order]]
+    fwd_lo, fwd_hi = lo[send_order], hi[send_order]
+    out.update({
+        "fwd.nodes": node_order,
+        "fwd.ext_seg": rank[hi[ext_order]],
+        "fwd.ext_nbr": lo[ext_order],
+        "fwd.ext_in": slot_lo2hi[ext_order],
+        "fwd.ext_cid": cid_rows_hi[ext_order],
+        "fwd.snd": fwd_lo,
+        "fwd.rcv": fwd_hi,
+        "fwd.out": slot_lo2hi[send_order],
+        "fwd.inn": slot_hi2lo[send_order],
+        "fwd.cid": cid_rows_lo[send_order],
+        "fwd.gam": gamma[fwd_lo][:, None],
+        "fwd.pad": pad_of[fwd_hi],
+        "fwd.all_seg": rank[a_node[all_order]],
+        "fwd.all_nbr": a_nbr[all_order],
+        "fwd.all_cid": a_cid[all_order],
+        "fwd.send_off": bounds(flevel[lo][send_order], n_flevels),
+        "fwd.node_off": node_bounds,
+        "fwd.ext_off": bounds(flevel[hi][ext_order], n_flevels),
+        "fwd.all_off": bounds(flevel[a_node][all_order], n_flevels),
+    })
+
+    n_blevels = int(blevel.max()) + 1 if m else 0
+    bsend_order = np.lexsort((e_ids, hi, blevel[hi]))
+    bwd_hi, bwd_lo = hi[bsend_order], lo[bsend_order]
+    bsend_bounds = bounds(blevel[bwd_hi], n_blevels)
+    nonempty = bsend_bounds[1:] > bsend_bounds[:-1]
+    out.update({
+        "bwd.snd": bwd_hi,
+        "bwd.rcv": bwd_lo,
+        "bwd.out": slot_hi2lo[bsend_order],
+        "bwd.inn": slot_lo2hi[bsend_order],
+        "bwd.cid": cid_rows_hi[bsend_order],
+        "bwd.gam": gamma[bwd_hi][:, None],
+        "bwd.pad": pad_of[bwd_lo],
+        "bwd.send_off": np.concatenate(
+            (bsend_bounds[:-1][nonempty], bsend_bounds[-1:])
+        ),
+    })
+    return out

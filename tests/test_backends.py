@@ -370,6 +370,29 @@ class TestCKernels:
             result = solver.solve_arrays(plan, backend=native)
             _assert_results_identical(result, reference)
 
+    def test_bp_on_plans_with_unread_slot_arrays(self):
+        # The BP-only slot arrays are built when BP first reads them, and
+        # marshalling a plan for the TRW-S sweeps must not force them.
+        mrf = _chain_chord_mrf(hosts=200, seed=15)
+        solver = LoopyBPSolver(max_iterations=6, damping=0.3)
+        eager = MRFArrays(mrf)
+        for name in ("slot_sender", "slot_reverse", "slot_cid", "slot_pad"):
+            getattr(eager, name)
+        reference = solver.solve_arrays(eager, backend="numpy")
+        for backend in ("numpy", "native"):
+            plan = MRFArrays(mrf)
+            TRWSSolver(max_iterations=2, seed=0).solve_arrays(
+                plan, backend="native"
+            )
+            assert plan._bp is None
+            _assert_results_identical(
+                solver.solve_arrays(plan, backend=backend), reference
+            )
+            for name in ("slot_sender", "slot_reverse", "slot_cid", "slot_pad"):
+                np.testing.assert_array_equal(
+                    getattr(plan, name), getattr(eager, name)
+                )
+
     def test_icm_respects_max_sweeps(self):
         plan = MRFArrays(_chain_chord_mrf(hosts=200, seed=14))
         start = np.zeros(plan.node_count, dtype=np.int64)

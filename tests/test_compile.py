@@ -17,6 +17,8 @@ The contract under test (see ``repro/core/compile.py``):
   without reuse, across repeated solves and across different plans.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,15 @@ from repro.network.generator import (
 )
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
+
+from helpers import (
+    LEXSORT_BWD_FIELDS,
+    LEXSORT_FWD_FIELDS,
+    assert_schedule_kernels_agree,
+    lexsort_structure,
+    make_random_mrf,
+    pipeline_estate,
+)
 
 # ---------------------------------------------------------------- fixtures
 
@@ -466,59 +477,130 @@ class TestSolverScratch:
 # ------------------------------------------------------- wavefront levels
 
 
-def _jacobi_levels(n, src, dst):
-    """The textbook fixpoint — reference for both production branches."""
-    level = np.zeros(n, dtype=np.int64)
-    while len(src):
-        deeper = level.copy()
-        np.maximum.at(deeper, dst, level[src] + 1)
-        if np.array_equal(deeper, level):
-            break
-        level = deeper
-    return level
-
-
 class TestWavefrontLevels:
-    """wavefront_schedule size-dispatches between two exact level
-    implementations (Jacobi rounds below ~4k edges, Kahn waves above);
-    both must equal the reference fixpoint — the big-plan branch is not
-    reachable from the small fixtures elsewhere in the suite."""
+    """Every available schedule kernel returns the endpoint grouping and
+    the levels of the plain per-node loop (``helpers.python_levels``), on
+    shapes the small fixtures elsewhere in the suite do not reach."""
 
-    def _check(self, n, lo, hi):
-        from repro.mrf.vectorized import wavefront_schedule
-
-        _gamma, flevel, blevel = wavefront_schedule(n, lo, hi)
-        assert np.array_equal(flevel, _jacobi_levels(n, lo, hi))
-        assert np.array_equal(blevel, _jacobi_levels(n, hi, lo))
-
-    def test_kahn_branch_random_dag(self):
+    def test_random_dag(self):
         rng = np.random.default_rng(0)
-        n, m = 3000, 9000  # > 4096 edges → Kahn wave branch
+        n, m = 3000, 9000
         lo = rng.integers(0, n - 1, m)
         hi = lo + 1 + rng.integers(0, np.maximum(1, n - 1 - lo))
-        self._check(n, lo.astype(np.int64), hi.astype(np.int64))
+        assert_schedule_kernels_agree(n, lo, hi)
 
-    def test_kahn_branch_deep_chain(self):
-        n = 6000  # 5999 chain edges → Kahn branch at full depth
+    def test_deep_chain(self):
+        n = 6000
         lo = np.arange(n - 1, dtype=np.int64)
-        hi = lo + 1
-        from repro.mrf.vectorized import wavefront_schedule
+        assert_schedule_kernels_agree(n, lo, lo + 1)
 
-        _gamma, flevel, blevel = wavefront_schedule(n, lo, hi)
-        assert np.array_equal(flevel, np.arange(n))
-        assert np.array_equal(blevel, np.arange(n)[::-1])
-
-    def test_jacobi_branch_small(self):
+    def test_small_random_plan_either_orientation(self):
         rng = np.random.default_rng(1)
-        n, m = 40, 90  # < 4096 edges → Jacobi branch
+        n, m = 40, 90
         lo = rng.integers(0, n - 1, m)
         hi = lo + 1 + rng.integers(0, np.maximum(1, n - 1 - lo))
-        self._check(n, lo.astype(np.int64), hi.astype(np.int64))
+        flip = rng.random(m) < 0.5
+        assert_schedule_kernels_agree(
+            n,
+            np.where(flip, hi, lo).astype(np.int64),
+            np.where(flip, lo, hi).astype(np.int64),
+        )
 
     def test_isolated_nodes_stay_level_zero(self):
         lo = np.asarray([2, 3], dtype=np.int64)
         hi = np.asarray([4, 5], dtype=np.int64)
-        self._check(8, lo, hi)
+        assert_schedule_kernels_agree(8, lo, hi)
+
+    @pytest.mark.parametrize(
+        "first, second, named",
+        [
+            ([0, 1], [1, 1], "edge 1 (1, 1)"),
+            ([0, 1], [1, 3], "edge 1 (1, 3)"),
+            ([0, -1], [1, 2], "edge 1 (-1, 2)"),
+        ],
+    )
+    def test_bad_endpoints_raise_naming_the_edge(self, first, second, named):
+        # A self-loop used to spin the level fixpoint forever; an id past
+        # the node count would index the native kernel's arrays raw.
+        unaries = [np.zeros(2)] * 3
+        with pytest.raises(ValueError, match=re.escape(named)):
+            MRFArrays.from_parts(
+                unaries, np.array(first), np.array(second),
+                np.zeros(2, dtype=np.int64), [np.ones((2, 2))],
+            )
+
+
+class TestLexsortOracle:
+    """The plan build is segment gathers of one endpoint grouping; the
+    three-key lexsort construction it replaced (``helpers.
+    lexsort_structure``) must produce every array identically — values,
+    dtype, shape and C-contiguity — on each available backend."""
+
+    @staticmethod
+    def _assert_matches_oracle(plan):
+        expected = lexsort_structure(plan)
+        actual = {
+            name: getattr(plan, name)
+            for name in (
+                "slot_sender", "slot_receiver", "slot_reverse", "slot_cid",
+                "slot_pad", "gamma",
+            )
+        }
+        for field in LEXSORT_FWD_FIELDS:
+            actual["fwd." + field] = getattr(plan.fwd_sweep.block, field)
+        for field in ("send_off", "node_off", "ext_off", "all_off"):
+            actual["fwd." + field] = getattr(plan.fwd_sweep, field)
+        for field in LEXSORT_BWD_FIELDS:
+            actual["bwd." + field] = getattr(plan.bwd_sweep.block, field)
+        actual["bwd.send_off"] = plan.bwd_sweep.send_off
+        assert actual.keys() == expected.keys()
+        for name, want in expected.items():
+            got = actual[name]
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.flags.c_contiguous, name
+            assert np.array_equal(got, want), name
+
+    @pytest.fixture(params=["numpy", "native"])
+    def backend(self, request):
+        from repro.mrf.backends import get_backend, set_default_backend
+
+        if not get_backend(request.param).available:
+            pytest.skip(f"{request.param} backend unavailable")
+        set_default_backend(request.param)
+        yield request.param
+        set_default_backend(None)
+
+    @pytest.mark.parametrize("hosts", [30, 300])
+    def test_pipeline_chain_estate(self, backend, hosts):
+        network, table, preferences = pipeline_estate(hosts, seed=hosts)
+        self._assert_matches_oracle(
+            compile_plan(network, table, preferences=preferences).plan
+        )
+
+    @pytest.mark.parametrize("cell", [(250, 10, 5), (100, 5, 3)])
+    def test_random_cells(self, backend, cell):
+        hosts, degree, services = cell
+        net, sim = workload(hosts, degree, services, seed=hosts)
+        self._assert_matches_oracle(compile_plan(net, sim).plan)
+
+    def test_heterogeneous_plan(self, backend):
+        self._assert_matches_oracle(reference_plan(*heterogeneous_network()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_mrfs(self, backend, seed):
+        self._assert_matches_oracle(
+            MRFArrays(make_random_mrf(14, 0.3, 4, seed=seed))
+        )
+
+    def test_empty_and_edgeless_plans(self, backend):
+        none = np.zeros(0, dtype=np.int64)
+        self._assert_matches_oracle(
+            MRFArrays.from_parts([], none, none, none, [])
+        )
+        self._assert_matches_oracle(
+            MRFArrays.from_parts([np.zeros(2)] * 4, none, none, none, [])
+        )
 
 
 # ------------------------------------------------ stream rebuild via parts

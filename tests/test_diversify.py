@@ -223,15 +223,24 @@ class TestHeterogeneousNetworks:
 
 
 class TestImportGraph:
-    def test_solve_path_loads_no_pool_modules(self):
-        # The solve path runs in-process: importing it must not pull in
-        # the experiment runner or multiprocessing (startup every caller
-        # pays).  A fresh interpreter sees the real import graph.
+    @staticmethod
+    def _fresh(probe: str) -> str:
+        """Stdout of ``probe`` in a fresh interpreter, which sees the real
+        import graph."""
         src = str(Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
         )
+        return subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    def test_solve_path_loads_no_pool_modules(self):
+        # The solve path runs in-process: importing it must not pull in
+        # the experiment runner or multiprocessing (startup every caller
+        # pays).
         # Only modules the import itself adds count, so site hooks that load
         # multiprocessing first (subprocess coverage) cannot fail the test.
         probe = (
@@ -242,8 +251,15 @@ class TestImportGraph:
             " if m.split('.')[0] == 'multiprocessing'"
             " or m.startswith('repro.runner'))))\n"
         )
-        loaded = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        assert loaded == ""
+        assert self._fresh(probe) == ""
+
+    def test_package_and_cli_load_no_networkx(self):
+        # Only Network.to_networkx and the random-graph generator use
+        # networkx; importing the package or the CLI must not pay its
+        # startup cost.
+        probe = (
+            "import sys\n"
+            "import repro, repro.cli\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        assert self._fresh(probe) == "False"

@@ -57,6 +57,8 @@ from repro.stream import (
 )
 from repro.stream.plan import StreamPlan
 
+from helpers import assert_schedule_kernels_agree
+
 
 def workload(seed, hosts=10, degree=3, services=2, density=0.5):
     config = RandomNetworkConfig(
@@ -362,6 +364,41 @@ def test_component_energies_split_the_energy(seed):
             labels[plan.edge_second[edges]],
         ].sum()
         assert energies[c] == pytest.approx(expected, abs=1e-9)
+
+
+# ======================================================= schedule kernels
+
+
+def _assert_schedules_agree(n, edges):
+    assert_schedule_kernels_agree(
+        n, [a for a, _ in edges], [b for _, b in edges]
+    )
+
+
+@st.composite
+def _schedule_graphs(draw):
+    """(n, edges): a random multi-component graph with parallel edges and
+    isolated nodes, next to a chain of up to 300 nodes in either
+    orientation."""
+    n, edges = draw(_graphs())
+    length = draw(st.integers(0, 300))
+    flipped = draw(st.booleans())
+    for i in range(n, n + length - 1):
+        edges.append((i + 1, i) if flipped else (i, i + 1))
+    return n + length, edges
+
+
+def test_schedule_kernels_edge_cases():
+    # Deep chains at full e2e scale are in test_compile.TestWavefrontLevels.
+    _assert_schedules_agree(0, [])
+    _assert_schedules_agree(7, [])  # isolated nodes only
+    _assert_schedules_agree(4, [(1, 2), (2, 1), (1, 2), (0, 3)])  # parallel
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_schedule_graphs())
+def test_schedule_kernels_match_python_levels(graph):
+    _assert_schedules_agree(*graph)
 
 
 # ============================================================ invariant pack

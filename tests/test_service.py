@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,17 @@ class TestSnapshotRoundTrip:
         assert np.array_equal(restored.labels, live.labels)
         assert restored._edge_keys == live._edge_keys
         assert restored._combo_cids == live._combo_cids
+
+    def test_self_loop_in_snapshot_edges_is_rejected(self, tmp_path):
+        # A corrupted snapshot used to hang the plan build: a self-loop
+        # never lets the wavefront levels settle.
+        engine, _ = churny_engine(seed=3)
+        snapshot = load_snapshot(save_snapshot(engine, tmp_path, version=1))
+        edge_second = snapshot.edge_second.copy()
+        edge_second[1] = snapshot.edge_first[1]
+        node = int(edge_second[1])
+        with pytest.raises(ValueError, match=rf"edge 1 \({node}, {node}\)"):
+            restore_plan(replace(snapshot, edge_second=edge_second))
 
     def test_warm_solve_matches_never_restarted_engine(self, tmp_path):
         engine, _ = churny_engine(seed=2)
