@@ -13,6 +13,11 @@ traces and the post-solve message state are asserted equal, not close):
   shape where per-level dispatch is most of the work) ``native`` is no
   slower than ``numpy``.
 
+A third bar pins the greedy refine init (``MRFArrays.greedy_labels``) on
+the 10k-host workload: the native kernel, one C walk over the nodes in
+degree order, is at least **10×** faster than the NumPy reference's
+Python loop, with identical labels.
+
 Timing protocol: interleaved best-of-``ROUNDS``.  Each round solves
 ``ITERATIONS`` TRW-S iterations per backend, alternating backends inside
 the round so machine noise (the CI boxes are small and shared) hits both
@@ -21,10 +26,12 @@ equally; the metric is per-iteration *sweep* seconds — the ``forward`` +
 — excluding decode/energy bookkeeping, which is backend-independent.  The
 per-phase attribution of the winning native round lands in the BENCH
 record (schema 2 ``phases``), and the committed baselines live in
-``benchmarks/pinned/BENCH_native_kernels.json`` and
-``BENCH_native_kernels_chain.json`` (``bench_report.py --pinned`` gates on
-them).
+``benchmarks/pinned/BENCH_native_kernels.json``,
+``BENCH_native_kernels_chain.json`` and ``BENCH_native_greedy.json``
+(``bench_report.py --pinned`` gates on them).
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +59,8 @@ ITERATIONS = 3
 MIN_SPEEDUP = 5.0
 #: Acceptance bar on the chain estate: native no slower than numpy.
 MIN_CHAIN_SPEEDUP = 1.0
+#: Acceptance bar for the native greedy refine init at the 10k scale.
+MIN_GREEDY_SPEEDUP = 10.0
 
 NATIVE = get_backend("native")
 
@@ -139,10 +148,14 @@ def _record(record_bench, name, plan, best, best_stats, result, **extra):
     return speedup
 
 
-def test_native_sweep_speedup(record_bench):
-    network = random_network(CONFIG)
-    similarity = random_similarity(CONFIG)
-    plan = compile_plan(network, similarity).plan
+@pytest.fixture(scope="module")
+def scale_plan():
+    """The compiled plan of the 10k-host workload (built once)."""
+    return compile_plan(random_network(CONFIG), random_similarity(CONFIG)).plan
+
+
+def test_native_sweep_speedup(record_bench, scale_plan):
+    plan = scale_plan
     native_result = _assert_parity(plan)
     best, best_stats = _interleaved_best(plan)
     assert best_stats["native"].backend == NATIVE.describe()
@@ -172,4 +185,37 @@ def test_native_chain_no_slower(record_bench):
         f"native kernels {1 / speedup:.1f}x slower than numpy on the "
         f"chain estate ({best['native'] * 1e3:.2f} ms vs "
         f"{best['numpy'] * 1e3:.2f} ms per iteration)"
+    )
+
+
+def test_native_greedy_speedup(record_bench, scale_plan):
+    plan = scale_plan
+    scratch = {name: SolverScratch() for name in ("numpy", "native")}
+    # Parity first; it also warms both paths before anything is timed.
+    labels = {
+        name: plan.greedy_labels(scratch=scratch[name], backend=name)
+        for name in ("numpy", "native")
+    }
+    np.testing.assert_array_equal(labels["native"], labels["numpy"])
+    best = {"numpy": float("inf"), "native": float("inf")}
+    for _ in range(ROUNDS):
+        for name in ("numpy", "native"):
+            start = time.perf_counter()
+            plan.greedy_labels(scratch=scratch[name], backend=name)
+            best[name] = min(best[name], time.perf_counter() - start)
+    speedup = best["numpy"] / best["native"]
+    record_bench(
+        "native_greedy",
+        seconds=best["native"],
+        numpy_seconds=round(best["numpy"], 6),
+        speedup=round(speedup, 2),
+        backend=NATIVE.describe(),
+        nodes=plan.node_count,
+        edges=plan.edge_count,
+        hosts=CONFIG.hosts,
+        rounds=ROUNDS,
+    )
+    assert speedup >= MIN_GREEDY_SPEEDUP, (
+        f"native greedy init only {speedup:.1f}x faster than numpy "
+        f"({best['native'] * 1e3:.2f} ms vs {best['numpy'] * 1e3:.1f} ms)"
     )

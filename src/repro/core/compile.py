@@ -63,10 +63,13 @@ __all__ = [
     "COMBO_META",
     "CompiledPlan",
     "CompiledParts",
+    "SimilarityEdges",
     "compile_plan",
     "compile_parts",
     "compile_stream_parts",
     "constraint_mask",
+    "edge_similarity",
+    "similarity_edges",
     "write_combination",
 ]
 
@@ -75,6 +78,54 @@ __all__ = [
 #: product scan, and :class:`~repro.stream.plan.StreamPlan` excludes it
 #: from the similarity dedup index by the same emptiness test.
 COMBO_META: Tuple[Tuple[str, ...], Tuple[str, ...], float] = ((), (), 0.0)
+
+
+def edge_similarity(
+    similarity: np.ndarray,
+    products: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+) -> np.ndarray:
+    """Similarity of the products at the two ends of each edge: one
+    gather from the product similarity matrix, by per-node product id."""
+    return similarity[products[first], products[second]]
+
+
+@dataclass
+class SimilarityEdges:
+    """The (link, shared-service) edges of a network with what a
+    labelling's similarity summary reads, all from one network index.
+
+    ``first``/``second`` are the edges' endpoint nodes in ``build_mrf``
+    order (combination-constraint edges are not among them);
+    ``range_products[node_range[v], label]`` is the product id of node
+    ``v``'s label; ``similarity`` is the product similarity matrix over
+    those ids.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    node_range: np.ndarray
+    range_products: np.ndarray
+    similarity: np.ndarray
+
+    def summary(self, labels: Sequence[int]) -> Tuple[float, float]:
+        """``(total, mean)`` assigned-product similarity over the edges
+        under a complete labelling — the ``similarity_total`` and
+        ``mean_edge_similarity`` of a diversification.
+
+        The total adds the edges' similarities left to right in edge
+        order, as a Python loop over the links would.
+        """
+        count = len(self.first)
+        if not count:
+            return 0.0, 0.0
+        products = self.range_products[self.node_range, np.asarray(labels)]
+        values = edge_similarity(
+            self.similarity, products, self.first, self.second
+        )
+        total = float(np.cumsum(values)[-1])
+        return total, total / count
 
 
 @dataclass
@@ -102,6 +153,8 @@ class CompiledParts:
     edge_keys: Optional[
         List[Tuple[Tuple[str, str], Union[str, Tuple[str, str]]]]
     ] = None
+    #: the similarity summary's arrays (``build_mrf`` convention only).
+    similarity_edges: Optional[SimilarityEdges] = None
 
     def unary_vectors(self) -> List[np.ndarray]:
         """Per-node unpadded unary vectors (the ``from_parts`` form)."""
@@ -118,12 +171,16 @@ class CompiledPlan:
     The plan-level counterpart of :class:`~repro.core.costs.MRFBuild`:
     same ``variables``/``index``/``candidates`` contract, but the model
     lives in the array plan instead of a :class:`PairwiseMRF`.
+    ``similarity_edges`` keeps the compiler's similarity-edge endpoints,
+    product ids and similarity matrix, so a solved labelling's
+    similarity summary needs no second walk over the network.
     """
 
     plan: MRFArrays
     variables: List[Tuple[str, str]]
     index: Dict[Tuple[str, str], int]
     candidates: List[Tuple[str, ...]]
+    similarity_edges: SimilarityEdges
 
     def labels_to_assignment(
         self, network: Network, labels: Sequence[int]
@@ -321,6 +378,23 @@ class _NetworkIndex:
         """Dense product-pair similarity over the network's product universe."""
         return similarity.matrix(self.product_names)
 
+    def similarity_edges(
+        self, first: np.ndarray, second: np.ndarray, sim: np.ndarray
+    ) -> SimilarityEdges:
+        """The summary arrays of the similarity edges ``first``/``second``
+        with the similarity matrix ``sim`` over :attr:`product_names`."""
+        width = max((len(pids) for pids in self.range_pids), default=0)
+        range_products = np.full((len(self.ranges), width), -1, dtype=np.int64)
+        for rid, pids in enumerate(self.range_pids):
+            range_products[rid, : len(pids)] = pids
+        return SimilarityEdges(
+            first=first,
+            second=second,
+            node_range=self.node_rid,
+            range_products=range_products,
+            similarity=sim,
+        )
+
 
 def _check_weights(
     pairwise_weight: float, service_weights: Optional[Mapping[str, float]]
@@ -420,6 +494,7 @@ def compile_parts(
         pairwise_weight, service_weights
     )
     matrices: List[np.ndarray] = []
+    sim = np.zeros((0, 0))
     if len(first):
         r_count = max(len(net.ranges), 1)
         w_count = max(len(weight_values), 1)
@@ -441,6 +516,7 @@ def compile_parts(
             )
     else:
         edge_cid = np.zeros(0, dtype=np.int64)
+    summary_edges = net.similarity_edges(first, second, sim)
     phases.lap("compile.edges", edges=len(first), matrices=len(matrices))
 
     # ---- intra-host combination-constraint edges (appended after the
@@ -469,6 +545,7 @@ def compile_parts(
         edge_second=second,
         edge_cid=edge_cid,
         matrices=matrices,
+        similarity_edges=summary_edges,
     )
 
 
@@ -509,6 +586,7 @@ def compile_plan(
         variables=parts.variables,
         index=parts.index,
         candidates=parts.candidates,
+        similarity_edges=parts.similarity_edges,
     )
 
 
@@ -792,13 +870,27 @@ def network_energy(
             pairwise_weight, service_weights
         )
         weights = np.asarray(weight_values)[wid_of[sid]]
-        pa = pid[first]
-        pb = pid[second]
-        live = (pa >= 0) & (pb >= 0)
+        live = (pid[first] >= 0) & (pid[second] >= 0)
         if live.any():
             sim = net.similarity_matrix(similarity)
             total += float(
-                (weights[live] * sim[pa[live], pb[live]]).sum()
+                (
+                    weights[live]
+                    * edge_similarity(sim, pid, first[live], second[live])
+                ).sum()
             )
     total += HARD_COST * len(constraint_set.violations(assignment, network))
     return total
+
+
+def similarity_edges(
+    network: Network, similarity: SimilarityTable
+) -> SimilarityEdges:
+    """The similarity summary's arrays of a network, for labellings in
+    the ``build_mrf`` node and label order — what the object-pipeline
+    solves of :func:`~repro.core.diversify.diversify` summarise with
+    (compiled solves keep the compiler's own)."""
+    net = _NetworkIndex(network)
+    first, second, _sid, _link_of = net.link_edges()
+    sim = net.similarity_matrix(similarity) if len(first) else np.zeros((0, 0))
+    return net.similarity_edges(first, second, sim)

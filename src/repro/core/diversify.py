@@ -15,6 +15,13 @@ of the 1000-6000-host sweeps — and solve it with
 :func:`~repro.mrf.sharded.solve_plan` (or the dual-decomposition solver
 for ``shards="cut"``).  Solvers without a plan-level API take the
 ``build_mrf`` object pipeline.
+
+The similarity summary (``similarity_total``, ``mean_edge_similarity``)
+is one gather over arrays the compiler already built — the
+similarity-edge endpoints, each node's product ids and the product
+similarity matrix (:class:`~repro.core.compile.SimilarityEdges`) — rather
+than a second walk over the network's links; object-pipeline solves
+summarise with the same arrays, indexed once for the summary.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from repro.core.compile import CompiledPlan, compile_plan
+from repro.core.compile import CompiledPlan, compile_plan, similarity_edges
 from repro.core.costs import build_mrf
 from repro.mrf.solvers import SolverResult, get_solver
 from repro.network.assignment import ProductAssignment
@@ -161,6 +168,7 @@ def diversify(
         assignment = compiled.labels_to_assignment(
             network, solver_result.labels
         )
+        edges = compiled.similarity_edges
     else:
         build = build_mrf(
             network,
@@ -173,10 +181,10 @@ def diversify(
         )
         solver_result = get_solver(solver, **solver_options).solve(build.mrf)
         assignment = build.labels_to_assignment(network, solver_result.labels)
+        edges = similarity_edges(network, similarity)
 
     violations = constraint_set.violations(assignment, network)
-    similarity_total, coupled_edges = _edge_similarity(network, similarity, assignment)
-    mean_similarity = similarity_total / coupled_edges if coupled_edges else 0.0
+    similarity_total, mean_similarity = edges.summary(solver_result.labels)
 
     return DiversificationResult(
         assignment=assignment,
@@ -231,21 +239,3 @@ def _solve_compiled(
         ).solve_arrays(compiled.plan)
     return solve_plan(compiled.plan, solver=solver, **solver_options)
 
-
-def _edge_similarity(
-    network: Network,
-    similarity: SimilarityTable,
-    assignment: ProductAssignment,
-) -> Tuple[float, int]:
-    """Total assigned-product similarity over (link, shared-service) pairs."""
-    total = 0.0
-    coupled = 0
-    for a, b in network.links:
-        for service in network.shared_services(a, b):
-            product_a = assignment.get(a, service)
-            product_b = assignment.get(b, service)
-            if product_a is None or product_b is None:
-                continue
-            coupled += 1
-            total += similarity.get(product_a, product_b)
-    return total, coupled

@@ -9,7 +9,9 @@ loader reports unavailable and the backend registry degrades to NumPy.
 The TRW-S sweeps, ICM and the decode are *whole-sweep* entry points: one
 foreign call walks every wavefront level of a plan, reading the plan's
 flat level-major arrays through a :class:`CPlan` struct that is filled
-once per plan build.  When the caller passes a per-level seconds array
+once per plan build.  The greedy refine init is one call too: it visits
+the nodes in degree order over the forward sweep's full-adjacency
+arrays.  When the caller passes a per-level seconds array
 (tracing), the same loop times each level with ``CLOCK_MONOTONIC``;
 untraced calls pass ``NULL``.  One more entry point, ``repro_schedule``,
 runs at plan build: a counting sort of the edge endpoints by node and the
@@ -66,11 +68,13 @@ typedef struct {
     const uint8_t *pad;
 } sends_t;
 
-/* A plan's sweep arrays (see MRFArrays.fwd_sweep / bwd_sweep). */
+/* A plan's sweep arrays (see MRFArrays.fwd_sweep / bwd_sweep), plus
+ * each node's degree (the greedy init's visiting order). */
 typedef struct {
     int64_t lmax, n_fwd, n_bwd;
     const double *cost;
     const double *unary;
+    const int64_t *degree;
     const int64_t *node_off, *nodes;
     const int64_t *ext_off, *ext_seg, *ext_nbr, *ext_in, *ext_cid;
     const int64_t *all_off, *all_seg, *all_nbr, *all_cid;
@@ -253,6 +257,53 @@ HOT void icm_body(
     }
 }
 
+/* Degree-descending sequential greedy labelling.  Nodes are visited
+ * most-connected first, ties in node order (a stable counting sort on
+ * degree; `top` is the largest degree), and each takes the first argmin
+ * of its unary plus the pairwise columns of its already-labelled
+ * neighbours, added in full-adjacency (edge) order.  A node's label is
+ * -1 until it is visited, which is what marks a neighbour as labelled.
+ * `work` holds 2n + top + 2 int64: each node's first full-adjacency row
+ * (the rows are grouped by node in the level-major node order), the
+ * visiting order and the degree buckets. */
+HOT void greedy_body(
+    const plan_t *p, const int64_t lmax, const int64_t top,
+    int64_t *restrict labels, int64_t *restrict work)
+{
+    const int64_t LL = lmax * lmax;
+    const int64_t n = p->node_off[p->n_fwd];
+    int64_t *start = work, *order = work + n, *bucket = work + 2 * n;
+    double row[64];
+    int64_t at = 0;
+    for (int64_t k = 0; k < n; ++k) {
+        start[p->nodes[k]] = at;
+        at += p->degree[p->nodes[k]];
+    }
+    memset(bucket, 0, (size_t)(top + 2) * sizeof(int64_t));
+    for (int64_t v = 0; v < n; ++v)
+        ++bucket[top - p->degree[v] + 1];
+    for (int64_t d = 0; d <= top; ++d)
+        bucket[d + 1] += bucket[d];
+    for (int64_t v = 0; v < n; ++v) {
+        order[bucket[top - p->degree[v]]++] = v;
+        labels[v] = -1;
+    }
+    for (int64_t k = 0; k < n; ++k) {
+        const int64_t v = order[k];
+        memcpy(row, p->unary + v * lmax, (size_t)lmax * sizeof(double));
+        const int64_t j1 = start[v] + p->degree[v];
+        for (int64_t j = start[v]; j < j1; ++j) {
+            const int64_t lab = labels[p->all_nbr[j]];
+            if (lab < 0)
+                continue;
+            const double *cm = p->cost + p->all_cid[j] * LL + lab;
+            for (int64_t r = 0; r < lmax; ++r)
+                row[r] += cm[r * lmax];
+        }
+        labels[v] = argmin_row(row, lmax);
+    }
+}
+
 /* The common label widths get constant-folded copies of each body. */
 #define DISPATCH(call_4, call_6, call_8, call_n) \
     switch (p->lmax) {                           \
@@ -298,6 +349,15 @@ void repro_icm(const plan_t *p, int64_t max_sweeps, int64_t *current,
              icm_body(p, 6, max_sweeps, current, cond),
              icm_body(p, 8, max_sweeps, current, cond),
              icm_body(p, p->lmax, max_sweeps, current, cond))
+}
+
+void repro_greedy(const plan_t *p, int64_t top, int64_t *labels,
+                  int64_t *work)
+{
+    DISPATCH(greedy_body(p, 4, top, labels, work),
+             greedy_body(p, 6, top, labels, work),
+             greedy_body(p, 8, top, labels, work),
+             greedy_body(p, p->lmax, top, labels, work))
 }
 
 static inline void bound_body(
@@ -505,7 +565,7 @@ class CPlan(ctypes.Structure):
     _fields_ = [
         ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64),
         *((name, _P) for name in (
-            "cost", "unary", "node_off", "nodes",
+            "cost", "unary", "degree", "node_off", "nodes",
             "ext_off", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
             "all_off", "all_seg", "all_nbr", "all_cid",
         )),
@@ -519,6 +579,7 @@ _SIGNATURES = (
     ("repro_trws_backward", [ctypes.POINTER(CPlan), _P, _P, _P], None),
     ("repro_decode", [ctypes.POINTER(CPlan), _P, _P, _P, _P], None),
     ("repro_icm", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
+    ("repro_greedy", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
     ("repro_bound_mins", [_I64, _I64, _P, _P, _P, _P], None),
     ("repro_schedule", [_I64, _I64, _P, _P, _P, _P, _P, _P], None),
     ("repro_bp_beliefs", [_I64, _I64, _I64, _P, _P, _P, _P], None),
@@ -532,8 +593,8 @@ class CKernels:
     """The compiled kernel library with typed entry points.
 
     Attributes are the C functions themselves (``trws_forward``,
-    ``trws_backward``, ``decode``, ``icm``, ``bound_mins``, ``schedule``,
-    ``bp_beliefs``, ``bp_round``), taking raw addresses (``int`` or
+    ``trws_backward``, ``decode``, ``icm``, ``greedy``, ``bound_mins``,
+    ``schedule``, ``bp_beliefs``, ``bp_round``), taking raw addresses (``int`` or
     ``None`` for ``NULL``) for arrays and a ``POINTER(CPlan)`` for plans.
     Callers guarantee C-contiguous arrays of the documented dtypes.
     """

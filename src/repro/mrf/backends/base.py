@@ -5,12 +5,14 @@ time in, at the granularity of a *sweep*: one call walks every wavefront
 level of the plan's flat level-major arrays
 (:attr:`~repro.mrf.vectorized.MRFArrays.fwd_sweep` /
 :attr:`~repro.mrf.vectorized.MRFArrays.bwd_sweep`).  Four sweep-level
-methods cover TRW-S, ICM and the BP decode:
+methods cover TRW-S, ICM and the BP decode, and one more the TRW-S
+refine's greedy init:
 
 - :meth:`KernelBackend.forward_sweep` — per level, condition then send;
 - :meth:`KernelBackend.backward_sweep` — per level, send;
 - :meth:`KernelBackend.icm` — the whole Gauss-Seidel run;
-- :meth:`KernelBackend.decode` — conditioning only.
+- :meth:`KernelBackend.decode` — conditioning only;
+- :meth:`KernelBackend.greedy` — every node once, in degree order.
 
 Three per-call kernels complete the set: the dual-bound edge reduction
 (:meth:`KernelBackend.bound_chunk_mins`) and the synchronous BP beliefs
@@ -28,7 +30,7 @@ be swapped in without perturbing a single test, snapshot, or warm-start
 trace.  ``tests/test_backends.py`` enforces this the way ``trws-ref``
 gates the vectorized solvers.
 
-Each sweep-level method returns the backend whose kernels actually ran it
+Each of those methods returns the backend whose kernels actually ran it
 — itself, or the NumPy reference when a native guard declined the plan —
 so solvers can record the executed backend rather than the requested one.
 
@@ -62,10 +64,14 @@ class KernelBackend:
         kind: implementation detail for reporting — ``"numpy"`` or
             ``"cc"``; shown by ``repro --help`` and recorded by
             benchmarks.
+        fallbacks: guarded calls this backend handed to the NumPy
+            reference so far (process lifetime; always 0 for NumPy
+            itself).  Counted whether or not tracing is on.
     """
 
     name: str = "abstract"
     kind: str = "abstract"
+    fallbacks: int = 0
 
     @property
     def available(self) -> bool:
@@ -140,6 +146,22 @@ class KernelBackend:
     ) -> "KernelBackend":
         """The conditioning half of :meth:`forward_sweep` alone (no sends):
         writes every node's label into ``labels``.  Returns the backend
+        that ran it."""
+        raise NotImplementedError
+
+    def greedy(
+        self,
+        plan: "MRFArrays",
+        labels: np.ndarray,
+        scratch: "SolverScratch",
+    ) -> "KernelBackend":
+        """The degree-descending sequential greedy labelling, into
+        ``labels`` (int64, one per node): the TRW-S refine init.
+
+        Nodes are visited most-connected first, ties in node order; each
+        takes the first argmin of its unary plus the pairwise columns of
+        its already-labelled neighbours, added in the order of the forward
+        sweep's full-adjacency rows (edge order).  Returns the backend
         that ran it."""
         raise NotImplementedError
 

@@ -14,12 +14,15 @@ the validation token, so in-place streaming patches (``set_cost_matrix``
 / ``set_unary``) stay visible to the kernels while ``replace_edges``
 rebuilds are caught and re-marshalled.
 
-The guard runs once per sweep: a plan wider than 64 labels (the C
-kernels' stack-buffer limit), or any array that is not C-contiguous
-``float64`` / ``int64`` of the plan's shape, routes the call to the NumPy
-backend instead — graceful, never wrong — and increments the
-:data:`FALLBACK_COUNTER` obs counter.  The sweep methods return the
-backend that actually ran, so solvers record fallbacks truthfully.  The
+The guard runs once per sweep (and once per greedy init): a plan wider
+than 64 labels (the C kernels' stack-buffer limit), or any array that is
+not C-contiguous ``float64`` / ``int64`` of the plan's shape, routes the
+call to the NumPy backend instead — graceful, never wrong — and counts
+it twice: in the :data:`FALLBACK_COUNTER` obs counter of an active trace,
+and in the backend's own :attr:`~NativeBackend.fallbacks`, which counts
+with tracing off too (the service exports it on ``/metrics``).  The
+guarded methods return the backend that actually ran, so solvers record
+fallbacks truthfully.  The
 plan-build ``schedule`` kernel needs no guard: it writes fresh arrays,
 and :func:`~repro.mrf.vectorized.wavefront_schedule` has checked the
 endpoints it indexes by.
@@ -28,6 +31,7 @@ endpoints it indexes by.
 from __future__ import annotations
 
 import ctypes
+import threading
 import weakref
 
 import numpy as np
@@ -84,7 +88,7 @@ class _PlanState:
         checks = [
             (plan.cost, np.float64), (plan.unary_inf, np.float64),
             *((a, np.int64) for a in (
-                plan.edge_cid, plan.slot_receiver, fwd.node_off,
+                plan.edge_cid, plan.slot_receiver, plan.degree, fwd.node_off,
                 fwd.ext_off, fwd.all_off, fwd.send_off, bwd.send_off,
             )),
         ]
@@ -119,6 +123,7 @@ class _PlanState:
         self.ref = ctypes.pointer(CPlan(
             lmax=plan.lmax, n_fwd=fwd.count, n_bwd=bwd.count,
             cost=_addr(plan.cost), unary=_addr(plan.unary_inf),
+            degree=_addr(plan.degree),
             node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
             all_off=_addr(fwd.all_off), fwd=sends(fwd), bwd=sends(bwd),
             **{
@@ -153,6 +158,8 @@ class NativeBackend(KernelBackend):
         self._kernels = None
         self._resolved = False
         self._states: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
+        self.fallbacks = 0
 
     # ----------------------------------------------------- implementation
 
@@ -205,6 +212,8 @@ class NativeBackend(KernelBackend):
 
     def _fallback(self) -> NumpyBackend:
         obs.add_counter(FALLBACK_COUNTER)
+        with self._lock:
+            self.fallbacks += 1
         return self._numpy
 
     # ------------------------------------------------- sweep-level kernels
@@ -253,6 +262,17 @@ class NativeBackend(KernelBackend):
         kernels, state = ready
         cond = scratch.array("native_cond", (state.cond_rows, plan.lmax))
         kernels.icm(state.ref, int(max_sweeps), _addr(current), _addr(cond))
+        return self
+
+    def greedy(self, plan, labels, scratch):
+        ready = self._guard(plan, _labels(plan, labels))
+        if not ready:
+            return self._fallback().greedy(plan, labels, scratch)
+        kernels, state = ready
+        n = plan.node_count
+        top = int(plan.degree.max()) if n else 0
+        work = scratch.array("native_greedy", (2 * n + top + 2,), np.int64)
+        kernels.greedy(state.ref, top, _addr(labels), _addr(work))
         return self
 
     def decode(self, plan, beliefs, messages, labels, scratch):

@@ -6,7 +6,8 @@ backend registry existed (same operations, same order, same
 ``SolverScratch`` buffer names).  This backend *defines* the bit-level
 contract every other backend is gated against.  Its schedule kernel is
 the reference level loop: Kahn waves over the endpoint grouping, one
-round of array calls per level.
+round of array calls per level.  Its greedy init is a Python loop over
+the nodes, one array add per pairwise term.
 """
 
 from __future__ import annotations
@@ -79,6 +80,46 @@ class NumpyBackend(KernelBackend):
     def decode(self, plan, beliefs, messages, labels, scratch):
         for level in plan.fwd_levels:
             _condition(plan, level, beliefs, messages, labels, scratch)
+        return self
+
+    def greedy(self, plan, labels, scratch):
+        # The walk reads the forward sweep's full-adjacency arrays, which
+        # already group every node's neighbours in edge order with cost
+        # ids oriented rows = that node's labels.  Entries whose neighbour
+        # comes later in the greedy order are dropped up front, so the
+        # Python loop only visits the pairwise terms it adds, in order.
+        n = plan.node_count
+        if not n:
+            return self
+        block = plan.fwd_sweep.block
+        nodes = block.nodes
+        degree = np.bincount(block.all_nbr, minlength=n)
+        # Most-connected first, ties in node order.
+        order = np.argsort(-degree, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        # The node each full-adjacency entry belongs to.
+        owner = np.repeat(nodes, degree[nodes])
+        earlier = rank[block.all_nbr] < rank[owner]
+        counts = np.bincount(owner[earlier], minlength=n)
+        stop = np.empty(n, dtype=np.int64)
+        stop[nodes] = np.cumsum(counts[nodes])
+        start = (stop - counts).tolist()
+        stop = stop.tolist()
+        nbr = block.all_nbr[earlier].tolist()
+        cid = block.all_cid[earlier].tolist()
+        # Nodes without an earlier neighbour keep their unary argmin.
+        chosen = plan.unary_inf.argmin(axis=1).tolist()
+        unary, cost = plan.unary_inf, plan.cost
+        for node in order.tolist():
+            first, last = start[node], stop[node]
+            if first == last:
+                continue
+            vector = unary[node] + cost[cid[first], :, chosen[nbr[first]]]
+            for k in range(first + 1, last):
+                vector += cost[cid[k], :, chosen[nbr[k]]]
+            chosen[node] = int(vector.argmin())
+        labels[:] = chosen
         return self
 
     # ----------------------------------------------------- per-call kernels

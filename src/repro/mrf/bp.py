@@ -207,7 +207,7 @@ class LoopyBPSolver:
 
         assert best_labels is not None
         return SolverResult(
-            labels=[int(x) for x in best_labels],
+            labels=best_labels.tolist(),
             energy=best_energy,
             iterations=iterations,
             converged=converged,

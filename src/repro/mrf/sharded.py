@@ -92,7 +92,10 @@ def _solve_plan(
     if solver_name == "trws" and messages is None and is_forest_plan(plan):
         return solve_forest_plan(plan)
     if solver_name == "trws":
-        inits = (plan.greedy_labels(),) if greedy else ()
+        inits = (
+            (plan.greedy_labels(scratch=scratch, backend=solver.backend),)
+            if greedy else ()
+        )
         return solver.solve_arrays(
             plan, messages=messages, extra_inits=inits, scratch=scratch,
         )

@@ -133,7 +133,7 @@ class TRWSSolver:
             return solve_forest_plan(plan)
         extra_inits = ()
         if self.refine:  # the greedy labelling only feeds the refine stage
-            extra_inits = (plan.greedy_labels(),)
+            extra_inits = (plan.greedy_labels(backend=self.backend),)
         return self.solve_arrays(plan, extra_inits=extra_inits)
 
     def solve_arrays(
@@ -400,7 +400,7 @@ class TRWSSolver:
         if collect:
             stats.refine_seconds = time.perf_counter() - refine_start
         return SolverResult(
-            labels=[int(x) for x in best_labels],
+            labels=best_labels.tolist(),
             energy=best_energy,
             lower_bound=lower_bound,
             iterations=iterations,
@@ -440,7 +440,7 @@ def solve_forest_plan(plan: MRFArrays) -> SolverResult:
         else None
     )
     return SolverResult(
-        labels=[int(x) for x in labels],
+        labels=labels.tolist(),
         energy=energy,
         lower_bound=energy,
         iterations=1,

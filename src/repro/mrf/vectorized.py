@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.mrf.graph import PairwiseMRF
 
 __all__ = [
@@ -529,6 +530,8 @@ class MRFArrays:
         # #backward neighbours); a node's forward neighbours are the
         # higher-numbered ones.
         degree = np.diff(group_off)
+        #: incident edges per node (the greedy init's visiting order).
+        self.degree = degree
         higher = np.bincount(np.minimum(edge_first, edge_second), minlength=n)
         lower = degree - higher
         chains = np.maximum(higher, lower)
@@ -859,50 +862,40 @@ class MRFArrays:
 
     # --------------------------------------------------------------- greedy
 
-    def greedy_labels(self) -> np.ndarray:
+    def greedy_labels(
+        self,
+        scratch: Optional[SolverScratch] = None,
+        backend=None,
+    ) -> np.ndarray:
         """Degree-descending sequential greedy labelling on the plan.
 
         The plan-level analogue of the MRF greedy used by the TRW-S refine
-        stage: nodes are labelled from most- to least-connected, each taking
-        the argmin of its unary plus the oriented pairwise costs to
-        already-labelled neighbours.  Lets plan-only callers (the streaming
-        engine) seed ICM without materialising a :class:`PairwiseMRF`.
+        stage: nodes are labelled from most- to least-connected (ties in
+        node order), each taking the argmin of its unary plus the oriented
+        pairwise costs to already-labelled neighbours.  Lets plan-only
+        callers (the streaming engine) seed ICM without materialising a
+        :class:`PairwiseMRF`.
 
-        The walk reads the forward sweep's full-adjacency arrays, which
-        already group every node's neighbours in edge order with cost ids
-        oriented rows = that node's labels.  Entries whose neighbour comes
-        later in the greedy order are dropped up front, so the Python loop
-        only visits the pairwise terms it adds, in the same order.
+        One call to the kernel ``backend`` (see
+        :meth:`~repro.mrf.backends.base.KernelBackend.greedy`): the C
+        kernel walks the forward sweep's full-adjacency arrays in degree
+        order; the NumPy reference is a Python loop over the nodes.  Both
+        add the pairwise terms in the same order and take the first
+        minimum, so the labels are identical.  While tracing is enabled
+        the call records a ``trws.greedy`` span with the node count and
+        the backend that ran; disabled, that costs one branch.
         """
-        n = self.node_count
-        if not n:
-            return np.zeros(0, dtype=np.int64)
-        block = self.fwd_sweep.block
-        nodes = block.nodes
-        degree = np.bincount(block.all_nbr, minlength=n)
-        # Most-connected first, ties in node order.
-        order = np.argsort(-degree, kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        # The node each full-adjacency entry belongs to.
-        owner = np.repeat(nodes, degree[nodes])
-        earlier = rank[block.all_nbr] < rank[owner]
-        counts = np.bincount(owner[earlier], minlength=n)
-        stop = np.empty(n, dtype=np.int64)
-        stop[nodes] = np.cumsum(counts[nodes])
-        start = (stop - counts).tolist()
-        stop = stop.tolist()
-        nbr = block.all_nbr[earlier].tolist()
-        cid = block.all_cid[earlier].tolist()
-        # Nodes without an earlier neighbour keep their unary argmin.
-        labels = self.unary_inf.argmin(axis=1).tolist()
-        unary, cost = self.unary_inf, self.cost
-        for node in order.tolist():
-            first, last = start[node], stop[node]
-            if first == last:
-                continue
-            vector = unary[node] + cost[cid[first], :, labels[nbr[first]]]
-            for k in range(first + 1, last):
-                vector += cost[cid[k], :, labels[nbr[k]]]
-            labels[node] = int(vector.argmin())
-        return np.array(labels, dtype=np.int64)
+        from repro.mrf.backends import resolve_backend
+
+        kernels = resolve_backend(backend)
+        scratch = scratch if scratch is not None else SolverScratch()
+        labels = np.zeros(self.node_count, dtype=np.int64)
+        if not obs.enabled():
+            kernels.greedy(self, labels, scratch)
+            return labels
+        with obs.span(
+            "trws.greedy", cat="solve", nodes=self.node_count
+        ) as greedy_span:
+            executed = kernels.greedy(self, labels, scratch)
+            greedy_span.add(backend=executed.describe())
+        return labels

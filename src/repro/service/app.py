@@ -267,11 +267,16 @@ class DiversificationService:
         self._engine = engine
         self.metrics = ServiceMetrics(solve_buckets=self.config.solve_buckets)
         self.metrics.set_gauge("queue_high_water", self.config.high_water)
+        #: the kernel backend the engine's solves resolve to; its
+        #: fallback count is exported as ``backend_fallbacks_total``.
+        self._backend = engine.backend
+        self._fallbacks = self._backend.fallbacks
         self.metrics.set_build_info(
             version=__version__,
             python=platform.python_version(),
             solver=self.config.solver,
             warm_start=self.config.warm_start,
+            backend=self._backend.describe(),
         )
         self._log = get_logger("service")
         #: the trace ring buffer this service owns (None when disabled or
@@ -621,7 +626,11 @@ class DiversificationService:
         )
 
     def _solve_batch(self, force_cold: bool = False):
-        """One engine solve, routed through the ``solve`` fault point."""
+        """One engine solve, routed through the ``solve`` fault point.
+
+        Native kernel calls that fell back to NumPy during the solve are
+        added to ``backend_fallbacks_total``, traced or not.
+        """
         faults = self.config.fault_plan
         if faults is not None:
             action = faults.fire("solve")
@@ -629,7 +638,12 @@ class DiversificationService:
                 faults.crash()
             if action == "error":
                 raise InjectedFault("injected solver failure")
-        return self._engine.solve(force_cold=force_cold)
+        try:
+            return self._engine.solve(force_cold=force_cold)
+        finally:
+            fallbacks = self._backend.fallbacks
+            self.metrics.inc("backend_fallbacks_total", fallbacks - self._fallbacks)
+            self._fallbacks = fallbacks
 
     def _dead_letter(self, batch: List[Tuple[int, Event]], problem) -> None:
         """Quarantine a twice-failed batch to the dead-letter sidecar."""

@@ -46,6 +46,7 @@ _COUNTERS = (
     "wal_failures_total",
     "writer_failures_total",
     "dead_letter_total",
+    "backend_fallbacks_total",
 )
 
 _GAUGES = (

@@ -42,6 +42,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.mrf.backends import KernelBackend, resolve_backend
 from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.solvers import SolverResult
 from repro.mrf.trws import TRWSSolver
@@ -252,7 +253,7 @@ class DynamicDiversifier:
                 solver = self._solver
                 extra_inits = (plan.labels,)
                 if is_trws:
-                    extra_inits += (plan.plan.greedy_labels(),)
+                    extra_inits += (self._greedy_labels(),)
             else:
                 solver = self._warm_solver
                 extra_inits = (plan.labels,)
@@ -261,7 +262,7 @@ class DynamicDiversifier:
             solver = self._solver
             # The greedy init only feeds TRW-S's refine stage; BP's
             # solve_arrays takes no inits, so don't pay for it there.
-            extra_inits = (plan.plan.greedy_labels(),) if is_trws else ()
+            extra_inits = (self._greedy_labels(),) if is_trws else ()
 
         if is_trws:
             result = solver.solve_arrays(
@@ -324,7 +325,19 @@ class DynamicDiversifier:
             escalation=escalation,
         )
 
+    @property
+    def backend(self) -> KernelBackend:
+        """The kernel backend the engine's solves resolve to now."""
+        return resolve_backend(self._solver.backend)
+
     # ------------------------------------------------------------- internals
+
+    def _greedy_labels(self) -> np.ndarray:
+        """The greedy refine init of a cold or escalated TRW-S solve, on
+        the solver's backend."""
+        return self.plan.plan.greedy_labels(
+            scratch=self._scratch, backend=self._solver.backend
+        )
 
     def _delta_too_large(self) -> bool:
         """Did pending deltas (topology or constraint churn) outgrow the

@@ -60,7 +60,7 @@ def to_dot(
     for a, b in network.links:
         attributes = ""
         if assignment is not None and similarity is not None:
-            value = _edge_similarity(network, assignment, similarity, a, b)
+            value = _link_similarity(network, assignment, similarity, a, b)
             if value is not None:
                 colour = _heat_colour(value)
                 attributes = (
@@ -92,7 +92,7 @@ def ascii_summary(
     if assignment is not None and similarity is not None:
         scored = []
         for a, b in network.links:
-            value = _edge_similarity(network, assignment, similarity, a, b)
+            value = _link_similarity(network, assignment, similarity, a, b)
             if value is not None:
                 scored.append((value, a, b))
         scored.sort(reverse=True)
@@ -114,7 +114,7 @@ def _node_line(
     return f'"{_escape(host)}" [label="{label}"];'
 
 
-def _edge_similarity(
+def _link_similarity(
     network: Network,
     assignment: ProductAssignment,
     similarity: SimilarityTable,

@@ -19,6 +19,7 @@ __all__ = [
     "LEXSORT_FWD_FIELDS",
     "LEXSORT_BWD_FIELDS",
     "assert_schedule_kernels_agree",
+    "edge_similarity_loop",
     "lexsort_structure",
     "make_random_mrf",
     "pipeline_estate",
@@ -91,6 +92,25 @@ def pipeline_estate(hosts: int, seed: int = 0):
         for product in products
     }
     return network, table, preferences
+
+
+def edge_similarity_loop(network, similarity, assignment):
+    """``(total, coupled)``: the assigned products' similarity summed
+    over every (link, shared-service) pair by a plain loop over the links,
+    and the number of pairs it counted.  The oracle of
+    ``DiversificationResult.similarity_total`` / ``mean_edge_similarity``
+    (``total / coupled``)."""
+    total = 0.0
+    coupled = 0
+    for a, b in network.links:
+        for service in network.shared_services(a, b):
+            product_a = assignment.get(a, service)
+            product_b = assignment.get(b, service)
+            if product_a is None or product_b is None:
+                continue
+            coupled += 1
+            total += similarity.get(product_a, product_b)
+    return total, coupled
 
 
 def python_levels(n: int, first, second):

@@ -393,6 +393,25 @@ class TestCKernels:
                     getattr(plan, name), getattr(eager, name)
                 )
 
+    def test_greedy_parity_chain_and_after_replace_edges(self):
+        # The greedy kernel reads the forward sweep's full-adjacency rows
+        # through the marshalled plan; a replace_edges rebuild must be
+        # re-marshalled before the next call.
+        plan = MRFArrays(_chain_chord_mrf(hosts=200, seed=16))
+        np.testing.assert_array_equal(
+            plan.greedy_labels(backend="native"),
+            plan.greedy_labels(backend="numpy"),
+        )
+        keep = np.arange(0, plan.edge_count, 2)
+        plan.replace_edges(
+            plan.edge_first[keep], plan.edge_second[keep],
+            plan.edge_cid[keep], plan.matrix_stack(),
+        )
+        np.testing.assert_array_equal(
+            plan.greedy_labels(backend="native"),
+            plan.greedy_labels(backend="numpy"),
+        )
+
     def test_icm_respects_max_sweeps(self):
         plan = MRFArrays(_chain_chord_mrf(hosts=200, seed=14))
         start = np.zeros(plan.node_count, dtype=np.int64)
@@ -462,6 +481,37 @@ class TestNativeFallbackGuards:
                 plan, plan.zero_messages(), plan.padded_beliefs(),
                 np.zeros(plan.node_count, dtype=np.int64), SolverScratch(),
             )
+
+    def test_wide_plan_greedy_falls_back_once(self):
+        plan = _wide_plan()
+        native = get_backend("native")
+        reference = plan.greedy_labels(backend="numpy")
+        before = native.fallbacks
+        trace = obs.activate(obs.Trace())
+        try:
+            labels = plan.greedy_labels(backend="native")
+        finally:
+            obs.deactivate()
+        np.testing.assert_array_equal(labels, reference)
+        # One guarded call, one fallback: counted by the backend (traced
+        # or not) and by the trace, and the span names the backend that ran.
+        assert native.fallbacks == before + 1
+        assert trace.counters[FALLBACK_COUNTER] == 1
+        (greedy,) = [e for e in trace.events if e["name"] == "trws.greedy"]
+        assert greedy["args"] == {"nodes": 5, "backend": "numpy"}
+        plan.greedy_labels(backend="native")
+        assert native.fallbacks == before + 2
+
+    def test_non_contiguous_greedy_labels_fall_back(self):
+        native = get_backend("native")
+        plan = MRFArrays(make_random_mrf(6, 0.5, 3, seed=15))
+        labels = np.zeros(2 * plan.node_count, dtype=np.int64)[::2]
+        before = native.fallbacks
+        assert native.greedy(plan, labels, SolverScratch()).name == "numpy"
+        assert native.fallbacks == before + 1
+        np.testing.assert_array_equal(
+            labels, plan.greedy_labels(backend="numpy")
+        )
 
     def test_fallback_recorded_under_tracing(self):
         trace = obs.activate(obs.Trace())

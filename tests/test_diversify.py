@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from helpers import edge_similarity_loop
 from repro.core import diversify, mono_assignment
 from repro.core.costs import assignment_energy
 from repro.network.constraints import (
@@ -220,6 +221,97 @@ class TestHeterogeneousNetworks:
         result = diversify(network, SimilarityTable())
         assert result.assignment.is_complete()
         assert result.similarity_total == 0.0
+
+
+class TestSimilaritySummary:
+    """``similarity_total`` and ``mean_edge_similarity`` come from the
+    compiled arrays; they equal (``==``) a plain loop over the links."""
+
+    @staticmethod
+    def _estate():
+        # Heterogeneous service sets and ranges: shared services couple
+        # only where both hosts run them, "e" has a one-product range.
+        network = Network()
+        network.add_host("a", {"os": ["w", "l", "m"], "web": ["ap", "ng"]})
+        network.add_host("b", {"os": ["w", "l"], "db": ["pg", "my"]})
+        network.add_host(
+            "c",
+            {"web": ["ap", "ng", "ii"], "db": ["pg", "my"], "os": ["l", "m"]},
+        )
+        network.add_host("d", {"os": ["w", "m"], "web": ["ng", "ii"]})
+        network.add_host("e", {"db": ["my"], "os": ["w", "l", "m"]})
+        network.add_links(
+            [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "a"),
+             ("c", "e"), ("b", "e"), ("d", "e")]
+        )
+        similarity = SimilarityTable(pairs={
+            ("w", "l"): 0.31, ("l", "m"): 0.17, ("w", "m"): 0.73,
+            ("ap", "ng"): 0.29, ("ng", "ii"): 0.11, ("ap", "ii"): 0.6,
+            ("pg", "my"): 0.43,
+        })
+        return network, similarity
+
+    CONSTRAINTS = ConstraintSet([
+        FixProduct("a", "os", "l"),
+        ForbidProduct("d", "os", "w"),
+        # Intra-host combination edges: coupled in the plan, never summed.
+        AvoidCombination(GLOBAL, "os", "m", "web", "ii"),
+        RequireCombination("c", "db", "pg", "os", "l"),
+    ])
+    OPTIONS = {
+        "plain": {},
+        "constrained": {"constraints": CONSTRAINTS},
+        "weighted": {
+            "constraints": CONSTRAINTS,
+            "pairwise_weight": 2.5,
+            "service_weights": {"os": 3.0, "db": 0.5},
+            "preferences": {("b", "db", "my"): 0.2, ("e", "os", "w"): -0.1},
+        },
+    }
+
+    @pytest.mark.parametrize("solver", ["trws", "bp", "icm", "exact"])
+    @pytest.mark.parametrize("case", sorted(OPTIONS))
+    def test_equals_the_loop_over_links(self, solver, case):
+        network, similarity = self._estate()
+        result = diversify(
+            network, similarity, solver=solver, **self.OPTIONS[case]
+        )
+        total, coupled = edge_similarity_loop(
+            network, similarity, result.assignment
+        )
+        assert coupled == 14
+        assert result.similarity_total == total
+        assert result.mean_edge_similarity == total / coupled
+
+    @pytest.mark.parametrize("solver", ["trws", "icm"])
+    def test_random_estates_match_the_loop(self, solver):
+        from repro.network.generator import (
+            RandomNetworkConfig,
+            random_network,
+            random_similarity,
+        )
+
+        for seed in range(4):
+            config = RandomNetworkConfig(
+                hosts=40, degree=4, services=3, seed=seed
+            )
+            network = random_network(config)
+            similarity = random_similarity(config)
+            result = diversify(network, similarity, solver=solver)
+            total, coupled = edge_similarity_loop(
+                network, similarity, result.assignment
+            )
+            assert result.similarity_total == total
+            assert result.mean_edge_similarity == total / coupled
+
+    def test_no_coupled_edges(self):
+        network = Network()
+        network.add_host("a", {"os": ["w", "l"]})
+        network.add_host("b", {"os": ["w", "l"]})
+        for solver in ("trws", "icm"):
+            result = diversify(network, SimilarityTable(), solver=solver)
+            assert result.similarity_total == 0.0
+            assert result.mean_edge_similarity == 0.0
 
 
 class TestImportGraph:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.mrf.backends import get_backend
+from repro.mrf.backends import get_backend, resolve_backend
 from repro.mrf.graph import PairwiseMRF
 from repro.mrf.solvers import SolveStats, get_solver
 from repro.mrf.trws import TRWSSolver
@@ -240,6 +240,41 @@ class TestSpans:
         assert result.stats.total_seconds > 0
         assert result.labels == baseline.labels
         assert result.lower_bound == result.energy
+
+    def test_greedy_init_traced_wherever_it_runs(self):
+        # One trws.greedy span per greedy refine init, with the node count
+        # and the backend that ran: solve_plan, TRWSSolver.solve, and the
+        # stream engine's cold and escalated solves.  Solves that take no
+        # greedy init record none.
+        from repro.mrf.sharded import solve_plan
+        from repro.network.topologies import ring_network
+        from repro.nvd.similarity import SimilarityTable
+        from repro.stream import DynamicDiversifier, SimilarityUpdate
+
+        mrf = _loopy_mrf()
+        plan = MRFArrays(mrf)
+        network = ring_network(5, services={"svc": ["p0", "p1", "p2"]})
+        table = SimilarityTable(pairs={("p0", "p1"): 0.1, ("p1", "p2"): 0.2})
+        engine = DynamicDiversifier(network, table)
+        trace = obs.activate(obs.Trace())
+        try:
+            solve_plan(plan)
+            TRWSSolver().solve(mrf)
+            TRWSSolver(refine=False).solve(mrf)
+            solve_plan(plan, solver="bp")
+            assert engine.solve().escalation == "first_solve"
+            engine.apply(SimilarityUpdate("p0", "p2", 0.9))
+            assert engine.solve().escalation == "cost_jump"
+            engine.apply(SimilarityUpdate("p0", "p2", 0.91))
+            assert engine.solve().escalation is None
+        finally:
+            obs.deactivate()
+        greedy = [e for e in trace.events if e["name"] == "trws.greedy"]
+        assert [e["args"]["nodes"] for e in greedy] == [6, 6, 5, 5]
+        backend = resolve_backend().describe()
+        for event in greedy:
+            assert event["cat"] == "solve"
+            assert event["args"]["backend"] == backend
 
     @pytest.mark.skipif(
         not get_backend("native").available,

@@ -40,6 +40,7 @@ from repro.mrf import (
     solve_plan,
 )
 from repro.mrf.backends import get_backend
+from repro.mrf.reference import _greedy_labels
 from repro.mrf.trws import is_forest_plan
 from repro.mrf.vectorized import connected_components
 from repro.network.generator import (
@@ -399,6 +400,101 @@ def test_schedule_kernels_edge_cases():
 @given(graph=_schedule_graphs())
 def test_schedule_kernels_match_python_levels(graph):
     _assert_schedules_agree(*graph)
+
+
+# ========================================================= greedy kernels
+
+
+class _EdgeListMRF:
+    """The read API of :class:`~repro.mrf.graph.PairwiseMRF` over raw
+    plan parts, parallel edges included (``PairwiseMRF`` refuses them),
+    so the MRF-level reference greedy can run on any plan."""
+
+    def __init__(self, unaries, first, second, matrices):
+        self._unaries = unaries
+        self._edges = list(zip(first, second))
+        self._costs = matrices
+        self._adjacency = [[] for _ in unaries]
+        for e, (a, b) in enumerate(self._edges):
+            self._adjacency[a].append((b, e))
+            self._adjacency[b].append((a, e))
+
+    @property
+    def node_count(self):
+        return len(self._unaries)
+
+    def neighbors(self, node):
+        return self._adjacency[node]
+
+    def unary(self, node):
+        return self._unaries[node]
+
+    def edge(self, edge_id):
+        return self._edges[edge_id]
+
+    def edge_cost(self, edge_id):
+        return self._costs[edge_id]
+
+
+@st.composite
+def _greedy_plans(draw):
+    """Plan parts of a random multigraph: mixed label counts padded to a
+    drawn width (4, 6 and 8 take the C kernel's constant-width copies, 5
+    and 9 the generic one), isolated nodes, parallel edges, several
+    components and plenty of degree ties.  Costs come from a few values
+    (argmin ties) or from uniform draws (summation order)."""
+    n, edges = draw(_graphs(max_nodes=30))
+    width = draw(st.sampled_from([4, 5, 6, 8, 9]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coarse = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+
+    def costs(*shape):
+        if coarse:
+            return rng.choice([0.0, 0.25, 0.5, 1.0], size=shape)
+        return rng.uniform(0.0, 1.0, size=shape)
+
+    counts = rng.integers(1, width + 1, size=n)
+    unaries = [costs(int(count)) for count in counts]
+    first = [a for a, _ in edges]
+    second = [b for _, b in edges]
+    matrices = [costs(int(counts[a]), int(counts[b])) for a, b in edges]
+    plan = MRFArrays.from_parts(
+        unaries,
+        np.asarray(first, dtype=np.int64),
+        np.asarray(second, dtype=np.int64),
+        np.arange(len(edges)),
+        matrices,
+        lmax=width,
+    )
+    reference = _greedy_labels(_EdgeListMRF(unaries, first, second, matrices))
+    return plan, reference
+
+
+def _assert_greedy_kernels(plan, reference):
+    for name in ("numpy", "native"):
+        if not get_backend(name).available:
+            continue
+        labels = plan.greedy_labels(backend=name)
+        assert labels.dtype == np.int64, name
+        assert labels.tolist() == reference, name
+
+
+def test_greedy_kernels_edge_cases():
+    empty = MRFArrays.from_parts([], np.zeros(0), np.zeros(0), np.zeros(0), [])
+    _assert_greedy_kernels(empty, [])
+    # Isolated nodes keep their unary argmin; the first minimum wins.
+    unaries = [np.array([1.0, 0.5, 0.5]), np.array([0.0]), np.array([2.0, 1.0])]
+    isolated = MRFArrays.from_parts(
+        unaries, np.zeros(0), np.zeros(0), np.zeros(0), [], lmax=4
+    )
+    _assert_greedy_kernels(isolated, [1, 0, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_greedy_plans())
+def test_greedy_kernels_match_the_reference(case):
+    _assert_greedy_kernels(*case)
 
 
 # ============================================================ invariant pack

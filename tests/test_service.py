@@ -18,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.core.costs import assignment_energy
+from repro.mrf.backends import get_backend
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -405,6 +406,34 @@ class TestShardedDaemonSnapshot:
         meta = load_snapshot(latest_snapshot(snaps)).meta
         assert meta["version"] > 3
         assert "shard_cache" not in meta
+
+
+class TestBackendMetrics:
+    @pytest.mark.skipif(
+        not get_backend("native").available,
+        reason="native backend needs a C compiler",
+    )
+    def test_forced_fallback_raises_the_counter_untraced(self):
+        # 70 candidate products: past the C kernels' 64-label limit, so
+        # every native kernel call of the solve runs on NumPy instead.
+        from repro.network.topologies import ring_network
+        from repro.nvd.similarity import SimilarityTable
+
+        products = [f"p{i}" for i in range(70)]
+        network = ring_network(4, services={"svc": products})
+        similarity = SimilarityTable(pairs={("p0", "p1"): 0.5})
+        service = DiversificationService(
+            network, similarity,
+            config=ServiceConfig(port=0, engine_options={"backend": "native"}),
+        )
+        assert not obs.enabled()
+        text = service.metrics.render()
+        assert 'backend="native (cc)"' in text
+        assert "repro_backend_fallbacks_total 0" in text
+        service._ingest([])
+        counted = service.metrics.counters()["backend_fallbacks_total"]
+        assert counted > 0
+        assert f"repro_backend_fallbacks_total {counted}" in service.metrics.render()
 
 
 class TestPublishSpan:

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.cli import build_parser
+from repro.mrf.backends import resolve_backend
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -371,6 +372,8 @@ class TestObservability:
             text = client.metrics_text()
             assert 'repro_build_info{' in text
             assert 'solver="trws"' in text
+            assert f'backend="{resolve_backend().describe()}"' in text
+            assert "repro_backend_fallbacks_total 0" in text
             assert "sharded" not in text
             # The boot solve is a cold first solve — counted by reason.
             assert 'repro_escalations_total{reason="first_solve"} 1' in text
