@@ -1,14 +1,14 @@
 """Native kernel tier — compiled TRW-S sweep kernels vs the NumPy backend.
 
 Pins the two claims of the kernel-backend tier (``docs/kernels.md``), each
-on one TRW-S iteration — forward sweep + backward sweep + dual bound —
+on one TRW-S iteration — forward sweep + backward sweep + lower bound —
 while the backends stay bit-for-bit identical (labels, energy, bound,
 traces and the post-solve message state are asserted equal, not close):
 
 * on the 10k-host scalability workload (50 000 nodes, ~200 000 edges, 4
   labels, wide wavefront levels) the ``native`` backend is at least
   **5×** faster than the ``numpy`` backend;
-* on the 1000-host chain+chord estate of ``bench_dual_scaling.py`` (one
+* on a 1000-host chain+chord estate (:func:`build_pipeline_estate`: one
   wavefront level per host, ~1000 levels per sweep — the long-diameter
   shape where per-level dispatch is most of the work) ``native`` is no
   slower than ``numpy``.
@@ -31,12 +31,11 @@ record (schema 2 ``phases``), and the committed baselines live in
 (``bench_report.py --pinned`` gates on them).
 """
 
+import random
 import time
 
 import numpy as np
 import pytest
-from bench_dual_scaling import HOSTS as CHAIN_HOSTS
-from bench_dual_scaling import build_pipeline_estate
 
 from repro import obs
 from repro.core.compile import compile_plan
@@ -48,6 +47,8 @@ from repro.network.generator import (
     random_network,
     random_similarity,
 )
+from repro.network.topologies import chain_network
+from repro.nvd.similarity import SimilarityTable
 
 #: The 10k-host scalability workload (paper Table 7 scale).
 CONFIG = RandomNetworkConfig(
@@ -62,12 +63,45 @@ MIN_CHAIN_SPEEDUP = 1.0
 #: Acceptance bar for the native greedy refine init at the 10k scale.
 MIN_GREEDY_SPEEDUP = 10.0
 
+#: The chain estate: a 1000-host backbone, a chord spanning 150 hosts
+#: every 100, four products per host and seeded per-host preferences.
+HOSTS = 1000
+SEED = 2
+PRODUCTS = 4
+CHORD_SPAN = 150
+CHORD_EVERY = 100
+
 NATIVE = get_backend("native")
 
 pytestmark = pytest.mark.skipif(
     not NATIVE.available,
     reason="native backend needs a C compiler",
 )
+
+
+def build_pipeline_estate(seed: int = SEED):
+    """One connected 1000-host chain backbone with long redundancy chords."""
+    spec = {"scada": tuple(f"p{j}" for j in range(PRODUCTS))}
+    network = chain_network(HOSTS, services=spec)
+    for i in range(0, HOSTS - CHORD_SPAN - 10, CHORD_EVERY):
+        network.add_link(f"h{i}", f"h{i + CHORD_SPAN}")
+
+    table = SimilarityTable()
+    feed = random.Random(seed)
+    products = spec["scada"]
+    for product in products:
+        table.add_product(product)
+    for i, a in enumerate(products):
+        for b in products[i + 1 :]:
+            table.set(a, b, round(feed.uniform(0.05, 0.8), 3))
+
+    prefs_rng = random.Random(seed + 5)
+    preferences = {
+        (f"h{i}", "scada", product): round(prefs_rng.uniform(0.0, 0.3), 3)
+        for i in range(HOSTS)
+        for product in products
+    }
+    return network, table, preferences
 
 
 def _timed_solve(plan, backend, scratch, messages):
@@ -173,13 +207,13 @@ def test_native_sweep_speedup(record_bench, scale_plan):
 def test_native_chain_no_slower(record_bench):
     network, table, preferences = build_pipeline_estate()
     plan = compile_plan(network, table, preferences=preferences).plan
-    assert plan.fwd_sweep.count >= CHAIN_HOSTS // 2  # long diameter
+    assert plan.fwd_sweep.count >= HOSTS // 2  # long diameter
     native_result = _assert_parity(plan)
     best, best_stats = _interleaved_best(plan)
     assert best_stats["native"].backend == NATIVE.describe()
     speedup = _record(
         record_bench, "native_kernels_chain", plan, best, best_stats,
-        native_result, hosts=CHAIN_HOSTS,
+        native_result, hosts=HOSTS,
     )
     assert speedup >= MIN_CHAIN_SPEEDUP, (
         f"native kernels {1 / speedup:.1f}x slower than numpy on the "

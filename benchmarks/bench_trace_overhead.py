@@ -3,8 +3,8 @@
 Pins the observability layer's core promise: with no trace activated,
 every ``obs.span`` / ``obs.instant`` / ``obs.add_counter`` call site
 returns a shared no-op singleton and costs nanoseconds, so instrumenting
-the hot paths (compile phases, TRW-S iterations, dual rounds, stream
-applies) does not tax production runs.  The workload is the Table VII
+the hot paths (compile phases, TRW-S iterations, stream applies) does
+not tax production runs.  The workload is the Table VII
 mid-density sweep at **1000 hosts** (degree 20, 15 services) — the same
 estate as ``bench_plan_compile.py`` — compiled and solved end-to-end.
 

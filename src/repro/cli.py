@@ -10,9 +10,7 @@ corresponding table/figure.  Subcommands:
 * ``table6`` — MTTC simulation (``--runs`` controls the batch size).
 * ``table7`` / ``table8`` / ``table9`` — scalability sweeps; ``--workers N``
   spreads the grid cells over N processes (see :mod:`repro.runner`;
-  ``REPRO_WORKERS`` in the environment overrides the default) and
-  ``--shards cut`` dual-decomposes each cell's giant component, tuned by
-  ``--dual-parts``/``--dual-rounds``/``--dual-gap``.
+  ``REPRO_WORKERS`` in the environment overrides the default).
 * ``synthetic-nvd`` — regenerate similarity tables from the synthetic feed.
 
 Extension commands (beyond the paper's tables):
@@ -44,7 +42,6 @@ import sys
 from typing import List, Optional
 
 from repro import experiments
-from repro.core.diversify import SHARD_MODES
 from repro.nvd.datasets import (
     paper_browser_similarity,
     paper_database_similarity,
@@ -143,35 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
             "default serial, or the REPRO_WORKERS env var when set); jobs "
             "are dispatched in chunks on big grids; results are identical, "
             "only faster",
-        )
-        t.add_argument(
-            "--shards",
-            choices=SHARD_MODES,
-            default=None,
-            help="solve each cell by Lagrangian dual decomposition across "
-            "a balanced edge cut of the giant component ('cut'; default "
-            "monolithic; energy certified within the reported duality "
-            "gap; see --dual-parts/--dual-rounds/--dual-gap)",
-        )
-        t.add_argument(
-            "--dual-parts",
-            type=int,
-            default=4,
-            help="shard count of the --shards cut edge-cut (default 4)",
-        )
-        t.add_argument(
-            "--dual-rounds",
-            type=int,
-            default=40,
-            help="outer subgradient round budget of --shards cut "
-            "(default 40)",
-        )
-        t.add_argument(
-            "--dual-gap",
-            type=float,
-            default=1e-6,
-            help="relative duality-gap tolerance stopping the --shards cut "
-            "outer loop (default 1e-6)",
         )
 
     nvd = sub.add_parser(
@@ -472,15 +440,6 @@ def _table6(args: argparse.Namespace) -> None:
         print("  " + result.row(label))
 
 
-def _dual_options(args: argparse.Namespace) -> dict:
-    """The ``--dual-*`` knobs as :func:`scalability_cell` dual options."""
-    return dict(
-        parts=args.dual_parts,
-        max_rounds=args.dual_rounds,
-        gap_tolerance=args.dual_gap,
-    )
-
-
 def _table7(args: argparse.Namespace) -> None:
     hosts = (100, 200, 400, 600, 800, 1000)
     if args.full:
@@ -488,7 +447,6 @@ def _table7(args: argparse.Namespace) -> None:
     print("Table VII — optimisation time vs #hosts")
     for (label, count), cell in experiments.table7_rows(
         host_counts=hosts, seed=args.seed, workers=args.workers,
-        shards=args.shards, dual_options=_dual_options(args),
     ).items():
         print(f"  {label:<14} " + cell.row())
 
@@ -500,7 +458,6 @@ def _table8(args: argparse.Namespace) -> None:
     print("Table VIII — optimisation time vs degree")
     for (label, degree), cell in experiments.table8_rows(
         scales=scales, seed=args.seed, workers=args.workers,
-        shards=args.shards, dual_options=_dual_options(args),
     ).items():
         print(f"  {label:<14} " + cell.row())
 
@@ -512,7 +469,6 @@ def _table9(args: argparse.Namespace) -> None:
     print("Table IX — optimisation time vs services per host")
     for (label, services), cell in experiments.table9_rows(
         scales=scales, seed=args.seed, workers=args.workers,
-        shards=args.shards, dual_options=_dual_options(args),
     ).items():
         print(f"  {label:<14} " + cell.row())
 

@@ -4,7 +4,7 @@
 or the constrained optimum α̂_C when a constraint set is given — by
 compiling the MRF of Section V and running a MAP solver (TRW-S by default).
 The result bundles the decoded assignment with optimisation diagnostics
-(energy, dual lower bound, certificate of optimality) and
+(energy, lower bound, certificate of optimality) and
 diversity-oriented summary statistics.
 
 TRW-S and BP solves compile the network **directly into an array plan**
@@ -12,9 +12,8 @@ TRW-S and BP solves compile the network **directly into an array plan**
 ``build_mrf`` + ``MRFArrays`` pipeline but without materialising per-edge
 Python objects, which is what keeps cold plan builds off the critical path
 of the 1000-6000-host sweeps — and solve it with
-:func:`~repro.mrf.sharded.solve_plan` (or the dual-decomposition solver
-for ``shards="cut"``).  Solvers without a plan-level API take the
-``build_mrf`` object pipeline.
+:func:`~repro.mrf.sharded.solve_plan`.  Solvers without a plan-level API
+take the ``build_mrf`` object pipeline.
 
 The similarity summary (``similarity_total``, ``mean_edge_similarity``)
 is one gather over arrays the compiler already built — the
@@ -29,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from repro.core.compile import CompiledPlan, compile_plan, similarity_edges
+from repro.core.compile import compile_plan, similarity_edges
 from repro.core.costs import build_mrf
 from repro.mrf.solvers import SolverResult, get_solver
 from repro.network.assignment import ProductAssignment
@@ -37,14 +36,11 @@ from repro.network.constraints import ConstraintSet, ConstraintViolation
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 
-__all__ = ["DiversificationResult", "SHARD_MODES", "diversify"]
+__all__ = ["DiversificationResult", "diversify"]
 
 #: Solvers with a plan-level (``solve_arrays``) API — the ones the direct
 #: compiler path can drive without a :class:`PairwiseMRF`.
 _PLAN_SOLVERS = ("trws", "bp")
-
-#: The values ``diversify(shards=...)`` accepts besides ``None``.
-SHARD_MODES = ("cut",)
 
 
 @dataclass
@@ -54,7 +50,8 @@ class DiversificationResult:
     Attributes:
         assignment: the decoded product assignment (always complete).
         energy: MRF energy of the assignment (the paper's E(N), Eq. 1).
-        lower_bound: dual lower bound when the solver provides one.
+        lower_bound: lower bound on the optimal energy when the solver
+            provides one (TRW-S's monotonic-chain bound).
         certified_optimal: True when energy == lower_bound (global optimum).
         satisfied: True when every constraint holds in the assignment;
             False signals an infeasible constraint set (the solver then
@@ -106,7 +103,6 @@ def diversify(
     pairwise_weight: float = 1.0,
     preferences: Optional[Mapping[Tuple[str, str, str], float]] = None,
     service_weights: Optional[Mapping[str, float]] = None,
-    shards: Optional[str] = None,
     **solver_options,
 ) -> DiversificationResult:
     """Compute the (constrained) optimal diversification of a network.
@@ -122,16 +118,6 @@ def diversify(
         preferences: soft (host, service, product) → cost adjustments.
         service_weights: per-service criticality multipliers of the
             similarity penalty (see :func:`repro.core.costs.build_mrf`).
-        shards: ``None`` (default) keeps the monolithic solve, whose
-            TRW-S refine stage already picks the best candidate per
-            connected component.  ``"cut"`` routes through Lagrangian
-            dual decomposition
-            (:class:`~repro.mrf.dual.DualDecompositionSolver`): a
-            balanced edge cut splits even a single giant connected
-            component, coupled shards iterate to agreement, and the
-            result carries a certified duality gap instead of the exact
-            guarantee (``"trws"`` only — any other solver raises; tune
-            via ``parts=``, ``max_rounds=``, ``gap_tolerance=``).
         **solver_options: forwarded to the solver constructor
             (e.g. ``max_iterations=50``).
 
@@ -150,9 +136,12 @@ def diversify(
     >>> round(result.energy, 2)
     0.03
     """
-    _check_shards(shards, solver)
     constraint_set = constraints or ConstraintSet()
     if solver in _PLAN_SOLVERS:
+        # Imported at call time from the module path the end-to-end
+        # benchmark's layer tracer wraps.
+        from repro.mrf.sharded import solve_plan
+
         compiled = compile_plan(
             network,
             similarity,
@@ -162,8 +151,12 @@ def diversify(
             preferences=preferences,
             service_weights=service_weights,
         )
-        solver_result = _solve_compiled(
-            compiled, solver, shards, solver_options
+        # The dispatch (forest DP for cold TRW-S forests, greedy refine
+        # init otherwise) mirrors ``TRWSSolver.solve`` on the equivalent
+        # MRF, so compiled and Python-built solves return identical
+        # labellings.
+        solver_result = solve_plan(
+            compiled.plan, solver=solver, **solver_options
         )
         assignment = compiled.labels_to_assignment(
             network, solver_result.labels
@@ -197,45 +190,4 @@ def diversify(
         mean_edge_similarity=mean_similarity,
         solver_result=solver_result,
     )
-
-
-def _check_shards(shards: Optional[str], solver: str) -> None:
-    """Reject a ``shards`` value the solve cannot honour.
-
-    ``shards`` must be ``None`` or a shard mode, and ``"cut"`` needs
-    certified TRW-S shard bounds, so any other solver raises instead of
-    silently solving unsharded.
-    """
-    if shards is not None and shards not in SHARD_MODES:
-        raise ValueError(f"shards must be None or 'cut', got {shards!r}")
-    if shards == "cut" and solver != "trws":
-        raise ValueError(
-            "dual decomposition requires certified shard bounds; "
-            f"only solver='trws' is supported, got {solver!r}"
-        )
-
-
-def _solve_compiled(
-    compiled: CompiledPlan,
-    solver: str,
-    shards: Optional[str],
-    solver_options: Mapping,
-) -> SolverResult:
-    """Solve a compiled plan — monolithic, or cut-sharded.
-
-    The monolithic dispatch (forest DP for cold TRW-S forests, greedy
-    refine init otherwise) mirrors ``TRWSSolver.solve`` on the equivalent
-    MRF, so compiled and Python-built solves return identical labellings.
-    ``solve_plan`` is imported at call time from :mod:`repro.mrf.sharded`,
-    the module path the end-to-end benchmark's layer tracer wraps.
-    """
-    from repro.mrf.sharded import solve_plan
-
-    if shards == "cut":
-        from repro.mrf.dual import DualDecompositionSolver
-
-        return DualDecompositionSolver(
-            solver=solver, **solver_options
-        ).solve_arrays(compiled.plan)
-    return solve_plan(compiled.plan, solver=solver, **solver_options)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.casestudy.stuxnet import CaseStudy, stuxnet_case_study
 from repro.core.baselines import mono_assignment, random_assignment
@@ -303,24 +303,16 @@ def scalability_cell(
     solver: str = "trws",
     max_iterations: int = 8,
     compute_bound: bool = False,
-    shards: Optional[str] = None,
-    dual_options: Optional[Dict[str, Any]] = None,
 ) -> ScalabilityCell:
     """Time one optimisation run on a random workload.
 
     The timer covers MRF construction plus solving — the paper's
-    "computational time of optimizing networks".  The dual bound is off by
-    default (the paper's timing runs report time-to-solution, and the bound
-    costs one extra message pass per iteration).  ``shards="cut"`` runs
-    Lagrangian dual decomposition over a balanced edge cut of the giant
-    component (see :func:`repro.core.diversify.diversify`), tuned by
-    ``dual_options`` (``parts``, ``max_rounds``, ``gap_tolerance`` — see
-    :class:`repro.mrf.dual.DualDecompositionSolver`).  Any other value
-    raises :class:`ValueError`.
+    "computational time of optimizing networks".  The TRW-S lower bound is
+    off by default: the paper's timing runs report time-to-solution, and
+    the bound costs one extra pass over the edges per iteration.
     """
     network = random_network(config)
     similarity = random_similarity(config)
-    extra = dict(dual_options or {}) if shards == "cut" else {}
     start = time.perf_counter()
     result = diversify(
         network,
@@ -328,8 +320,6 @@ def scalability_cell(
         solver=solver,
         max_iterations=max_iterations,
         compute_bound=compute_bound,
-        shards=shards,
-        **extra,
     )
     elapsed = time.perf_counter() - start
     return ScalabilityCell(

@@ -8,7 +8,7 @@ passing (TRW-S).  This subpackage provides:
     :class:`PairwiseMRF` — nodes with per-node label spaces and unary costs,
     edges with pairwise cost matrices.
 ``repro.mrf.trws``
-    The TRW-S solver (Kolmogorov), with a monotone dual lower bound.
+    The TRW-S solver (Kolmogorov), with its monotonic-chain lower bound.
 ``repro.mrf.bp``
     Loopy min-sum belief propagation, the paper's stated alternative.
 ``repro.mrf.icm``
@@ -20,11 +20,6 @@ passing (TRW-S).  This subpackage provides:
     with its cached connected-component labelling.
 ``repro.mrf.sharded``
     :func:`solve_plan` — the plan-level cold solve of ``diversify()``.
-``repro.mrf.partition``
-    Balanced edge-cut partitioning of plans — the dual tier's shards.
-``repro.mrf.dual``
-    :class:`DualDecompositionSolver` — Lagrangian dual decomposition over
-    balanced edge cuts of a connected plan (``trws-dual``).
 ``repro.mrf.solvers``
     Common :class:`SolverResult` type and a name → solver registry.
 ``repro.mrf.backends``
@@ -51,7 +46,6 @@ from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.icm import ICMSolver
 from repro.mrf.exact import ExactSolver
 from repro.mrf.anneal import SimulatedAnnealingSolver
-from repro.mrf.dual import DualDecompositionSolver, DualSolveResult
 from repro.mrf.sharded import solve_plan
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 
@@ -65,8 +59,6 @@ __all__ = [
     "ICMSolver",
     "ExactSolver",
     "SimulatedAnnealingSolver",
-    "DualDecompositionSolver",
-    "DualSolveResult",
     "active_kernel_backend",
     "available_backends",
     "available_solvers",

@@ -11,7 +11,9 @@ foreign call walks every wavefront level of a plan, reading the plan's
 flat level-major arrays through a :class:`CPlan` struct that is filled
 once per plan build.  The greedy refine init is one call too: it visits
 the nodes in degree order over the forward sweep's full-adjacency
-arrays.  When the caller passes a per-level seconds array
+arrays.  So is the TRW-S lower bound: one pass over the forward sends
+extends every monotonic chain, then one over the chains takes their
+minima.  When the caller passes a per-level seconds array
 (tracing), the same loop times each level with ``CLOCK_MONOTONIC``;
 untraced calls pass ``NULL``.  One more entry point, ``repro_schedule``,
 runs at plan build: a counting sort of the edge endpoints by node and the
@@ -69,12 +71,15 @@ typedef struct {
 } sends_t;
 
 /* A plan's sweep arrays (see MRFArrays.fwd_sweep / bwd_sweep), plus
- * each node's degree (the greedy init's visiting order). */
+ * each node's degree (the greedy init's visiting order), its chain
+ * weight gamma and each message slot's receiver (the bound's shares). */
 typedef struct {
     int64_t lmax, n_fwd, n_bwd;
     const double *cost;
     const double *unary;
     const int64_t *degree;
+    const double *gamma;
+    const int64_t *receiver;
     const int64_t *node_off, *nodes;
     const int64_t *ext_off, *ext_seg, *ext_nbr, *ext_in, *ext_cid;
     const int64_t *all_off, *all_seg, *all_nbr, *all_cid;
@@ -304,6 +309,85 @@ HOT void greedy_body(
     }
 }
 
+/* The TRW-S lower bound's chain minima (see MRFArrays.chains).  Node v's
+ * share t_v = gamma_v * (unary_v + incoming messages in slot order); each
+ * chain c keeps tail_c, its min-sum so far over the label of the node it
+ * has reached, without that node's share (zero before its first edge).
+ * Each forward send, in sweep order, extends its chain: tail_c(y) =
+ * min_x cost(x, y) + (tail_c + t_v - M_in)(x), minus M_out(y).  A chain's
+ * previous send is a lower edge of its sender, sent at an earlier level,
+ * so one pass in sweep order sees every chain's edges in order.  Chain
+ * c's minimum is min_y tail_c(y) + t_end(y).  `share` is n x lmax and
+ * `tail` n_chains x lmax of scratch. */
+HOT void chain_body(
+    const plan_t *p, const int64_t lmax, const int64_t *restrict chain,
+    const int64_t n_chains, const int64_t *restrict ends,
+    const double *restrict messages, double *restrict share,
+    double *restrict tail, double *restrict mins)
+{
+    const int64_t LL = lmax * lmax;
+    const int64_t n = p->node_off[p->n_fwd];
+    const int64_t m = p->fwd.off[p->n_fwd];
+    const sends_t *s = &p->fwd;
+    double base_buf[64];
+    double new_buf[64];
+    memset(tail, 0, (size_t)(n_chains * lmax) * sizeof(double));
+    memcpy(share, p->unary, (size_t)(n * lmax) * sizeof(double));
+    for (int64_t k = 0; k < 2 * m; ++k) {
+        if (k + PF < 2 * m)
+            __builtin_prefetch(share + p->receiver[k + PF] * lmax, 1);
+        double *row = share + p->receiver[k] * lmax;
+        const double *msg = messages + k * lmax;
+        for (int64_t r = 0; r < lmax; ++r)
+            row[r] += msg[r];
+    }
+    for (int64_t v = 0; v < n; ++v) {
+        const double g = p->gamma[v];
+        for (int64_t r = 0; r < lmax; ++r)
+            share[v * lmax + r] *= g;
+    }
+    for (int64_t e = 0; e < m; ++e) {
+        if (e + PF < m) {
+            const int64_t f = e + PF;
+            __builtin_prefetch(share + s->snd[f] * lmax, 0);
+            __builtin_prefetch(messages + s->inn[f] * lmax, 0);
+            __builtin_prefetch(messages + s->out[f] * lmax, 0);
+            __builtin_prefetch(tail + chain[f] * lmax, 1);
+        }
+        const double *t = share + s->snd[e] * lmax;
+        const double *m_in = messages + s->inn[e] * lmax;
+        double *cur = tail + chain[e] * lmax;
+        for (int64_t r = 0; r < lmax; ++r)
+            base_buf[r] = (cur[r] + t[r]) - m_in[r];
+        const double *cm = p->cost + s->cid[e] * LL;
+        for (int64_t c = 0; c < lmax; ++c)
+            new_buf[c] = INFINITY;
+        for (int64_t r = 0; r < lmax; ++r) {
+            const double br = base_buf[r];
+            const double *row = cm + r * lmax;
+            for (int64_t c = 0; c < lmax; ++c) {
+                const double v = row[c] + br;
+                MINACC(new_buf[c], v);
+            }
+        }
+        const double *m_out = messages + s->out[e] * lmax;
+        for (int64_t c = 0; c < lmax; ++c)
+            cur[c] = new_buf[c] - m_out[c];
+    }
+    for (int64_t c = 0; c < n_chains; ++c) {
+        if (c + PF < n_chains)
+            __builtin_prefetch(share + ends[c + PF] * lmax, 0);
+        const double *t = share + ends[c] * lmax;
+        const double *cur = tail + c * lmax;
+        double best = INFINITY;
+        for (int64_t y = 0; y < lmax; ++y) {
+            const double v = cur[y] + t[y];
+            MINACC(best, v);
+        }
+        mins[c] = best;
+    }
+}
+
 /* The common label widths get constant-folded copies of each body. */
 #define DISPATCH(call_4, call_6, call_8, call_n) \
     switch (p->lmax) {                           \
@@ -360,37 +444,19 @@ void repro_greedy(const plan_t *p, int64_t top, int64_t *labels,
              greedy_body(p, p->lmax, top, labels, work))
 }
 
-static inline void bound_body(
-    int64_t k, const int64_t lmax,
-    const double *restrict cost, const int64_t *restrict cid,
-    const double *restrict messages, double *restrict mins)
+void repro_chain_bound(
+    const plan_t *p, const int64_t *chain, int64_t n_chains,
+    const int64_t *ends, const double *messages, double *share,
+    double *tail, double *mins)
 {
-    const int64_t LL = lmax * lmax;
-    for (int64_t e = 0; e < k; ++e) {
-        const double *cm = cost + cid[e] * LL;
-        const double *ts = messages + (2 * e) * lmax;
-        const double *tf = messages + (2 * e + 1) * lmax;
-        double best = INFINITY;
-        for (int64_t r = 0; r < lmax; ++r) {
-            const double fr = tf[r];
-            const double *row = cm + r * lmax;
-            for (int64_t c = 0; c < lmax; ++c) {
-                const double v = row[c] - fr - ts[c];
-                MINACC(best, v);
-            }
-        }
-        mins[e] = best;
-    }
-}
-
-void repro_bound_mins(
-    int64_t k, int64_t lmax, const double *cost, const int64_t *cid,
-    const double *messages, double *mins)
-{
-    if (lmax == 4) bound_body(k, 4, cost, cid, messages, mins);
-    else if (lmax == 6) bound_body(k, 6, cost, cid, messages, mins);
-    else if (lmax == 8) bound_body(k, 8, cost, cid, messages, mins);
-    else bound_body(k, lmax, cost, cid, messages, mins);
+    DISPATCH(chain_body(p, 4, chain, n_chains, ends, messages, share, tail,
+                        mins),
+             chain_body(p, 6, chain, n_chains, ends, messages, share, tail,
+                        mins),
+             chain_body(p, 8, chain, n_chains, ends, messages, share, tail,
+                        mins),
+             chain_body(p, p->lmax, chain, n_chains, ends, messages, share,
+                        tail, mins))
 }
 
 /* The wavefront schedule of an edge set, in O(n + m).  Slot 2e is
@@ -565,7 +631,8 @@ class CPlan(ctypes.Structure):
     _fields_ = [
         ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64),
         *((name, _P) for name in (
-            "cost", "unary", "degree", "node_off", "nodes",
+            "cost", "unary", "degree", "gamma", "receiver", "node_off",
+            "nodes",
             "ext_off", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
             "all_off", "all_seg", "all_nbr", "all_cid",
         )),
@@ -580,7 +647,8 @@ _SIGNATURES = (
     ("repro_decode", [ctypes.POINTER(CPlan), _P, _P, _P, _P], None),
     ("repro_icm", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
     ("repro_greedy", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
-    ("repro_bound_mins", [_I64, _I64, _P, _P, _P, _P], None),
+    ("repro_chain_bound",
+     [ctypes.POINTER(CPlan), _P, _I64, _P, _P, _P, _P, _P], None),
     ("repro_schedule", [_I64, _I64, _P, _P, _P, _P, _P, _P], None),
     ("repro_bp_beliefs", [_I64, _I64, _I64, _P, _P, _P, _P], None),
     ("repro_bp_round",
@@ -593,7 +661,7 @@ class CKernels:
     """The compiled kernel library with typed entry points.
 
     Attributes are the C functions themselves (``trws_forward``,
-    ``trws_backward``, ``decode``, ``icm``, ``greedy``, ``bound_mins``,
+    ``trws_backward``, ``decode``, ``icm``, ``greedy``, ``chain_bound``,
     ``schedule``, ``bp_beliefs``, ``bp_round``), taking raw addresses (``int`` or
     ``None`` for ``NULL``) for arrays and a ``POINTER(CPlan)`` for plans.
     Callers guarantee C-contiguous arrays of the documented dtypes.

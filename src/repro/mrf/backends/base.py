@@ -14,8 +14,8 @@ refine's greedy init:
 - :meth:`KernelBackend.decode` — conditioning only;
 - :meth:`KernelBackend.greedy` — every node once, in degree order.
 
-Three per-call kernels complete the set: the dual-bound edge reduction
-(:meth:`KernelBackend.bound_chunk_mins`) and the synchronous BP beliefs
+Three per-call kernels complete the set: the TRW-S lower bound's chain
+minima (:meth:`KernelBackend.chain_bound`) and the synchronous BP beliefs
 and round.  One more kernel runs when a plan is built rather than
 solved: :meth:`KernelBackend.schedule` groups the edge endpoints by node
 and computes the wavefront levels the sweep arrays are laid out by.
@@ -186,19 +186,27 @@ class KernelBackend:
         :func:`~repro.mrf.vectorized.wavefront_schedule`, which checks."""
         raise NotImplementedError
 
-    def bound_chunk_mins(
+    def chain_bound(
         self,
         plan: "MRFArrays",
         messages: np.ndarray,
-        start: int,
-        stop: int,
+        mins: np.ndarray,
         scratch: "SolverScratch",
-    ) -> np.ndarray:
-        """Per-edge minima of the reparametrised pairwise costs for edges
-        ``[start, stop)`` — the edge term of the dual bound.  Returns a
-        ``(stop - start,)`` float array (may alias a scratch buffer); the
-        chunked summation stays in shared code so both backends inherit
-        NumPy's pairwise summation bit-for-bit."""
+    ) -> "KernelBackend":
+        """The minimum of every monotonic chain of
+        :attr:`~repro.mrf.vectorized.MRFArrays.chains`, into ``mins``
+        (float64, one per chain).
+
+        Node ``i`` contributes ``t_i = gamma[i]·(θ_i + Σ_j M_j→i)`` (the
+        original unary plus the incoming messages, added in slot order)
+        and edge ``i→j`` (``i < j``) the pairwise cost minus both of its
+        messages.  Each chain ``c`` keeps ``tail_c``, zero before its
+        first edge; each forward-sweep send ``i→j``, in sweep order,
+        extends its chain: ``tail_c(x_j) = min_{x_i}(cost(x_i, x_j) +
+        ((tail_c + t_i) − M_j→i)(x_i)) − M_i→j(x_j)``.  Chain ``c``'s
+        minimum is ``min(tail_c + t_end)``.  The caller sums ``mins``, so
+        the bound is bit-identical across backends.  Returns the backend
+        that ran it."""
         raise NotImplementedError
 
     def bp_beliefs(
@@ -209,7 +217,8 @@ class KernelBackend:
     ) -> None:
         """Beliefs ``unary + Σ incoming``, scatter-accumulated in slot
         order into ``beliefs`` in place: BP's beliefs from the previous
-        round, and TRW-S's starting beliefs."""
+        round, TRW-S's starting beliefs, and (before the γ weighting) the
+        node shares of :meth:`chain_bound`."""
         raise NotImplementedError
 
     def bp_round(

@@ -87,6 +87,7 @@ class _PlanState:
         # (C-contiguous, of the kernels' dtypes) when BP first asks.
         checks = [
             (plan.cost, np.float64), (plan.unary_inf, np.float64),
+            (plan.gamma, np.float64),
             *((a, np.int64) for a in (
                 plan.edge_cid, plan.slot_receiver, plan.degree, fwd.node_off,
                 fwd.ext_off, fwd.all_off, fwd.send_off, bwd.send_off,
@@ -123,7 +124,8 @@ class _PlanState:
         self.ref = ctypes.pointer(CPlan(
             lmax=plan.lmax, n_fwd=fwd.count, n_bwd=bwd.count,
             cost=_addr(plan.cost), unary=_addr(plan.unary_inf),
-            degree=_addr(plan.degree),
+            degree=_addr(plan.degree), gamma=_addr(plan.gamma),
+            receiver=_addr(plan.slot_receiver),
             node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
             all_off=_addr(fwd.all_off), fwd=sends(fwd), bwd=sends(bwd),
             **{
@@ -137,9 +139,10 @@ class _PlanState:
 
     @staticmethod
     def _token(plan) -> tuple:
-        # replace_edges rebinds the cost stack and both sweeps; in-place
-        # value patches (set_cost_matrix / set_unary) rebind none, and the
-        # marshalled pointers keep seeing the new values.
+        # replace_edges rebinds the cost stack and both sweeps (and with
+        # them gamma and the slot receivers); in-place value patches
+        # (set_cost_matrix / set_unary) rebind none, and the marshalled
+        # pointers keep seeing the new values.
         return (plan.cost, plan.unary_inf, plan.fwd_sweep, plan.bwd_sweep)
 
     def current(self, plan) -> bool:
@@ -311,25 +314,24 @@ class NativeBackend(KernelBackend):
         )
         return group, off, flevel, blevel
 
-    def bound_chunk_mins(self, plan, messages, start, stop, scratch):
-        k = stop - start
-        if k <= 0:
-            return self._numpy.bound_chunk_mins(
-                plan, messages, start, stop, scratch
-            )
-        ready = self._guard(plan, _messages(plan, messages))
-        if not ready:
-            return self._fallback().bound_chunk_mins(
-                plan, messages, start, stop, scratch
-            )
-        kernels, _ = ready
-        mins = scratch.array("native_bound", (k,))
-        kernels.bound_mins(
-            k, plan.lmax, _addr(plan.cost),
-            _addr(plan.edge_cid[start:stop]),
-            _addr(messages[2 * start : 2 * stop]), _addr(mins),
+    def chain_bound(self, plan, messages, mins, scratch):
+        chain, ends = plan.chains
+        ready = self._guard(
+            plan, _messages(plan, messages),
+            (mins, np.float64, (len(ends),)),
         )
-        return mins
+        if not ready:
+            return self._fallback().chain_bound(plan, messages, mins, scratch)
+        kernels, state = ready
+        kernels.chain_bound(
+            state.ref, _addr(chain), len(ends), _addr(ends), _addr(messages),
+            _addr(scratch.array(
+                "native_chain_share", (plan.node_count, plan.lmax)
+            )),
+            _addr(scratch.array("native_chain_tail", (len(ends), plan.lmax))),
+            _addr(mins),
+        )
+        return self
 
     def bp_beliefs(self, plan, messages, beliefs):
         ready = self._guard(

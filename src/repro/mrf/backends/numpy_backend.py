@@ -140,14 +140,45 @@ class NumpyBackend(KernelBackend):
             _waves(n, owner[up], nbr[up]), _waves(n, owner[down], nbr[down]),
         )
 
-    def bound_chunk_mins(self, plan, messages, start, stop, scratch):
-        to_second = messages[2 * start : 2 * stop : 2]
-        to_first = messages[2 * start + 1 : 2 * stop : 2]
-        reduced = scratch.array("bound_cost", (stop - start, plan.lmax, plan.lmax))
-        plan.cost.take(plan.edge_cid[start:stop], axis=0, out=reduced, mode="clip")
-        np.subtract(reduced, to_first[:, :, None], out=reduced)
-        np.subtract(reduced, to_second[:, None, :], out=reduced)
-        return reduced.min(axis=(1, 2))
+    def chain_bound(self, plan, messages, mins, scratch):
+        chain, ends = plan.chains
+        if not len(ends):
+            return self
+        lmax = plan.lmax
+        # t = γ·(θ + Σ incoming), summed in slot order by the BP kernel.
+        share = scratch.array("chain_share", (plan.node_count, lmax))
+        self.bp_beliefs(plan, messages, share)
+        np.multiply(share, plan.gamma[:, None], out=share)
+        # Per chain, its min-sum so far over the label of the node it has
+        # reached, without that node's share; zero before its first edge.
+        # The DP walks the forward levels: no two sends of a level extend
+        # the same chain, and a chain's previous send is at an earlier one.
+        tail = scratch.zeros("chain_tail", (len(ends), lmax))
+        offsets = plan.fwd_sweep.send_off
+        for index, level in enumerate(plan.fwd_levels):
+            k = len(level.snd)
+            if not k:
+                continue
+            # The sweeps are idle during the bound: reuse their buffers.
+            base = scratch.array("send_base", (k, lmax))
+            tmp = scratch.array("send_tmp", (k, lmax))
+            cost = scratch.array("send_cost", (k, lmax, lmax))
+            new = scratch.array("send_new", (k, lmax))
+            rows = chain[offsets[index] : offsets[index + 1]]
+            tail.take(rows, axis=0, out=base, mode="clip")
+            share.take(level.snd, axis=0, out=tmp, mode="clip")
+            np.add(base, tmp, out=base)
+            messages.take(level.inn, axis=0, out=tmp, mode="clip")
+            np.subtract(base, tmp, out=base)
+            plan.cost.take(level.cid, axis=0, out=cost, mode="clip")
+            np.add(cost, base[:, :, None], out=cost)
+            cost.min(axis=1, out=new)
+            messages.take(level.out, axis=0, out=tmp, mode="clip")
+            np.subtract(new, tmp, out=new)
+            tail[rows] = new
+        np.add(tail, share.take(ends, axis=0), out=tail)
+        tail.min(axis=1, out=mins)
+        return self
 
     # --------------------------------------------------------- BP kernels
 

@@ -126,18 +126,17 @@ class ReferenceTRWSSolver:
             return result
 
         links = self._build_links(mrf)
+        chains = self._build_chains(mrf, links)
         messages = self._init_messages(mrf)
         if self.tie_break_noise > 0:
             rng = np.random.default_rng(self.seed)
-            noise = [
-                rng.uniform(0.0, self.tie_break_noise, mrf.label_count(i))
+            beliefs = [
+                mrf.unary(i)
+                + rng.uniform(0.0, self.tie_break_noise, mrf.label_count(i))
                 for i in range(n)
             ]
-            beliefs = [mrf.unary(i) + noise[i] for i in range(n)]
-            bound_slack = float(sum(x.max() for x in noise))
         else:
             beliefs = [mrf.unary(i).copy() for i in range(n)]
-            bound_slack = 0.0
 
         best_labels: Optional[List[int]] = None
         best_energy = float("inf")
@@ -160,12 +159,9 @@ class ReferenceTRWSSolver:
 
             previous_bound = lower_bound
             if self.compute_bound:
-                # The bound holds for the perturbed problem; subtracting the
-                # total perturbation makes it valid for the original one.
                 lower_bound = max(
                     lower_bound,
-                    self._reparametrised_bound(mrf, messages, beliefs)
-                    - bound_slack,
+                    self._chain_bound(mrf, links, chains, messages),
                 )
             energy_trace.append(best_energy)
             bound_trace.append(lower_bound)
@@ -306,14 +302,70 @@ class ReferenceTRWSSolver:
                 messages[out_index] = new_message
 
     @staticmethod
-    def _reparametrised_bound(mrf, messages, beliefs) -> float:
-        bound = sum(float(b.min()) for b in beliefs)
+    def _build_chains(mrf: PairwiseMRF, links) -> List[List[Tuple[int, int]]]:
+        """The monotonic chains of the TRW-S bound, as explicit lists.
+
+        Each chain is a list of ``(node, edge)`` steps in index order: its
+        first node with edge ``-1``, then each next node with the edge that
+        reaches it.  At every node the k-th lower-numbered edge continues
+        into the k-th higher-numbered one (both in edge order); a lower
+        edge without a partner ends its chain, a higher edge without one
+        starts a chain, and an isolated node is a chain of its own.
+        """
+        chains: List[List[Tuple[int, int]]] = []
+        chain_of: dict = {}  # edge id -> index of the chain it lies on
+        for i in range(mrf.node_count):
+            forward, backward, _gamma = links[i]
+            arriving = [chain_of[out_index // 2] for _j, out_index, _i, _c in backward]
+            if not forward and not backward:
+                chains.append([(i, -1)])
+            for k, (j, out_index, _in, _cost) in enumerate(forward):
+                if k < len(arriving):
+                    chain = arriving[k]
+                else:
+                    chain = len(chains)
+                    chains.append([(i, -1)])
+                chains[chain].append((j, out_index // 2))
+                chain_of[out_index // 2] = chain
+        return chains
+
+    @staticmethod
+    def _chain_bound(mrf, links, chains, messages) -> float:
+        """Sum of the chains' minima, each by min-sum DP along the chain.
+
+        Node ``i`` gives each of its chains ``γ_i·(θ_i + Σ_j M_j→i)``,
+        from the original unaries; edge ``ij`` gives its chain
+        ``θ_ij − M_i→j − M_j→i``.
+        """
+        incoming = [mrf.unary(i).copy() for i in range(mrf.node_count)]
         for edge_id in range(mrf.edge_count):
-            cost = mrf.edge_cost(edge_id)
-            to_second = messages[2 * edge_id]      # M_{i→j}, indexed by x_j
-            to_first = messages[2 * edge_id + 1]   # M_{j→i}, indexed by x_i
-            reduced = cost - to_first[:, None] - to_second[None, :]
-            bound += float(reduced.min())
+            i, j = mrf.edge(edge_id)
+            incoming[j] = incoming[j] + messages[2 * edge_id]
+            incoming[i] = incoming[i] + messages[2 * edge_id + 1]
+        share = [links[i][2] * incoming[i] for i in range(mrf.node_count)]
+        bound = 0.0
+        for chain in chains:
+            node, _edge = chain[0]
+            vector = share[node]
+            for successor, edge_id in chain[1:]:
+                first, _second = mrf.edge(edge_id)
+                cost = mrf.edge_cost(edge_id)
+                # Rows = the lower endpoint (the chain's current node).
+                if first == node:
+                    reduced = (
+                        cost
+                        - messages[2 * edge_id + 1][:, None]
+                        - messages[2 * edge_id][None, :]
+                    )
+                else:
+                    reduced = (
+                        cost.T
+                        - messages[2 * edge_id][:, None]
+                        - messages[2 * edge_id + 1][None, :]
+                    )
+                vector = (vector[:, None] + reduced).min(axis=0) + share[successor]
+                node = successor
+            bound += float(vector.min())
         return bound
 
 

@@ -6,8 +6,9 @@ message-passing solver (TRW-S with the degree-descending greedy among its
 refine inits, or BP).  The TRW-S refine stage keeps the best candidate per
 connected component, so a plan of independent components solves as well
 as its components would one by one — without a partition or a shard
-loop.  The dual-decomposition tier (:mod:`repro.mrf.dual`) solves its cut
-shards through the same core.
+loop.  It is the one production solve path per plan; the module keeps its
+name because the end-to-end benchmark's layer tracer wraps
+``repro.mrf.sharded.solve_plan``.
 """
 
 from __future__ import annotations

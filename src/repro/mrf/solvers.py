@@ -41,7 +41,7 @@ class SolveStats:
         forward_seconds: total time in forward sweeps (TRW-S) or message
             updates (BP).
         backward_seconds: total time in backward sweeps (TRW-S only).
-        bound_seconds: dual-bound evaluation time (TRW-S only).
+        bound_seconds: lower-bound evaluation time (TRW-S only).
         energy_seconds: primal energy/decode evaluation time.
         refine_seconds: ICM refinement / polish time after the main loop.
         iteration_seconds: per-iteration wall times, index-aligned with
@@ -86,7 +86,7 @@ class SolverResult:
         labels: one label index per node (the MAP estimate found).
         energy: E(labels) under the MRF being solved.
         lower_bound: a valid lower bound on the optimal energy when the
-            solver provides one (TRW-S dual); ``-inf`` otherwise.
+            solver provides one (TRW-S's chain bound); ``-inf`` otherwise.
         iterations: sweeps/passes performed.
         converged: True when the solver met its convergence criterion
             before exhausting its iteration budget.
@@ -113,7 +113,7 @@ class SolverResult:
         return self.energy - self.lower_bound
 
     def is_certified_optimal(self, tolerance: float = 1e-9) -> bool:
-        """True when the dual gap certifies global optimality."""
+        """True when the gap to the lower bound certifies global optimality."""
         return np.isfinite(self.lower_bound) and self.optimality_gap <= tolerance
 
 
@@ -154,13 +154,12 @@ def available_solvers() -> List[str]:
 
     The registry is populated when :mod:`repro.mrf` imports: the
     vectorized pair (``trws``/``bp``), their per-node reference twins
-    (``trws-ref``/``bp-ref``, kept for parity tests), the
-    dual-decomposition wrapper (``trws-dual``), and the refine/baseline
-    solvers (``icm``, ``exact``, ``anneal``).
+    (``trws-ref``/``bp-ref``, kept for parity tests), and the
+    refine/baseline solvers (``icm``, ``exact``, ``anneal``).
 
     >>> import repro.mrf  # registers the built-in solvers
     >>> [name for name in available_solvers() if name.startswith("trws")]
-    ['trws', 'trws-dual', 'trws-ref']
+    ['trws', 'trws-ref']
     """
     return sorted(_REGISTRY)
 
@@ -192,7 +191,6 @@ def _register_builtins() -> None:
     from repro.mrf.exact import ExactSolver
     from repro.mrf.anneal import SimulatedAnnealingSolver
     from repro.mrf.reference import ReferenceBPSolver, ReferenceTRWSSolver
-    from repro.mrf.dual import DualDecompositionSolver
 
     register_solver("trws", TRWSSolver)
     register_solver("bp", LoopyBPSolver)
@@ -201,7 +199,6 @@ def _register_builtins() -> None:
     register_solver("anneal", SimulatedAnnealingSolver)
     register_solver("trws-ref", ReferenceTRWSSolver)
     register_solver("bp-ref", ReferenceBPSolver)
-    register_solver("trws-dual", DualDecompositionSolver)
 
 
 _register_builtins()

@@ -11,10 +11,13 @@ MRF (Section V-C), following Kolmogorov's sequential TRW scheme:
   monotonic-chain decomposition weight,
 * a labelling is extracted during every forward sweep with Kolmogorov's
   sequential-conditioning rule, and the best labelling seen is returned,
-* a valid dual **lower bound** is computed from the current
-  reparametrisation after every backward sweep:
-  ``Σ_i min θ'_i + Σ_ij min θ'_ij`` where θ' is the message-reparametrised
-  energy (which preserves E exactly, so the bound is always ≤ the optimum).
+* after every backward sweep the **lower bound** TRW-S maximises is
+  computed from the messages and the original costs: the energy is split
+  over monotonic chains (node ``i`` lies on ``1 / γ_i`` of them and gives
+  each ``γ_i·θ'_i``; each edge lies on one and gives it ``θ'_ij``, where
+  θ' is the message-reparametrised energy, which preserves E exactly), and
+  the chains' minima, one min-sum pass each, add up to a bound that is
+  always ≤ the optimum (:meth:`~repro.mrf.vectorized.MRFArrays.dual_bound`).
 
 The solver certifies global optimality whenever ``energy == lower_bound``
 (common on the tree-like and weakly-coupled instances of the case study,
@@ -59,7 +62,7 @@ class TRWSSolver:
         max_iterations: forward+backward sweep budget.
         tolerance: convergence threshold on the lower-bound improvement and
             on the primal-dual gap.
-        compute_bound: disable to skip the per-iteration dual bound (saves
+        compute_bound: disable to skip the per-iteration lower bound (saves
             one O(E·L²) pass per iteration on large scalability runs).
         refine: polish the best extracted labelling with ICM coordinate
             descent before returning.  On flat-unary instances the message
@@ -81,10 +84,10 @@ class TRWSSolver:
             unaries (``Pr_const``) and cost matrices whose columns all
             contain zeros, making the all-zero message state a degenerate
             fixed point; an ε-perturbation far below any real cost
-            difference restores informative messages.  Energies and
-            labellings are always evaluated against the *original* costs;
-            the dual bound is corrected by the total perturbation so it
-            remains a valid bound for the original problem.
+            difference restores informative messages.  The perturbation
+            only steers the messages: energies, labellings and the lower
+            bound are always evaluated against the *original* costs, so
+            the bound stays valid for the original problem.
         seed: seeds the tie-breaking perturbation (deterministic default).
     """
 
@@ -115,7 +118,7 @@ class TRWSSolver:
     # ----------------------------------------------------------------- API
 
     def solve(self, mrf: PairwiseMRF) -> SolverResult:
-        """Run TRW-S and return the best labelling found plus the dual bound.
+        """Run TRW-S and return the best labelling found plus its lower bound.
 
         The MRF is converted to its array plan first.  Forests are
         dispatched to an exact min-sum dynamic program
@@ -165,7 +168,7 @@ class TRWSSolver:
                 ICM run per solve.
             scratch: a reusable :class:`SolverScratch` holding the sweep
                 work buffers.  Steady-state callers (streaming re-solves,
-                dual rounds, grid sweeps) pass one in so repeated
+                grid sweeps) pass one in so repeated
                 solves allocate nothing; ``None`` keeps a private scratch
                 for this call (still allocation-free *across iterations*).
             backend: kernel backend for this solve; overrides the
@@ -174,7 +177,7 @@ class TRWSSolver:
 
         Beliefs are reconstructed from the messages (``θ_i + Σ M_{j→i}``
         plus the tie-breaking perturbation), preserving the TRW-S belief
-        invariant, and any message state yields a valid dual bound — so a
+        invariant, and any message state yields a valid lower bound — so a
         warm start can only save iterations, never corrupt the result.
 
         While tracing is enabled (:func:`repro.obs.enabled`) the solve
@@ -240,7 +243,6 @@ class TRWSSolver:
         # order (the BP beliefs kernel computes exactly that).
         beliefs = scratch.array("trws_beliefs", (n, plan.lmax))
         kernels.bp_beliefs(plan, messages, beliefs)
-        bound_slack = 0.0
         if self.tie_break_noise > 0:
             # One batched draw yields the same value stream as the
             # reference solver's per-node draws (uniform doubles consume
@@ -248,12 +250,7 @@ class TRWSSolver:
             # and their traces stay comparable.
             rng = np.random.default_rng(self.seed)
             total = int(plan.label_counts.sum())
-            flat = rng.uniform(0.0, self.tie_break_noise, total)
-            beliefs[plan.mask] += flat
-            starts = np.concatenate(
-                ([0], np.cumsum(plan.label_counts[:-1]))
-            )
-            bound_slack = float(np.maximum.reduceat(flat, starts).sum())
+            beliefs[plan.mask] += rng.uniform(0.0, self.tie_break_noise, total)
 
         best_labels: Optional[np.ndarray] = None
         best_energy = float("inf")
@@ -306,14 +303,9 @@ class TRWSSolver:
 
             previous_bound = lower_bound
             if self.compute_bound:
-                # The bound holds for the perturbed problem; subtracting the
-                # total perturbation makes it valid for the original one.
                 lower_bound = max(
                     lower_bound,
-                    plan.dual_bound(
-                        messages, beliefs, scratch=scratch, backend=kernels
-                    )
-                    - bound_slack,
+                    plan.dual_bound(messages, scratch=scratch, backend=kernels),
                 )
             energy_trace.append(best_energy)
             bound_trace.append(lower_bound)
@@ -336,7 +328,7 @@ class TRWSSolver:
                 if best_energy - lower_bound <= self.tolerance:
                     converged = True
                     break
-                # Converged when neither the dual bound nor the primal has
+                # Converged when neither the lower bound nor the primal has
                 # moved for a few consecutive iterations (the bound alone can
                 # plateau while the labelling still improves).  The stall
                 # threshold absorbs the tie-breaking perturbation's jitter.

@@ -77,7 +77,7 @@ class SolverScratch:
     belief copies, message deltas.  A :class:`SolverScratch` keeps one
     flat, monotonically-grown buffer per (name, dtype) and hands out
     reshaped views, so a steady-state consumer (streaming warm re-solves,
-    grid sweeps, dual rounds) stops churning the NumPy allocator:
+    grid sweeps) stops churning the NumPy allocator:
     after the first solve of a given plan shape, iterations allocate
     nothing.
 
@@ -626,6 +626,7 @@ class MRFArrays:
         self._bwd_levels: Optional[List[_SendBlock]] = None
         self._components: Optional[Tuple[np.ndarray, int]] = None
         self._bp: Optional[Tuple[np.ndarray, ...]] = None
+        self._chains: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _slot_cid(self, slots: np.ndarray) -> np.ndarray:
         """Cost-stack ids of ``slots``, oriented rows = the sender's labels
@@ -689,6 +690,82 @@ class MRFArrays:
             self._bwd_levels = self.bwd_sweep.levels()
         return self._bwd_levels
 
+    # ------------------------------------------------------------ chains
+
+    @property
+    def chains(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(chain, ends)``: the monotonic chains of the TRW-S bound.
+
+        Chains run in index order.  At node ``i`` the k-th lower-numbered
+        edge continues into the k-th higher-numbered edge, both taken in
+        edge order; a chain starts at a node with more higher than lower
+        edges and ends at one with more lower than higher edges, so node
+        ``i`` lies on ``max(#lower, #higher)`` = ``1 / gamma[i]`` chains
+        and every edge on exactly one.  An isolated node is a chain of its
+        own.
+
+        Chains are numbered in the order of their ends: first those that
+        end on an edge, in forward-sweep order of that edge's conditioning
+        row, then the isolated nodes.  ``chain`` has one entry per
+        forward-sweep send row, the chain the send extends; ``ends[c]`` is
+        the node chain ``c`` ends at.  Built when the bound first reads
+        them and kept for the plan's edge set.
+
+        >>> plan = MRFArrays.from_parts(
+        ...     [np.zeros(2)] * 4, np.array([0, 1, 0]), np.array([1, 2, 2]),
+        ...     np.zeros(3, dtype=np.int64), [np.eye(2)])
+        >>> chain, ends = plan.chains  # 0-1-2, the chord 0-2, node 3
+        >>> chain.tolist(), ends.tolist()
+        ([0, 1, 0], [2, 2, 3])
+        """
+        if self._chains is None:
+            block = self.fwd_sweep.block
+            nodes = block.nodes
+            m = len(block.snd)
+            higher = np.bincount(
+                np.minimum(self.edge_first, self.edge_second),
+                minlength=self.node_count,
+            )[nodes]
+            lower = self.degree[nodes] - higher
+            # Every node's sends and conditioning rows are contiguous, in
+            # the same (level-major) node order, each in edge order; the
+            # k-th send of a node is fed by its k-th conditioning row.
+            # Temporaries are dropped as soon as they are used up.
+            rank = np.arange(m) - np.repeat(_offsets(higher)[:-1], higher)
+            fed = np.flatnonzero(rank < np.repeat(lower, higher))
+            feeder = block.ext_in[
+                np.repeat(_offsets(lower)[:-1], higher)[fed] + rank[fed]
+            ] >> 1
+            del rank
+            send_of = np.empty(m, dtype=np.int64)  # per edge
+            send_of[block.out >> 1] = np.arange(m)
+            # Each send's successor on its chain (itself at the chain's
+            # end); pointer jumping then reaches every chain's last send.
+            last = np.arange(m)
+            last[send_of[feeder]] = fed
+            del send_of, feeder, fed
+            while True:
+                jumped = last[last]
+                if np.array_equal(jumped, last):
+                    break
+                last = jumped
+            del jumped
+            rank = np.arange(len(block.ext_in)) - np.repeat(
+                _offsets(lower)[:-1], lower
+            )
+            ending = rank >= np.repeat(higher, lower)
+            del rank
+            end_of = np.empty(m, dtype=np.int64)  # per edge
+            end_of[block.ext_in[ending] >> 1] = np.arange(int(ending.sum()))
+            last = block.out.take(last)
+            last >>= 1
+            ends = np.concatenate((
+                np.repeat(nodes, lower)[ending],
+                nodes[(lower == 0) & (higher == 0)],
+            ))
+            self._chains = (end_of.take(last), ends)
+        return self._chains
+
     # ------------------------------------------------------------ components
 
     def _labelled_components(self) -> Tuple[np.ndarray, int]:
@@ -739,29 +816,6 @@ class MRFArrays:
             )
         return totals
 
-    # ------------------------------------------------------------- accessors
-
-    def unary_vectors(self) -> List[np.ndarray]:
-        """The unpadded per-node unary vectors (copies into from_parts form).
-
-        ``unary_vectors()[i]`` has ``label_counts[i]`` entries — the exact
-        inputs a rebuilt (or cut-shard) plan needs.
-        """
-        return [
-            self.unary[i, : self.label_counts[i]]
-            for i in range(self.node_count)
-        ]
-
-    def matrix_stack(self) -> List[np.ndarray]:
-        """The padded forward-orientation cost matrices, one per raw cid.
-
-        Entries are ``(lmax, lmax)`` with ``+inf`` padding; feeding them
-        back through :meth:`from_parts` with the same ``lmax`` reproduces
-        the stack exactly, which is what the edge-cut partitioner relies
-        on.
-        """
-        return [self.cost[k] for k in range(self.stacked)]
-
     # ------------------------------------------------------------ evaluation
 
     def zero_messages(self) -> np.ndarray:
@@ -786,30 +840,30 @@ class MRFArrays:
     def dual_bound(
         self,
         messages: np.ndarray,
-        beliefs: np.ndarray,
-        chunk: int = 8192,
         scratch: Optional[SolverScratch] = None,
         backend=None,
     ) -> float:
-        """Reparametrisation lower bound ``Σ_i min θ'_i + Σ_ij min θ'_ij``
-        (chunked over edges to cap peak memory; the chunk buffer comes from
-        ``scratch`` so repeated bounds allocate nothing).  The per-edge
-        minima come from the kernel ``backend`` (see
-        :mod:`repro.mrf.backends`); the chunked summation stays here so
-        every backend inherits NumPy's pairwise summation bit-for-bit."""
+        """TRW-S's lower bound over monotonic chains (Kolmogorov 2006).
+
+        The messages reparametrise the *original* costs: node ``i`` gets
+        ``θ'_i = θ_i + Σ_j M_j→i`` and edge ``ij`` gets
+        ``θ'_ij = θ_ij − M_i→j − M_j→i``, which leaves every labelling's
+        energy unchanged.  Each chain of :attr:`chains` takes
+        ``gamma[i]·θ'_i`` at its nodes and ``θ'_ij`` on its edges, so the
+        chains' energies add up to ``E`` and the sum of their minima is a
+        lower bound for any messages — tight on a forest once the messages
+        have converged.  The kernel ``backend`` minimises each chain with
+        one min-sum pass and writes the minima to a buffer from
+        ``scratch``; the sum stays here, so every backend inherits NumPy's
+        summation bit for bit.
+        """
         from repro.mrf.backends import resolve_backend
 
         kernels = resolve_backend(backend)
         scratch = scratch if scratch is not None else SolverScratch()
-        bound = float(beliefs.min(axis=1).sum())
-        for start in range(0, self.edge_count, chunk):
-            stop = min(start + chunk, self.edge_count)
-            bound += float(
-                kernels.bound_chunk_mins(
-                    self, messages, start, stop, scratch
-                ).sum()
-            )
-        return bound
+        mins = scratch.array("chain_mins", (len(self.chains[1]),))
+        kernels.chain_bound(self, messages, mins, scratch)
+        return float(mins.sum())
 
     # ------------------------------------------------------------- decoding
 

@@ -126,9 +126,8 @@ def scale_free_network(
     probability proportional to their current degree (sampling from the
     repeated-endpoints urn).  The result is a single connected component
     with a heavy-tailed degree distribution — the "giant component" shape
-    of real estates that the dual decomposition tier
-    (:mod:`repro.mrf.dual`) is built to cut apart.  Deterministic for a
-    given ``seed``.
+    of real estates, which no component split can break up.
+    Deterministic for a given ``seed``.
     """
     if attach < 1:
         raise ValueError("attach must be >= 1")

@@ -1,8 +1,8 @@
 """Observability layer: tracing spans, counters, structured logging.
 
 ``repro.obs`` is the unified instrumentation surface for every layer of
-the stack — compile, solve kernels, dual rounds, streaming engine,
-and the service.  The core contract is zero overhead while disabled;
+the stack — compile, solve kernels, streaming engine and the
+service.  The core contract is zero overhead while disabled;
 see :mod:`repro.obs.core` for the span/trace API,
 :mod:`repro.obs.report` for summaries, and :mod:`repro.obs.logging`
 for the shared structured-logging setup.

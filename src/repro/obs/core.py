@@ -1,7 +1,7 @@
 """Zero-overhead-when-disabled tracing core.
 
 The library's hot paths — the direct compiler, the TRW-S/BP sweep kernels,
-the dual rounds, the streaming engine, the service writer — call into
+the streaming engine, the service writer — call into
 this module unconditionally.  The contract that keeps them as fast as the
 zero-allocation kernel work left them:
 
@@ -332,8 +332,8 @@ def span(name: str, cat: str = "app", **args: Any) -> Any:
     Disabled: returns the shared no-op singleton — no allocation, nothing
     recorded.  Enabled: returns a live :class:`Span` recording a complete
     event on exit.  ``cat`` is the layer tag the per-layer breakdown
-    groups by (``compile`` / ``solve`` / ``dual`` / ``stream`` /
-    ``service`` / ...); ``args`` become the event's attributes.
+    groups by (``compile`` / ``solve`` / ``stream`` / ``service`` /
+    ...); ``args`` become the event's attributes.
     """
     trace = _TRACE
     if trace is None:

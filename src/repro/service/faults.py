@@ -18,8 +18,6 @@ point           actions                     fired by
 ``wal.append``  ``crash``/``torn``/``error``  :meth:`WriteAheadLog.append`
 ``wal.fsync``   ``error``                     every WAL ``fsync`` call
 ``solve``       ``error``/``crash``           the writer loop, before solving
-                                              (``crash`` also drives the
-                                              dual outer-round drill)
 ``snapshot``    ``error``/``crash``           ``save_snapshot``, post-stage,
                                               pre-rename
 ==============  ==========================  =================================

@@ -268,9 +268,17 @@ class TestSolverParity:
         np.testing.assert_array_equal(
             plan.decode(beliefs, messages, backend=backend), reference
         )
-        assert plan.dual_bound(
-            messages, beliefs, chunk=5, backend=backend
-        ) == plan.dual_bound(messages, beliefs, chunk=5, backend="numpy")
+        # The bound's chain minima, then their sum: bit for bit.
+        mins = {}
+        for name in ("numpy", backend):
+            mins[name] = np.full(len(plan.chains[1]), np.nan)
+            get_backend(name).chain_bound(
+                plan, messages, mins[name], SolverScratch()
+            )
+        np.testing.assert_array_equal(mins[backend], mins["numpy"])
+        assert plan.dual_bound(messages, backend=backend) == plan.dual_bound(
+            messages, backend="numpy"
+        )
         np.testing.assert_array_equal(
             plan.icm(reference, backend=backend),
             plan.icm(reference, backend="numpy"),
@@ -405,7 +413,7 @@ class TestCKernels:
         keep = np.arange(0, plan.edge_count, 2)
         plan.replace_edges(
             plan.edge_first[keep], plan.edge_second[keep],
-            plan.edge_cid[keep], plan.matrix_stack(),
+            plan.edge_cid[keep], list(plan.cost[: plan.stacked]),
         )
         np.testing.assert_array_equal(
             plan.greedy_labels(backend="native"),
@@ -458,8 +466,10 @@ class TestNativeFallbackGuards:
         plan = MRFArrays(make_random_mrf(6, 0.5, 3, seed=15))
         wide = np.zeros((2 * plan.edge_count, 2 * plan.lmax))
         messages = wide[:, :: 2]  # valid shape, non-contiguous rows
-        reference = plan.dual_bound(messages, plan.unary_inf, backend="numpy")
-        assert plan.dual_bound(messages, plan.unary_inf, backend=native) == reference
+        reference = plan.dual_bound(messages, backend="numpy")
+        before = native.fallbacks
+        assert plan.dual_bound(messages, backend=native) == reference
+        assert native.fallbacks == before + 1
         beliefs = plan.padded_beliefs()
         labels = np.zeros(plan.node_count, dtype=np.int64)
         ran = native.forward_sweep(

@@ -46,19 +46,16 @@ class TestParser:
         assert parser.parse_args([command, "--workers", "-1"]).workers == -1
 
     @pytest.mark.parametrize("command", ["table7", "table8", "table9"])
-    def test_scalability_dual_flags(self, command):
-        parser = build_parser()
-        args = parser.parse_args([command])
-        assert args.shards is None
-        assert args.dual_parts == 4
-        args = parser.parse_args(
-            [command, "--shards", "cut", "--dual-parts", "8",
-             "--dual-rounds", "20", "--dual-gap", "1e-4"]
-        )
-        assert args.shards == "cut"
-        assert args.dual_parts == 8
-        assert args.dual_rounds == 20
-        assert args.dual_gap == pytest.approx(1e-4)
+    def test_removed_dual_flags_exit_2(self, command):
+        # The dual-decomposition tier and its flags are gone: argparse
+        # rejects them before any cell runs.
+        for flags in (
+            ["--shards", "cut"], ["--dual-parts", "4"],
+            ["--dual-rounds", "20"], ["--dual-gap", "1e-4"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, *flags])
+            assert exit_info.value.code == 2
 
     def test_sensitivity_options(self):
         args = build_parser().parse_args(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from helpers import edge_similarity_loop
+from helpers import edge_similarity_loop, pipeline_estate
 from repro.core import diversify, mono_assignment
 from repro.core.costs import assignment_energy
 from repro.network.constraints import (
@@ -170,18 +170,16 @@ class TestSolverSelection:
     def test_removed_option_raises_type_error(self, two_product_table):
         # ``fast_path`` is no option: it raises like any unknown solver
         # option, also on forests, whose exact DP takes no options.
-        for shards in (None, "cut"):
-            with pytest.raises(TypeError, match="unexpected keyword"):
-                diversify(
-                    chain_network(3), two_product_table, shards=shards,
-                    fast_path=False,
-                )
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            diversify(chain_network(3), two_product_table, fast_path=False)
 
-    @pytest.mark.parametrize("solver", ["bp", "icm", "exact", "anneal"])
-    def test_cut_shards_need_trws(self, solver, two_product_table):
-        # Dual decomposition needs certified TRW-S shard bounds; any
-        # other solver raises instead of silently solving unsharded.
-        with pytest.raises(ValueError, match=f"got '{solver}'"):
+    @pytest.mark.parametrize(
+        "solver", ["trws", "bp", "icm", "exact", "anneal"]
+    )
+    def test_shards_option_removed(self, solver, two_product_table):
+        # ``shards`` is gone with the dual tier: it reaches the solver
+        # constructor like any unknown option and raises there.
+        with pytest.raises(TypeError, match="unexpected keyword.*shards"):
             diversify(
                 chain_network(6), two_product_table, solver=solver,
                 shards="cut",
@@ -189,7 +187,7 @@ class TestSolverSelection:
 
     @pytest.mark.parametrize("shards", ["components", "zones", "4"])
     def test_removed_shard_modes_raise(self, shards, two_product_table):
-        with pytest.raises(ValueError, match="shards must be None or 'cut'"):
+        with pytest.raises(TypeError, match="unexpected keyword.*shards"):
             diversify(chain_network(3), two_product_table, shards=shards)
 
     def test_trws_matches_exact_on_small_net(self):
@@ -200,6 +198,17 @@ class TestSolverSelection:
         trws = diversify(net, sim)
         exact = diversify(net, sim, solver="exact")
         assert trws.energy == pytest.approx(exact.energy, abs=1e-9)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pipeline_estate_certified_optimal(self, seed):
+        # A chain backbone with long chords, one wavefront level per host:
+        # the TRW-S bound over monotonic chains meets the energy.
+        network, table, preferences = pipeline_estate(300, seed=seed)
+        result = diversify(network, table, preferences=preferences)
+        assert result.certified_optimal
+        assert result.lower_bound <= result.energy + 1e-9
 
 
 class TestHeterogeneousNetworks:

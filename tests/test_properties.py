@@ -4,13 +4,16 @@ Hypothesis-driven invariants spanning the whole stack — randomly generated
 networks, similarity tables and assignments must always satisfy the model's
 contracts, whatever the draw.
 
+The TRW-S lower bound has its own section: on random small plans it
+never exceeds the exact optimum, on forests it meets it, and the two
+kernel backends compute it bit for bit.
+
 The second half of the module is the **invariant pack**: one seeded fuzz
 case (network + similarity + churn trace) is driven through every layer's
 parity contract from a single place — compile byte-parity, kernel-backend
-bit-parity, warm==cold stream energy, per-component selection on disjoint
-unions, and the dual decomposition's certified duality gap.  Each
-invariant is registered in ``INVARIANT_PACK`` so new layers add one
-function, not a new harness.
+bit-parity, warm==cold stream energy, and per-component selection on
+disjoint unions.  Each invariant is registered in ``INVARIANT_PACK`` so
+new layers add one function, not a new harness.
 """
 
 from dataclasses import dataclass, field
@@ -29,20 +32,21 @@ from repro.core import (
 )
 from repro import obs
 from repro.core.compile import compile_plan
-from repro.core.costs import assignment_energy, build_mrf
+from repro.core.costs import HARD_COST, assignment_energy, build_mrf
 from repro.core.planner import plan_upgrade
 from repro.metrics.bayes import compromise_probability
 from repro.metrics.richness import effective_richness
 from repro.mrf import (
-    DualDecompositionSolver,
+    ExactSolver,
     MRFArrays,
+    PairwiseMRF,
     TRWSSolver,
     solve_plan,
 )
 from repro.mrf.backends import get_backend
 from repro.mrf.reference import _greedy_labels
-from repro.mrf.trws import is_forest_plan
-from repro.mrf.vectorized import connected_components
+from repro.mrf.trws import is_forest_plan, solve_forest_plan
+from repro.mrf.vectorized import SolverScratch, connected_components
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -497,6 +501,131 @@ def test_greedy_kernels_match_the_reference(case):
     _assert_greedy_kernels(*case)
 
 
+# ============================================================ lower bound
+
+#: The kernel backends that can run here (the bound tests cover both).
+BOUND_BACKENDS = [
+    name for name in ("numpy", "native") if get_backend(name).available
+]
+
+
+@st.composite
+def _bound_plans(draw, forest=False):
+    """(plan, mrf): a random small plan and a :class:`PairwiseMRF` with
+    the same energy, for :class:`ExactSolver`.
+
+    Mixed label counts padded to a drawn width, edges stored in either
+    orientation, isolated nodes, some labels hard-masked with
+    :data:`HARD_COST`, and — unless ``forest`` — parallel edges, which
+    the MRF merges into one edge with the summed costs.  ``forest``
+    draws a random forest: each node links to an earlier one or starts
+    a tree."""
+    n = draw(st.integers(1, 7))
+    if forest:
+        parents = [draw(st.integers(-1, node - 1)) for node in range(n)]
+        edges = [(p, node) for node, p in enumerate(parents) if p >= 0]
+    else:
+        node = st.integers(0, n - 1)
+        edges = draw(st.lists(
+            st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+            max_size=2 * n,
+        ))
+    edges = [
+        (b, a) if draw(st.booleans()) else (a, b) for a, b in edges
+    ]
+    width = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(1, 4, size=n)
+    unaries = []
+    for count in counts:
+        unary = rng.uniform(0.0, 1.0, size=count)
+        if count > 1 and rng.random() < 0.3:
+            unary[rng.integers(count)] = HARD_COST
+        unaries.append(unary)
+    matrices = [
+        rng.uniform(0.0, 1.0, size=(counts[a], counts[b])) for a, b in edges
+    ]
+    plan = MRFArrays.from_parts(
+        unaries,
+        np.array([a for a, _ in edges], dtype=np.int64),
+        np.array([b for _, b in edges], dtype=np.int64),
+        np.arange(len(edges)),
+        matrices,
+        lmax=width,
+    )
+    merged: Dict[tuple, np.ndarray] = {}
+    for (a, b), matrix in zip(edges, matrices):
+        key, oriented = ((a, b), matrix) if a < b else ((b, a), matrix.T)
+        merged[key] = merged.get(key, 0.0) + oriented
+    mrf = PairwiseMRF()
+    for unary in unaries:
+        mrf.add_node(unary)
+    for (a, b), matrix in merged.items():
+        mrf.add_edge(a, b, matrix)
+    return plan, mrf
+
+
+def _random_messages(plan, seed):
+    """Arbitrary message values, zero at the receivers' padded labels."""
+    rng = np.random.default_rng(seed)
+    messages = rng.uniform(-1.0, 1.0, size=(2 * plan.edge_count, plan.lmax))
+    messages[~plan.mask[plan.slot_receiver]] = 0.0
+    return messages
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_bound_plans(), noise=st.sampled_from([0.0, 1e-4]))
+def test_bound_never_exceeds_the_exact_optimum(case, noise):
+    """Any messages give a valid bound — a solve's, with or without the
+    tie-break noise, and arbitrary ones."""
+    plan, mrf = case
+    optimum = ExactSolver().solve(mrf).energy
+    for name in BOUND_BACKENDS:
+        result = TRWSSolver(
+            max_iterations=8, tie_break_noise=noise, seed=0, backend=name
+        ).solve_arrays(plan)
+        assert result.lower_bound <= optimum + 1e-6, name
+        messages = _random_messages(plan, plan.edge_count)
+        assert plan.dual_bound(messages, backend=name) <= optimum + 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_bound_plans(forest=True))
+def test_bound_is_tight_on_forests(case):
+    """On a forest the LP is tight: message passing (noise off) ends
+    with a bound equal to the forest DP's optimum."""
+    plan, mrf = case
+    optimum = solve_forest_plan(plan).energy
+    assert optimum == pytest.approx(ExactSolver().solve(mrf).energy, abs=1e-9)
+    for name in BOUND_BACKENDS:
+        result = TRWSSolver(tie_break_noise=0.0, backend=name).solve_arrays(
+            plan
+        )
+        assert result.lower_bound == pytest.approx(optimum, abs=1e-6), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_greedy_plans())
+def test_bound_kernels_agree_bit_for_bit(case):
+    """native == NumPy on every chain minimum, so on the bound too;
+    widths 4, 6 and 8 take the C kernel's constant-width copies."""
+    plan, _reference = case
+    if len(BOUND_BACKENDS) < 2:
+        pytest.skip("native backend needs a C compiler")
+    messages = _random_messages(plan, plan.node_count)
+    mins = {}
+    for name in BOUND_BACKENDS:
+        mins[name] = np.full(len(plan.chains[1]), np.nan)
+        ran = get_backend(name).chain_bound(
+            plan, messages, mins[name], SolverScratch()
+        )
+        assert ran.name == name
+    np.testing.assert_array_equal(mins["native"], mins["numpy"])
+    assert plan.dual_bound(messages, backend="native") == plan.dual_bound(
+        messages, backend="numpy"
+    )
+
+
 # ============================================================ invariant pack
 #
 # One seeded fuzz case drives every layer's parity contract.  The case
@@ -680,10 +809,15 @@ def test_refine_pick_is_per_component(seed):
     )
 
 
+def _unary_vectors(plan: MRFArrays) -> List[np.ndarray]:
+    """The plan's unpadded per-node unary vectors."""
+    return [plan.unary[i, :count] for i, count in enumerate(plan.label_counts)]
+
+
 def _disjoint_union(first: MRFArrays, second: MRFArrays) -> MRFArrays:
     """One plan holding ``first`` then ``second``, sharing no edges."""
     return MRFArrays.from_parts(
-        first.unary_vectors() + second.unary_vectors(),
+        _unary_vectors(first) + _unary_vectors(second),
         np.concatenate(
             [first.edge_first, second.edge_first + first.node_count]
         ),
@@ -691,24 +825,9 @@ def _disjoint_union(first: MRFArrays, second: MRFArrays) -> MRFArrays:
             [first.edge_second, second.edge_second + first.node_count]
         ),
         np.concatenate([first.edge_cid, second.edge_cid + first.stacked]),
-        first.matrix_stack() + second.matrix_stack(),
+        list(first.cost[: first.stacked]) + list(second.cost[: second.stacked]),
         lmax=max(first.lmax, second.lmax),
     )
-
-
-@_invariant
-def dual_gap_certificate(case: FuzzCase) -> None:
-    """Dual decomposition's gap certifies its distance from the optimum."""
-    mrf = build_mrf(case.network, case.similarity).mrf
-    mono = TRWSSolver(seed=0).solve(mrf)
-    dual = DualDecompositionSolver(parts=3, seed=0, max_rounds=40).solve(mrf)
-    assert dual.duality_gap >= -1e-12
-    assert dual.lower_bound <= dual.energy + 1e-9
-    # The certificate: dual's primal can exceed the true optimum by at most
-    # its own reported gap — and its bound never exceeds any labelling.
-    assert dual.energy - mono.energy <= dual.duality_gap + 1e-9
-    assert dual.lower_bound <= mono.energy + 1e-9
-    assert mrf.energy(dual.labels) == pytest.approx(dual.energy, abs=1e-9)
 
 
 @settings(max_examples=6, deadline=None)

@@ -24,6 +24,11 @@ class TestRegistry:
         with pytest.raises(KeyError, match="trws"):
             get_solver("does-not-exist")
 
+    def test_dual_decomposition_solver_removed(self):
+        assert "trws-dual" not in available_solvers()
+        with pytest.raises(KeyError, match="unknown solver 'trws-dual'"):
+            get_solver("trws-dual")
+
     def test_custom_registration(self):
         class Stub:
             def solve(self, mrf):
