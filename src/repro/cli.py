@@ -137,9 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="grid cells run in this many processes (-1 = one per CPU; "
-            "default serial, or the REPRO_WORKERS env var when set); jobs "
-            "are dispatched in chunks on big grids; results are identical, "
-            "only faster",
+            "default serial, or the REPRO_WORKERS env var when set); "
+            "energies and edge counts are identical, and the first cell "
+            "each worker runs also times its warm-up",
         )
 
     nvd = sub.add_parser(

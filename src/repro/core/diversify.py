@@ -151,10 +151,10 @@ def diversify(
             preferences=preferences,
             service_weights=service_weights,
         )
-        # The dispatch (forest DP for cold TRW-S forests, greedy refine
-        # init otherwise) mirrors ``TRWSSolver.solve`` on the equivalent
-        # MRF, so compiled and Python-built solves return identical
-        # labellings.
+        # TRW-S takes ``TRWSSolver.solve_plan`` (forest DP for forests,
+        # greedy refine init otherwise), the dispatch ``TRWSSolver.solve``
+        # runs on the equivalent MRF, so compiled and Python-built solves
+        # return identical labellings.
         solver_result = solve_plan(
             compiled.plan, solver=solver, **solver_options
         )

@@ -1,9 +1,10 @@
 """The plan-level cold solve every compiled ``diversify()`` runs.
 
-:func:`solve_plan` is the standard dispatch over one array plan: forest
-plans take the exact min-sum DP, loopy plans run the configured
-message-passing solver (TRW-S with the degree-descending greedy among its
-refine inits, or BP).  The TRW-S refine stage keeps the best candidate per
+:func:`solve_plan` builds the configured solver and cold-solves one array
+plan with it.  TRW-S takes :meth:`~repro.mrf.trws.TRWSSolver.solve_plan`:
+forest plans go to the exact min-sum DP, loopy plans to the sweeps with the
+degree-descending greedy among the refine inits.  BP runs its sweeps.  The
+TRW-S refine stage keeps the best candidate per
 connected component, so a plan of independent components solves as well
 as its components would one by one — without a partition or a shard
 loop.  It is the one production solve path per plan; the module keeps its
@@ -13,13 +14,11 @@ name because the end-to-end benchmark's layer tracer wraps
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Any, Optional
 
 from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.solvers import SolverResult
-from repro.mrf.trws import TRWSSolver, is_forest_plan, solve_forest_plan
+from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 
 __all__ = ["solve_plan"]
@@ -37,10 +36,11 @@ def solve_plan(
     """Cold-solve one array plan with the standard dispatch.
 
     The public plan-level entry point (used by the compiled
-    :func:`~repro.core.diversify.diversify` path): forest plans take the
-    exact min-sum DP, loopy plans run the configured message-passing
-    solver with the degree-descending greedy refine init — exactly the
-    dispatch of ``TRWSSolver.solve`` on the equivalent ``PairwiseMRF``.
+    :func:`~repro.core.diversify.diversify` path).  TRW-S runs
+    :meth:`TRWSSolver.solve_plan <repro.mrf.trws.TRWSSolver.solve_plan>`,
+    the dispatch ``TRWSSolver.solve`` runs on the equivalent
+    ``PairwiseMRF``.  The solver is built first, so an unknown or invalid
+    option raises even where the forest DP ignores it.
 
     A two-node plan with an agreement penalty solves to disagreeing
     labels at zero energy (one edge, no cycle — the exact forest DP):
@@ -58,46 +58,9 @@ def solve_plan(
     >>> result.labels[0] != result.labels[1]
     True
     """
-    options = dict(solver_options)
-    greedy = solver == "trws" and options.get("refine", True)
-    return _solve_plan(
-        plan,
-        solver,
-        options,
-        0 if seed is None else int(seed),
-        None,
-        greedy,
-        scratch=scratch,
+    instance = _FACTORIES[solver](
+        **{**solver_options, "seed": 0 if seed is None else int(seed)}
     )
-
-
-def _solve_plan(
-    plan: MRFArrays,
-    solver_name: str,
-    options: Dict[str, Any],
-    seed: int,
-    messages: Optional[np.ndarray],
-    greedy: bool,
-    scratch: Optional[SolverScratch] = None,
-) -> SolverResult:
-    """Solve one plan — the core every plan-level solve shares.
-
-    Cold TRW-S plans whose graph is a forest dispatch to the exact
-    min-sum DP (deterministic, certified, non-iterative); everything else
-    runs the configured message-passing solver.  Warm starts (``messages``
-    given) always take the message-passing path so the caller keeps a
-    reusable fixed-point state.  The solver is built first on every path,
-    so an unknown or invalid option raises even where the DP ignores it.
-    """
-    solver = _FACTORIES[solver_name](**{**options, "seed": seed})
-    if solver_name == "trws" and messages is None and is_forest_plan(plan):
-        return solve_forest_plan(plan)
-    if solver_name == "trws":
-        inits = (
-            (plan.greedy_labels(scratch=scratch, backend=solver.backend),)
-            if greedy else ()
-        )
-        return solver.solve_arrays(
-            plan, messages=messages, extra_inits=inits, scratch=scratch,
-        )
-    return solver.solve_arrays(plan, messages=messages, scratch=scratch)
+    if solver == "trws":
+        return instance.solve_plan(plan, scratch=scratch)
+    return instance.solve_arrays(plan, scratch=scratch)

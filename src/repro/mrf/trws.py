@@ -120,24 +120,36 @@ class TRWSSolver:
     def solve(self, mrf: PairwiseMRF) -> SolverResult:
         """Run TRW-S and return the best labelling found plus its lower bound.
 
-        The MRF is converted to its array plan first.  Forests are
-        dispatched to an exact min-sum dynamic program
-        (:func:`solve_forest_plan`: TRW-S is exact on trees; the DP
-        realises that guarantee directly and returns a tight bound).
-        Loopy graphs run the iterative message passing.
+        The MRF is converted to its array plan and cold-solved by
+        :meth:`solve_plan`.
         """
         if mrf.node_count == 0:
             return SolverResult(
                 labels=[], energy=0.0, lower_bound=0.0, iterations=0,
                 converged=True, solver=self.name,
             )
-        plan = MRFArrays(mrf)
+        return self.solve_plan(MRFArrays(mrf))
+
+    def solve_plan(
+        self, plan: MRFArrays, scratch: Optional[SolverScratch] = None
+    ) -> SolverResult:
+        """Cold-solve one array plan: the dispatch of every whole-plan solve.
+
+        Forests are dispatched to an exact min-sum dynamic program
+        (:func:`solve_forest_plan`: TRW-S is exact on trees; the DP
+        realises that guarantee directly and returns a tight bound).
+        Loopy plans run the iterative message passing, with the
+        degree-descending greedy labelling among the refine inits.
+        ``scratch`` is passed on as in :meth:`solve_arrays`.
+        """
         if is_forest_plan(plan):
             return solve_forest_plan(plan)
         extra_inits = ()
         if self.refine:  # the greedy labelling only feeds the refine stage
-            extra_inits = (plan.greedy_labels(backend=self.backend),)
-        return self.solve_arrays(plan, extra_inits=extra_inits)
+            extra_inits = (
+                plan.greedy_labels(scratch=scratch, backend=self.backend),
+            )
+        return self.solve_arrays(plan, extra_inits=extra_inits, scratch=scratch)
 
     def solve_arrays(
         self,

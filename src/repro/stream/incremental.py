@@ -339,16 +339,11 @@ class DynamicDiversifier:
             scratch=self._scratch, backend=self._solver.backend
         )
 
-    def _delta_too_large(self) -> bool:
-        """Did pending deltas (topology or constraint churn) outgrow the
-        rebuild threshold?  Bulk constraint loads count like topology: a
-        policy file rewriting a quarter of the unary masks is cheaper to
-        recompile than to patch mask by mask."""
-        return self._delta_reason() is not None
-
     def _delta_reason(self) -> Optional[str]:
         """The dominating churn fraction past the rebuild threshold, or
-        ``None`` when patching is still worthwhile."""
+        ``None`` when patching is still worthwhile.  Bulk constraint loads
+        count like topology: a policy file rewriting a quarter of the
+        unary masks is cheaper to recompile than to patch mask by mask."""
         plan = self.plan
         fractions = {
             "node_churn": plan.dirty_nodes / max(1, plan.node_count),

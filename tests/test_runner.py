@@ -6,6 +6,8 @@ because every job carries its own deterministic seed and results are
 collected in job order, not completion order.
 """
 
+import os
+import warnings
 
 import pytest
 
@@ -28,16 +30,13 @@ def _fail(message):
     raise RuntimeError(message)
 
 
-def _array_result(seed=0, rows=128):
-    """A result mixing a shared-memory-sized array with inline payload."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    return {
-        "big": rng.standard_normal((rows, 128)),   # ≥ the shm threshold
-        "small": rng.standard_normal(4),           # stays inline
-        "meta": ("cell", seed),
-    }
+def _logged_cell(x, log, seed=None):
+    """Append ``x`` to ``log`` (one line per run); cell 1 has no input."""
+    with open(log, "a") as handle:
+        handle.write(f"{x}\n")
+    if x == 1:
+        raise FileNotFoundError(f"cell {x} has no input")
+    return x
 
 
 class TestDeriveSeed:
@@ -142,171 +141,42 @@ class TestRunJobs:
             results = run_jobs(self._jobs(), workers=4)
         assert results == run_jobs(self._jobs(), workers=None)
 
+    def test_job_error_reraises_once_with_worker_traceback(self, tmp_path):
+        # A job's own exception is not a pool failure: no serial re-run
+        # (each cell runs once, no warning), and the worker traceback
+        # rides along as the cause.
+        log = tmp_path / "runs.txt"
+        jobs = [
+            Job(key=i, fn=_logged_cell, kwargs={"x": i, "log": str(log)})
+            for i in range(3)
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FileNotFoundError, match="cell 1") as raised:
+                run_jobs(jobs, workers=2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        cause = raised.value.__cause__
+        assert isinstance(cause, runner_engine._RemoteTraceback)
+        assert "_logged_cell" in str(cause) and "FileNotFoundError" in str(cause)
+        assert sorted(log.read_text().split()) == ["0", "1", "2"]
+
     def test_chunksize_results_identical(self):
-        serial = run_jobs(self._jobs(), workers=1)
-        chunked = run_jobs(self._jobs(), workers=2, chunksize=3)
+        # 24 jobs on 2 workers go out in chunks of 24 // (4·2) = 3 jobs:
+        # chunking moves scheduling only, never results or their order.
+        jobs = [
+            Job(key=i, fn=_square, kwargs={"x": i}, seed=derive_seed(9, i))
+            for i in range(24)
+        ]
+        serial = run_jobs(jobs, workers=1)
+        chunked = run_jobs(jobs, workers=2)
         assert chunked == serial
         assert list(chunked) == list(serial)
-
-    def test_chunksize_validated(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            run_jobs(self._jobs(), workers=2, chunksize=0)
-
-
-class TestSharedResults:
-    """Large result arrays travel back via shared memory, value-identical."""
-
-    def _jobs(self):
-        return [
-            Job(key=i, fn=_array_result, kwargs={"seed": i}) for i in range(4)
-        ]
-
-    def _assert_equal(self, left, right):
-        import numpy as np
-
-        assert list(left) == list(right)
-        for key in left:
-            assert np.array_equal(left[key]["big"], right[key]["big"])
-            assert np.array_equal(left[key]["small"], right[key]["small"])
-            assert left[key]["meta"] == right[key]["meta"]
-            assert left[key]["big"].dtype == right[key]["big"].dtype
-
-    def test_parallel_equals_serial(self):
-        serial = run_jobs(self._jobs(), workers=1)
-        parallel = run_jobs(self._jobs(), workers=2)  # auto shared results
-        self._assert_equal(serial, parallel)
-
-    def test_forced_inline_identical(self):
-        serial = run_jobs(self._jobs(), workers=1)
-        inline = run_jobs(self._jobs(), workers=2, shared_results=False)
-        self._assert_equal(serial, inline)
-
-    def test_export_falls_back_when_segments_unavailable(self, monkeypatch):
-        import numpy as np
-
-        def refuse(array, name=None):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(
-            runner_engine.SharedArrayBlock, "create", staticmethod(refuse)
+        # Each chunk runs in one worker process.
+        pids = run_jobs([Job(key=i, fn=os.getpid) for i in range(24)], workers=2)
+        assert all(
+            len({pids[i] for i in range(start, start + 3)}) == 1
+            for start in range(0, 24, 3)
         )
-        payload = _array_result(seed=3)
-        exported = runner_engine._export_result(payload)
-        assert np.array_equal(exported["big"], payload["big"])  # inline
-
-    def test_export_roundtrip_structures(self):
-        import numpy as np
-
-        payload = {
-            "tuple": (np.zeros((120, 120)), "x"),
-            "list": [np.ones((120, 120))],
-            "nested": {"deep": np.full((120, 120), 2.0)},
-            "small": np.arange(3.0),
-            "plain": 7,
-        }
-        restored = runner_engine._import_result(
-            runner_engine._export_result(payload)
-        )
-        assert np.array_equal(restored["tuple"][0], payload["tuple"][0])
-        assert restored["tuple"][1] == "x"
-        assert np.array_equal(restored["list"][0], payload["list"][0])
-        assert np.array_equal(restored["nested"]["deep"], payload["nested"]["deep"])
-        assert restored["small"] is payload["small"]  # below threshold: untouched
-        assert restored["plain"] == 7
-
-    def test_failing_grid_raises_and_leaks_no_segments(self):
-        import glob
-
-        def segments():
-            # Both naming schemes run_jobs segments can carry: the per-run
-            # "rr<hex>_" result prefix and anonymous psm_* blocks.
-            return set(glob.glob("/dev/shm/rr*")) | set(
-                glob.glob("/dev/shm/psm_*")
-            )
-
-        before = segments()
-        jobs = [Job(key=0, fn=_fail, kwargs={"message": "boom"})] + [
-            Job(key=i, fn=_array_result, kwargs={"seed": i})
-            for i in range(1, 4)
-        ]
-        with pytest.raises(RuntimeError, match="boom"):
-            run_jobs(jobs, workers=2)
-        # Every other job's shared-memory result was drained before the
-        # re-raise — a failing cell must not strand /dev/shm segments.
-        assert not segments() - before
-
-    def test_export_handles_dataclasses(self):
-        import numpy as np
-
-        from repro.mrf.solvers import SolverResult
-
-        result = (
-            SolverResult(labels=[1, 2], energy=0.5),
-            np.full((128, 128), 3.0),
-        )
-        restored = runner_engine._import_result(
-            runner_engine._export_result(result)
-        )
-        assert restored[0].labels == [1, 2]
-        assert np.array_equal(restored[1], result[1])
-
-
-class TestSharedArrayBlock:
-    def _block(self, array):
-        from repro.runner import SharedArrayBlock
-
-        try:
-            return SharedArrayBlock.create(array)
-        except OSError:
-            pytest.skip("shared memory unavailable in this environment")
-
-    def test_roundtrip_and_spec_pickles(self):
-        import numpy as np
-        import pickle
-
-        from repro.runner import SharedArrayBlock
-
-        source = np.arange(24.0).reshape(2, 3, 4)
-        block = self._block(source)
-        try:
-            spec = pickle.loads(pickle.dumps(block.spec))
-            view = SharedArrayBlock.attach(spec)
-            got = view.array()
-            assert got.shape == source.shape
-            assert np.array_equal(got, source)
-            assert not got.flags.writeable
-            view.close()
-        finally:
-            block.unlink()
-
-    def test_close_is_idempotent_and_guards_array(self):
-        import numpy as np
-
-        from repro.runner import SharedArrayBlock
-
-        block = self._block(np.ones(3))
-        spec = block.spec
-        block.close()
-        block.close()
-        with pytest.raises(ValueError, match="closed"):
-            block.array()
-        # unlink after close still destroys the segment (no leak) ...
-        block.unlink()
-        with pytest.raises(FileNotFoundError):
-            SharedArrayBlock.attach(spec)
-        block.unlink()  # ... and stays idempotent
-
-    def test_context_manager_owner_unlinks(self):
-        import numpy as np
-
-        from repro.runner import SharedArrayBlock
-
-        block = self._block(np.ones(2))
-        spec = block.spec
-        with block:
-            pass
-        with pytest.raises(FileNotFoundError):
-            SharedArrayBlock.attach(spec)
 
 
 class TestExperimentGrids:
