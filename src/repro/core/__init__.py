@@ -5,9 +5,10 @@
     constraint set — the paper's cost function (Eqs. 1-3) with constraints
     folded into unary masks and intra-host pairwise tables (Section V-A/B).
 ``repro.core.compile``
-    The direct network→plan compiler: emits the byte-identical
+    The one network→plan compiler: emits the
     :class:`~repro.mrf.vectorized.MRFArrays` plan without materialising a
-    Python-level MRF — the default build path of ``diversify``.
+    Python-level MRF — the plan every ``diversify`` solve and every cold
+    streaming rebuild runs on.
 ``repro.core.diversify``
     The top-level API: :func:`~repro.core.diversify.diversify` returns the
     (constrained) optimal product assignment α̂ / α̂_C (Definition 5).

@@ -15,21 +15,25 @@ directly:
 * **Edges** are emitted per *host-profile pair*: hosts sharing a service
   list share a profile, so the (link, shared-service) → (node, node)
   expansion is a handful of NumPy repeats/tiles instead of a per-edge loop.
-* **Cost matrices** are deduplicated by (candidate range, candidate range,
-  λ·weight) key in first-appearance order over the edge stream — the same
-  stack the ``id()``-dedup of ``MRFArrays(mrf)`` recovers from the builder's
-  matrix cache — and computed as slices of one product-similarity matrix.
-* **Constraints** (Fix/Forbid unary masks, combination tables) land as
-  array writes replicating the builder's accumulation order bit-for-bit.
+* **Cost matrices** are deduplicated by *unordered* (candidate range,
+  candidate range, λ·weight) key in first-appearance order over the edge
+  stream and computed as slices of one product-similarity matrix.  A
+  matrix is stored in the orientation of its key's first edge; a later
+  edge of the opposite orientation swaps its endpoints instead of storing
+  a transpose.
+* **Preferences and constraints** (soft preferences, Fix/Forbid unary
+  masks, combination tables) land as array writes in ``build_mrf``'s
+  accumulation order.
 
-The result is **byte-identical** to ``MRFArrays(build_mrf(...).mrf)`` — the
-same unary stack, cost stack, edge arrays, message slots, γ weights and
-wavefront levels — which the parity suite in ``tests/test_compile.py``
-asserts array by array.  :func:`compile_stream_parts` emits the same plan
-in the :class:`~repro.stream.plan.StreamPlan` convention instead (one
-matrix per unordered range pair, edges flipped onto the stored orientation,
-per-edge link/service keys), which is what the streaming engine's cold
-rebuilds consume.
+Every consumer compiles through :func:`compile_plan`: ``diversify()`` for
+every solver, and the cold rebuilds of :class:`~repro.stream.plan.
+StreamPlan`, whose delta updates keep the same one-matrix-per-range-pair
+convention.  The plan is *orientation-equivalent* to
+``MRFArrays(build_mrf(...).mrf)``: the same unary stack and edge order,
+each edge either as ``build_mrf`` emits it or with its endpoints swapped
+and its matrix transposed, so energies agree bit for bit.  On networks
+whose hosts share one range per service nothing swaps, and every plan
+array equals the oracle's.  ``tests/test_compile.py`` asserts both.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.core.costs import (
     decode_assignment,
     encode_labels,
 )
+from repro.mrf.graph import PairwiseMRF
 from repro.mrf.vectorized import MRFArrays
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import (
@@ -66,17 +71,15 @@ __all__ = [
     "SimilarityEdges",
     "compile_plan",
     "compile_parts",
-    "compile_stream_parts",
     "constraint_mask",
     "edge_similarity",
-    "similarity_edges",
     "write_combination",
 ]
 
-#: matrix-meta sentinel of an intra-host combination table in the stream
-#: convention — the empty ranges can never match a similarity re-score's
-#: product scan, and :class:`~repro.stream.plan.StreamPlan` excludes it
-#: from the similarity dedup index by the same emptiness test.
+#: matrix-meta sentinel of an intra-host combination table — the empty
+#: ranges can never match a similarity re-score's product scan, and
+#: :class:`~repro.stream.plan.StreamPlan` excludes it from the similarity
+#: dedup index by the same emptiness test.
 COMBO_META: Tuple[Tuple[str, ...], Tuple[str, ...], float] = ((), (), 0.0)
 
 
@@ -96,8 +99,9 @@ class SimilarityEdges:
     """The (link, shared-service) edges of a network with what a
     labelling's similarity summary reads, all from one network index.
 
-    ``first``/``second`` are the edges' endpoint nodes in ``build_mrf``
-    order (combination-constraint edges are not among them);
+    ``first``/``second`` are the edges' endpoint nodes in edge order
+    (combination-constraint edges are not among them); the similarity
+    matrix is symmetric, so an edge's orientation does not matter.
     ``range_products[node_range[v], label]`` is the product id of node
     ``v``'s label; ``similarity`` is the product similarity matrix over
     those ids.
@@ -133,9 +137,13 @@ class CompiledParts:
     """Raw plan parts straight from the network, plus the variable mapping.
 
     ``edge_first``/``edge_second``/``edge_cid`` index ``matrices`` exactly
-    as :meth:`MRFArrays.from_parts` consumes them.  ``matrix_meta`` and
-    ``edge_keys`` are filled by the stream convention only (see
-    :func:`compile_stream_parts`).
+    as :meth:`MRFArrays.from_parts` consumes them.  The similarity edges
+    come first, one per (link, shared service) in ``build_mrf`` order:
+    edge ``e``'s link is ``links[edge_link[e]]`` and its service
+    ``service_names[edge_sid[e]]``.  The combination-constraint edges
+    follow, one per (lower node, higher node) pair of a host.
+    ``matrix_meta[cid]`` is matrix ``cid``'s (row range, column range,
+    λ·weight), or :data:`COMBO_META` for a combination table.
     """
 
     variables: List[Tuple[str, str]]
@@ -147,14 +155,13 @@ class CompiledParts:
     edge_second: np.ndarray
     edge_cid: np.ndarray
     matrices: List[np.ndarray]
-    matrix_meta: Optional[List[Tuple[Tuple[str, ...], Tuple[str, ...], float]]] = None
-    #: similarity edges carry ((link a, link b), service); combination
-    #: edges carry ((host, host), (service_lo, service_hi)).
-    edge_keys: Optional[
-        List[Tuple[Tuple[str, str], Union[str, Tuple[str, str]]]]
-    ] = None
-    #: the similarity summary's arrays (``build_mrf`` convention only).
-    similarity_edges: Optional[SimilarityEdges] = None
+    matrix_meta: List[Tuple[Tuple[str, ...], Tuple[str, ...], float]]
+    links: List[Tuple[str, str]]
+    service_names: List[str]
+    edge_link: np.ndarray
+    edge_sid: np.ndarray
+    #: the similarity summary's arrays.
+    similarity_edges: SimilarityEdges
 
     def unary_vectors(self) -> List[np.ndarray]:
         """Per-node unpadded unary vectors (the ``from_parts`` form)."""
@@ -166,31 +173,48 @@ class CompiledParts:
 
 @dataclass
 class CompiledPlan:
-    """A compiled :class:`MRFArrays` plan plus the variable mapping.
+    """A compiled :class:`MRFArrays` plan plus the parts it was built from.
 
     The plan-level counterpart of :class:`~repro.core.costs.MRFBuild`:
-    same ``variables``/``index``/``candidates`` contract, but the model
-    lives in the array plan instead of a :class:`PairwiseMRF`.
-    ``similarity_edges`` keeps the compiler's similarity-edge endpoints,
-    product ids and similarity matrix, so a solved labelling's
-    similarity summary needs no second walk over the network.
+    ``parts`` carries the same ``variables``/``index``/``candidates``
+    mapping, but the model lives in the array plan instead of a
+    :class:`PairwiseMRF`.  ``parts`` also keeps what the plan does not:
+    the similarity summary's arrays, so a solved labelling's summary needs
+    no second walk over the network; the unpadded matrices :meth:`to_mrf`
+    reads; and the per-edge link rows and service ids a
+    :class:`~repro.stream.plan.StreamPlan` keys its edges by.
     """
 
     plan: MRFArrays
-    variables: List[Tuple[str, str]]
-    index: Dict[Tuple[str, str], int]
-    candidates: List[Tuple[str, ...]]
-    similarity_edges: SimilarityEdges
+    parts: CompiledParts
+
+    def to_mrf(self) -> PairwiseMRF:
+        """The plan as a :class:`PairwiseMRF`, for the solvers without a
+        plan-level API: the node unaries, and each edge's matrix in its
+        stored orientation, in plan edge order."""
+        parts = self.parts
+        mrf = PairwiseMRF()
+        for vector in parts.unary_vectors():
+            mrf.add_node(vector)
+        for i, j, cid in zip(
+            parts.edge_first.tolist(),
+            parts.edge_second.tolist(),
+            parts.edge_cid.tolist(),
+        ):
+            mrf.add_edge(i, j, parts.matrices[cid])
+        return mrf
 
     def labels_to_assignment(
         self, network: Network, labels: Sequence[int]
     ) -> ProductAssignment:
         """Decode a solver labelling back into a product assignment."""
-        return decode_assignment(network, self.variables, self.candidates, labels)
+        parts = self.parts
+        return decode_assignment(network, parts.variables, parts.candidates, labels)
 
     def assignment_to_labels(self, assignment: ProductAssignment) -> List[int]:
         """Encode a complete assignment as a labelling of this plan."""
-        return encode_labels(self.variables, self.candidates, assignment)
+        parts = self.parts
+        return encode_labels(parts.variables, parts.candidates, assignment)
 
 
 # ------------------------------------------------------------ network index
@@ -288,13 +312,12 @@ class _NetworkIndex:
 
         Edge order matches ``build_mrf`` exactly: links in sorted order,
         each link's shared services in the first host's declaration order.
+        A link row indexes :attr:`links`, which this call sets.
         """
-        links = self.network.links
+        self.links = links = self.network.links
         empty = np.zeros(0, dtype=np.int64)
         if not links:
-            self._links = links
             return empty, empty.copy(), empty.copy(), empty.copy()
-        self._links = links
         la = np.fromiter(
             (self.host_ids[a] for a, _b in links), np.int64, len(links)
         )
@@ -396,16 +419,6 @@ class _NetworkIndex:
         )
 
 
-def _check_weights(
-    pairwise_weight: float, service_weights: Optional[Mapping[str, float]]
-) -> None:
-    """The builder's weight validation, shared by both conventions."""
-    if pairwise_weight < 0:
-        raise ValueError("pairwise_weight must be non-negative")
-    if service_weights and any(w < 0 for w in service_weights.values()):
-        raise ValueError("service weights must be non-negative")
-
-
 def _base_unary(net: _NetworkIndex, unary_constant: float) -> np.ndarray:
     """The padded ``Pr_const`` unary stack (zeros outside the label mask)."""
     counts = net.label_counts
@@ -449,14 +462,18 @@ def compile_parts(
     preferences: Optional[Mapping[Tuple[str, str, str], float]] = None,
     service_weights: Optional[Mapping[str, float]] = None,
 ) -> CompiledParts:
-    """Compile raw plan parts in the ``build_mrf`` convention.
+    """Compile raw plan parts (the convention of the module docstring).
 
-    Arguments mirror :func:`repro.core.costs.build_mrf`; the emitted parts
-    reproduce its plan byte-for-byte once assembled (oriented transpose
-    entries in the cost stack, similarity edges before combination edges,
-    constraint masks accumulated in constraint order).
+    Arguments, and the errors invalid ones raise, mirror
+    :func:`repro.core.costs.build_mrf`, and so do the unary stack and the
+    edge order; an edge whose range pair first appeared the other way
+    round has its endpoints swapped, and prices through the stored
+    matrix.
     """
-    _check_weights(pairwise_weight, service_weights)
+    if pairwise_weight < 0:
+        raise ValueError("pairwise_weight must be non-negative")
+    if service_weights and any(w < 0 for w in service_weights.values()):
+        raise ValueError("service weights must be non-negative")
     constraint_set = constraints or ConstraintSet()
     constraint_set.validate_against(network)
     _reject_conflicting_fixes(constraint_set)
@@ -488,34 +505,36 @@ def compile_parts(
             )
     phases.lap("compile.unary")
 
-    # ---- similarity edges, cost stack deduplicated by oriented key.
-    first, second, sid, _link_of = net.link_edges()
+    # ---- similarity edges, one matrix per unordered range-pair key.
+    first, second, sid, link_of = net.link_edges()
     wid_of, weight_values = net.service_weight_ids(
         pairwise_weight, service_weights
     )
     matrices: List[np.ndarray] = []
+    meta: List[Tuple[Tuple[str, ...], Tuple[str, ...], float]] = []
     sim = np.zeros((0, 0))
+    edge_cid = np.zeros(0, dtype=np.int64)
     if len(first):
+        rid_a = net.node_rid[first]
+        rid_b = net.node_rid[second]
         r_count = max(len(net.ranges), 1)
         w_count = max(len(weight_values), 1)
         keys = (
-            net.node_rid[first] * r_count + net.node_rid[second]
+            np.minimum(rid_a, rid_b) * r_count + np.maximum(rid_a, rid_b)
         ) * w_count + wid_of[sid]
         edge_cid, first_pos = _appearance_rank(keys)
         sim = net.similarity_matrix(similarity)
-        for position in first_pos:
-            e = int(position)
-            matrices.append(
-                _range_matrix(
-                    net,
-                    sim,
-                    int(net.node_rid[first[e]]),
-                    int(net.node_rid[second[e]]),
-                    weight_values[int(wid_of[sid[e]])],
-                )
-            )
-    else:
-        edge_cid = np.zeros(0, dtype=np.int64)
+        for e in first_pos.tolist():
+            ra, rb = int(rid_a[e]), int(rid_b[e])
+            weight = weight_values[int(wid_of[sid[e]])]
+            matrices.append(_range_matrix(net, sim, ra, rb, weight))
+            meta.append((net.ranges[ra], net.ranges[rb], weight))
+        # Stored orientation = the orientation of the key's first edge;
+        # later reverse-orientation edges swap their endpoints instead.
+        flip = rid_a[first_pos][edge_cid] != rid_a
+        first, second = (
+            np.where(flip, second, first), np.where(flip, first, second)
+        )
     summary_edges = net.similarity_edges(first, second, sim)
     phases.lap("compile.edges", edges=len(first), matrices=len(matrices))
 
@@ -533,6 +552,7 @@ def compile_parts(
             [edge_cid, np.asarray(extra_cid, dtype=np.int64)]
         )
         matrices.extend(tables)
+        meta.extend([COMBO_META] * len(tables))
     phases.lap("compile.combo_edges", combo_edges=len(extra_first))
 
     return CompiledParts(
@@ -545,6 +565,11 @@ def compile_parts(
         edge_second=second,
         edge_cid=edge_cid,
         matrices=matrices,
+        matrix_meta=meta,
+        links=net.links,
+        service_names=net.service_names,
+        edge_link=link_of,
+        edge_sid=sid,
         similarity_edges=summary_edges,
     )
 
@@ -560,8 +585,10 @@ def compile_plan(
 ) -> CompiledPlan:
     """Compile a network straight into an :class:`MRFArrays` plan.
 
-    Byte-identical to ``MRFArrays(build_mrf(...).mrf)`` (asserted by the
-    parity suite), built without materialising per-edge Python objects.
+    :func:`compile_parts` assembled by :meth:`MRFArrays.from_dense`: the
+    one compile behind every ``diversify()`` solve and every cold
+    :meth:`StreamPlan.rebuild <repro.stream.plan.StreamPlan.rebuild>`,
+    built without materialising per-edge Python objects.
     """
     parts = compile_parts(
         network,
@@ -581,138 +608,7 @@ def compile_plan(
             parts.edge_cid,
             parts.matrices,
         )
-    return CompiledPlan(
-        plan=plan,
-        variables=parts.variables,
-        index=parts.index,
-        candidates=parts.candidates,
-        similarity_edges=parts.similarity_edges,
-    )
-
-
-def compile_stream_parts(
-    network: Network,
-    similarity: SimilarityTable,
-    unary_constant: float = 0.01,
-    pairwise_weight: float = 1.0,
-    service_weights: Optional[Mapping[str, float]] = None,
-    constraints: Optional[ConstraintSet] = None,
-) -> CompiledParts:
-    """Compile raw parts in the :class:`~repro.stream.plan.StreamPlan`
-    convention: one matrix per *unordered* range pair (edges whose key was
-    first seen in the opposite orientation flip their endpoints instead of
-    storing a transpose), plus the per-edge (link key, service) list and
-    per-matrix (range, range, weight) metadata the streaming engine's
-    delta updates index by.
-
-    With ``constraints``, Fix/Forbid masks land on the unary stack through
-    :func:`constraint_mask` and combination constraints become intra-host
-    edges appended after the similarity edges — the streaming extension of
-    the batch encoding.  Combination edges carry an
-    ``((host, host), (service_lo, service_hi))`` entry in ``edge_keys``
-    (host self-pairs cannot collide with real links) and an empty-range
-    placeholder in ``matrix_meta`` so feed re-scores never touch their
-    tables.  Soft preferences stay on the batch path, exactly like
-    :class:`StreamPlan` itself.
-    """
-    _check_weights(pairwise_weight, service_weights)
-    constraint_set = constraints or ConstraintSet()
-    constraint_set.validate_against(network)
-    _reject_conflicting_fixes(constraint_set)
-    phases = obs.phase_timer("compile")
-    net = _NetworkIndex(network)
-    phases.lap("compile.index", nodes=len(net.variables))
-    counts = net.label_counts
-    unary = _base_unary(net, unary_constant)
-
-    for constraint in constraint_set:
-        if isinstance(constraint, (FixProduct, ForbidProduct)):
-            node = net.index[(constraint.host, constraint.service)]
-            count = int(counts[node])
-            unary[node, :count] = unary[node, :count] + constraint_mask(
-                net.candidates[node], constraint
-            )
-    phases.lap("compile.unary")
-
-    first, second, sid, link_of = net.link_edges()
-    # StreamPlan weights every service through the same formula; the value
-    # is identical to the builder's conditional multiply (w·1.0 == w).
-    wid_of, weight_values = net.service_weight_ids(
-        pairwise_weight, service_weights or None
-    )
-    matrices: List[np.ndarray] = []
-    meta: List[Tuple[Tuple[str, ...], Tuple[str, ...], float]] = []
-    if len(first):
-        rid_a = net.node_rid[first]
-        rid_b = net.node_rid[second]
-        r_count = max(len(net.ranges), 1)
-        w_count = max(len(weight_values), 1)
-        keys = (
-            np.minimum(rid_a, rid_b) * r_count + np.maximum(rid_a, rid_b)
-        ) * w_count + wid_of[sid]
-        edge_cid, first_pos = _appearance_rank(keys)
-        # Stored orientation = the orientation of the key's first edge;
-        # later reverse-orientation edges flip endpoints instead.
-        stored_rid_a = rid_a[first_pos]
-        flip = stored_rid_a[edge_cid] != rid_a
-        out_first = np.where(flip, second, first)
-        out_second = np.where(flip, first, second)
-        sim = net.similarity_matrix(similarity)
-        for position in first_pos:
-            e = int(position)
-            ra = int(net.node_rid[first[e]])
-            rb = int(net.node_rid[second[e]])
-            weight = weight_values[int(wid_of[sid[e]])]
-            matrices.append(_range_matrix(net, sim, ra, rb, weight))
-            meta.append((net.ranges[ra], net.ranges[rb], weight))
-        first, second = out_first, out_second
-    else:
-        edge_cid = np.zeros(0, dtype=np.int64)
-
-    phases.lap("compile.edges", edges=len(first), matrices=len(matrices))
-    links = net._links
-    service_names = net.service_names
-    edge_keys = [
-        (links[link], service_names[s])
-        for link, s in zip(link_of.tolist(), sid.tolist())
-    ]
-
-    # ---- intra-host combination edges, appended after the similarity
-    # edges exactly like the batch convention; their matrices are per node
-    # pair (never deduplicated) and their meta entries are empty-range
-    # placeholders a SimilarityUpdate scan can never match.
-    extra_first, extra_second, extra_cid, tables = _combination_edges(
-        network, constraint_set, net, base_cid=len(matrices)
-    )
-    if extra_first:
-        for lo, hi in zip(extra_first, extra_second):
-            host, svc_lo = net.variables[lo]
-            svc_hi = net.variables[hi][1]
-            edge_keys.append(((host, host), (svc_lo, svc_hi)))
-            meta.append(COMBO_META)
-        first = np.concatenate([first, np.asarray(extra_first, dtype=np.int64)])
-        second = np.concatenate(
-            [second, np.asarray(extra_second, dtype=np.int64)]
-        )
-        edge_cid = np.concatenate(
-            [edge_cid, np.asarray(extra_cid, dtype=np.int64)]
-        )
-        matrices.extend(tables)
-    phases.lap("compile.combo_edges", combo_edges=len(extra_first))
-
-    return CompiledParts(
-        variables=net.variables,
-        index=net.index,
-        candidates=net.candidates,
-        unary=unary,
-        label_counts=counts,
-        edge_first=first,
-        edge_second=second,
-        edge_cid=edge_cid,
-        matrices=matrices,
-        matrix_meta=meta,
-        edge_keys=edge_keys,
-    )
+    return CompiledPlan(plan=plan, parts=parts)
 
 
 # ------------------------------------------------------------- constraints
@@ -882,15 +778,3 @@ def network_energy(
     total += HARD_COST * len(constraint_set.violations(assignment, network))
     return total
 
-
-def similarity_edges(
-    network: Network, similarity: SimilarityTable
-) -> SimilarityEdges:
-    """The similarity summary's arrays of a network, for labellings in
-    the ``build_mrf`` node and label order — what the object-pipeline
-    solves of :func:`~repro.core.diversify.diversify` summarise with
-    (compiled solves keep the compiler's own)."""
-    net = _NetworkIndex(network)
-    first, second, _sid, _link_of = net.link_edges()
-    sim = net.similarity_matrix(similarity) if len(first) else np.zeros((0, 0))
-    return net.similarity_edges(first, second, sim)

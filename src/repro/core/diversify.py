@@ -7,20 +7,20 @@ The result bundles the decoded assignment with optimisation diagnostics
 (energy, lower bound, certificate of optimality) and
 diversity-oriented summary statistics.
 
-TRW-S and BP solves compile the network **directly into an array plan**
-(:mod:`repro.core.compile`) — byte-identical to the classic
-``build_mrf`` + ``MRFArrays`` pipeline but without materialising per-edge
-Python objects, which is what keeps cold plan builds off the critical path
-of the 1000-6000-host sweeps — and solve it with
-:func:`~repro.mrf.sharded.solve_plan`.  Solvers without a plan-level API
-take the ``build_mrf`` object pipeline.
+Every solve compiles the network once, **directly into an array plan**
+(:func:`~repro.core.compile.compile_plan`), without materialising per-edge
+Python objects — which is what keeps cold plan builds off the critical
+path of the 1000-6000-host sweeps.  TRW-S and BP solve the plan with
+:func:`~repro.mrf.sharded.solve_plan`; the solvers without a plan-level
+API (``icm``, ``exact``, ``anneal`` and the ``*-ref`` oracles) solve the
+:class:`~repro.mrf.graph.PairwiseMRF` read off the same plan
+(:meth:`~repro.core.compile.CompiledPlan.to_mrf`).
 
 The similarity summary (``similarity_total``, ``mean_edge_similarity``)
 is one gather over arrays the compiler already built — the
 similarity-edge endpoints, each node's product ids and the product
 similarity matrix (:class:`~repro.core.compile.SimilarityEdges`) — rather
-than a second walk over the network's links; object-pipeline solves
-summarise with the same arrays, indexed once for the summary.
+than a second walk over the network's links.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from repro.core.compile import compile_plan, similarity_edges
-from repro.core.costs import build_mrf
+from repro.core.compile import compile_plan
 from repro.mrf.solvers import SolverResult, get_solver
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet, ConstraintViolation
@@ -38,8 +37,8 @@ from repro.nvd.similarity import SimilarityTable
 
 __all__ = ["DiversificationResult", "diversify"]
 
-#: Solvers with a plan-level (``solve_arrays``) API — the ones the direct
-#: compiler path can drive without a :class:`PairwiseMRF`.
+#: Solvers with a plan-level (``solve_arrays``) API — the ones that solve
+#: the compiled plan without a :class:`PairwiseMRF`.
 _PLAN_SOLVERS = ("trws", "bp")
 
 
@@ -112,7 +111,8 @@ def diversify(
         similarity: vulnerability-similarity table over the product names.
         constraints: legacy/policy/combination constraints (Definition 4).
         solver: registered solver name — ``"trws"`` (default), ``"bp"``,
-            ``"icm"`` or ``"exact"``.
+            ``"icm"``, ``"exact"``, ``"anneal"``, ``"trws-ref"`` or
+            ``"bp-ref"``.
         unary_constant: the paper's ``Pr_const`` per-label base cost.
         pairwise_weight: λ scaling of the similarity penalty.
         preferences: soft (host, service, product) → cost adjustments.
@@ -137,46 +137,33 @@ def diversify(
     0.03
     """
     constraint_set = constraints or ConstraintSet()
+    compiled = compile_plan(
+        network,
+        similarity,
+        constraints=constraint_set,
+        unary_constant=unary_constant,
+        pairwise_weight=pairwise_weight,
+        preferences=preferences,
+        service_weights=service_weights,
+    )
     if solver in _PLAN_SOLVERS:
         # Imported at call time from the module path the end-to-end
         # benchmark's layer tracer wraps.
         from repro.mrf.sharded import solve_plan
 
-        compiled = compile_plan(
-            network,
-            similarity,
-            constraints=constraint_set,
-            unary_constant=unary_constant,
-            pairwise_weight=pairwise_weight,
-            preferences=preferences,
-            service_weights=service_weights,
-        )
         # TRW-S takes ``TRWSSolver.solve_plan`` (forest DP for forests,
         # greedy refine init otherwise), the dispatch ``TRWSSolver.solve``
-        # runs on the equivalent MRF, so compiled and Python-built solves
-        # return identical labellings.
+        # runs on the equivalent MRF.
         solver_result = solve_plan(
             compiled.plan, solver=solver, **solver_options
         )
-        assignment = compiled.labels_to_assignment(
-            network, solver_result.labels
-        )
-        edges = compiled.similarity_edges
     else:
-        build = build_mrf(
-            network,
-            similarity,
-            constraints=constraint_set,
-            unary_constant=unary_constant,
-            pairwise_weight=pairwise_weight,
-            preferences=preferences,
-            service_weights=service_weights,
+        solver_result = get_solver(solver, **solver_options).solve(
+            compiled.to_mrf()
         )
-        solver_result = get_solver(solver, **solver_options).solve(build.mrf)
-        assignment = build.labels_to_assignment(network, solver_result.labels)
-        edges = similarity_edges(network, similarity)
-
+    assignment = compiled.labels_to_assignment(network, solver_result.labels)
     violations = constraint_set.violations(assignment, network)
+    edges = compiled.parts.similarity_edges
     similarity_total, mean_similarity = edges.summary(solver_result.labels)
 
     return DiversificationResult(

@@ -294,7 +294,7 @@ class ScalabilityCell:
         return (
             f"hosts={self.config.hosts:<6} deg={self.config.degree:<3} "
             f"serv={self.config.services:<3} edges={self.edges:<7} "
-            f"time={self.seconds:8.3f}s"
+            f"time={self.seconds:8.3f}s energy={self.energy:.6f}"
         )
 
 

@@ -27,7 +27,10 @@ class SimulatedAnnealingSolver:
         max_iterations: number of full sweeps (each sweep proposes one move
             per node).
         start_temperature / end_temperature: geometric cooling endpoints.
-        seed: PRNG seed (runs are deterministic given the seed).
+        seed: PRNG seed.  Runs are deterministic given the seed, so the
+            default 0 makes repeated default solves identical, like the
+            seeded tie-break noise of TRW-S/BP; ``None`` draws fresh
+            entropy.
         initial: optional starting labelling (defaults to unary argmin).
     """
 
@@ -38,7 +41,7 @@ class SimulatedAnnealingSolver:
         max_iterations: int = 300,
         start_temperature: float = 1.0,
         end_temperature: float = 1e-3,
-        seed: Optional[int] = None,
+        seed: Optional[int] = 0,
         initial: Optional[Sequence[int]] = None,
     ) -> None:
         if max_iterations < 1:

@@ -1,4 +1,4 @@
-"""The plan-level cold solve every compiled ``diversify()`` runs.
+"""The plan-level cold solve every TRW-S/BP ``diversify()`` runs.
 
 :func:`solve_plan` builds the configured solver and cold-solves one array
 plan with it.  TRW-S takes :meth:`~repro.mrf.trws.TRWSSolver.solve_plan`:
@@ -35,8 +35,8 @@ def solve_plan(
 ) -> SolverResult:
     """Cold-solve one array plan with the standard dispatch.
 
-    The public plan-level entry point (used by the compiled
-    :func:`~repro.core.diversify.diversify` path).  TRW-S runs
+    The public plan-level entry point (used by
+    :func:`~repro.core.diversify.diversify` for TRW-S and BP).  TRW-S runs
     :meth:`TRWSSolver.solve_plan <repro.mrf.trws.TRWSSolver.solve_plan>`,
     the dispatch ``TRWSSolver.solve`` runs on the equivalent
     ``PairwiseMRF``.  The solver is built first, so an unknown or invalid

@@ -1,14 +1,14 @@
 """A live, delta-updatable MRF array plan over a mutating network.
 
 :class:`StreamPlan` is the incremental counterpart of
-:func:`repro.core.costs.build_mrf` + :class:`repro.mrf.vectorized.MRFArrays`
-for the (constrained) diversification MRF.  It owns
+:func:`repro.core.compile.compile_plan` for the (constrained)
+diversification MRF.  It owns
 
 * the ``(host, service) → node`` variable mapping and candidate ranges,
 * the live operator :class:`~repro.network.constraints.ConstraintSet` and
   the unary masks / intra-host combination tables it compiles to,
-* the shared stack of λ·similarity cost matrices (deduplicated by candidate
-  range, exactly like the batch builder),
+* the shared stack of λ·similarity cost matrices (one per unordered
+  candidate-range pair, the compiler's convention),
 * the per-(link, shared-service) edge list, and
 * a live :class:`MRFArrays` plan plus the solver's directed-message array,
 
@@ -103,8 +103,8 @@ class StreamPlan:
             (:meth:`MRFArrays.set_unary`), combination deltas append or
             tombstone intra-host edges like link events.
 
-    The soft-preference-carrying cases stay on the batch
-    :func:`~repro.core.costs.build_mrf` path; streaming covers the
+    Negative weights raise the compiler's ``ValueError``.  Soft
+    preferences are not part of the streamed model; streaming covers the
     (constrained) MRF that re-solves at churn frequency.
     """
 
@@ -117,10 +117,6 @@ class StreamPlan:
         service_weights: Optional[Mapping[str, float]] = None,
         constraints: Optional[ConstraintSet] = None,
     ) -> None:
-        if pairwise_weight < 0:
-            raise ValueError("pairwise_weight must be non-negative")
-        if service_weights and any(w < 0 for w in service_weights.values()):
-            raise ValueError("service weights must be non-negative")
         self.network = network
         self.similarity = similarity
         self.unary_constant = float(unary_constant)
@@ -139,52 +135,53 @@ class StreamPlan:
         delta too large to be worth patching: messages restart at zero and
         the previous-solution labels are dropped.
 
-        The build runs through the direct network→parts compiler
-        (:func:`repro.core.compile.compile_stream_parts`) — the same
-        variable/edge/matrix state the per-event append path maintains,
-        emitted vectorized, so the incremental engine's cold-rebuild
-        escalation costs NumPy passes instead of per-edge Python loops.
+        The build is the one network→plan compile,
+        :func:`repro.core.compile.compile_plan`, whose convention the
+        per-event append path keeps; the edge keys are read off its
+        per-edge link rows and service ids here.
         """
         with obs.span("stream.rebuild", cat="stream"):
             self._rebuild()
 
     def _rebuild(self) -> None:
         """The cold-build body behind :meth:`rebuild`."""
-        from repro.core.compile import compile_stream_parts
+        from repro.core.compile import compile_plan
 
-        parts = compile_stream_parts(
+        compiled = compile_plan(
             self.network,
             self.similarity,
+            constraints=self.constraints,
             unary_constant=self.unary_constant,
             pairwise_weight=self.pairwise_weight,
-            service_weights=self.service_weights or None,
-            constraints=self.constraints,
+            service_weights=self.service_weights,
         )
-        plan = MRFArrays.from_dense(
-            parts.unary,
-            parts.label_counts,
-            parts.edge_first,
-            parts.edge_second,
-            parts.edge_cid,
-            parts.matrices,
-        )
+        parts = compiled.parts
+        links, names = parts.links, parts.service_names
+        edge_keys: List[Tuple[Tuple[str, str], object]] = [
+            (links[link], names[sid])
+            for link, sid in zip(parts.edge_link.tolist(), parts.edge_sid.tolist())
+        ]
+        # Combination edges follow the similarity edges: one per (lower
+        # node, higher node) pair of a host, keyed by the host self-pair.
+        combo_cids: Dict[Tuple[str, str, str], int] = {}
+        for e in range(len(edge_keys), len(parts.edge_first)):
+            host, svc_lo = parts.variables[int(parts.edge_first[e])]
+            svc_hi = parts.variables[int(parts.edge_second[e])][1]
+            edge_keys.append(((host, host), (svc_lo, svc_hi)))
+            combo_cids[(host, svc_lo, svc_hi)] = int(parts.edge_cid[e])
         self.install(
             variables=parts.variables,
             candidates=parts.candidates,
             unaries=parts.unary_vectors(),
             matrices=parts.matrices,
-            matrix_meta=list(parts.matrix_meta),
-            edge_keys=list(parts.edge_keys),
-            combo_cids={
-                (key[0][0], key[1][0], key[1][1]): int(parts.edge_cid[e])
-                for e, key in enumerate(parts.edge_keys)
-                if isinstance(key[1], tuple)
-            },
+            matrix_meta=parts.matrix_meta,
+            edge_keys=edge_keys,
+            combo_cids=combo_cids,
             edge_first=parts.edge_first,
             edge_second=parts.edge_second,
             edge_cid=parts.edge_cid,
-            plan=plan,
-            messages=plan.zero_messages(),
+            plan=compiled.plan,
+            messages=compiled.plan.zero_messages(),
         )
 
     def install(

@@ -19,6 +19,7 @@ __all__ = [
     "LEXSORT_FWD_FIELDS",
     "LEXSORT_BWD_FIELDS",
     "assert_schedule_kernels_agree",
+    "count_compile_routes",
     "edge_similarity_loop",
     "lexsort_structure",
     "make_random_mrf",
@@ -111,6 +112,36 @@ def edge_similarity_loop(network, similarity, assignment):
             coupled += 1
             total += similarity.get(product_a, product_b)
     return total, coupled
+
+
+def count_compile_routes(monkeypatch):
+    """Count the ``compile_plan`` / ``build_mrf`` calls ``diversify``
+    makes, in a dict updated in place while ``monkeypatch`` is active.
+
+    ``build_mrf`` is counted wherever ``diversify`` could reach it: as a
+    name of its own module or through ``repro.core.costs``.
+    """
+    import importlib
+
+    # (``repro.core`` re-exports the function under the module's name.)
+    module = importlib.import_module("repro.core.diversify")
+    costs = importlib.import_module("repro.core.costs")
+    calls = {"compile_plan": 0, "build_mrf": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        module, "compile_plan", counting("compile_plan", module.compile_plan)
+    )
+    counted_build = counting("build_mrf", costs.build_mrf)
+    monkeypatch.setattr(costs, "build_mrf", counted_build)
+    monkeypatch.setattr(module, "build_mrf", counted_build, raising=False)
+    return calls
 
 
 def python_levels(n: int, first, second):

@@ -78,6 +78,23 @@ class TestSolving:
         trace = result.energy_trace
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_default_seed_is_reproducible(self):
+        # Default solves draw from seed 0, so two default diversify()
+        # calls on the Fig. 4 case study return the same labelling.
+        from repro.casestudy import stuxnet_case_study
+        from repro.core import diversify
+
+        case = stuxnet_case_study()
+        first, second = (
+            diversify(
+                case.network, case.similarity, solver="anneal",
+                max_iterations=30,
+            )
+            for _ in range(2)
+        )
+        assert first.solver_result.labels == second.solver_result.labels
+        assert first.energy == second.energy
+
     def test_diversify_integration(self, two_product_table):
         from repro.core import diversify
         from repro.network.topologies import chain_network

@@ -2,17 +2,21 @@
 
 The contract under test (see ``repro/core/compile.py``):
 
-* :func:`compile_plan` produces a plan **byte-identical** to
-  ``MRFArrays(build_mrf(...).mrf)`` — every node array, the deduplicated
-  cost stack (including transpose-orientation entries), the edge arrays,
-  message slots, γ weights and wavefront levels — across preferences,
-  service weights, Fix/Forbid and combination constraints, heterogeneous
-  per-host ranges and disconnected variables.
-* :func:`compile_stream_parts` reproduces the :class:`StreamPlan` build
-  (paired dedup, flipped edges, per-edge link/service keys) so the
-  streaming engine's cold rebuilds keep their event-path alignment.
-* ``diversify`` routed through the compiler returns the same result as
-  ``build_mrf(...).mrf`` solved directly by the same solver.
+* :func:`compile_plan` stores one matrix per unordered range pair, so its
+  plan is *orientation-equivalent* to ``MRFArrays(build_mrf(...).mrf)``:
+  bit-identical unaries and label counts, each edge's endpoints equal or
+  swapped with its matrix transposed to match, and equal (``==``)
+  energies.  Where every host of a service shares one range there is
+  nothing to swap, and the plans are **byte-identical** — every node
+  array, the cost stack, the edge arrays, message slots, γ weights and
+  wavefront levels — across preferences, service weights, Fix/Forbid and
+  combination constraints.
+* :func:`compile_parts` carries what the :class:`StreamPlan` build keys
+  its delta updates by (per-matrix range metadata, per-edge link rows and
+  service ids), so the streaming engine's cold rebuilds keep their
+  event-path alignment.
+* ``diversify`` compiles once for every solver and returns the same result
+  as ``build_mrf(...).mrf`` solved directly by the same solver.
 * A shared :class:`SolverScratch` never changes solver results — with or
   without reuse, across repeated solves and across different plans.
 """
@@ -23,8 +27,8 @@ import numpy as np
 import pytest
 
 from repro.core.compile import (
+    compile_parts,
     compile_plan,
-    compile_stream_parts,
     network_energy,
 )
 from repro.core.costs import build_mrf
@@ -53,6 +57,7 @@ from helpers import (
     LEXSORT_BWD_FIELDS,
     LEXSORT_FWD_FIELDS,
     assert_schedule_kernels_agree,
+    count_compile_routes,
     lexsort_structure,
     make_random_mrf,
     pipeline_estate,
@@ -73,7 +78,8 @@ def workload(hosts=24, degree=4, services=3, seed=0, products=4):
 
 
 def heterogeneous_network():
-    """Per-host ranges that force transpose-orientation stack entries."""
+    """Per-host ranges whose links meet one range pair in both
+    orientations (so some edges are stored swapped)."""
     net = Network()
     net.add_host("a", {"os": ["w", "l", "m"], "db": ["d1", "d2"]})
     net.add_host("b", {"os": ["w", "l"], "db": ["d1", "d2", "d3"]})
@@ -130,6 +136,38 @@ def reference_plan(net, sim, **kwargs) -> MRFArrays:
     return MRFArrays(build_mrf(net, sim, **kwargs).mrf)
 
 
+def edge_matrix(plan: MRFArrays, e: int) -> np.ndarray:
+    """Edge ``e``'s cost matrix, rows = labels of its first endpoint."""
+    rows = int(plan.label_counts[plan.edge_first[e]])
+    cols = int(plan.label_counts[plan.edge_second[e]])
+    return plan.cost[plan.edge_cid[e], :rows, :cols]
+
+
+def assert_orientation_equivalent(reference: MRFArrays, compiled: MRFArrays):
+    """``compiled`` is ``reference`` up to edge orientation: bit-identical
+    unaries and label counts, each edge's endpoints equal or swapped, and
+    each edge's matrix equal to the reference's — transposed where the
+    endpoints are swapped.  Returns the swapped-edge mask."""
+    assert reference.label_counts.tobytes() == compiled.label_counts.tobytes()
+    assert reference.unary.tobytes() == compiled.unary.tobytes()
+    assert reference.edge_count == compiled.edge_count
+    same = (compiled.edge_first == reference.edge_first) & (
+        compiled.edge_second == reference.edge_second
+    )
+    swapped = (compiled.edge_first == reference.edge_second) & (
+        compiled.edge_second == reference.edge_first
+    )
+    assert np.all(same | swapped)
+    for e in range(compiled.edge_count):
+        expected = edge_matrix(reference, e)
+        if swapped[e]:
+            expected = expected.T
+        got = edge_matrix(compiled, e)
+        assert got.shape == expected.shape, e
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), e
+    return swapped
+
+
 # ------------------------------------------------------- plan parity suite
 
 
@@ -183,10 +221,18 @@ class TestCompileParity:
         )
 
     def test_heterogeneous_ranges_and_isolated_host(self):
+        # Edges flip here, so the plans are orientation-equivalent rather
+        # than byte-identical; energies still agree bit for bit.
         net, sim = heterogeneous_network()
-        assert_plans_identical(
-            reference_plan(net, sim), compile_plan(net, sim).plan
-        )
+        reference = reference_plan(net, sim)
+        compiled = compile_plan(net, sim).plan
+        swapped = assert_orientation_equivalent(reference, compiled)
+        assert swapped.any()
+        assert compiled.stacked < reference.stacked
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            labels = rng.integers(0, compiled.label_counts)
+            assert compiled.energy(labels) == reference.energy(labels)
 
     def test_energies_equal_exactly(self):
         net, sim = workload(seed=4)
@@ -207,7 +253,7 @@ class TestCompileParity:
     def test_variable_mapping_matches_builder(self):
         net, sim = workload(seed=5)
         build = build_mrf(net, sim)
-        compiled = compile_plan(net, sim)
+        compiled = compile_plan(net, sim).parts
         assert compiled.variables == build.variables
         assert compiled.index == build.index
         assert compiled.candidates == build.candidates
@@ -228,7 +274,7 @@ class TestStreamPartsParity:
     def test_matches_oriented_energies(self):
         net, sim = workload(seed=7)
         reference = reference_plan(net, sim)
-        parts = compile_stream_parts(net, sim)
+        parts = compile_parts(net, sim)
         plan = MRFArrays.from_dense(
             parts.unary,
             parts.label_counts,
@@ -244,7 +290,7 @@ class TestStreamPartsParity:
 
     def test_paired_dedup_and_flip(self):
         net, sim = heterogeneous_network()
-        parts = compile_stream_parts(net, sim)
+        parts = compile_parts(net, sim)
         # One matrix per unordered (range, range, weight) key: the (3,2)
         # os pairing and the (2,3) db pairing — never a transpose entry.
         assert len(parts.matrices) == 2
@@ -261,11 +307,15 @@ class TestStreamPartsParity:
 
     def test_edge_keys_align(self):
         net, sim = workload(hosts=10, degree=3, services=2, seed=8)
-        parts = compile_stream_parts(net, sim)
-        assert len(parts.edge_keys) == len(parts.edge_first)
-        for e, (link, service) in enumerate(parts.edge_keys):
-            a, b = link
+        parts = compile_parts(net, sim)
+        assert len(parts.edge_link) == len(parts.edge_first)
+        assert len(parts.edge_sid) == len(parts.edge_first)
+        for e, (link, sid) in enumerate(
+            zip(parts.edge_link.tolist(), parts.edge_sid.tolist())
+        ):
+            a, b = parts.links[link]
             assert a <= b
+            service = parts.service_names[sid]
             endpoints = {
                 parts.variables[int(parts.edge_first[e])],
                 parts.variables[int(parts.edge_second[e])],
@@ -276,29 +326,10 @@ class TestStreamPartsParity:
 # ------------------------------------------------------ diversify routing
 
 
-def record_routes(monkeypatch):
-    """Count the compile_plan / build_mrf calls ``diversify`` makes."""
-    import importlib
-
-    # (``repro.core`` re-exports the function under the module's name.)
-    module = importlib.import_module("repro.core.diversify")
-
-    calls = {"compile_plan": 0, "build_mrf": 0}
-    for name in calls:
-        original = getattr(module, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestDiversifyRouting:
     def test_direct_equals_python_pipeline(self, monkeypatch):
         net, sim = workload(seed=9)
-        routes = record_routes(monkeypatch)
+        routes = count_compile_routes(monkeypatch)
         direct = diversify(net, sim)
         assert routes == {"compile_plan": 1, "build_mrf": 0}
         build = build_mrf(net, sim)
@@ -328,18 +359,22 @@ class TestDiversifyRouting:
 
     def test_bp_routes_through_compiler(self, monkeypatch):
         net, sim = workload(seed=11)
-        routes = record_routes(monkeypatch)
+        routes = count_compile_routes(monkeypatch)
         direct = diversify(net, sim, solver="bp")
         assert routes == {"compile_plan": 1, "build_mrf": 0}
         classic = LoopyBPSolver().solve(build_mrf(net, sim).mrf)
         assert direct.energy == pytest.approx(classic.energy)
 
-    def test_non_plan_solver_uses_python_pipeline(self, monkeypatch):
+    def test_object_solvers_route_through_compiler(self, monkeypatch):
+        # Solvers without a plan API solve the PairwiseMRF read off the
+        # one compiled plan; build_mrf stays the oracle only.
         net, sim = workload(hosts=6, degree=2, services=1, seed=12)
-        routes = record_routes(monkeypatch)
-        result = diversify(net, sim, solver="icm")
-        assert routes == {"compile_plan": 0, "build_mrf": 1}
-        assert result.solver_result.solver == "icm"
+        routes = count_compile_routes(monkeypatch)
+        solvers = ("icm", "exact", "anneal", "trws-ref", "bp-ref")
+        for calls, solver in enumerate(solvers, start=1):
+            result = diversify(net, sim, solver=solver)
+            assert routes == {"compile_plan": calls, "build_mrf": 0}, solver
+            assert result.solver_result.solver == solver
 
     def test_forest_dispatch_matches(self):
         from repro.network.topologies import chain_network

@@ -131,6 +131,9 @@ class TestScalability:
         assert cell.seconds > 0
         assert cell.edges == 180
         assert "hosts=60" in cell.row()
+        # Quality beside time: the row prints the cell's energy.
+        assert f"energy={cell.energy:.6f}" in cell.row()
+        assert cell.row().index("time=") < cell.row().index("energy=")
 
     def test_table7_rows_structure(self):
         rows = experiments.table7_rows(

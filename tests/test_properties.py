@@ -44,14 +44,24 @@ from repro.mrf import (
     solve_plan,
 )
 from repro.mrf.backends import get_backend
+from repro.mrf.solvers import get_solver
 from repro.mrf.reference import _greedy_labels
 from repro.mrf.trws import is_forest_plan, solve_forest_plan
 from repro.mrf.vectorized import SolverScratch, connected_components
+from repro.network.constraints import (
+    GLOBAL,
+    AvoidCombination,
+    ConstraintSet,
+    FixProduct,
+    ForbidProduct,
+    RequireCombination,
+)
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
     random_similarity,
 )
+from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 from repro.sim.malware import InfectionModel
 from repro.stream import (
@@ -62,7 +72,11 @@ from repro.stream import (
 )
 from repro.stream.plan import StreamPlan
 
-from helpers import assert_schedule_kernels_agree
+from helpers import (
+    assert_schedule_kernels_agree,
+    count_compile_routes,
+    edge_similarity_loop,
+)
 
 
 def workload(seed, hosts=10, degree=3, services=2, density=0.5):
@@ -217,6 +231,127 @@ def test_similarity_io_round_trip(seed, pairs):
     for a in "abcd":
         for b in "abcd":
             assert clone.get(a, b) == pytest.approx(table.get(a, b))
+
+
+# ------------------------------------------- one compile, every solver
+
+
+#: service → the candidate ranges a host of the heterogeneous-range
+#: estates picks from: few enough that links meet one range pair in both
+#: orientations, so the compiler swaps some edges.
+_RANGES = {
+    "os": (("w", "l", "m"), ("w", "l"), ("l", "m", "b")),
+    "web": (("ap", "ng"), ("ap", "ng", "ii")),
+    "db": (("pg", "my"), ("my", "ms", "pg")),
+}
+
+
+def heterogeneous_case(seed: int, hosts: int = 7):
+    """``(network, similarity, options)``: a random estate whose hosts run
+    random service subsets over per-host candidate ranges, with
+    ``diversify`` options carrying preferences, service weights, Fix/Forbid
+    and combination constraints."""
+    import random
+
+    rng = random.Random(seed)
+    network = Network()
+    for h in range(hosts):
+        services = {
+            service: rng.choice(ranges)
+            for service, ranges in _RANGES.items()
+            if rng.random() < 0.7
+        }
+        network.add_host(f"h{h}", services or {"os": ["w", "l"]})
+    names = network.hosts
+    network.add_links([
+        (a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+        if rng.random() < 0.5
+    ])
+    pools = [sorted(set().union(*ranges)) for ranges in _RANGES.values()]
+    similarity = SimilarityTable(
+        products=[p for pool in pools for p in pool],
+        pairs={
+            (a, b): round(rng.uniform(0.0, 1.0), 3)
+            for pool in pools
+            for i, a in enumerate(pool)
+            for b in pool[i + 1:]
+        },
+    )
+    variables = [
+        (host, service, network.candidates(host, service))
+        for host in names
+        for service in network.services_of(host)
+    ]
+    preferences = {
+        (host, service, product): round(rng.uniform(-0.2, 0.5), 3)
+        for host, service, range_ in variables
+        for product in range_
+        if rng.random() < 0.3
+    }
+    preferences[(names[0], "os", "not_a_product")] = 9.0  # ignored
+    fixed, forbidden = rng.sample(variables, 2)
+    constraints = [
+        FixProduct(fixed[0], fixed[1], rng.choice(fixed[2])),
+        ForbidProduct(forbidden[0], forbidden[1], rng.choice(forbidden[2])),
+        RequireCombination(GLOBAL, "os", "l", "web", "ng"),
+    ]
+    multi = [h for h in names if len(network.services_of(h)) > 1]
+    if multi:
+        host = rng.choice(multi)
+        s_m, s_n = rng.sample(network.services_of(host), 2)
+        constraints.append(AvoidCombination(
+            host, s_m, rng.choice(network.candidates(host, s_m)),
+            s_n, rng.choice(network.candidates(host, s_n)),
+        ))
+    options = {
+        "constraints": ConstraintSet(constraints),
+        "preferences": preferences,
+        "service_weights": {"os": 2.0, "db": 0.5},
+        "pairwise_weight": rng.choice((1.0, 1.5)),
+        "unary_constant": rng.choice((0.01, 0.02)),
+    }
+    return network, similarity, options
+
+
+#: every registered solver but ``exact``, which runs on a smaller estate.
+_ONE_COMPILE_SOLVERS = ("trws", "bp", "icm", "anneal", "trws-ref", "bp-ref")
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_every_solver_matches_the_build_mrf_pipeline(seed):
+    """``diversify()`` compiles once and never builds the object MRF, and
+    each solver returns bit for bit what it returns on the ``build_mrf``
+    pipeline: labels, energy, bound, iterations and similarity total."""
+    runs = [(heterogeneous_case(seed), _ONE_COMPILE_SOLVERS)]
+    small = heterogeneous_case(seed, hosts=4)
+    if np.prod(compile_plan(small[0], small[1]).plan.label_counts) <= 5000:
+        runs.append((small, ("exact",)))
+    for (network, similarity, options), solvers in runs:
+        build = build_mrf(network, similarity, **options)
+        for solver in solvers:
+            with pytest.MonkeyPatch.context() as patch:
+                routes = count_compile_routes(patch)
+                result = diversify(
+                    network, similarity, solver=solver, **options
+                )
+            assert routes == {"compile_plan": 1, "build_mrf": 0}, solver
+            if solver in ("trws", "bp"):
+                expected = solve_plan(MRFArrays(build.mrf), solver=solver)
+            else:
+                expected = get_solver(solver).solve(build.mrf)
+            got = result.solver_result
+            assert got.labels == expected.labels, solver
+            assert got.energy == expected.energy, solver
+            assert got.lower_bound == expected.lower_bound, solver
+            assert got.iterations == expected.iterations, solver
+            total, _ = edge_similarity_loop(
+                network, similarity,
+                build.labels_to_assignment(network, expected.labels),
+            )
+            assert result.similarity_total == total, solver
 
 
 def _stream_plan_state(plan: StreamPlan) -> Dict[str, object]:
