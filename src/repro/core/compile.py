@@ -69,6 +69,7 @@ __all__ = [
     "CompiledPlan",
     "CompiledParts",
     "SimilarityEdges",
+    "check_model",
     "compile_plan",
     "compile_parts",
     "constraint_mask",
@@ -453,6 +454,30 @@ def _appearance_rank(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------- compile
 
 
+def check_model(
+    network: Network,
+    constraints: Optional[ConstraintSet],
+    pairwise_weight: float,
+    service_weights: Optional[Mapping[str, float]],
+) -> ConstraintSet:
+    """The compiler's input checks; returns the constraint set (empty for
+    ``None``).
+
+    Negative weights, constraints naming hosts, services or products the
+    network lacks, and conflicting fixes raise ``ValueError``.  A plan
+    restored without a compile (:func:`repro.service.snapshot.
+    restore_plan`) runs the same checks.
+    """
+    if pairwise_weight < 0:
+        raise ValueError("pairwise_weight must be non-negative")
+    if service_weights and any(w < 0 for w in service_weights.values()):
+        raise ValueError("service weights must be non-negative")
+    constraint_set = constraints or ConstraintSet()
+    constraint_set.validate_against(network)
+    _reject_conflicting_fixes(constraint_set)
+    return constraint_set
+
+
 def compile_parts(
     network: Network,
     similarity: SimilarityTable,
@@ -470,13 +495,9 @@ def compile_parts(
     round has its endpoints swapped, and prices through the stored
     matrix.
     """
-    if pairwise_weight < 0:
-        raise ValueError("pairwise_weight must be non-negative")
-    if service_weights and any(w < 0 for w in service_weights.values()):
-        raise ValueError("service weights must be non-negative")
-    constraint_set = constraints or ConstraintSet()
-    constraint_set.validate_against(network)
-    _reject_conflicting_fixes(constraint_set)
+    constraint_set = check_model(
+        network, constraints, pairwise_weight, service_weights
+    )
 
     phases = obs.phase_timer("compile")
     net = _NetworkIndex(network)

@@ -15,9 +15,12 @@ arrays.  So is the TRW-S lower bound: one pass over the forward sends
 extends every monotonic chain, then one over the chains takes their
 minima.  When the caller passes a per-level seconds array
 (tracing), the same loop times each level with ``CLOCK_MONOTONIC``;
-untraced calls pass ``NULL``.  One more entry point, ``repro_schedule``,
-runs at plan build: a counting sort of the edge endpoints by node and the
-two longest-path level passes over it, O(nodes + edges).
+untraced calls pass ``NULL``.  Two more entry points run once per edge
+set: ``repro_schedule`` at plan build (a counting sort of the edge
+endpoints by node and the two longest-path level passes over it), and
+``repro_label_graph`` when the plan's chains or components are first
+read (one pass over the forward sweep's arrays for the chains, union-find
+for the components); both O(nodes + edges).
 
 Two flags are load-bearing for the bit-parity gate:
 
@@ -459,6 +462,86 @@ void repro_chain_bound(
                         tail, mins))
 }
 
+/* The plan's graph labels (see MRFArrays.chains / components), O(n + m)
+ * over the forward sweep's arrays; either output may be NULL.
+ *
+ * Chains: node v's sends and conditioning rows are contiguous, in the
+ * sweep's node order, each in edge order, and its k-th conditioning row
+ * feeds its k-th send; a row with k >= #sends ends its chain.  One pass in
+ * node order gives each edge a code, read at its receiver: the send it
+ * feeds (>= 0), or -1 - the id of the chain it ends (ids in conditioning
+ * row order, then one per isolated node); `code` is m int64 of scratch.
+ * A send's successor is sent at a later level, so one pass over the sends
+ * in reverse sweep order gives every send its chain.  `ends` needs room
+ * for m + n entries; the chain count is returned.
+ *
+ * Components: union-find over the forward sends with the smaller root
+ * kept, so every root is its component's smallest node; parents only
+ * point down, so one ascending pass numbers the roots densely and gives
+ * every other node its root's id. */
+int64_t repro_label_graph(
+    const plan_t *p, int64_t *chain, int64_t *ends, int64_t *comp,
+    int64_t *code)
+{
+    const int64_t n = p->node_off[p->n_fwd];
+    const int64_t m = p->fwd.off[p->n_fwd];
+    const sends_t *s = &p->fwd;
+    int64_t n_chains = 0;
+    if (chain) {
+        int64_t at = 0, sent = 0, cond = 0;
+        for (int64_t k = 0; k < n; ++k) {
+            const int64_t v = p->nodes[k];
+            const int64_t d = p->degree[v];
+            int64_t higher = 0;
+            for (int64_t j = at; j < at + d; ++j)
+                higher += p->all_nbr[j] > v;
+            const int64_t lower = d - higher;
+            for (int64_t q = 0; q < lower; ++q) {
+                const int64_t e = p->ext_in[cond + q] >> 1;
+                if (q < higher) {
+                    code[e] = sent + q;
+                } else {
+                    code[e] = -1 - n_chains;
+                    ends[n_chains++] = v;
+                }
+            }
+            at += d;
+            sent += higher;
+            cond += lower;
+        }
+        for (int64_t k = 0; k < n; ++k)
+            if (p->degree[p->nodes[k]] == 0)
+                ends[n_chains++] = p->nodes[k];
+        for (int64_t e = m - 1; e >= 0; --e) {
+            const int64_t c = code[s->out[e] >> 1];
+            chain[e] = c >= 0 ? chain[c] : -1 - c;
+        }
+    }
+    if (comp) {
+        for (int64_t v = 0; v < n; ++v)
+            comp[v] = v;
+        for (int64_t e = 0; e < m; ++e) {
+            int64_t a = s->snd[e], b = s->rcv[e];
+            while (comp[a] != a) {
+                comp[a] = comp[comp[a]];
+                a = comp[a];
+            }
+            while (comp[b] != b) {
+                comp[b] = comp[comp[b]];
+                b = comp[b];
+            }
+            if (a < b)
+                comp[b] = a;
+            else if (b < a)
+                comp[a] = b;
+        }
+        int64_t count = 0;
+        for (int64_t v = 0; v < n; ++v)
+            comp[v] = comp[v] == v ? count++ : comp[comp[v]];
+    }
+    return n_chains;
+}
+
 /* The wavefront schedule of an edge set, in O(n + m).  Slot 2e is
  * first[e]'s endpoint of edge e and slot 2e+1 second[e]'s; a stable
  * counting sort groups the slots by node, so node v owns
@@ -650,6 +733,7 @@ _SIGNATURES = (
     ("repro_chain_bound",
      [ctypes.POINTER(CPlan), _P, _I64, _P, _P, _P, _P, _P], None),
     ("repro_schedule", [_I64, _I64, _P, _P, _P, _P, _P, _P], None),
+    ("repro_label_graph", [ctypes.POINTER(CPlan), _P, _P, _P, _P], _I64),
     ("repro_bp_beliefs", [_I64, _I64, _I64, _P, _P, _P, _P], None),
     ("repro_bp_round",
      [_I64, _I64, _P, _P, _P, _P, _P, ctypes.c_double, _P, _P, _P],
@@ -662,7 +746,8 @@ class CKernels:
 
     Attributes are the C functions themselves (``trws_forward``,
     ``trws_backward``, ``decode``, ``icm``, ``greedy``, ``chain_bound``,
-    ``schedule``, ``bp_beliefs``, ``bp_round``), taking raw addresses (``int`` or
+    ``schedule``, ``label_graph``, ``bp_beliefs``, ``bp_round``), taking
+    raw addresses (``int`` or
     ``None`` for ``NULL``) for arrays and a ``POINTER(CPlan)`` for plans.
     Callers guarantee C-contiguous arrays of the documented dtypes.
     """

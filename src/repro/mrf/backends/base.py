@@ -16,9 +16,11 @@ refine's greedy init:
 
 Three per-call kernels complete the set: the TRW-S lower bound's chain
 minima (:meth:`KernelBackend.chain_bound`) and the synchronous BP beliefs
-and round.  One more kernel runs when a plan is built rather than
-solved: :meth:`KernelBackend.schedule` groups the edge endpoints by node
-and computes the wavefront levels the sweep arrays are laid out by.
+and round.  Two more kernels run once per edge set rather than per
+solve: :meth:`KernelBackend.schedule` groups the edge endpoints by node
+and computes the wavefront levels the sweep arrays are laid out by, and
+:meth:`KernelBackend.label_graph` numbers the bound's monotonic chains
+and the connected components when a plan first reads them.
 Everything *around* the kernels — iteration control, convergence, energy
 bookkeeping, refinement — stays in shared Python and is identical across
 backends.
@@ -184,6 +186,25 @@ class KernelBackend:
         higher-numbered neighbours.  All four are int64.  Endpoints must
         lie in ``[0, n)`` and differ: callers go through
         :func:`~repro.mrf.vectorized.wavefront_schedule`, which checks."""
+        raise NotImplementedError
+
+    def label_graph(
+        self,
+        plan: "MRFArrays",
+        chains: bool,
+        components: bool,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+        """``(chain, ends, component)`` of the plan's edge set, int64; the
+        first two only when ``chains`` is set, the last only when
+        ``components`` is.
+
+        ``(chain, ends)`` are the monotonic chains of
+        :attr:`~repro.mrf.vectorized.MRFArrays.chains`, numbered as it
+        documents: the chain of every forward-sweep send row, and the end
+        node of every chain.  ``component`` is the dense connected-component
+        id per node, numbered by smallest node.  Read off the forward
+        sweep's arrays once per edge set, when a plan first asks; every
+        backend returns the same integers."""
         raise NotImplementedError
 
     def chain_bound(

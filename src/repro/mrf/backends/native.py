@@ -22,7 +22,8 @@ it twice: in the :data:`FALLBACK_COUNTER` obs counter of an active trace,
 and in the backend's own :attr:`~NativeBackend.fallbacks`, which counts
 with tracing off too (the service exports it on ``/metrics``).  The
 guarded methods return the backend that actually ran, so solvers record
-fallbacks truthfully.  The
+fallbacks truthfully.  ``label_graph`` (the chains and components,
+once per edge set) goes through the same guard and counter.  The
 plan-build ``schedule`` kernel needs no guard: it writes fresh arrays,
 and :func:`~repro.mrf.vectorized.wavefront_schedule` has checked the
 endpoints it indexes by.
@@ -313,6 +314,26 @@ class NativeBackend(KernelBackend):
             _addr(group), _addr(off), _addr(flevel), _addr(blevel),
         )
         return group, off, flevel, blevel
+
+    def label_graph(self, plan, chains, components):
+        ready = self._guard(plan)
+        if not ready:
+            return self._fallback().label_graph(plan, chains, components)
+        kernels, state = ready
+        n, m = plan.node_count, len(plan.fwd_sweep.block.snd)
+        chain = ends = code = labels = None
+        if chains:
+            chain = np.empty(m, dtype=np.int64)
+            ends = np.empty(m + n, dtype=np.int64)
+            code = np.empty(m, dtype=np.int64)
+        if components:
+            labels = np.empty(n, dtype=np.int64)
+        count = kernels.label_graph(
+            state.ref, _addr(chain), _addr(ends), _addr(labels), _addr(code)
+        )
+        if chains:
+            ends = ends[:count].copy()
+        return chain, ends, labels
 
     def chain_bound(self, plan, messages, mins, scratch):
         chain, ends = plan.chains

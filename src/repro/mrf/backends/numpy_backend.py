@@ -7,7 +7,9 @@ backend registry existed (same operations, same order, same
 contract every other backend is gated against.  Its schedule kernel is
 the reference level loop: Kahn waves over the endpoint grouping, one
 round of array calls per level.  Its greedy init is a Python loop over
-the nodes, one array add per pairwise term.
+the nodes, one array add per pairwise term.  Its graph labels are
+pointer jumping over the forward sweep's rows (the chains) and
+vectorised hooking (the components).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 import numpy as np
 
 from repro.mrf.backends.base import KernelBackend
-from repro.mrf.vectorized import segment_rows
+from repro.mrf.vectorized import _offsets, segment_rows
 
 __all__ = ["NumpyBackend"]
 
@@ -140,6 +142,16 @@ class NumpyBackend(KernelBackend):
             _waves(n, owner[up], nbr[up]), _waves(n, owner[down], nbr[down]),
         )
 
+    def label_graph(self, plan, chains, components):
+        chain = ends = labels = None
+        if chains:
+            chain, ends = _chains(plan)
+        if components:
+            labels = _components(
+                plan.node_count, plan.edge_first, plan.edge_second
+            )
+        return chain, ends, labels
+
     def chain_bound(self, plan, messages, mins, scratch):
         chain, ends = plan.chains
         if not len(ends):
@@ -212,6 +224,86 @@ class NumpyBackend(KernelBackend):
         max_change = float(diff.max())
         np.copyto(messages, updated)
         return max_change
+
+
+def _chains(plan):
+    """``(chain, ends)`` of :attr:`~repro.mrf.vectorized.MRFArrays.chains`
+    by pointer jumping over the forward sweep's rows."""
+    block = plan.fwd_sweep.block
+    nodes = block.nodes
+    m = len(block.snd)
+    higher = np.bincount(
+        np.minimum(plan.edge_first, plan.edge_second),
+        minlength=plan.node_count,
+    )[nodes]
+    lower = plan.degree[nodes] - higher
+    # Every node's sends and conditioning rows are contiguous, in the
+    # same (level-major) node order, each in edge order; the k-th send of
+    # a node is fed by its k-th conditioning row.  Temporaries are dropped
+    # as soon as they are used up.
+    rank = np.arange(m) - np.repeat(_offsets(higher)[:-1], higher)
+    fed = np.flatnonzero(rank < np.repeat(lower, higher))
+    feeder = block.ext_in[
+        np.repeat(_offsets(lower)[:-1], higher)[fed] + rank[fed]
+    ] >> 1
+    del rank
+    send_of = np.empty(m, dtype=np.int64)  # per edge
+    send_of[block.out >> 1] = np.arange(m)
+    # Each send's successor on its chain (itself at the chain's end);
+    # pointer jumping then reaches every chain's last send.
+    last = np.arange(m)
+    last[send_of[feeder]] = fed
+    del send_of, feeder, fed
+    while True:
+        jumped = last[last]
+        if np.array_equal(jumped, last):
+            break
+        last = jumped
+    del jumped
+    rank = np.arange(len(block.ext_in)) - np.repeat(
+        _offsets(lower)[:-1], lower
+    )
+    ending = rank >= np.repeat(higher, lower)
+    del rank
+    end_of = np.empty(m, dtype=np.int64)  # per edge
+    end_of[block.ext_in[ending] >> 1] = np.arange(int(ending.sum()))
+    last = block.out.take(last)
+    last >>= 1
+    ends = np.concatenate((
+        np.repeat(nodes, lower)[ending],
+        nodes[(lower == 0) & (higher == 0)],
+    ))
+    return end_of.take(last), ends
+
+
+def _components(n, first, second):
+    """Dense connected-component id per node, numbered by smallest node.
+
+    Vectorised hooking: every round hooks each root to the smallest root
+    across its cross-component edges, then pointer-jumps until every node
+    points straight at its root.  Pointers only ever decrease, so a
+    component's root is its smallest node, and edges inside one component
+    drop out of the next round.  A chain in index order finishes in one
+    round (hooking links the whole chain, jumping collapses it in
+    log2(n) passes).
+    """
+    root = np.arange(n, dtype=np.int64)
+    u = np.asarray(first, dtype=np.int64)
+    v = np.asarray(second, dtype=np.int64)
+    while len(u):
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    is_root = root == np.arange(n)
+    return (np.cumsum(is_root) - 1)[root]
 
 
 def _waves(n, tails, heads):

@@ -95,6 +95,9 @@ class SolverResult:
         bound_trace: lower bound after each iteration (diagnostics).
         stats: per-phase :class:`SolveStats` when the solve ran under an
             active trace (see :mod:`repro.obs`); ``None`` otherwise.
+        polished_inits: the refine stage's ICM polish of each labelling
+            the caller passed as an extra init, in order (TRW-S with its
+            refine stage; empty otherwise).  Equal inits share one array.
     """
 
     labels: List[int]
@@ -106,6 +109,7 @@ class SolverResult:
     energy_trace: List[float] = field(default_factory=list)
     bound_trace: List[float] = field(default_factory=list)
     stats: Optional[SolveStats] = None
+    polished_inits: List[np.ndarray] = field(default_factory=list)
 
     @property
     def optimality_gap(self) -> float:

@@ -172,7 +172,8 @@ class TRWSSolver:
                 cold-start array.
             extra_inits: additional primal labellings handed to the ICM
                 refine stage (e.g. the previous solution of an incremental
-                re-solve, or a greedy construction).
+                re-solve, or a greedy construction).  The result's
+                ``polished_inits`` hands back each one's ICM polish.
             default_inits: include the unary-argmin labelling among the
                 refine candidates (the cold default).  Warm re-solves with
                 a near-optimal ``extra_inits`` turn it off — the constant
@@ -359,6 +360,7 @@ class TRWSSolver:
                     break
 
         assert best_labels is not None
+        polished_inits: List[np.ndarray] = []
         if collect:
             stats.fwd_level_seconds = fwd_seconds.tolist()
             stats.bwd_level_seconds = bwd_seconds.tolist()
@@ -378,17 +380,29 @@ class TRWSSolver:
             candidates.extend(extra_inits)
             # Dedupe: a warm re-solve's extraction frequently equals the
             # previous solution it was seeded with; one ICM run suffices.
+            # ``slots`` maps each candidate to its distinct copy.
             distinct: List[np.ndarray] = []
+            slots: List[int] = []
             for candidate in candidates:
-                if not any(np.array_equal(candidate, kept) for kept in distinct):
+                for slot, kept in enumerate(distinct):
+                    if np.array_equal(candidate, kept):
+                        break
+                else:
+                    slot = len(distinct)
                     distinct.append(candidate)
+                slots.append(slot)
             # Components share no edges, so the best candidate is picked
             # per connected component (strict <, in candidate order); on
             # a one-component plan this is the plain best-of-candidates.
             best_parts = plan.component_energies(best_labels)
             picked = False
-            for candidate in distinct:
+            # Only the extra inits' polishes are handed back; keep no other.
+            init_slots = slots[len(candidates) - len(extra_inits):]
+            polishes: Dict[int, np.ndarray] = {}
+            for slot, candidate in enumerate(distinct):
                 polished = plan.icm(candidate, scratch=scratch, backend=kernels)
+                if slot in init_slots:
+                    polishes[slot] = polished
                 energies = plan.component_energies(polished)
                 better = energies < best_parts
                 if better.any():
@@ -397,6 +411,7 @@ class TRWSSolver:
                     )
                     best_parts = np.where(better, energies, best_parts)
                     picked = True
+            polished_inits = [polishes[slot] for slot in init_slots]
             if picked:
                 best_energy = plan.energy(best_labels)
             if self.compute_bound and best_energy - lower_bound <= self.tolerance:
@@ -413,6 +428,7 @@ class TRWSSolver:
             energy_trace=energy_trace,
             bound_trace=bound_trace,
             stats=stats,
+            polished_inits=polished_inits,
         )
 
 

@@ -64,7 +64,6 @@ from repro.mrf.graph import PairwiseMRF
 __all__ = [
     "MRFArrays",
     "SolverScratch",
-    "connected_components",
     "wavefront_schedule",
 ]
 
@@ -173,41 +172,6 @@ def _level_order(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The nodes level-major, ascending within a level, and the offsets
     of each level's slice of them."""
     return np.argsort(level, kind="stable"), _offsets(np.bincount(level))
-
-
-def connected_components(
-    n: int, first: np.ndarray, second: np.ndarray
-) -> np.ndarray:
-    """Dense connected-component id per node, numbered by smallest node.
-
-    Vectorised hooking: every round hooks each root to the smallest root
-    across its cross-component edges, then pointer-jumps until every node
-    points straight at its root.  Pointers only ever decrease, so a
-    component's root is its smallest node, and edges inside one component
-    drop out of the next round.  A chain in index order finishes in one
-    round (hooking links the whole chain, jumping collapses it in
-    log2(n) passes).
-
-    >>> connected_components(5, np.array([3, 0]), np.array([4, 1])).tolist()
-    [0, 0, 1, 2, 2]
-    """
-    root = np.arange(n, dtype=np.int64)
-    u = np.asarray(first, dtype=np.int64)
-    v = np.asarray(second, dtype=np.int64)
-    while len(u):
-        ru, rv = root[u], root[v]
-        cross = ru != rv
-        if not cross.any():
-            break
-        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-    is_root = root == np.arange(n)
-    return (np.cumsum(is_root) - 1)[root]
 
 
 @dataclass
@@ -709,7 +673,10 @@ class MRFArrays:
         row, then the isolated nodes.  ``chain`` has one entry per
         forward-sweep send row, the chain the send extends; ``ends[c]`` is
         the node chain ``c`` ends at.  Built when the bound first reads
-        them and kept for the plan's edge set.
+        them and kept for the plan's edge set, by one call of the default
+        kernel backend (:meth:`~repro.mrf.backends.base.KernelBackend.
+        label_graph`), which labels the components in the same pass unless
+        they already are.
 
         >>> plan = MRFArrays.from_parts(
         ...     [np.zeros(2)] * 4, np.array([0, 1, 0]), np.array([1, 2, 2]),
@@ -719,64 +686,30 @@ class MRFArrays:
         ([0, 1, 0], [2, 2, 3])
         """
         if self._chains is None:
-            block = self.fwd_sweep.block
-            nodes = block.nodes
-            m = len(block.snd)
-            higher = np.bincount(
-                np.minimum(self.edge_first, self.edge_second),
-                minlength=self.node_count,
-            )[nodes]
-            lower = self.degree[nodes] - higher
-            # Every node's sends and conditioning rows are contiguous, in
-            # the same (level-major) node order, each in edge order; the
-            # k-th send of a node is fed by its k-th conditioning row.
-            # Temporaries are dropped as soon as they are used up.
-            rank = np.arange(m) - np.repeat(_offsets(higher)[:-1], higher)
-            fed = np.flatnonzero(rank < np.repeat(lower, higher))
-            feeder = block.ext_in[
-                np.repeat(_offsets(lower)[:-1], higher)[fed] + rank[fed]
-            ] >> 1
-            del rank
-            send_of = np.empty(m, dtype=np.int64)  # per edge
-            send_of[block.out >> 1] = np.arange(m)
-            # Each send's successor on its chain (itself at the chain's
-            # end); pointer jumping then reaches every chain's last send.
-            last = np.arange(m)
-            last[send_of[feeder]] = fed
-            del send_of, feeder, fed
-            while True:
-                jumped = last[last]
-                if np.array_equal(jumped, last):
-                    break
-                last = jumped
-            del jumped
-            rank = np.arange(len(block.ext_in)) - np.repeat(
-                _offsets(lower)[:-1], lower
-            )
-            ending = rank >= np.repeat(higher, lower)
-            del rank
-            end_of = np.empty(m, dtype=np.int64)  # per edge
-            end_of[block.ext_in[ending] >> 1] = np.arange(int(ending.sum()))
-            last = block.out.take(last)
-            last >>= 1
-            ends = np.concatenate((
-                np.repeat(nodes, lower)[ending],
-                nodes[(lower == 0) & (higher == 0)],
-            ))
-            self._chains = (end_of.take(last), ends)
+            self._label_graph(chains=True)
         return self._chains
 
     # ------------------------------------------------------------ components
 
-    def _labelled_components(self) -> Tuple[np.ndarray, int]:
-        """(component id per node, component count), labelled once per
-        edge set by :func:`connected_components` and cached."""
-        if self._components is None:
-            labels = connected_components(
-                self.node_count, self.edge_first, self.edge_second
-            )
+    def _label_graph(self, chains: bool) -> None:
+        """Label the edge set on the default kernel backend: the chains
+        when asked for, and the components unless already labelled."""
+        from repro.mrf.backends import resolve_backend
+
+        chain, ends, labels = resolve_backend().label_graph(
+            self, chains=chains, components=self._components is None
+        )
+        if chains:
+            self._chains = (chain, ends)
+        if labels is not None:
             count = int(labels.max()) + 1 if self.node_count else 0
             self._components = (labels, count)
+
+    def _labelled_components(self) -> Tuple[np.ndarray, int]:
+        """(component id per node, component count), labelled once per
+        edge set (see :meth:`_label_graph`) and cached."""
+        if self._components is None:
+            self._label_graph(chains=False)
         return self._components
 
     @property

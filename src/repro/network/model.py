@@ -52,6 +52,11 @@ class Network:
         self._hosts: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         self._links: Set[Tuple[str, str]] = set()
         self._adjacency: Dict[str, Set[str]] = {}
+        # None while no copy shares a container with this network.  Else
+        # the hosts whose service dict and adjacency set this network has
+        # made its own since the last copy (see copy()); every other
+        # host's containers may be shared and are copied on first write.
+        self._owned: Optional[Set[str]] = None
 
     # ------------------------------------------------------------- building
 
@@ -69,6 +74,8 @@ class Network:
             raise NetworkError(f"host {host!r} already exists")
         self._hosts[host] = {}
         self._adjacency[host] = set()
+        if self._owned is not None:
+            self._owned.add(host)
         for service, products in (services or {}).items():
             self.add_service(host, service, products)
 
@@ -82,6 +89,7 @@ class Network:
             )
         if service in self._hosts[host]:
             raise NetworkError(f"service {service!r} already declared at host {host!r}")
+        self._own(host)
         self._hosts[host][service] = candidates
 
     def set_candidates(self, host: str, service: str, products: Sequence[str]) -> None:
@@ -90,6 +98,7 @@ class Network:
         candidates = _unique(products)
         if not candidates:
             raise NetworkError("candidate range cannot be emptied")
+        self._own(host)
         self._hosts[host][service] = candidates
 
     def add_link(self, a: str, b: str) -> None:
@@ -102,6 +111,8 @@ class Network:
         if key in self._links:
             raise NetworkError(f"link {key} already exists")
         self._links.add(key)
+        self._own(a)
+        self._own(b)
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
 
@@ -125,6 +136,8 @@ class Network:
         if key not in self._links:
             raise NetworkError(f"link {key} does not exist")
         self._links.discard(key)
+        self._own(a)
+        self._own(b)
         self._adjacency[a].discard(b)
         self._adjacency[b].discard(a)
 
@@ -132,10 +145,13 @@ class Network:
         """Remove a host together with all its links and services."""
         self._require_host(host)
         for neighbor in self._adjacency[host]:
+            self._own(neighbor)
             self._adjacency[neighbor].discard(host)
             self._links.discard(_edge_key(host, neighbor))
         del self._adjacency[host]
         del self._hosts[host]
+        if self._owned is not None:
+            self._owned.discard(host)
 
     # -------------------------------------------------------------- queries
 
@@ -251,21 +267,24 @@ class Network:
         return graph
 
     def copy(self) -> "Network":
-        """Deep copy of the network (same host, service and candidate
-        order).
+        """An independent copy of the network (same host, service and
+        candidate order), copy-on-write.
 
-        Copies the containers directly — the source is already valid, so
-        nothing is re-validated.  Candidate tuples are immutable and
-        shared.
+        Only the three outer containers are copied: both networks share
+        every host's service dict and adjacency set until one of them
+        writes to it, and a mutator copies a host's containers on its
+        first write after a copy.  So a mutation of either network never
+        shows in the other, and a copy costs O(hosts + links) pointer
+        copies rather than one dict and one set per host.  Nothing is
+        re-validated; candidate tuples are immutable and shared.
         """
         clone = Network()
-        clone._hosts = {
-            host: dict(services) for host, services in self._hosts.items()
-        }
+        clone._hosts = dict(self._hosts)
         clone._links = set(self._links)
-        clone._adjacency = {
-            host: set(peers) for host, peers in self._adjacency.items()
-        }
+        clone._adjacency = dict(self._adjacency)
+        # Every per-host container is shared now: neither side owns one.
+        clone._owned = set()
+        self._owned = set()
         return clone
 
     def __repr__(self) -> str:
@@ -275,6 +294,15 @@ class Network:
         )
 
     # -------------------------------------------------------------- internal
+
+    def _own(self, host: str) -> None:
+        """Before a write to ``host``'s service dict or adjacency set: copy
+        both if a copy may share them (see :meth:`copy`)."""
+        owned = self._owned
+        if owned is not None and host not in owned:
+            self._hosts[host] = dict(self._hosts[host])
+            self._adjacency[host] = set(self._adjacency[host])
+            owned.add(host)
 
     def _require_host(self, host: str) -> None:
         if host not in self._hosts:

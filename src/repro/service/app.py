@@ -98,7 +98,10 @@ class ReadView:
     version all describe the same solve) even while the next batch is
     being applied.  The network/similarity/constraints members are
     *copies* — what-if evaluation works on them without ever touching
-    live engine state.
+    live engine state.  The network copy is copy-on-write
+    (:meth:`~repro.network.model.Network.copy`): it shares per-host
+    containers with the live network until the writer next writes to a
+    host, and the writer copies a host's containers before that write.
     """
 
     version: int
@@ -378,7 +381,7 @@ class DiversificationService:
         if (
             meta_view is not None
             and meta_view.get("energy") is not None
-            and engine._previous is not None
+            and engine._values is not None
         ):
             plan = engine.plan
             initial_view = ReadView(
@@ -394,7 +397,7 @@ class DiversificationService:
                 warm=bool(meta_view.get("warm", False)),
                 stability=float(meta_view.get("stability", 1.0)),
                 solve_seconds=float(meta_view.get("solve_seconds", 0.0)),
-                values=dict(engine._previous),
+                values=dict(engine._values),
                 network=engine.network.copy(),
                 similarity=engine.similarity.copy(),
                 constraints=engine.constraints.copy(),
@@ -776,7 +779,7 @@ class DiversificationService:
                 warm=result.warm,
                 stability=result.stability,
                 solve_seconds=result.seconds,
-                values=dict(result.assignment.as_dict()),
+                values=result.assignment.as_dict(),
                 network=self._engine.network.copy(),
                 similarity=self._engine.similarity.copy(),
                 constraints=self._engine.constraints.copy(),

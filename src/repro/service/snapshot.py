@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.compile import check_model
 from repro.mrf.vectorized import MRFArrays
 from repro.obs.logging import get_logger
 from repro.service.faults import InjectedFault
@@ -55,7 +56,7 @@ from repro.network.io import network_from_json, network_to_json
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 from repro.stream.incremental import DynamicDiversifier
-from repro.stream.plan import StreamPlan
+from repro.stream.plan import StreamPlan, intern_edge_keys
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -188,7 +189,7 @@ def save_snapshot(
         "variables": [list(variable) for variable in plan.variables],
         "edge_keys": [
             [list(link), list(tag) if isinstance(tag, tuple) else tag]
-            for link, tag in plan._edge_keys
+            for link, tag in plan.edge_keys()
         ],
         "matrix_meta": [
             [list(range_a), list(range_b), weight]
@@ -317,7 +318,10 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
 
     Builds the plan straight from the saved parts — **no recompile** — so
     every plan array is byte-identical to the saved one, and the message
-    and label state resume exactly.  The returned plan is fully live:
+    and label state resume exactly.  The model still gets the checks a
+    compile runs (:func:`repro.core.compile.check_model`): negative
+    weights and constraints that do not fit the network raise
+    ``ValueError``.  The returned plan is fully live:
     future events patch it the same way they would have patched the
     original.  Meta keys this build does not read (a ``shard_cache``
     written by an older sharded daemon) are ignored.
@@ -330,11 +334,23 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
     plan.unary_constant = float(meta["unary_constant"])
     plan.pairwise_weight = float(meta["pairwise_weight"])
     plan.service_weights = dict(meta.get("service_weights") or {})
+    # The checks a compile of this model would run: no recompile here.
+    check_model(
+        plan.network, plan.constraints, plan.pairwise_weight,
+        plan.service_weights,
+    )
 
     variables = [
         (str(host), str(service)) for host, service in meta["variables"]
     ]
     matrices = list(snapshot.matrices)
+    links, edge_link, tags, edge_tag = intern_edge_keys([
+        (
+            (str(link[0]), str(link[1])),
+            tuple(tag) if isinstance(tag, list) else str(tag),
+        )
+        for link, tag in meta["edge_keys"]
+    ])
     plan.install(
         variables=variables,
         candidates=[
@@ -347,13 +363,10 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
             (tuple(range_a), tuple(range_b), float(weight))
             for range_a, range_b, weight in meta["matrix_meta"]
         ],
-        edge_keys=[
-            (
-                (str(link[0]), str(link[1])),
-                tuple(tag) if isinstance(tag, list) else str(tag),
-            )
-            for link, tag in meta["edge_keys"]
-        ],
+        links=links,
+        edge_link=edge_link,
+        tags=tags,
+        edge_tag=edge_tag,
         combo_cids={
             (str(host), str(svc_lo), str(svc_hi)): int(cid)
             for host, svc_lo, svc_hi, cid in meta.get("combo_cids", ())
@@ -385,9 +398,9 @@ def restore_engine(
 ) -> Tuple[DynamicDiversifier, Snapshot]:
     """Warm-restart an engine from a snapshot directory.
 
-    Loads the snapshot, builds a :class:`DynamicDiversifier` over the
-    restored network/similarity/constraints with the saved cost model, and
-    swaps in the restored plan + message + label state, so the first
+    Loads the snapshot and builds a :class:`DynamicDiversifier` around the
+    restored plan (:func:`restore_plan`: network, similarity, constraints,
+    cost model, messages and labels; nothing is compiled), so the first
     :meth:`~DynamicDiversifier.solve` after a restart is warm.  ``solver``
     defaults to the one the snapshot was taken with; ``engine_options``
     are forwarded to the engine (``rebuild_fraction``, ...).  ``path``
@@ -398,23 +411,11 @@ def restore_engine(
     (``events_applied``, ``wal_seq``) a resuming service continues from.
     """
     snapshot = path if isinstance(path, Snapshot) else load_snapshot(path)
-    meta = snapshot.meta
-    engine = DynamicDiversifier(
-        snapshot.network,
-        snapshot.similarity,
-        solver=solver or str(meta["solver"]),
+    engine = DynamicDiversifier._resume(
+        restore_plan(snapshot),
+        solver=solver or str(snapshot.meta["solver"]),
         warm_start=warm_start,
-        unary_constant=float(meta["unary_constant"]),
-        pairwise_weight=float(meta["pairwise_weight"]),
-        service_weights=dict(meta.get("service_weights") or {}) or None,
-        constraints=snapshot.constraints,
         **engine_options,
-    )
-    engine.plan = restore_plan(snapshot)
-    engine._previous = (
-        engine.plan.assignment_values(snapshot.labels)
-        if snapshot.labels is not None
-        else None
     )
     return engine, snapshot
 

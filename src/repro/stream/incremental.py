@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -154,6 +154,52 @@ class DynamicDiversifier:
         constraints: Optional[ConstraintSet] = None,
         **solver_options,
     ) -> None:
+        self._configure(
+            solver, warm_start, warm_iterations, rebuild_fraction,
+            cost_jump_threshold, **solver_options,
+        )
+        self.plan = StreamPlan(
+            network,
+            similarity,
+            unary_constant=unary_constant,
+            pairwise_weight=pairwise_weight,
+            service_weights=service_weights,
+            constraints=constraints,
+        )
+        #: the decoded (host, service) → product map of the last solve,
+        #: kept across solves and rewritten where labels changed; never
+        #: handed out (results and views take copies).
+        self._values: Optional[Dict[Tuple[str, str], str]] = None
+
+    @classmethod
+    def _resume(
+        cls, plan: StreamPlan, solver: str = "trws", warm_start: bool = True,
+        **options,
+    ) -> "DynamicDiversifier":
+        """An engine around an already-built plan, with no compile: the
+        snapshot restore's constructor.  ``options`` are the constructor's
+        solver options; the plan carries the network, similarity, cost
+        model and constraints.  Labels the plan holds are decoded once, so
+        the next solve's stability compares against them."""
+        engine = cls.__new__(cls)
+        engine._configure(solver, warm_start, **options)
+        engine.plan = plan
+        engine._values = None
+        if plan.labels is not None:
+            engine._refresh_values(plan.labels, None, None)
+        return engine
+
+    def _configure(
+        self,
+        solver: str,
+        warm_start: bool,
+        warm_iterations: int = 2,
+        rebuild_fraction: float = 0.25,
+        cost_jump_threshold: float = 0.2,
+        **solver_options,
+    ) -> None:
+        """Validate the solver options and build both solvers (defaults as
+        the constructor's)."""
         if warm_iterations < 1:
             raise ValueError("warm_iterations must be >= 1")
         if solver == "trws":
@@ -181,15 +227,6 @@ class DynamicDiversifier:
         #: reusable solver work buffers — steady-state warm re-solves stop
         #: churning the NumPy allocator.
         self._scratch = SolverScratch()
-        self.plan = StreamPlan(
-            network,
-            similarity,
-            unary_constant=unary_constant,
-            pairwise_weight=pairwise_weight,
-            service_weights=service_weights,
-            constraints=constraints,
-        )
-        self._previous: Optional[Dict[Tuple[str, str], str]] = None
 
     # ----------------------------------------------------------------- churn
 
@@ -279,24 +316,31 @@ class DynamicDiversifier:
 
         labels = np.asarray(result.labels, dtype=np.int64)
         energy = result.energy
+        previous = plan.labels
         if warm:
             # Stability tie-break: among equal-energy optima prefer the one
             # closest to the previous deployment (re-diversification is a
             # reconfiguration plan — gratuitous churn costs real downtime).
             # The ICM polish of the previous labels can only tie, never
             # beat, the solver's best (it was one of the refine inits).
-            polished = plan.plan.icm(plan.labels, scratch=self._scratch)
+            # TRW-S's refine stage has polished them already (its first
+            # extra init); BP has no refine stage and polishes them here.
+            if result.polished_inits:
+                polished = result.polished_inits[0]
+            else:
+                polished = plan.plan.icm(previous, scratch=self._scratch)
+            # The refine compares per-component sums; the tie-break
+            # compares totals, which can differ from them in the last bits.
             polished_energy = plan.plan.energy(polished)
             if polished_energy <= energy + 1e-9:
                 labels = polished
                 energy = polished_energy
+        delta = plan.solution_delta()
         plan.record_labels(labels)
         plan.reset_dirty_counters()
 
-        values = plan.assignment_values(labels)
-        assignment = ProductAssignment.from_decoded(plan.network, values)
-        stability = _stability(self._previous, values)
-        self._previous = values
+        stability = self._refresh_values(labels, previous, delta)
+        assignment = ProductAssignment.from_decoded(plan.network, self._values)
         certified = (
             np.isfinite(result.lower_bound)
             and energy - result.lower_bound <= 1e-6
@@ -331,6 +375,57 @@ class DynamicDiversifier:
         return resolve_backend(self._solver.backend)
 
     # ------------------------------------------------------------- internals
+
+    def _refresh_values(
+        self,
+        labels: np.ndarray,
+        previous: Optional[np.ndarray],
+        delta: Optional[Tuple[int, List[Tuple[str, str]]]],
+    ) -> float:
+        """Bring the decoded assignment up to date with ``labels``; returns
+        the solve's stability.
+
+        ``delta`` is the plan's :meth:`~StreamPlan.solution_delta` since
+        ``previous`` (the last solve's labels, carried to the current
+        numbering).  Kept variables keep their candidate ranges, so a
+        label change is a product change: only those entries are
+        rewritten, and stability counts them over the label arrays.  The
+        departed keys are dropped and the joined variables decoded and
+        added, so the dict keeps the variable order.  A joined variable
+        whose key was in the last solve (a host that left and rejoined
+        under its name) compares products.  Without a delta (a cold
+        rebuild, a restore) every variable counts as joined: one full
+        decode, compared against the last solve's products key by key.
+        Stability is 1.0 with no previous solve or no shared variable.
+        """
+        plan = self.plan
+        variables, candidates = plan.variables, plan.candidates
+        old = self._values
+        kept = 0 if delta is None or old is None else delta[0]
+        shared = unchanged = 0
+        if kept:
+            moved = np.flatnonzero(labels[:kept] != previous[:kept]).tolist()
+            shared, unchanged = kept, kept - len(moved)
+        joined = {}
+        for node, label in enumerate(labels[kept:].tolist(), kept):
+            key = variables[node]
+            product = candidates[node][label]
+            joined[key] = product
+            prior = None if old is None else old.get(key)
+            if prior is not None:
+                shared += 1
+                unchanged += prior == product
+        if kept:
+            values = old
+            for key in delta[1]:
+                del values[key]
+            for node in moved:
+                values[variables[node]] = candidates[node][labels[node]]
+            values.update(joined)
+        else:
+            values = joined
+        self._values = values
+        return unchanged / shared if shared else 1.0
 
     def _greedy_labels(self) -> np.ndarray:
         """The greedy refine init of a cold or escalated TRW-S solve, on
@@ -380,18 +475,3 @@ class DynamicDiversifier:
         if plan.stranded:
             return True, "stranded"
         return True, None
-
-
-def _stability(
-    previous: Optional[Dict[Tuple[str, str], str]],
-    current: Dict[Tuple[str, str], str],
-) -> float:
-    """Fraction of variables present in both snapshots keeping their
-    product; 1.0 when there is no previous snapshot or no overlap."""
-    if previous is None:
-        return 1.0
-    shared = [key for key in current if key in previous]
-    if not shared:
-        return 1.0
-    unchanged = sum(1 for key in shared if previous[key] == current[key])
-    return unchanged / len(shared)

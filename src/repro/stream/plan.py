@@ -83,8 +83,14 @@ __all__ = ["StreamPlan"]
 #: (candidate range of first endpoint, of second endpoint, λ·service weight)
 _MatrixKey = Tuple[Tuple[str, ...], Tuple[str, ...], float]
 
-#: rows of :attr:`StreamPlan._edges`: endpoints, cost id, interned link id.
-_FIRST, _SECOND, _CID, _LINK = range(4)
+#: rows of :attr:`StreamPlan._edges`: endpoints, cost id, and the edge's
+#: key as interned ids: its link (a host pair, or a host's self-pair for a
+#: combination edge) and its tag (the service of a similarity edge, the
+#: (service, service) pair of a combination edge).
+_FIRST, _SECOND, _CID, _LINK, _TAG = range(5)
+
+#: one edge row's key: (link, tag).
+EdgeKey = Tuple[Tuple[str, str], object]
 
 
 class StreamPlan:
@@ -137,8 +143,8 @@ class StreamPlan:
 
         The build is the one network→plan compile,
         :func:`repro.core.compile.compile_plan`, whose convention the
-        per-event append path keeps; the edge keys are read off its
-        per-edge link rows and service ids here.
+        per-event append path keeps; the key columns of the similarity
+        edges are its per-edge link rows and service ids as they are.
         """
         with obs.span("stream.rebuild", cat="stream"):
             self._rebuild()
@@ -157,17 +163,27 @@ class StreamPlan:
         )
         parts = compiled.parts
         links, names = parts.links, parts.service_names
-        edge_keys: List[Tuple[Tuple[str, str], object]] = [
-            (links[link], names[sid])
-            for link, sid in zip(parts.edge_link.tolist(), parts.edge_sid.tolist())
-        ]
+        edges = len(parts.edge_first)
+        similar = len(parts.edge_link)
+        edge_link = np.empty(edges, dtype=np.int64)
+        edge_tag = np.empty(edges, dtype=np.int64)
+        edge_link[:similar] = parts.edge_link
+        edge_tag[:similar] = parts.edge_sid
         # Combination edges follow the similarity edges: one per (lower
-        # node, higher node) pair of a host, keyed by the host self-pair.
+        # node, higher node) pair of a host, keyed by the host self-pair
+        # and the service pair, interned after the links and services.
+        combo_links: Dict[Tuple[str, str], int] = {}
+        combo_tags: Dict[Tuple[str, str], int] = {}
         combo_cids: Dict[Tuple[str, str, str], int] = {}
-        for e in range(len(edge_keys), len(parts.edge_first)):
+        for e in range(similar, edges):
             host, svc_lo = parts.variables[int(parts.edge_first[e])]
             svc_hi = parts.variables[int(parts.edge_second[e])][1]
-            edge_keys.append(((host, host), (svc_lo, svc_hi)))
+            edge_link[e] = combo_links.setdefault(
+                (host, host), len(links) + len(combo_links)
+            )
+            edge_tag[e] = combo_tags.setdefault(
+                (svc_lo, svc_hi), len(names) + len(combo_tags)
+            )
             combo_cids[(host, svc_lo, svc_hi)] = int(parts.edge_cid[e])
         self.install(
             variables=parts.variables,
@@ -175,7 +191,10 @@ class StreamPlan:
             unaries=parts.unary_vectors(),
             matrices=parts.matrices,
             matrix_meta=parts.matrix_meta,
-            edge_keys=edge_keys,
+            links=[*links, *combo_links],
+            edge_link=edge_link,
+            tags=[*names, *combo_tags],
+            edge_tag=edge_tag,
             combo_cids=combo_cids,
             edge_first=parts.edge_first,
             edge_second=parts.edge_second,
@@ -192,7 +211,10 @@ class StreamPlan:
         unaries: List[np.ndarray],
         matrices: List[np.ndarray],
         matrix_meta: List[_MatrixKey],
-        edge_keys: List[Tuple[Tuple[str, str], object]],
+        links: List[Tuple[str, str]],
+        edge_link: np.ndarray,
+        tags: List[object],
+        edge_tag: np.ndarray,
         combo_cids: Dict[Tuple[str, str, str], int],
         edge_first: np.ndarray,
         edge_second: np.ndarray,
@@ -209,12 +231,14 @@ class StreamPlan:
         over here, so neither can forget a field.  ``plan`` must be the
         :class:`MRFArrays` of exactly these parts; ``messages`` holds two
         rows per edge and ``labels`` (``None`` before any solve) one per
-        variable.
+        variable.  Edge row ``e``'s key is ``(links[edge_link[e]],
+        tags[edge_tag[e]])``; ``links`` and ``tags`` hold distinct keys
+        (:func:`intern_edge_keys` builds all four from a key list).
         """
         self.variables = variables
-        self.index: Dict[Tuple[str, str], int] = {
-            variable: n for n, variable in enumerate(variables)
-        }
+        self.index: Dict[Tuple[str, str], int] = dict(
+            zip(variables, range(len(variables)))
+        )
         self.candidates = candidates
         self._unaries = unaries
         self._matrices = matrices
@@ -227,28 +251,30 @@ class StreamPlan:
         #: (host, service_lo, service_hi) → cost id of the pair's live
         #: combination table (service order follows node order).
         self._combo_cids = combo_cids
-        self._edge_keys = edge_keys
         #: link key → interned id (the ``_LINK`` column).  A key leaves
         #: with its link (``LinkRemove``) or host (``HostLeave``), so the
         #: dict tracks the live network; ids come from a counter and are
         #: never reused, so a stale id in a tombstoned row matches no key.
-        self._link_ids: Dict[Tuple[str, str], int] = {}
-        links = [
-            self._link_ids.setdefault(link, len(self._link_ids))
-            for link, _tag in edge_keys
-        ]
-        self._next_link = len(self._link_ids)
-        rows = len(edge_keys)
-        #: edge columns (first, second, cost id, link id) with spare
-        #: capacity; rows ``[0, _edge_rows)`` are in use.  Rows below
+        self._link_ids: Dict[Tuple[str, str], int] = dict(
+            zip(links, range(len(links)))
+        )
+        self._next_link = len(links)
+        #: tag id (the ``_TAG`` column) → tag, and back; tags are
+        #: service names and service pairs, a bounded vocabulary.
+        self._tags = list(tags)
+        self._tag_ids: Dict[object, int] = dict(zip(tags, range(len(tags))))
+        rows = len(edge_first)
+        #: edge columns (first, second, cost id, link id, tag id) with
+        #: spare capacity; rows ``[0, _edge_rows)`` are in use.  Rows below
         #: ``_edge_rows`` are never rewritten in place — the live plan holds
         #: views of them — only appended to, tombstoned or compacted into a
         #: fresh buffer.
-        self._edges = np.empty((4, rows), dtype=np.int64)
+        self._edges = np.empty((5, rows), dtype=np.int64)
         self._edges[_FIRST] = edge_first
         self._edges[_SECOND] = edge_second
         self._edges[_CID] = edge_cid
-        self._edges[_LINK] = links
+        self._edges[_LINK] = edge_link
+        self._edges[_TAG] = edge_tag
         self._edge_alive = np.ones(rows, dtype=bool)
         self._edge_rows = rows
         self._dead_edges = 0
@@ -261,6 +287,7 @@ class StreamPlan:
         #: previous-solution labels of the first ``len`` nodes (later nodes
         #: are implicit label-0 seeds); ``None`` until a solve is recorded.
         self._labels = labels
+        self._track_solution()
         self._edges_dirty = False
         self._nodes_dirty = False
         self.reset_dirty_counters()
@@ -392,6 +419,23 @@ class StreamPlan:
             self._matrices,
         )
 
+    def edge_keys(self) -> List[EdgeKey]:
+        """The (link, tag) key of every edge row, after a compaction.
+
+        Built from the key columns on demand: the snapshot meta is its
+        one reader on the service path.
+        """
+        self._compact()
+        links = {lid: link for link, lid in self._link_ids.items()}
+        tags = self._tags
+        return [
+            (links[lid], tags[tid])
+            for lid, tid in zip(
+                self._edges[_LINK, : self._edge_rows].tolist(),
+                self._edges[_TAG, : self._edge_rows].tolist(),
+            )
+        ]
+
     @property
     def _edge_first(self) -> np.ndarray:
         return self._edges[_FIRST, : self._edge_rows]
@@ -432,15 +476,28 @@ class StreamPlan:
     def record_labels(self, labels: np.ndarray) -> None:
         """Store the latest solution labels for label-warm re-solves."""
         self._labels = np.asarray(labels, dtype=np.int64).copy()
+        self._track_solution()
 
-    def assignment_values(
-        self, labels: np.ndarray
-    ) -> Dict[Tuple[str, str], str]:
-        """Decode a labelling into a (host, service) → product mapping."""
-        return {
-            variable: self.candidates[node][int(labels[node])]
-            for node, variable in enumerate(self.variables)
-        }
+    def solution_delta(self) -> Optional[Tuple[int, List[Tuple[str, str]]]]:
+        """How the variables moved since the last recorded solve.
+
+        ``(kept, departed)``: the first ``kept`` variables are that
+        solve's surviving variables, in order, with their candidate ranges
+        unchanged; every later one joined since (a host that left and
+        rejoined under its name comes back as a new variable).
+        ``departed`` lists the keys of that solve's variables that left.
+        ``None`` when no solve is recorded in the current numbering (before
+        the first solve, after a rebuild).  Exact once :meth:`flush` has
+        compacted the pending deltas.
+        """
+        if self._solved is None:
+            return None
+        return self._solved, self._departed
+
+    def _track_solution(self) -> None:
+        """Start the :meth:`solution_delta` bookkeeping at the stored labels."""
+        self._solved = None if self._labels is None else len(self._labels)
+        self._departed: List[Tuple[str, str]] = []
 
     # ------------------------------------------------------------- internals
 
@@ -484,28 +541,31 @@ class StreamPlan:
             self.candidates[node_a], self.candidates[node_b], self._weight(service)
         )
         first, second = (node_b, node_a) if flip else (node_a, node_b)
-        self._push_edge((_link_key(a, b), service), first, second, cid)
+        self._push_edge(_link_key(a, b), service, first, second, cid)
 
     def _push_edge(
-        self, key: Tuple[Tuple[str, str], object], first: int, second: int,
+        self, link_key: Tuple[str, str], tag: object, first: int, second: int,
         cid: int,
     ) -> None:
         """Append one edge row (amortised O(1); its messages start at 0)."""
         row = self._edge_rows
         if row == len(self._edge_alive):
             capacity = max(16, 2 * row)
-            edges = np.empty((4, capacity), dtype=np.int64)
+            edges = np.empty((len(self._edges), capacity), dtype=np.int64)
             edges[:, :row] = self._edges[:, :row]
             alive = np.zeros(capacity, dtype=bool)
             alive[:row] = self._edge_alive[:row]
             self._edges, self._edge_alive = edges, alive
-        link = self._link_ids.get(key[0])
+        link = self._link_ids.get(link_key)
         if link is None:
-            link = self._link_ids[key[0]] = self._next_link
+            link = self._link_ids[link_key] = self._next_link
             self._next_link += 1
-        self._edges[:, row] = (first, second, cid, link)
+        tid = self._tag_ids.get(tag)
+        if tid is None:
+            tid = self._tag_ids[tag] = len(self._tags)
+            self._tags.append(tag)
+        self._edges[:, row] = (first, second, cid, link, tid)
         self._edge_alive[row] = True
-        self._edge_keys.append(key)
         self._edge_rows = row + 1
         self._edges_dirty = True
 
@@ -548,6 +608,14 @@ class StreamPlan:
         if dead_nodes:
             live = np.ones(len(self.variables), dtype=bool)
             live[self._dead_nodes] = False
+            solved = self._solved
+            if solved is not None:
+                self._departed.extend(
+                    self.variables[node]
+                    for node in self._dead_nodes
+                    if node < solved
+                )
+                self._solved = int(np.count_nonzero(live[:solved]))
             flags = live.tolist()
             self.variables = list(compress(self.variables, flags))
             self.candidates = list(compress(self.candidates, flags))
@@ -570,10 +638,6 @@ class StreamPlan:
                 remap = np.cumsum(live) - 1
                 edges[_FIRST] = remap[edges[_FIRST]]
                 edges[_SECOND] = remap[edges[_SECOND]]
-            if dead_edges:
-                self._edge_keys = list(
-                    compress(self._edge_keys, alive.tolist())
-                )
             new_edges = len(keep) - int(np.searchsorted(keep, stored))
             self._messages = _gather_rows(self._messages, keep, 2)
             self._edges = edges
@@ -719,7 +783,7 @@ class StreamPlan:
                 self._matrices.append(table)
                 self._matrix_meta.append(_COMBO_META)
                 self._combo_cids[key] = cid
-                self._push_edge(((host, host), (svc_lo, svc_hi)), lo, hi, cid)
+                self._push_edge((host, host), (svc_lo, svc_hi), lo, hi, cid)
             else:
                 self._matrices[cid][...] = table
                 if cid < self.plan.stacked:
@@ -735,12 +799,9 @@ class StreamPlan:
             # cold compile of the current set would not emit it either).
             # The orphaned table stays in the stack — cost ids are
             # append-only — and is dropped by the next rebuild.
-            tag = (svc_lo, svc_hi)
-            self._kill_edges([
-                row
-                for row in self._link_rows((host, host)).tolist()
-                if self._edge_keys[row][1] == tag
-            ])
+            rows = self._link_rows((host, host))
+            tid = self._tag_ids[(svc_lo, svc_hi)]
+            self._kill_edges(rows[self._edges[_TAG, rows] == tid])
             del self._combo_cids[key]
         self.dirty_edges += 1
 
@@ -815,6 +876,23 @@ class StreamPlan:
         self._dead_nodes.extend(removed)
         self._nodes_dirty = True
         self.dirty_nodes += len(removed)
+
+
+def intern_edge_keys(
+    edge_keys: List[EdgeKey],
+) -> Tuple[List[Tuple[str, str]], np.ndarray, List[object], np.ndarray]:
+    """``(links, edge_link, tags, edge_tag)``: a list of edge keys as the
+    interned key columns :meth:`StreamPlan.install` takes."""
+    link_ids: Dict[Tuple[str, str], int] = {}
+    tag_ids: Dict[object, int] = {}
+    edge_link = [link_ids.setdefault(link, len(link_ids)) for link, _ in edge_keys]
+    edge_tag = [tag_ids.setdefault(tag, len(tag_ids)) for _, tag in edge_keys]
+    return (
+        list(link_ids),
+        np.asarray(edge_link, dtype=np.int64),
+        list(tag_ids),
+        np.asarray(edge_tag, dtype=np.int64),
+    )
 
 
 def _link_key(a: str, b: str) -> Tuple[str, str]:

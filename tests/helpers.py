@@ -25,6 +25,7 @@ __all__ = [
     "make_random_mrf",
     "pipeline_estate",
     "python_levels",
+    "stability_oracle",
 ]
 
 
@@ -112,6 +113,20 @@ def edge_similarity_loop(network, similarity, assignment):
             coupled += 1
             total += similarity.get(product_a, product_b)
     return total, coupled
+
+
+def stability_oracle(previous, current):
+    """Fraction of the (host, service) keys of both decoded assignments
+    (dicts) that kept their product, by a walk over the dicts; 1.0 with
+    no previous assignment or no shared key.  The oracle of
+    ``StreamSolveResult.stability``."""
+    if previous is None:
+        return 1.0
+    shared = [key for key in current if key in previous]
+    if not shared:
+        return 1.0
+    unchanged = sum(1 for key in shared if previous[key] == current[key])
+    return unchanged / len(shared)
 
 
 def count_compile_routes(monkeypatch):

@@ -512,6 +512,25 @@ class TestNativeFallbackGuards:
         plan.greedy_labels(backend="native")
         assert native.fallbacks == before + 2
 
+    def test_wide_plan_graph_labels_fall_back(self):
+        # The chains and components go through the same guard: a plan the
+        # C kernels decline is labelled by NumPy, counted once per call.
+        plan = _wide_plan()
+        native = get_backend("native")
+        reference = get_backend("numpy").label_graph(
+            plan, chains=True, components=True
+        )
+        before = native.fallbacks
+        trace = obs.activate(obs.Trace())
+        try:
+            labelled = native.label_graph(plan, chains=True, components=True)
+        finally:
+            obs.deactivate()
+        for got, want in zip(labelled, reference):
+            np.testing.assert_array_equal(got, want)
+        assert native.fallbacks == before + 1
+        assert trace.counters[FALLBACK_COUNTER] == 1
+
     def test_non_contiguous_greedy_labels_fall_back(self):
         native = get_backend("native")
         plan = MRFArrays(make_random_mrf(6, 0.5, 3, seed=15))

@@ -649,8 +649,8 @@ class TestStreamRebuildCompiled:
         stream = StreamPlan(net.copy(), sim.copy())
         # The compiled rebuild installs array edge columns and listed keys.
         assert isinstance(stream._edge_first, np.ndarray)
-        assert isinstance(stream._edge_keys, list)
-        assert len(stream._edge_keys) == stream.edge_count
+        assert isinstance(stream.edge_keys(), list)
+        assert len(stream.edge_keys()) == stream.edge_count
         assert len(stream._matrix_ids) == len(stream._matrices)
         # Event application on top of a compiled rebuild stays aligned:
         # dropping a link removes exactly its (link, service) edges.

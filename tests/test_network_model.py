@@ -16,6 +16,30 @@ def net():
     return network
 
 
+def _state(network):
+    """Everything a reader of ``network`` can see."""
+    return (
+        network.hosts,
+        network.links,
+        {host: network.service_ranges(host) for host in network.hosts},
+        {host: network.neighbors(host) for host in network.hosts},
+    )
+
+
+#: one write of each mutator on the ``net`` fixture's shape (hosts a, b, c;
+#: links a-b, a-c); each changes what ``_state`` sees.
+_MUTATORS = {
+    "add_host": lambda n: n.add_host("d", {"os": ["w"]}),
+    "add_service": lambda n: n.add_service("b", "db", ["m"]),
+    "set_candidates": lambda n: n.set_candidates("a", "os", ["l"]),
+    "add_link": lambda n: n.add_link("b", "c"),
+    "remove_link": lambda n: n.remove_link("a", "b"),
+    "remove_host": lambda n: n.remove_host("a"),
+    "rejoin": lambda n: (n.remove_host("b"), n.add_host("b", {"db": ["p"]}),
+                         n.add_link("b", "c")),
+}
+
+
 class TestBuilding:
     def test_duplicate_host_rejected(self, net):
         with pytest.raises(NetworkError):
@@ -159,6 +183,38 @@ class TestExport:
         assert net.services_of("b") == ["os"]
         assert net.candidates("a", "os") == ("w", "l")
         assert clone.neighbors("a") == ["d"]
+
+    @pytest.mark.parametrize("mutate", sorted(_MUTATORS))
+    def test_copy_on_write_isolates_every_mutator(self, net, mutate):
+        """A copy shares the per-host containers until the first write:
+        each mutator, on any network of a chain of copies, leaves every
+        other network of the chain as it was."""
+        for writer in range(3):
+            source = Network()
+            for host in net.hosts:
+                source.add_host(host, dict(net.service_ranges(host)))
+            source.add_links(net.links)
+            first = source.copy()
+            second = first.copy()
+            chain = [source, first, second]
+            before = [_state(network) for network in chain]
+            _MUTATORS[mutate](chain[writer])
+            assert _state(chain[writer]) != before[writer]
+            for k, network in enumerate(chain):
+                if k != writer:
+                    assert _state(network) == before[k], (mutate, writer, k)
+            # The writer now owns the containers it copied; a new copy
+            # shares them again, so neither side's next write shows in the
+            # other.
+            third = chain[writer].copy()
+            frozen = _state(third)
+            chain[writer].remove_host("c")
+            assert _state(third) == frozen
+            frozen = _state(chain[writer])
+            third.set_candidates("c", "db", ["p"])
+            if third.has_link("a", "c"):
+                third.remove_link("a", "c")
+            assert _state(chain[writer]) == frozen
 
     def test_copy_keeps_order(self, net):
         clone = net.copy()

@@ -16,6 +16,7 @@ disjoint unions.  Each invariant is registered in ``INVARIANT_PACK`` so
 new layers add one function, not a new harness.
 """
 
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -45,9 +46,9 @@ from repro.mrf import (
 )
 from repro.mrf.backends import get_backend
 from repro.mrf.solvers import get_solver
-from repro.mrf.reference import _greedy_labels
+from repro.mrf.reference import ReferenceTRWSSolver, _greedy_labels
 from repro.mrf.trws import is_forest_plan, solve_forest_plan
-from repro.mrf.vectorized import SolverScratch, connected_components
+from repro.mrf.vectorized import SolverScratch
 from repro.network.constraints import (
     GLOBAL,
     AvoidCombination,
@@ -64,9 +65,12 @@ from repro.network.generator import (
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 from repro.sim.malware import InfectionModel
+from repro.service.snapshot import restore_engine, save_snapshot
 from repro.stream import (
     ChurnConfig,
     DynamicDiversifier,
+    HostJoin,
+    HostLeave,
     apply_event,
     random_churn_trace,
 )
@@ -76,6 +80,8 @@ from helpers import (
     assert_schedule_kernels_agree,
     count_compile_routes,
     edge_similarity_loop,
+    pipeline_estate,
+    stability_oracle,
 )
 
 
@@ -403,13 +409,70 @@ def test_stream_plan_batching_invariance(seed):
                 plan.flush()
             elif mode == "read_between":
                 assert len(plan.labels) == len(plan.variables)
-                assert len(plan.messages) == 2 * len(plan._edge_keys)
+                assert len(plan.messages) == 2 * plan._edge_rows
                 unaries, first, *_ = plan.parts()
                 assert (plan.node_count, plan.edge_count) == (
                     len(unaries), len(first)
                 )
         states.append(_stream_plan_state(plan))
     assert states[0] == states[1] == states[2]
+
+
+# ========================================================== solution side
+
+
+def _rejoin(network, host):
+    """``host`` leaving and rejoining under its name with its services and
+    links: the same network afterwards, but new variables for the host."""
+    services = tuple(
+        (service, network.candidates(host, service))
+        for service in network.services_of(host)
+    )
+    return [
+        HostLeave(host),
+        HostJoin(host, services=services, links=tuple(network.neighbors(host))),
+    ]
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_solution_side_matches_the_oracles(batch, seed):
+    """After every solve of a churn replay, the engine's incremental
+    solution side equals a full decode of the plan's labels (entries and
+    their order) and the dict-walk stability against the previous solve.
+    The replay rejoins a host within one batch, forces a cold rebuild and
+    restores a snapshot mid-trace."""
+    network, similarity = workload(seed, hosts=30, degree=2, services=3)
+    trace = random_churn_trace(network, ChurnConfig(events=200, seed=seed))
+    engine = DynamicDiversifier(network, similarity)
+    batches = [trace[k : k + batch] for k in range(0, len(trace), batch)]
+    rejoin, cold, restore = (len(batches) * k // 4 for k in (1, 2, 3))
+    rng = np.random.default_rng(seed)
+    previous = None
+    with tempfile.TemporaryDirectory() as directory:
+        for index in range(len(batches) + 1):
+            if index == restore:
+                path = save_snapshot(engine, directory, version=index)
+                engine, _ = restore_engine(path)
+            if index:
+                events = batches[index - 1]
+                if index == rejoin:
+                    host = str(rng.choice(engine.network.hosts))
+                    events = _rejoin(engine.network, host) + events
+                engine.apply_all(events)
+            result = engine.solve(force_cold=index == cold)
+            plan = engine.plan
+            decoded = {
+                variable: plan.candidates[node][label]
+                for node, (variable, label) in enumerate(
+                    zip(plan.variables, plan.labels.tolist())
+                )
+            }
+            current = result.assignment.as_dict()
+            assert list(current.items()) == list(decoded.items())
+            assert result.stability == stability_oracle(previous, current)
+            previous = current
 
 
 # ====================================================== component labelling
@@ -422,10 +485,39 @@ def _networkx_components(n, edges):
     return {frozenset(c) for c in nx.connected_components(graph)}
 
 
+#: the kernel backends that can label a plan's graph here.
+GRAPH_BACKENDS = [
+    name for name in ("numpy", "native") if get_backend(name).available
+]
+
+
+def _graph_plan(n, first, second):
+    """A plan with ``n`` one-label nodes over the given edges."""
+    first = np.asarray(first, dtype=np.int64)
+    return MRFArrays.from_parts(
+        [np.zeros(1)] * n, first, np.asarray(second, dtype=np.int64),
+        np.zeros(len(first), dtype=np.int64),
+        [np.zeros((1, 1))] if len(first) else [],
+    )
+
+
+def _component_labels(n, first, second, backend):
+    _, _, labels = get_backend(backend).label_graph(
+        _graph_plan(n, first, second), chains=False, components=True
+    )
+    return labels
+
+
 def _assert_labelling_matches_networkx(n, edges):
-    first = np.array([a for a, _ in edges], dtype=np.int64)
-    second = np.array([b for _, b in edges], dtype=np.int64)
-    labels = connected_components(n, first, second)
+    first = [a for a, _ in edges]
+    second = [b for _, b in edges]
+    for backend in GRAPH_BACKENDS:
+        _assert_labels_match_networkx(
+            n, edges, _component_labels(n, first, second, backend)
+        )
+
+
+def _assert_labels_match_networkx(n, edges, labels):
     assert labels.shape == (n,)
     groups: Dict[int, set] = {}
     for node, label in enumerate(labels.tolist()):
@@ -456,10 +548,11 @@ def test_component_labelling_edge_cases():
     _assert_labelling_matches_networkx(7, [])  # isolated nodes only
     chain = [(i, i + 1) for i in range(4999)]  # pipeline-chain shape
     _assert_labelling_matches_networkx(5000, chain)
-    labels = connected_components(
-        5000, np.arange(4999), np.arange(1, 5000)
-    )
-    assert not labels.any()
+    for backend in GRAPH_BACKENDS:
+        labels = _component_labels(
+            5000, np.arange(4999), np.arange(1, 5000), backend
+        )
+        assert not labels.any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -759,6 +852,91 @@ def test_bound_kernels_agree_bit_for_bit(case):
     assert plan.dual_bound(messages, backend="native") == plan.dual_bound(
         messages, backend="numpy"
     )
+
+
+# ======================================================= chain numbering
+
+
+def _reference_chains(n, first, second):
+    """``ReferenceTRWSSolver._build_chains`` of the edge set, each chain
+    as (its edges in order, its first node, its last node)."""
+    mrf = _EdgeListMRF(
+        [np.zeros(1)] * n, list(first), list(second),
+        [np.zeros((1, 1))] * len(first),
+    )
+    chains = ReferenceTRWSSolver._build_chains(
+        mrf, ReferenceTRWSSolver._build_links(mrf)
+    )
+    return sorted(
+        (tuple(edge for _node, edge in chain[1:]), chain[0][0], chain[-1][0])
+        for chain in chains
+    )
+
+
+def _assert_chains_agree(plan):
+    """native == NumPy on the chain numbering, and both describe the
+    reference's explicit chains."""
+    labelled = {
+        name: get_backend(name).label_graph(plan, chains=True, components=True)
+        for name in GRAPH_BACKENDS
+    }
+    chain, ends, components = labelled["numpy"]
+    for name, arrays in labelled.items():
+        for got, want in zip(arrays, (chain, ends, components)):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    np.testing.assert_array_equal(plan.chains[0], chain)
+    np.testing.assert_array_equal(plan.chains[1], ends)
+    np.testing.assert_array_equal(plan.components, components)
+    # Sends run in sweep order, so a chain's sends are in chain order.
+    edges = (plan.fwd_sweep.block.out >> 1).tolist()
+    steps: Dict[int, List[int]] = {c: [] for c in range(len(ends))}
+    for send, c in enumerate(chain.tolist()):
+        steps[c].append(edges[send])
+    ours = []
+    for c, path in steps.items():
+        start = (
+            min(plan.edge_first[path[0]], plan.edge_second[path[0]])
+            if path else ends[c]
+        )
+        ours.append((tuple(path), int(start), int(ends[c])))
+    assert sorted(ours) == _reference_chains(
+        plan.node_count, plan.edge_first.tolist(), plan.edge_second.tolist()
+    )
+    # Chains that end on an edge come first, in forward-sweep order of
+    # their last edge's conditioning row; isolated nodes follow.
+    block = plan.fwd_sweep.block
+    order = {edge: row for row, edge in enumerate((block.ext_in >> 1).tolist())}
+    isolated = [c for c, path in steps.items() if not path]
+    assert isolated == list(range(len(ends) - len(isolated), len(ends)))
+    rows = [order[steps[c][-1]] for c in range(len(ends) - len(isolated))]
+    assert rows == sorted(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_graphs(), flip=st.randoms(use_true_random=False))
+def test_chain_numbering_matches_the_reference(graph, flip):
+    """Random multigraphs: isolated nodes, parallel edges, either edge
+    orientation, several components."""
+    n, edges = graph
+    edges = [(b, a) if flip.random() < 0.5 else (a, b) for a, b in edges]
+    _assert_chains_agree(_graph_plan(
+        n, [a for a, _ in edges], [b for _, b in edges]
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_bound_plans(forest=True))
+def test_chain_numbering_on_forests(graph):
+    _assert_chains_agree(graph[0])
+
+
+@pytest.mark.parametrize("hosts", [30, 300])
+def test_chain_numbering_on_chain_chord_estates(hosts):
+    network, similarity, preferences = pipeline_estate(hosts)
+    _assert_chains_agree(
+        compile_plan(network, similarity, preferences=preferences).plan
+    )
+
 
 
 # ============================================================ invariant pack

@@ -19,6 +19,7 @@ import pytest
 from repro import obs
 from repro.core.costs import assignment_energy
 from repro.mrf.backends import get_backend
+from repro.network.constraints import FixProduct
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -179,8 +180,43 @@ class TestSnapshotRoundTrip:
             ), name
         assert np.array_equal(restored.messages, live.messages)
         assert np.array_equal(restored.labels, live.labels)
-        assert restored._edge_keys == live._edge_keys
+        assert restored.edge_keys() == live.edge_keys()
         assert restored._combo_cids == live._combo_cids
+
+    def test_restore_compiles_nothing(self, tmp_path, monkeypatch):
+        import repro.core.compile as compile_module
+
+        engine, _ = churny_engine(seed=2)
+        path = save_snapshot(engine, tmp_path, version=1)
+        calls = []
+        compile_plan = compile_module.compile_plan
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compile_plan(*args, **kwargs)
+
+        monkeypatch.setattr(compile_module, "compile_plan", counted)
+        restored, _ = restore_engine(path)
+        assert calls == []
+        assert restored.solve().warm
+        # The counter sees the engine's compiles: a cold rebuild is one.
+        restored.solve(force_cold=True)
+        assert calls == [1]
+
+    def test_restore_keeps_the_compile_checks(self, tmp_path):
+        engine, _ = churny_engine(seed=2)
+        snapshot = load_snapshot(save_snapshot(engine, tmp_path, version=1))
+        for change in ({"pairwise_weight": -1.0},
+                       {"service_weights": {"svc0": -0.5}}):
+            meta = {**snapshot.meta, **change}
+            with pytest.raises(ValueError, match="non-negative"):
+                restore_engine(replace(snapshot, meta=meta))
+        host = snapshot.network.hosts[0]
+        service = snapshot.network.services_of(host)[0]
+        constraints = snapshot.constraints.copy()
+        constraints.add(FixProduct(host, service, "no-such-product"))
+        with pytest.raises(ValueError):
+            restore_engine(replace(snapshot, constraints=constraints))
 
     def test_self_loop_in_snapshot_edges_is_rejected(self, tmp_path):
         # A corrupted snapshot used to hang the plan build: a self-loop
@@ -458,3 +494,48 @@ class TestPublishSpan:
         assert names.index("view.publish") > names.index("service.batch")
         assert service._view is not None
         assert service._view.events_applied == len(trace)
+
+
+class TestViewIsolation:
+    def test_published_view_survives_the_next_batch(self):
+        """The view's network is a copy-on-write copy of the live one: the
+        writer's next batch of link and host events leaves the published
+        hosts, links, neighbours and ``/hosts/<host>`` payloads as they
+        were."""
+        network, similarity = workload(seed=13)
+        service = DiversificationService(
+            network, similarity, config=ServiceConfig(port=0)
+        )
+        service._ingest([])
+        view = service.view
+        hosts = view.network.hosts
+        links = view.network.links
+        neighbors = {host: view.network.neighbors(host) for host in hosts}
+        payloads = {host: view.host_payload(host) for host in hosts}
+
+        a, b = links[0]
+        spare = next(
+            (x, y) for x in hosts for y in hosts
+            if x < y and not view.network.has_link(x, y)
+        )
+        leaving = next(h for h in hosts if h not in (a, b, *spare))
+        services = tuple(
+            (service_name, view.network.candidates(a, service_name))
+            for service_name in view.network.services_of(a)
+        )
+        events = [
+            LinkRemove(a, b),
+            LinkAdd(*spare),
+            HostLeave(leaving),
+            HostJoin("newcomer", services=services, links=(a, b)),
+            HostJoin(leaving, services=services, links=(spare[0],)),
+        ]
+        service._ingest(list(enumerate(events, start=1)))
+        assert service.metrics.counters().get("events_failed_total", 0) == 0
+        assert service.view.version == view.version + 1
+        assert service.view.network.has_link(*spare)
+
+        assert view.network.hosts == hosts
+        assert view.network.links == links
+        assert {h: view.network.neighbors(h) for h in hosts} == neighbors
+        assert {h: view.host_payload(h) for h in hosts} == payloads

@@ -5,9 +5,11 @@ Replays the churn traces of the ``serve-*`` benchmark workloads
 (``benchmarks/e2e/serve.py``: 1000 hosts, degree 10, 3 services, 6
 products) through :class:`repro.stream.DynamicDiversifier` in process and
 prints one line per solve: the energy, bound and stability (``repr``, so
-every bit shows), plus a sha256 of the labels, the message array and the
-plan's edge and unary arrays.  Two source trees that print the same lines
-solve byte-identically; ``diff`` the outputs to compare them.
+every bit shows), plus a sha256 of the labels, the message array, the
+plan's edge and unary arrays and the decoded assignment (the sorted items
+of ``result.assignment.as_dict()``).  Two source trees that print the same
+lines solve and decode byte-identically; ``diff`` the outputs to compare
+them.
 
 Runs every combination of seed (0, 1) and batch size (64 events, 1 event)
 over a 512-event trace::
@@ -39,6 +41,13 @@ def digest(*arrays) -> str:
         h.update(str((array.dtype.str, array.shape)).encode())
         h.update(array.tobytes())
     return h.hexdigest()[:16]
+
+
+def assignment_digest(result) -> str:
+    """sha256 (first 16 hex digits) of the decoded assignment's sorted
+    ``((host, service), product)`` items."""
+    items = sorted(result.assignment.as_dict().items())
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
 def fingerprint(engine) -> str:
@@ -75,7 +84,7 @@ def run(seed: int, batch: int, events: int) -> None:
             f"{tag} solve={solve} energy={result.energy!r} "
             f"bound={result.lower_bound!r} warm={int(result.warm)} "
             f"stability={result.stability!r} "
-            f"{fingerprint(engine)}",
+            f"{fingerprint(engine)} assignment={assignment_digest(result)}",
             flush=True,
         )
 
