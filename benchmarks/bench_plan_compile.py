@@ -71,8 +71,7 @@ ASSEMBLY_ROUNDS = 10
 PARITY_ARRAYS = (
     "label_counts", "mask", "unary", "unary_inf", "cost",
     "edge_first", "edge_second", "edge_cid",
-    "slot_sender", "slot_receiver", "slot_reverse", "slot_cid",
-    "gamma",
+    "slot_sender", "slot_receiver", "slot_cid", "gamma",
 )
 
 

@@ -137,8 +137,9 @@ class SimilarityEdges:
 class CompiledParts:
     """Raw plan parts straight from the network, plus the variable mapping.
 
-    ``edge_first``/``edge_second``/``edge_cid`` index ``matrices`` exactly
-    as :meth:`MRFArrays.from_parts` consumes them.  The similarity edges
+    ``unary``/``label_counts`` and ``edge_first``/``edge_second``/
+    ``edge_cid`` (indexing ``matrices``) are exactly what
+    :meth:`MRFArrays.from_dense` consumes.  The similarity edges
     come first, one per (link, shared service) in ``build_mrf`` order:
     edge ``e``'s link is ``links[edge_link[e]]`` and its service
     ``service_names[edge_sid[e]]``.  The combination-constraint edges
@@ -164,13 +165,6 @@ class CompiledParts:
     #: the similarity summary's arrays.
     similarity_edges: SimilarityEdges
 
-    def unary_vectors(self) -> List[np.ndarray]:
-        """Per-node unpadded unary vectors (the ``from_parts`` form)."""
-        return [
-            self.unary[node, : int(count)]
-            for node, count in enumerate(self.label_counts)
-        ]
-
 
 @dataclass
 class CompiledPlan:
@@ -195,8 +189,8 @@ class CompiledPlan:
         stored orientation, in plan edge order."""
         parts = self.parts
         mrf = PairwiseMRF()
-        for vector in parts.unary_vectors():
-            mrf.add_node(vector)
+        for row, count in zip(parts.unary, parts.label_counts.tolist()):
+            mrf.add_node(row[:count])
         for i, j, cid in zip(
             parts.edge_first.tolist(),
             parts.edge_second.tolist(),

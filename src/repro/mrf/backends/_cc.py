@@ -65,23 +65,24 @@ KERNELS_C = r"""
 #define PF 12
 #define HOT static inline __attribute__((always_inline))
 
-/* One sweep direction's sends, level-major; level l owns [off[l], off[l+1]). */
+/* One sweep direction's sends, level-major; level l owns [off[l], off[l+1]).
+ * Send e writes slot out[e] and reads the opposite slot out[e] ^ 1. */
 typedef struct {
     const int64_t *off;
-    const int64_t *snd, *rcv, *out, *inn, *cid;
-    const double *gam;
-    const uint8_t *pad;
+    const int64_t *snd, *rcv, *out, *cid;
 } sends_t;
 
 /* A plan's sweep arrays (see MRFArrays.fwd_sweep / bwd_sweep), plus
  * each node's degree (the greedy init's visiting order), its chain
- * weight gamma and each message slot's receiver (the bound's shares). */
+ * weight gamma, its label count (later labels are padding) and each
+ * message slot's receiver (the beliefs). */
 typedef struct {
     int64_t lmax, n_fwd, n_bwd;
     const double *cost;
     const double *unary;
     const int64_t *degree;
     const double *gamma;
+    const int64_t *counts;
     const int64_t *receiver;
     const int64_t *node_off, *nodes;
     const int64_t *ext_off, *ext_seg, *ext_nbr, *ext_in, *ext_cid;
@@ -109,23 +110,24 @@ HOT int64_t argmin_row(const double *row, const int64_t lmax)
 
 /* Block message update of sends [begin, end); `limit` bounds prefetch. */
 HOT void send_range(
-    const int64_t lmax, const double *restrict cost, const sends_t *s,
+    const plan_t *p, const int64_t lmax, const sends_t *s,
     const int64_t begin, const int64_t end, const int64_t limit,
     double *restrict messages, double *restrict beliefs)
 {
     const int64_t LL = lmax * lmax;
+    const double *restrict cost = p->cost;
     double base_buf[64];
     double new_buf[64];
     for (int64_t e = begin; e < end; ++e) {
         if (e + PF < limit) {
             __builtin_prefetch(beliefs + s->snd[e + PF] * lmax, 0);
-            __builtin_prefetch(messages + s->inn[e + PF] * lmax, 0);
+            __builtin_prefetch(messages + (s->out[e + PF] ^ 1) * lmax, 0);
             __builtin_prefetch(messages + s->out[e + PF] * lmax, 1);
             __builtin_prefetch(beliefs + s->rcv[e + PF] * lmax, 1);
         }
         const double *b = beliefs + s->snd[e] * lmax;
-        const double *m_in = messages + s->inn[e] * lmax;
-        const double g = s->gam[e];
+        const double *m_in = messages + (s->out[e] ^ 1) * lmax;
+        const double g = p->gamma[s->snd[e]];
         for (int64_t r = 0; r < lmax; ++r)
             base_buf[r] = b[r] * g - m_in[r];
         const double *cm = cost + s->cid[e] * LL;
@@ -142,11 +144,11 @@ HOT void send_range(
         double rowmin = INFINITY;
         for (int64_t c = 0; c < lmax; ++c)
             MINACC(rowmin, new_buf[c]);
-        const uint8_t *ep = s->pad + e * lmax;
+        const int64_t count = p->counts[s->rcv[e]];
         double *mout = messages + s->out[e] * lmax;
         double *brcv = beliefs + s->rcv[e] * lmax;
         for (int64_t c = 0; c < lmax; ++c) {
-            const double nv = ep[c] ? 0.0 : new_buf[c] - rowmin;
+            const double nv = c >= count ? 0.0 : new_buf[c] - rowmin;
             brcv[c] += nv - mout[c];
             mout[c] = nv;
         }
@@ -223,7 +225,7 @@ HOT void forward_body(
     for (int64_t l = 0; l < p->n_fwd; ++l) {
         const double t0 = secs ? now() : 0.0;
         condition_level(p, lmax, l, beliefs, messages, labels, cond);
-        send_range(lmax, p->cost, &p->fwd, p->fwd.off[l], p->fwd.off[l + 1],
+        send_range(p, lmax, &p->fwd, p->fwd.off[l], p->fwd.off[l + 1],
                    limit, messages, beliefs);
         if (secs)
             secs[l] += now() - t0;
@@ -237,7 +239,7 @@ HOT void backward_body(
     const int64_t limit = p->bwd.off[p->n_bwd];
     for (int64_t l = 0; l < p->n_bwd; ++l) {
         const double t0 = secs ? now() : 0.0;
-        send_range(lmax, p->cost, &p->bwd, p->bwd.off[l], p->bwd.off[l + 1],
+        send_range(p, lmax, &p->bwd, p->bwd.off[l], p->bwd.off[l + 1],
                    limit, messages, beliefs);
         if (secs)
             secs[l] += now() - t0;
@@ -312,6 +314,79 @@ HOT void greedy_body(
     }
 }
 
+/* Unary plus every incoming message, added in slot order: BP's beliefs,
+ * TRW-S's starting beliefs and the bound's shares. */
+HOT void beliefs_body(
+    const plan_t *p, const int64_t lmax, const double *restrict messages,
+    double *restrict beliefs)
+{
+    const int64_t n = p->node_off[p->n_fwd];
+    const int64_t slots = 2 * p->fwd.off[p->n_fwd];
+    memcpy(beliefs, p->unary, (size_t)(n * lmax) * sizeof(double));
+    for (int64_t s = 0; s < slots; ++s) {
+        if (s + PF < slots)
+            __builtin_prefetch(beliefs + p->receiver[s + PF] * lmax, 1);
+        double *row = beliefs + p->receiver[s] * lmax;
+        const double *m = messages + s * lmax;
+        for (int64_t r = 0; r < lmax; ++r)
+            row[r] += m[r];
+    }
+}
+
+/* Synchronous min-sum update of every slot s: it reads the opposite
+ * slot s ^ 1 and pads at its receiver's labels past counts[receiver]. */
+HOT double bp_round_body(
+    const plan_t *p, const int64_t lmax,
+    const int64_t *restrict slot_sender, const int64_t *restrict slot_cid,
+    const double damping, const double *restrict beliefs,
+    double *restrict messages, double *restrict new_msgs)
+{
+    const int64_t LL = lmax * lmax;
+    const int64_t slots = 2 * p->fwd.off[p->n_fwd];
+    double base_buf[64];
+    for (int64_t s = 0; s < slots; ++s) {
+        if (s + PF < slots)
+            __builtin_prefetch(beliefs + slot_sender[s + PF] * lmax, 0);
+        const double *b = beliefs + slot_sender[s] * lmax;
+        const double *m_rev = messages + (s ^ 1) * lmax;
+        for (int64_t r = 0; r < lmax; ++r)
+            base_buf[r] = b[r] - m_rev[r];
+        const double *cm = p->cost + slot_cid[s] * LL;
+        double *nm = new_msgs + s * lmax;
+        for (int64_t c = 0; c < lmax; ++c)
+            nm[c] = INFINITY;
+        for (int64_t r = 0; r < lmax; ++r) {
+            const double br = base_buf[r];
+            const double *row = cm + r * lmax;
+            for (int64_t c = 0; c < lmax; ++c) {
+                const double v = row[c] + br;
+                MINACC(nm[c], v);
+            }
+        }
+        double rowmin = INFINITY;
+        for (int64_t c = 0; c < lmax; ++c)
+            MINACC(rowmin, nm[c]);
+        const int64_t count = p->counts[p->receiver[s]];
+        for (int64_t c = 0; c < lmax; ++c)
+            nm[c] = c >= count ? 0.0 : nm[c] - rowmin;
+    }
+    double max_change = 0.0;
+    for (int64_t s = 0; s < slots; ++s) {
+        double *m = messages + s * lmax;
+        const double *nm = new_msgs + s * lmax;
+        for (int64_t c = 0; c < lmax; ++c) {
+            const double old = m[c];
+            double nv = nm[c];
+            if (damping > 0.0)
+                nv = nv * (1.0 - damping) + old * damping;
+            const double d = fabs(nv - old);
+            if (d > max_change || isnan(d)) max_change = d;
+            m[c] = nv;
+        }
+    }
+    return max_change;
+}
+
 /* The TRW-S lower bound's chain minima (see MRFArrays.chains).  Node v's
  * share t_v = gamma_v * (unary_v + incoming messages in slot order); each
  * chain c keeps tail_c, its min-sum so far over the label of the node it
@@ -335,15 +410,7 @@ HOT void chain_body(
     double base_buf[64];
     double new_buf[64];
     memset(tail, 0, (size_t)(n_chains * lmax) * sizeof(double));
-    memcpy(share, p->unary, (size_t)(n * lmax) * sizeof(double));
-    for (int64_t k = 0; k < 2 * m; ++k) {
-        if (k + PF < 2 * m)
-            __builtin_prefetch(share + p->receiver[k + PF] * lmax, 1);
-        double *row = share + p->receiver[k] * lmax;
-        const double *msg = messages + k * lmax;
-        for (int64_t r = 0; r < lmax; ++r)
-            row[r] += msg[r];
-    }
+    beliefs_body(p, lmax, messages, share);
     for (int64_t v = 0; v < n; ++v) {
         const double g = p->gamma[v];
         for (int64_t r = 0; r < lmax; ++r)
@@ -353,12 +420,12 @@ HOT void chain_body(
         if (e + PF < m) {
             const int64_t f = e + PF;
             __builtin_prefetch(share + s->snd[f] * lmax, 0);
-            __builtin_prefetch(messages + s->inn[f] * lmax, 0);
+            __builtin_prefetch(messages + (s->out[f] ^ 1) * lmax, 0);
             __builtin_prefetch(messages + s->out[f] * lmax, 0);
             __builtin_prefetch(tail + chain[f] * lmax, 1);
         }
         const double *t = share + s->snd[e] * lmax;
-        const double *m_in = messages + s->inn[e] * lmax;
+        const double *m_in = messages + (s->out[e] ^ 1) * lmax;
         double *cur = tail + chain[e] * lmax;
         for (int64_t r = 0; r < lmax; ++r)
             base_buf[r] = (cur[r] + t[r]) - m_in[r];
@@ -596,97 +663,29 @@ void repro_schedule(
 }
 
 void repro_bp_beliefs(
-    int64_t n, int64_t slots, int64_t lmax, const double *unary,
-    const int64_t *slot_receiver, const double *messages, double *beliefs)
+    const plan_t *p, const double *messages, double *beliefs)
 {
-    memcpy(beliefs, unary, (size_t)(n * lmax) * sizeof(double));
-    for (int64_t s = 0; s < slots; ++s) {
-        if (s + PF < slots)
-            __builtin_prefetch(beliefs + slot_receiver[s + PF] * lmax, 1);
-        double *row = beliefs + slot_receiver[s] * lmax;
-        const double *m = messages + s * lmax;
-        for (int64_t r = 0; r < lmax; ++r)
-            row[r] += m[r];
-    }
-}
-
-static inline double bp_round_body(
-    int64_t slots, const int64_t lmax,
-    const double *restrict cost,
-    const int64_t *restrict slot_sender, const int64_t *restrict slot_reverse,
-    const int64_t *restrict slot_cid, const uint8_t *restrict slot_pad,
-    const double damping,
-    const double *restrict beliefs, double *restrict messages,
-    double *restrict new_msgs)
-{
-    const int64_t LL = lmax * lmax;
-    double base_buf[64];
-    for (int64_t s = 0; s < slots; ++s) {
-        if (s + PF < slots) {
-            __builtin_prefetch(beliefs + slot_sender[s + PF] * lmax, 0);
-            __builtin_prefetch(messages + slot_reverse[s + PF] * lmax, 0);
-        }
-        const double *b = beliefs + slot_sender[s] * lmax;
-        const double *m_rev = messages + slot_reverse[s] * lmax;
-        for (int64_t r = 0; r < lmax; ++r)
-            base_buf[r] = b[r] - m_rev[r];
-        const double *cm = cost + slot_cid[s] * LL;
-        double *nm = new_msgs + s * lmax;
-        for (int64_t c = 0; c < lmax; ++c)
-            nm[c] = INFINITY;
-        for (int64_t r = 0; r < lmax; ++r) {
-            const double br = base_buf[r];
-            const double *row = cm + r * lmax;
-            for (int64_t c = 0; c < lmax; ++c) {
-                const double v = row[c] + br;
-                MINACC(nm[c], v);
-            }
-        }
-        double rowmin = INFINITY;
-        for (int64_t c = 0; c < lmax; ++c)
-            MINACC(rowmin, nm[c]);
-        const uint8_t *ep = slot_pad + s * lmax;
-        for (int64_t c = 0; c < lmax; ++c)
-            nm[c] = ep[c] ? 0.0 : nm[c] - rowmin;
-    }
-    double max_change = 0.0;
-    for (int64_t s = 0; s < slots; ++s) {
-        double *m = messages + s * lmax;
-        const double *nm = new_msgs + s * lmax;
-        for (int64_t c = 0; c < lmax; ++c) {
-            const double old = m[c];
-            double nv = nm[c];
-            if (damping > 0.0)
-                nv = nv * (1.0 - damping) + old * damping;
-            const double d = fabs(nv - old);
-            if (d > max_change || isnan(d)) max_change = d;
-            m[c] = nv;
-        }
-    }
-    return max_change;
+    DISPATCH(beliefs_body(p, 4, messages, beliefs),
+             beliefs_body(p, 6, messages, beliefs),
+             beliefs_body(p, 8, messages, beliefs),
+             beliefs_body(p, p->lmax, messages, beliefs))
 }
 
 double repro_bp_round(
-    int64_t slots, int64_t lmax, const double *cost,
-    const int64_t *slot_sender, const int64_t *slot_reverse,
-    const int64_t *slot_cid, const uint8_t *slot_pad, double damping,
-    const double *beliefs, double *messages, double *new_msgs)
+    const plan_t *p, const int64_t *slot_sender, const int64_t *slot_cid,
+    double damping, const double *beliefs, double *messages,
+    double *new_msgs)
 {
-    if (lmax == 4)
-        return bp_round_body(slots, 4, cost, slot_sender, slot_reverse,
-                             slot_cid, slot_pad, damping, beliefs, messages,
-                             new_msgs);
-    if (lmax == 6)
-        return bp_round_body(slots, 6, cost, slot_sender, slot_reverse,
-                             slot_cid, slot_pad, damping, beliefs, messages,
-                             new_msgs);
-    if (lmax == 8)
-        return bp_round_body(slots, 8, cost, slot_sender, slot_reverse,
-                             slot_cid, slot_pad, damping, beliefs, messages,
-                             new_msgs);
-    return bp_round_body(slots, lmax, cost, slot_sender, slot_reverse,
-                         slot_cid, slot_pad, damping, beliefs, messages,
-                         new_msgs);
+    double change = 0.0;
+    DISPATCH(change = bp_round_body(p, 4, slot_sender, slot_cid, damping,
+                                    beliefs, messages, new_msgs),
+             change = bp_round_body(p, 6, slot_sender, slot_cid, damping,
+                                    beliefs, messages, new_msgs),
+             change = bp_round_body(p, 8, slot_sender, slot_cid, damping,
+                                    beliefs, messages, new_msgs),
+             change = bp_round_body(p, p->lmax, slot_sender, slot_cid,
+                                    damping, beliefs, messages, new_msgs))
+    return change;
 }
 """
 
@@ -703,9 +702,7 @@ _I64 = ctypes.c_int64
 class CSends(ctypes.Structure):
     """Mirror of the C ``sends_t``: one sweep direction's send arrays."""
 
-    _fields_ = [(name, _P) for name in (
-        "off", "snd", "rcv", "out", "inn", "cid", "gam", "pad",
-    )]
+    _fields_ = [(name, _P) for name in ("off", "snd", "rcv", "out", "cid")]
 
 
 class CPlan(ctypes.Structure):
@@ -714,7 +711,8 @@ class CPlan(ctypes.Structure):
     _fields_ = [
         ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64),
         *((name, _P) for name in (
-            "cost", "unary", "degree", "gamma", "receiver", "node_off",
+            "cost", "unary", "degree", "gamma", "counts", "receiver",
+            "node_off",
             "nodes",
             "ext_off", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
             "all_off", "all_seg", "all_nbr", "all_cid",
@@ -734,9 +732,9 @@ _SIGNATURES = (
      [ctypes.POINTER(CPlan), _P, _I64, _P, _P, _P, _P, _P], None),
     ("repro_schedule", [_I64, _I64, _P, _P, _P, _P, _P, _P], None),
     ("repro_label_graph", [ctypes.POINTER(CPlan), _P, _P, _P, _P], _I64),
-    ("repro_bp_beliefs", [_I64, _I64, _I64, _P, _P, _P, _P], None),
+    ("repro_bp_beliefs", [ctypes.POINTER(CPlan), _P, _P], None),
     ("repro_bp_round",
-     [_I64, _I64, _P, _P, _P, _P, _P, ctypes.c_double, _P, _P, _P],
+     [ctypes.POINTER(CPlan), _P, _P, ctypes.c_double, _P, _P, _P],
      ctypes.c_double),
 )
 

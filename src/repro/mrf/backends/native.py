@@ -46,10 +46,6 @@ __all__ = ["NativeBackend", "FALLBACK_COUNTER"]
 #: Obs counter incremented each time a native call runs on NumPy instead.
 FALLBACK_COUNTER = "backend.native_fallbacks"
 
-#: dtypes of the sweep-block fields that are not int64.
-_SWEEP_DTYPES = {"gam": np.float64, "pad": np.bool_}
-
-
 def _addr(a):
     """The data address of ``a`` (``None`` → a NULL pointer)."""
     return None if a is None else a.ctypes.data
@@ -79,6 +75,7 @@ class _PlanState:
 
     def __init__(self, plan) -> None:
         from repro.mrf.backends._cc import LMAX_LIMIT, CPlan, CSends
+        from repro.mrf.vectorized import _SEND_FIELDS
 
         # Weak references: a rebuilt plan frees its old arrays at once, and
         # a dead reference can never match a new object (no id() reuse).
@@ -90,15 +87,12 @@ class _PlanState:
             (plan.cost, np.float64), (plan.unary_inf, np.float64),
             (plan.gamma, np.float64),
             *((a, np.int64) for a in (
-                plan.edge_cid, plan.slot_receiver, plan.degree, fwd.node_off,
-                fwd.ext_off, fwd.all_off, fwd.send_off, bwd.send_off,
+                plan.label_counts, plan.edge_cid, plan.slot_receiver,
+                plan.degree, fwd.node_off, fwd.ext_off, fwd.all_off,
+                fwd.send_off, bwd.send_off,
+                *vars(fwd.block).values(), *vars(bwd.block).values(),
             )),
         ]
-        for csr in (fwd, bwd):
-            checks += [
-                (a, _SWEEP_DTYPES.get(name, np.int64))
-                for name, a in vars(csr.block).items()
-            ]
         # Node ids are range-checked by the plan build; cost ids arrive
         # from callers unchecked, and the kernels index the stack raw.
         cids = plan.edge_cid
@@ -118,15 +112,14 @@ class _PlanState:
         def sends(csr) -> CSends:
             block = csr.block
             return CSends(off=_addr(csr.send_off), **{
-                name: _addr(getattr(block, name))
-                for name in ("snd", "rcv", "out", "inn", "cid", "gam", "pad")
+                name: _addr(getattr(block, name)) for name in _SEND_FIELDS
             })
 
         self.ref = ctypes.pointer(CPlan(
             lmax=plan.lmax, n_fwd=fwd.count, n_bwd=bwd.count,
             cost=_addr(plan.cost), unary=_addr(plan.unary_inf),
             degree=_addr(plan.degree), gamma=_addr(plan.gamma),
-            receiver=_addr(plan.slot_receiver),
+            counts=_addr(plan.label_counts), receiver=_addr(plan.slot_receiver),
             node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
             all_off=_addr(fwd.all_off), fwd=sends(fwd), bwd=sends(bwd),
             **{
@@ -361,15 +354,10 @@ class NativeBackend(KernelBackend):
         if not ready:
             self._fallback().bp_beliefs(plan, messages, beliefs)
             return
-        kernels, _ = ready
-        kernels.bp_beliefs(
-            plan.node_count, 2 * plan.edge_count, plan.lmax,
-            _addr(plan.unary_inf), _addr(plan.slot_receiver),
-            _addr(messages), _addr(beliefs),
-        )
+        kernels, state = ready
+        kernels.bp_beliefs(state.ref, _addr(messages), _addr(beliefs))
 
     def bp_round(self, plan, messages, beliefs, damping, scratch):
-        slots = 2 * plan.edge_count
         ready = self._guard(
             plan, _messages(plan, messages), _beliefs(plan, beliefs)
         )
@@ -377,14 +365,9 @@ class NativeBackend(KernelBackend):
             return self._fallback().bp_round(
                 plan, messages, beliefs, damping, scratch
             )
-        kernels, _ = ready
-        lmax = plan.lmax
-        return float(
-            kernels.bp_round(
-                slots, lmax, _addr(plan.cost),
-                _addr(plan.slot_sender), _addr(plan.slot_reverse),
-                _addr(plan.slot_cid), _addr(plan.slot_pad), float(damping),
-                _addr(beliefs), _addr(messages),
-                _addr(scratch.array("native_bp_new", (slots, lmax))),
-            )
-        )
+        kernels, state = ready
+        new = scratch.array("native_bp_new", messages.shape)
+        return float(kernels.bp_round(
+            state.ref, _addr(plan.slot_sender), _addr(plan.slot_cid),
+            float(damping), _addr(beliefs), _addr(messages), _addr(new),
+        ))

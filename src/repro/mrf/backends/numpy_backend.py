@@ -176,11 +176,13 @@ class NumpyBackend(KernelBackend):
             tmp = scratch.array("send_tmp", (k, lmax))
             cost = scratch.array("send_cost", (k, lmax, lmax))
             new = scratch.array("send_new", (k, lmax))
+            inn = scratch.array("send_inn", (k,), np.int64)
             rows = chain[offsets[index] : offsets[index + 1]]
             tail.take(rows, axis=0, out=base, mode="clip")
             share.take(level.snd, axis=0, out=tmp, mode="clip")
             np.add(base, tmp, out=base)
-            messages.take(level.inn, axis=0, out=tmp, mode="clip")
+            np.bitwise_xor(level.out, 1, out=inn)
+            messages.take(inn, axis=0, out=tmp, mode="clip")
             np.subtract(base, tmp, out=base)
             plan.cost.take(level.cid, axis=0, out=cost, mode="clip")
             np.add(cost, base[:, :, None], out=cost)
@@ -206,15 +208,19 @@ class NumpyBackend(KernelBackend):
         cost = scratch.array("bp_cost", (slots, lmax, lmax))
         updated = scratch.array("bp_new", (slots, lmax))
         rowmin = scratch.array("bp_rowmin", (slots, 1))
+        pad = scratch.array("bp_pad", (slots, lmax), np.bool_)
         beliefs.take(plan.slot_sender, axis=0, out=base, mode="clip")
-        messages.take(plan.slot_reverse, axis=0, out=diff, mode="clip")
+        # Slot s receives on s ^ 1: swap the two rows of every edge.
+        pairs = (plan.edge_count, 2, lmax)
+        np.copyto(diff.reshape(pairs), messages.reshape(pairs)[:, ::-1])
         np.subtract(base, diff, out=base)
         plan.cost.take(plan.slot_cid, axis=0, out=cost, mode="clip")
         np.add(cost, base[:, :, None], out=cost)
         cost.min(axis=1, out=updated)
         updated.min(axis=1, keepdims=True, out=rowmin)
         np.subtract(updated, rowmin, out=updated)
-        np.copyto(updated, 0.0, where=plan.slot_pad)
+        plan._pad.take(plan.slot_receiver, axis=0, out=pad, mode="clip")
+        np.copyto(updated, 0.0, where=pad)
         if damping > 0.0:
             np.multiply(updated, 1.0 - damping, out=updated)
             np.multiply(messages, damping, out=diff)
@@ -341,9 +347,14 @@ def _send(plan, block, messages, beliefs, scratch):
     cost = scratch.array("send_cost", (k, lmax, lmax))
     new = scratch.array("send_new", (k, lmax))
     rowmin = scratch.array("send_rowmin", (k, 1))
+    gam = scratch.array("send_gam", (k, 1))
+    inn = scratch.array("send_inn", (k,), np.int64)
+    pad = scratch.array("send_pad", (k, lmax), np.bool_)
     beliefs.take(block.snd, axis=0, out=base, mode="clip")
-    np.multiply(base, block.gam, out=base)
-    messages.take(block.inn, axis=0, out=tmp, mode="clip")
+    plan.gamma.take(block.snd, out=gam[:, 0], mode="clip")
+    np.multiply(base, gam, out=base)
+    np.bitwise_xor(block.out, 1, out=inn)  # the receiver → sender slot
+    messages.take(inn, axis=0, out=tmp, mode="clip")
     np.subtract(base, tmp, out=base)
     plan.cost.take(block.cid, axis=0, out=cost, mode="clip")
     np.add(cost, base[:, :, None], out=cost)
@@ -351,7 +362,8 @@ def _send(plan, block, messages, beliefs, scratch):
     new.min(axis=1, keepdims=True, out=rowmin)
     np.subtract(new, rowmin, out=new)
     # Padded receiver labels came out +inf; store the 0 convention.
-    np.copyto(new, 0.0, where=block.pad)
+    plan._pad.take(block.rcv, axis=0, out=pad, mode="clip")
+    np.copyto(new, 0.0, where=pad)
     messages.take(block.out, axis=0, out=tmp, mode="clip")
     np.subtract(new, tmp, out=tmp)
     np.add.at(beliefs, block.rcv, tmp)

@@ -37,10 +37,14 @@ instead of per-edge Python loops:
 
 Directed message slot layout matches the reference solvers: slot ``2e``
 carries first→second of edge ``e`` (indexed by the second endpoint's
-labels), slot ``2e+1`` the reverse.
+labels), slot ``2e+1`` the reverse, so a slot's opposite is ``slot ^ 1``.
+The plan stores each fact once: what follows from a node (its γ weight,
+its padding row) or from a slot (its opposite) is read per node or per
+slot by the kernels, never copied out per edge.
 
 Besides wrapping a finished :class:`~repro.mrf.graph.PairwiseMRF`, a plan
-can be built straight from arrays (:meth:`MRFArrays.from_parts`) and
+can be built straight from arrays (:meth:`MRFArrays.from_dense` adopts a
+padded unary stack, :meth:`MRFArrays.from_parts` pads per-node vectors) and
 **delta-updated** afterwards — :meth:`MRFArrays.set_cost_matrix` rewrites
 one cost-stack entry in place (similarity feeds change values, not
 structure), :meth:`MRFArrays.set_unary` rewrites one node's hard-mask
@@ -168,6 +172,20 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return off
 
 
+def _padded_stack(
+    unaries: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(unary, label_counts)``: per-node vectors as a zero-padded
+    ``(n, lmax)`` stack, ``lmax`` the widest vector."""
+    counts = np.asarray([len(u) for u in unaries], dtype=np.int64)
+    unary = np.zeros((len(counts), int(counts.max(initial=0))))
+    # Row-major boolean assignment fills each row's leading ``counts[i]``
+    # slots in order — one copy for all nodes.
+    mask = np.arange(unary.shape[1]) < counts[:, None]
+    unary[mask] = np.concatenate([np.zeros(0), *unaries])
+    return unary, counts
+
+
 def _level_order(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The nodes level-major, ascending within a level, and the offsets
     of each level's slice of them."""
@@ -176,15 +194,14 @@ def _level_order(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _SendBlock:
-    """Flattened directed edges whose senders share one wavefront level."""
+    """Flattened directed edges whose senders share one wavefront level;
+    the kernels read ``gamma[snd]``, the padding of ``rcv`` and the
+    opposite slot ``out ^ 1`` through them."""
 
     snd: np.ndarray  # sender node per edge
     rcv: np.ndarray  # receiver node per edge
     out: np.ndarray  # message slot written (sender → receiver)
-    inn: np.ndarray  # opposite slot on the same edge (receiver → sender)
     cid: np.ndarray  # cost-stack index, oriented rows = sender labels
-    gam: np.ndarray  # (edges, 1) sender γ weights, pregathered
-    pad: np.ndarray  # (edges, lmax) True at the receiver's padded labels
 
 
 @dataclass
@@ -203,7 +220,7 @@ class _Wavefront(_SendBlock):
     all_cid: np.ndarray
 
 
-_SEND_FIELDS = ("snd", "rcv", "out", "inn", "cid", "gam", "pad")
+_SEND_FIELDS = ("snd", "rcv", "out", "cid")
 
 
 @dataclass
@@ -288,9 +305,8 @@ class MRFArrays:
             edge_first[e] = i
             edge_second[e] = j
             edge_cid[e] = k
-        self._setup_nodes(unaries)
-        self._setup_costs(matrices)
-        self._build_structure(edge_first, edge_second, edge_cid)
+        self._install_nodes(*_padded_stack(unaries))
+        self.replace_edges(edge_first, edge_second, edge_cid, matrices)
 
     @classmethod
     def from_parts(
@@ -300,24 +316,18 @@ class MRFArrays:
         edge_second: np.ndarray,
         edge_cid: np.ndarray,
         matrices: Sequence[np.ndarray],
-        lmax: Optional[int] = None,
     ) -> "MRFArrays":
-        """Build a plan straight from arrays, bypassing the MRF object.
+        """Build a plan straight from per-node unary vectors and arrays,
+        bypassing the MRF object.
 
         ``edge_cid[e]`` indexes ``matrices``; matrix rows correspond to the
-        labels of ``edge_first[e]``.  ``lmax`` can force a label padding
-        wider than the largest unary (so message arrays keep their width
-        across delta updates that shrink the label space).
+        labels of ``edge_first[e]``.  The labels are padded to the widest
+        vector; :meth:`from_dense` takes a stack padded wider.
         """
-        plan = cls.__new__(cls)
-        plan._setup_nodes(unaries, lmax=lmax)
-        plan._setup_costs(matrices)
-        plan._build_structure(
-            np.asarray(edge_first, dtype=np.int64),
-            np.asarray(edge_second, dtype=np.int64),
-            np.asarray(edge_cid, dtype=np.int64),
+        return cls.from_dense(
+            *_padded_stack(unaries), edge_first, edge_second, edge_cid,
+            matrices,
         )
-        return plan
 
     @classmethod
     def from_dense(
@@ -328,65 +338,38 @@ class MRFArrays:
         edge_second: np.ndarray,
         edge_cid: np.ndarray,
         matrices: Sequence[np.ndarray],
-        lmax: Optional[int] = None,
     ) -> "MRFArrays":
-        """Build a plan from an already-padded ``(n, lmax)`` unary stack.
+        """Build a plan from a padded ``(n, lmax)`` unary stack.
 
-        The zero-copy entry point of the network→plan compiler
-        (:mod:`repro.core.compile`): ``unary`` must be zero at padded
-        label slots (``from_parts``'s fill convention).  Everything else
-        matches :meth:`from_parts`.
+        The stack's width is the plan's label padding ``lmax``, which may
+        exceed the widest label count (message arrays then keep their
+        width across deltas that shrink the label space).  ``unary`` must
+        be zero at padded label slots and is adopted without a copy: the
+        plan's :attr:`unary` is that very array, which the network→plan
+        compiler (:mod:`repro.core.compile`) and the streaming engine
+        rely on.  Everything else matches :meth:`from_parts`.
         """
         plan = cls.__new__(cls)
         plan._install_nodes(
             np.asarray(unary, dtype=float),
             np.asarray(label_counts, dtype=np.int64),
-            lmax=lmax,
         )
-        plan._setup_costs(matrices)
-        plan._build_structure(
-            np.asarray(edge_first, dtype=np.int64),
-            np.asarray(edge_second, dtype=np.int64),
-            np.asarray(edge_cid, dtype=np.int64),
-        )
+        plan.replace_edges(edge_first, edge_second, edge_cid, matrices)
         return plan
 
     # ------------------------------------------------------- construction
 
-    def _setup_nodes(
-        self, unaries: Sequence[np.ndarray], lmax: Optional[int] = None
-    ) -> None:
-        n = len(unaries)
-        counts = np.asarray([len(u) for u in unaries], dtype=np.int64)
-        widest = int(counts.max()) if n else 0
-        if lmax is None:
-            lmax = widest
-        elif lmax < widest:
-            raise ValueError(f"lmax={lmax} below widest label space {widest}")
-        unary = np.zeros((n, lmax))
-        if n:
-            # Row-major boolean assignment fills each row's leading
-            # ``counts[i]`` slots in order — one copy for all nodes.
-            unary[np.arange(lmax)[None, :] < counts[:, None]] = (
-                np.concatenate(unaries)
-            )
-        self._install_nodes(unary, counts, lmax=lmax)
-
-    def _install_nodes(
-        self, unary: np.ndarray, counts: np.ndarray, lmax: Optional[int] = None
-    ) -> None:
+    def _install_nodes(self, unary: np.ndarray, counts: np.ndarray) -> None:
         """Adopt a padded unary stack (zeros outside the label masks)."""
         n = len(counts)
-        self.node_count = n
         widest = int(counts.max()) if n else 0
-        if lmax is None:
-            lmax = widest
-        elif lmax < widest:
-            raise ValueError(f"lmax={lmax} below widest label space {widest}")
-        if unary.shape != (n, lmax):
-            padded = np.zeros((n, lmax))
-            padded[:, : unary.shape[1]] = unary
-            unary = padded
+        if unary.ndim != 2 or len(unary) != n or unary.shape[1] < widest:
+            raise ValueError(
+                f"unary stack of shape {unary.shape} does not hold {n} "
+                f"nodes of up to {widest} labels"
+            )
+        lmax = unary.shape[1]
+        self.node_count = n
         self.label_counts = counts
         self.lmax = lmax
         self.mask = np.arange(lmax)[None, :] < counts[:, None]
@@ -543,10 +526,7 @@ class MRFArrays:
                 snd=snd,
                 rcv=rcv,
                 out=out,
-                inn=out ^ 1,
                 cid=all_cid.take(up),
-                gam=gamma.take(snd)[:, None],
-                pad=self._pad.take(rcv, axis=0),
                 all_seg=all_seg,
                 all_nbr=nbr,
                 all_cid=all_cid,
@@ -579,17 +559,14 @@ class MRFArrays:
                 snd=snd,
                 rcv=rcv,
                 out=out,
-                inn=out ^ 1,
                 cid=ext_cid.take(rows),
-                gam=gamma.take(snd)[:, None],
-                pad=self._pad.take(rcv, axis=0),
             ),
             send_off=np.concatenate((bounds[:-1][nonempty], bounds[-1:])),
         )
         self._fwd_levels: Optional[List[_Wavefront]] = None
         self._bwd_levels: Optional[List[_SendBlock]] = None
         self._components: Optional[Tuple[np.ndarray, int]] = None
-        self._bp: Optional[Tuple[np.ndarray, ...]] = None
+        self._bp: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._chains: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _slot_cid(self, slots: np.ndarray) -> np.ndarray:
@@ -601,21 +578,14 @@ class MRFArrays:
 
     # --------------------------------------------------------- BP slots
 
-    def _bp_slots(self) -> Tuple[np.ndarray, ...]:
-        """(sender, reverse, cid, pad) per directed slot, built when the
-        synchronous BP update first reads them and kept for the plan's
-        edge set."""
+    def _bp_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(sender, cid) per directed slot, built when the synchronous BP
+        update first reads them and kept for the plan's edge set.  Slot
+        ``s`` receives on ``s ^ 1``, and pads at its receiver's labels
+        past ``label_counts``; the kernels derive both."""
         if self._bp is None:
-            reverse = np.arange(2 * self.edge_count) ^ 1
-            # A slot's sender receives on the opposite slot.  The padding
-            # rows are pregathered (2·edges, lmax) so the BP update pads
-            # without a fancy index per round.
-            self._bp = (
-                self.slot_receiver[reverse],
-                reverse,
-                self._slot_cid(reverse ^ 1),
-                self._pad[self.slot_receiver],
-            )
+            slots = np.arange(2 * self.edge_count)
+            self._bp = (self.slot_receiver[slots ^ 1], self._slot_cid(slots))
         return self._bp
 
     @property
@@ -624,19 +594,9 @@ class MRFArrays:
         return self._bp_slots()[0]
 
     @property
-    def slot_reverse(self) -> np.ndarray:
-        """The opposite slot of the same edge, per slot (BP)."""
-        return self._bp_slots()[1]
-
-    @property
     def slot_cid(self) -> np.ndarray:
         """Cost id per slot, oriented rows = the sender's labels (BP)."""
-        return self._bp_slots()[2]
-
-    @property
-    def slot_pad(self) -> np.ndarray:
-        """(2·edges, lmax) True at the receiver's padded labels (BP)."""
-        return self._bp_slots()[3]
+        return self._bp_slots()[1]
 
     # ------------------------------------------------------------ levels
 

@@ -99,14 +99,14 @@ class Snapshot:
     similarity: SimilarityTable
     constraints: ConstraintSet
     meta: Dict[str, object]
-    unaries: List[np.ndarray]
+    unary: np.ndarray  # (nodes, lmax) padded stack, zeros outside the mask
+    label_counts: np.ndarray
     edge_first: np.ndarray
     edge_second: np.ndarray
     edge_cid: np.ndarray
     matrices: List[np.ndarray]
     messages: np.ndarray
     labels: Optional[np.ndarray]
-    lmax: int
 
     @property
     def events_applied(self) -> int:
@@ -153,21 +153,11 @@ def save_snapshot(
     """
     plan = engine.plan
     plan.flush()
-    lmax = int(plan.messages.shape[1]) if plan.messages.size else plan.plan.lmax
-    lmax = max(lmax, plan.plan.lmax)
-
-    counts = np.asarray([len(u) for u in plan._unaries], dtype=np.int64)
-    unary = np.zeros((len(counts), lmax))
-    for node, vector in enumerate(plan._unaries):
-        unary[node, : len(vector)] = vector
-    mat_shapes = np.asarray(
-        [m.shape for m in plan._matrices], dtype=np.int64
-    ).reshape(len(plan._matrices), 2)
-    mat_data = (
-        np.concatenate([m.ravel() for m in plan._matrices])
-        if plan._matrices
-        else np.zeros(0)
-    )
+    # The flushed stack is as wide as the live plan and its messages.
+    unary, counts, edge_first, edge_second, edge_cid, matrices = plan.parts()
+    mat_shapes = np.asarray([m.shape for m in matrices], dtype=np.int64)
+    mat_shapes = mat_shapes.reshape(len(matrices), 2)
+    mat_data = np.concatenate([m.ravel() for m in matrices] or [np.zeros(0)])
     labels = plan.labels
     meta = {
         "schema": SNAPSHOT_SCHEMA,
@@ -213,10 +203,10 @@ def save_snapshot(
             staging / _ARRAYS_NAME,
             unary=unary,
             label_counts=counts,
-            lmax=np.asarray([lmax], dtype=np.int64),
-            edge_first=np.asarray(plan._edge_first, dtype=np.int64),
-            edge_second=np.asarray(plan._edge_second, dtype=np.int64),
-            edge_cid=np.asarray(plan._edge_cid, dtype=np.int64),
+            lmax=np.asarray([unary.shape[1]], dtype=np.int64),
+            edge_first=edge_first,
+            edge_second=edge_second,
+            edge_cid=edge_cid,
             mat_shapes=mat_shapes,
             mat_data=mat_data,
             messages=plan.messages,
@@ -248,7 +238,8 @@ def load_snapshot(path: Union[str, Path]) -> Snapshot:
     """Read one ``snap-<version>/`` directory back into a :class:`Snapshot`.
 
     Validates the format version; raises ``ValueError`` on unknown schemas
-    or malformed layouts (missing files, inconsistent array sizes).
+    or malformed layouts (missing files, inconsistent array sizes).  The
+    unary block is kept as stored, one padded ``(nodes, lmax)`` stack.
     """
     root = Path(path)
     meta_path = root / _META_NAME
@@ -274,12 +265,8 @@ def load_snapshot(path: Union[str, Path]) -> Snapshot:
     similarity = _similarity_from_dict(meta["similarity"])
 
     with np.load(arrays_path) as blob:
-        counts = blob["label_counts"]
         unary = blob["unary"]
-        unaries = [
-            unary[node, : int(count)].copy()
-            for node, count in enumerate(counts)
-        ]
+        lmax = int(blob["lmax"][0])
         shapes = blob["mat_shapes"]
         data = blob["mat_data"]
         matrices: List[np.ndarray] = []
@@ -299,17 +286,22 @@ def load_snapshot(path: Union[str, Path]) -> Snapshot:
             similarity=similarity,
             constraints=constraints,
             meta=meta,
-            unaries=unaries,
+            unary=unary,
+            label_counts=blob["label_counts"].astype(np.int64),
             edge_first=blob["edge_first"].astype(np.int64),
             edge_second=blob["edge_second"].astype(np.int64),
             edge_cid=blob["edge_cid"].astype(np.int64),
             matrices=matrices,
             messages=blob["messages"].copy(),
             labels=labels if meta.get("has_labels") else None,
-            lmax=int(blob["lmax"][0]),
         )
     if len(snapshot.edge_first) * 2 != len(snapshot.messages):
         raise ValueError("snapshot message block does not match edge count")
+    if unary.ndim != 2 or {unary.shape[1], snapshot.messages.shape[-1]} != {lmax}:
+        raise ValueError(
+            f"snapshot unary block {unary.shape} and message width "
+            f"{snapshot.messages.shape[-1]} do not match lmax {lmax}"
+        )
     return snapshot
 
 
@@ -321,7 +313,8 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
     and label state resume exactly.  The model still gets the checks a
     compile runs (:func:`repro.core.compile.check_model`): negative
     weights and constraints that do not fit the network raise
-    ``ValueError``.  The returned plan is fully live:
+    ``ValueError``, and so does a node table that does not fit the
+    network (:func:`_check_nodes`).  The returned plan is fully live:
     future events patch it the same way they would have patched the
     original.  Meta keys this build does not read (a ``shard_cache``
     written by an older sharded daemon) are ignored.
@@ -343,6 +336,14 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
     variables = [
         (str(host), str(service)) for host, service in meta["variables"]
     ]
+    candidates = [
+        snapshot.network.candidates(host, service)
+        for host, service in variables
+    ]
+    _check_nodes(variables, candidates, snapshot)
+    # Copies, like the messages and labels below: the live plan writes
+    # its stack in place and the snapshot stays as loaded.
+    unary = snapshot.unary.copy()
     matrices = list(snapshot.matrices)
     links, edge_link, tags, edge_tag = intern_edge_keys([
         (
@@ -353,11 +354,9 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
     ])
     plan.install(
         variables=variables,
-        candidates=[
-            snapshot.network.candidates(host, service)
-            for host, service in variables
-        ],
-        unaries=list(snapshot.unaries),
+        candidates=candidates,
+        unary=unary,
+        label_counts=snapshot.label_counts,
         matrices=matrices,
         matrix_meta=[
             (tuple(range_a), tuple(range_b), float(weight))
@@ -374,13 +373,13 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
         edge_first=snapshot.edge_first,
         edge_second=snapshot.edge_second,
         edge_cid=snapshot.edge_cid,
-        plan=MRFArrays.from_parts(
-            snapshot.unaries,
+        plan=MRFArrays.from_dense(
+            unary,
+            snapshot.label_counts,
             snapshot.edge_first,
             snapshot.edge_second,
             snapshot.edge_cid,
             matrices,
-            lmax=snapshot.lmax,
         ),
         messages=snapshot.messages.copy(),
         labels=(
@@ -388,6 +387,31 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
         ),
     )
     return plan
+
+
+def _check_nodes(variables, candidates, snapshot: Snapshot) -> None:
+    """Raise ``ValueError`` naming the first node whose stored state does
+    not fit the model it is restored onto."""
+    counts, unary, n = snapshot.label_counts, snapshot.unary, len(variables)
+    labels = np.zeros(n, np.int64) if snapshot.labels is None else snapshot.labels
+    if {len(counts), len(unary), len(labels)} != {n}:
+        raise ValueError(f"snapshot node table does not cover its {n} nodes")
+    ranges = np.asarray([len(range_) for range_ in candidates], dtype=np.int64)
+    width = unary.shape[1]
+    for bad, problem in (
+        (counts != ranges, lambda i: f"has {counts[i]} labels but its "
+         f"candidate range {ranges[i]}"),
+        (counts > width, lambda i: f"has {counts[i]} labels, more than the "
+         f"unary block's width {width}"),
+        ((labels < 0) | (labels >= counts), lambda i: f"stores label "
+         f"{labels[i]} outside its {counts[i]} candidates"),
+    ):
+        if bad.any():
+            node = int(np.argmax(bad))
+            host, service = variables[node]
+            raise ValueError(
+                f"snapshot node {node} ({host}, {service}) {problem(node)}"
+            )
 
 
 def restore_engine(

@@ -188,7 +188,8 @@ class StreamPlan:
         self.install(
             variables=parts.variables,
             candidates=parts.candidates,
-            unaries=parts.unary_vectors(),
+            unary=parts.unary,
+            label_counts=parts.label_counts,
             matrices=parts.matrices,
             matrix_meta=parts.matrix_meta,
             links=[*links, *combo_links],
@@ -208,7 +209,8 @@ class StreamPlan:
         *,
         variables: List[Tuple[str, str]],
         candidates: List[Tuple[str, ...]],
-        unaries: List[np.ndarray],
+        unary: np.ndarray,
+        label_counts: np.ndarray,
         matrices: List[np.ndarray],
         matrix_meta: List[_MatrixKey],
         links: List[Tuple[str, str]],
@@ -229,18 +231,22 @@ class StreamPlan:
         (:meth:`rebuild`) and the snapshot restore
         (:func:`repro.service.snapshot.restore_plan`) both hand their parts
         over here, so neither can forget a field.  ``plan`` must be the
-        :class:`MRFArrays` of exactly these parts; ``messages`` holds two
-        rows per edge and ``labels`` (``None`` before any solve) one per
-        variable.  Edge row ``e``'s key is ``(links[edge_link[e]],
-        tags[edge_tag[e]])``; ``links`` and ``tags`` hold distinct keys
-        (:func:`intern_edge_keys` builds all four from a key list).
+        :class:`MRFArrays` of exactly these parts (it may share ``unary``,
+        the padded stack); ``messages`` holds two rows per edge and
+        ``labels`` (``None`` before any solve) one per variable.  Edge row
+        ``e``'s key is ``(links[edge_link[e]], tags[edge_tag[e]])``;
+        ``links`` and ``tags`` hold distinct keys (:func:`intern_edge_keys`
+        builds all four from a key list).
         """
         self.variables = variables
         self.index: Dict[Tuple[str, str], int] = dict(
             zip(variables, range(len(variables)))
         )
         self.candidates = candidates
-        self._unaries = unaries
+        #: padded unary stack (width = the plan's ``lmax``) and label
+        #: counts; rows ``[0, len(variables))`` in use, spare rows zero.
+        self._unary = unary
+        self._label_counts = label_counts
         self._matrices = matrices
         self._matrix_meta = matrix_meta
         # Combination tables carry the placeholder meta; they never join
@@ -367,25 +373,18 @@ class StreamPlan:
                 dead_nodes=dead_nodes, dead_edges=dead_edges,
                 new_edges=new_edges,
             )
-            edge_first, edge_second = self._edge_first, self._edge_second
-            edge_cid = self._edge_cid
+            unary, counts, *edges = self.parts()
             if self._nodes_dirty:
-                widest = max(map(len, self._unaries), default=0)
-                lmax = max(self.plan.lmax, widest)
+                lmax = unary.shape[1]
                 if lmax > self.plan.lmax:
                     # Wider label spaces joined: grow the message padding;
                     # the padded-message convention is 0, so this is exact.
                     self._messages = np.pad(
                         self._messages, ((0, 0), (0, lmax - self.plan.lmax))
                     )
-                self.plan = MRFArrays.from_parts(
-                    self._unaries, edge_first, edge_second, edge_cid,
-                    self._matrices, lmax=lmax,
-                )
+                self.plan = MRFArrays.from_dense(unary, counts, *edges)
             else:
-                self.plan.replace_edges(
-                    edge_first, edge_second, edge_cid, self._matrices
-                )
+                self.plan.replace_edges(*edges)
             self._nodes_dirty = False
             self._edges_dirty = False
         return self.plan
@@ -403,16 +402,18 @@ class StreamPlan:
         return self._edge_rows - self._dead_edges
 
     def parts(self):
-        """The raw plan parts, in :meth:`MRFArrays.from_parts` form.
+        """The raw plan parts, in :meth:`MRFArrays.from_dense` form.
 
-        Returns ``(unaries, edge_first, edge_second, edge_cid, matrices)``
-        reflecting every applied event — compacted, but without the global
-        slot/level re-derivation :meth:`flush` adds.  The edge arrays are
-        read-only views of the live columns.
+        Returns ``(unary, label_counts, edge_first, edge_second, edge_cid,
+        matrices)`` reflecting every applied event — compacted, but
+        without the global slot/level re-derivation :meth:`flush` adds.
+        The arrays are read-only views of the live stack and columns.
         """
         self._compact()
+        n = len(self.variables)
         return (
-            self._unaries,
+            self._unary[:n],
+            self._label_counts[:n],
             self._edge_first,
             self._edge_second,
             self._edge_cid,
@@ -503,10 +504,21 @@ class StreamPlan:
 
     def _append_variable(self, host: str, service: str) -> None:
         range_ = self.network.candidates(host, service)
-        self.index[(host, service)] = len(self.variables)
+        row, count = len(self.variables), len(range_)
+        # Grow by doubling, like the edge columns, and widen for a wider
+        # range: fresh arrays, so the live plan's stack stays untouched.
+        if row == len(self._unary):
+            self._unary = _pad_rows(self._unary, max(16, 2 * row))
+            self._label_counts = _pad_rows(self._label_counts, len(self._unary))
+        if count > self._unary.shape[1]:
+            self._unary = np.pad(
+                self._unary, ((0, 0), (0, count - self._unary.shape[1]))
+            )
+        self._unary[row, :count] = self.unary_constant
+        self._label_counts[row] = count
+        self.index[(host, service)] = row
         self.variables.append((host, service))
         self.candidates.append(range_)
-        self._unaries.append(np.full(len(range_), self.unary_constant))
 
     def _weight(self, service: str) -> float:
         return self.pairwise_weight * float(self.service_weights.get(service, 1.0))
@@ -619,14 +631,17 @@ class StreamPlan:
             flags = live.tolist()
             self.variables = list(compress(self.variables, flags))
             self.candidates = list(compress(self.candidates, flags))
-            self._unaries = list(compress(self._unaries, flags))
+            kept = np.flatnonzero(live)
+            self._label_counts = self._label_counts.take(kept)
+            # A wider host that joined and left since the last flush does
+            # not widen the plan.
+            width = max(self.plan.lmax, int(self._label_counts.max(initial=0)))
+            self._unary = self._unary[:, :width].take(kept, axis=0)
             self.index = dict(
                 zip(self.variables, range(len(self.variables)))
             )
             if self._labels is not None:
-                self._labels = _gather_rows(
-                    self._labels, np.flatnonzero(live), 1
-                )
+                self._labels = _gather_rows(self._labels, kept, 1)
             self._dead_nodes = []
         if dead_nodes or dead_edges:
             alive = self._edge_alive[: self._edge_rows]
@@ -701,10 +716,12 @@ class StreamPlan:
             vector = vector + constraint_mask(
                 self.candidates[node], constraint
             )
-        self._unaries[node] = vector
+        # The live plan may share this stack (``from_dense`` adopts it).
+        # While a host delta is pending, raw ids can diverge from the
+        # plan's: such a row write reaches only a plan that the next flush
+        # replaces, and the engine reads no plan before flushing.
+        self._unary[node, : len(vector)] = vector
         if not self._nodes_dirty:
-            # Node ids in the live plan only diverge while a host delta is
-            # pending; until then the in-place write keeps the plan hot.
             self.plan.set_unary(node, vector)
         if (
             self._labels is not None

@@ -14,6 +14,7 @@ import random
 import numpy as np
 
 from repro.mrf.graph import PairwiseMRF
+from repro.mrf.vectorized import MRFArrays
 
 __all__ = [
     "LEXSORT_FWD_FIELDS",
@@ -23,6 +24,7 @@ __all__ = [
     "edge_similarity_loop",
     "lexsort_structure",
     "make_random_mrf",
+    "padded_plan",
     "pipeline_estate",
     "python_levels",
     "stability_oracle",
@@ -68,6 +70,19 @@ def make_random_mrf(
                     )
                     mrf.add_edge(i, j, matrix)
     return mrf
+
+
+def padded_plan(unaries, edge_first, edge_second, edge_cid, matrices, lmax):
+    """:meth:`MRFArrays.from_parts` with the labels padded to ``lmax``
+    (at least the widest vector): the per-node vectors are laid into a
+    zero-padded ``(n, lmax)`` stack for :meth:`MRFArrays.from_dense`."""
+    counts = np.array([len(u) for u in unaries], dtype=np.int64)
+    unary = np.zeros((len(unaries), lmax))
+    for node, vector in enumerate(unaries):
+        unary[node, : len(vector)] = vector
+    return MRFArrays.from_dense(
+        unary, counts, edge_first, edge_second, edge_cid, matrices
+    )
 
 
 def pipeline_estate(hosts: int, seed: int = 0):
@@ -215,10 +230,10 @@ def assert_schedule_kernels_agree(n: int, first, second) -> None:
 #: Fields of the forward / backward sweep blocks, in oracle order.
 LEXSORT_FWD_FIELDS = (
     "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
-    "snd", "rcv", "out", "inn", "cid", "gam", "pad",
+    "snd", "rcv", "out", "cid",
     "all_seg", "all_nbr", "all_cid",
 )
-LEXSORT_BWD_FIELDS = ("snd", "rcv", "out", "inn", "cid", "gam", "pad")
+LEXSORT_BWD_FIELDS = ("snd", "rcv", "out", "cid")
 
 
 def lexsort_structure(plan) -> dict:
@@ -235,22 +250,17 @@ def lexsort_structure(plan) -> dict:
     edge_first, edge_second, edge_cid = (
         plan.edge_first, plan.edge_second, plan.edge_cid
     )
-    pad_of = ~plan.mask
     out = {}
     slots = 2 * m
     sender = np.empty(slots, dtype=np.int64)
     receiver = np.empty(slots, dtype=np.int64)
-    reverse = np.empty(slots, dtype=np.int64)
     slot_cid = np.empty(slots, dtype=np.int64)
     sender[0::2], sender[1::2] = edge_first, edge_second
     receiver[0::2], receiver[1::2] = edge_second, edge_first
-    reverse[0::2] = np.arange(1, slots, 2)
-    reverse[1::2] = np.arange(0, slots, 2)
     slot_cid[0::2] = edge_cid
     slot_cid[1::2] = stacked + edge_cid
     out.update(
-        slot_sender=sender, slot_receiver=receiver, slot_reverse=reverse,
-        slot_cid=slot_cid, slot_pad=pad_of[receiver],
+        slot_sender=sender, slot_receiver=receiver, slot_cid=slot_cid,
     )
 
     lo = np.minimum(edge_first, edge_second)
@@ -294,10 +304,7 @@ def lexsort_structure(plan) -> dict:
         "fwd.snd": fwd_lo,
         "fwd.rcv": fwd_hi,
         "fwd.out": slot_lo2hi[send_order],
-        "fwd.inn": slot_hi2lo[send_order],
         "fwd.cid": cid_rows_lo[send_order],
-        "fwd.gam": gamma[fwd_lo][:, None],
-        "fwd.pad": pad_of[fwd_hi],
         "fwd.all_seg": rank[a_node[all_order]],
         "fwd.all_nbr": a_nbr[all_order],
         "fwd.all_cid": a_cid[all_order],
@@ -316,10 +323,7 @@ def lexsort_structure(plan) -> dict:
         "bwd.snd": bwd_hi,
         "bwd.rcv": bwd_lo,
         "bwd.out": slot_hi2lo[bsend_order],
-        "bwd.inn": slot_lo2hi[bsend_order],
         "bwd.cid": cid_rows_hi[bsend_order],
-        "bwd.gam": gamma[bwd_hi][:, None],
-        "bwd.pad": pad_of[bwd_lo],
         "bwd.send_off": np.concatenate(
             (bsend_bounds[:-1][nonempty], bsend_bounds[-1:])
         ),

@@ -97,15 +97,14 @@ def heterogeneous_network():
 _PLAN_ARRAYS = (
     "label_counts", "mask", "unary", "unary_inf", "cost",
     "edge_first", "edge_second", "edge_cid",
-    "slot_sender", "slot_receiver", "slot_reverse", "slot_cid", "slot_pad",
-    "gamma",
+    "slot_sender", "slot_receiver", "slot_cid", "gamma",
 )
 _LEVEL_ARRAYS = (
     "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
-    "snd", "rcv", "out", "inn", "cid", "gam", "pad",
+    "snd", "rcv", "out", "cid",
     "all_seg", "all_nbr", "all_cid",
 )
-_BLOCK_ARRAYS = ("snd", "rcv", "out", "inn", "cid", "gam", "pad")
+_BLOCK_ARRAYS = ("snd", "rcv", "out", "cid")
 
 
 def assert_plans_identical(reference: MRFArrays, compiled: MRFArrays):
@@ -576,10 +575,7 @@ class TestLexsortOracle:
         expected = lexsort_structure(plan)
         actual = {
             name: getattr(plan, name)
-            for name in (
-                "slot_sender", "slot_receiver", "slot_reverse", "slot_cid",
-                "slot_pad", "gamma",
-            )
+            for name in ("slot_sender", "slot_receiver", "slot_cid", "gamma")
         }
         for field in LEXSORT_FWD_FIELDS:
             actual["fwd." + field] = getattr(plan.fwd_sweep.block, field)

@@ -80,6 +80,7 @@ from helpers import (
     assert_schedule_kernels_agree,
     count_compile_routes,
     edge_similarity_loop,
+    padded_plan,
     pipeline_estate,
     stability_oracle,
 )
@@ -363,7 +364,7 @@ def test_every_solver_matches_the_build_mrf_pipeline(seed):
 def _stream_plan_state(plan: StreamPlan) -> Dict[str, object]:
     """Every observable of a flushed stream plan, as comparable values."""
     arrays = plan.flush()
-    unaries, first, second, cid, matrices = plan.parts()
+    unary, counts, first, second, cid, matrices = plan.parts()
     state = {
         name: np.asarray(getattr(arrays, name)).tobytes()
         for name in ("unary", "label_counts", "edge_first", "edge_second",
@@ -371,7 +372,7 @@ def _stream_plan_state(plan: StreamPlan) -> Dict[str, object]:
     }
     state.update(
         parts=[np.asarray(part).tobytes()
-               for part in (*unaries, first, second, cid, *matrices)],
+               for part in (unary, counts, first, second, cid, *matrices)],
         variables=list(plan.variables),
         messages=plan.messages.tobytes(),
         labels=plan.labels.tobytes(),
@@ -410,10 +411,11 @@ def test_stream_plan_batching_invariance(seed):
             elif mode == "read_between":
                 assert len(plan.labels) == len(plan.variables)
                 assert len(plan.messages) == 2 * plan._edge_rows
-                unaries, first, *_ = plan.parts()
+                unary, counts, first, *_ = plan.parts()
                 assert (plan.node_count, plan.edge_count) == (
-                    len(unaries), len(first)
+                    len(unary), len(first)
                 )
+                assert len(counts) == len(unary)
         states.append(_stream_plan_state(plan))
     assert states[0] == states[1] == states[2]
 
@@ -691,7 +693,7 @@ def _greedy_plans(draw):
     first = [a for a, _ in edges]
     second = [b for _, b in edges]
     matrices = [costs(int(counts[a]), int(counts[b])) for a, b in edges]
-    plan = MRFArrays.from_parts(
+    plan = padded_plan(
         unaries,
         np.asarray(first, dtype=np.int64),
         np.asarray(second, dtype=np.int64),
@@ -717,7 +719,7 @@ def test_greedy_kernels_edge_cases():
     _assert_greedy_kernels(empty, [])
     # Isolated nodes keep their unary argmin; the first minimum wins.
     unaries = [np.array([1.0, 0.5, 0.5]), np.array([0.0]), np.array([2.0, 1.0])]
-    isolated = MRFArrays.from_parts(
+    isolated = padded_plan(
         unaries, np.zeros(0), np.zeros(0), np.zeros(0), [], lmax=4
     )
     _assert_greedy_kernels(isolated, [1, 0, 1])
@@ -773,7 +775,7 @@ def _bound_plans(draw, forest=False):
     matrices = [
         rng.uniform(0.0, 1.0, size=(counts[a], counts[b])) for a, b in edges
     ]
-    plan = MRFArrays.from_parts(
+    plan = padded_plan(
         unaries,
         np.array([a for a, _ in edges], dtype=np.int64),
         np.array([b for _, b in edges], dtype=np.int64),
@@ -1122,15 +1124,16 @@ def test_refine_pick_is_per_component(seed):
     )
 
 
-def _unary_vectors(plan: MRFArrays) -> List[np.ndarray]:
-    """The plan's unpadded per-node unary vectors."""
-    return [plan.unary[i, :count] for i, count in enumerate(plan.label_counts)]
-
-
 def _disjoint_union(first: MRFArrays, second: MRFArrays) -> MRFArrays:
     """One plan holding ``first`` then ``second``, sharing no edges."""
-    return MRFArrays.from_parts(
-        _unary_vectors(first) + _unary_vectors(second),
+    unary = np.zeros(
+        (first.node_count + second.node_count, max(first.lmax, second.lmax))
+    )
+    unary[: first.node_count, : first.lmax] = first.unary
+    unary[first.node_count :, : second.lmax] = second.unary
+    return MRFArrays.from_dense(
+        unary,
+        np.concatenate([first.label_counts, second.label_counts]),
         np.concatenate(
             [first.edge_first, second.edge_first + first.node_count]
         ),
@@ -1139,7 +1142,6 @@ def _disjoint_union(first: MRFArrays, second: MRFArrays) -> MRFArrays:
         ),
         np.concatenate([first.edge_cid, second.edge_cid + first.stacked]),
         list(first.cost[: first.stacked]) + list(second.cost[: second.stacked]),
-        lmax=max(first.lmax, second.lmax),
     )
 
 

@@ -1,6 +1,7 @@
 """Tests for the service layer's offline pieces: event codec, config,
 metrics, and on-disk snapshots (byte-identical restore + warm parity)."""
 
+import hashlib
 import json
 import os
 import queue
@@ -228,6 +229,102 @@ class TestSnapshotRoundTrip:
         node = int(edge_second[1])
         with pytest.raises(ValueError, match=rf"edge 1 \({node}, {node}\)"):
             restore_plan(replace(snapshot, edge_second=edge_second))
+
+    def test_restore_rejects_label_counts_off_the_candidate_ranges(
+        self, tmp_path
+    ):
+        # A unary block cut to fewer labels than the node's candidate range
+        # would restore and solve with a product silently excluded.
+        engine, _ = churny_engine(seed=2)
+        snapshot = load_snapshot(save_snapshot(engine, tmp_path, version=1))
+        counts = snapshot.label_counts.copy()
+        unary = snapshot.unary.copy()
+        counts[0] -= 1
+        unary[0, counts[0]:] = 0.0
+        host, service = snapshot.meta["variables"][0]
+        with pytest.raises(
+            ValueError,
+            match=rf"node 0 \({host}, {service}\) has {counts[0]} labels but",
+        ):
+            restore_engine(replace(snapshot, label_counts=counts, unary=unary))
+
+    def test_restore_rejects_a_stored_label_out_of_range(self, tmp_path):
+        engine, _ = churny_engine(seed=2)
+        snapshot = load_snapshot(save_snapshot(engine, tmp_path, version=1))
+        labels = snapshot.labels.copy()
+        labels[5] = snapshot.label_counts[5]
+        with pytest.raises(
+            ValueError, match=rf"node 5 \(.*\) stores label {labels[5]} outside"
+        ):
+            restore_engine(replace(snapshot, labels=labels))
+
+    def test_restore_rejects_a_unary_block_of_the_wrong_shape(self, tmp_path):
+        engine, _ = churny_engine(seed=2)
+        path = save_snapshot(engine, tmp_path, version=1)
+        snapshot = load_snapshot(path)
+        widest = int(np.argmax(snapshot.label_counts))
+        with pytest.raises(
+            ValueError, match=rf"node {widest} \(.*\) has .* unary block's width"
+        ):
+            restore_plan(replace(snapshot, unary=snapshot.unary[:, :-1]))
+        with pytest.raises(ValueError, match="node table"):
+            restore_plan(replace(snapshot, unary=snapshot.unary[:-1]))
+        # On disk, the block's width must match the recorded lmax.
+        arrays = path / "arrays.npz"
+        with np.load(arrays) as blob:
+            blocks = dict(blob)
+        blocks["lmax"] = blocks["lmax"] + 1
+        np.savez(arrays, **blocks)
+        meta = json.loads((path / "meta.json").read_text())
+        meta["arrays_sha256"] = hashlib.sha256(arrays.read_bytes()).hexdigest()
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="lmax"):
+            load_snapshot(path)
+
+    def test_padding_width_survives_a_snapshot(self, tmp_path):
+        """A wider host joins and the widest host leaves: the plan keeps
+        the wider padding, and so do the snapshot and the restored plan,
+        whose warm solves then match the engine that never restarted."""
+        network, similarity = workload(seed=7)
+        engine = DynamicDiversifier(network, similarity)
+        engine.solve()
+        wide = (
+            ("s0", tuple(f"s0_p{k}" for k in range(6))),
+            ("s1", network.candidates("h0", "s1")),
+        )
+        engine.apply(HostJoin("wide", wide, ("h0", "h1")))
+        assert engine.solve().warm
+        engine.apply(HostLeave("wide"))
+        assert engine.solve().warm
+        live = engine.plan
+        assert live.plan.lmax == 6 and live.plan.label_counts.max() == 4
+
+        path = save_snapshot(engine, tmp_path, version=1)
+        with np.load(path / "arrays.npz") as blob:
+            assert blob["unary"].shape[1] == blob["lmax"][0] == 6
+        restored, _ = restore_engine(path)
+        again = restored.plan
+        for name in ("unary", "label_counts", "mask", "unary_inf",
+                     "edge_first", "edge_second", "edge_cid", "cost",
+                     "gamma"):
+            left, right = getattr(live.plan, name), getattr(again.plan, name)
+            assert (left.dtype, left.shape) == (right.dtype, right.shape)
+            assert left.tobytes() == right.tobytes(), name
+        assert again.messages.shape == (2 * live.edge_count, 6)
+        assert again.messages.tobytes() == live.messages.tobytes()
+
+        follow_up = random_churn_trace(
+            network, ChurnConfig(events=6, seed=5, constraint_weight=0.3)
+        )
+        for event in follow_up:
+            engine.apply(event)
+            restored.apply(event)
+            expected, result = engine.solve(), restored.solve()
+            assert result.warm == expected.warm
+            assert result.energy == expected.energy
+            assert result.lower_bound == expected.lower_bound
+            assert np.array_equal(again.labels, live.labels)
+            assert again.messages.tobytes() == live.messages.tobytes()
 
     def test_warm_solve_matches_never_restarted_engine(self, tmp_path):
         engine, _ = churny_engine(seed=2)

@@ -196,8 +196,8 @@ class TestStreamPlan:
         plan.apply(LinkRemove(a, b))
         plan.apply(HostLeave(net.hosts[-1]))
         arrays = plan.flush()
-        _, first, second, cid, _ = plan.parts()
-        for array in (first, second, cid, arrays.edge_first,
+        unary, counts, first, second, cid, _ = plan.parts()
+        for array in (unary, counts, first, second, cid, arrays.edge_first,
                       arrays.edge_second, arrays.edge_cid, plan.messages,
                       plan.labels if plan.labels is not None else first):
             assert array.flags.c_contiguous

@@ -53,11 +53,13 @@ def assignment_digest(result) -> str:
 def fingerprint(engine) -> str:
     """One solve's plan, message and label state as a digest."""
     plan = engine.plan
-    unaries, first, second, cid, matrices = plan.parts()
+    # ``parts()`` has led its tuple with per-node unary vectors and, since,
+    # with the padded stack and label counts; the tool reads only the last
+    # four entries and takes the unary values (every node's labels, in
+    # node order) off the flushed plan, so it runs on either form.
+    *_, first, second, cid, matrices = plan.parts()
     parts = digest(
-        np.concatenate(unaries) if unaries else np.zeros(0),
-        first, second, cid,
-        *matrices,
+        plan.plan.unary[plan.plan.mask], first, second, cid, *matrices
     )
     state = digest(plan.messages, plan.labels)
     arrays = plan.plan
