@@ -21,7 +21,7 @@ host) must assemble its plan — ``MRFArrays.from_dense`` on the compiled
 parts, the ``compile.assemble`` layer — at no more than **3×** the
 seconds per edge of the 1000-host cell above.  A level derivation that
 takes one round per level costs O(edges · depth) and fails this bar by
-two orders of magnitude; the native schedule kernel's one O(nodes +
+two orders of magnitude; the native structure kernel's one O(nodes +
 edges) pass holds it, so the case skips when the default kernel backend
 is not native.
 
@@ -71,7 +71,7 @@ ASSEMBLY_ROUNDS = 10
 PARITY_ARRAYS = (
     "label_counts", "mask", "unary", "unary_inf", "cost",
     "edge_first", "edge_second", "edge_cid",
-    "slot_sender", "slot_receiver", "slot_cid", "gamma",
+    "slot_receiver", "gamma",
 )
 
 
@@ -173,7 +173,7 @@ def _assemble(parts):
 
 @pytest.mark.skipif(
     resolve_backend().name != "native",
-    reason="the long-diameter bar measures the native schedule kernel",
+    reason="the long-diameter bar measures the native structure kernel",
 )
 def test_plan_assembly_long_diameter(record_bench, write_artifact):
     config = RandomNetworkConfig(

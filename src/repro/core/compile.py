@@ -10,11 +10,15 @@ that the solvers themselves are vectorized.  This module compiles the plan
 directly:
 
 * **Variables** are enumerated once (hosts in insertion order × services in
-  declaration order, exactly the ``build_mrf`` node order) while interning
-  services, candidate ranges and products into integer ids.
-* **Edges** are emitted per *host-profile pair*: hosts sharing a service
-  list share a profile, so the (link, shared-service) → (node, node)
-  expansion is a handful of NumPy repeats/tiles instead of a per-edge loop.
+  declaration order, exactly the ``build_mrf`` node order) by
+  comprehensions and C-level maps over the network's own containers
+  (:meth:`Network.tables`), interning services, candidate ranges, host
+  service profiles and products into integer ids in one pass each.
+* **Edges** follow the sorted links, ordered by an integer argsort of
+  the endpoints' ranks among the sorted host names.  They are emitted per
+  *host-profile pair*: hosts sharing a service list share a profile, so
+  the (link, shared-service) → (node, node) expansion is a handful of
+  NumPy repeats and takes instead of a per-edge loop.
 * **Cost matrices** are deduplicated by *unordered* (candidate range,
   candidate range, λ·weight) key in first-appearance order over the edge
   stream and computed as slices of one product-similarity matrix.  A
@@ -23,7 +27,7 @@ directly:
   a transpose.
 * **Preferences and constraints** (soft preferences, Fix/Forbid unary
   masks, combination tables) land as array writes in ``build_mrf``'s
-  accumulation order.
+  accumulation order; the preferences as one scatter.
 
 Every consumer compiles through :func:`compile_plan`: ``diversify()`` for
 every solver, and the cold rebuilds of :class:`~repro.stream.plan.
@@ -38,8 +42,20 @@ array equals the oracle's.  ``tests/test_compile.py`` asserts both.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import chain, compress, count, repeat
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -149,7 +165,6 @@ class CompiledParts:
     """
 
     variables: List[Tuple[str, str]]
-    index: Dict[Tuple[str, str], int]
     candidates: List[Tuple[str, ...]]
     unary: np.ndarray          # (n, lmax) padded, zeros outside the mask
     label_counts: np.ndarray   # (n,)
@@ -164,6 +179,11 @@ class CompiledParts:
     edge_sid: np.ndarray
     #: the similarity summary's arrays.
     similarity_edges: SimilarityEdges
+
+    @cached_property
+    def index(self) -> Dict[Tuple[str, str], int]:
+        """(host, service) → node id, built when first read."""
+        return dict(zip(self.variables, range(len(self.variables))))
 
 
 @dataclass
@@ -215,90 +235,81 @@ class CompiledPlan:
 # ------------------------------------------------------------ network index
 
 
+def _intern(items: Iterable) -> Tuple[Dict, np.ndarray]:
+    """(item → id, each item's id as int64) in one C-level pass: a new
+    item takes the next id, so ids number the distinct items in
+    first-appearance order, the dict's order."""
+    ids: Dict = defaultdict(count().__next__)
+    per_item = np.fromiter(map(ids.__getitem__, items), np.int64)
+    return dict(ids), per_item
+
+
+def _ids(lookup: Mapping, items: Sequence) -> np.ndarray:
+    """``lookup[item]`` of every item, as int64."""
+    return np.fromiter(map(lookup.__getitem__, items), np.int64, len(items))
+
+
 class _NetworkIndex:
     """Interned array view of a network's variables and link couplings.
 
-    Built in one O(hosts·services + links) pass; everything downstream —
-    edge emission, cost-matrix assembly, vectorized energy evaluation — is
-    NumPy over the interned ids.
+    Built in one O(hosts·services + links) pass over the network's own
+    containers (:meth:`Network.tables`): comprehensions and C-level maps
+    enumerate the variables and intern services, candidate ranges, host
+    service profiles and products in first-appearance order; everything
+    downstream — edge emission, cost-matrix assembly, vectorized energy
+    evaluation — is NumPy over the interned ids.
     """
 
     def __init__(self, network: Network) -> None:
-        self.network = network
-        hosts = network.hosts
-        self.host_ids: Dict[str, int] = {h: k for k, h in enumerate(hosts)}
-        self.service_names: List[str] = []
-        service_ids: Dict[str, int] = {}
-        self.ranges: List[Tuple[str, ...]] = []
-        range_ids: Dict[Tuple[str, ...], int] = {}
-        self.variables: List[Tuple[str, str]] = []
-        self.index: Dict[Tuple[str, str], int] = {}
-        self.candidates: List[Tuple[str, ...]] = []
-        var_host: List[int] = []
-        var_sid: List[int] = []
-        var_rid: List[int] = []
-        profiles: Dict[Tuple[int, ...], int] = {}
-        self.profile_sids: List[Tuple[int, ...]] = []
-        host_profile = np.zeros(len(hosts), dtype=np.int64)
-
-        for h, host in enumerate(hosts):
-            sids: List[int] = []
-            for service, range_ in network.service_ranges(host):
-                sid = service_ids.get(service)
-                if sid is None:
-                    sid = len(self.service_names)
-                    service_ids[service] = sid
-                    self.service_names.append(service)
-                rid = range_ids.get(range_)
-                if rid is None:
-                    rid = len(self.ranges)
-                    range_ids[range_] = rid
-                    self.ranges.append(range_)
-                self.index[(host, service)] = len(self.variables)
-                self.variables.append((host, service))
-                self.candidates.append(range_)
-                var_host.append(h)
-                var_sid.append(sid)
-                var_rid.append(rid)
-                sids.append(sid)
-            key = tuple(sids)
-            pid = profiles.get(key)
-            if pid is None:
-                pid = len(self.profile_sids)
-                profiles[key] = pid
-                self.profile_sids.append(key)
-            host_profile[h] = pid
-
-        n = len(self.variables)
-        self.node_count = n
-        s_count = len(self.service_names)
-        self.var_host = np.asarray(var_host, dtype=np.int64)
-        self.var_sid = np.asarray(var_sid, dtype=np.int64)
-        self.node_rid = np.asarray(var_rid, dtype=np.int64)
-        self.host_profile = host_profile
-        #: (hosts, services) → node id (-1 where the host lacks the service).
-        self.node_of = np.full((len(hosts), s_count), -1, dtype=np.int64)
-        if n:
-            self.node_of[self.var_host, self.var_sid] = np.arange(n)
-        self.label_counts = np.asarray(
-            [len(r) for r in self.candidates], dtype=np.int64
+        services_of, self._links = network.tables()
+        self.hosts = hosts = list(services_of)
+        #: each host's service → range dict, in host order.
+        tables = list(services_of.values())
+        self.variables: List[Tuple[str, str]] = [
+            (host, service)
+            for host, services in services_of.items()
+            for service in services
+        ]
+        n = self.node_count = len(self.variables)
+        self.candidates: List[Tuple[str, ...]] = list(
+            chain.from_iterable(map(dict.values, tables))
         )
+        service_ids, self.var_sid = _intern(chain.from_iterable(tables))
+        self.service_names: List[str] = list(service_ids)
+        range_ids, self.node_rid = _intern(self.candidates)
+        self.ranges: List[Tuple[str, ...]] = list(range_ids)
+        self.label_counts = np.fromiter(
+            map(len, self.ranges), np.int64, len(self.ranges)
+        )[self.node_rid]
+        self.var_host = np.repeat(
+            np.arange(len(hosts)),
+            np.fromiter(map(len, tables), np.int64, len(hosts)),
+        )
+        # Hosts with the same service list (in declaration order) share a
+        # profile; profiles are numbered in first-appearance order.
+        profiles, self.host_profile = _intern(map(tuple, tables))
+        self.profile_sids: List[Tuple[int, ...]] = [
+            tuple(map(service_ids.__getitem__, key)) for key in profiles
+        ]
+        #: (hosts, services) → node id (-1 where the host lacks the service).
+        self.node_of = np.full(
+            (len(hosts), len(self.service_names)), -1, dtype=np.int64
+        )
+        self.node_of[self.var_host, self.var_sid] = np.arange(n)
 
         # Product interning + per-range product-index arrays (for slicing
         # the global similarity matrix into range-pair cost matrices).
-        product_ids: Dict[str, int] = {}
-        self.range_pids: List[np.ndarray] = []
-        for range_ in self.ranges:
-            pids = []
-            for product in range_:
-                pid = product_ids.get(product)
-                if pid is None:
-                    pid = len(product_ids)
-                    product_ids[product] = pid
-                pids.append(pid)
-            self.range_pids.append(np.asarray(pids, dtype=np.int64))
-        self.product_names: List[str] = list(product_ids)
-        self.product_ids = product_ids
+        self.product_ids, _ = _intern(chain.from_iterable(self.ranges))
+        self.product_names: List[str] = list(self.product_ids)
+        self.range_pids: List[np.ndarray] = [
+            _ids(self.product_ids, range_) for range_ in self.ranges
+        ]
+
+    @cached_property
+    def index(self) -> Dict[Tuple[str, str], int]:
+        """(host, service) → node id; built when first read (preferences
+        and constraints look nodes up by name, a plain solve does not)."""
+        return dict(zip(self.variables, range(self.node_count)))
 
     # -------------------------------------------------------------- edges
 
@@ -308,58 +319,60 @@ class _NetworkIndex:
         Edge order matches ``build_mrf`` exactly: links in sorted order,
         each link's shared services in the first host's declaration order.
         A link row indexes :attr:`links`, which this call sets.
+
+        Every link is stored as ``(a, b)`` with ``a < b``, so the sorted
+        order of the links is the order of ``(rank[a], rank[b])`` with
+        ``rank`` a host's position in the sorted host names: one sort of
+        the names, then one integer argsort instead of string-pair
+        comparisons.
         """
-        self.links = links = self.network.links
+        unsorted = list(self._links)
+        count = len(unsorted)
         empty = np.zeros(0, dtype=np.int64)
-        if not links:
+        if not count:
+            self.links: List[Tuple[str, str]] = []
             return empty, empty.copy(), empty.copy(), empty.copy()
-        la = np.fromiter(
-            (self.host_ids[a] for a, _b in links), np.int64, len(links)
+        h_count = len(self.hosts)
+        host_ids = dict(zip(self.hosts, range(h_count)))
+        endpoints = _ids(host_ids, list(chain.from_iterable(unsorted)))
+        rank = np.empty(h_count, dtype=np.int64)
+        rank[sorted(range(h_count), key=self.hosts.__getitem__)] = np.arange(
+            h_count
         )
-        lb = np.fromiter(
-            (self.host_ids[b] for _a, b in links), np.int64, len(links)
-        )
+        ranked = rank[endpoints]
+        order = np.argsort(ranked[0::2] * h_count + ranked[1::2])
+        la = endpoints[0::2][order]
+        lb = endpoints[1::2][order]
+        self.links = list(map(unsorted.__getitem__, order.tolist()))
+        # Each link expands into one edge per service both hosts run, in
+        # the first host's declaration order; hosts of one profile share
+        # that list, so it is built once per linked profile pair.
         p_count = len(self.profile_sids)
         pair = self.host_profile[la] * p_count + self.host_profile[lb]
         uniq_pairs, inv = np.unique(pair, return_inverse=True)
-        shared: List[np.ndarray] = []
-        for up in uniq_pairs:
-            pa, pb = divmod(int(up), p_count)
+        shared: List[List[int]] = []
+        for up in uniq_pairs.tolist():
+            pa, pb = divmod(up, p_count)
             members = set(self.profile_sids[pb])
-            shared.append(
-                np.asarray(
-                    [sid for sid in self.profile_sids[pa] if sid in members],
-                    dtype=np.int64,
-                )
-            )
-        counts = np.asarray([len(shared[u]) for u in inv], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        m = int(offsets[-1])
-        first = np.empty(m, dtype=np.int64)
-        second = np.empty(m, dtype=np.int64)
-        sid = np.empty(m, dtype=np.int64)
-        link_of = np.empty(m, dtype=np.int64)
-        # One segmented grouping of links by profile pair — a stable
-        # argsort keeps each group's links ascending, so the scatter below
-        # is order-identical to a per-pair scan without being O(pairs·links)
-        # when every host has its own profile.
-        group_order = np.argsort(inv, kind="stable")
-        group_bounds = np.searchsorted(
-            inv[group_order], np.arange(len(uniq_pairs) + 1)
+            shared.append([sid for sid in self.profile_sids[pa] if sid in members])
+        shared_counts = np.fromiter(map(len, shared), np.int64, len(shared))
+        shared_sids = np.fromiter(
+            chain.from_iterable(shared), np.int64, int(shared_counts.sum())
         )
-        for u, sids in enumerate(shared):
-            k = len(sids)
-            if k == 0:
-                continue
-            rows = group_order[group_bounds[u] : group_bounds[u + 1]]
-            slots = (offsets[rows][:, None] + np.arange(k)[None, :]).ravel()
-            svc = np.tile(sids, len(rows))
-            ha = np.repeat(la[rows], k)
-            hb = np.repeat(lb[rows], k)
-            first[slots] = self.node_of[ha, svc]
-            second[slots] = self.node_of[hb, svc]
-            sid[slots] = svc
-            link_of[slots] = np.repeat(rows, k)
+        counts = shared_counts[inv]
+        ends = np.cumsum(counts)
+        m = int(ends[-1])
+        # The edges link by link: a link's edges read its pair's slice of
+        # the concatenated lists, and (host, sid) → node is one flat take.
+        link_of = np.repeat(np.arange(count), counts)
+        starts = np.cumsum(shared_counts) - shared_counts
+        sid = shared_sids.take(
+            np.arange(m) + np.repeat(starts[inv] - ends + counts, counts)
+        )
+        width = len(self.service_names)
+        node_of = self.node_of.reshape(-1)
+        first = node_of.take(la.take(link_of) * width + sid)
+        second = node_of.take(lb.take(link_of) * width + sid)
         return first, second, sid, link_of
 
     # ------------------------------------------------------------- weights
@@ -420,6 +433,45 @@ def _base_unary(net: _NetworkIndex, unary_constant: float) -> np.ndarray:
     lmax = int(counts.max()) if net.node_count else 0
     mask = np.arange(lmax)[None, :] < counts[:, None]
     return np.where(mask, float(unary_constant), 0.0)
+
+
+def _add_preferences(
+    net: _NetworkIndex,
+    unary: np.ndarray,
+    preferences: Mapping[Tuple[str, str, str], float],
+) -> None:
+    """Add each preference onto its (node, label) of the unary stack.
+
+    One scatter: C-level maps look up every key's node and label; keys
+    naming no variable, or a product outside the node's range, are
+    skipped.  The keys are distinct, so no (node, label) gets two adds,
+    and only the kept values are converted with ``float``.
+    """
+    hosts, services, products = zip(*preferences)
+    count = len(hosts)
+    nodes = np.fromiter(
+        map(net.index.get, zip(hosts, services), repeat(-1)), np.int64, count
+    )
+    rids = np.full(count, -1, dtype=np.int64)
+    found = nodes >= 0
+    rids[found] = net.node_rid[nodes[found]]
+    label_of = {
+        (rid, product): label
+        for rid, range_ in enumerate(net.ranges)
+        for label, product in enumerate(range_)
+    }
+    labels = np.fromiter(
+        map(label_of.get, zip(rids.tolist(), products), repeat(-1)),
+        np.int64,
+        count,
+    )
+    keep = labels >= 0
+    values = np.fromiter(
+        map(float, compress(preferences.values(), keep.tolist())),
+        np.float64,
+        int(keep.sum()),
+    )
+    unary[nodes[keep], labels[keep]] += values
 
 
 def _range_matrix(
@@ -501,13 +553,7 @@ def compile_parts(
 
     # ---- soft preferences (one add per named (host, service, product)).
     if preferences:
-        for (host, service, product), extra in preferences.items():
-            node = net.index.get((host, service))
-            if node is None:
-                continue
-            range_ = net.candidates[node]
-            if product in range_:
-                unary[node, range_.index(product)] += float(extra)
+        _add_preferences(net, unary, preferences)
 
     # ---- hard unary masks, accumulated in constraint order like the
     # builder's add_unary calls (element-wise addition, same sequence).
@@ -572,7 +618,6 @@ def compile_parts(
 
     return CompiledParts(
         variables=net.variables,
-        index=net.index,
         candidates=net.candidates,
         unary=unary,
         label_counts=counts,
@@ -772,11 +817,8 @@ def network_energy(
     first, second, sid, _link_of = net.link_edges()
     if len(first):
         # Per-node product id (-1 where unassigned).
-        pid = np.full(net.node_count, -1, dtype=np.int64)
-        for node, (host, service) in enumerate(net.variables):
-            product = assignment.get(host, service)
-            if product is not None:
-                pid[node] = net.product_ids[product]
+        pid_of = {**net.product_ids, None: -1}
+        pid = _ids(pid_of, list(map(assignment.as_dict().get, net.variables)))
         wid_of, weight_values = net.service_weight_ids(
             pairwise_weight, service_weights
         )

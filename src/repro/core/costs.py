@@ -26,6 +26,7 @@ hard cost indicates an infeasible constraint set and is reported as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,12 +72,14 @@ def decode_assignment(
     mapping's own candidate ranges, so every decoded value is range-valid
     by construction and the per-pair validation of
     :meth:`ProductAssignment.assign` is skipped — this decode runs once
-    per job across thousand-job grids.
+    per job across thousand-job grids.  One ``map`` picks every
+    variable's product.
     """
-    values = {
-        variable: candidates[node][int(labels[node])]
-        for node, variable in enumerate(variables)
-    }
+    if len(labels) < len(variables):
+        raise IndexError(
+            f"{len(labels)} labels for {len(variables)} variables"
+        )
+    values = dict(zip(variables, map(getitem, candidates, map(int, labels))))
     return ProductAssignment.from_decoded(network, values)
 
 

@@ -9,18 +9,24 @@ loader reports unavailable and the backend registry degrades to NumPy.
 The TRW-S sweeps, ICM and the decode are *whole-sweep* entry points: one
 foreign call walks every wavefront level of a plan, reading the plan's
 flat level-major arrays through a :class:`CPlan` struct that is filled
-once per plan build.  The greedy refine init is one call too: it visits
+once per plan build.  ICM keeps a dirty flag per node and visits only
+nodes a neighbour's label change has flagged since their last visit.
+The greedy refine init is one call too: it visits
 the nodes in degree order over the forward sweep's full-adjacency
 arrays.  So is the TRW-S lower bound: one pass over the forward sends
 extends every monotonic chain, then one over the chains takes their
-minima.  When the caller passes a per-level seconds array
+minima.  The BP round derives each slot's sender and cost id from the
+slot receivers and edge cost ids.  When the caller passes a per-level
+seconds array
 (tracing), the same loop times each level with ``CLOCK_MONOTONIC``;
-untraced calls pass ``NULL``.  Two more entry points run once per edge
-set: ``repro_schedule`` at plan build (a counting sort of the edge
-endpoints by node and the two longest-path level passes over it), and
+untraced calls pass ``NULL``.  Three more entry points run once per edge
+set: ``repro_structure`` at every plan build (``repro_schedule``'s
+counting sort of the edge endpoints by node and its two longest-path
+level passes, then one pass per sweep direction that writes the slot,
+γ and level-major sweep arrays into a :class:`CStructure`), and
 ``repro_label_graph`` when the plan's chains or components are first
 read (one pass over the forward sweep's arrays for the chains, union-find
-for the components); both O(nodes + edges).
+for the components); all O(nodes + edges).
 
 Two flags are load-bearing for the bit-parity gate:
 
@@ -46,7 +52,9 @@ import threading
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["load_kernels", "CKernels", "CPlan", "CSends", "KERNELS_C"]
+__all__ = [
+    "load_kernels", "CKernels", "CPlan", "CSends", "CStructure", "KERNELS_C",
+]
 
 #: Stack workspace size in the C kernels; plans with more labels per node
 #: fall back to the NumPy backend (the native guard checks this).
@@ -74,16 +82,20 @@ typedef struct {
 
 /* A plan's sweep arrays (see MRFArrays.fwd_sweep / bwd_sweep), plus
  * each node's degree (the greedy init's visiting order), its chain
- * weight gamma, its label count (later labels are padding) and each
- * message slot's receiver (the beliefs). */
+ * weight gamma, its label count (later labels are padding), each message
+ * slot's receiver (the beliefs) and each edge's cost id; `stacked` is the
+ * offset of the transposed cost entries.  Slot s of edge s >> 1 is sent
+ * by receiver[s ^ 1] and prices through edge_cid[s >> 1] + stacked *
+ * (s & 1), rows = the sender's labels. */
 typedef struct {
-    int64_t lmax, n_fwd, n_bwd;
+    int64_t lmax, n_fwd, n_bwd, stacked;
     const double *cost;
     const double *unary;
     const int64_t *degree;
     const double *gamma;
     const int64_t *counts;
     const int64_t *receiver;
+    const int64_t *edge_cid;
     const int64_t *node_off, *nodes;
     const int64_t *ext_off, *ext_seg, *ext_nbr, *ext_in, *ext_cid;
     const int64_t *all_off, *all_seg, *all_nbr, *all_cid;
@@ -185,38 +197,6 @@ HOT void condition_level(
         labels[nodes[i]] = argmin_row(cond + i * lmax, lmax);
 }
 
-/* ICM step of forward level l on all neighbours; returns 1 if a label
- * changed.  Level nodes are never adjacent, so no write below is read
- * by this level's gathers. */
-HOT int icm_level(
-    const plan_t *p, const int64_t lmax, const int64_t l,
-    int64_t *restrict current, double *restrict cond)
-{
-    const int64_t LL = lmax * lmax;
-    const int64_t *nodes = p->nodes + p->node_off[l];
-    const int64_t nn = p->node_off[l + 1] - p->node_off[l];
-    const int64_t j1 = p->all_off[l + 1];
-    for (int64_t i = 0; i < nn; ++i)
-        memcpy(cond + i * lmax, p->unary + nodes[i] * lmax,
-               (size_t)lmax * sizeof(double));
-    for (int64_t j = p->all_off[l]; j < j1; ++j) {
-        if (j + PF < j1)
-            __builtin_prefetch(current + p->all_nbr[j + PF], 0);
-        const int64_t lab = current[p->all_nbr[j]];
-        const double *cm = p->cost + p->all_cid[j] * LL + lab;
-        double *row = cond + p->all_seg[j] * lmax;
-        for (int64_t r = 0; r < lmax; ++r)
-            row[r] += cm[r * lmax];
-    }
-    int changed = 0;
-    for (int64_t i = 0; i < nn; ++i) {
-        const int64_t best = argmin_row(cond + i * lmax, lmax);
-        changed |= best != current[nodes[i]];
-        current[nodes[i]] = best;
-    }
-    return changed;
-}
-
 HOT void forward_body(
     const plan_t *p, const int64_t lmax, double *messages, double *beliefs,
     int64_t *labels, double *cond, double *secs)
@@ -254,14 +234,50 @@ HOT void decode_body(
         condition_level(p, lmax, l, beliefs, messages, labels, cond);
 }
 
+/* Worklist ICM.  Each sweep walks the nodes in forward-level order, the
+ * order of the Gauss-Seidel sweep (a level's nodes are never adjacent, so
+ * one at a time is the level's block update).  A node is visited only
+ * while it is dirty, and every node is at the start: a visit clears its
+ * flag, takes the first argmin of its unary plus the pairwise columns of
+ * every neighbour's current label (added in full-adjacency order) and, if
+ * its label changes, flags its neighbours.  A clean node's conditioning
+ * row is the one of its last visit, whose argmin is its current label, so
+ * skipping it changes nothing: after any number of sweeps the labels are
+ * those of full sweeps.  Stops after a sweep that changes nothing, or
+ * after max_sweeps.  `dirty` holds n bytes. */
 HOT void icm_body(
     const plan_t *p, const int64_t lmax, const int64_t max_sweeps,
-    int64_t *current, double *cond)
+    int64_t *restrict current, unsigned char *restrict dirty)
 {
+    const int64_t LL = lmax * lmax;
+    const int64_t n = p->node_off[p->n_fwd];
+    double row[64];
+    memset(dirty, 1, (size_t)n);
     for (int64_t sweep = 0; sweep < max_sweeps; ++sweep) {
         int changed = 0;
-        for (int64_t l = 0; l < p->n_fwd; ++l)
-            changed |= icm_level(p, lmax, l, current, cond);
+        int64_t j1 = 0;
+        for (int64_t k = 0; k < n; ++k) {
+            const int64_t v = p->nodes[k];
+            const int64_t j0 = j1;
+            j1 += p->degree[v];
+            if (!dirty[v])
+                continue;
+            dirty[v] = 0;
+            memcpy(row, p->unary + v * lmax, (size_t)lmax * sizeof(double));
+            for (int64_t j = j0; j < j1; ++j) {
+                const int64_t lab = current[p->all_nbr[j]];
+                const double *cm = p->cost + p->all_cid[j] * LL + lab;
+                for (int64_t r = 0; r < lmax; ++r)
+                    row[r] += cm[r * lmax];
+            }
+            const int64_t best = argmin_row(row, lmax);
+            if (best != current[v]) {
+                changed = 1;
+                current[v] = best;
+                for (int64_t j = j0; j < j1; ++j)
+                    dirty[p->all_nbr[j]] = 1;
+            }
+        }
         if (!changed)
             break;
     }
@@ -333,25 +349,27 @@ HOT void beliefs_body(
     }
 }
 
-/* Synchronous min-sum update of every slot s: it reads the opposite
- * slot s ^ 1 and pads at its receiver's labels past counts[receiver]. */
+/* Synchronous min-sum update of every slot s: it is sent by
+ * receiver[s ^ 1], reads the opposite slot s ^ 1, prices through edge
+ * s >> 1's cost id (transposed when s is odd) and pads at its receiver's
+ * labels past counts[receiver]. */
 HOT double bp_round_body(
-    const plan_t *p, const int64_t lmax,
-    const int64_t *restrict slot_sender, const int64_t *restrict slot_cid,
-    const double damping, const double *restrict beliefs,
-    double *restrict messages, double *restrict new_msgs)
+    const plan_t *p, const int64_t lmax, const double damping,
+    const double *restrict beliefs, double *restrict messages,
+    double *restrict new_msgs)
 {
     const int64_t LL = lmax * lmax;
     const int64_t slots = 2 * p->fwd.off[p->n_fwd];
     double base_buf[64];
     for (int64_t s = 0; s < slots; ++s) {
         if (s + PF < slots)
-            __builtin_prefetch(beliefs + slot_sender[s + PF] * lmax, 0);
-        const double *b = beliefs + slot_sender[s] * lmax;
+            __builtin_prefetch(beliefs + p->receiver[(s + PF) ^ 1] * lmax, 0);
+        const double *b = beliefs + p->receiver[s ^ 1] * lmax;
         const double *m_rev = messages + (s ^ 1) * lmax;
         for (int64_t r = 0; r < lmax; ++r)
             base_buf[r] = b[r] - m_rev[r];
-        const double *cm = p->cost + slot_cid[s] * LL;
+        const double *cm =
+            p->cost + (p->edge_cid[s >> 1] + p->stacked * (s & 1)) * LL;
         double *nm = new_msgs + s * lmax;
         for (int64_t c = 0; c < lmax; ++c)
             nm[c] = INFINITY;
@@ -497,12 +515,12 @@ void repro_decode(
 }
 
 void repro_icm(const plan_t *p, int64_t max_sweeps, int64_t *current,
-               double *cond)
+               unsigned char *dirty)
 {
-    DISPATCH(icm_body(p, 4, max_sweeps, current, cond),
-             icm_body(p, 6, max_sweeps, current, cond),
-             icm_body(p, 8, max_sweeps, current, cond),
-             icm_body(p, p->lmax, max_sweeps, current, cond))
+    DISPATCH(icm_body(p, 4, max_sweeps, current, dirty),
+             icm_body(p, 6, max_sweeps, current, dirty),
+             icm_body(p, 8, max_sweeps, current, dirty),
+             icm_body(p, p->lmax, max_sweeps, current, dirty))
 }
 
 void repro_greedy(const plan_t *p, int64_t top, int64_t *labels,
@@ -662,6 +680,135 @@ void repro_schedule(
     }
 }
 
+/* Output arrays of repro_structure (see MRFArrays._build_structure):
+ * per-node gamma, degree and the forward sweep's node order, the slot
+ * receivers, the forward sweep's conditioning (m) and full-adjacency (2m)
+ * rows, both sweeps' sends (m each) and their level offsets, which need
+ * room for n + 1 entries; n_fwd / n_bwd receive the level counts. */
+typedef struct {
+    double *gamma;
+    int64_t *receiver, *degree, *nodes;
+    int64_t *ext_seg, *ext_nbr, *ext_in, *ext_cid;
+    int64_t *all_seg, *all_nbr, *all_cid;
+    int64_t *fwd_snd, *fwd_rcv, *fwd_out, *fwd_cid;
+    int64_t *bwd_snd, *bwd_rcv, *bwd_out, *bwd_cid;
+    int64_t *node_off, *ext_off, *all_off, *fwd_off, *bwd_off;
+    int64_t n_fwd, n_bwd;
+} structure_t;
+
+/* A stable counting sort of the nodes by level: order lists them
+ * level-major, ascending within a level, level l owning
+ * order[off[l]:off[l + 1]] (off needs n + 1 entries).  Returns the
+ * number of levels. */
+static int64_t level_order(
+    const int64_t n, const int64_t *level, int64_t *order, int64_t *off)
+{
+    int64_t count = 0;
+    for (int64_t v = 0; v < n; ++v)
+        count = level[v] >= count ? level[v] + 1 : count;
+    memset(off, 0, (size_t)(count + 1) * sizeof(int64_t));
+    for (int64_t v = 0; v < n; ++v)
+        ++off[level[v] + 1];
+    for (int64_t l = 0; l < count; ++l)
+        off[l + 1] += off[l];
+    /* off[l] is level l's cursor while placing, and ends at its end. */
+    for (int64_t v = 0; v < n; ++v)
+        order[off[level[v]]++] = v;
+    for (int64_t l = count; l > 0; --l)
+        off[l] = off[l - 1];
+    off[0] = 0;
+    return count;
+}
+
+/* The plan structure of an edge set, in O(n + m): repro_schedule's
+ * endpoint grouping and levels, then one pass over the nodes in
+ * forward-level order that writes every node's slots (its incident
+ * edges in edge order) as full-adjacency rows, splitting them into sends
+ * to higher-numbered neighbours and conditioning rows from lower-numbered
+ * ones, and one pass in backward-level order that re-sends each node's
+ * conditioning rows; backward levels without sends are dropped.  Slot s
+ * of edge e = s >> 1 carries first[e] -> second[e] when even and the
+ * reverse when odd, and prices through cid[e] + stacked * (s & 1).
+ * gamma is 1 / max(#higher, #lower neighbours), 1 without neighbours.
+ * `work` holds 2m + 7n + 2 int64.  Endpoints must lie in [0, n) and
+ * differ; the plan build checks both. */
+void repro_structure(
+    int64_t n, int64_t m, const int64_t *first, const int64_t *second,
+    const int64_t *cid, int64_t stacked, structure_t *st, int64_t *work)
+{
+    int64_t *group = work, *off = group + 2 * m, *flevel = off + n + 1;
+    int64_t *blevel = flevel + n, *ext_start = blevel + n;
+    int64_t *lower = ext_start + n, *border = lower + n, *boff = border + n;
+    int64_t *receiver = st->receiver, *nodes = st->nodes;
+    repro_schedule(n, m, first, second, group, off, flevel, blevel);
+    for (int64_t e = 0; e < m; ++e) {
+        receiver[2 * e] = second[e];
+        receiver[2 * e + 1] = first[e];
+    }
+    const int64_t n_fwd = level_order(n, flevel, nodes, st->node_off);
+    int64_t sent = 0, cond = 0, row = 0;
+    for (int64_t l = 0; l < n_fwd; ++l) {
+        st->fwd_off[l] = sent;
+        st->ext_off[l] = cond;
+        st->all_off[l] = row;
+        const int64_t k0 = st->node_off[l];
+        for (int64_t k = k0; k < st->node_off[l + 1]; ++k) {
+            const int64_t v = nodes[k];
+            const int64_t begin = cond;
+            ext_start[v] = cond;
+            for (int64_t q = off[v]; q < off[v + 1]; ++q) {
+                const int64_t slot = group[q];
+                const int64_t u = receiver[slot];
+                const int64_t c = cid[slot >> 1] + stacked * (slot & 1);
+                st->all_seg[row] = k - k0;
+                st->all_nbr[row] = u;
+                st->all_cid[row++] = c;
+                if (u > v) {
+                    st->fwd_snd[sent] = v;
+                    st->fwd_rcv[sent] = u;
+                    st->fwd_out[sent] = slot;
+                    st->fwd_cid[sent++] = c;
+                } else {
+                    st->ext_seg[cond] = k - k0;
+                    st->ext_nbr[cond] = u;
+                    st->ext_in[cond] = slot ^ 1;
+                    st->ext_cid[cond++] = c;
+                }
+            }
+            const int64_t degree = off[v + 1] - off[v];
+            const int64_t below = cond - begin, above = degree - below;
+            const int64_t chains = above > below ? above : below;
+            st->degree[v] = degree;
+            st->gamma[v] = chains > 0 ? 1.0 / (double)chains : 1.0;
+            lower[v] = below;
+        }
+    }
+    st->fwd_off[n_fwd] = sent;
+    st->ext_off[n_fwd] = cond;
+    st->all_off[n_fwd] = row;
+    const int64_t n_levels = level_order(n, blevel, border, boff);
+    int64_t n_bwd = 0;
+    sent = 0;
+    for (int64_t l = 0; l < n_levels; ++l) {
+        const int64_t level_start = sent;
+        for (int64_t k = boff[l]; k < boff[l + 1]; ++k) {
+            const int64_t v = border[k];
+            const int64_t j1 = ext_start[v] + lower[v];
+            for (int64_t j = ext_start[v]; j < j1; ++j) {
+                st->bwd_snd[sent] = v;
+                st->bwd_rcv[sent] = st->ext_nbr[j];
+                st->bwd_out[sent] = st->ext_in[j] ^ 1;
+                st->bwd_cid[sent++] = st->ext_cid[j];
+            }
+        }
+        if (sent > level_start)
+            st->bwd_off[n_bwd++] = level_start;
+    }
+    st->bwd_off[n_bwd] = sent;
+    st->n_fwd = n_fwd;
+    st->n_bwd = n_bwd;
+}
+
 void repro_bp_beliefs(
     const plan_t *p, const double *messages, double *beliefs)
 {
@@ -672,19 +819,18 @@ void repro_bp_beliefs(
 }
 
 double repro_bp_round(
-    const plan_t *p, const int64_t *slot_sender, const int64_t *slot_cid,
-    double damping, const double *beliefs, double *messages,
+    const plan_t *p, double damping, const double *beliefs, double *messages,
     double *new_msgs)
 {
     double change = 0.0;
-    DISPATCH(change = bp_round_body(p, 4, slot_sender, slot_cid, damping,
-                                    beliefs, messages, new_msgs),
-             change = bp_round_body(p, 6, slot_sender, slot_cid, damping,
-                                    beliefs, messages, new_msgs),
-             change = bp_round_body(p, 8, slot_sender, slot_cid, damping,
-                                    beliefs, messages, new_msgs),
-             change = bp_round_body(p, p->lmax, slot_sender, slot_cid,
-                                    damping, beliefs, messages, new_msgs))
+    DISPATCH(change = bp_round_body(p, 4, damping, beliefs, messages,
+                                    new_msgs),
+             change = bp_round_body(p, 6, damping, beliefs, messages,
+                                    new_msgs),
+             change = bp_round_body(p, 8, damping, beliefs, messages,
+                                    new_msgs),
+             change = bp_round_body(p, p->lmax, damping, beliefs, messages,
+                                    new_msgs))
     return change;
 }
 """
@@ -709,15 +855,40 @@ class CPlan(ctypes.Structure):
     """Mirror of the C ``plan_t``: every pointer a sweep kernel reads."""
 
     _fields_ = [
-        ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64),
+        ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64), ("stacked", _I64),
         *((name, _P) for name in (
             "cost", "unary", "degree", "gamma", "counts", "receiver",
-            "node_off",
+            "edge_cid", "node_off",
             "nodes",
             "ext_off", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
             "all_off", "all_seg", "all_nbr", "all_cid",
         )),
         ("fwd", CSends), ("bwd", CSends),
+    ]
+
+
+#: The int64 arrays ``repro_structure`` writes, in ``structure_t`` order,
+#: with their lengths: one entry per directed slot, edge or node.
+STRUCTURE_ARRAYS = (
+    ("receiver", "slot"), ("degree", "node"), ("nodes", "node"),
+    *((name, "edge") for name in ("ext_seg", "ext_nbr", "ext_in", "ext_cid")),
+    *((name, "slot") for name in ("all_seg", "all_nbr", "all_cid")),
+    *((f"{sweep}_{name}", "edge")
+      for sweep in ("fwd", "bwd") for name in ("snd", "rcv", "out", "cid")),
+)
+#: Its level offsets, in ``structure_t`` order.
+STRUCTURE_OFFSETS = ("node_off", "ext_off", "all_off", "fwd_off", "bwd_off")
+
+
+class CStructure(ctypes.Structure):
+    """Mirror of the C ``structure_t``: the arrays ``repro_structure``
+    writes, and the level counts it returns."""
+
+    _fields_ = [
+        ("gamma", _P),
+        *((name, _P) for name, _extent in STRUCTURE_ARRAYS),
+        *((name, _P) for name in STRUCTURE_OFFSETS),
+        ("n_fwd", _I64), ("n_bwd", _I64),
     ]
 
 
@@ -731,11 +902,12 @@ _SIGNATURES = (
     ("repro_chain_bound",
      [ctypes.POINTER(CPlan), _P, _I64, _P, _P, _P, _P, _P], None),
     ("repro_schedule", [_I64, _I64, _P, _P, _P, _P, _P, _P], None),
+    ("repro_structure",
+     [_I64, _I64, _P, _P, _P, _I64, ctypes.POINTER(CStructure), _P], None),
     ("repro_label_graph", [ctypes.POINTER(CPlan), _P, _P, _P, _P], _I64),
     ("repro_bp_beliefs", [ctypes.POINTER(CPlan), _P, _P], None),
     ("repro_bp_round",
-     [ctypes.POINTER(CPlan), _P, _P, ctypes.c_double, _P, _P, _P],
-     ctypes.c_double),
+     [ctypes.POINTER(CPlan), ctypes.c_double, _P, _P, _P], ctypes.c_double),
 )
 
 
@@ -744,7 +916,8 @@ class CKernels:
 
     Attributes are the C functions themselves (``trws_forward``,
     ``trws_backward``, ``decode``, ``icm``, ``greedy``, ``chain_bound``,
-    ``schedule``, ``label_graph``, ``bp_beliefs``, ``bp_round``), taking
+    ``schedule``, ``structure``, ``label_graph``, ``bp_beliefs``,
+    ``bp_round``), taking
     raw addresses (``int`` or
     ``None`` for ``NULL``) for arrays and a ``POINTER(CPlan)`` for plans.
     Callers guarantee C-contiguous arrays of the documented dtypes.

@@ -16,8 +16,10 @@ refine's greedy init:
 
 Three per-call kernels complete the set: the TRW-S lower bound's chain
 minima (:meth:`KernelBackend.chain_bound`) and the synchronous BP beliefs
-and round.  Two more kernels run once per edge set rather than per
-solve: :meth:`KernelBackend.schedule` groups the edge endpoints by node
+and round.  Three more kernels run once per edge set rather than per
+solve: :meth:`KernelBackend.structure` builds the plan's slot, γ and
+sweep arrays (every plan build and every ``replace_edges``) on top of
+:meth:`KernelBackend.schedule`, which groups the edge endpoints by node
 and computes the wavefront levels the sweep arrays are laid out by, and
 :meth:`KernelBackend.label_graph` numbers the bound's monotonic chains
 and the connected components when a plan first reads them.
@@ -53,7 +55,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.mrf.vectorized import MRFArrays, SolverScratch
+    from repro.mrf.vectorized import MRFArrays, SolverScratch, _SweepCSR
 
 __all__ = ["KernelBackend"]
 
@@ -135,7 +137,10 @@ class KernelBackend:
         the argmin of its unary plus the pairwise columns of *all*
         neighbours' current labels, and the level's labels are written
         back before the next level.  Stops after a sweep that changes
-        nothing, or after ``max_sweeps``.  Returns the backend that ran."""
+        nothing, or after ``max_sweeps``.  A backend may skip a node none
+        of whose neighbours changed since its last visit (its argmin is
+        its current label), as long as the labels after every sweep are
+        those of the full sweeps.  Returns the backend that ran."""
         raise NotImplementedError
 
     def decode(
@@ -186,6 +191,35 @@ class KernelBackend:
         higher-numbered neighbours.  All four are int64.  Endpoints must
         lie in ``[0, n)`` and differ: callers go through
         :func:`~repro.mrf.vectorized.wavefront_schedule`, which checks."""
+        raise NotImplementedError
+
+    def structure(
+        self,
+        n: int,
+        first: np.ndarray,
+        second: np.ndarray,
+        cid: np.ndarray,
+        stacked: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, "_SweepCSR", "_SweepCSR"]:
+        """``(slot_receiver, degree, gamma, fwd_sweep, bwd_sweep)`` of an
+        edge set over ``n`` nodes: everything
+        :class:`~repro.mrf.vectorized.MRFArrays` derives from its edges.
+
+        Slot ``2e`` carries ``first[e] → second[e]`` and ``2e+1`` the
+        reverse, priced through ``cid[e]`` (transposed, ``+ stacked``,
+        when the sender is the second endpoint).  ``degree`` counts each
+        node's edges and ``gamma`` is ``1 / max(#higher, #lower
+        neighbours)`` (1 without neighbours).  The forward sweep lists the
+        nodes by :meth:`schedule`'s forward level, ascending within a
+        level, each with its incident edges in edge order as
+        full-adjacency rows, split into sends to higher-numbered and
+        conditioning rows from lower-numbered neighbours; the backward
+        sweep re-sends every node's conditioning rows in backward-level
+        order and drops levels without sends.  The NumPy reference
+        builds them by segment gathers of the endpoint grouping; every
+        backend returns the same arrays, C-contiguous int64 (``gamma``
+        float64).  Endpoints are checked by the caller, as for
+        :meth:`schedule`."""
         raise NotImplementedError
 
     def label_graph(
@@ -253,5 +287,7 @@ class KernelBackend:
         """One synchronous min-sum round over all ``2·edges`` directed
         slots: compute every new message from the previous round's values,
         damp, write back in place, and return the max absolute message
-        change."""
+        change.  Slot ``s`` is sent by ``slot_receiver[s ^ 1]``, reads
+        the opposite slot ``s ^ 1`` and prices through ``edge_cid[s >> 1]
+        + stacked·(s & 1)``; kernels derive all three per slot."""
         raise NotImplementedError

@@ -24,9 +24,9 @@ with tracing off too (the service exports it on ``/metrics``).  The
 guarded methods return the backend that actually ran, so solvers record
 fallbacks truthfully.  ``label_graph`` (the chains and components,
 once per edge set) goes through the same guard and counter.  The
-plan-build ``schedule`` kernel needs no guard: it writes fresh arrays,
-and :func:`~repro.mrf.vectorized.wavefront_schedule` has checked the
-endpoints it indexes by.
+plan-build ``schedule`` and ``structure`` kernels need no guard: they
+write fresh arrays, and the plan build has checked the endpoints they
+index by.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import threading
 import weakref
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,8 +82,6 @@ class _PlanState:
         # a dead reference can never match a new object (no id() reuse).
         self.token = tuple(weakref.ref(x) for x in self._token(plan))
         fwd, bwd = plan.fwd_sweep, plan.bwd_sweep
-        # The BP-only slot arrays are left unread: the plan builds them
-        # (C-contiguous, of the kernels' dtypes) when BP first asks.
         checks = [
             (plan.cost, np.float64), (plan.unary_inf, np.float64),
             (plan.gamma, np.float64),
@@ -117,10 +116,11 @@ class _PlanState:
 
         self.ref = ctypes.pointer(CPlan(
             lmax=plan.lmax, n_fwd=fwd.count, n_bwd=bwd.count,
+            stacked=plan.stacked,
             cost=_addr(plan.cost), unary=_addr(plan.unary_inf),
             degree=_addr(plan.degree), gamma=_addr(plan.gamma),
             counts=_addr(plan.label_counts), receiver=_addr(plan.slot_receiver),
-            node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
+            edge_cid=_addr(plan.edge_cid), node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
             all_off=_addr(fwd.all_off), fwd=sends(fwd), bwd=sends(bwd),
             **{
                 name: _addr(getattr(fwd.block, name))
@@ -257,8 +257,8 @@ class NativeBackend(KernelBackend):
         if not ready:
             return self._fallback().icm(plan, current, max_sweeps, scratch)
         kernels, state = ready
-        cond = scratch.array("native_cond", (state.cond_rows, plan.lmax))
-        kernels.icm(state.ref, int(max_sweeps), _addr(current), _addr(cond))
+        dirty = scratch.array("native_icm_dirty", (plan.node_count,), np.uint8)
+        kernels.icm(state.ref, int(max_sweeps), _addr(current), _addr(dirty))
         return self
 
     def greedy(self, plan, labels, scratch):
@@ -307,6 +307,73 @@ class NativeBackend(KernelBackend):
             _addr(group), _addr(off), _addr(flevel), _addr(blevel),
         )
         return group, off, flevel, blevel
+
+    def structure(self, n, first, second, cid, stacked):
+        from repro.mrf.backends._cc import (
+            STRUCTURE_ARRAYS,
+            STRUCTURE_OFFSETS,
+            CStructure,
+        )
+        from repro.mrf.vectorized import _SendBlock, _SweepCSR, _Wavefront
+
+        kernels = self._impl()
+        if kernels is None:
+            return self._fallback().structure(n, first, second, cid, stacked)
+        first, second, cid = (
+            np.ascontiguousarray(a, dtype=np.int64) for a in (first, second, cid)
+        )
+        m = len(first)
+        # The arrays are slices of one int64 block and the level offsets
+        # rows of another, so the call marshals a handful of addresses
+        # rather than one per array; the offsets are then cut to the level
+        # counts the kernel returns.
+        length = {"slot": 2 * m, "edge": m, "node": n}
+        stops = list(accumulate(length[e] for _name, e in STRUCTURE_ARRAYS))
+        block = np.empty(stops[-1], dtype=np.int64)
+        levels = np.empty((len(STRUCTURE_OFFSETS), n + 1), dtype=np.int64)
+        gamma = np.empty(n)
+        base, level_base = _addr(block), _addr(levels)
+        out, address = {}, {}
+        for (name, extent), stop in zip(STRUCTURE_ARRAYS, stops):
+            start = stop - length[extent]
+            out[name] = block[start:stop]
+            address[name] = base + block.itemsize * start
+        for row, name in enumerate(STRUCTURE_OFFSETS):
+            address[name] = level_base + levels.itemsize * (n + 1) * row
+        result = CStructure(gamma=_addr(gamma), **address)
+        work = np.empty(2 * m + 7 * n + 2, dtype=np.int64)
+        kernels.structure(
+            n, m, _addr(first), _addr(second), _addr(cid), int(stacked),
+            ctypes.byref(result), _addr(work),
+        )
+        for row, name in enumerate(STRUCTURE_OFFSETS):
+            count = result.n_bwd if name == "bwd_off" else result.n_fwd
+            out[name] = levels[row, : count + 1].copy()
+
+        def sends(sweep):
+            return {
+                name: out[f"{sweep}_{name}"]
+                for name in ("snd", "rcv", "out", "cid")
+            }
+
+        fwd = _SweepCSR(
+            block=_Wavefront(
+                **{
+                    name: out[name]
+                    for name in (
+                        "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
+                        "all_seg", "all_nbr", "all_cid",
+                    )
+                },
+                **sends("fwd"),
+            ),
+            send_off=out["fwd_off"],
+            node_off=out["node_off"],
+            ext_off=out["ext_off"],
+            all_off=out["all_off"],
+        )
+        bwd = _SweepCSR(block=_SendBlock(**sends("bwd")), send_off=out["bwd_off"])
+        return out["receiver"], out["degree"], gamma, fwd, bwd
 
     def label_graph(self, plan, chains, components):
         ready = self._guard(plan)
@@ -368,6 +435,6 @@ class NativeBackend(KernelBackend):
         kernels, state = ready
         new = scratch.array("native_bp_new", messages.shape)
         return float(kernels.bp_round(
-            state.ref, _addr(plan.slot_sender), _addr(plan.slot_cid),
-            float(damping), _addr(beliefs), _addr(messages), _addr(new),
+            state.ref, float(damping), _addr(beliefs), _addr(messages),
+            _addr(new),
         ))

@@ -6,7 +6,9 @@ backend registry existed (same operations, same order, same
 ``SolverScratch`` buffer names).  This backend *defines* the bit-level
 contract every other backend is gated against.  Its schedule kernel is
 the reference level loop: Kahn waves over the endpoint grouping, one
-round of array calls per level.  Its greedy init is a Python loop over
+round of array calls per level; its structure kernel lays the sweep
+arrays out by segment gathers of that grouping.  Its ICM runs every
+sweep over every node.  Its greedy init is a Python loop over
 the nodes, one array add per pairwise term.  Its graph labels are
 pointer jumping over the forward sweep's rows (the chains) and
 vectorised hooking (the components).
@@ -19,7 +21,7 @@ import time
 import numpy as np
 
 from repro.mrf.backends.base import KernelBackend
-from repro.mrf.vectorized import _offsets, segment_rows
+from repro.mrf.vectorized import _SendBlock, _SweepCSR, _Wavefront
 
 __all__ = ["NumpyBackend"]
 
@@ -142,6 +144,101 @@ class NumpyBackend(KernelBackend):
             _waves(n, owner[up], nbr[up]), _waves(n, owner[down], nbr[down]),
         )
 
+    def structure(self, n, first, second, cid, stacked):
+        group, group_off, flevel, blevel = self.schedule(n, first, second)
+        m = len(first)
+        # Directed slots: slot 2e carries first→second of edge e, slot
+        # 2e+1 the reverse.
+        receiver = np.empty(2 * m, dtype=np.int64)
+        receiver[0::2] = second
+        receiver[1::2] = first
+        degree = np.diff(group_off)
+        # γ: TRW-S's monotonic-chain weights 1 / max(#forward, #backward
+        # neighbours); a node's forward neighbours are the higher-numbered
+        # ones.
+        higher = np.bincount(np.minimum(first, second), minlength=n)
+        lower = degree - higher
+        chains = np.maximum(higher, lower)
+        gamma = np.ones(n)
+        gamma[chains > 0] = 1.0 / chains[chains > 0]
+
+        # Flattened, level-major orderings.  Every node's rows of the
+        # grouping are its incident edges in edge order (the adjacency
+        # order of the per-node reference solvers), each as the slot the
+        # node sends on.  The forward sweep gathers every node's rows in
+        # forward-level order; the rows towards higher-numbered neighbours
+        # are its sends, the others condition on earlier levels.
+        # Temporaries are dropped as soon as they are used up, so the
+        # build's peak stays near the finished plan's size.
+        node_order, node_off = _level_order(flevel)
+        counts = degree[node_order]
+        slot = group.take(segment_rows(group_off[node_order], counts))
+        del group
+        owner = np.repeat(node_order, counts)
+        nbr = receiver.take(slot)
+        up = np.flatnonzero(nbr > owner)
+        down = np.flatnonzero(nbr < owner)
+        # Each node's position inside its level's (ascending) node slice.
+        position = np.arange(n) - np.repeat(node_off[:-1], np.diff(node_off))
+        all_seg = np.repeat(position, counts)
+        # Cost ids oriented rows = the sender's labels (the transposed
+        # entry when the sender is the second endpoint).
+        all_cid = cid[slot >> 1]
+        all_cid += stacked * (slot & 1)
+        out = slot.take(up)
+        snd = owner.take(up)
+        rcv = nbr.take(up)
+        ext_out = slot.take(down)
+        ext_nbr = nbr.take(down)
+        ext_cid = all_cid.take(down)
+        del slot, owner
+        all_off = _offsets(counts)[node_off]
+        send_off = _offsets(higher[node_order])[node_off]
+        fwd = _SweepCSR(
+            block=_Wavefront(
+                nodes=node_order,
+                ext_seg=all_seg.take(down),
+                ext_nbr=ext_nbr,
+                ext_in=ext_out ^ 1,
+                ext_cid=ext_cid,
+                snd=snd,
+                rcv=rcv,
+                out=out,
+                cid=all_cid.take(up),
+                all_seg=all_seg,
+                all_nbr=nbr,
+                all_cid=all_cid,
+            ),
+            send_off=send_off,
+            node_off=node_off,
+            ext_off=all_off - send_off,
+            all_off=all_off,
+        )
+        del up, down
+
+        # The backward sweep sends the same rows as the conditioning
+        # above, each node towards its lower-numbered neighbours, with the
+        # nodes regrouped in backward-level order.
+        ext_start = np.empty(n, dtype=np.int64)
+        ext_start[node_order] = _offsets(lower[node_order])[:-1]
+        node_order, node_off = _level_order(blevel)
+        counts = lower[node_order]
+        rows = segment_rows(ext_start[node_order], counts)
+        bounds = _offsets(counts)[node_off]
+        # Levels without sends are dropped: keep the starts of non-empty
+        # levels, plus the end.
+        nonempty = bounds[1:] > bounds[:-1]
+        bwd = _SweepCSR(
+            block=_SendBlock(
+                snd=np.repeat(node_order, counts),
+                rcv=ext_nbr.take(rows),
+                out=ext_out.take(rows),
+                cid=ext_cid.take(rows),
+            ),
+            send_off=np.concatenate((bounds[:-1][nonempty], bounds[-1:])),
+        )
+        return receiver, degree, gamma, fwd, bwd
+
     def label_graph(self, plan, chains, components):
         chain = ends = labels = None
         if chains:
@@ -209,12 +306,20 @@ class NumpyBackend(KernelBackend):
         updated = scratch.array("bp_new", (slots, lmax))
         rowmin = scratch.array("bp_rowmin", (slots, 1))
         pad = scratch.array("bp_pad", (slots, lmax), np.bool_)
-        beliefs.take(plan.slot_sender, axis=0, out=base, mode="clip")
+        # Slot s is sent by the receiver of s ^ 1 and prices through its
+        # edge's cost id, transposed when s is odd.
+        pairs = (plan.edge_count, 2)
+        sender = scratch.array("bp_sender", pairs, np.int64)
+        cid = scratch.array("bp_cid", pairs, np.int64)
+        np.copyto(sender, plan.slot_receiver.reshape(pairs)[:, ::-1])
+        cid[:, 0] = plan.edge_cid
+        np.add(plan.edge_cid, plan.stacked, out=cid[:, 1])
+        beliefs.take(sender.reshape(-1), axis=0, out=base, mode="clip")
         # Slot s receives on s ^ 1: swap the two rows of every edge.
-        pairs = (plan.edge_count, 2, lmax)
-        np.copyto(diff.reshape(pairs), messages.reshape(pairs)[:, ::-1])
+        rows = (plan.edge_count, 2, lmax)
+        np.copyto(diff.reshape(rows), messages.reshape(rows)[:, ::-1])
         np.subtract(base, diff, out=base)
-        plan.cost.take(plan.slot_cid, axis=0, out=cost, mode="clip")
+        plan.cost.take(cid.reshape(-1), axis=0, out=cost, mode="clip")
         np.add(cost, base[:, :, None], out=cost)
         cost.min(axis=1, out=updated)
         updated.min(axis=1, keepdims=True, out=rowmin)
@@ -230,6 +335,30 @@ class NumpyBackend(KernelBackend):
         max_change = float(diff.max())
         np.copyto(messages, updated)
         return max_change
+
+
+def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The row ranges ``starts[i] : starts[i] + counts[i]``, back to back.
+
+    >>> segment_rows(np.array([3, 0]), np.array([3, 2])).tolist()
+    [3, 4, 5, 0, 1]
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, …]``: the CSR offsets of consecutive counts."""
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
+def _level_order(level: np.ndarray):
+    """The nodes level-major, ascending within a level, and the offsets
+    of each level's slice of them."""
+    return np.argsort(level, kind="stable"), _offsets(np.bincount(level))
 
 
 def _chains(plan):

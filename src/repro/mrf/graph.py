@@ -27,13 +27,15 @@ class MRFError(ValueError):
 class PairwiseMRF:
     """A discrete pairwise MRF with minimisation semantics.
 
+    The energy of ``[0, 1]`` is the unaries 0 + 0 plus the edge cost 1:
+
     >>> mrf = PairwiseMRF()
     >>> a = mrf.add_node([0.0, 1.0])
     >>> b = mrf.add_node([1.0, 0.0])
     >>> mrf.add_edge(a, b, [[0.0, 1.0], [1.0, 0.0]])
     0
     >>> mrf.energy([0, 1])
-    0.0
+    1.0
     """
 
     def __init__(self) -> None:

@@ -28,12 +28,11 @@ instead of per-edge Python loops:
   offsets (:attr:`MRFArrays.fwd_sweep` / :attr:`MRFArrays.bwd_sweep`), so
   a native kernel backend walks a whole sweep in one call; the NumPy
   backend loops over per-level views of the same arrays.
-* **A linear build.**  :func:`wavefront_schedule` groups the ``2·edges``
-  edge endpoints by node and computes both level arrays in one
-  O(nodes + edges) kernel call; every sweep array and level offset is a
-  segment gather of that grouping in level order, so a deep chain costs
-  no more per edge than a wide estate.  Arrays only BP reads are built
-  when BP first reads them.
+* **A linear build.**  One O(nodes + edges) call of the structure
+  kernel groups the ``2·edges`` edge endpoints by node, computes both
+  level arrays (:func:`wavefront_schedule`) and writes every slot, γ and
+  sweep array and level offset in level order from that grouping, so a
+  deep chain costs no more per edge than a wide estate.
 
 Directed message slot layout matches the reference solvers: slot ``2e``
 carries first→second of edge ``e`` (indexed by the second endpoint's
@@ -50,7 +49,8 @@ one cost-stack entry in place (similarity feeds change values, not
 structure), :meth:`MRFArrays.set_unary` rewrites one node's hard-mask
 unary (constraint pins/forbids), and :meth:`MRFArrays.replace_edges`
 re-derives the directed slots, γ weights and wavefront levels from a
-patched edge set while leaving every node array untouched.  This is what
+patched edge set (the same structure kernel call) while leaving every
+node array untouched.  This is what
 lets :mod:`repro.stream` apply network churn and constraint events to a
 live plan instead of rebuilding it from the Python-level MRF.
 """
@@ -134,7 +134,9 @@ def wavefront_schedule(
     The default kernel backend (see :meth:`~repro.mrf.backends.base.
     KernelBackend.schedule`) computes all four in O(nodes + edges); the
     endpoints are checked here first, because the native kernel indexes
-    by them raw.
+    by them raw.  The plan build runs the same schedule inside its
+    structure kernel (:meth:`~repro.mrf.backends.base.KernelBackend.
+    structure`).
 
     >>> _, _, forward, backward = wavefront_schedule(
     ...     4, np.array([0, 1, 0]), np.array([1, 2, 3]))
@@ -143,6 +145,13 @@ def wavefront_schedule(
     """
     from repro.mrf.backends import resolve_backend
 
+    _check_endpoints(n, first, second)
+    return resolve_backend().schedule(n, first, second)
+
+
+def _check_endpoints(n: int, first: np.ndarray, second: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first edge whose endpoints are not
+    two distinct nodes in ``[0, n)``."""
     bad = (first == second) | (np.minimum(first, second) < 0)
     bad |= np.maximum(first, second) >= n
     if bad.any():
@@ -151,25 +160,6 @@ def wavefront_schedule(
             f"edge {e} ({int(first[e])}, {int(second[e])}) needs two "
             f"distinct endpoints in [0, {n})"
         )
-    return resolve_backend().schedule(n, first, second)
-
-
-def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The row ranges ``starts[i] : starts[i] + counts[i]``, back to back.
-
-    >>> segment_rows(np.array([3, 0]), np.array([3, 2])).tolist()
-    [3, 4, 5, 0, 1]
-    """
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - ends + counts, counts)
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """``[0, c0, c0 + c1, …]``: the CSR offsets of consecutive counts."""
-    off = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    return off
 
 
 def _padded_stack(
@@ -184,12 +174,6 @@ def _padded_stack(
     mask = np.arange(unary.shape[1]) < counts[:, None]
     unary[mask] = np.concatenate([np.zeros(0), *unaries])
     return unary, counts
-
-
-def _level_order(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The nodes level-major, ascending within a level, and the offsets
-    of each level's slice of them."""
-    return np.argsort(level, kind="stable"), _offsets(np.bincount(level))
 
 
 @dataclass
@@ -436,9 +420,9 @@ class MRFArrays:
         """Swap in a patched edge set, keeping every node array.
 
         Re-derives the cost stack, directed slots, γ weights and wavefront
-        levels from the new arrays — one O(nodes + edges) schedule kernel
-        call plus segment gathers, orders of magnitude cheaper than
-        rebuilding the Python-level MRF.  The caller owns the message-slot
+        levels from the new arrays — one O(nodes + edges) structure kernel
+        call, orders of magnitude cheaper than rebuilding the Python-level
+        MRF.  The caller owns the message-slot
         remapping (slot ``2e``/``2e+1`` follows edge ``e``'s position in
         the new arrays).
         """
@@ -455,148 +439,34 @@ class MRFArrays:
         edge_second: np.ndarray,
         edge_cid: np.ndarray,
     ) -> None:
+        """Derive the slot receivers, degrees, γ weights and both sweeps'
+        level-major arrays of an edge set: one call of the default kernel
+        backend (:meth:`~repro.mrf.backends.base.KernelBackend.structure`),
+        after the endpoint check the native kernel relies on."""
+        from repro.mrf.backends import resolve_backend
+
         n = self.node_count
-        m = len(edge_first)
-        group, group_off, flevel, blevel = wavefront_schedule(
-            n, edge_first, edge_second
-        )
-        self.edge_count = m
+        _check_endpoints(n, edge_first, edge_second)
+        self.edge_count = len(edge_first)
         self.edge_first = edge_first
         self.edge_second = edge_second
         self.edge_cid = edge_cid  # oriented rows = first endpoint
-
-        # ---- directed slots: slot 2e carries first→second of edge e, slot
-        # 2e+1 the reverse.  The BP-only slot arrays are built on first
-        # read (see _bp_slots).
-        receiver = np.empty(2 * m, dtype=np.int64)
-        receiver[0::2] = edge_second
-        receiver[1::2] = edge_first
-        self.slot_receiver = receiver
-
-        # ---- γ: TRW-S's monotonic-chain weights 1 / max(#forward,
-        # #backward neighbours); a node's forward neighbours are the
-        # higher-numbered ones.
-        degree = np.diff(group_off)
-        #: incident edges per node (the greedy init's visiting order).
-        self.degree = degree
-        higher = np.bincount(np.minimum(edge_first, edge_second), minlength=n)
-        lower = degree - higher
-        chains = np.maximum(higher, lower)
-        gamma = np.ones(n)
-        gamma[chains > 0] = 1.0 / chains[chains > 0]
-        self.gamma = gamma
-
-        # ---- flattened, level-major orderings.  Every node's rows of the
-        # grouping are its incident edges in edge order (the adjacency
-        # order of the per-node reference solvers), each as the slot the
-        # node sends on.  The forward sweep gathers every node's rows in
-        # forward-level order; the rows towards higher-numbered neighbours
-        # are its sends, the others condition on earlier levels.
-        # Temporaries are dropped as soon as they are used up, so the
-        # build's peak stays near the finished plan's size.
-        node_order, node_off = _level_order(flevel)
-        counts = degree[node_order]
-        slot = group.take(segment_rows(group_off[node_order], counts))
-        del group
-        owner = np.repeat(node_order, counts)
-        nbr = receiver.take(slot)
-        up = np.flatnonzero(nbr > owner)
-        down = np.flatnonzero(nbr < owner)
-        # Each node's position inside its level's (ascending) node slice.
-        position = np.arange(n) - np.repeat(node_off[:-1], np.diff(node_off))
-        all_seg = np.repeat(position, counts)
-        all_cid = self._slot_cid(slot)
-        out = slot.take(up)
-        snd = owner.take(up)
-        rcv = nbr.take(up)
-        ext_out = slot.take(down)
-        ext_nbr = nbr.take(down)
-        ext_cid = all_cid.take(down)
-        del slot, owner
-        all_off = _offsets(counts)[node_off]
-        send_off = _offsets(higher[node_order])[node_off]
-        #: the forward sweep as flat level-major CSR arrays.
-        self.fwd_sweep = _SweepCSR(
-            block=_Wavefront(
-                nodes=node_order,
-                ext_seg=all_seg.take(down),
-                ext_nbr=ext_nbr,
-                ext_in=ext_out ^ 1,
-                ext_cid=ext_cid,
-                snd=snd,
-                rcv=rcv,
-                out=out,
-                cid=all_cid.take(up),
-                all_seg=all_seg,
-                all_nbr=nbr,
-                all_cid=all_cid,
-            ),
-            send_off=send_off,
-            node_off=node_off,
-            ext_off=all_off - send_off,
-            all_off=all_off,
-        )
-        del up, down
-
-        # ---- the backward sweep sends the same rows as the conditioning
-        # above, each node towards its lower-numbered neighbours, with the
-        # nodes regrouped in backward-level order.
-        ext_start = np.empty(n, dtype=np.int64)
-        ext_start[node_order] = _offsets(lower[node_order])[:-1]
-        node_order, node_off = _level_order(blevel)
-        counts = lower[node_order]
-        rows = segment_rows(ext_start[node_order], counts)
-        out = ext_out.take(rows)
-        snd = np.repeat(node_order, counts)
-        rcv = ext_nbr.take(rows)
-        bounds = _offsets(counts)[node_off]
-        # Levels without sends are dropped: keep the starts of non-empty
-        # levels, plus the end.
-        nonempty = bounds[1:] > bounds[:-1]
-        #: the backward sweep (levels with sends only) as CSR arrays.
-        self.bwd_sweep = _SweepCSR(
-            block=_SendBlock(
-                snd=snd,
-                rcv=rcv,
-                out=out,
-                cid=ext_cid.take(rows),
-            ),
-            send_off=np.concatenate((bounds[:-1][nonempty], bounds[-1:])),
+        (
+            self.slot_receiver,
+            #: incident edges per node (the greedy init's visiting order).
+            self.degree,
+            self.gamma,
+            #: the forward sweep as flat level-major CSR arrays.
+            self.fwd_sweep,
+            #: the backward sweep (levels with sends only) as CSR arrays.
+            self.bwd_sweep,
+        ) = resolve_backend().structure(
+            n, edge_first, edge_second, edge_cid, self.stacked
         )
         self._fwd_levels: Optional[List[_Wavefront]] = None
         self._bwd_levels: Optional[List[_SendBlock]] = None
         self._components: Optional[Tuple[np.ndarray, int]] = None
-        self._bp: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._chains: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def _slot_cid(self, slots: np.ndarray) -> np.ndarray:
-        """Cost-stack ids of ``slots``, oriented rows = the sender's labels
-        (the transposed entry when the sender is the second endpoint)."""
-        cid = self.edge_cid[slots >> 1]
-        cid += self.stacked * (slots & 1)
-        return cid
-
-    # --------------------------------------------------------- BP slots
-
-    def _bp_slots(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(sender, cid) per directed slot, built when the synchronous BP
-        update first reads them and kept for the plan's edge set.  Slot
-        ``s`` receives on ``s ^ 1``, and pads at its receiver's labels
-        past ``label_counts``; the kernels derive both."""
-        if self._bp is None:
-            slots = np.arange(2 * self.edge_count)
-            self._bp = (self.slot_receiver[slots ^ 1], self._slot_cid(slots))
-        return self._bp
-
-    @property
-    def slot_sender(self) -> np.ndarray:
-        """Sending node per directed slot (BP)."""
-        return self._bp_slots()[0]
-
-    @property
-    def slot_cid(self) -> np.ndarray:
-        """Cost id per slot, oriented rows = the sender's labels (BP)."""
-        return self._bp_slots()[1]
 
     # ------------------------------------------------------------ levels
 
@@ -694,17 +564,12 @@ class MRFArrays:
             return np.array([self.energy(labels)])
         components = self.components
         totals = np.bincount(
-            components, weights=self.unary[self._iota, labels],
-            minlength=count,
+            components, weights=self._unary_terms(labels), minlength=count
         )
         if self.edge_count:
             totals += np.bincount(
                 components[self.edge_first],
-                weights=self.cost[
-                    self.edge_cid,
-                    labels[self.edge_first],
-                    labels[self.edge_second],
-                ],
+                weights=self._edge_terms(labels),
                 minlength=count,
             )
         return totals
@@ -723,12 +588,28 @@ class MRFArrays:
     def energy(self, labels: np.ndarray) -> float:
         """E(x) for an (n,) label array; equals ``mrf.energy`` up to
         floating-point summation order."""
-        total = self.unary[self._iota, labels].sum()
+        total = self._unary_terms(labels).sum()
         if self.edge_count:
-            total += self.cost[
-                self.edge_cid, labels[self.edge_first], labels[self.edge_second]
-            ].sum()
+            total += self._edge_terms(labels).sum()
         return float(total)
+
+    def _unary_terms(self, labels: np.ndarray) -> np.ndarray:
+        """Every node's unary at its label, in node order: one flat
+        ``take`` at ``node·lmax + label``."""
+        flat = self._iota * self.lmax
+        flat += labels
+        return self.unary.reshape(-1).take(flat)
+
+    def _edge_terms(self, labels: np.ndarray) -> np.ndarray:
+        """Every edge's cost at its endpoints' labels, in edge order: one
+        flat ``take`` at ``cid·lmax² + label(first)·lmax + label(second)``
+        of the cost stack."""
+        lmax = self.lmax
+        flat = labels.take(self.edge_first)
+        flat += self.edge_cid * lmax
+        flat *= lmax
+        flat += labels.take(self.edge_second)
+        return self.cost.reshape(-1).take(flat)
 
     def dual_bound(
         self,

@@ -14,8 +14,10 @@ network can be evaluated under different vulnerability data.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Dict,
     Iterable,
     List,
@@ -203,11 +205,34 @@ class Network:
         """(service, candidate products) pairs at ``host``, declaration order.
 
         One validated lookup for the whole host instead of one per
-        (host, service) — what the network→plan compiler's variable
-        interning wants on 10⁵-variable estates.
+        (host, service).
         """
         self._require_host(host)
         return list(self._hosts[host].items())
+
+    def tables(
+        self,
+    ) -> Tuple[
+        Mapping[str, Mapping[str, Tuple[str, ...]]], AbstractSet[Tuple[str, str]]
+    ]:
+        """Read-only views of the model's own containers, without a copy:
+        host → service → candidate products (hosts in insertion order,
+        services in declaration order), and the links as an unsorted set
+        of ``(a, b)`` pairs with ``a < b``.
+
+        What the network→plan compiler reads the whole network through in
+        one pass.  The views follow later mutations; callers must not
+        write to them.
+
+        >>> net = Network()
+        >>> net.add_host("b", {"os": ["w", "l"]})
+        >>> net.add_host("a", {"os": ["w"]})
+        >>> net.add_link("b", "a")
+        >>> services, links = net.tables()
+        >>> dict(services["b"]), sorted(links)
+        ({'os': ('w', 'l')}, [('a', 'b')])
+        """
+        return MappingProxyType(self._hosts), self._links
 
     def all_services(self) -> List[str]:
         """The union S of services across hosts, in first-seen order."""

@@ -243,7 +243,7 @@ def lexsort_structure(plan) -> dict:
     gathers of one node grouping, kept as a test oracle only: every
     ordering is an explicit ``np.lexsort`` by (level, node, edge) and
     every level offset a ``searchsorted`` of the sorted levels.  Keys are
-    ``slot_*``, ``gamma``, ``fwd.<field>`` / ``bwd.<field>`` for the
+    ``slot_receiver``, ``gamma``, ``fwd.<field>`` / ``bwd.<field>`` for the
     sweep blocks and ``fwd.<family>_off`` / ``bwd.send_off``.
     """
     n, m, stacked = plan.node_count, plan.edge_count, plan.stacked
@@ -251,17 +251,9 @@ def lexsort_structure(plan) -> dict:
         plan.edge_first, plan.edge_second, plan.edge_cid
     )
     out = {}
-    slots = 2 * m
-    sender = np.empty(slots, dtype=np.int64)
-    receiver = np.empty(slots, dtype=np.int64)
-    slot_cid = np.empty(slots, dtype=np.int64)
-    sender[0::2], sender[1::2] = edge_first, edge_second
+    receiver = np.empty(2 * m, dtype=np.int64)
     receiver[0::2], receiver[1::2] = edge_second, edge_first
-    slot_cid[0::2] = edge_cid
-    slot_cid[1::2] = stacked + edge_cid
-    out.update(
-        slot_sender=sender, slot_receiver=receiver, slot_cid=slot_cid,
-    )
+    out["slot_receiver"] = receiver
 
     lo = np.minimum(edge_first, edge_second)
     hi = np.maximum(edge_first, edge_second)

@@ -379,27 +379,23 @@ class TestCKernels:
             _assert_results_identical(result, reference)
 
     def test_bp_on_plans_with_unread_slot_arrays(self):
-        # The BP-only slot arrays are built when BP first reads them, and
-        # marshalling a plan for the TRW-S sweeps must not force them.
+        # BP's per-slot sender and cost id are derived inside the kernels
+        # (slot s is sent by slot_receiver[s ^ 1] and prices through
+        # edge_cid[s >> 1] + stacked·(s & 1)); the plan stores neither,
+        # and a plan marshalled for the TRW-S sweeps runs BP unchanged.
         mrf = _chain_chord_mrf(hosts=200, seed=15)
         solver = LoopyBPSolver(max_iterations=6, damping=0.3)
-        eager = MRFArrays(mrf)
-        for name in ("slot_sender", "slot_cid"):
-            getattr(eager, name)
-        reference = solver.solve_arrays(eager, backend="numpy")
+        reference = solver.solve_arrays(MRFArrays(mrf), backend="numpy")
         for backend in ("numpy", "native"):
             plan = MRFArrays(mrf)
             TRWSSolver(max_iterations=2, seed=0).solve_arrays(
                 plan, backend="native"
             )
-            assert plan._bp is None
             _assert_results_identical(
                 solver.solve_arrays(plan, backend=backend), reference
             )
-            for name in ("slot_sender", "slot_cid"):
-                np.testing.assert_array_equal(
-                    getattr(plan, name), getattr(eager, name)
-                )
+            for name in ("slot_sender", "slot_cid", "_bp_slots"):
+                assert not hasattr(plan, name), name
 
     def test_greedy_parity_chain_and_after_replace_edges(self):
         # The greedy kernel reads the forward sweep's full-adjacency rows
@@ -428,6 +424,100 @@ class TestCKernels:
                 plan.icm(start, max_sweeps=sweeps, backend="native"),
                 plan.icm(start, max_sweeps=sweeps, backend="numpy"),
             )
+
+
+def _icm_plans(shape: str):
+    """Plans of one shape for the ICM sweep-cutoff test."""
+    if shape == "chain_chord":
+        return [MRFArrays(_chain_chord_mrf(hosts=120, seed=21))]
+    if shape == "random":
+        # make_random_mrf draws each node's label count (2 to 5 here).
+        return [
+            MRFArrays(make_random_mrf(nodes, 0.3, 5, seed=seed))
+            for nodes, seed in ((16, 22), (24, 23), (9, 24))
+        ]
+    if shape == "components":
+        # A chain, a 4-cycle and a triangle, with four isolated nodes.
+        rng = np.random.default_rng(25)
+        unaries = [rng.uniform(0.0, 1.0, size=int(k))
+                   for k in rng.integers(2, 5, size=15)]
+        edges = [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (5, 8),
+                 (10, 12), (12, 13), (10, 13)]
+        matrices = [
+            rng.uniform(0.0, 1.0, size=(len(unaries[a]), len(unaries[b])))
+            for a, b in edges
+        ]
+        plan = MRFArrays.from_parts(
+            unaries, np.array([a for a, _ in edges]),
+            np.array([b for _, b in edges]), np.arange(len(edges)), matrices,
+        )
+        assert plan.component_count == 7
+        return [plan]
+    # A plan whose edge set replace_edges swapped: every third edge
+    # dropped, every other survivor reversed.
+    plan = MRFArrays(make_random_mrf(30, 0.25, 4, seed=26))
+    keep = np.flatnonzero(np.arange(plan.edge_count) % 3 != 1)
+    first, second = plan.edge_first[keep], plan.edge_second[keep]
+    cid = plan.edge_cid[keep]
+    flip = np.arange(len(keep)) % 2 == 1
+    plan.replace_edges(
+        np.where(flip, second, first), np.where(flip, first, second),
+        np.where(flip, cid + plan.stacked, cid), list(plan.cost),
+    )
+    return [plan]
+
+
+def _icm_starts(plan: MRFArrays):
+    """The zero, greedy, random and TRW-S-extracted labellings."""
+    numpy = get_backend("numpy")
+    scratch = SolverScratch()
+    messages = plan.zero_messages()
+    beliefs = plan.padded_beliefs()
+    extracted = np.zeros(plan.node_count, dtype=np.int64)
+    for _ in range(2):
+        numpy.forward_sweep(plan, messages, beliefs, extracted, scratch)
+        numpy.backward_sweep(plan, messages, beliefs, scratch)
+    rng = np.random.default_rng(27)
+    return {
+        "zero": np.zeros(plan.node_count, dtype=np.int64),
+        "greedy": plan.greedy_labels(backend="numpy"),
+        "random": rng.integers(0, plan.label_counts),
+        "trws": extracted,
+    }
+
+
+def _run_icm(plan: MRFArrays, start: np.ndarray, sweeps: int, name: str):
+    labels = np.array(start, dtype=np.int64)
+    ran = get_backend(name).icm(plan, labels, sweeps, SolverScratch())
+    assert ran.name == name  # no fallback
+    return labels
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "shape", ["chain_chord", "random", "components", "replaced"]
+)
+def test_icm_matches_numpy_at_every_sweep_cutoff(shape):
+    # The native ICM skips nodes none of whose neighbours changed since
+    # their last visit; it must stop, and leave every label, exactly where
+    # the NumPy full sweeps do after any number of sweeps, up to one past
+    # the sweep that changes nothing.
+    for plan in _icm_plans(shape):
+        for start_name, start in _icm_starts(plan).items():
+            previous, converged, sweeps = None, None, 0
+            while converged is None or sweeps <= converged + 1:
+                want = _run_icm(plan, start, sweeps, "numpy")
+                got = _run_icm(plan, start, sweeps, "native")
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"{start_name}, {sweeps} sweeps"
+                )
+                if converged is None and previous is not None and (
+                    np.array_equal(want, previous)
+                ):
+                    converged = sweeps
+                previous = want
+                sweeps += 1
+                assert sweeps < 100, "ICM did not converge"
 
 
 def _wide_plan() -> MRFArrays:

@@ -97,7 +97,7 @@ def heterogeneous_network():
 _PLAN_ARRAYS = (
     "label_counts", "mask", "unary", "unary_inf", "cost",
     "edge_first", "edge_second", "edge_cid",
-    "slot_sender", "slot_receiver", "slot_cid", "gamma",
+    "slot_receiver", "gamma", "degree",
 )
 _LEVEL_ARRAYS = (
     "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
@@ -264,6 +264,148 @@ class TestCompileParity:
         labels = [int(x) for x in rng.integers(0, compiled.plan.label_counts)]
         assignment = compiled.labels_to_assignment(net, labels)
         assert compiled.assignment_to_labels(assignment) == labels
+
+
+# ------------------------------------------------------ compile orderings
+
+
+def ordering_network():
+    """A network whose compile orderings have every corner case: host
+    names whose string order is neither their insertion nor their numeric
+    order (``h9``/``h10``, mixed case, non-ASCII), links added in reverse
+    order, a host removed and re-added, hosts without services, and a
+    service on only some hosts with per-host ranges."""
+    net = Network()
+    os_ranges = [("w", "l"), ("l", "w", "m"), ("w", "l")]
+    names = ["h10", "h9", "Zeta", "é1", "h2", "alpha", "H1", "日本", "ß", "h11"]
+    for k, host in enumerate(names):
+        net.add_host(host, {"os": os_ranges[k % 3]})
+    net.add_host("bare")  # no services at all
+    net.add_host("bare2")
+    net.add_service("h9", "db", ["d1", "d2"])
+    net.add_service("Zeta", "db", ["d2", "d1", "d3"])
+    net.add_service("h2", "db", ["d1", "d2"])
+    net.add_service("日本", "db", ["d3", "d1"])
+    links = [
+        ("h10", "h9"), ("h9", "Zeta"), ("Zeta", "é1"), ("é1", "h2"),
+        ("h2", "alpha"), ("alpha", "H1"), ("H1", "日本"), ("日本", "ß"),
+        ("ß", "h11"), ("h11", "h10"), ("h9", "h2"), ("Zeta", "日本"),
+        ("bare", "h9"), ("bare", "bare2"), ("h10", "日本"), ("bare2", "ß"),
+    ]
+    for a, b in reversed(links):
+        net.add_link(a, b)
+    # Remove a host with links and re-add it with other services: it
+    # moves to the end of the insertion order.
+    net.remove_host("h2")
+    net.add_host("h2", {"db": ["d2", "d3"], "os": ["m", "w"]})
+    net.add_links([("h2", "h9"), ("alpha", "h2"), ("h2", "日本")])
+    table = SimilarityTable(
+        products=["w", "l", "m", "d1", "d2", "d3"],
+        pairs={("w", "l"): 0.4, ("w", "m"): 0.2, ("l", "m"): 0.9,
+               ("d1", "d2"): 0.7, ("d2", "d3"): 0.1},
+    )
+    return net, table
+
+
+#: preferences that name an unknown host, service or product, or a
+#: product outside the node's range, next to ones that apply.
+ORDERING_PREFERENCES = {
+    ("h10", "os", "w"): -0.5,
+    ("nobody", "os", "w"): 3.0,
+    ("h9", "nosvc", "w"): 3.0,
+    ("h9", "os", "nothing"): 3.0,
+    ("H1", "os", "m"): 2.0,  # "m" is in other hosts' os ranges only
+    ("Zeta", "db", "d3"): 0.25,
+    ("h2", "os", "m"): -0.125,
+    ("bare", "os", "w"): 1.0,
+}
+
+
+class TestCompileOrderings:
+    """The compile's link order (integer ranks of the sorted host names),
+    one-pass interning and preference scatter reproduce ``build_mrf`` on
+    inputs where string, insertion and numeric order all differ."""
+
+    @pytest.mark.parametrize("preferences", [None, ORDERING_PREFERENCES])
+    def test_orientation_equivalent_to_builder(self, preferences):
+        net, sim = ordering_network()
+        names = sorted(net.hosts)
+        assert net.hosts[-1] == "h2" and net.hosts != names
+        assert names.index("h10") < names.index("h9")  # not numeric order
+        assert names.index("H1") < names.index("alpha") < names.index("é1")
+        build = build_mrf(net, sim, preferences=preferences)
+        compiled = compile_plan(net, sim, preferences=preferences)
+        assert compiled.parts.links == net.links
+        assert compiled.parts.variables == build.variables
+        assert compiled.parts.index == build.index
+        assert compiled.parts.candidates == build.candidates
+        reference = MRFArrays(build.mrf)
+        assert_orientation_equivalent(reference, compiled.plan)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            labels = rng.integers(0, compiled.plan.label_counts)
+            assert compiled.plan.energy(labels) == reference.energy(labels)
+            assignment = compiled.labels_to_assignment(net, labels.tolist())
+            assert assignment.as_dict() == build.labels_to_assignment(
+                net, labels.tolist()
+            ).as_dict()
+            assert network_energy(net, sim, assignment) == pytest.approx(
+                build.mrf.energy(labels.tolist()) - _preference_total(
+                    build, labels, preferences
+                )
+            )
+
+    def test_edge_keys_follow_sorted_links(self):
+        net, sim = ordering_network()
+        parts = compile_parts(net, sim)
+        rows = parts.edge_link.tolist()
+        assert rows == sorted(rows)
+        for e, (link, sid) in enumerate(zip(rows, parts.edge_sid.tolist())):
+            a, b = parts.links[link]
+            service = parts.service_names[sid]
+            assert (
+                parts.variables[int(parts.edge_first[e])][1]
+                == parts.variables[int(parts.edge_second[e])][1]
+                == service
+            )
+            assert {
+                parts.variables[int(parts.edge_first[e])][0],
+                parts.variables[int(parts.edge_second[e])][0],
+            } == {a, b}
+
+    def test_malformed_preference_values_raise_only_when_applied(self):
+        net, sim = ordering_network()
+        with pytest.raises(ValueError):
+            compile_plan(net, sim, preferences={("h10", "os", "w"): "x"})
+        with pytest.raises(TypeError):
+            compile_plan(net, sim, preferences={("h10", "os", "l"): None})
+        # A value whose key names no (node, label) is never read.
+        compile_plan(net, sim, preferences={("nobody", "os", "w"): "x"})
+        compile_plan(net, sim, preferences={("H1", "os", "m"): None})
+
+    def test_empty_and_linkless_networks(self):
+        sim = SimilarityTable(products=["w"])
+        linkless = Network()
+        linkless.add_host("b", {"os": ["w"]})
+        linkless.add_host("a")
+        for net in (Network(), linkless):
+            parts = compile_parts(net, sim)
+            assert parts.links == net.links == []
+            assert len(parts.edge_first) == 0
+            assert_orientation_equivalent(
+                reference_plan(net, sim), compile_plan(net, sim).plan
+            )
+
+
+def _preference_total(build, labels, preferences):
+    """The preference part of ``build``'s unaries under ``labels``."""
+    if not preferences:
+        return 0.0
+    total = 0.0
+    for node, (host, service) in enumerate(build.variables):
+        product = build.candidates[node][int(labels[node])]
+        total += preferences.get((host, service, product), 0.0)
+    return total
 
 
 # ------------------------------------------------- stream parts convention
@@ -575,7 +717,7 @@ class TestLexsortOracle:
         expected = lexsort_structure(plan)
         actual = {
             name: getattr(plan, name)
-            for name in ("slot_sender", "slot_receiver", "slot_cid", "gamma")
+            for name in ("slot_receiver", "gamma")
         }
         for field in LEXSORT_FWD_FIELDS:
             actual["fwd." + field] = getattr(plan.fwd_sweep.block, field)
