@@ -156,10 +156,10 @@ class CompiledParts:
     ``unary``/``label_counts`` and ``edge_first``/``edge_second``/
     ``edge_cid`` (indexing ``matrices``) are exactly what
     :meth:`MRFArrays.from_dense` consumes.  The similarity edges
-    come first, one per (link, shared service) in ``build_mrf`` order:
-    edge ``e``'s link is ``links[edge_link[e]]`` and its service
-    ``service_names[edge_sid[e]]``.  The combination-constraint edges
-    follow, one per (lower node, higher node) pair of a host.
+    come first, one per (link, shared service) in ``build_mrf`` order; an
+    edge's link and service are those of its two endpoint variables.  The
+    combination-constraint edges follow, one per (lower node, higher node)
+    pair of a host.
     ``matrix_meta[cid]`` is matrix ``cid``'s (row range, column range,
     λ·weight), or :data:`COMBO_META` for a combination table.
     """
@@ -173,10 +173,6 @@ class CompiledParts:
     edge_cid: np.ndarray
     matrices: List[np.ndarray]
     matrix_meta: List[Tuple[Tuple[str, ...], Tuple[str, ...], float]]
-    links: List[Tuple[str, str]]
-    service_names: List[str]
-    edge_link: np.ndarray
-    edge_sid: np.ndarray
     #: the similarity summary's arrays.
     similarity_edges: SimilarityEdges
 
@@ -195,9 +191,8 @@ class CompiledPlan:
     mapping, but the model lives in the array plan instead of a
     :class:`PairwiseMRF`.  ``parts`` also keeps what the plan does not:
     the similarity summary's arrays, so a solved labelling's summary needs
-    no second walk over the network; the unpadded matrices :meth:`to_mrf`
-    reads; and the per-edge link rows and service ids a
-    :class:`~repro.stream.plan.StreamPlan` keys its edges by.
+    no second walk over the network, and the unpadded matrices
+    :meth:`to_mrf` reads.
     """
 
     plan: MRFArrays
@@ -313,12 +308,11 @@ class _NetworkIndex:
 
     # -------------------------------------------------------------- edges
 
-    def link_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(first, second, sid, link row) per (link, shared-service) edge.
+    def link_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first, second, sid) per (link, shared-service) edge.
 
         Edge order matches ``build_mrf`` exactly: links in sorted order,
         each link's shared services in the first host's declaration order.
-        A link row indexes :attr:`links`, which this call sets.
 
         Every link is stored as ``(a, b)`` with ``a < b``, so the sorted
         order of the links is the order of ``(rank[a], rank[b])`` with
@@ -330,8 +324,7 @@ class _NetworkIndex:
         count = len(unsorted)
         empty = np.zeros(0, dtype=np.int64)
         if not count:
-            self.links: List[Tuple[str, str]] = []
-            return empty, empty.copy(), empty.copy(), empty.copy()
+            return empty, empty.copy(), empty.copy()
         h_count = len(self.hosts)
         host_ids = dict(zip(self.hosts, range(h_count)))
         endpoints = _ids(host_ids, list(chain.from_iterable(unsorted)))
@@ -343,7 +336,6 @@ class _NetworkIndex:
         order = np.argsort(ranked[0::2] * h_count + ranked[1::2])
         la = endpoints[0::2][order]
         lb = endpoints[1::2][order]
-        self.links = list(map(unsorted.__getitem__, order.tolist()))
         # Each link expands into one edge per service both hosts run, in
         # the first host's declaration order; hosts of one profile share
         # that list, so it is built once per linked profile pair.
@@ -373,7 +365,7 @@ class _NetworkIndex:
         node_of = self.node_of.reshape(-1)
         first = node_of.take(la.take(link_of) * width + sid)
         second = node_of.take(lb.take(link_of) * width + sid)
-        return first, second, sid, link_of
+        return first, second, sid
 
     # ------------------------------------------------------------- weights
 
@@ -567,7 +559,7 @@ def compile_parts(
     phases.lap("compile.unary")
 
     # ---- similarity edges, one matrix per unordered range-pair key.
-    first, second, sid, link_of = net.link_edges()
+    first, second, sid = net.link_edges()
     wid_of, weight_values = net.service_weight_ids(
         pairwise_weight, service_weights
     )
@@ -626,10 +618,6 @@ def compile_parts(
         edge_cid=edge_cid,
         matrices=matrices,
         matrix_meta=meta,
-        links=net.links,
-        service_names=net.service_names,
-        edge_link=link_of,
-        edge_sid=sid,
         similarity_edges=summary_edges,
     )
 
@@ -814,7 +802,7 @@ def network_energy(
     net = _NetworkIndex(network)
     total = unary_constant * float(network.variable_count())
 
-    first, second, sid, _link_of = net.link_edges()
+    first, second, sid = net.link_edges()
     if len(first):
         # Per-node product id (-1 where unassigned).
         pid_of = {**net.product_ids, None: -1}

@@ -49,17 +49,19 @@ class ProductAssignment:
 
     @classmethod
     def from_decoded(
-        cls, network: Network, values: Mapping[Tuple[str, str], str]
+        cls, network: Network, values: Dict[Tuple[str, str], str]
     ) -> "ProductAssignment":
         """Wrap solver-decoded values without re-validating each product.
 
         Decoders map label indices into the network's own candidate
         ranges, so every value is range-valid by construction; skipping
         the per-pair check matters on the streaming hot path, where an
-        assignment is rebuilt after every churn event.
+        assignment is rebuilt after every churn event.  The assignment
+        adopts ``values`` without a copy: a caller that keeps writing to
+        its dict passes a copy.
         """
         assignment = cls(network)
-        assignment._values = dict(values)
+        assignment._values = values
         return assignment
 
     # ------------------------------------------------------------- mutation

@@ -172,7 +172,10 @@ class ReadView:
         order differs by float round-off), so a no-op what-if reports a
         delta of exactly ``0.0``.
         """
-        assignment = ProductAssignment.from_decoded(self.network, self.values)
+        # The overrides are assigned onto a copy: the view stays as read.
+        assignment = ProductAssignment.from_decoded(
+            self.network, dict(self.values)
+        )
         baseline = assignment_energy(
             self.network,
             self.similarity,

@@ -6,8 +6,8 @@ DynamicDiversifier` needs to resume exactly where it stopped:
 * the **model state** — network, similarity table and operator constraint
   set (JSON, the human-auditable part);
 * the **plan parts** — padded unary stack, edge arrays, the deduplicated
-  cost-matrix stack and the stream bookkeeping (edge keys, matrix meta,
-  combination cost ids) that maps future events onto them;
+  cost-matrix stack and the stream bookkeeping (the variable table and
+  each matrix's key) that maps future events onto them;
 * the **solver state** — the directed-message array and the
   previous-solution labels that make the first post-restart solve *warm*.
 
@@ -56,7 +56,7 @@ from repro.network.io import network_from_json, network_to_json
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 from repro.stream.incremental import DynamicDiversifier
-from repro.stream.plan import StreamPlan, intern_edge_keys
+from repro.stream.plan import StreamPlan
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -177,17 +177,9 @@ def save_snapshot(
         ),
         "similarity": _similarity_to_dict(plan.similarity),
         "variables": [list(variable) for variable in plan.variables],
-        "edge_keys": [
-            [list(link), list(tag) if isinstance(tag, tuple) else tag]
-            for link, tag in plan.edge_keys()
-        ],
         "matrix_meta": [
             [list(range_a), list(range_b), weight]
             for range_a, range_b, weight in plan._matrix_meta
-        ],
-        "combo_cids": [
-            [host, svc_lo, svc_hi, int(cid)]
-            for (host, svc_lo, svc_hi), cid in plan._combo_cids.items()
         ],
     }
 
@@ -313,11 +305,14 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
     and label state resume exactly.  The model still gets the checks a
     compile runs (:func:`repro.core.compile.check_model`): negative
     weights and constraints that do not fit the network raise
-    ``ValueError``, and so does a node table that does not fit the
-    network (:func:`_check_nodes`).  The returned plan is fully live:
-    future events patch it the same way they would have patched the
-    original.  Meta keys this build does not read (a ``shard_cache``
-    written by an older sharded daemon) are ignored.
+    ``ValueError``, and so do a node table that does not fit the network
+    (:func:`_check_nodes`) and matrix keys that do not fit the matrices
+    or their edges (:func:`_check_matrices`).  Every edge's link and
+    services are read off its endpoints.  The returned plan is fully
+    live: future events patch it the same way they would have patched
+    the original.  Meta keys this build does not read (a ``shard_cache``
+    written by an older sharded daemon, the ``edge_keys`` and
+    ``combo_cids`` of older builds) are ignored.
     """
     meta = snapshot.meta
     plan = StreamPlan.__new__(StreamPlan)
@@ -345,42 +340,31 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
     # its stack in place and the snapshot stays as loaded.
     unary = snapshot.unary.copy()
     matrices = list(snapshot.matrices)
-    links, edge_link, tags, edge_tag = intern_edge_keys([
-        (
-            (str(link[0]), str(link[1])),
-            tuple(tag) if isinstance(tag, list) else str(tag),
-        )
-        for link, tag in meta["edge_keys"]
-    ])
+    matrix_meta = [
+        (tuple(range_a), tuple(range_b), float(weight))
+        for range_a, range_b, weight in meta["matrix_meta"]
+    ]
+    # The plan build rejects edges that are not two distinct nodes first.
+    arrays = MRFArrays.from_dense(
+        unary,
+        snapshot.label_counts,
+        snapshot.edge_first,
+        snapshot.edge_second,
+        snapshot.edge_cid,
+        matrices,
+    )
+    _check_matrices(variables, candidates, matrix_meta, snapshot, plan._weight)
     plan.install(
         variables=variables,
         candidates=candidates,
         unary=unary,
         label_counts=snapshot.label_counts,
         matrices=matrices,
-        matrix_meta=[
-            (tuple(range_a), tuple(range_b), float(weight))
-            for range_a, range_b, weight in meta["matrix_meta"]
-        ],
-        links=links,
-        edge_link=edge_link,
-        tags=tags,
-        edge_tag=edge_tag,
-        combo_cids={
-            (str(host), str(svc_lo), str(svc_hi)): int(cid)
-            for host, svc_lo, svc_hi, cid in meta.get("combo_cids", ())
-        },
+        matrix_meta=matrix_meta,
         edge_first=snapshot.edge_first,
         edge_second=snapshot.edge_second,
         edge_cid=snapshot.edge_cid,
-        plan=MRFArrays.from_dense(
-            unary,
-            snapshot.label_counts,
-            snapshot.edge_first,
-            snapshot.edge_second,
-            snapshot.edge_cid,
-            matrices,
-        ),
+        plan=arrays,
         messages=snapshot.messages.copy(),
         labels=(
             snapshot.labels.copy() if snapshot.labels is not None else None
@@ -412,6 +396,56 @@ def _check_nodes(variables, candidates, snapshot: Snapshot) -> None:
             raise ValueError(
                 f"snapshot node {node} ({host}, {service}) {problem(node)}"
             )
+
+
+def _check_matrices(
+    variables, candidates, matrix_meta, snapshot: Snapshot, weight
+) -> None:
+    """Raise ``ValueError`` naming the first matrix or edge whose stored
+    key does not fit: one key per matrix, a similarity matrix shaped by
+    its key's two ranges, and every similarity edge's endpoint ranges and
+    service weight equal to its matrix's key.  Combination tables carry
+    :data:`~repro.core.compile.COMBO_META` and are exempt."""
+    matrices, m = snapshot.matrices, len(snapshot.matrices)
+    if len(matrix_meta) != m:
+        raise ValueError(
+            f"snapshot has {len(matrix_meta)} matrix keys for {m} matrices"
+        )
+    for cid, ((range_a, range_b, _), matrix) in enumerate(
+        zip(matrix_meta, matrices)
+    ):
+        if range_a and matrix.shape != (len(range_a), len(range_b)):
+            raise ValueError(
+                f"snapshot matrix {cid} has shape {matrix.shape}, not its "
+                f"key's ({len(range_a)}, {len(range_b)})"
+            )
+    # A similarity edge's first and second nodes carry its matrix's row
+    # and column (range, λ·weight) key, compared as interned ids (-1: a
+    # key no node carries); combination tables have empty ranges.
+    ids: Dict[object, int] = {}
+    node = np.fromiter(
+        (
+            ids.setdefault((range_, weight(service)), len(ids))
+            for (_, service), range_ in zip(variables, candidates)
+        ),
+        np.int64,
+        len(variables),
+    )
+    row = np.fromiter((ids.get((a, w), -1) for a, _, w in matrix_meta), np.int64, m)
+    col = np.fromiter((ids.get((b, w), -1) for _, b, w in matrix_meta), np.int64, m)
+    similar = np.fromiter((bool(a) for a, _, _ in matrix_meta), bool, m)
+    first, second, cid = snapshot.edge_first, snapshot.edge_second, snapshot.edge_cid
+    bad = (cid < 0) | (cid >= m)
+    if not bad.any():
+        bad = similar[cid] & ((node[first] != row[cid]) | (node[second] != col[cid]))
+    if bad.any():
+        e = int(np.argmax(bad))
+        lo, hi, c = int(first[e]), int(second[e]), int(cid[e])
+        raise ValueError(
+            f"snapshot edge {e} ({lo}, {hi}) between {variables[lo]} and "
+            f"{variables[hi]} does not fit the key of matrix {c} "
+            f"(of {m} matrices)"
+        )
 
 
 def restore_engine(

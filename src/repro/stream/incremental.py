@@ -340,7 +340,11 @@ class DynamicDiversifier:
         plan.reset_dirty_counters()
 
         stability = self._refresh_values(labels, previous, delta)
-        assignment = ProductAssignment.from_decoded(plan.network, self._values)
+        # The next solve patches ``_values`` in place; the result keeps
+        # this solve's products.
+        assignment = ProductAssignment.from_decoded(
+            plan.network, dict(self._values)
+        )
         certified = (
             np.isfinite(result.lower_bound)
             and energy - result.lower_bound <= 1e-6

@@ -18,9 +18,9 @@ and keeps all of them aligned while churn events arrive:
   the plan's cost stack in place — no structural change, message state
   untouched;
 * **link events** append edge rows or tombstone them in an alive mask —
-  no Python-level O(edges) work per event: a link's rows are found with
-  one vectorised scan of an interned link-id column, and new rows carry
-  no message state until it is written;
+  no Python-level O(edges) work per event: a link's rows are found by
+  their endpoints, with one vectorised pass over the endpoint columns,
+  and new rows carry no message state until it is written;
 * **host events** additionally append variables or tombstone the departed
   host's nodes; node renumbering waits for the compaction;
 * **pin/forbid events** recompute one node's hard-mask unary from the live
@@ -51,8 +51,10 @@ which is what makes the warm start work across structural deltas.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Dict, List, Mapping, Optional, Tuple
+from collections import defaultdict
+from itertools import compress, count
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,14 +85,11 @@ __all__ = ["StreamPlan"]
 #: (candidate range of first endpoint, of second endpoint, λ·service weight)
 _MatrixKey = Tuple[Tuple[str, ...], Tuple[str, ...], float]
 
-#: rows of :attr:`StreamPlan._edges`: endpoints, cost id, and the edge's
-#: key as interned ids: its link (a host pair, or a host's self-pair for a
-#: combination edge) and its tag (the service of a similarity edge, the
-#: (service, service) pair of a combination edge).
-_FIRST, _SECOND, _CID, _LINK, _TAG = range(5)
-
-#: one edge row's key: (link, tag).
-EdgeKey = Tuple[Tuple[str, str], object]
+#: rows of :attr:`StreamPlan._edges`: the two endpoints and the cost id.
+#: An edge's link and service(s) are those of its endpoint variables: a
+#: similarity edge couples one service on two linked hosts, a combination
+#: edge two services on one host.
+_FIRST, _SECOND, _CID = range(3)
 
 
 class StreamPlan:
@@ -143,66 +142,34 @@ class StreamPlan:
 
         The build is the one network→plan compile,
         :func:`repro.core.compile.compile_plan`, whose convention the
-        per-event append path keeps; the key columns of the similarity
-        edges are its per-edge link rows and service ids as they are.
+        per-event append path keeps; its three edge columns are installed
+        as they are.
         """
-        with obs.span("stream.rebuild", cat="stream"):
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        """The cold-build body behind :meth:`rebuild`."""
         from repro.core.compile import compile_plan
 
-        compiled = compile_plan(
-            self.network,
-            self.similarity,
-            constraints=self.constraints,
-            unary_constant=self.unary_constant,
-            pairwise_weight=self.pairwise_weight,
-            service_weights=self.service_weights,
-        )
-        parts = compiled.parts
-        links, names = parts.links, parts.service_names
-        edges = len(parts.edge_first)
-        similar = len(parts.edge_link)
-        edge_link = np.empty(edges, dtype=np.int64)
-        edge_tag = np.empty(edges, dtype=np.int64)
-        edge_link[:similar] = parts.edge_link
-        edge_tag[:similar] = parts.edge_sid
-        # Combination edges follow the similarity edges: one per (lower
-        # node, higher node) pair of a host, keyed by the host self-pair
-        # and the service pair, interned after the links and services.
-        combo_links: Dict[Tuple[str, str], int] = {}
-        combo_tags: Dict[Tuple[str, str], int] = {}
-        combo_cids: Dict[Tuple[str, str, str], int] = {}
-        for e in range(similar, edges):
-            host, svc_lo = parts.variables[int(parts.edge_first[e])]
-            svc_hi = parts.variables[int(parts.edge_second[e])][1]
-            edge_link[e] = combo_links.setdefault(
-                (host, host), len(links) + len(combo_links)
+        with obs.span("stream.rebuild", cat="stream"):
+            compiled = compile_plan(
+                self.network,
+                self.similarity,
+                constraints=self.constraints,
+                unary_constant=self.unary_constant,
+                pairwise_weight=self.pairwise_weight,
+                service_weights=self.service_weights,
             )
-            edge_tag[e] = combo_tags.setdefault(
-                (svc_lo, svc_hi), len(names) + len(combo_tags)
+            parts = compiled.parts
+            self.install(
+                variables=parts.variables,
+                candidates=parts.candidates,
+                unary=parts.unary,
+                label_counts=parts.label_counts,
+                matrices=parts.matrices,
+                matrix_meta=parts.matrix_meta,
+                edge_first=parts.edge_first,
+                edge_second=parts.edge_second,
+                edge_cid=parts.edge_cid,
+                plan=compiled.plan,
+                messages=compiled.plan.zero_messages(),
             )
-            combo_cids[(host, svc_lo, svc_hi)] = int(parts.edge_cid[e])
-        self.install(
-            variables=parts.variables,
-            candidates=parts.candidates,
-            unary=parts.unary,
-            label_counts=parts.label_counts,
-            matrices=parts.matrices,
-            matrix_meta=parts.matrix_meta,
-            links=[*links, *combo_links],
-            edge_link=edge_link,
-            tags=[*names, *combo_tags],
-            edge_tag=edge_tag,
-            combo_cids=combo_cids,
-            edge_first=parts.edge_first,
-            edge_second=parts.edge_second,
-            edge_cid=parts.edge_cid,
-            plan=compiled.plan,
-            messages=compiled.plan.zero_messages(),
-        )
 
     def install(
         self,
@@ -213,11 +180,6 @@ class StreamPlan:
         label_counts: np.ndarray,
         matrices: List[np.ndarray],
         matrix_meta: List[_MatrixKey],
-        links: List[Tuple[str, str]],
-        edge_link: np.ndarray,
-        tags: List[object],
-        edge_tag: np.ndarray,
-        combo_cids: Dict[Tuple[str, str, str], int],
         edge_first: np.ndarray,
         edge_second: np.ndarray,
         edge_cid: np.ndarray,
@@ -233,10 +195,10 @@ class StreamPlan:
         over here, so neither can forget a field.  ``plan`` must be the
         :class:`MRFArrays` of exactly these parts (it may share ``unary``,
         the padded stack); ``messages`` holds two rows per edge and
-        ``labels`` (``None`` before any solve) one per variable.  Edge row
-        ``e``'s key is ``(links[edge_link[e]], tags[edge_tag[e]])``;
-        ``links`` and ``tags`` hold distinct keys (:func:`intern_edge_keys`
-        builds all four from a key list).
+        ``labels`` (``None`` before any solve) one per variable.  The
+        combination-table map is read off the edges whose two endpoints
+        belong to one host: links join distinct hosts, so these are
+        exactly the combination edges.
         """
         self.variables = variables
         self.index: Dict[Tuple[str, str], int] = dict(
@@ -254,33 +216,32 @@ class StreamPlan:
         self._matrix_ids: Dict[_MatrixKey, int] = {
             key: cid for cid, key in enumerate(matrix_meta) if key[0]
         }
+        host_ids: Dict[str, int] = defaultdict(count().__next__)
+        host_of = np.fromiter(
+            map(host_ids.__getitem__, map(itemgetter(0), variables)),
+            np.int64,
+            len(variables),
+        )
+        combo = np.flatnonzero(host_of[edge_first] == host_of[edge_second])
         #: (host, service_lo, service_hi) → cost id of the pair's live
         #: combination table (service order follows node order).
-        self._combo_cids = combo_cids
-        #: link key → interned id (the ``_LINK`` column).  A key leaves
-        #: with its link (``LinkRemove``) or host (``HostLeave``), so the
-        #: dict tracks the live network; ids come from a counter and are
-        #: never reused, so a stale id in a tombstoned row matches no key.
-        self._link_ids: Dict[Tuple[str, str], int] = dict(
-            zip(links, range(len(links)))
-        )
-        self._next_link = len(links)
-        #: tag id (the ``_TAG`` column) → tag, and back; tags are
-        #: service names and service pairs, a bounded vocabulary.
-        self._tags = list(tags)
-        self._tag_ids: Dict[object, int] = dict(zip(tags, range(len(tags))))
+        self._combo_cids: Dict[Tuple[str, str, str], int] = {
+            (*variables[lo], variables[hi][1]): cid
+            for lo, hi, cid in zip(
+                edge_first[combo].tolist(),
+                edge_second[combo].tolist(),
+                edge_cid[combo].tolist(),
+            )
+        }
         rows = len(edge_first)
-        #: edge columns (first, second, cost id, link id, tag id) with
-        #: spare capacity; rows ``[0, _edge_rows)`` are in use.  Rows below
-        #: ``_edge_rows`` are never rewritten in place — the live plan holds
-        #: views of them — only appended to, tombstoned or compacted into a
-        #: fresh buffer.
-        self._edges = np.empty((5, rows), dtype=np.int64)
+        #: edge columns (first, second, cost id) with spare capacity; rows
+        #: ``[0, _edge_rows)`` are in use.  Rows below ``_edge_rows`` are
+        #: never rewritten in place — the live plan holds views of them —
+        #: only appended to, tombstoned or compacted into a fresh buffer.
+        self._edges = np.empty((3, rows), dtype=np.int64)
         self._edges[_FIRST] = edge_first
         self._edges[_SECOND] = edge_second
         self._edges[_CID] = edge_cid
-        self._edges[_LINK] = edge_link
-        self._edges[_TAG] = edge_tag
         self._edge_alive = np.ones(rows, dtype=bool)
         self._edge_rows = rows
         self._dead_edges = 0
@@ -420,23 +381,6 @@ class StreamPlan:
             self._matrices,
         )
 
-    def edge_keys(self) -> List[EdgeKey]:
-        """The (link, tag) key of every edge row, after a compaction.
-
-        Built from the key columns on demand: the snapshot meta is its
-        one reader on the service path.
-        """
-        self._compact()
-        links = {lid: link for link, lid in self._link_ids.items()}
-        tags = self._tags
-        return [
-            (links[lid], tags[tid])
-            for lid, tid in zip(
-                self._edges[_LINK, : self._edge_rows].tolist(),
-                self._edges[_TAG, : self._edge_rows].tolist(),
-            )
-        ]
-
     @property
     def _edge_first(self) -> np.ndarray:
         return self._edges[_FIRST, : self._edge_rows]
@@ -553,12 +497,9 @@ class StreamPlan:
             self.candidates[node_a], self.candidates[node_b], self._weight(service)
         )
         first, second = (node_b, node_a) if flip else (node_a, node_b)
-        self._push_edge(_link_key(a, b), service, first, second, cid)
+        self._push_edge(first, second, cid)
 
-    def _push_edge(
-        self, link_key: Tuple[str, str], tag: object, first: int, second: int,
-        cid: int,
-    ) -> None:
+    def _push_edge(self, first: int, second: int, cid: int) -> None:
         """Append one edge row (amortised O(1); its messages start at 0)."""
         row = self._edge_rows
         if row == len(self._edge_alive):
@@ -568,28 +509,35 @@ class StreamPlan:
             alive = np.zeros(capacity, dtype=bool)
             alive[:row] = self._edge_alive[:row]
             self._edges, self._edge_alive = edges, alive
-        link = self._link_ids.get(link_key)
-        if link is None:
-            link = self._link_ids[link_key] = self._next_link
-            self._next_link += 1
-        tid = self._tag_ids.get(tag)
-        if tid is None:
-            tid = self._tag_ids[tag] = len(self._tags)
-            self._tags.append(tag)
-        self._edges[:, row] = (first, second, cid, link, tid)
+        self._edges[:, row] = (first, second, cid)
         self._edge_alive[row] = True
         self._edge_rows = row + 1
         self._edges_dirty = True
 
-    def _link_rows(self, link: Tuple[str, str]) -> np.ndarray:
-        """Live edge rows of one link key (one vectorised column scan)."""
-        lid = self._link_ids.get(link)
+    def _live_rows(
+        self, side: Sequence[int], other: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Live edge rows with one endpoint among the raw node ids ``side``
+        and the other among ``other`` (the two disjoint), or any row
+        touching ``side`` when ``other`` is ``None``.
+
+        One vectorised pass over the endpoint columns: the nodes are
+        marked in an int8 array, the mark at ``first`` is gathered for
+        every row, and ``second`` is read only for the rows it flags.
+        """
         rows = self._edge_rows
-        if lid is None:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(
-            (self._edges[_LINK, :rows] == lid) & self._edge_alive[:rows]
-        )
+        first = self._edges[_FIRST, :rows]
+        second = self._edges[_SECOND, :rows]
+        mark = np.zeros(len(self.variables), dtype=np.int8)
+        mark[side] = 1
+        if other is None:
+            hit = np.flatnonzero(mark[first] | mark[second])
+        else:
+            mark[other] = 2
+            at_first = mark[first]
+            near = np.flatnonzero(at_first)
+            hit = near[at_first[near] + mark[second[near]] == 3]
+        return hit[self._edge_alive[hit]]
 
     def _kill_edges(self, rows: np.ndarray) -> None:
         """Tombstone edge rows; the next compaction drops them."""
@@ -800,7 +748,7 @@ class StreamPlan:
                 self._matrices.append(table)
                 self._matrix_meta.append(_COMBO_META)
                 self._combo_cids[key] = cid
-                self._push_edge((host, host), (svc_lo, svc_hi), lo, hi, cid)
+                self._push_edge(lo, hi, cid)
             else:
                 self._matrices[cid][...] = table
                 if cid < self.plan.stacked:
@@ -816,9 +764,7 @@ class StreamPlan:
             # cold compile of the current set would not emit it either).
             # The orphaned table stays in the stack — cost ids are
             # append-only — and is dropped by the next rebuild.
-            rows = self._link_rows((host, host))
-            tid = self._tag_ids[(svc_lo, svc_hi)]
-            self._kill_edges(rows[self._edges[_TAG, rows] == tid])
+            self._kill_edges(self._live_rows([lo], [hi]))
             del self._combo_cids[key]
         self.dirty_edges += 1
 
@@ -832,11 +778,16 @@ class StreamPlan:
 
     def _apply_link_remove(self, event: LinkRemove) -> None:
         self.network.remove_link(event.a, event.b)
-        link = _link_key(event.a, event.b)
-        rows = self._link_rows(link)
+        rows = self._live_rows(self._nodes_of(event.a), self._nodes_of(event.b))
         self._kill_edges(rows)
-        self._link_ids.pop(link, None)
         self.dirty_edges += len(rows)
+
+    def _nodes_of(self, host: str) -> List[int]:
+        """Raw node ids of a live host's variables."""
+        return [
+            self.index[(host, service)]
+            for service in self.network.services_of(host)
+        ]
 
     def _apply_host_join(self, event: HostJoin) -> None:
         self.network.add_host(event.host, event.service_map())
@@ -862,13 +813,7 @@ class StreamPlan:
 
     def _apply_host_leave(self, event: HostLeave) -> None:
         host = event.host
-        removed = [
-            self.index[(host, service)]
-            for service in self.network.services_of(host)
-        ]
-        # The host's links (and its own combination-edge key) go with it.
-        for peer in self.network.neighbors(host) + [host]:
-            self._link_ids.pop(_link_key(host, peer), None)
+        removed = self._nodes_of(host)
         self.network.remove_host(host)
         # The host's constraints vanish with it (GLOBAL rules survive);
         # its combination edges are tombstoned by the endpoint scan below.
@@ -878,13 +823,7 @@ class StreamPlan:
             for key, cid in self._combo_cids.items()
             if key[0] != host
         }
-        rows = self._edge_rows
-        gone = np.asarray(removed, dtype=np.int64)
-        hit = self._edge_alive[:rows] & (
-            np.isin(self._edges[_FIRST, :rows], gone)
-            | np.isin(self._edges[_SECOND, :rows], gone)
-        )
-        dead = np.flatnonzero(hit)
+        dead = self._live_rows(removed)
         self._kill_edges(dead)
         self.dirty_edges += len(dead)
         # The nodes become tombstones; renumbering waits for the compaction.
@@ -893,27 +832,6 @@ class StreamPlan:
         self._dead_nodes.extend(removed)
         self._nodes_dirty = True
         self.dirty_nodes += len(removed)
-
-
-def intern_edge_keys(
-    edge_keys: List[EdgeKey],
-) -> Tuple[List[Tuple[str, str]], np.ndarray, List[object], np.ndarray]:
-    """``(links, edge_link, tags, edge_tag)``: a list of edge keys as the
-    interned key columns :meth:`StreamPlan.install` takes."""
-    link_ids: Dict[Tuple[str, str], int] = {}
-    tag_ids: Dict[object, int] = {}
-    edge_link = [link_ids.setdefault(link, len(link_ids)) for link, _ in edge_keys]
-    edge_tag = [tag_ids.setdefault(tag, len(tag_ids)) for _, tag in edge_keys]
-    return (
-        list(link_ids),
-        np.asarray(edge_link, dtype=np.int64),
-        list(tag_ids),
-        np.asarray(edge_tag, dtype=np.int64),
-    )
-
-
-def _link_key(a: str, b: str) -> Tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def _pad_rows(array: np.ndarray, rows: int) -> np.ndarray:

@@ -12,9 +12,9 @@ The contract under test (see ``repro/core/compile.py``):
   wavefront levels — across preferences, service weights, Fix/Forbid and
   combination constraints.
 * :func:`compile_parts` carries what the :class:`StreamPlan` build keys
-  its delta updates by (per-matrix range metadata, per-edge link rows and
-  service ids), so the streaming engine's cold rebuilds keep their
-  event-path alignment.
+  its delta updates by (per-matrix range metadata; an edge's link and
+  service are its endpoints'), so the streaming engine's cold rebuilds
+  keep their event-path alignment.
 * ``diversify`` compiles once for every solver and returns the same result
   as ``build_mrf(...).mrf`` solved directly by the same solver.
 * A shared :class:`SolverScratch` never changes solver results — with or
@@ -140,6 +140,31 @@ def edge_matrix(plan: MRFArrays, e: int) -> np.ndarray:
     rows = int(plan.label_counts[plan.edge_first[e]])
     cols = int(plan.label_counts[plan.edge_second[e]])
     return plan.cost[plan.edge_cid[e], :rows, :cols]
+
+
+def similarity_edge_keys(parts):
+    """Each similarity edge's (link, service), read off its endpoints."""
+    keys = []
+    for first, second in zip(
+        parts.edge_first.tolist(), parts.edge_second.tolist()
+    ):
+        (host_a, service), (host_b, other) = (
+            parts.variables[first], parts.variables[second]
+        )
+        if host_a != host_b:  # combination edges stay on one host
+            assert other == service
+            keys.append((tuple(sorted((host_a, host_b))), service))
+    return keys
+
+
+def sorted_link_keys(net):
+    """``build_mrf``'s edge order: the sorted links, each link's shared
+    services in its first host's declaration order."""
+    return [
+        (link, service)
+        for link in net.links
+        for service in net.shared_services(*link)
+    ]
 
 
 def assert_orientation_equivalent(reference: MRFArrays, compiled: MRFArrays):
@@ -335,7 +360,7 @@ class TestCompileOrderings:
         assert names.index("H1") < names.index("alpha") < names.index("é1")
         build = build_mrf(net, sim, preferences=preferences)
         compiled = compile_plan(net, sim, preferences=preferences)
-        assert compiled.parts.links == net.links
+        assert similarity_edge_keys(compiled.parts) == sorted_link_keys(net)
         assert compiled.parts.variables == build.variables
         assert compiled.parts.index == build.index
         assert compiled.parts.candidates == build.candidates
@@ -358,20 +383,11 @@ class TestCompileOrderings:
     def test_edge_keys_follow_sorted_links(self):
         net, sim = ordering_network()
         parts = compile_parts(net, sim)
-        rows = parts.edge_link.tolist()
-        assert rows == sorted(rows)
-        for e, (link, sid) in enumerate(zip(rows, parts.edge_sid.tolist())):
-            a, b = parts.links[link]
-            service = parts.service_names[sid]
-            assert (
-                parts.variables[int(parts.edge_first[e])][1]
-                == parts.variables[int(parts.edge_second[e])][1]
-                == service
-            )
-            assert {
-                parts.variables[int(parts.edge_first[e])][0],
-                parts.variables[int(parts.edge_second[e])][0],
-            } == {a, b}
+        keys = similarity_edge_keys(parts)
+        links = [link for link, _ in keys]
+        assert len(keys) == len(parts.edge_first)
+        assert links == sorted(links)
+        assert keys == sorted_link_keys(net)
 
     def test_malformed_preference_values_raise_only_when_applied(self):
         net, sim = ordering_network()
@@ -390,7 +406,7 @@ class TestCompileOrderings:
         linkless.add_host("a")
         for net in (Network(), linkless):
             parts = compile_parts(net, sim)
-            assert parts.links == net.links == []
+            assert similarity_edge_keys(parts) == sorted_link_keys(net) == []
             assert len(parts.edge_first) == 0
             assert_orientation_equivalent(
                 reference_plan(net, sim), compile_plan(net, sim).plan
@@ -449,19 +465,9 @@ class TestStreamPartsParity:
     def test_edge_keys_align(self):
         net, sim = workload(hosts=10, degree=3, services=2, seed=8)
         parts = compile_parts(net, sim)
-        assert len(parts.edge_link) == len(parts.edge_first)
-        assert len(parts.edge_sid) == len(parts.edge_first)
-        for e, (link, sid) in enumerate(
-            zip(parts.edge_link.tolist(), parts.edge_sid.tolist())
-        ):
-            a, b = parts.links[link]
-            assert a <= b
-            service = parts.service_names[sid]
-            endpoints = {
-                parts.variables[int(parts.edge_first[e])],
-                parts.variables[int(parts.edge_second[e])],
-            }
-            assert endpoints == {(a, service), (b, service)}
+        keys = similarity_edge_keys(parts)
+        assert len(keys) == len(parts.edge_first)
+        assert keys == sorted_link_keys(net)
 
 
 # ------------------------------------------------------ diversify routing
@@ -784,12 +790,33 @@ class TestStreamRebuildCompiled:
         from repro.stream.plan import StreamPlan
 
         net, sim = workload(hosts=12, degree=3, services=2, seed=8)
-        stream = StreamPlan(net.copy(), sim.copy())
-        # The compiled rebuild installs array edge columns and listed keys.
-        assert isinstance(stream._edge_first, np.ndarray)
-        assert isinstance(stream.edge_keys(), list)
-        assert len(stream.edge_keys()) == stream.edge_count
-        assert len(stream._matrix_ids) == len(stream._matrices)
+        host = net.hosts[0]
+        combo = AvoidCombination(
+            GLOBAL, "s0", net.candidates(host, "s0")[0],
+            "s1", net.candidates(host, "s1")[0],
+        )
+        constraints = ConstraintSet([combo])
+        stream = StreamPlan(net.copy(), sim.copy(), constraints=constraints)
+        # The compiled rebuild installs the compile's edge columns as they
+        # are, and reads the combination tables off the intra-host edges.
+        parts = compile_parts(net, sim, constraints=constraints)
+        for name in ("edge_first", "edge_second", "edge_cid"):
+            assert np.array_equal(
+                getattr(stream, f"_{name}"), getattr(parts, name)
+            ), name
+        combos = len(parts.edge_first) - len(sorted_link_keys(net))
+        assert combos == len(net.hosts)
+        assert stream._combo_cids == {
+            (parts.variables[lo][0], parts.variables[lo][1],
+             parts.variables[hi][1]): cid
+            for lo, hi, cid in zip(
+                parts.edge_first[-combos:].tolist(),
+                parts.edge_second[-combos:].tolist(),
+                parts.edge_cid[-combos:].tolist(),
+            )
+        }
+        similar = len(stream._matrices) - combos
+        assert len(stream._matrix_ids) == similar
         # Event application on top of a compiled rebuild stays aligned:
         # dropping a link removes exactly its (link, service) edges.
         a, b = stream.network.links[0]

@@ -20,7 +20,7 @@ import pytest
 from repro import obs
 from repro.core.costs import assignment_energy
 from repro.mrf.backends import get_backend
-from repro.network.constraints import FixProduct
+from repro.network.constraints import GLOBAL, AvoidCombination, FixProduct
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -41,6 +41,7 @@ from repro.service import (
 )
 from repro.stream import (
     ChurnConfig,
+    CombinationUpdate,
     DynamicDiversifier,
     HostJoin,
     HostLeave,
@@ -76,6 +77,14 @@ def churny_engine(events=10, seed=0, constraint_weight=0.3, **options):
         engine.apply(event)
         engine.solve()
     return engine, trace
+
+
+def estate_engine():
+    """A solved engine on the 30-host, 2-service, 4-product estate."""
+    network, similarity = workload(hosts=30, seed=3)
+    engine = DynamicDiversifier(network, similarity)
+    engine.solve()
+    return engine
 
 
 class TestEventCodec:
@@ -164,6 +173,12 @@ class TestServiceMetrics:
 class TestSnapshotRoundTrip:
     def test_arrays_restore_byte_identical(self, tmp_path):
         engine, _ = churny_engine(seed=1)
+        host = engine.network.hosts[0]
+        engine.apply(CombinationUpdate(AvoidCombination(
+            GLOBAL, "s0", engine.network.candidates(host, "s0")[0],
+            "s1", engine.network.candidates(host, "s1")[0],
+        )))
+        engine.solve()
         path = save_snapshot(engine, tmp_path, version=7)
         snapshot = load_snapshot(path)
         assert snapshot.version == 7
@@ -181,8 +196,12 @@ class TestSnapshotRoundTrip:
             ), name
         assert np.array_equal(restored.messages, live.messages)
         assert np.array_equal(restored.labels, live.labels)
-        assert restored.edge_keys() == live.edge_keys()
+        for name in ("_edge_first", "_edge_second", "_edge_cid"):
+            assert np.array_equal(
+                getattr(restored, name), getattr(live, name)
+            ), name
         assert restored._combo_cids == live._combo_cids
+        assert live._combo_cids  # the trace left combination tables
 
     def test_restore_compiles_nothing(self, tmp_path, monkeypatch):
         import repro.core.compile as compile_module
@@ -257,6 +276,90 @@ class TestSnapshotRoundTrip:
             ValueError, match=rf"node 5 \(.*\) stores label {labels[5]} outside"
         ):
             restore_engine(replace(snapshot, labels=labels))
+
+    def test_restore_checks_matrix_key_count(self, tmp_path):
+        snapshot = load_snapshot(save_snapshot(estate_engine(), tmp_path, 1))
+        keys = snapshot.meta["matrix_meta"][:-1]
+        with pytest.raises(ValueError, match=r"1 matrix keys for 2 matrices"):
+            restore_plan(
+                replace(snapshot, meta={**snapshot.meta, "matrix_meta": keys})
+            )
+
+    def test_restore_checks_matrix_key_shape(self, tmp_path):
+        snapshot = load_snapshot(save_snapshot(estate_engine(), tmp_path, 1))
+        matrices = list(snapshot.matrices)
+        matrices[1] = matrices[1][:, :-1]
+        with pytest.raises(
+            ValueError, match=r"matrix 1 has shape \(4, 3\), not its key's"
+        ):
+            restore_plan(replace(snapshot, matrices=matrices))
+
+    @pytest.mark.parametrize("corruption", ["weight", "cost id"])
+    def test_restore_checks_matrix_key_of_each_edge(self, tmp_path, corruption):
+        snapshot = load_snapshot(save_snapshot(estate_engine(), tmp_path, 1))
+        keys = [list(key) for key in snapshot.meta["matrix_meta"]]
+        cid = snapshot.edge_cid.copy()
+        if corruption == "weight":
+            keys[0][2] *= 2
+            edge = int(np.argmax(cid == 0))
+        else:
+            cid[3] = len(keys)
+            edge = 3
+        with pytest.raises(
+            ValueError, match=rf"snapshot edge {edge} \(.* does not fit"
+        ):
+            restore_plan(replace(
+                snapshot, meta={**snapshot.meta, "matrix_meta": keys},
+                edge_cid=cid,
+            ))
+
+    def test_restore_checks_matrix_key_swap(self, tmp_path):
+        # Swapped keys used to restore silently: the next similarity
+        # update then re-scored the wrong matrices, and the engine
+        # reported energies its assignments do not have.
+        snapshot = load_snapshot(save_snapshot(estate_engine(), tmp_path, 1))
+        keys = list(snapshot.meta["matrix_meta"])
+        keys[0], keys[-1] = keys[-1], keys[0]
+        with pytest.raises(ValueError, match=r"does not fit the key of matrix"):
+            restore_plan(
+                replace(snapshot, meta={**snapshot.meta, "matrix_meta": keys})
+            )
+
+    def test_older_snapshot_rotated_edge_keys_are_ignored(self, tmp_path):
+        """Older builds wrote per-edge ``edge_keys`` and ``combo_cids``
+        and trusted them on restore; keys that disagree with the edge
+        columns made the next ``LinkRemove`` delete the wrong edges.  Every
+        key is read off the endpoints now, so they change nothing."""
+        engine = estate_engine()
+        path = save_snapshot(engine, tmp_path, version=1)
+        meta = json.loads((path / "meta.json").read_text())
+        with np.load(path / "arrays.npz") as blob:
+            ends = zip(blob["edge_first"].tolist(), blob["edge_second"].tolist())
+        keys = []
+        for first, second in ends:
+            (host_a, svc_a), (host_b, svc_b) = (
+                meta["variables"][first], meta["variables"][second]
+            )
+            tag = svc_a if host_a != host_b else [svc_a, svc_b]
+            keys.append([sorted([host_a, host_b]), tag])
+        meta["edge_keys"] = keys[1:] + keys[:1]
+        meta["combo_cids"] = []
+        (path / "meta.json").write_text(json.dumps(meta))
+
+        restored, _ = restore_engine(path)
+        a, b = engine.network.links[0]
+        for twin in (restored, engine):
+            twin.apply(LinkRemove(a, b))
+        result, expected = restored.solve(), engine.solve()
+        assert result.energy == expected.energy
+        assert np.array_equal(restored.plan.labels, engine.plan.labels)
+        assert result.energy == pytest.approx(
+            assignment_energy(
+                restored.network, restored.similarity, result.assignment,
+                constraints=restored.constraints,
+            ),
+            abs=1e-9,
+        )
 
     def test_restore_rejects_a_unary_block_of_the_wrong_shape(self, tmp_path):
         engine, _ = churny_engine(seed=2)
@@ -417,6 +520,8 @@ class TestSnapshotRoundTrip:
         assert meta["schema"] == SNAPSHOT_SCHEMA
         assert meta["version"] == 3
         assert meta["energy"] == pytest.approx(result.energy)
+        # Edge keys are read off the endpoints; older builds stored them.
+        assert not {"edge_keys", "combo_cids"} & set(meta)
 
     def test_load_rejects_future_schema(self, tmp_path):
         engine, _ = churny_engine(seed=5, events=2)
@@ -594,6 +699,21 @@ class TestPublishSpan:
 
 
 class TestViewIsolation:
+    def test_whatif_leaves_the_view_values(self):
+        network, similarity = workload(seed=13)
+        service = DiversificationService(
+            network, similarity, config=ServiceConfig(port=0)
+        )
+        service._ingest([])
+        view = service.view
+        values = dict(view.values)
+        (host, name), product = next(iter(values.items()))
+        other = next(
+            p for p in view.network.candidates(host, name) if p != product
+        )
+        assert view.whatif_energy({host: {name: other}})["changed"] == 1
+        assert view.values == values
+
     def test_published_view_survives_the_next_batch(self):
         """The view's network is a copy-on-write copy of the live one: the
         writer's next batch of link and host events leaves the published

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.compile import compile_plan
 from repro.core.costs import assignment_energy, build_mrf
 from repro.core.diversify import diversify
 from repro.network.constraints import GLOBAL, AvoidCombination, ConstraintSet
@@ -15,11 +16,13 @@ from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 from repro.stream import (
     ChurnConfig,
+    CombinationUpdate,
     DynamicDiversifier,
     HostJoin,
     HostLeave,
     LinkAdd,
     LinkRemove,
+    PinService,
     SimilarityUpdate,
     StreamPlan,
     apply_event,
@@ -36,6 +39,42 @@ def workload(hosts=30, degree=2, services=3, pps=6, density=0.3, seed=0):
         products_per_service=pps, similarity_density=density, seed=seed,
     )
     return random_network(config), random_similarity(config)
+
+
+def edge_triples(variables, first, second, cid, matrices):
+    """Edges as sorted ``(variable, variable, matrix)`` triples, each
+    oriented so its lower variable comes first (matrix transposed to
+    match): equal lists mean equal edge sets up to endpoint swap."""
+    triples = []
+    for a, b, c in zip(first.tolist(), second.tolist(), cid.tolist()):
+        matrix = matrices[c]
+        if variables[b] < variables[a]:
+            a, b, matrix = b, a, matrix.T
+        triples.append((variables[a], variables[b], matrix.tolist()))
+    return sorted(triples)
+
+
+def assert_matches_cold_compile(plan):
+    """A flushed plan's live edges are a cold compile's of the same state,
+    and its combination map is the one a fresh ``install()`` derives."""
+    unary, counts, first, second, cid, matrices = plan.parts()
+    cold = compile_plan(
+        plan.network, plan.similarity, constraints=plan.constraints
+    ).parts
+    assert edge_triples(
+        plan.variables, first, second, cid, matrices
+    ) == edge_triples(
+        cold.variables, cold.edge_first, cold.edge_second, cold.edge_cid,
+        cold.matrices,
+    )
+    fresh = StreamPlan.__new__(StreamPlan)
+    fresh.install(
+        variables=plan.variables, candidates=plan.candidates, unary=unary,
+        label_counts=counts, matrices=matrices,
+        matrix_meta=plan._matrix_meta, edge_first=first, edge_second=second,
+        edge_cid=cid, plan=plan.plan, messages=plan.messages,
+    )
+    assert fresh._combo_cids == plan._combo_cids
 
 
 def tiny_network():
@@ -221,35 +260,64 @@ class TestStreamPlan:
         build = build_mrf(net, table)
         assert plan.plan.edge_count == build.mrf.edge_count == edges
 
-    def test_link_ids_stay_bounded_under_churn(self):
-        # A daemon sees hosts of ever-new names join and leave, and links
-        # come and go: interned link keys must not outlive their links.
+    def test_endpoint_rows_track_churn(self):
+        # A daemon sees hosts of ever-new names join and leave, links come
+        # and go, hosts rejoin under their own names and combination rules
+        # come and go; every row is found by its endpoints, so after each
+        # flush the live edges are exactly a cold compile's.
         net, table = workload(seed=6)
         template = net.hosts[0]
         spec = tuple(
             (service, net.candidates(template, service))
             for service in net.services_of(template)
         )
-        # A GLOBAL rule gives every newcomer its own (host, host) key.
+        # A GLOBAL rule gives every newcomer a combination edge; the local
+        # rule couples another pair, so retiring it drops its edge.
         combo = AvoidCombination(GLOBAL, spec[0][0], spec[0][1][0],
                                  spec[1][0], spec[1][1][0])
+        local = AvoidCombination(template, spec[1][0], spec[1][1][1],
+                                 spec[2][0], spec[2][1][1])
         plan = StreamPlan(net, table, constraints=ConstraintSet([combo]))
-        interned = len(plan._link_ids)
         peers = tuple(net.hosts[1:4])
         a, b = net.links[0]
+        rejoiner = next(h for h in net.hosts[4:] if h not in (a, b))
         for i in range(40):
             host = f"fresh{i}"
             plan.apply(HostJoin(host, services=spec, links=peers))
             plan.apply(LinkRemove(a, b))
             plan.apply(LinkAdd(a, b))
-            assert len(plan._link_ids) == interned + len(peers) + 1
             plan.apply(HostLeave(host))
-            assert len(plan._link_ids) == interned
             if i % 7 == 0:
+                # Leave and rejoin under the same name in one batch.
+                links = tuple(net.neighbors(rejoiner))
+                plan.apply(HostLeave(rejoiner))
+                plan.apply(HostJoin(rejoiner, services=spec, links=links))
+                plan.apply(CombinationUpdate(local, add=i % 14 == 0))
                 plan.flush()
+                assert_matches_cold_compile(plan)
         plan.flush()
-        build = build_mrf(net, table, constraints=plan.constraints)
-        assert plan.plan.edge_count == build.mrf.edge_count
+        assert_matches_cold_compile(plan)
+        assert len(plan._combo_cids) == len(net.hosts)
+
+
+class TestSolveResults:
+    def test_result_assignment_survives_the_next_solve(self):
+        # The engine patches its decoded dict in place on a warm solve;
+        # a result handed out earlier keeps its own products.
+        net, table = workload(seed=2)
+        engine = DynamicDiversifier(net, table)
+        first = engine.solve()
+        before = first.assignment.as_dict()
+        host, service = next(iter(before))
+        other = next(
+            product for product in net.candidates(host, service)
+            if product != before[(host, service)]
+        )
+        engine.apply(PinService(host, service, other))
+        second = engine.solve()
+        assert second.warm
+        assert second.assignment.get(host, service) == other
+        assert first.assignment.as_dict() == before
 
 
 class TestWarmStartParity:
