@@ -110,7 +110,7 @@ def test_plan_compile_speedup(record_bench, write_artifact):
     via_mrf = TRWSSolver(**solver_options).solve_arrays(
         reference, extra_inits=(reference.greedy_labels(),)
     )
-    via_compile = solve_plan(compiled, solver="trws", **solver_options)
+    via_compile = solve_plan(compiled, **solver_options)
     assert via_compile.labels == via_mrf.labels
     assert via_compile.energy == pytest.approx(via_mrf.energy, abs=1e-9)
 

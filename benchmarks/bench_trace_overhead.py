@@ -54,9 +54,7 @@ def _sweep():
     network = random_network(config)
     similarity = random_similarity(config)
     plan = compile_plan(network, similarity).plan
-    return solve_plan(
-        plan, solver="trws", max_iterations=4, compute_bound=False
-    )
+    return solve_plan(plan, max_iterations=4, compute_bound=False)
 
 
 def _best(fn, rounds=ROUNDS):

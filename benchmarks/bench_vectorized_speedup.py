@@ -1,4 +1,4 @@
-"""Vectorization speedup — vectorized TRW-S/BP vs the per-node reference.
+"""Vectorization speedup — vectorized TRW-S vs the per-node reference.
 
 Pins the headline claim of the vectorized message-passing core: on the
 solver-ablation random workload (120 hosts, degree 8, 3 services, general
@@ -19,8 +19,7 @@ import time
 import pytest
 
 from repro.core.costs import build_mrf
-from repro.mrf.bp import LoopyBPSolver
-from repro.mrf.reference import ReferenceBPSolver, ReferenceTRWSSolver
+from repro.mrf.reference import ReferenceTRWSSolver
 from repro.mrf.trws import TRWSSolver
 from repro.network.generator import (
     RandomNetworkConfig,
@@ -69,25 +68,3 @@ def test_trws_vectorized_speedup(record_bench):
     # The acceptance bar for the vectorized core.
     assert speedup >= 5.0, f"vectorized TRW-S only {speedup:.1f}x faster"
 
-
-def test_bp_vectorized_speedup(record_bench):
-    build = build_mrf(random_network(CONFIG), random_similarity(CONFIG))
-    fast, fast_seconds = _best_of(LoopyBPSolver(max_iterations=60), build.mrf)
-    slow, slow_seconds = _best_of(ReferenceBPSolver(max_iterations=60), build.mrf)
-
-    assert fast.labels == slow.labels
-    assert fast.energy == pytest.approx(slow.energy, abs=1e-9)
-
-    speedup = slow_seconds / fast_seconds
-    record_bench(
-        "vectorized_bp",
-        seconds=fast_seconds,
-        reference_seconds=round(slow_seconds, 6),
-        speedup=round(speedup, 2),
-        hosts=CONFIG.hosts,
-        degree=CONFIG.degree,
-        services=CONFIG.services,
-        energy=round(fast.energy, 6),
-    )
-    # BP's rounds are one block operation; anything below 2x is a regression.
-    assert speedup >= 2.0, f"vectorized BP only {speedup:.1f}x faster"

@@ -30,7 +30,6 @@ def main() -> None:
     parser.add_argument("--hosts", type=int, default=60)
     parser.add_argument("--events", type=int, default=15)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--solver", choices=("trws", "bp"), default="trws")
     parser.add_argument("--cold", action="store_true",
                         help="disable warm starts (baseline behaviour)")
     parser.add_argument("--compare-cold", action="store_true",
@@ -53,7 +52,6 @@ def main() -> None:
         network,
         similarity,
         trace,
-        solver=args.solver,
         warm_start=not args.cold,
         compare_cold=args.compare_cold,
     )

@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--products", type=int, default=6)
     stream.add_argument("--events", type=int, default=15)
     stream.add_argument("--seed", type=int, default=1)
-    stream.add_argument("--solver", choices=("trws", "bp"), default="trws")
     stream.add_argument(
         "--constraint-weight",
         type=float,
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--services", type=int, default=3)
     serve.add_argument("--products", type=int, default=6)
     serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--solver", choices=("trws", "bp"), default="trws")
     serve.add_argument(
         "--cold",
         action="store_true",
@@ -348,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     wal.add_argument("--seed", type=int, default=1,
                      help="bootstrap-network knobs for replay without a "
                      "snapshot; must match the crashed daemon's")
-    wal.add_argument("--solver", choices=("trws", "bp"), default="trws")
     _add_log_level(wal)
 
     trace = sub.add_parser(
@@ -369,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--events", type=int, default=20,
                        help="churn events (stream / serve-replay)")
     trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--solver", choices=("trws", "bp"), default="trws")
     trace.add_argument("--out", default="repro-trace.json",
                        help="Chrome trace-event output file (default "
                        "repro-trace.json; open in Perfetto)")
@@ -603,14 +599,12 @@ def _stream(args: argparse.Namespace) -> None:
     )
     print(
         f"Streaming churn — {args.hosts} hosts, {args.events} events, "
-        f"solver={args.solver}, "
         f"warm starts {'off' if args.cold else 'on'}"
     )
     report = replay_trace(
         network,
         similarity,
         trace,
-        solver=args.solver,
         warm_start=not args.cold,
         compare_cold=args.compare_cold,
     )
@@ -681,7 +675,6 @@ def _serve(args: argparse.Namespace) -> None:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        solver=args.solver,
         warm_start=not args.cold,
         batch_max=args.batch_max,
         high_water=args.high_water,
@@ -719,8 +712,8 @@ def _serve(args: argparse.Namespace) -> None:
     async def _run() -> None:
         await service.start()
         print(
-            f"repro serve — listening on http://{config.host}:{service.port} "
-            f"(solver={config.solver}), plan from {origin}"
+            f"repro serve — listening on http://{config.host}:{service.port}, "
+            f"plan from {origin}"
         )
         if config.snapshots_enabled:
             cadence = (
@@ -778,7 +771,7 @@ def _wal(args: argparse.Namespace) -> None:
         found = latest_valid_snapshot(args.snapshot_dir)
         if found is not None:
             path, snapshot = found
-            engine, snapshot = restore_engine(snapshot, solver=args.solver)
+            engine, snapshot = restore_engine(snapshot)
             after_seq = snapshot.wal_seq
             print(f"restored {path.name} (wal_seq {after_seq})")
         else:
@@ -800,9 +793,7 @@ def _wal(args: argparse.Namespace) -> None:
             seed=args.seed,
         )
         engine = DynamicDiversifier(
-            random_network(generator),
-            random_similarity(generator),
-            solver=args.solver,
+            random_network(generator), random_similarity(generator)
         )
     applied = 0
     failed = 0
@@ -857,7 +848,7 @@ def _trace_diversify(args: argparse.Namespace) -> None:
     from repro.core.diversify import diversify
 
     network, similarity, _events = _trace_workload_config(args)
-    result = diversify(network, similarity, solver=args.solver)
+    result = diversify(network, similarity)
     print(f"diversify: energy {result.energy:.6f}")
 
 
@@ -866,12 +857,7 @@ def _trace_stream(args: argparse.Namespace) -> None:
     from repro.stream import replay_trace
 
     network, similarity, events = _trace_workload_config(args)
-    report = replay_trace(
-        network,
-        similarity,
-        events,
-        solver=args.solver,
-    )
+    report = replay_trace(network, similarity, events)
     print(report.summary())
 
 
@@ -890,7 +876,6 @@ def _trace_serve_replay(args: argparse.Namespace) -> None:
     network, similarity, events = _trace_workload_config(args)
     config = ServiceConfig(
         port=0,
-        solver=args.solver,
         batch_max=1,
         log_level=args.log_level,
     )

@@ -10,9 +10,9 @@ diversity-oriented summary statistics.
 Every solve compiles the network once, **directly into an array plan**
 (:func:`~repro.core.compile.compile_plan`), without materialising per-edge
 Python objects — which is what keeps cold plan builds off the critical
-path of the 1000-6000-host sweeps.  TRW-S and BP solve the plan with
-:func:`~repro.mrf.sharded.solve_plan`; the solvers without a plan-level
-API (``icm``, ``exact``, ``anneal`` and the ``*-ref`` oracles) solve the
+path of the 1000-6000-host sweeps.  TRW-S solves the plan with
+:func:`~repro.mrf.sharded.solve_plan`; the other solvers (``icm``,
+``exact``, ``anneal`` and the ``*-ref`` oracles) solve the
 :class:`~repro.mrf.graph.PairwiseMRF` read off the same plan
 (:meth:`~repro.core.compile.CompiledPlan.to_mrf`).
 
@@ -36,11 +36,6 @@ from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 
 __all__ = ["DiversificationResult", "diversify"]
-
-#: Solvers with a plan-level (``solve_arrays``) API — the ones that solve
-#: the compiled plan without a :class:`PairwiseMRF`.
-_PLAN_SOLVERS = ("trws", "bp")
-
 
 @dataclass
 class DiversificationResult:
@@ -110,9 +105,8 @@ def diversify(
         network: the network to diversify.
         similarity: vulnerability-similarity table over the product names.
         constraints: legacy/policy/combination constraints (Definition 4).
-        solver: registered solver name — ``"trws"`` (default), ``"bp"``,
-            ``"icm"``, ``"exact"``, ``"anneal"``, ``"trws-ref"`` or
-            ``"bp-ref"``.
+        solver: registered solver name — ``"trws"`` (default), ``"icm"``,
+            ``"exact"``, ``"anneal"``, ``"trws-ref"`` or ``"bp-ref"``.
         unary_constant: the paper's ``Pr_const`` per-label base cost.
         pairwise_weight: λ scaling of the similarity penalty.
         preferences: soft (host, service, product) → cost adjustments.
@@ -146,7 +140,7 @@ def diversify(
         preferences=preferences,
         service_weights=service_weights,
     )
-    if solver in _PLAN_SOLVERS:
+    if solver == "trws":
         # Imported at call time from the module path the end-to-end
         # benchmark's layer tracer wraps.
         from repro.mrf.sharded import solve_plan
@@ -154,9 +148,7 @@ def diversify(
         # TRW-S takes ``TRWSSolver.solve_plan`` (forest DP for forests,
         # greedy refine init otherwise), the dispatch ``TRWSSolver.solve``
         # runs on the equivalent MRF.
-        solver_result = solve_plan(
-            compiled.plan, solver=solver, **solver_options
-        )
+        solver_result = solve_plan(compiled.plan, **solver_options)
     else:
         solver_result = get_solver(solver, **solver_options).solve(
             compiled.to_mrf()

@@ -8,23 +8,26 @@ passing (TRW-S).  This subpackage provides:
     :class:`PairwiseMRF` — nodes with per-node label spaces and unary costs,
     edges with pairwise cost matrices.
 ``repro.mrf.trws``
-    The TRW-S solver (Kolmogorov), with its monotonic-chain lower bound.
-``repro.mrf.bp``
-    Loopy min-sum belief propagation, the paper's stated alternative.
+    The TRW-S solver (Kolmogorov), with its monotonic-chain lower bound —
+    the one message-passing solver on plans.
 ``repro.mrf.icm``
     Iterated conditional modes — a cheap local-search baseline/refiner.
 ``repro.mrf.exact``
     Brute-force enumeration for ground truth on small instances.
+``repro.mrf.reference``
+    Per-node TRW-S and loopy BP: the parity oracle of the vectorized
+    TRW-S and the paper's Section V-C comparator (``bp-ref``).
 ``repro.mrf.vectorized``
     :class:`MRFArrays` — the array plan every vectorized solve runs on,
     with its cached connected-component labelling.
 ``repro.mrf.sharded``
-    :func:`solve_plan` — the plan-level cold solve of ``diversify()``.
+    :func:`solve_plan` — the plan-level TRW-S cold solve of
+    ``diversify()``.
 ``repro.mrf.solvers``
     Common :class:`SolverResult` type and a name → solver registry.
 ``repro.mrf.backends``
-    Pluggable kernel backends for the vectorized solvers (NumPy
-    reference and the compiled ``native`` tier), bit-for-bit identical.
+    Pluggable kernel backends for the plan kernels (NumPy reference and
+    the compiled ``native`` tier), bit-for-bit identical.
 """
 
 from repro.mrf.backends import (
@@ -42,7 +45,6 @@ from repro.mrf.solvers import (
     solve,
 )
 from repro.mrf.trws import TRWSSolver
-from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.icm import ICMSolver
 from repro.mrf.exact import ExactSolver
 from repro.mrf.anneal import SimulatedAnnealingSolver
@@ -55,7 +57,6 @@ __all__ = [
     "SolverScratch",
     "SolverResult",
     "TRWSSolver",
-    "LoopyBPSolver",
     "ICMSolver",
     "ExactSolver",
     "SimulatedAnnealingSolver",

@@ -29,7 +29,7 @@ class SimulatedAnnealingSolver:
         start_temperature / end_temperature: geometric cooling endpoints.
         seed: PRNG seed.  Runs are deterministic given the seed, so the
             default 0 makes repeated default solves identical, like the
-            seeded tie-break noise of TRW-S/BP; ``None`` draws fresh
+            seeded tie-break noise of TRW-S; ``None`` draws fresh
             entropy.
         initial: optional starting labelling (defaults to unary argmin).
     """

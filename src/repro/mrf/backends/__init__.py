@@ -1,7 +1,7 @@
-"""Kernel-backend registry for the vectorized message-passing solvers.
+"""Kernel-backend registry for the plan kernels.
 
-The solvers (:mod:`repro.mrf.trws`, :mod:`repro.mrf.bp`) and the plan
-primitives (:class:`~repro.mrf.vectorized.MRFArrays` decode/ICM/bound)
+The TRW-S solver (:mod:`repro.mrf.trws`) and the plan primitives
+(:class:`~repro.mrf.vectorized.MRFArrays` ICM, greedy init and bound)
 spend their time in sweeps over the plan's wavefront levels.  This
 package makes that kernel tier pluggable, one call per sweep (see
 :mod:`repro.mrf.backends.base`):

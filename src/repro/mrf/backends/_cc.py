@@ -6,7 +6,7 @@ through :mod:`ctypes` — thin native kernels under a NumPy-facing API, with
 no build system and no Python.h dependency.  When no compiler works, the
 loader reports unavailable and the backend registry degrades to NumPy.
 
-The TRW-S sweeps, ICM and the decode are *whole-sweep* entry points: one
+The TRW-S sweeps and ICM are *whole-sweep* entry points: one
 foreign call walks every wavefront level of a plan, reading the plan's
 flat level-major arrays through a :class:`CPlan` struct that is filled
 once per plan build.  ICM keeps a dirty flag per node and visits only
@@ -15,9 +15,7 @@ The greedy refine init is one call too: it visits
 the nodes in degree order over the forward sweep's full-adjacency
 arrays.  So is the TRW-S lower bound: one pass over the forward sends
 extends every monotonic chain, then one over the chains takes their
-minima.  The BP round derives each slot's sender and cost id from the
-slot receivers and edge cost ids.  When the caller passes a per-level
-seconds array
+minima.  When the caller passes a per-level seconds array
 (tracing), the same loop times each level with ``CLOCK_MONOTONIC``;
 untraced calls pass ``NULL``.  Three more entry points run once per edge
 set: ``repro_structure`` at every plan build (``repro_schedule``'s
@@ -82,20 +80,16 @@ typedef struct {
 
 /* A plan's sweep arrays (see MRFArrays.fwd_sweep / bwd_sweep), plus
  * each node's degree (the greedy init's visiting order), its chain
- * weight gamma, its label count (later labels are padding), each message
- * slot's receiver (the beliefs) and each edge's cost id; `stacked` is the
- * offset of the transposed cost entries.  Slot s of edge s >> 1 is sent
- * by receiver[s ^ 1] and prices through edge_cid[s >> 1] + stacked *
- * (s & 1), rows = the sender's labels. */
+ * weight gamma, its label count (later labels are padding) and each
+ * message slot's receiver (the beliefs). */
 typedef struct {
-    int64_t lmax, n_fwd, n_bwd, stacked;
+    int64_t lmax, n_fwd, n_bwd;
     const double *cost;
     const double *unary;
     const int64_t *degree;
     const double *gamma;
     const int64_t *counts;
     const int64_t *receiver;
-    const int64_t *edge_cid;
     const int64_t *node_off, *nodes;
     const int64_t *ext_off, *ext_seg, *ext_nbr, *ext_in, *ext_cid;
     const int64_t *all_off, *all_seg, *all_nbr, *all_cid;
@@ -226,14 +220,6 @@ HOT void backward_body(
     }
 }
 
-HOT void decode_body(
-    const plan_t *p, const int64_t lmax, const double *beliefs,
-    const double *messages, int64_t *labels, double *cond)
-{
-    for (int64_t l = 0; l < p->n_fwd; ++l)
-        condition_level(p, lmax, l, beliefs, messages, labels, cond);
-}
-
 /* Worklist ICM.  Each sweep walks the nodes in forward-level order, the
  * order of the Gauss-Seidel sweep (a level's nodes are never adjacent, so
  * one at a time is the level's block update).  A node is visited only
@@ -330,8 +316,8 @@ HOT void greedy_body(
     }
 }
 
-/* Unary plus every incoming message, added in slot order: BP's beliefs,
- * TRW-S's starting beliefs and the bound's shares. */
+/* Unary plus every incoming message, added in slot order: TRW-S's
+ * starting beliefs and the bound's shares. */
 HOT void beliefs_body(
     const plan_t *p, const int64_t lmax, const double *restrict messages,
     double *restrict beliefs)
@@ -347,62 +333,6 @@ HOT void beliefs_body(
         for (int64_t r = 0; r < lmax; ++r)
             row[r] += m[r];
     }
-}
-
-/* Synchronous min-sum update of every slot s: it is sent by
- * receiver[s ^ 1], reads the opposite slot s ^ 1, prices through edge
- * s >> 1's cost id (transposed when s is odd) and pads at its receiver's
- * labels past counts[receiver]. */
-HOT double bp_round_body(
-    const plan_t *p, const int64_t lmax, const double damping,
-    const double *restrict beliefs, double *restrict messages,
-    double *restrict new_msgs)
-{
-    const int64_t LL = lmax * lmax;
-    const int64_t slots = 2 * p->fwd.off[p->n_fwd];
-    double base_buf[64];
-    for (int64_t s = 0; s < slots; ++s) {
-        if (s + PF < slots)
-            __builtin_prefetch(beliefs + p->receiver[(s + PF) ^ 1] * lmax, 0);
-        const double *b = beliefs + p->receiver[s ^ 1] * lmax;
-        const double *m_rev = messages + (s ^ 1) * lmax;
-        for (int64_t r = 0; r < lmax; ++r)
-            base_buf[r] = b[r] - m_rev[r];
-        const double *cm =
-            p->cost + (p->edge_cid[s >> 1] + p->stacked * (s & 1)) * LL;
-        double *nm = new_msgs + s * lmax;
-        for (int64_t c = 0; c < lmax; ++c)
-            nm[c] = INFINITY;
-        for (int64_t r = 0; r < lmax; ++r) {
-            const double br = base_buf[r];
-            const double *row = cm + r * lmax;
-            for (int64_t c = 0; c < lmax; ++c) {
-                const double v = row[c] + br;
-                MINACC(nm[c], v);
-            }
-        }
-        double rowmin = INFINITY;
-        for (int64_t c = 0; c < lmax; ++c)
-            MINACC(rowmin, nm[c]);
-        const int64_t count = p->counts[p->receiver[s]];
-        for (int64_t c = 0; c < lmax; ++c)
-            nm[c] = c >= count ? 0.0 : nm[c] - rowmin;
-    }
-    double max_change = 0.0;
-    for (int64_t s = 0; s < slots; ++s) {
-        double *m = messages + s * lmax;
-        const double *nm = new_msgs + s * lmax;
-        for (int64_t c = 0; c < lmax; ++c) {
-            const double old = m[c];
-            double nv = nm[c];
-            if (damping > 0.0)
-                nv = nv * (1.0 - damping) + old * damping;
-            const double d = fabs(nv - old);
-            if (d > max_change || isnan(d)) max_change = d;
-            m[c] = nv;
-        }
-    }
-    return max_change;
 }
 
 /* The TRW-S lower bound's chain minima (see MRFArrays.chains).  Node v's
@@ -502,16 +432,6 @@ void repro_trws_backward(
              backward_body(p, 6, messages, beliefs, secs),
              backward_body(p, 8, messages, beliefs, secs),
              backward_body(p, p->lmax, messages, beliefs, secs))
-}
-
-void repro_decode(
-    const plan_t *p, const double *beliefs, const double *messages,
-    int64_t *labels, double *cond)
-{
-    DISPATCH(decode_body(p, 4, beliefs, messages, labels, cond),
-             decode_body(p, 6, beliefs, messages, labels, cond),
-             decode_body(p, 8, beliefs, messages, labels, cond),
-             decode_body(p, p->lmax, beliefs, messages, labels, cond))
 }
 
 void repro_icm(const plan_t *p, int64_t max_sweeps, int64_t *current,
@@ -817,22 +737,6 @@ void repro_bp_beliefs(
              beliefs_body(p, 8, messages, beliefs),
              beliefs_body(p, p->lmax, messages, beliefs))
 }
-
-double repro_bp_round(
-    const plan_t *p, double damping, const double *beliefs, double *messages,
-    double *new_msgs)
-{
-    double change = 0.0;
-    DISPATCH(change = bp_round_body(p, 4, damping, beliefs, messages,
-                                    new_msgs),
-             change = bp_round_body(p, 6, damping, beliefs, messages,
-                                    new_msgs),
-             change = bp_round_body(p, 8, damping, beliefs, messages,
-                                    new_msgs),
-             change = bp_round_body(p, p->lmax, damping, beliefs, messages,
-                                    new_msgs))
-    return change;
-}
 """
 
 _BASE_FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno"]
@@ -855,11 +759,10 @@ class CPlan(ctypes.Structure):
     """Mirror of the C ``plan_t``: every pointer a sweep kernel reads."""
 
     _fields_ = [
-        ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64), ("stacked", _I64),
+        ("lmax", _I64), ("n_fwd", _I64), ("n_bwd", _I64),
         *((name, _P) for name in (
             "cost", "unary", "degree", "gamma", "counts", "receiver",
-            "edge_cid", "node_off",
-            "nodes",
+            "node_off", "nodes",
             "ext_off", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
             "all_off", "all_seg", "all_nbr", "all_cid",
         )),
@@ -896,7 +799,6 @@ class CStructure(ctypes.Structure):
 _SIGNATURES = (
     ("repro_trws_forward", [ctypes.POINTER(CPlan), _P, _P, _P, _P, _P], None),
     ("repro_trws_backward", [ctypes.POINTER(CPlan), _P, _P, _P], None),
-    ("repro_decode", [ctypes.POINTER(CPlan), _P, _P, _P, _P], None),
     ("repro_icm", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
     ("repro_greedy", [ctypes.POINTER(CPlan), _I64, _P, _P], None),
     ("repro_chain_bound",
@@ -906,8 +808,6 @@ _SIGNATURES = (
      [_I64, _I64, _P, _P, _P, _I64, ctypes.POINTER(CStructure), _P], None),
     ("repro_label_graph", [ctypes.POINTER(CPlan), _P, _P, _P, _P], _I64),
     ("repro_bp_beliefs", [ctypes.POINTER(CPlan), _P, _P], None),
-    ("repro_bp_round",
-     [ctypes.POINTER(CPlan), ctypes.c_double, _P, _P, _P], ctypes.c_double),
 )
 
 
@@ -915,11 +815,10 @@ class CKernels:
     """The compiled kernel library with typed entry points.
 
     Attributes are the C functions themselves (``trws_forward``,
-    ``trws_backward``, ``decode``, ``icm``, ``greedy``, ``chain_bound``,
-    ``schedule``, ``structure``, ``label_graph``, ``bp_beliefs``,
-    ``bp_round``), taking
-    raw addresses (``int`` or
-    ``None`` for ``NULL``) for arrays and a ``POINTER(CPlan)`` for plans.
+    ``trws_backward``, ``icm``, ``greedy``, ``chain_bound``,
+    ``schedule``, ``structure``, ``label_graph``, ``bp_beliefs``), taking
+    raw addresses (``int`` or ``None`` for ``NULL``) for arrays and a
+    ``POINTER(CPlan)`` for plans.
     Callers guarantee C-contiguous arrays of the documented dtypes.
     """
 

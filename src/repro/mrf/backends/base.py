@@ -1,22 +1,21 @@
 """The kernel-backend contract: whole-sweep primitives over the plan.
 
-A backend implements the array kernels the vectorized solvers spend their
+A backend implements the array kernels the TRW-S solver spends its
 time in, at the granularity of a *sweep*: one call walks every wavefront
 level of the plan's flat level-major arrays
 (:attr:`~repro.mrf.vectorized.MRFArrays.fwd_sweep` /
-:attr:`~repro.mrf.vectorized.MRFArrays.bwd_sweep`).  Four sweep-level
-methods cover TRW-S, ICM and the BP decode, and one more the TRW-S
-refine's greedy init:
+:attr:`~repro.mrf.vectorized.MRFArrays.bwd_sweep`).  Three sweep-level
+methods cover TRW-S and ICM, and one more the TRW-S refine's greedy init:
 
 - :meth:`KernelBackend.forward_sweep` — per level, condition then send;
 - :meth:`KernelBackend.backward_sweep` — per level, send;
 - :meth:`KernelBackend.icm` — the whole Gauss-Seidel run;
-- :meth:`KernelBackend.decode` — conditioning only;
 - :meth:`KernelBackend.greedy` — every node once, in degree order.
 
-Three per-call kernels complete the set: the TRW-S lower bound's chain
-minima (:meth:`KernelBackend.chain_bound`) and the synchronous BP beliefs
-and round.  Three more kernels run once per edge set rather than per
+Two per-call kernels complete the set: the TRW-S lower bound's chain
+minima (:meth:`KernelBackend.chain_bound`) and the beliefs it and the
+sweeps start from (:meth:`KernelBackend.bp_beliefs`).  Three more
+kernels run once per edge set rather than per
 solve: :meth:`KernelBackend.structure` builds the plan's slot, γ and
 sweep arrays (every plan build and every ``replace_edges``) on top of
 :meth:`KernelBackend.schedule`, which groups the edge endpoints by node
@@ -143,19 +142,6 @@ class KernelBackend:
         those of the full sweeps.  Returns the backend that ran."""
         raise NotImplementedError
 
-    def decode(
-        self,
-        plan: "MRFArrays",
-        beliefs: np.ndarray,
-        messages: np.ndarray,
-        labels: np.ndarray,
-        scratch: "SolverScratch",
-    ) -> "KernelBackend":
-        """The conditioning half of :meth:`forward_sweep` alone (no sends):
-        writes every node's label into ``labels``.  Returns the backend
-        that ran it."""
-        raise NotImplementedError
-
     def greedy(
         self,
         plan: "MRFArrays",
@@ -271,23 +257,6 @@ class KernelBackend:
         beliefs: np.ndarray,
     ) -> None:
         """Beliefs ``unary + Σ incoming``, scatter-accumulated in slot
-        order into ``beliefs`` in place: BP's beliefs from the previous
-        round, TRW-S's starting beliefs, and (before the γ weighting) the
-        node shares of :meth:`chain_bound`."""
-        raise NotImplementedError
-
-    def bp_round(
-        self,
-        plan: "MRFArrays",
-        messages: np.ndarray,
-        beliefs: np.ndarray,
-        damping: float,
-        scratch: "SolverScratch",
-    ) -> float:
-        """One synchronous min-sum round over all ``2·edges`` directed
-        slots: compute every new message from the previous round's values,
-        damp, write back in place, and return the max absolute message
-        change.  Slot ``s`` is sent by ``slot_receiver[s ^ 1]``, reads
-        the opposite slot ``s ^ 1`` and prices through ``edge_cid[s >> 1]
-        + stacked·(s & 1)``; kernels derive all three per slot."""
+        order into ``beliefs`` in place: TRW-S's starting beliefs and
+        (before the γ weighting) the node shares of :meth:`chain_bound`."""
         raise NotImplementedError

@@ -86,22 +86,16 @@ class _PlanState:
             (plan.cost, np.float64), (plan.unary_inf, np.float64),
             (plan.gamma, np.float64),
             *((a, np.int64) for a in (
-                plan.label_counts, plan.edge_cid, plan.slot_receiver,
+                plan.label_counts, plan.slot_receiver,
                 plan.degree, fwd.node_off, fwd.ext_off, fwd.all_off,
                 fwd.send_off, bwd.send_off,
                 *vars(fwd.block).values(), *vars(bwd.block).values(),
             )),
         ]
-        # Node ids are range-checked by the plan build; cost ids arrive
-        # from callers unchecked, and the kernels index the stack raw.
-        cids = plan.edge_cid
-        self.ok = (
-            plan.lmax <= LMAX_LIMIT
-            and all(
-                a.dtype == dtype and a.flags.c_contiguous
-                for a, dtype in checks
-            )
-            and (not len(cids) or 0 <= cids.min() <= cids.max() < plan.stacked)
+        # Node and cost ids are range-checked by the plan build, so the
+        # kernels may index the belief rows and the cost stack raw.
+        self.ok = plan.lmax <= LMAX_LIMIT and all(
+            a.dtype == dtype and a.flags.c_contiguous for a, dtype in checks
         )
         self.ref = None
         self.cond_rows = int(np.diff(fwd.node_off).max()) if fwd.count else 0
@@ -116,11 +110,10 @@ class _PlanState:
 
         self.ref = ctypes.pointer(CPlan(
             lmax=plan.lmax, n_fwd=fwd.count, n_bwd=bwd.count,
-            stacked=plan.stacked,
             cost=_addr(plan.cost), unary=_addr(plan.unary_inf),
             degree=_addr(plan.degree), gamma=_addr(plan.gamma),
             counts=_addr(plan.label_counts), receiver=_addr(plan.slot_receiver),
-            edge_cid=_addr(plan.edge_cid), node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
+            node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
             all_off=_addr(fwd.all_off), fwd=sends(fwd), bwd=sends(bwd),
             **{
                 name: _addr(getattr(fwd.block, name))
@@ -272,23 +265,6 @@ class NativeBackend(KernelBackend):
         kernels.greedy(state.ref, top, _addr(labels), _addr(work))
         return self
 
-    def decode(self, plan, beliefs, messages, labels, scratch):
-        ready = self._guard(
-            plan, _messages(plan, messages), _beliefs(plan, beliefs),
-            _labels(plan, labels),
-        )
-        if not ready:
-            return self._fallback().decode(
-                plan, beliefs, messages, labels, scratch
-            )
-        kernels, state = ready
-        cond = scratch.array("native_cond", (state.cond_rows, plan.lmax))
-        kernels.decode(
-            state.ref, _addr(beliefs), _addr(messages), _addr(labels),
-            _addr(cond),
-        )
-        return self
-
     # ----------------------------------------------------- per-call kernels
 
     def schedule(self, n, first, second):
@@ -423,18 +399,3 @@ class NativeBackend(KernelBackend):
             return
         kernels, state = ready
         kernels.bp_beliefs(state.ref, _addr(messages), _addr(beliefs))
-
-    def bp_round(self, plan, messages, beliefs, damping, scratch):
-        ready = self._guard(
-            plan, _messages(plan, messages), _beliefs(plan, beliefs)
-        )
-        if not ready:
-            return self._fallback().bp_round(
-                plan, messages, beliefs, damping, scratch
-            )
-        kernels, state = ready
-        new = scratch.array("native_bp_new", messages.shape)
-        return float(kernels.bp_round(
-            state.ref, float(damping), _addr(beliefs), _addr(messages),
-            _addr(new),
-        ))

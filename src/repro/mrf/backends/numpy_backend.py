@@ -81,11 +81,6 @@ class NumpyBackend(KernelBackend):
                 break
         return self
 
-    def decode(self, plan, beliefs, messages, labels, scratch):
-        for level in plan.fwd_levels:
-            _condition(plan, level, beliefs, messages, labels, scratch)
-        return self
-
     def greedy(self, plan, labels, scratch):
         # The walk reads the forward sweep's full-adjacency arrays, which
         # already group every node's neighbours in edge order with cost
@@ -254,7 +249,7 @@ class NumpyBackend(KernelBackend):
         if not len(ends):
             return self
         lmax = plan.lmax
-        # t = γ·(θ + Σ incoming), summed in slot order by the BP kernel.
+        # t = γ·(θ + Σ incoming), summed in slot order by the beliefs kernel.
         share = scratch.array("chain_share", (plan.node_count, lmax))
         self.bp_beliefs(plan, messages, share)
         np.multiply(share, plan.gamma[:, None], out=share)
@@ -291,50 +286,9 @@ class NumpyBackend(KernelBackend):
         tail.min(axis=1, out=mins)
         return self
 
-    # --------------------------------------------------------- BP kernels
-
     def bp_beliefs(self, plan, messages, beliefs):
         np.copyto(beliefs, plan.unary_inf)
         np.add.at(beliefs, plan.slot_receiver, messages)
-
-    def bp_round(self, plan, messages, beliefs, damping, scratch):
-        slots = 2 * plan.edge_count
-        lmax = plan.lmax
-        base = scratch.array("bp_base", (slots, lmax))
-        diff = scratch.array("bp_diff", (slots, lmax))
-        cost = scratch.array("bp_cost", (slots, lmax, lmax))
-        updated = scratch.array("bp_new", (slots, lmax))
-        rowmin = scratch.array("bp_rowmin", (slots, 1))
-        pad = scratch.array("bp_pad", (slots, lmax), np.bool_)
-        # Slot s is sent by the receiver of s ^ 1 and prices through its
-        # edge's cost id, transposed when s is odd.
-        pairs = (plan.edge_count, 2)
-        sender = scratch.array("bp_sender", pairs, np.int64)
-        cid = scratch.array("bp_cid", pairs, np.int64)
-        np.copyto(sender, plan.slot_receiver.reshape(pairs)[:, ::-1])
-        cid[:, 0] = plan.edge_cid
-        np.add(plan.edge_cid, plan.stacked, out=cid[:, 1])
-        beliefs.take(sender.reshape(-1), axis=0, out=base, mode="clip")
-        # Slot s receives on s ^ 1: swap the two rows of every edge.
-        rows = (plan.edge_count, 2, lmax)
-        np.copyto(diff.reshape(rows), messages.reshape(rows)[:, ::-1])
-        np.subtract(base, diff, out=base)
-        plan.cost.take(cid.reshape(-1), axis=0, out=cost, mode="clip")
-        np.add(cost, base[:, :, None], out=cost)
-        cost.min(axis=1, out=updated)
-        updated.min(axis=1, keepdims=True, out=rowmin)
-        np.subtract(updated, rowmin, out=updated)
-        plan._pad.take(plan.slot_receiver, axis=0, out=pad, mode="clip")
-        np.copyto(updated, 0.0, where=pad)
-        if damping > 0.0:
-            np.multiply(updated, 1.0 - damping, out=updated)
-            np.multiply(messages, damping, out=diff)
-            np.add(updated, diff, out=updated)
-        np.subtract(updated, messages, out=diff)
-        np.abs(diff, out=diff)
-        max_change = float(diff.max())
-        np.copyto(messages, updated)
-        return max_change
 
 
 def segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

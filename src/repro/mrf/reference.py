@@ -3,15 +3,17 @@
 These are the original pure-Python solvers the repository shipped before the
 message-passing core was vectorized.  They process one edge at a time with
 small NumPy operations, which makes the update rule easy to audit against
-Kolmogorov's TRW-S paper — and makes them the ground truth the vectorized
-:class:`~repro.mrf.trws.TRWSSolver` / :class:`~repro.mrf.bp.LoopyBPSolver`
-are tested against: on every instance the vectorized solvers must return the
-same energies and dual bounds (see ``tests/test_vectorized.py``).
+Kolmogorov's TRW-S paper.  :class:`ReferenceTRWSSolver` is the ground truth
+the vectorized :class:`~repro.mrf.trws.TRWSSolver` is tested against: on
+every instance both must return the same energies and dual bounds (see
+``tests/test_vectorized.py``).  :class:`ReferenceBPSolver` is the loopy BP
+the paper weighs TRW-S against (Section V-C); TRW-S is the one production
+message-passing solver, and ``benchmarks/bench_ablation_solvers.py``
+reproduces that comparison with this solver.
 
-They stay registered as ``"trws-ref"`` and ``"bp-ref"`` so benchmarks can
-measure the speedup and users can cross-check results, but they should not
-be used on large workloads — the vectorized solvers compute identical
-updates an order of magnitude faster.
+They stay registered as ``"trws-ref"`` and ``"bp-ref"`` so benchmarks and
+users can cross-check results, but they should not be used on large
+workloads — they run an order of magnitude slower than the plan kernels.
 """
 
 from __future__ import annotations
@@ -370,9 +372,8 @@ class ReferenceTRWSSolver:
 
 
 class ReferenceBPSolver:
-    """Damped synchronous min-sum loopy BP with per-edge Python loops (the
-    pre-vectorization implementation of
-    :class:`~repro.mrf.bp.LoopyBPSolver`).
+    """Damped synchronous min-sum loopy BP with per-edge Python loops: the
+    paper's alternative to TRW-S, kept as its Section V-C comparator.
     """
 
     name = "bp-ref"

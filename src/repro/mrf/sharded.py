@@ -1,12 +1,12 @@
-"""The plan-level cold solve every TRW-S/BP ``diversify()`` runs.
+"""The plan-level cold solve every TRW-S ``diversify()`` runs.
 
-:func:`solve_plan` builds the configured solver and cold-solves one array
-plan with it.  TRW-S takes :meth:`~repro.mrf.trws.TRWSSolver.solve_plan`:
-forest plans go to the exact min-sum DP, loopy plans to the sweeps with the
-degree-descending greedy among the refine inits.  BP runs its sweeps.  The
-TRW-S refine stage keeps the best candidate per
-connected component, so a plan of independent components solves as well
-as its components would one by one — without a partition or a shard
+:func:`solve_plan` builds a :class:`~repro.mrf.trws.TRWSSolver` and
+cold-solves one array plan with
+:meth:`~repro.mrf.trws.TRWSSolver.solve_plan`: forest plans go to the
+exact min-sum DP, loopy plans to the sweeps with the degree-descending
+greedy among the refine inits.  The refine stage keeps the best candidate
+per connected component, so a plan of independent components solves as
+well as its components would one by one — without a partition or a shard
 loop.  It is the one production solve path per plan; the module keeps its
 name because the end-to-end benchmark's layer tracer wraps
 ``repro.mrf.sharded.solve_plan``.
@@ -16,27 +16,23 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.solvers import SolverResult
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 
 __all__ = ["solve_plan"]
 
-_FACTORIES = {"trws": TRWSSolver, "bp": LoopyBPSolver}
-
 
 def solve_plan(
     plan: MRFArrays,
-    solver: str = "trws",
     seed: Optional[int] = None,
     scratch: Optional[SolverScratch] = None,
     **solver_options: Any,
 ) -> SolverResult:
-    """Cold-solve one array plan with the standard dispatch.
+    """Cold-solve one array plan with TRW-S.
 
     The public plan-level entry point (used by
-    :func:`~repro.core.diversify.diversify` for TRW-S and BP).  TRW-S runs
+    :func:`~repro.core.diversify.diversify`).  It runs
     :meth:`TRWSSolver.solve_plan <repro.mrf.trws.TRWSSolver.solve_plan>`,
     the dispatch ``TRWSSolver.solve`` runs on the equivalent
     ``PairwiseMRF``.  The solver is built first, so an unknown or invalid
@@ -58,9 +54,7 @@ def solve_plan(
     >>> result.labels[0] != result.labels[1]
     True
     """
-    instance = _FACTORIES[solver](
+    solver = TRWSSolver(
         **{**solver_options, "seed": 0 if seed is None else int(seed)}
     )
-    if solver == "trws":
-        return instance.solve_plan(plan, scratch=scratch)
-    return instance.solve_arrays(plan, scratch=scratch)
+    return solver.solve_plan(plan, scratch=scratch)

@@ -2,7 +2,7 @@
 
 Every solver consumes a :class:`~repro.mrf.graph.PairwiseMRF` and produces a
 :class:`SolverResult`.  The registry lets callers pick a solver by name
-(``"trws"``, ``"bp"``, ``"icm"``, ``"exact"``), which is how
+(``"trws"``, ``"icm"``, ``"exact"``, ...), which is how
 :func:`repro.core.diversify.diversify` exposes its ``solver=`` argument.
 """
 
@@ -38,11 +38,10 @@ class SolveStats:
     Attributes:
         total_seconds: wall time of the whole ``solve_arrays`` call.
         setup_seconds: scratch/message/belief preparation before sweeping.
-        forward_seconds: total time in forward sweeps (TRW-S) or message
-            updates (BP).
-        backward_seconds: total time in backward sweeps (TRW-S only).
-        bound_seconds: lower-bound evaluation time (TRW-S only).
-        energy_seconds: primal energy/decode evaluation time.
+        forward_seconds: total time in forward sweeps.
+        backward_seconds: total time in backward sweeps.
+        bound_seconds: lower-bound evaluation time.
+        energy_seconds: primal energy evaluation time.
         refine_seconds: ICM refinement / polish time after the main loop.
         iteration_seconds: per-iteration wall times, index-aligned with
             the result's ``energy_trace``.
@@ -157,9 +156,10 @@ def available_solvers() -> List[str]:
     """Sorted names of registered solvers.
 
     The registry is populated when :mod:`repro.mrf` imports: the
-    vectorized pair (``trws``/``bp``), their per-node reference twins
-    (``trws-ref``/``bp-ref``, kept for parity tests), and the
-    refine/baseline solvers (``icm``, ``exact``, ``anneal``).
+    vectorized ``trws``, its per-node reference twin ``trws-ref`` (kept
+    for parity tests), the per-node loopy BP ``bp-ref`` (the paper's
+    Section V-C comparator), and the refine/baseline solvers (``icm``,
+    ``exact``, ``anneal``).
 
     >>> import repro.mrf  # registers the built-in solvers
     >>> [name for name in available_solvers() if name.startswith("trws")]
@@ -190,14 +190,12 @@ def solve(mrf: PairwiseMRF, solver: str = "trws", **options) -> SolverResult:
 def _register_builtins() -> None:
     """Populate the registry with the built-in solvers (import-time)."""
     from repro.mrf.trws import TRWSSolver
-    from repro.mrf.bp import LoopyBPSolver
     from repro.mrf.icm import ICMSolver
     from repro.mrf.exact import ExactSolver
     from repro.mrf.anneal import SimulatedAnnealingSolver
     from repro.mrf.reference import ReferenceBPSolver, ReferenceTRWSSolver
 
     register_solver("trws", TRWSSolver)
-    register_solver("bp", LoopyBPSolver)
     register_solver("icm", ICMSolver)
     register_solver("exact", ExactSolver)
     register_solver("anneal", SimulatedAnnealingSolver)

@@ -253,7 +253,7 @@ class TRWSSolver:
                 "trws_messages", (2 * plan.edge_count, plan.lmax)
             )
         # Starting beliefs: unary + every incoming message, added in slot
-        # order (the BP beliefs kernel computes exactly that).
+        # order (the beliefs kernel computes exactly that).
         beliefs = scratch.array("trws_beliefs", (n, plan.lmax))
         kernels.bp_beliefs(plan, messages, beliefs)
         if self.tie_break_noise > 0:

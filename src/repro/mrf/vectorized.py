@@ -2,7 +2,7 @@
 
 The paper's optimizer is multi-threaded C++ with GPU-accelerated matrix
 operations (Section VIII); this module is the array analogue every
-``diversify()`` TRW-S/BP solve runs on — replicated-service estates and
+``diversify()`` TRW-S solve runs on — replicated-service estates and
 general MRFs (heterogeneous label spaces, constraints, preferences) alike.
 A :class:`MRFArrays` plan precomputes everything the message-passing
 solvers need as flat arrays so that per-iteration work is block operations
@@ -17,8 +17,9 @@ instead of per-edge Python loops:
   edges of the same service; the stack keeps one padded copy per distinct
   matrix plus one per transposed orientation, and edges index into it, so
   memory stays O(nodes·L + edges + matrices·L²) exactly as before.
-* **Wavefront levels.**  Sequential solvers (TRW-S sweeps, conditioned
-  decoding, ICM) process node ``i`` after all lower-numbered neighbours.
+* **Wavefront levels.**  Sequential solvers (TRW-S sweeps and their
+  conditioned labelling, ICM) process node ``i`` after all lower-numbered
+  neighbours.
   That dependency is a DAG whose topological *levels* — computed once —
   batch every node of a level into one block update, which is
   mathematically identical to the node-by-node order because nodes in one
@@ -162,6 +163,20 @@ def _check_endpoints(n: int, first: np.ndarray, second: np.ndarray) -> None:
         )
 
 
+def _check_cost_ids(
+    stacked: int, first: np.ndarray, second: np.ndarray, cid: np.ndarray
+) -> None:
+    """Raise ``ValueError`` naming the first edge whose cost id is not a
+    matrix in ``[0, stacked)``."""
+    if not len(cid) or 0 <= cid.min() <= cid.max() < stacked:
+        return
+    e = int(np.argmax((cid < 0) | (cid >= stacked)))
+    raise ValueError(
+        f"edge {e} ({int(first[e])}, {int(second[e])}) has cost id "
+        f"{int(cid[e])} outside [0, {stacked})"
+    )
+
+
 def _padded_stack(
     unaries: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -191,7 +206,7 @@ class _SendBlock:
 @dataclass
 class _Wavefront(_SendBlock):
     """One forward level: its nodes, their conditioning edges to earlier
-    levels (for label extraction / decoding / ICM) and their forward sends.
+    levels (for label extraction and ICM) and their forward sends.
     """
 
     nodes: np.ndarray     # nodes in this level, ascending
@@ -442,11 +457,12 @@ class MRFArrays:
         """Derive the slot receivers, degrees, γ weights and both sweeps'
         level-major arrays of an edge set: one call of the default kernel
         backend (:meth:`~repro.mrf.backends.base.KernelBackend.structure`),
-        after the endpoint check the native kernel relies on."""
+        after the endpoint and cost-id checks the native kernels rely on."""
         from repro.mrf.backends import resolve_backend
 
         n = self.node_count
         _check_endpoints(n, edge_first, edge_second)
+        _check_cost_ids(self.stacked, edge_first, edge_second, edge_cid)
         self.edge_count = len(edge_first)
         self.edge_first = edge_first
         self.edge_second = edge_second
@@ -638,30 +654,6 @@ class MRFArrays:
         mins = scratch.array("chain_mins", (len(self.chains[1]),))
         kernels.chain_bound(self, messages, mins, scratch)
         return float(mins.sum())
-
-    # ------------------------------------------------------------- decoding
-
-    def decode(
-        self,
-        beliefs: np.ndarray,
-        messages: np.ndarray,
-        scratch: Optional[SolverScratch] = None,
-        backend=None,
-    ) -> np.ndarray:
-        """Sequential-conditioning decode over the forward levels.
-
-        Node ``i`` takes the argmin of its belief with every earlier
-        neighbour's message replaced by the actual pairwise column — the
-        same rule (and the same result) as the per-node reference decode,
-        and the label extraction of the TRW-S forward sweep.
-        """
-        from repro.mrf.backends import resolve_backend
-
-        kernels = resolve_backend(backend)
-        scratch = scratch if scratch is not None else SolverScratch()
-        labels = np.zeros(self.node_count, dtype=np.int64)
-        kernels.decode(self, beliefs, messages, labels, scratch)
-        return labels
 
     # ------------------------------------------------------------------ ICM
 

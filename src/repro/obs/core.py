@@ -1,6 +1,6 @@
 """Zero-overhead-when-disabled tracing core.
 
-The library's hot paths — the direct compiler, the TRW-S/BP sweep kernels,
+The library's hot paths — the direct compiler, the TRW-S sweep kernels,
 the streaming engine, the service writer — call into
 this module unconditionally.  The contract that keeps them as fast as the
 zero-allocation kernel work left them:

@@ -265,7 +265,6 @@ class DiversificationService:
             engine = DynamicDiversifier(
                 network,
                 similarity,
-                solver=self.config.solver,
                 warm_start=self.config.warm_start,
                 constraints=constraints,
                 **self.config.engine_options,
@@ -280,7 +279,7 @@ class DiversificationService:
         self.metrics.set_build_info(
             version=__version__,
             python=platform.python_version(),
-            solver=self.config.solver,
+            solver=engine.solver_name,
             warm_start=self.config.warm_start,
             backend=self._backend.describe(),
         )
@@ -375,7 +374,6 @@ class DiversificationService:
             path = found[1]
         engine, snapshot = restore_engine(
             path,
-            solver=config.solver,
             warm_start=config.warm_start,
             **config.engine_options,
         )
@@ -460,7 +458,7 @@ class DiversificationService:
             extra=kv(
                 host=self.config.host,
                 port=self.port,
-                solver=self.config.solver,
+                solver=self._engine.solver_name,
                 trace_tail=self.config.trace_tail,
             ),
         )

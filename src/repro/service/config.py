@@ -27,8 +27,6 @@ class ServiceConfig:
         host / port: HTTP listen address.  Port 0 binds an ephemeral port
             (the bound port is reported by ``DiversificationService.port``)
             — the form the tests and benchmarks use.
-        solver: ``"trws"`` (default) or ``"bp"`` — forwarded to the
-            underlying :class:`~repro.stream.incremental.DynamicDiversifier`.
         warm_start: disable to force a cold rebuild+solve per batch — the
             measurement baseline, never the production setting.
         batch_max: events drained from the ingestion queue per solve.  The
@@ -90,7 +88,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8351
-    solver: str = "trws"
     warm_start: bool = True
     batch_max: int = 64
     high_water: int = 1024
@@ -111,10 +108,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
-        if self.solver not in ("trws", "bp"):
-            raise ValueError(
-                f"solver must be 'trws' or 'bp', got {self.solver!r}"
-            )
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         if self.high_water < 1:

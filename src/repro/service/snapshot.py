@@ -344,7 +344,8 @@ def restore_plan(snapshot: Snapshot) -> StreamPlan:
         (tuple(range_a), tuple(range_b), float(weight))
         for range_a, range_b, weight in meta["matrix_meta"]
     ]
-    # The plan build rejects edges that are not two distinct nodes first.
+    # The plan build rejects edges that are not two distinct nodes, or
+    # whose cost id is no matrix, first.
     arrays = MRFArrays.from_dense(
         unary,
         snapshot.label_counts,
@@ -434,10 +435,9 @@ def _check_matrices(
     row = np.fromiter((ids.get((a, w), -1) for a, _, w in matrix_meta), np.int64, m)
     col = np.fromiter((ids.get((b, w), -1) for _, b, w in matrix_meta), np.int64, m)
     similar = np.fromiter((bool(a) for a, _, _ in matrix_meta), bool, m)
+    # The plan build has checked every cost id against the matrices.
     first, second, cid = snapshot.edge_first, snapshot.edge_second, snapshot.edge_cid
-    bad = (cid < 0) | (cid >= m)
-    if not bad.any():
-        bad = similar[cid] & ((node[first] != row[cid]) | (node[second] != col[cid]))
+    bad = similar[cid] & ((node[first] != row[cid]) | (node[second] != col[cid]))
     if bad.any():
         e = int(np.argmax(bad))
         lo, hi, c = int(first[e]), int(second[e]), int(cid[e])
@@ -450,7 +450,6 @@ def _check_matrices(
 
 def restore_engine(
     path: Union[str, Path, Snapshot],
-    solver: Optional[str] = None,
     warm_start: bool = True,
     **engine_options,
 ) -> Tuple[DynamicDiversifier, Snapshot]:
@@ -459,21 +458,25 @@ def restore_engine(
     Loads the snapshot and builds a :class:`DynamicDiversifier` around the
     restored plan (:func:`restore_plan`: network, similarity, constraints,
     cost model, messages and labels; nothing is compiled), so the first
-    :meth:`~DynamicDiversifier.solve` after a restart is warm.  ``solver``
-    defaults to the one the snapshot was taken with; ``engine_options``
-    are forwarded to the engine (``rebuild_fraction``, ...).  ``path``
-    also accepts an already-loaded :class:`Snapshot` (the
+    :meth:`~DynamicDiversifier.solve` after a restart is warm.  A
+    snapshot taken by another solver's daemon (an older build's loopy BP)
+    raises ``ValueError``: its messages are not TRW-S state.
+    ``engine_options`` are forwarded to the engine (``rebuild_fraction``,
+    ...).  ``path`` also accepts an already-loaded :class:`Snapshot` (the
     :func:`latest_valid_snapshot` hand-off, avoiding a second read).
 
     Returns ``(engine, snapshot)`` — the snapshot carries the counters
     (``events_applied``, ``wal_seq``) a resuming service continues from.
     """
     snapshot = path if isinstance(path, Snapshot) else load_snapshot(path)
+    solver = snapshot.meta["solver"]
+    if solver != DynamicDiversifier.solver_name:
+        raise ValueError(
+            f"snapshot was taken by a {solver!r} daemon; only "
+            f"{DynamicDiversifier.solver_name!r} snapshots resume"
+        )
     engine = DynamicDiversifier._resume(
-        restore_plan(snapshot),
-        solver=solver or str(snapshot.meta["solver"]),
-        warm_start=warm_start,
-        **engine_options,
+        restore_plan(snapshot), warm_start=warm_start, **engine_options
     )
     return engine, snapshot
 

@@ -135,7 +135,6 @@ def replay_trace(
     network: Network,
     similarity: SimilarityTable,
     trace: Sequence[Event],
-    solver: str = "trws",
     warm_start: bool = True,
     compare_cold: bool = False,
     rebuild_fraction: float = 0.25,
@@ -173,7 +172,6 @@ def replay_trace(
     engine = DynamicDiversifier(
         network,
         similarity,
-        solver=solver,
         warm_start=warm_start,
         rebuild_fraction=rebuild_fraction,
         constraints=constraints,
@@ -188,7 +186,6 @@ def replay_trace(
             cold_engine = DynamicDiversifier(
                 network,
                 similarity,
-                solver=solver,
                 warm_start=False,
                 constraints=engine.constraints,
                 **engine_options,

@@ -8,7 +8,7 @@ state) and re-solves each delta by
 
 1. patching the live plan (cost values in place, slot/level structure
    re-derived vectorized),
-2. warm-starting TRW-S or BP from the previous run's messages, and
+2. warm-starting TRW-S from the previous run's messages, and
 3. seeding the ICM refine stage with the previous solution's labels,
 
 falling back to a full cold rebuild when the accumulated delta exceeds a
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro import obs
 from repro.mrf.backends import KernelBackend, resolve_backend
-from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.solvers import SolverResult
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import SolverScratch
@@ -64,7 +63,7 @@ class StreamSolveResult:
     Attributes:
         assignment: the decoded optimal assignment for the current state.
         energy: MRF energy of the assignment (paper Eq. 1).
-        lower_bound: dual lower bound (TRW-S; ``-inf`` for BP).
+        lower_bound: TRW-S's dual lower bound.
         certified_optimal: True when the gap certifies a global optimum.
         warm: True when the solve reused the previous message state;
             False marks a cold (re)build — the first solve, an explicitly
@@ -105,8 +104,6 @@ class DynamicDiversifier:
     Args:
         network: the live network; the engine mutates it as events apply.
         similarity: the live similarity table (likewise).
-        solver: ``"trws"`` (default) or ``"bp"`` — the two message-passing
-            solvers with a warm-start API.
         warm_start: disable to force a cold rebuild+solve on every
             :meth:`solve` — the baseline the benchmarks compare against.
         warm_iterations: sweep budget of a warm re-solve.  Starting from
@@ -136,14 +133,17 @@ class DynamicDiversifier:
             previous solution escalates to the full-budget solve, and a
             bulk load past ``rebuild_fraction`` falls back to a cold
             recompile.
-        **solver_options: forwarded to the solver constructor.
+        **solver_options: forwarded to the
+            :class:`~repro.mrf.trws.TRWSSolver` constructor.
     """
+
+    #: the solver every solve runs, as snapshots and ``/healthz`` name it.
+    solver_name = TRWSSolver.name
 
     def __init__(
         self,
         network: Network,
         similarity: SimilarityTable,
-        solver: str = "trws",
         warm_start: bool = True,
         warm_iterations: int = 2,
         rebuild_fraction: float = 0.25,
@@ -155,7 +155,7 @@ class DynamicDiversifier:
         **solver_options,
     ) -> None:
         self._configure(
-            solver, warm_start, warm_iterations, rebuild_fraction,
+            warm_start, warm_iterations, rebuild_fraction,
             cost_jump_threshold, **solver_options,
         )
         self.plan = StreamPlan(
@@ -173,8 +173,7 @@ class DynamicDiversifier:
 
     @classmethod
     def _resume(
-        cls, plan: StreamPlan, solver: str = "trws", warm_start: bool = True,
-        **options,
+        cls, plan: StreamPlan, warm_start: bool = True, **options,
     ) -> "DynamicDiversifier":
         """An engine around an already-built plan, with no compile: the
         snapshot restore's constructor.  ``options`` are the constructor's
@@ -182,7 +181,7 @@ class DynamicDiversifier:
         model and constraints.  Labels the plan holds are decoded once, so
         the next solve's stability compares against them."""
         engine = cls.__new__(cls)
-        engine._configure(solver, warm_start, **options)
+        engine._configure(warm_start, **options)
         engine.plan = plan
         engine._values = None
         if plan.labels is not None:
@@ -191,7 +190,6 @@ class DynamicDiversifier:
 
     def _configure(
         self,
-        solver: str,
         warm_start: bool,
         warm_iterations: int = 2,
         rebuild_fraction: float = 0.25,
@@ -202,25 +200,14 @@ class DynamicDiversifier:
         the constructor's)."""
         if warm_iterations < 1:
             raise ValueError("warm_iterations must be >= 1")
-        if solver == "trws":
-            self._solver = TRWSSolver(**solver_options)
-            self._warm_solver = TRWSSolver(
-                **{**solver_options, "max_iterations": warm_iterations}
-            )
-        elif solver == "bp":
-            self._solver = LoopyBPSolver(**solver_options)
-            self._warm_solver = LoopyBPSolver(
-                **{**solver_options, "max_iterations": warm_iterations}
-            )
-        else:
-            raise ValueError(
-                f"streaming supports solvers 'trws' and 'bp', got {solver!r}"
-            )
+        self._solver = TRWSSolver(**solver_options)
+        self._warm_solver = TRWSSolver(
+            **{**solver_options, "max_iterations": warm_iterations}
+        )
         if not 0.0 <= rebuild_fraction <= 1.0:
             raise ValueError("rebuild_fraction must be in [0, 1]")
         if cost_jump_threshold < 0:
             raise ValueError("cost_jump_threshold must be non-negative")
-        self.solver_name = solver
         self.warm_start = warm_start
         self.rebuild_fraction = rebuild_fraction
         self.cost_jump_threshold = cost_jump_threshold
@@ -276,7 +263,6 @@ class DynamicDiversifier:
         warm, escalation = self._classify_solve(force_cold=force_cold)
         if escalation is not None:
             obs.instant("stream.escalation", cat="stream", reason=escalation)
-        is_trws = self.solver_name == "trws"
         if warm:
             plan.flush()
             if escalation is not None:
@@ -288,31 +274,22 @@ class DynamicDiversifier:
                 # previous basin — which a stranding mask just made
                 # infeasible.
                 solver = self._solver
-                extra_inits = (plan.labels,)
-                if is_trws:
-                    extra_inits += (self._greedy_labels(),)
+                extra_inits = (plan.labels, self._greedy_labels())
             else:
                 solver = self._warm_solver
                 extra_inits = (plan.labels,)
         else:
             plan.rebuild()
             solver = self._solver
-            # The greedy init only feeds TRW-S's refine stage; BP's
-            # solve_arrays takes no inits, so don't pay for it there.
-            extra_inits = (self._greedy_labels(),) if is_trws else ()
+            extra_inits = (self._greedy_labels(),)
 
-        if is_trws:
-            result = solver.solve_arrays(
-                plan.plan,
-                messages=plan.messages,
-                extra_inits=extra_inits,
-                default_inits=solver is not self._warm_solver,
-                scratch=self._scratch,
-            )
-        else:
-            result = solver.solve_arrays(
-                plan.plan, messages=plan.messages, scratch=self._scratch
-            )
+        result = solver.solve_arrays(
+            plan.plan,
+            messages=plan.messages,
+            extra_inits=extra_inits,
+            default_inits=solver is not self._warm_solver,
+            scratch=self._scratch,
+        )
 
         labels = np.asarray(result.labels, dtype=np.int64)
         energy = result.energy
@@ -324,7 +301,7 @@ class DynamicDiversifier:
             # The ICM polish of the previous labels can only tie, never
             # beat, the solver's best (it was one of the refine inits).
             # TRW-S's refine stage has polished them already (its first
-            # extra init); BP has no refine stage and polishes them here.
+            # extra init); without that stage they are polished here.
             if result.polished_inits:
                 polished = result.polished_inits[0]
             else:

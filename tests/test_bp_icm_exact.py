@@ -1,12 +1,13 @@
-"""Tests for the baseline solvers: loopy BP, ICM and brute force."""
+"""Tests for the baseline solvers: loopy BP (the per-node ``bp-ref``), ICM
+and brute force."""
 
 import numpy as np
 import pytest
 
-from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.exact import ExactSolver
 from repro.mrf.graph import MRFError, PairwiseMRF
 from repro.mrf.icm import ICMSolver
+from repro.mrf.reference import ReferenceBPSolver
 
 from helpers import make_random_mrf
 
@@ -35,28 +36,28 @@ class TestLoopyBP:
         mrf = make_random_mrf(nodes=7, edge_probability=0.0, max_labels=3,
                               seed=3, tree=True)
         exact = ExactSolver().solve(mrf)
-        result = LoopyBPSolver(max_iterations=100, damping=0.0).solve(mrf)
+        result = ReferenceBPSolver(max_iterations=100, damping=0.0).solve(mrf)
         assert result.energy == pytest.approx(exact.energy, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_beats_exact(self, seed):
         mrf = make_random_mrf(nodes=6, edge_probability=0.5, max_labels=3, seed=seed)
         exact = ExactSolver().solve(mrf)
-        result = LoopyBPSolver(max_iterations=80).solve(mrf)
+        result = ReferenceBPSolver(max_iterations=80).solve(mrf)
         assert result.energy >= exact.energy - 1e-9
 
     def test_damping_validation(self):
         with pytest.raises(ValueError):
-            LoopyBPSolver(damping=1.0)
+            ReferenceBPSolver(damping=1.0)
         with pytest.raises(ValueError):
-            LoopyBPSolver(damping=-0.1)
+            ReferenceBPSolver(damping=-0.1)
 
     def test_iteration_validation(self):
         with pytest.raises(ValueError):
-            LoopyBPSolver(max_iterations=0)
+            ReferenceBPSolver(max_iterations=0)
 
     def test_empty(self):
-        result = LoopyBPSolver().solve(PairwiseMRF())
+        result = ReferenceBPSolver().solve(PairwiseMRF())
         assert result.labels == [] and result.converged
 
     def test_converges_on_chain(self):
@@ -64,7 +65,7 @@ class TestLoopyBP:
         nodes = [mrf.add_node([0.0, 0.5]) for _ in range(4)]
         for a, b in zip(nodes, nodes[1:]):
             mrf.add_edge(a, b, np.eye(2))
-        result = LoopyBPSolver(max_iterations=100, damping=0.0).solve(mrf)
+        result = ReferenceBPSolver(max_iterations=100, damping=0.0).solve(mrf)
         assert result.converged
 
 
@@ -106,29 +107,3 @@ class TestICM:
     def test_empty(self):
         result = ICMSolver().solve(PairwiseMRF())
         assert result.labels == [] and result.converged
-
-
-class TestBPSolveArrays:
-    def test_cold_solve_arrays_matches_solve(self):
-        from repro.mrf.vectorized import MRFArrays
-
-        mrf = make_random_mrf(nodes=8, edge_probability=0.6, max_labels=3, seed=2)
-        solver = LoopyBPSolver(max_iterations=30)
-        direct = solver.solve(mrf)
-        via_plan = solver.solve_arrays(MRFArrays(mrf))
-        assert via_plan.labels == direct.labels
-        assert via_plan.energy == pytest.approx(direct.energy, abs=1e-9)
-
-    def test_warm_start_converges_fast(self):
-        from repro.mrf.vectorized import MRFArrays
-
-        mrf = make_random_mrf(nodes=8, edge_probability=0.6, max_labels=3, seed=3)
-        plan = MRFArrays(mrf)
-        solver = LoopyBPSolver(max_iterations=50)
-        messages = plan.zero_messages()
-        first = solver.solve_arrays(plan, messages=messages)
-        assert first.converged
-        warm = solver.solve_arrays(plan, messages=messages)
-        # Restarting at the fixed point converges immediately.
-        assert warm.iterations <= 2
-        assert warm.energy == pytest.approx(first.energy, abs=1e-9)

@@ -26,12 +26,10 @@ class TestParser:
 
     def test_stream_options(self):
         args = build_parser().parse_args(
-            ["stream", "--hosts", "30", "--events", "5", "--solver", "bp",
-             "--compare-cold"]
+            ["stream", "--hosts", "30", "--events", "5", "--compare-cold"]
         )
         assert args.hosts == 30
         assert args.events == 5
-        assert args.solver == "bp"
         assert args.compare_cold and not args.cold
 
     def test_scalability_full_flag(self):

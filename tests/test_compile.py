@@ -33,7 +33,6 @@ from repro.core.compile import (
 )
 from repro.core.costs import build_mrf
 from repro.core.diversify import diversify
-from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.sharded import solve_plan
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
@@ -504,17 +503,9 @@ class TestDiversifyRouting:
         )
         assert direct.satisfied == (not violations)
 
-    def test_bp_routes_through_compiler(self, monkeypatch):
-        net, sim = workload(seed=11)
-        routes = count_compile_routes(monkeypatch)
-        direct = diversify(net, sim, solver="bp")
-        assert routes == {"compile_plan": 1, "build_mrf": 0}
-        classic = LoopyBPSolver().solve(build_mrf(net, sim).mrf)
-        assert direct.energy == pytest.approx(classic.energy)
-
     def test_object_solvers_route_through_compiler(self, monkeypatch):
-        # Solvers without a plan API solve the PairwiseMRF read off the
-        # one compiled plan; build_mrf stays the oracle only.
+        # The solvers but TRW-S solve the PairwiseMRF read off the one
+        # compiled plan; build_mrf stays the oracle only.
         net, sim = workload(hosts=6, degree=2, services=1, seed=12)
         routes = count_compile_routes(monkeypatch)
         solvers = ("icm", "exact", "anneal", "trws-ref", "bp-ref")
@@ -612,16 +603,6 @@ class TestSolverScratch:
             assert shared.lower_bound == fresh.lower_bound
             assert shared.iterations == fresh.iterations
 
-    def test_bp_results_identical_with_shared_scratch(self):
-        scratch = SolverScratch()
-        for seed in range(3):
-            net, sim = workload(hosts=14, degree=4, services=2, seed=seed)
-            plan = compile_plan(net, sim).plan
-            fresh = LoopyBPSolver().solve_arrays(plan)
-            shared = LoopyBPSolver().solve_arrays(plan, scratch=scratch)
-            assert shared.labels == fresh.labels
-            assert shared.energy == fresh.energy
-
     def test_repeated_solves_reuse_without_drift(self):
         net, sim = workload(hosts=20, degree=4, services=2, seed=4)
         plan = compile_plan(net, sim).plan
@@ -650,7 +631,7 @@ class TestSolverScratch:
         net, sim = workload(hosts=18, degree=4, services=2, seed=7)
         build = build_mrf(net, sim)
         compiled = compile_plan(net, sim)
-        via_plan = solve_plan(compiled.plan, solver="trws")
+        via_plan = solve_plan(compiled.plan)
         via_mrf = TRWSSolver().solve(build.mrf)
         assert via_plan.labels == via_mrf.labels
         assert via_plan.energy == pytest.approx(via_mrf.energy)
@@ -710,6 +691,27 @@ class TestWavefrontLevels:
                 unaries, np.array(first), np.array(second),
                 np.zeros(2, dtype=np.int64), [np.ones((2, 2))],
             )
+
+    @pytest.mark.parametrize("build", ["from_dense", "replace_edges"])
+    @pytest.mark.parametrize("cid", [1, -1])
+    def test_bad_cost_id_raises_naming_the_edge(self, build, cid):
+        # The energy and the kernels index the cost stack raw: a bad id
+        # must fail at the build, naming its edge, not later elsewhere.
+        first, second, cids = np.array([0, 1]), np.array([1, 2]), [0, cid]
+        named = f"edge 1 (1, 2) has cost id {cid} outside [0, 1)"
+        matrices = [np.ones((2, 2))]
+        unary, counts = np.zeros((3, 2)), np.full(3, 2)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            if build == "from_dense":
+                MRFArrays.from_dense(
+                    unary, counts, first, second, np.array(cids), matrices
+                )
+            else:
+                plan = MRFArrays.from_dense(
+                    unary, counts, first, second, np.zeros(2, np.int64),
+                    matrices,
+                )
+                plan.replace_edges(first, second, np.array(cids), matrices)
 
 
 class TestLexsortOracle:

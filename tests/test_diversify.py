@@ -140,10 +140,6 @@ class TestSolverSelection:
         result = diversify(chain_network(4), two_product_table, solver="icm")
         assert result.assignment.is_complete()
 
-    def test_bp_solver_runs(self, two_product_table):
-        result = diversify(chain_network(4), two_product_table, solver="bp")
-        assert result.similarity_total == pytest.approx(3 * 0.4)
-
     def test_unknown_solver_raises(self, two_product_table):
         with pytest.raises(KeyError):
             diversify(chain_network(3), two_product_table, solver="magic")
@@ -173,9 +169,7 @@ class TestSolverSelection:
         with pytest.raises(TypeError, match="unexpected keyword"):
             diversify(chain_network(3), two_product_table, fast_path=False)
 
-    @pytest.mark.parametrize(
-        "solver", ["trws", "bp", "icm", "exact", "anneal"]
-    )
+    @pytest.mark.parametrize("solver", ["trws", "icm", "exact", "anneal"])
     def test_shards_option_removed(self, solver, two_product_table):
         # ``shards`` is gone with the dual tier: it reaches the solver
         # constructor like any unknown option and raises there.
@@ -278,7 +272,7 @@ class TestSimilaritySummary:
         },
     }
 
-    @pytest.mark.parametrize("solver", ["trws", "bp", "icm", "exact"])
+    @pytest.mark.parametrize("solver", ["trws", "icm", "exact"])
     @pytest.mark.parametrize("case", sorted(OPTIONS))
     def test_equals_the_loop_over_links(self, solver, case):
         network, similarity = self._estate()

@@ -261,7 +261,6 @@ class TestSpans:
             solve_plan(plan)
             TRWSSolver().solve(mrf)
             TRWSSolver(refine=False).solve(mrf)
-            solve_plan(plan, solver="bp")
             assert engine.solve().escalation == "first_solve"
             engine.apply(SimilarityUpdate("p0", "p2", 0.9))
             assert engine.solve().escalation == "cost_jump"

@@ -323,7 +323,7 @@ def heterogeneous_case(seed: int, hosts: int = 7):
 
 
 #: every registered solver but ``exact``, which runs on a smaller estate.
-_ONE_COMPILE_SOLVERS = ("trws", "bp", "icm", "anneal", "trws-ref", "bp-ref")
+_ONE_COMPILE_SOLVERS = ("trws", "icm", "anneal", "trws-ref", "bp-ref")
 
 
 @settings(max_examples=6, deadline=None)
@@ -345,8 +345,8 @@ def test_every_solver_matches_the_build_mrf_pipeline(seed):
                     network, similarity, solver=solver, **options
                 )
             assert routes == {"compile_plan": 1, "build_mrf": 0}, solver
-            if solver in ("trws", "bp"):
-                expected = solve_plan(MRFArrays(build.mrf), solver=solver)
+            if solver == "trws":
+                expected = solve_plan(MRFArrays(build.mrf))
             else:
                 expected = get_solver(solver).solve(build.mrf)
             got = result.solver_result

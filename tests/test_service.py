@@ -133,7 +133,7 @@ class TestServiceConfig:
         [
             {"port": -1},
             {"port": 70000},
-            {"solver": "gurobi"},
+            {"fsync": "sometimes"},
             {"batch_max": 0},
             {"high_water": 0},
             {"retry_after": 0.0},
@@ -238,6 +238,16 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ValueError):
             restore_engine(replace(snapshot, constraints=constraints))
 
+    def test_restore_rejects_a_bp_snapshot_solver(self, tmp_path):
+        # Loopy BP's messages are no TRW-S state: a snapshot an older BP
+        # daemon wrote must not resume silently under TRW-S.
+        path = save_snapshot(estate_engine(), tmp_path, version=1)
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta["solver"] == "trws"
+        (path / "meta.json").write_text(json.dumps({**meta, "solver": "bp"}))
+        with pytest.raises(ValueError, match="'bp' daemon"):
+            restore_engine(path)
+
     def test_self_loop_in_snapshot_edges_is_rejected(self, tmp_path):
         # A corrupted snapshot used to hang the plan build: a self-loop
         # never lets the wavefront levels settle.
@@ -302,12 +312,12 @@ class TestSnapshotRoundTrip:
         if corruption == "weight":
             keys[0][2] *= 2
             edge = int(np.argmax(cid == 0))
+            problem = rf"snapshot edge {edge} \(.* does not fit"
         else:
+            # The plan build checks every cost id before the keys.
             cid[3] = len(keys)
-            edge = 3
-        with pytest.raises(
-            ValueError, match=rf"snapshot edge {edge} \(.* does not fit"
-        ):
+            problem = rf"edge 3 \(.*\) has cost id {len(keys)} outside"
+        with pytest.raises(ValueError, match=problem):
             restore_plan(replace(
                 snapshot, meta={**snapshot.meta, "matrix_meta": keys},
                 edge_cid=cid,

@@ -413,18 +413,6 @@ class TestDynamicDiversifier:
         result = engine.solve()
         assert 0.0 <= result.stability <= 1.0
 
-    def test_bp_solver_warm_start(self):
-        net, table = workload(hosts=16, seed=8)
-        engine = DynamicDiversifier(net, table, solver="bp")
-        engine.solve()
-        a, b = engine.network.links[0]
-        engine.apply(LinkRemove(a, b))
-        result = engine.solve()
-        assert result.warm
-        assert result.energy == pytest.approx(
-            assignment_energy(net, table, result.assignment), abs=1e-9
-        )
-
     def test_host_join_with_wider_label_space(self):
         # A joining host with a wider candidate range grows the message
         # padding without dropping the warm state.
@@ -447,8 +435,6 @@ class TestDynamicDiversifier:
 
     def test_invalid_options(self):
         net, table = tiny_network()
-        with pytest.raises(ValueError):
-            DynamicDiversifier(net, table, solver="icm")
         with pytest.raises(ValueError):
             DynamicDiversifier(net, table, rebuild_fraction=2.0)
         with pytest.raises(ValueError):

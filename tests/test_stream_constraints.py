@@ -330,23 +330,6 @@ class TestConstraintParity:
             cold = diversify(check_net, check_table, constraints=check_cons)
             assert result.energy == pytest.approx(cold.energy, abs=1e-9)
 
-    def test_bp_constraint_parity(self):
-        net, table = workload(hosts=16, seed=8)
-        engine = DynamicDiversifier(net, table, solver="bp")
-        engine.solve()
-        host = engine.network.hosts[0]
-        product = engine.network.candidates(host, "s0")[1]
-        engine.apply(PinService(host, "s0", product))
-        result = engine.solve()
-        assert result.warm
-        assert result.energy == pytest.approx(
-            assignment_energy(
-                net, table, result.assignment,
-                constraints=engine.constraints,
-            ),
-            abs=1e-9,
-        )
-
     def test_global_combination_with_host_join(self):
         net, table = workload(seed=6)
         engine = DynamicDiversifier(net.copy(), table.copy(),

@@ -1,10 +1,10 @@
-"""Parity tests: vectorized solvers vs their per-node reference solvers.
+"""Parity tests: the vectorized TRW-S vs its per-node reference solver.
 
-The vectorized :class:`~repro.mrf.trws.TRWSSolver` and
-:class:`~repro.mrf.bp.LoopyBPSolver` must compute the same updates as the
-pre-vectorization implementations kept in :mod:`repro.mrf.reference` — same
-labellings, same energies, same dual bounds, same iteration counts — on
-loopy graphs, trees, heterogeneous label spaces and the case-study MRF.
+The vectorized :class:`~repro.mrf.trws.TRWSSolver` must compute the same
+updates as the pre-vectorization implementation kept in
+:mod:`repro.mrf.reference` — same labellings, same energies, same dual
+bounds, same iteration counts — on loopy graphs, trees, heterogeneous
+label spaces and the case-study MRF.
 Also covers the :class:`~repro.mrf.vectorized.MRFArrays` plan invariants
 the solvers rely on.
 """
@@ -12,7 +12,6 @@ the solvers rely on.
 import numpy as np
 import pytest
 
-from repro.mrf.bp import LoopyBPSolver
 from repro.mrf.graph import PairwiseMRF
 from repro.mrf.icm import ICMSolver
 from repro.mrf.reference import ReferenceBPSolver, ReferenceTRWSSolver
@@ -172,36 +171,6 @@ class TestTRWSParity:
         slow = ReferenceTRWSSolver(max_iterations=12).solve(mrf)
         assert fast.energy_trace == pytest.approx(slow.energy_trace, abs=1e-9)
         assert fast.bound_trace == pytest.approx(slow.bound_trace, abs=1e-7)
-
-
-class TestBPParity:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_instances(self, seed):
-        mrf = make_random_mrf(nodes=9, edge_probability=0.5, max_labels=4,
-                              seed=seed + 100)
-        fast = LoopyBPSolver(max_iterations=40).solve(mrf)
-        slow = ReferenceBPSolver(max_iterations=40).solve(mrf)
-        assert fast.labels == slow.labels
-        assert fast.energy == pytest.approx(slow.energy, abs=1e-9)
-        assert fast.iterations == slow.iterations
-        assert fast.converged == slow.converged
-
-    @pytest.mark.parametrize("damping", [0.0, 0.3, 0.9])
-    def test_damping_settings(self, damping):
-        mrf = make_random_mrf(nodes=8, edge_probability=0.6, max_labels=3, seed=4)
-        fast = LoopyBPSolver(max_iterations=30, damping=damping).solve(mrf)
-        slow = ReferenceBPSolver(max_iterations=30, damping=damping).solve(mrf)
-        assert fast.labels == slow.labels
-        assert fast.iterations == slow.iterations
-
-    def test_isolated_nodes(self):
-        mrf = PairwiseMRF()
-        mrf.add_node([0.5, 0.1])
-        mrf.add_node([0.9, 0.2, 0.1])
-        fast = LoopyBPSolver().solve(mrf)
-        slow = ReferenceBPSolver().solve(mrf)
-        assert fast.labels == slow.labels == [1, 2]
-        assert fast.converged and slow.converged
 
 
 class TestRegistry:

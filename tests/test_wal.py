@@ -426,7 +426,7 @@ class TestWalReplaySnapshotCli:
         wal = WriteAheadLog(tmp_path / "wal")
         wal.append(trace)
         wal.close()
-        engine = DynamicDiversifier(net.copy(), table.copy(), solver="trws")
+        engine = DynamicDiversifier(net.copy(), table.copy())
         for event in trace[:anchor]:
             engine.apply(event)
         engine.solve()
