@@ -173,7 +173,9 @@ def _record(record_bench, name, plan, best, best_stats, result, **extra):
         backend=best_stats["native"].backend,
         nodes=plan.node_count,
         edges=plan.edge_count,
-        levels=plan.fwd_sweep.count + plan.bwd_sweep.count,
+        levels=(
+            plan.adjacency.forward_levels + plan.adjacency.backward_levels
+        ),
         iterations=ITERATIONS,
         rounds=ROUNDS,
         energy=round(result.energy, 6),
@@ -207,7 +209,7 @@ def test_native_sweep_speedup(record_bench, scale_plan):
 def test_native_chain_no_slower(record_bench):
     network, table, preferences = build_pipeline_estate()
     plan = compile_plan(network, table, preferences=preferences).plan
-    assert plan.fwd_sweep.count >= HOSTS // 2  # long diameter
+    assert plan.adjacency.forward_levels >= HOSTS // 2  # long diameter
     native_result = _assert_parity(plan)
     best, best_stats = _interleaved_best(plan)
     assert best_stats["native"].backend == NATIVE.describe()

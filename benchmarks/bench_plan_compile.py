@@ -5,15 +5,15 @@ on the Table VII mid-density workload at **1000 hosts** (degree 20, 15
 services — 15k variables, 150k coupled edges), compiling the solver plan
 straight from the network is at least **5×** faster end-to-end than the
 classic ``build_mrf`` → ``MRFArrays`` object pipeline, while producing a
-**byte-identical** plan (same unary stack, cost stack, edge arrays,
-message slots and wavefront levels) and therefore identical solve results.
+**byte-identical** plan (same unary stack, cost stack, edge arrays, γ
+weights and adjacency) and therefore identical solve results.
 
 Why the old path is slow: ``build_mrf`` walks hosts × links × labels in
 Python into a dict-based :class:`PairwiseMRF` (one ``add_edge`` per
 (link, shared-service) pair), and ``MRFArrays`` then walks every edge
 again to flatten it.  The compiler interns hosts/services/ranges once and
 emits the same arrays with NumPy group operations; the remaining cost is
-the slot/level derivation both paths share.
+the structure derivation both paths share.
 
 A second case pins that derivation on the long-diameter shape of ICS
 pipelines: a **5000-host** chain+chord estate (one wavefront level per
@@ -33,6 +33,8 @@ pinned-record soft gate flags >25% regressions).
 
 import random
 import time
+from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from repro.core.costs import build_mrf
 from repro.mrf.backends import resolve_backend
 from repro.mrf.sharded import solve_plan
 from repro.mrf.trws import TRWSSolver
-from repro.mrf.vectorized import MRFArrays
+from repro.mrf.vectorized import Adjacency, MRFArrays
 from repro.network.generator import (
     RandomNetworkConfig,
     random_network,
@@ -70,8 +72,8 @@ ASSEMBLY_ROUNDS = 10
 #: The arrays that define solver behaviour — byte-compared between paths.
 PARITY_ARRAYS = (
     "label_counts", "mask", "unary", "unary_inf", "cost",
-    "edge_first", "edge_second", "edge_cid",
-    "slot_receiver", "gamma",
+    "edge_first", "edge_second", "edge_cid", "gamma",
+    *(f"adjacency.{field.name}" for field in fields(Adjacency)),
 )
 
 
@@ -101,8 +103,9 @@ def test_plan_compile_speedup(record_bench, write_artifact):
 
     # Parity: the compiler emits the same plan, byte for byte.
     for name in PARITY_ARRAYS:
+        read = attrgetter(name)
         assert np.array_equal(
-            getattr(reference, name), getattr(compiled, name), equal_nan=True
+            read(reference), read(compiled), equal_nan=True
         ), f"plan array {name!r} differs"
 
     # Identical plans solve identically (same labels, same energy).
@@ -192,7 +195,7 @@ def test_plan_assembly_long_diameter(record_bench, write_artifact):
     _, compile_seconds = _best(
         lambda: compile_plan(network, similarity, preferences=preferences)
     )
-    assert chain.fwd_sweep.count >= CHAIN_HOSTS // 2  # long diameter
+    assert chain.adjacency.forward_levels >= CHAIN_HOSTS // 2  # long diameter
     cell_per_edge = cell_seconds / cell.edge_count
     chain_per_edge = chain_seconds / chain.edge_count
     ratio = chain_per_edge / cell_per_edge
@@ -204,7 +207,7 @@ def test_plan_assembly_long_diameter(record_bench, write_artifact):
         f"chain{CHAIN_HOSTS} assembly:        "
         f"{1000 * chain_seconds:8.2f}ms  "
         f"({1e9 * chain_per_edge:7.1f}ns/edge, edges={chain.edge_count}, "
-        f"levels={chain.fwd_sweep.count})",
+        f"levels={chain.adjacency.forward_levels})",
         f"per-edge ratio: {ratio:5.2f}x (bar: {MAX_CHAIN_EDGE_RATIO}x)",
         f"chain{CHAIN_HOSTS} full compile_plan: {1000 * compile_seconds:8.2f}ms",
     ]
@@ -218,7 +221,9 @@ def test_plan_assembly_long_diameter(record_bench, write_artifact):
         hosts=CHAIN_HOSTS,
         nodes=chain.node_count,
         edges=chain.edge_count,
-        levels=chain.fwd_sweep.count + chain.bwd_sweep.count,
+        levels=(
+            chain.adjacency.forward_levels + chain.adjacency.backward_levels
+        ),
     )
     assert ratio <= MAX_CHAIN_EDGE_RATIO, (
         f"chain estate assembles at {ratio:.1f}x the cell's seconds per "

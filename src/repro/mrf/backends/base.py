@@ -2,9 +2,8 @@
 
 A backend implements the array kernels the TRW-S solver spends its
 time in, at the granularity of a *sweep*: one call walks every wavefront
-level of the plan's flat level-major arrays
-(:attr:`~repro.mrf.vectorized.MRFArrays.fwd_sweep` /
-:attr:`~repro.mrf.vectorized.MRFArrays.bwd_sweep`).  Three sweep-level
+level of the plan's one adjacency
+(:attr:`~repro.mrf.vectorized.MRFArrays.adjacency`).  Three sweep-level
 methods cover TRW-S and ICM, and one more the TRW-S refine's greedy init:
 
 - :meth:`KernelBackend.forward_sweep` — per level, condition then send;
@@ -14,12 +13,10 @@ methods cover TRW-S and ICM, and one more the TRW-S refine's greedy init:
 
 Two per-call kernels complete the set: the TRW-S lower bound's chain
 minima (:meth:`KernelBackend.chain_bound`) and the beliefs it and the
-sweeps start from (:meth:`KernelBackend.bp_beliefs`).  Three more
+sweeps start from (:meth:`KernelBackend.bp_beliefs`).  Two more
 kernels run once per edge set rather than per
-solve: :meth:`KernelBackend.structure` builds the plan's slot, γ and
-sweep arrays (every plan build and every ``replace_edges``) on top of
-:meth:`KernelBackend.schedule`, which groups the edge endpoints by node
-and computes the wavefront levels the sweep arrays are laid out by, and
+solve: :meth:`KernelBackend.structure` builds the plan's γ weights and
+adjacency (every plan build and every ``replace_edges``), and
 :meth:`KernelBackend.label_graph` numbers the bound's monotonic chains
 and the connected components when a plan first reads them.
 Everything *around* the kernels — iteration control, convergence, energy
@@ -54,7 +51,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.mrf.vectorized import MRFArrays, SolverScratch, _SweepCSR
+    from repro.mrf.vectorized import Adjacency, MRFArrays, SolverScratch
 
 __all__ = ["KernelBackend"]
 
@@ -100,10 +97,11 @@ class KernelBackend:
     ) -> "KernelBackend":
         """One TRW-S forward sweep.  Per forward level, in order: label
         the level's nodes by sequential conditioning on earlier levels
-        (into ``labels``), then send its messages to later neighbours
-        (γ·belief reweighting, oriented cost add, min-reduce over sender
-        labels, normalisation, receiver belief scatter).  Mutates
-        ``messages``, ``beliefs`` and ``labels`` in place.
+        (into ``labels``; its conditioning rows), then send its messages
+        to later neighbours (its send rows: γ·belief reweighting,
+        oriented cost add, min-reduce over sender labels, normalisation,
+        receiver belief scatter).  Mutates ``messages``, ``beliefs`` and
+        ``labels`` in place.
 
         ``level_seconds`` (tracing only) is a float64 array with one entry
         per forward level; each level's wall time is added to its entry.
@@ -119,8 +117,9 @@ class KernelBackend:
         level_seconds: Optional[np.ndarray] = None,
     ) -> "KernelBackend":
         """One TRW-S backward sweep: every backward level's block message
-        update, in order.  ``level_seconds`` as in :meth:`forward_sweep`,
-        one entry per backward level.  Returns the backend that ran it."""
+        update, in order, each node re-sending on its conditioning rows.
+        ``level_seconds`` as in :meth:`forward_sweep`, one entry per
+        backward level with sends.  Returns the backend that ran it."""
         raise NotImplementedError
 
     def icm(
@@ -134,8 +133,9 @@ class KernelBackend:
 
         Each sweep walks the forward levels; every node of a level takes
         the argmin of its unary plus the pairwise columns of *all*
-        neighbours' current labels, and the level's labels are written
-        back before the next level.  Stops after a sweep that changes
+        neighbours' current labels, added in edge order (the adjacency's
+        permutation), and the level's labels are written back before the
+        next level.  Stops after a sweep that changes
         nothing, or after ``max_sweeps``.  A backend may skip a node none
         of whose neighbours changed since its last visit (its argmin is
         its current label), as long as the labels after every sweep are
@@ -153,31 +153,11 @@ class KernelBackend:
 
         Nodes are visited most-connected first, ties in node order; each
         takes the first argmin of its unary plus the pairwise columns of
-        its already-labelled neighbours, added in the order of the forward
-        sweep's full-adjacency rows (edge order).  Returns the backend
-        that ran it."""
+        its already-labelled neighbours, added in edge order (the
+        adjacency's permutation).  Returns the backend that ran it."""
         raise NotImplementedError
 
     # ----------------------------------------------------- per-call kernels
-
-    def schedule(
-        self,
-        n: int,
-        first: np.ndarray,
-        second: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(group, off, flevel, blevel)`` of an edge set over ``n`` nodes.
-
-        Slot ``2e`` is edge ``e``'s ``first`` endpoint and ``2e+1`` its
-        ``second``.  ``group`` (``2·edges``) lists the slots grouped by
-        node, in slot order within a node, so node ``v`` sends on
-        ``group[off[v]:off[v + 1]]`` (``off`` has ``n + 1`` entries).
-        ``flevel[v]`` is one past the deepest lower-numbered neighbour's
-        forward level (0 without one); ``blevel`` mirrors it over
-        higher-numbered neighbours.  All four are int64.  Endpoints must
-        lie in ``[0, n)`` and differ: callers go through
-        :func:`~repro.mrf.vectorized.wavefront_schedule`, which checks."""
-        raise NotImplementedError
 
     def structure(
         self,
@@ -186,26 +166,24 @@ class KernelBackend:
         second: np.ndarray,
         cid: np.ndarray,
         stacked: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, "_SweepCSR", "_SweepCSR"]:
-        """``(slot_receiver, degree, gamma, fwd_sweep, bwd_sweep)`` of an
-        edge set over ``n`` nodes: everything
-        :class:`~repro.mrf.vectorized.MRFArrays` derives from its edges.
+    ) -> Tuple[np.ndarray, "Adjacency"]:
+        """``(gamma, adjacency)`` of an edge set over ``n`` nodes:
+        everything :class:`~repro.mrf.vectorized.MRFArrays` derives from
+        its edges.
 
         Slot ``2e`` carries ``first[e] → second[e]`` and ``2e+1`` the
         reverse, priced through ``cid[e]`` (transposed, ``+ stacked``,
-        when the sender is the second endpoint).  ``degree`` counts each
-        node's edges and ``gamma`` is ``1 / max(#higher, #lower
-        neighbours)`` (1 without neighbours).  The forward sweep lists the
-        nodes by :meth:`schedule`'s forward level, ascending within a
-        level, each with its incident edges in edge order as
-        full-adjacency rows, split into sends to higher-numbered and
-        conditioning rows from lower-numbered neighbours; the backward
-        sweep re-sends every node's conditioning rows in backward-level
-        order and drops levels without sends.  The NumPy reference
-        builds them by segment gathers of the endpoint grouping; every
-        backend returns the same arrays, C-contiguous int64 (``gamma``
-        float64).  Endpoints are checked by the caller, as for
-        :meth:`schedule`."""
+        when the sender is the second endpoint).  ``gamma`` is ``1 /
+        max(#higher, #lower neighbours)`` (1 without neighbours).  The
+        forward levels are longest-path depths over lower-numbered
+        neighbours and the backward levels over higher-numbered ones;
+        the :class:`~repro.mrf.vectorized.Adjacency` lays its rows out by
+        the first and orders its backward nodes by the second.  The NumPy
+        reference groups the endpoints with a stable argsort, runs Kahn
+        waves for the levels and places the rows by segment gathers;
+        every backend returns the same arrays, C-contiguous int64
+        (``gamma`` float64).  Endpoints must lie in ``[0, n)`` and
+        differ: the plan build checks them first."""
         raise NotImplementedError
 
     def label_graph(
@@ -220,11 +198,12 @@ class KernelBackend:
 
         ``(chain, ends)`` are the monotonic chains of
         :attr:`~repro.mrf.vectorized.MRFArrays.chains`, numbered as it
-        documents: the chain of every forward-sweep send row, and the end
-        node of every chain.  ``component`` is the dense connected-component
-        id per node, numbered by smallest node.  Read off the forward
-        sweep's arrays once per edge set, when a plan first asks; every
-        backend returns the same integers."""
+        documents: the chain of every send row, and the end node of every
+        chain.  ``component`` is the dense connected-component id per
+        node, numbered by smallest node.  Read off the adjacency (the
+        chains) and the edge columns (the components) once per edge set,
+        when a plan first asks; every backend returns the same
+        integers."""
         raise NotImplementedError
 
     def chain_bound(
@@ -242,8 +221,8 @@ class KernelBackend:
         original unary plus the incoming messages, added in slot order)
         and edge ``i→j`` (``i < j``) the pairwise cost minus both of its
         messages.  Each chain ``c`` keeps ``tail_c``, zero before its
-        first edge; each forward-sweep send ``i→j``, in sweep order,
-        extends its chain: ``tail_c(x_j) = min_{x_i}(cost(x_i, x_j) +
+        first edge; each send row ``i→j``, in row order, extends its
+        chain: ``tail_c(x_j) = min_{x_i}(cost(x_i, x_j) +
         ((tail_c + t_i) − M_j→i)(x_i)) − M_i→j(x_j)``.  Chain ``c``'s
         minimum is ``min(tail_c + t_end)``.  The caller sums ``mins``, so
         the bound is bit-identical across backends.  Returns the backend
@@ -258,5 +237,7 @@ class KernelBackend:
     ) -> None:
         """Beliefs ``unary + Σ incoming``, scatter-accumulated in slot
         order into ``beliefs`` in place: TRW-S's starting beliefs and
-        (before the γ weighting) the node shares of :meth:`chain_bound`."""
+        (before the γ weighting) the node shares of :meth:`chain_bound`.
+        Slot ``s`` is received by ``edge_second[s >> 1]`` when even and
+        ``edge_first[s >> 1]`` when odd."""
         raise NotImplementedError

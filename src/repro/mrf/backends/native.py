@@ -24,9 +24,8 @@ with tracing off too (the service exports it on ``/metrics``).  The
 guarded methods return the backend that actually ran, so solvers record
 fallbacks truthfully.  ``label_graph`` (the chains and components,
 once per edge set) goes through the same guard and counter.  The
-plan-build ``schedule`` and ``structure`` kernels need no guard: they
-write fresh arrays, and the plan build has checked the endpoints they
-index by.
+plan-build ``structure`` kernel needs no guard: it writes fresh arrays,
+and the plan build has checked the endpoints it indexes by.
 """
 
 from __future__ import annotations
@@ -69,68 +68,52 @@ def _timer(seconds, levels):
     return () if seconds is None else ((seconds, np.float64, (levels,)),)
 
 
+#: The float64 arrays of a :class:`CPlan`; the others are int64.
+_FLOAT_ARRAYS = ("cost", "unary", "gamma")
+
+
 class _PlanState:
     """The marshalled :class:`CPlan` of one plan build, with its token."""
 
     __slots__ = ("token", "ok", "ref", "cond_rows")
 
     def __init__(self, plan) -> None:
-        from repro.mrf.backends._cc import LMAX_LIMIT, CPlan, CSends
-        from repro.mrf.vectorized import _SEND_FIELDS
+        from repro.mrf.backends._cc import ADJACENCY_FIELDS, LMAX_LIMIT, CPlan
 
         # Weak references: a rebuilt plan frees its old arrays at once, and
         # a dead reference can never match a new object (no id() reuse).
         self.token = tuple(weakref.ref(x) for x in self._token(plan))
-        fwd, bwd = plan.fwd_sweep, plan.bwd_sweep
-        checks = [
-            (plan.cost, np.float64), (plan.unary_inf, np.float64),
-            (plan.gamma, np.float64),
-            *((a, np.int64) for a in (
-                plan.label_counts, plan.slot_receiver,
-                plan.degree, fwd.node_off, fwd.ext_off, fwd.all_off,
-                fwd.send_off, bwd.send_off,
-                *vars(fwd.block).values(), *vars(bwd.block).values(),
-            )),
-        ]
+        adj = plan.adjacency
+        arrays = {
+            "cost": plan.cost, "unary": plan.unary_inf, "gamma": plan.gamma,
+            "counts": plan.label_counts, "first": plan.edge_first,
+            "second": plan.edge_second,
+            **{name: getattr(adj, name) for name in ADJACENCY_FIELDS},
+        }
         # Node and cost ids are range-checked by the plan build, so the
         # kernels may index the belief rows and the cost stack raw.
         self.ok = plan.lmax <= LMAX_LIMIT and all(
-            a.dtype == dtype and a.flags.c_contiguous for a, dtype in checks
+            a.dtype == (np.float64 if name in _FLOAT_ARRAYS else np.int64)
+            and a.flags.c_contiguous
+            for name, a in arrays.items()
         )
         self.ref = None
-        self.cond_rows = int(np.diff(fwd.node_off).max()) if fwd.count else 0
+        self.cond_rows = int(np.diff(adj.node_off).max(initial=0))
         if not self.ok:
             return
-
-        def sends(csr) -> CSends:
-            block = csr.block
-            return CSends(off=_addr(csr.send_off), **{
-                name: _addr(getattr(block, name)) for name in _SEND_FIELDS
-            })
-
         self.ref = ctypes.pointer(CPlan(
-            lmax=plan.lmax, n_fwd=fwd.count, n_bwd=bwd.count,
-            cost=_addr(plan.cost), unary=_addr(plan.unary_inf),
-            degree=_addr(plan.degree), gamma=_addr(plan.gamma),
-            counts=_addr(plan.label_counts), receiver=_addr(plan.slot_receiver),
-            node_off=_addr(fwd.node_off), ext_off=_addr(fwd.ext_off),
-            all_off=_addr(fwd.all_off), fwd=sends(fwd), bwd=sends(bwd),
-            **{
-                name: _addr(getattr(fwd.block, name))
-                for name in (
-                    "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
-                    "all_seg", "all_nbr", "all_cid",
-                )
-            },
+            lmax=plan.lmax, m=plan.edge_count, n_fwd=adj.forward_levels,
+            n_bwd=adj.backward_levels,
+            **{name: _addr(a) for name, a in arrays.items()},
         ))
 
     @staticmethod
     def _token(plan) -> tuple:
-        # replace_edges rebinds the cost stack and both sweeps (and with
-        # them gamma and the slot receivers); in-place value patches
+        # replace_edges rebinds the cost stack, the edge columns and the
+        # adjacency (and with them gamma); in-place value patches
         # (set_cost_matrix / set_unary) rebind none, and the marshalled
         # pointers keep seeing the new values.
-        return (plan.cost, plan.unary_inf, plan.fwd_sweep, plan.bwd_sweep)
+        return (plan.cost, plan.unary_inf, plan.adjacency)
 
     def current(self, plan) -> bool:
         """Whether this state still describes ``plan``'s arrays."""
@@ -214,7 +197,7 @@ class NativeBackend(KernelBackend):
         ready = self._guard(
             plan, _messages(plan, messages), _beliefs(plan, beliefs),
             _labels(plan, labels),
-            *_timer(level_seconds, plan.fwd_sweep.count),
+            *_timer(level_seconds, plan.adjacency.forward_levels),
         )
         if not ready:
             return self._fallback().forward_sweep(
@@ -233,7 +216,7 @@ class NativeBackend(KernelBackend):
     ):
         ready = self._guard(
             plan, _messages(plan, messages), _beliefs(plan, beliefs),
-            *_timer(level_seconds, plan.bwd_sweep.count),
+            *_timer(level_seconds, plan.adjacency.backward_levels),
         )
         if not ready:
             return self._fallback().backward_sweep(
@@ -260,29 +243,12 @@ class NativeBackend(KernelBackend):
             return self._fallback().greedy(plan, labels, scratch)
         kernels, state = ready
         n = plan.node_count
-        top = int(plan.degree.max()) if n else 0
+        top = int(plan.adjacency.degree.max()) if n else 0
         work = scratch.array("native_greedy", (2 * n + top + 2,), np.int64)
         kernels.greedy(state.ref, top, _addr(labels), _addr(work))
         return self
 
     # ----------------------------------------------------- per-call kernels
-
-    def schedule(self, n, first, second):
-        kernels = self._impl()
-        if kernels is None:
-            return self._fallback().schedule(n, first, second)
-        first = np.ascontiguousarray(first, dtype=np.int64)
-        second = np.ascontiguousarray(second, dtype=np.int64)
-        m = len(first)
-        group = np.empty(2 * m, dtype=np.int64)
-        off = np.empty(n + 1, dtype=np.int64)
-        flevel = np.empty(n, dtype=np.int64)
-        blevel = np.empty(n, dtype=np.int64)
-        kernels.schedule(
-            n, m, _addr(first), _addr(second),
-            _addr(group), _addr(off), _addr(flevel), _addr(blevel),
-        )
-        return group, off, flevel, blevel
 
     def structure(self, n, first, second, cid, stacked):
         from repro.mrf.backends._cc import (
@@ -290,7 +256,7 @@ class NativeBackend(KernelBackend):
             STRUCTURE_OFFSETS,
             CStructure,
         )
-        from repro.mrf.vectorized import _SendBlock, _SweepCSR, _Wavefront
+        from repro.mrf.vectorized import Adjacency
 
         kernels = self._impl()
         if kernels is None:
@@ -302,8 +268,9 @@ class NativeBackend(KernelBackend):
         # The arrays are slices of one int64 block and the level offsets
         # rows of another, so the call marshals a handful of addresses
         # rather than one per array; the offsets are then cut to the level
-        # counts the kernel returns.
-        length = {"slot": 2 * m, "edge": m, "node": n}
+        # counts the kernel returns, and the backward node order to the
+        # nodes it lists.
+        length = {"row": 2 * m, "node": n}
         stops = list(accumulate(length[e] for _name, e in STRUCTURE_ARRAYS))
         block = np.empty(stops[-1], dtype=np.int64)
         levels = np.empty((len(STRUCTURE_OFFSETS), n + 1), dtype=np.int64)
@@ -317,46 +284,22 @@ class NativeBackend(KernelBackend):
         for row, name in enumerate(STRUCTURE_OFFSETS):
             address[name] = level_base + levels.itemsize * (n + 1) * row
         result = CStructure(gamma=_addr(gamma), **address)
-        work = np.empty(2 * m + 7 * n + 2, dtype=np.int64)
+        work = np.empty(2 * m + 6 * n + 2, dtype=np.int64)
         kernels.structure(
             n, m, _addr(first), _addr(second), _addr(cid), int(stacked),
             ctypes.byref(result), _addr(work),
         )
-        for row, name in enumerate(STRUCTURE_OFFSETS):
-            count = result.n_bwd if name == "bwd_off" else result.n_fwd
-            out[name] = levels[row, : count + 1].copy()
-
-        def sends(sweep):
-            return {
-                name: out[f"{sweep}_{name}"]
-                for name in ("snd", "rcv", "out", "cid")
-            }
-
-        fwd = _SweepCSR(
-            block=_Wavefront(
-                **{
-                    name: out[name]
-                    for name in (
-                        "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
-                        "all_seg", "all_nbr", "all_cid",
-                    )
-                },
-                **sends("fwd"),
-            ),
-            send_off=out["fwd_off"],
-            node_off=out["node_off"],
-            ext_off=out["ext_off"],
-            all_off=out["all_off"],
-        )
-        bwd = _SweepCSR(block=_SendBlock(**sends("bwd")), send_off=out["bwd_off"])
-        return out["receiver"], out["degree"], gamma, fwd, bwd
+        out["node_off"] = levels[0, : result.n_fwd + 1].copy()
+        out["bwd_off"] = levels[1, : result.n_bwd + 1].copy()
+        out["bwd_nodes"] = out["bwd_nodes"][: out["bwd_off"][-1]]
+        return gamma, Adjacency(**out)
 
     def label_graph(self, plan, chains, components):
         ready = self._guard(plan)
         if not ready:
             return self._fallback().label_graph(plan, chains, components)
         kernels, state = ready
-        n, m = plan.node_count, len(plan.fwd_sweep.block.snd)
+        n, m = plan.node_count, plan.edge_count
         chain = ends = code = labels = None
         if chains:
             chain = np.empty(m, dtype=np.int64)

@@ -276,8 +276,8 @@ class TRWSSolver:
         fwd_seconds = bwd_seconds = None
         if collect:
             stats.setup_seconds = time.perf_counter() - setup_start
-            fwd_seconds = np.zeros(plan.fwd_sweep.count)
-            bwd_seconds = np.zeros(plan.bwd_sweep.count)
+            fwd_seconds = np.zeros(plan.adjacency.forward_levels)
+            bwd_seconds = np.zeros(plan.adjacency.backward_levels)
 
         stalled = 0
         for iteration in range(self.max_iterations):

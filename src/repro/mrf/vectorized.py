@@ -24,23 +24,32 @@ instead of per-edge Python loops:
   batch every node of a level into one block update, which is
   mathematically identical to the node-by-node order because nodes in one
   level are never adjacent (belief sums accumulate in level-major order,
-  so numerically the agreement is to floating-point round-off).  Each
-  sweep direction is stored as flat level-major arrays with per-level
-  offsets (:attr:`MRFArrays.fwd_sweep` / :attr:`MRFArrays.bwd_sweep`), so
-  a native kernel backend walks a whole sweep in one call; the NumPy
-  backend loops over per-level views of the same arrays.
+  so numerically the agreement is to floating-point round-off).
+* **One adjacency.**  :attr:`MRFArrays.adjacency` (an
+  :class:`Adjacency`) holds one row per directed slot — the neighbour,
+  the slot the node sends on and the oriented cost id — laid out
+  level-major in forward order, each level's conditioning rows (lower
+  neighbours) before its send rows (higher neighbours).  Beside the rows
+  it keeps per node the lower count and first conditioning row, the
+  forward and backward node orders with their level offsets, and one
+  permutation listing each node's rows in edge order.  The forward sweep
+  walks each level's two blocks, the backward sweep each node's
+  conditioning rows in backward-level order, and ICM and the greedy
+  init the permutation, so a native kernel backend walks a whole sweep
+  in one call; the NumPy backend loops over per-level slices of the same
+  rows.
 * **A linear build.**  One O(nodes + edges) call of the structure
   kernel groups the ``2·edges`` edge endpoints by node, computes both
-  level arrays (:func:`wavefront_schedule`) and writes every slot, γ and
-  sweep array and level offset in level order from that grouping, so a
-  deep chain costs no more per edge than a wide estate.
+  levels and writes the γ weights and the adjacency from that grouping,
+  so a deep chain costs no more per edge than a wide estate.
 
 Directed message slot layout matches the reference solvers: slot ``2e``
 carries first→second of edge ``e`` (indexed by the second endpoint's
-labels), slot ``2e+1`` the reverse, so a slot's opposite is ``slot ^ 1``.
-The plan stores each fact once: what follows from a node (its γ weight,
-its padding row) or from a slot (its opposite) is read per node or per
-slot by the kernels, never copied out per edge.
+labels), slot ``2e+1`` the reverse, so a slot's opposite is ``slot ^ 1``
+and its receiver is ``edge_second[e]`` or ``edge_first[e]``.  The plan
+stores each fact once: what follows from a node (its γ weight, its
+padding row) or from a slot (its opposite, its receiver) is read per
+node or per slot by the kernels, never copied out per edge.
 
 Besides wrapping a finished :class:`~repro.mrf.graph.PairwiseMRF`, a plan
 can be built straight from arrays (:meth:`MRFArrays.from_dense` adopts a
@@ -49,7 +58,7 @@ padded unary stack, :meth:`MRFArrays.from_parts` pads per-node vectors) and
 one cost-stack entry in place (similarity feeds change values, not
 structure), :meth:`MRFArrays.set_unary` rewrites one node's hard-mask
 unary (constraint pins/forbids), and :meth:`MRFArrays.replace_edges`
-re-derives the directed slots, γ weights and wavefront levels from a
+re-derives the γ weights and the adjacency from a
 patched edge set (the same structure kernel call) while leaving every
 node array untouched.  This is what
 lets :mod:`repro.stream` apply network churn and constraint events to a
@@ -67,9 +76,9 @@ from repro import obs
 from repro.mrf.graph import PairwiseMRF
 
 __all__ = [
+    "Adjacency",
     "MRFArrays",
     "SolverScratch",
-    "wavefront_schedule",
 ]
 
 
@@ -115,41 +124,6 @@ class SolverScratch:
         return view
 
 
-def wavefront_schedule(
-    n: int, first: np.ndarray, second: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(grouping, group offsets, forward levels, backward levels) of an
-    edge set over ``n`` nodes: the index-order schedule of TRW-S.
-
-    The grouping lists the ``2·edges`` endpoint slots node by node (slot
-    ``2e`` is ``first[e]``, ``2e+1`` is ``second[e]``; each node's slots
-    in slot order), so node ``v`` sends on ``group[off[v]:off[v + 1]]``.
-    Levels are longest-path DAG depths: the forward level of a node is one
-    past the deepest lower-numbered neighbour, the backward level mirrors
-    it over higher-numbered ones.  Nodes sharing a level are never
-    adjacent, which is what lets level-major block updates reproduce the
-    node-by-node schedule.  On a replicated-service estate every service's
-    copy of a host lands in that host's level, so one level batches all
-    services at once.
-
-    The default kernel backend (see :meth:`~repro.mrf.backends.base.
-    KernelBackend.schedule`) computes all four in O(nodes + edges); the
-    endpoints are checked here first, because the native kernel indexes
-    by them raw.  The plan build runs the same schedule inside its
-    structure kernel (:meth:`~repro.mrf.backends.base.KernelBackend.
-    structure`).
-
-    >>> _, _, forward, backward = wavefront_schedule(
-    ...     4, np.array([0, 1, 0]), np.array([1, 2, 3]))
-    >>> forward.tolist(), backward.tolist()
-    ([0, 1, 2, 1], [2, 1, 0, 0])
-    """
-    from repro.mrf.backends import resolve_backend
-
-    _check_endpoints(n, first, second)
-    return resolve_backend().schedule(n, first, second)
-
-
 def _check_endpoints(n: int, first: np.ndarray, second: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first edge whose endpoints are not
     two distinct nodes in ``[0, n)``."""
@@ -191,87 +165,49 @@ def _padded_stack(
     return unary, counts
 
 
-@dataclass
-class _SendBlock:
-    """Flattened directed edges whose senders share one wavefront level;
-    the kernels read ``gamma[snd]``, the padding of ``rcv`` and the
-    opposite slot ``out ^ 1`` through them."""
+@dataclass(eq=False)
+class Adjacency:
+    """The plan's one adjacency: a row per directed slot, and the node
+    orders the sweeps walk the rows in.
 
-    snd: np.ndarray  # sender node per edge
-    rcv: np.ndarray  # receiver node per edge
-    out: np.ndarray  # message slot written (sender → receiver)
-    cid: np.ndarray  # cost-stack index, oriented rows = sender labels
-
-
-@dataclass
-class _Wavefront(_SendBlock):
-    """One forward level: its nodes, their conditioning edges to earlier
-    levels (for label extraction and ICM) and their forward sends.
+    Row ``r`` belongs to one node: ``nbr[r]`` is its neighbour, ``slot[r]``
+    the slot the node sends on to it (the neighbour's message in is
+    ``slot[r] ^ 1``) and ``cid[r]`` the cost id, oriented rows = the
+    node's labels.  The rows are laid out level-major in forward-level
+    order; each level holds its conditioning rows (every node's
+    lower-numbered neighbours) before its send rows (every node's
+    higher-numbered neighbours), nodes ascending and each node's rows in
+    edge order.  So node ``v``'s conditioning rows are
+    ``lower_start[v]`` onwards, ``lower[v]`` of them, and its sends
+    follow the level's conditioning rows in node order,
+    ``degree[v] - lower[v]`` of them.  The backward sweep re-sends each
+    node's conditioning rows in backward-level order; ``bwd_nodes`` lists
+    the nodes that have any, so levels without sends drop out.  ``perm``
+    lists every node's rows in edge order, nodes in forward order: the
+    order ICM and the greedy init add a node's pairwise terms in.
     """
 
-    nodes: np.ndarray     # nodes in this level, ascending
-    ext_seg: np.ndarray   # per backward edge: position of its node in `nodes`
-    ext_nbr: np.ndarray   # per backward edge: the earlier neighbour
-    ext_in: np.ndarray    # per backward edge: slot of the neighbour's message in
-    ext_cid: np.ndarray   # per backward edge: cost id, rows = this node's labels
-    all_seg: np.ndarray   # full-adjacency versions of the above (ICM uses
-    all_nbr: np.ndarray   # every neighbour, not just earlier ones)
-    all_cid: np.ndarray
-
-
-_SEND_FIELDS = ("snd", "rcv", "out", "cid")
-
-
-@dataclass
-class _SweepCSR:
-    """One sweep direction as flat level-major arrays plus level offsets.
-
-    ``block`` holds every level's arrays back to back (a whole-sweep
-    :class:`_SendBlock`, or a :class:`_Wavefront` for the forward sweep);
-    level ``l`` of a family owns rows ``off[l]:off[l + 1]`` of it, where
-    ``send_off`` indexes the send fields and ``node_off`` / ``ext_off`` /
-    ``all_off`` the node, conditioning and full-adjacency fields (forward
-    sweep only).  ``ext_seg``/``all_seg`` stay positions *within* the
-    level's node slice.  Native kernels walk these arrays in one call;
-    :meth:`levels` slices them into per-level views for the NumPy loop.
-    """
-
-    block: _SendBlock
-    send_off: np.ndarray
-    node_off: Optional[np.ndarray] = None
-    ext_off: Optional[np.ndarray] = None
-    all_off: Optional[np.ndarray] = None
+    nbr: np.ndarray          # per row: the neighbour
+    slot: np.ndarray         # per row: the slot the node sends on
+    cid: np.ndarray          # per row: cost id, oriented rows = node labels
+    perm: np.ndarray         # per node in forward order: its rows, edge order
+    nodes: np.ndarray        # the nodes in forward-level order
+    degree: np.ndarray       # per node: its rows
+    lower: np.ndarray        # per node: its conditioning rows
+    lower_start: np.ndarray  # per node: its first conditioning row
+    bwd_nodes: np.ndarray    # nodes with lower neighbours, backward-level order
+    node_off: np.ndarray     # forward level l owns nodes[node_off[l]:node_off[l + 1]]
+    bwd_off: np.ndarray      # backward level l owns bwd_nodes[bwd_off[l]:bwd_off[l + 1]]
 
     @property
-    def count(self) -> int:
-        """Number of levels."""
-        return len(self.send_off) - 1
+    def forward_levels(self) -> int:
+        """Forward levels (every one holds nodes)."""
+        return len(self.node_off) - 1
 
-    def levels(self) -> List[_SendBlock]:
-        """Per-level views (never copies) of the flat arrays."""
-        block = self.block
-        views = []
-        for level in range(self.count):
-            cut = slice(self.send_off[level], self.send_off[level + 1])
-            fields = {name: getattr(block, name)[cut] for name in _SEND_FIELDS}
-            if self.node_off is None:
-                views.append(_SendBlock(**fields))
-                continue
-            nodes = slice(self.node_off[level], self.node_off[level + 1])
-            ext = slice(self.ext_off[level], self.ext_off[level + 1])
-            full = slice(self.all_off[level], self.all_off[level + 1])
-            views.append(_Wavefront(
-                nodes=block.nodes[nodes],
-                ext_seg=block.ext_seg[ext],
-                ext_nbr=block.ext_nbr[ext],
-                ext_in=block.ext_in[ext],
-                ext_cid=block.ext_cid[ext],
-                all_seg=block.all_seg[full],
-                all_nbr=block.all_nbr[full],
-                all_cid=block.all_cid[full],
-                **fields,
-            ))
-        return views
+    @property
+    def backward_levels(self) -> int:
+        """Backward levels with sends (the others are dropped)."""
+        return len(self.bwd_off) - 1
 
 
 class MRFArrays:
@@ -434,19 +370,17 @@ class MRFArrays:
     ) -> None:
         """Swap in a patched edge set, keeping every node array.
 
-        Re-derives the cost stack, directed slots, γ weights and wavefront
-        levels from the new arrays — one O(nodes + edges) structure kernel
-        call, orders of magnitude cheaper than rebuilding the Python-level
-        MRF.  The caller owns the message-slot
-        remapping (slot ``2e``/``2e+1`` follows edge ``e``'s position in
-        the new arrays).
+        Re-derives the cost stack, γ weights and the adjacency from the
+        new arrays — one O(nodes + edges) structure kernel call, orders of
+        magnitude cheaper than rebuilding the Python-level MRF.  The
+        caller owns the message-slot remapping (slot ``2e``/``2e+1``
+        follows edge ``e``'s position in the new arrays).
         """
         self._setup_costs(matrices)
-        self._build_structure(
-            np.asarray(edge_first, dtype=np.int64),
-            np.asarray(edge_second, dtype=np.int64),
-            np.asarray(edge_cid, dtype=np.int64),
-        )
+        self._build_structure(*(
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (edge_first, edge_second, edge_cid)
+        ))
 
     def _build_structure(
         self,
@@ -454,10 +388,10 @@ class MRFArrays:
         edge_second: np.ndarray,
         edge_cid: np.ndarray,
     ) -> None:
-        """Derive the slot receivers, degrees, γ weights and both sweeps'
-        level-major arrays of an edge set: one call of the default kernel
-        backend (:meth:`~repro.mrf.backends.base.KernelBackend.structure`),
-        after the endpoint and cost-id checks the native kernels rely on."""
+        """Derive the γ weights and the adjacency of an edge set: one call
+        of the default kernel backend (:meth:`~repro.mrf.backends.base.
+        KernelBackend.structure`), after the endpoint and cost-id checks
+        the native kernels rely on."""
         from repro.mrf.backends import resolve_backend
 
         n = self.node_count
@@ -467,38 +401,11 @@ class MRFArrays:
         self.edge_first = edge_first
         self.edge_second = edge_second
         self.edge_cid = edge_cid  # oriented rows = first endpoint
-        (
-            self.slot_receiver,
-            #: incident edges per node (the greedy init's visiting order).
-            self.degree,
-            self.gamma,
-            #: the forward sweep as flat level-major CSR arrays.
-            self.fwd_sweep,
-            #: the backward sweep (levels with sends only) as CSR arrays.
-            self.bwd_sweep,
-        ) = resolve_backend().structure(
+        self.gamma, self.adjacency = resolve_backend().structure(
             n, edge_first, edge_second, edge_cid, self.stacked
         )
-        self._fwd_levels: Optional[List[_Wavefront]] = None
-        self._bwd_levels: Optional[List[_SendBlock]] = None
         self._components: Optional[Tuple[np.ndarray, int]] = None
         self._chains: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    # ------------------------------------------------------------ levels
-
-    @property
-    def fwd_levels(self) -> List[_Wavefront]:
-        """Per-level views of :attr:`fwd_sweep` (built on first use)."""
-        if self._fwd_levels is None:
-            self._fwd_levels = self.fwd_sweep.levels()
-        return self._fwd_levels
-
-    @property
-    def bwd_levels(self) -> List[_SendBlock]:
-        """Per-level views of :attr:`bwd_sweep` (built on first use)."""
-        if self._bwd_levels is None:
-            self._bwd_levels = self.bwd_sweep.levels()
-        return self._bwd_levels
 
     # ------------------------------------------------------------ chains
 
@@ -515,9 +422,9 @@ class MRFArrays:
         own.
 
         Chains are numbered in the order of their ends: first those that
-        end on an edge, in forward-sweep order of that edge's conditioning
-        row, then the isolated nodes.  ``chain`` has one entry per
-        forward-sweep send row, the chain the send extends; ``ends[c]`` is
+        end on an edge, in row order of that edge's conditioning row, then
+        the isolated nodes.  ``chain`` has one entry per send row of the
+        adjacency, in row order, the chain the send extends; ``ends[c]`` is
         the node chain ``c`` ends at.  Built when the bound first reads
         them and kept for the plan's edge set, by one call of the default
         kernel backend (:meth:`~repro.mrf.backends.base.KernelBackend.
@@ -596,10 +503,6 @@ class MRFArrays:
         """A (2·edges, lmax) zero message array (zeros are also the correct
         value for padded label slots)."""
         return np.zeros((2 * self.edge_count, self.lmax))
-
-    def padded_beliefs(self) -> np.ndarray:
-        """Unaries with +inf at padded slots — the belief starting point."""
-        return np.where(self.mask, self.unary, np.inf)
 
     def energy(self, labels: np.ndarray) -> float:
         """E(x) for an (n,) label array; equals ``mrf.energy`` up to
@@ -698,8 +601,9 @@ class MRFArrays:
 
         One call to the kernel ``backend`` (see
         :meth:`~repro.mrf.backends.base.KernelBackend.greedy`): the C
-        kernel walks the forward sweep's full-adjacency arrays in degree
-        order; the NumPy reference is a Python loop over the nodes.  Both
+        kernel walks each node's rows through the adjacency's permutation,
+        nodes in degree order; the NumPy reference is a Python loop over
+        the nodes.  Both
         add the pairwise terms in the same order and take the first
         minimum, so the labels are identical.  While tracing is enabled
         the call records a ``trws.greedy`` span with the node count and

@@ -17,9 +17,8 @@ from repro.mrf.graph import PairwiseMRF
 from repro.mrf.vectorized import MRFArrays
 
 __all__ = [
-    "LEXSORT_FWD_FIELDS",
-    "LEXSORT_BWD_FIELDS",
-    "assert_schedule_kernels_agree",
+    "LEXSORT_FIELDS",
+    "assert_level_orders_agree",
     "count_compile_routes",
     "edge_similarity_loop",
     "lexsort_structure",
@@ -179,8 +178,8 @@ def python_levels(n: int, first, second):
 
     Forward: in index order, a node sits one past its deepest
     lower-numbered neighbour; backward mirrors it over higher-numbered
-    neighbours in reverse order.  The reference both schedule kernels are
-    checked against.
+    neighbours in reverse order.  The reference the structure kernels'
+    node orders are checked against.
     """
     neighbours = [[] for _ in range(n)]
     for a, b in zip(np.asarray(first).tolist(), np.asarray(second).tolist()):
@@ -199,125 +198,124 @@ def python_levels(n: int, first, second):
     return np.array(forward, dtype=np.int64), np.array(backward, dtype=np.int64)
 
 
-def assert_schedule_kernels_agree(n: int, first, second) -> None:
-    """Every available schedule kernel returns, as C-contiguous int64, the
-    plain-Python endpoint grouping (each node's slots in slot order, slot
-    ``2e`` being ``first[e]``) and :func:`python_levels`."""
+def assert_level_orders_agree(n: int, first, second) -> None:
+    """Every available structure kernel returns, as C-contiguous int64,
+    the node orders and level offsets of :func:`python_levels` and the
+    plain-Python degree and lower-neighbour counts.
+
+    Forward: every node, level by level, ascending within a level.
+    Backward: the nodes with a lower-numbered neighbour, level by level,
+    ascending within a level, levels without one dropped."""
     from repro.mrf.backends import get_backend
 
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
-    buckets = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
-        buckets[a].append(2 * e)
-        buckets[b].append(2 * e + 1)
-    group = [slot for bucket in buckets for slot in bucket]
-    off = np.cumsum([0] + [len(bucket) for bucket in buckets]).tolist()
+    neighbours = [[] for _ in range(n)]
+    for a, b in zip(first.tolist(), second.tolist()):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    degree = [len(near) for near in neighbours]
+    lower = [sum(u < v for u in near) for v, near in enumerate(neighbours)]
     forward, backward = python_levels(n, first, second)
+
+    def order(nodes, level):
+        ordered = sorted(nodes, key=lambda v: (level[v], v))
+        off = [0]
+        for k, v in enumerate(ordered):
+            if k and level[v] != level[ordered[k - 1]]:
+                off.append(k)
+        return ordered, off + [len(ordered)] if ordered else [0]
+
+    nodes, node_off = order(range(n), forward.tolist())
+    bwd_nodes, bwd_off = order(
+        [v for v in range(n) if lower[v]], backward.tolist()
+    )
+    expected = {
+        "nodes": nodes, "node_off": node_off, "bwd_nodes": bwd_nodes,
+        "bwd_off": bwd_off, "degree": degree, "lower": lower,
+    }
     for name in ("numpy", "native"):
         backend = get_backend(name)
         if not backend.available:
             continue
-        got = backend.schedule(n, first, second)
-        for array in got:
-            assert array.dtype == np.int64 and array.flags.c_contiguous, name
-        assert got[0].tolist() == group, name
-        assert got[1].tolist() == off, name
-        assert np.array_equal(got[2], forward), name
-        assert np.array_equal(got[3], backward), name
+        _gamma, adjacency = backend.structure(
+            n, first, second, np.zeros(len(first), dtype=np.int64), 1
+        )
+        for field, want in expected.items():
+            got = getattr(adjacency, field)
+            assert got.dtype == np.int64, (name, field)
+            assert got.flags.c_contiguous, (name, field)
+            assert got.tolist() == want, (name, field)
 
 
-#: Fields of the forward / backward sweep blocks, in oracle order.
-LEXSORT_FWD_FIELDS = (
-    "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
-    "snd", "rcv", "out", "cid",
-    "all_seg", "all_nbr", "all_cid",
+#: The adjacency's fields, in oracle order.
+LEXSORT_FIELDS = (
+    "nbr", "slot", "cid", "perm",
+    "nodes", "degree", "lower", "lower_start", "bwd_nodes",
+    "node_off", "bwd_off",
 )
-LEXSORT_BWD_FIELDS = ("snd", "rcv", "out", "cid")
 
 
 def lexsort_structure(plan) -> dict:
-    """A plan's slot, γ and sweep arrays rebuilt by three-key lexsorts.
+    """A plan's γ weights and adjacency rebuilt by explicit lexsorts.
 
     The construction ``MRFArrays`` used before its build became segment
     gathers of one node grouping, kept as a test oracle only: every
-    ordering is an explicit ``np.lexsort`` by (level, node, edge) and
-    every level offset a ``searchsorted`` of the sorted levels.  Keys are
-    ``slot_receiver``, ``gamma``, ``fwd.<field>`` / ``bwd.<field>`` for the
-    sweep blocks and ``fwd.<family>_off`` / ``bwd.send_off``.
+    ordering is an explicit ``np.lexsort`` of the directed slots or the
+    nodes, every level offset a ``searchsorted`` of the sorted levels.
+    Keys are ``gamma`` and ``adjacency.<field>`` for every field of
+    :data:`LEXSORT_FIELDS`.
     """
     n, m, stacked = plan.node_count, plan.edge_count, plan.stacked
     edge_first, edge_second, edge_cid = (
         plan.edge_first, plan.edge_second, plan.edge_cid
     )
-    out = {}
-    receiver = np.empty(2 * m, dtype=np.int64)
-    receiver[0::2], receiver[1::2] = edge_second, edge_first
-    out["slot_receiver"] = receiver
-
-    lo = np.minimum(edge_first, edge_second)
-    hi = np.maximum(edge_first, edge_second)
-    first_is_lo = edge_first < edge_second
-    e_ids = np.arange(m, dtype=np.int64)
-    slot_lo2hi = np.where(first_is_lo, 2 * e_ids, 2 * e_ids + 1)
-    slot_hi2lo = np.where(first_is_lo, 2 * e_ids + 1, 2 * e_ids)
-    cid_rows_lo = np.where(first_is_lo, edge_cid, stacked + edge_cid)
-    cid_rows_hi = np.where(first_is_lo, stacked + edge_cid, edge_cid)
-    chains = np.maximum(
-        np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
-    )
+    # One entry per directed slot: slot 2e is sent by first[e] to
+    # second[e], slot 2e+1 the reverse; cost ids oriented rows = sender.
+    slot = np.arange(2 * m, dtype=np.int64)
+    edge = slot >> 1
+    owner = np.where(slot & 1, edge_second[edge], edge_first[edge])
+    nbr = np.where(slot & 1, edge_first[edge], edge_second[edge])
+    cid = edge_cid[edge] + stacked * (slot & 1)
+    up = (nbr > owner).astype(np.int64)
+    degree = np.bincount(owner, minlength=n)
+    lower = np.bincount(owner[up == 0], minlength=n)
+    chains = np.maximum(lower, degree - lower)
     gamma = np.ones(n)
     gamma[chains > 0] = 1.0 / chains[chains > 0]
-    out["gamma"] = gamma
     flevel, blevel = python_levels(n, edge_first, edge_second)
 
-    def bounds(levels_sorted, count):
+    def bounds(levels_sorted):
+        count = int(levels_sorted[-1]) + 1 if len(levels_sorted) else 0
         return np.searchsorted(levels_sorted, np.arange(count + 1))
 
-    n_flevels = int(flevel.max()) + 1 if n else 0
-    node_order = np.lexsort((np.arange(n, dtype=np.int64), flevel))
-    node_bounds = bounds(flevel[node_order], n_flevels)
-    send_order = np.lexsort((e_ids, lo, flevel[lo]))
-    ext_order = np.lexsort((e_ids, hi, flevel[hi]))
-    a_node = np.concatenate([lo, hi])
-    a_nbr = np.concatenate([hi, lo])
-    a_cid = np.concatenate([cid_rows_lo, cid_rows_hi])
-    all_order = np.lexsort((np.concatenate([e_ids, e_ids]), a_node,
-                            flevel[a_node]))
-    rank = np.empty(n, dtype=np.int64)
-    rank[node_order] = np.arange(n) - node_bounds[flevel[node_order]]
-    fwd_lo, fwd_hi = lo[send_order], hi[send_order]
-    out.update({
-        "fwd.nodes": node_order,
-        "fwd.ext_seg": rank[hi[ext_order]],
-        "fwd.ext_nbr": lo[ext_order],
-        "fwd.ext_in": slot_lo2hi[ext_order],
-        "fwd.ext_cid": cid_rows_hi[ext_order],
-        "fwd.snd": fwd_lo,
-        "fwd.rcv": fwd_hi,
-        "fwd.out": slot_lo2hi[send_order],
-        "fwd.cid": cid_rows_lo[send_order],
-        "fwd.all_seg": rank[a_node[all_order]],
-        "fwd.all_nbr": a_nbr[all_order],
-        "fwd.all_cid": a_cid[all_order],
-        "fwd.send_off": bounds(flevel[lo][send_order], n_flevels),
-        "fwd.node_off": node_bounds,
-        "fwd.ext_off": bounds(flevel[hi][ext_order], n_flevels),
-        "fwd.all_off": bounds(flevel[a_node][all_order], n_flevels),
-    })
-
-    n_blevels = int(blevel.max()) + 1 if m else 0
-    bsend_order = np.lexsort((e_ids, hi, blevel[hi]))
-    bwd_hi, bwd_lo = hi[bsend_order], lo[bsend_order]
-    bsend_bounds = bounds(blevel[bwd_hi], n_blevels)
-    nonempty = bsend_bounds[1:] > bsend_bounds[:-1]
-    out.update({
-        "bwd.snd": bwd_hi,
-        "bwd.rcv": bwd_lo,
-        "bwd.out": slot_hi2lo[bsend_order],
-        "bwd.cid": cid_rows_hi[bsend_order],
-        "bwd.send_off": np.concatenate(
-            (bsend_bounds[:-1][nonempty], bsend_bounds[-1:])
+    # Rows: by forward level, conditioning rows before sends, then node,
+    # then edge.  The permutation: by forward level, node, edge.
+    rows = np.lexsort((edge, owner, up, flevel[owner]))
+    row_of = np.empty(2 * m, dtype=np.int64)
+    row_of[rows] = np.arange(2 * m)
+    key = (flevel[owner] * 2 + up) * n + owner
+    nodes = np.lexsort((np.arange(n, dtype=np.int64), flevel))
+    all_nodes = np.arange(n, dtype=np.int64)
+    kept = all_nodes[lower > 0]
+    bwd_nodes = kept[np.lexsort((kept, blevel[kept]))]
+    bwd_levels = blevel[bwd_nodes]
+    present = np.unique(bwd_levels)
+    return {
+        "gamma": gamma,
+        "adjacency.nbr": nbr[rows],
+        "adjacency.slot": slot[rows],
+        "adjacency.cid": cid[rows],
+        "adjacency.perm": row_of[np.lexsort((edge, owner, flevel[owner]))],
+        "adjacency.nodes": nodes,
+        "adjacency.degree": degree,
+        "adjacency.lower": lower,
+        "adjacency.lower_start": np.searchsorted(
+            key[rows], flevel * 2 * n + all_nodes
         ),
-    })
-    return out
+        "adjacency.bwd_nodes": bwd_nodes,
+        "adjacency.node_off": bounds(flevel[nodes]),
+        "adjacency.bwd_off": np.append(
+            np.searchsorted(bwd_levels, present), len(bwd_nodes)
+        ),
+    }

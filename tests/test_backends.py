@@ -332,7 +332,7 @@ class TestCKernels:
         ):
             plan = MRFArrays(mrf)
             if mrf.node_count == 200:  # the chain: one level per host
-                assert len(plan.fwd_levels) == 200
+                assert plan.adjacency.forward_levels == 200
             reference_messages = plan.zero_messages()
             messages = plan.zero_messages()
             solver = TRWSSolver(max_iterations=4, seed=0)
@@ -418,7 +418,7 @@ def _icm_starts(plan: MRFArrays):
     numpy = get_backend("numpy")
     scratch = SolverScratch()
     messages = plan.zero_messages()
-    beliefs = plan.padded_beliefs()
+    beliefs = plan.unary_inf.copy()
     extracted = np.zeros(plan.node_count, dtype=np.int64)
     for _ in range(2):
         numpy.forward_sweep(plan, messages, beliefs, extracted, scratch)
@@ -466,6 +466,44 @@ def test_icm_matches_numpy_at_every_sweep_cutoff(shape):
                 assert sweeps < 100, "ICM did not converge"
 
 
+def _interleaved_plan() -> MRFArrays:
+    """Node 2's neighbours, in edge order, are 0 (lower), 3 (higher) and
+    1 (lower).  With every neighbour at label 0, node 2's label-0 terms
+    are 0, 2**53 + 2 and 0, and its label-1 terms 1, 2**53 and 1.  Added
+    in edge order the label-1 terms sum to 2**53 (2**53 + 1 rounds to
+    even), so node 2 takes label 1; lower neighbours first they sum to
+    2**53 + 2, a tie that takes label 0.  Every other node's unary pins
+    it at label 0, and leaves on nodes 0, 1 and 3 make the greedy init
+    label those before node 2 (most-connected first, ties in node
+    order)."""
+    big = 2.0 ** 53
+    edges = [(0, 2), (2, 3), (1, 2), (3, 4), (3, 5), (3, 6), (0, 7), (0, 8),
+             (1, 9), (1, 10)]
+    unaries = [np.array([0.0, 1e20])] * 11
+    unaries[2] = np.zeros(2)
+    matrices = [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # rows: a lower neighbour's labels
+        np.array([[big + 2.0, 0.0], [big, 0.0]]),  # rows: node 2's labels
+        np.zeros((2, 2)),  # the leaves
+    ]
+    return MRFArrays.from_parts(
+        unaries, np.array([a for a, _ in edges]),
+        np.array([b for _, b in edges]),
+        np.array([0, 1, 0, 2, 2, 2, 2, 2, 2, 2]), matrices,
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_icm_and_greedy_keep_the_edge_sum_order(backend):
+    # ICM and the greedy init add a node's pairwise terms in edge order;
+    # walking its lower neighbours first rounds node 2 to label 0.
+    plan = _interleaved_plan()
+    want = [0, 0, 1] + [0] * 8
+    start = np.zeros(plan.node_count, dtype=np.int64)
+    assert plan.icm(start, backend=backend).tolist() == want
+    assert plan.greedy_labels(backend=backend).tolist() == want
+
+
 def _wide_plan() -> MRFArrays:
     """A 5-node chain padded to 70 labels — past the C kernels' 64."""
     rng = np.random.default_rng(14)
@@ -505,7 +543,7 @@ class TestNativeFallbackGuards:
         before = native.fallbacks
         assert plan.dual_bound(messages, backend=native) == reference
         assert native.fallbacks == before + 1
-        beliefs = plan.padded_beliefs()
+        beliefs = plan.unary_inf.copy()
         labels = np.zeros(plan.node_count, dtype=np.int64)
         ran = native.forward_sweep(
             plan, messages, beliefs, labels, SolverScratch()

@@ -53,9 +53,8 @@ from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
 
 from helpers import (
-    LEXSORT_BWD_FIELDS,
-    LEXSORT_FWD_FIELDS,
-    assert_schedule_kernels_agree,
+    LEXSORT_FIELDS,
+    assert_level_orders_agree,
     count_compile_routes,
     lexsort_structure,
     make_random_mrf,
@@ -95,15 +94,8 @@ def heterogeneous_network():
 
 _PLAN_ARRAYS = (
     "label_counts", "mask", "unary", "unary_inf", "cost",
-    "edge_first", "edge_second", "edge_cid",
-    "slot_receiver", "gamma", "degree",
+    "edge_first", "edge_second", "edge_cid", "gamma",
 )
-_LEVEL_ARRAYS = (
-    "nodes", "ext_seg", "ext_nbr", "ext_in", "ext_cid",
-    "snd", "rcv", "out", "cid",
-    "all_seg", "all_nbr", "all_cid",
-)
-_BLOCK_ARRAYS = ("snd", "rcv", "out", "cid")
 
 
 def assert_plans_identical(reference: MRFArrays, compiled: MRFArrays):
@@ -116,18 +108,11 @@ def assert_plans_identical(reference: MRFArrays, compiled: MRFArrays):
         left, right = getattr(reference, name), getattr(compiled, name)
         assert left.shape == right.shape, name
         assert np.array_equal(left, right, equal_nan=True), name
-    assert len(reference.fwd_levels) == len(compiled.fwd_levels)
-    for ref_level, new_level in zip(reference.fwd_levels, compiled.fwd_levels):
-        for name in _LEVEL_ARRAYS:
-            assert np.array_equal(
-                getattr(ref_level, name), getattr(new_level, name)
-            ), f"fwd {name}"
-    assert len(reference.bwd_levels) == len(compiled.bwd_levels)
-    for ref_block, new_block in zip(reference.bwd_levels, compiled.bwd_levels):
-        for name in _BLOCK_ARRAYS:
-            assert np.array_equal(
-                getattr(ref_block, name), getattr(new_block, name)
-            ), f"bwd {name}"
+    for name in LEXSORT_FIELDS:
+        left = getattr(reference.adjacency, name)
+        right = getattr(compiled.adjacency, name)
+        assert left.shape == right.shape, name
+        assert np.array_equal(left, right), name
 
 
 def reference_plan(net, sim, **kwargs) -> MRFArrays:
@@ -641,21 +626,22 @@ class TestSolverScratch:
 
 
 class TestWavefrontLevels:
-    """Every available schedule kernel returns the endpoint grouping and
-    the levels of the plain per-node loop (``helpers.python_levels``), on
-    shapes the small fixtures elsewhere in the suite do not reach."""
+    """Every available structure kernel orders the nodes by the levels of
+    the plain per-node loop (``helpers.python_levels``), forward and
+    backward, on shapes the small fixtures elsewhere in the suite do not
+    reach."""
 
     def test_random_dag(self):
         rng = np.random.default_rng(0)
         n, m = 3000, 9000
         lo = rng.integers(0, n - 1, m)
         hi = lo + 1 + rng.integers(0, np.maximum(1, n - 1 - lo))
-        assert_schedule_kernels_agree(n, lo, hi)
+        assert_level_orders_agree(n, lo, hi)
 
     def test_deep_chain(self):
         n = 6000
         lo = np.arange(n - 1, dtype=np.int64)
-        assert_schedule_kernels_agree(n, lo, lo + 1)
+        assert_level_orders_agree(n, lo, lo + 1)
 
     def test_small_random_plan_either_orientation(self):
         rng = np.random.default_rng(1)
@@ -663,7 +649,7 @@ class TestWavefrontLevels:
         lo = rng.integers(0, n - 1, m)
         hi = lo + 1 + rng.integers(0, np.maximum(1, n - 1 - lo))
         flip = rng.random(m) < 0.5
-        assert_schedule_kernels_agree(
+        assert_level_orders_agree(
             n,
             np.where(flip, hi, lo).astype(np.int64),
             np.where(flip, lo, hi).astype(np.int64),
@@ -672,7 +658,7 @@ class TestWavefrontLevels:
     def test_isolated_nodes_stay_level_zero(self):
         lo = np.asarray([2, 3], dtype=np.int64)
         hi = np.asarray([4, 5], dtype=np.int64)
-        assert_schedule_kernels_agree(8, lo, hi)
+        assert_level_orders_agree(8, lo, hi)
 
     @pytest.mark.parametrize(
         "first, second, named",
@@ -716,24 +702,16 @@ class TestWavefrontLevels:
 
 class TestLexsortOracle:
     """The plan build is segment gathers of one endpoint grouping; the
-    three-key lexsort construction it replaced (``helpers.
+    explicit lexsort construction kept as its oracle (``helpers.
     lexsort_structure``) must produce every array identically — values,
     dtype, shape and C-contiguity — on each available backend."""
 
     @staticmethod
     def _assert_matches_oracle(plan):
         expected = lexsort_structure(plan)
-        actual = {
-            name: getattr(plan, name)
-            for name in ("slot_receiver", "gamma")
-        }
-        for field in LEXSORT_FWD_FIELDS:
-            actual["fwd." + field] = getattr(plan.fwd_sweep.block, field)
-        for field in ("send_off", "node_off", "ext_off", "all_off"):
-            actual["fwd." + field] = getattr(plan.fwd_sweep, field)
-        for field in LEXSORT_BWD_FIELDS:
-            actual["bwd." + field] = getattr(plan.bwd_sweep.block, field)
-        actual["bwd.send_off"] = plan.bwd_sweep.send_off
+        actual = {"gamma": plan.gamma}
+        for field in LEXSORT_FIELDS:
+            actual["adjacency." + field] = getattr(plan.adjacency, field)
         assert actual.keys() == expected.keys()
         for name, want in expected.items():
             got = actual[name]

@@ -292,8 +292,8 @@ class TestSpans:
             obs.deactivate()
         stats = result.stats
         assert stats.backend == "native (cc)"
-        assert len(stats.fwd_level_seconds) == len(plan.fwd_levels)
-        assert len(stats.bwd_level_seconds) == len(plan.bwd_levels)
+        assert len(stats.fwd_level_seconds) == plan.adjacency.forward_levels
+        assert len(stats.bwd_level_seconds) == plan.adjacency.backward_levels
         assert all(seconds >= 0 for seconds in stats.fwd_level_seconds)
         assert sum(stats.fwd_level_seconds) <= stats.forward_seconds
         (solve,) = [e for e in trace.events if e["name"] == "trws.solve"]

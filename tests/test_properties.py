@@ -77,7 +77,7 @@ from repro.stream import (
 from repro.stream.plan import StreamPlan
 
 from helpers import (
-    assert_schedule_kernels_agree,
+    assert_level_orders_agree,
     count_compile_routes,
     edge_similarity_loop,
     padded_plan,
@@ -605,7 +605,7 @@ def test_component_energies_split_the_energy(seed):
 
 
 def _assert_schedules_agree(n, edges):
-    assert_schedule_kernels_agree(
+    assert_level_orders_agree(
         n, [a for a, _ in edges], [b for _, b in edges]
     )
 
@@ -799,7 +799,9 @@ def _random_messages(plan, seed):
     """Arbitrary message values, zero at the receivers' padded labels."""
     rng = np.random.default_rng(seed)
     messages = rng.uniform(-1.0, 1.0, size=(2 * plan.edge_count, plan.lmax))
-    messages[~plan.mask[plan.slot_receiver]] = 0.0
+    receiver = np.empty(2 * plan.edge_count, dtype=np.int64)
+    receiver[0::2], receiver[1::2] = plan.edge_second, plan.edge_first
+    messages[~plan.mask[receiver]] = 0.0
     return messages
 
 
@@ -889,8 +891,16 @@ def _assert_chains_agree(plan):
     np.testing.assert_array_equal(plan.chains[0], chain)
     np.testing.assert_array_equal(plan.chains[1], ends)
     np.testing.assert_array_equal(plan.components, components)
-    # Sends run in sweep order, so a chain's sends are in chain order.
-    edges = (plan.fwd_sweep.block.out >> 1).tolist()
+    # A row is a send when its neighbour is higher-numbered than the
+    # node sending on its slot.  Sends run in row (sweep) order, so a
+    # chain's sends are in chain order.
+    adj = plan.adjacency
+    row_edge = adj.slot >> 1
+    sender = np.where(
+        adj.slot & 1, plan.edge_second[row_edge], plan.edge_first[row_edge]
+    )
+    sends = adj.nbr > sender
+    edges = row_edge[sends].tolist()
     steps: Dict[int, List[int]] = {c: [] for c in range(len(ends))}
     for send, c in enumerate(chain.tolist()):
         steps[c].append(edges[send])
@@ -904,10 +914,11 @@ def _assert_chains_agree(plan):
     assert sorted(ours) == _reference_chains(
         plan.node_count, plan.edge_first.tolist(), plan.edge_second.tolist()
     )
-    # Chains that end on an edge come first, in forward-sweep order of
-    # their last edge's conditioning row; isolated nodes follow.
-    block = plan.fwd_sweep.block
-    order = {edge: row for row, edge in enumerate((block.ext_in >> 1).tolist())}
+    # Chains that end on an edge come first, in row order of their last
+    # edge's conditioning row; isolated nodes follow.
+    order = {
+        edge: row for row, edge in enumerate(row_edge[~sends].tolist())
+    }
     isolated = [c for c, path in steps.items() if not path]
     assert isolated == list(range(len(ends) - len(isolated), len(ends)))
     rows = [order[steps[c][-1]] for c in range(len(ends) - len(isolated))]

@@ -25,21 +25,38 @@ from helpers import make_random_mrf
 class TestPlan:
     def test_wavefront_levels_are_independent_sets(self):
         mrf = make_random_mrf(nodes=12, edge_probability=0.5, max_labels=4, seed=3)
-        plan = MRFArrays(mrf)
-        for level in plan.fwd_levels:
-            members = set(int(x) for x in level.nodes)
+        adj = MRFArrays(mrf).adjacency
+        levels = [
+            adj.nodes[adj.node_off[level] : adj.node_off[level + 1]]
+            for level in range(adj.forward_levels)
+        ]
+        for level in levels:
+            members = set(int(x) for x in level)
             for i in members:
                 for j, _edge in mrf.neighbors(i):
                     assert j not in members, "adjacent nodes share a level"
         # Every node appears in exactly one forward level.
-        seen = sorted(int(x) for level in plan.fwd_levels for x in level.nodes)
+        seen = sorted(int(x) for level in levels for x in level)
         assert seen == list(range(mrf.node_count))
 
     def test_every_edge_sent_once_per_sweep_direction(self):
         mrf = make_random_mrf(nodes=10, edge_probability=0.6, max_labels=3, seed=5)
         plan = MRFArrays(mrf)
-        fwd = sorted(int(s) for level in plan.fwd_levels for s in level.out)
-        bwd = sorted(int(s) for block in plan.bwd_levels for s in block.out)
+        adj = plan.adjacency
+        # Forward: the send rows, towards higher-numbered neighbours.
+        # Backward: every listed node's conditioning rows.
+        edge = adj.slot >> 1
+        sender = np.where(
+            adj.slot & 1, plan.edge_second[edge], plan.edge_first[edge]
+        )
+        fwd = sorted(adj.slot[adj.nbr > sender].tolist())
+        bwd = sorted(
+            int(adj.slot[row])
+            for v in adj.bwd_nodes.tolist()
+            for row in range(
+                adj.lower_start[v], adj.lower_start[v] + adj.lower[v]
+            )
+        )
         assert len(fwd) == mrf.edge_count
         assert len(bwd) == mrf.edge_count
         assert sorted(fwd + bwd) == list(range(2 * mrf.edge_count))
@@ -88,7 +105,7 @@ class TestPlan:
         mrf.add_node([0.4, 0.5])
         mrf.add_edge(0, 1, np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]))
         plan = MRFArrays(mrf)
-        beliefs = plan.padded_beliefs()
+        beliefs = plan.unary_inf.copy()
         assert beliefs[1, 2] == np.inf and np.isfinite(beliefs[0]).all()
         assert plan.zero_messages().shape == (2, 3)
         assert plan.cost[plan.edge_cid[0], 2, 1] == 0.5

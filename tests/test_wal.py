@@ -14,7 +14,6 @@ from repro.service import (
     InjectedCrash,
     InjectedFault,
     WriteAheadLog,
-    inspect_wal,
     parse_fault_plan,
     random_fault_plan,
     replay_wal,
